@@ -11,10 +11,8 @@ from .bounds import (BoundEntry, BoundReport, ModifierPair, OptimizerResult,
                      feasibility_margin, modified_scalar, optimize_modifiers)
 from .dirac_core import (BC_VARIANTS, BoundaryConditionSpec, Eigenpair,
                          FourierMode, ModeOperator, NumericalError, Spectrum,
-                         aggregate, apply_boundary_condition,
-                         assemble_mode_dirac, boundary_dirac_matrix,
-                         convergence_study, modes_for, solve_mode,
-                         solve_spectrum)
+                         aggregate, boundary_dirac_matrix, convergence_study,
+                         modes_for, solve_mode)
 from .geometry import (BoundaryData, ConfigError, ConformalRescaling,
                        RadialFunction, WarpedSurface, boundary_data, catalog,
                        conformal_law_residuals, conformal_rescale,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -63,6 +64,31 @@ def _slug(bc: str) -> str:
     return bc.replace("+", "plus").replace("-", "minus")
 
 
+def _check_type(name: str, value, kind) -> None:
+    """Reject a config value of the wrong JSON type (bool is no number)."""
+    if isinstance(kind, list):
+        ok = isinstance(value, list)
+        if ok:
+            for item in value:
+                _check_type(name, item, kind[0])
+    elif kind is float:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+    elif kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"config field {name!r} has a bad value {value!r}")
+
+
+# JSON type of each Scenario field: a list holds items of the one type given
+_FIELD_TYPES = {"geometry": str, "spin_structure": str, "bc": [str],
+                "kmax": float, "N": [int], "conformal_u": (str, type(None)),
+                "optimize_bounds": bool, "budget": int, "tol_report": float,
+                "tol_identity": float, "out": str}
+
+
 @dataclass
 class Scenario:
     """Reproducible description of one run; JSON round-trippable."""
@@ -93,6 +119,8 @@ class Scenario:
         return Scenario(**data)
 
     def validate(self) -> None:
+        for name, kind in _FIELD_TYPES.items():
+            _check_type(name, getattr(self, name), kind)
         if not self.bc:
             raise ConfigError("at least one boundary condition is required")
         for bc in self.bc:
@@ -232,8 +260,9 @@ def _identity_reports(sc: Scenario, surface: WarpedSurface,
         out.append({"name": "conformal_push_residual", "left": push_res,
                     "right": 0.0, "residual": push_res, "n_grid": N,
                     "expected_order": 2.0})
+        # the rescaling's own factor is the modifier u of eq3/eq4
         for which in ("eq3", "eq4"):
-            r = ident.eq_residual(field, lam, mp.a, mp.u, which, rescaling=resc)
+            r = ident.eq_residual(field, lam, mp.a, u, which, rescaling=resc)
             out.append(r.to_dict())
     return out
 

@@ -19,11 +19,23 @@ eliminated with a mass-orthonormal basis, preserving exact Hermiticity.
 Single-grid centered differencing is avoided deliberately: it carries a
 spurious oscillatory branch whose eigenvalues pollute the low spectrum.
 
+The operator is built in band storage in O(N) time and memory.  On the
+interleaved unknowns q_0, p_0, q_1, ..., p_{N-1}, q_N (p the center
+component, q the vertex component) the interior rows are tridiagonal with
+a zero diagonal; only the two boundary-vertex rows and the boundary
+constraints reach further, and they stay inside a window of 7 unknowns at
+each end.  The constraint elimination runs densely on those two
+windows, the reduced operator (bandwidth at most 5) is stored as a
+(2 bw + 1, n) band, and eigenvalues, banded LU solves and the residual
+mat-vec of inverse iteration all read that band.
+
 Modes with k < 0 are solved through the unitary component swap
 (v1, v2) -> (v2, v1), which maps mode k to mode -k and swaps the two local
 boundary conditions while fixing each APS condition.  At a cap this keeps
 the vertex component the faster-vanishing one at the pole, where the
-regular closure (vertex value 0) is then exact for every mode.
+regular closure (vertex value 0) is then exact for every mode.  The swap
+fixes each APS condition, so under aps+- the modes k and -k share one
+operator: `aggregate` solves it once and mirrors the solution.
 
 APS conventions: the admissible boundary values for aps- have no component
 on eigenvectors of e0 . D_boundary with eigenvalue >= 0 (kernel included in
@@ -33,8 +45,6 @@ experimental condition.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -173,13 +183,90 @@ def _closures(surface: WarpedSurface, k: float,
     return out
 
 
+# End windows of the interleaved layout: 7 dofs hold each end's constraint
+# support (q_b and the three nearest p) and every dof coupled to it, so the
+# elimination never reaches past a window and the first and last window dof
+# are plain unknowns.  Both windows start at a vertex, so even window
+# positions are q and odd ones p.
+_WINDOW = 7
+_EXTRAPOLATION = (2.0, -1.5, 0.5)
+
+
+def _end_constraint(closure: tuple, q: int, ps: tuple) -> tuple | None:
+    """(support, coefficients) of one end's constraint in window positions.
+
+    `q` is the boundary vertex, `ps` the centers nearest to it, nearest
+    first; the support order fixes the null-space basis.
+    """
+    kind, gamma = closure
+    if kind == "local":
+        return (q,) + ps, (1.0,) + tuple(-gamma * e for e in _EXTRAPOLATION)
+    if kind in ("pdir", "both"):
+        return ps, _EXTRAPOLATION
+    return None
+
+
+def _reduce_window(H: Array, msq: Array, active: Array,
+                   constraint: tuple | None) -> tuple[Array, Array, list]:
+    """Mass-orthonormal elimination of one end constraint on its window.
+
+    Returns the basis Z (window dofs x reduced columns), the reduced block
+    Z^H H Z and the component kind of each column ('p', 'q' or 'mixed').
+    Free unknowns keep their order; the null-space columns of the constraint
+    take the place of its first dof.
+    """
+    w = len(msq)
+    kinds = ["q" if a % 2 == 0 else "p" for a in range(w)]
+    sup = list(constraint[0]) if constraint else []
+    cols, col_kinds = [], []
+    for a in range(w):
+        if sup and a == min(sup):
+            coef = np.array(constraint[1], dtype=complex) / msq[sup]
+            z = null_space(coef[None, :])
+            sup_kinds = {kinds[b] for b in sup}
+            kind = sup_kinds.pop() if len(sup_kinds) == 1 else "mixed"
+            for zc in z.T:
+                col = np.zeros(w, dtype=complex)
+                col[sup] = zc
+                cols.append(col)
+                col_kinds.append(kind)
+        elif active[a] and a not in sup:
+            cols.append(np.eye(w)[:, a])
+            col_kinds.append(kinds[a])
+    Z = np.column_stack(cols)
+    return Z, Z.conj().T @ H @ Z, col_kinds
+
+
+def _bandwidth(block: Array, tol: float) -> int:
+    i, j = np.nonzero(np.abs(block) > tol)
+    return int(np.max(np.abs(i - j))) if len(i) else 0
+
+
+def _put_block(ab: Array, bw: int, at: int, block: Array) -> None:
+    """Write a dense diagonal block at row/column `at` into band storage."""
+    reach = min(bw, block.shape[0] - 1)
+    for off in range(-reach, reach + 1):
+        diag = np.diagonal(block, -off)
+        j0 = at + max(0, -off)
+        ab[bw + off, j0: j0 + len(diag)] = diag
+
+
+def _band_matvec(ab: Array, bw: int, x: Array) -> Array:
+    """A @ x for A in (2 bw + 1, n) band storage, A[i, j] = ab[bw + i - j, j]."""
+    y = ab[bw] * x
+    for d in range(1, bw + 1):
+        y[:-d] += ab[bw - d, d:] * x[d:]
+        y[d:] += ab[bw + d, :-d] * x[:-d]
+    return y
+
+
 @dataclass
 class ModeOperator:
     """Discrete radial Dirac operator of one mode, before or after a BC.
 
-    `matrix` is the reduced operator, exactly Hermitian after the boundary
-    condition is applied; eigenvectors are reported back on the staggered
-    grids through `solve`.
+    `matrix` is the reduced operator in band storage, exactly Hermitian
+    after the boundary condition is applied; eigenvectors are reported back
+    on the staggered grids through `expand`.
     """
 
     surface: WarpedSurface
@@ -195,7 +282,7 @@ class ModeOperator:
         if self.k < 0:
             raise ConfigError("ModeOperator assembles native modes k >= 0; "
                               "negative modes are solved by component swap")
-        self._build()
+        self._assemble()
 
     # -- grid data -----------------------------------------------------
 
@@ -213,164 +300,137 @@ class ModeOperator:
 
     # -- assembly --------------------------------------------------------
 
-    def _build(self) -> None:
-        surf, k, N, h = self.surface, self.k, self.n_grid, self.h
-        rc, xv = self.r_centers, self.r_vertices
-        fc, fpc = surf.f(rc), surf.fp(rc)
-        fv = surf.f(xv)
-        sigma = fpc / (2 * fc) + k / fc          # at centers
+    def _stencil(self) -> tuple[Array, ...]:
+        """Profile samples and the interior scheme rows.
+
+        Returns (fc, fv, sigma, p_lo, p_hi, q_lo, q_hi): f at the centers and
+        vertices, sigma = f'/2f + k/f at the centers, and the coefficients of
+        row p_j, p_lo[j] q_j + p_hi[j] q_{j+1}, and of row q_i (0 < i < N),
+        q_lo[i-1] p_{i-1} + q_hi[i-1] p_i.
+        """
+        surf, k, h = self.surface, self.k, self.h
+        rc = self.r_centers
+        fc, fpc, fv = surf.f(rc), surf.fp(rc), surf.f(self.r_vertices)
+        sigma = fpc / (2 * fc) + k / fc
         fsig = fpc / 2 + k                       # f * sigma at centers
+        p_lo = 1j * (-1.0 / h + sigma / 2)
+        p_hi = 1j * (1.0 / h + sigma / 2)
+        q_lo = 1j * (-fc[:-1] / h - fsig[:-1] / 2) / fv[1:-1]
+        q_hi = 1j * (fc[1:] / h - fsig[1:] / 2) / fv[1:-1]
+        return fc, fv, sigma, p_lo, p_hi, q_lo, q_hi
 
+    def _assemble(self) -> None:
+        """Weighted operator on the interleaved layout, reduced in band form.
+
+        Unknowns are interleaved as q_0, p_0, q_1, ..., p_{N-1}, q_N (q_i at
+        2 i, p_j at 2 j + 1).  H = M^1/2 D M^-1/2 is tridiagonal with a zero
+        diagonal there, except for the two boundary-vertex rows, and the
+        boundary constraints touch only the end windows.  So the dense
+        elimination runs on the two windows alone and the middle of the
+        reduced operator is the tridiagonal part of H, shifted.
+        """
+        surf, k, N, h = self.surface, self.k, self.n_grid, self.h
+        fc, fv, sigma, p_lo, p_hi, q_lo, q_hi = self._stencil()
         clo = _closures(surf, k, self.bc)
-        q_active = {i: True for i in range(1, N)}
-        q_active[0] = clo["inner"][0] in ("local", "pdir")
-        q_active[N] = clo["outer"][0] in ("local", "pdir")
+        n_full, W = 2 * N + 1, _WINDOW
 
-        dofs: list[tuple[str, int]] = []
-        if q_active[0]:
-            dofs.append(("q", 0))
-        for j in range(N):
-            dofs.append(("p", j))
-            if 0 < j + 1 < N:
-                dofs.append(("q", j + 1))
-        if q_active[N]:
-            dofs.append(("q", N))
-        index = {d: a for a, d in enumerate(dofs)}
-        n = len(dofs)
-
-        D = np.zeros((n, n), dtype=complex)
-        m = np.empty(n)
-
-        for j in range(N):
-            a = index[("p", j)]
-            m[a] = h * fc[j]
-            for iv, sgn in ((j, -1.0), (j + 1, +1.0)):
-                if q_active.get(iv, False):
-                    D[a, index[("q", iv)]] = 1j * (sgn / h + sigma[j] / 2)
-        for i in range(1, N):
-            a = index[("q", i)]
-            m[a] = h * fv[i]
-            D[a, index[("p", i - 1)]] = 1j * (-fc[i - 1] / h - fsig[i - 1] / 2) / fv[i]
-            D[a, index[("p", i)]] = 1j * (fc[i] / h - fsig[i] / 2) / fv[i]
-
-        # Boundary closures: the vertex row is the equation i(p' + tau p_B) at
-        # the boundary; second-order derivative weights (2,-3,1)/h force the
-        # companion trace extrapolation E = 2 p_1 - 1.5 p_2 + 0.5 p_3 (offsets
-        # h/2, 3h/2, 5h/2) -- the unique combination that keeps the reduced
-        # operator exactly Hermitian with the half-cell mass G h / 2.
-        ex = (2.0, -1.5, 0.5)
-        constraints: list[dict] = []
-        if q_active[N]:
-            a = index[("q", N)]
-            tau_r = float(surf.fp(surf.r_max) / (2 * surf.f(surf.r_max))
-                          - k / surf.f(surf.r_max))
-            m[a] = 0.5 * h * fc[N - 1] * (1 + h * sigma[N - 1] / 2)
-            for j, (dw, ew) in enumerate(zip((2.0, -3.0, 1.0), ex)):
-                D[a, index[("p", N - 1 - j)]] = 1j * (dw / h + tau_r * ew)
-        kind, gamma = clo["outer"]
-        if kind == "local":
-            constraints.append({("q", N): 1.0,
-                                ("p", N - 1): -gamma * ex[0],
-                                ("p", N - 2): -gamma * ex[1],
-                                ("p", N - 3): -gamma * ex[2]})
-        elif kind in ("pdir", "both"):
-            constraints.append({("p", N - 1): ex[0], ("p", N - 2): ex[1],
-                                ("p", N - 3): ex[2]})
-
-        if q_active[0]:
-            a = index[("q", 0)]
-            tau_l = float(surf.fp(surf.r_min) / (2 * surf.f(surf.r_min))
-                          - k / surf.f(surf.r_min))
-            m[a] = 0.5 * h * fc[0] * (1 - h * sigma[0] / 2)
-            for j, (dw, ew) in enumerate(zip((-2.0, 3.0, -1.0), ex)):
-                D[a, index[("p", j)]] = 1j * (dw / h + tau_l * ew)
-        kind, gamma = clo["inner"]
-        if kind == "local":
-            constraints.append({("q", 0): 1.0, ("p", 0): -gamma * ex[0],
-                                ("p", 1): -gamma * ex[1],
-                                ("p", 2): -gamma * ex[2]})
-        elif kind in ("pdir", "both"):
-            constraints.append({("p", 0): ex[0], ("p", 1): ex[1],
-                                ("p", 2): ex[2]})
-
-        if np.any(m <= 0):
+        active = np.ones(n_full, dtype=bool)
+        active[0] = clo["inner"][0] in ("local", "pdir")
+        active[-1] = clo["outer"][0] in ("local", "pdir")
+        m = np.ones(n_full)               # 1 stands in at inactive vertices
+        m[1::2] = h * fc
+        m[2:-1:2] = h * fv[1:-1]
+        if active[0]:
+            m[0] = 0.5 * h * fc[0] * (1 - h * sigma[0] / 2)
+        if active[-1]:
+            m[-1] = 0.5 * h * fc[-1] * (1 + h * sigma[-1] / 2)
+        if np.any(m[active] <= 0):
             raise NumericalError("nonpositive quadrature weight in assembly")
-
-        self._dofs, self._index, self._D, self._m = dofs, index, D, m
-        self._constraints = constraints
-        self._closure = clo
-        self._q_active = q_active
-        self._reduce()
-
-    def _reduce(self) -> None:
-        """Mass-orthonormal elimination of the boundary constraints."""
-        D, m, index = self._D, self._m, self._index
-        n = len(m)
         msq = np.sqrt(m)
-        H = D * (msq[:, None] / msq[None, :])
 
-        in_support = np.zeros(n, dtype=bool)
-        blocks = []
-        for c in self._constraints:
-            sup = np.array([index[d] for d in c], dtype=int)
-            coef = np.array([c[d] for d in c], dtype=complex) / msq[sup]
-            z = null_space(coef[None, :])
-            kinds = {self._dofs[a][0] for a in sup}
-            blocks.append((sup, z, "mixed" if len(kinds) > 1 else kinds.pop()))
-            in_support[sup] = True
+        # lower[r] = H[r+1, r] and upper[r] = H[r, r+1], each from its own row
+        lower = np.zeros(n_full - 1, dtype=complex)
+        upper = np.zeros(n_full - 1, dtype=complex)
+        lower[0::2] = p_lo                # row p_j, column q_j
+        lower[1:-1:2] = q_lo              # row q_i, column p_{i-1}
+        upper[1::2] = p_hi                # row p_j, column q_{j+1}
+        upper[2::2] = q_hi                # row q_i, column p_i
+        lower *= msq[1:] / msq[:-1]
+        upper *= msq[:-1] / msq[1:]
 
-        keep = np.flatnonzero(~in_support)
-        cols: list[tuple[float, str, object]] = [(float(a), "unit", a) for a in keep]
-        for bi, (sup, z, _) in enumerate(blocks):
-            base = float(np.min(sup))
-            for ci in range(z.shape[1]):
-                cols.append((base + 0.1 * (ci + 1), "block", (bi, ci)))
-        cols.sort(key=lambda t: t[0])
-        n_red = len(cols)
-        col_kind = [self._dofs[payload][0] if kind == "unit"
-                    else blocks[payload[0]][2]
-                    for _, kind, payload in cols]
+        def window(at: int) -> Array:
+            return (np.diag(lower[at: at + W - 1], -1)
+                    + np.diag(upper[at: at + W - 1], 1))
 
-        A = np.empty((n_red, n_red), dtype=complex)
-        unit_pos = [a for a, (_, kind, _) in enumerate(cols) if kind == "unit"]
-        unit_idx = np.array([cols[a][2] for a in unit_pos], dtype=int)
-        A[np.ix_(unit_pos, unit_pos)] = H[np.ix_(unit_idx, unit_idx)]
-        for a, (_, kind, payload) in enumerate(cols):
-            if kind != "block":
-                continue
-            bi, ci = payload
-            sup, z, _ = blocks[bi]
-            zc = z[:, ci]
-            A[unit_pos, a] = H[np.ix_(unit_idx, sup)] @ zc
-            A[a, unit_pos] = np.conj(zc) @ H[np.ix_(sup, unit_idx)]
-            for b, (_, kind2, payload2) in enumerate(cols):
-                if kind2 != "block":
-                    continue
-                bj, cj = payload2
-                sup2, z2, _ = blocks[bj]
-                A[a, b] = np.conj(zc) @ H[np.ix_(sup, sup2)] @ z2[:, cj]
+        # Boundary-vertex rows: the equation i(p' + tau p_B) at the boundary;
+        # second-order derivative weights (2,-3,1)/h force the companion
+        # trace extrapolation E = 2 p_1 - 1.5 p_2 + 0.5 p_3 (offsets h/2,
+        # 3h/2, 5h/2) -- the unique combination that keeps the reduced
+        # operator exactly Hermitian with the half-cell mass G h / 2.
+        # Per end: window start, boundary vertex and nearest centers (window
+        # positions), derivative weights, boundary radius
+        ends = {"inner": (0, 0, (1, 3, 5), (-2.0, 3.0, -1.0), surf.r_min),
+                "outer": (n_full - W, W - 1, (5, 3, 1), (2.0, -3.0, 1.0),
+                          surf.r_max)}
+        reduced = {}
+        for which, (at, q, ps, dws, r_b) in ends.items():
+            block = window(at)
+            if active[at + q]:
+                tau = float(surf.fp(r_b) / (2 * surf.f(r_b)) - k / surf.f(r_b))
+                for pw, dw, ew in zip(ps, dws, _EXTRAPOLATION):
+                    block[q, pw] = (1j * (dw / h + tau * ew)
+                                    * (msq[at + q] / msq[at + pw]))
+            reduced[which] = _reduce_window(
+                block, msq[at: at + W], active[at: at + W],
+                _end_constraint(clo[which], q, ps))
+        (Zh, Ah, kinds_h), (Zt, At, kinds_t) = reduced["inner"], reduced["outer"]
 
-        herm = float(np.max(np.abs(A - A.conj().T)))
-        scale = float(np.max(np.abs(A))) or 1.0
+        # links of the middle, including the two that cross into the windows
+        mid_lo, mid_up = lower[W - 1: n_full - W], upper[W - 1: n_full - W]
+        herm = max(float(np.max(np.abs(Ah - Ah.conj().T))),
+                   float(np.max(np.abs(At - At.conj().T))),
+                   float(np.max(np.abs(mid_lo - np.conj(mid_up)))))
+        scale = max(float(np.max(np.abs(b))) for b in
+                    (Ah, At, mid_lo, mid_up)) or 1.0
         if herm > _HERM_TOL * max(1.0, scale):
             raise NumericalError(
                 f"reduced operator lost Hermiticity: {herm:.3e} (scale {scale:.3e})")
-        A = 0.5 * (A + A.conj().T)  # strip roundoff asymmetry only
+        # strip roundoff asymmetry only
+        Ah, At = 0.5 * (Ah + Ah.conj().T), 0.5 * (At + At.conj().T)
+        mid_lo = 0.5 * (mid_lo + np.conj(mid_up))
 
-        nz = np.argwhere(np.abs(A) > 1e-14 * max(1.0, scale))
-        bw = int(np.max(np.abs(nz[:, 0] - nz[:, 1]))) if len(nz) else 0
+        tol = 1e-14 * max(1.0, scale)
+        bw = max(1, _bandwidth(Ah, tol), _bandwidth(At, tol))
         if bw > _MAX_BANDWIDTH:
             raise NumericalError(f"unexpected bandwidth {bw} after reduction")
 
-        self._cols, self._blocks, self._A, self._bw = cols, blocks, A, bw
-        self._col_kind = col_kind
+        rh, rt = len(kinds_h), len(kinds_t)
+        n = rh + (n_full - 2 * W) + rt
+        ab = np.zeros((2 * bw + 1, n), dtype=complex)
+        ab[bw + 1, rh - 1: rh - 1 + len(mid_lo)] = mid_lo
+        ab[bw - 1, rh: rh + len(mid_lo)] = np.conj(mid_lo)
+        _put_block(ab, bw, 0, Ah)
+        _put_block(ab, bw, n - rt, At)
+
+        kinds = kinds_h + kinds_t         # the middle adds N - 6 p, N - 7 q
+        n_p = kinds.count("p") + (N - W + 1)
+        n_q = len(kinds) - kinds.count("p") + (N - W)
+        if "mixed" in kinds or n_p == n_q:
+            self._zeros = None
+        else:
+            self._zeros = (abs(n_p - n_q), "spurious" if n_q > n_p else "harmonic")
+
+        self._ab, self._bw, self._herm = ab, bw, herm
+        self._m, self._msq = m[active], msq
+        self._head, self._tail = Zh, Zt
 
     # -- public surface --------------------------------------------------
 
     @property
     def matrix(self) -> Array:
-        """Reduced operator matrix (Hermitian; standard eigenproblem)."""
-        return self._A
+        """Reduced operator in (2 bw + 1, n) band storage, the layout of
+        scipy.linalg.solve_banded: A[i, j] = matrix[bw + i - j, j]."""
+        return self._ab
 
     @property
     def weights(self) -> Array:
@@ -378,8 +438,9 @@ class ModeOperator:
         return self._m.copy()
 
     def hermiticity_residual(self) -> float:
-        a = self._A
-        return float(np.max(np.abs(a - a.conj().T)))
+        """max |A - A^H| of the reduced operator as assembled, before the
+        roundoff symmetrization."""
+        return self._herm
 
     def apply_interior(self, p: Array, q_full: Array) -> tuple[Array, Array]:
         """Apply the scheme rows to given staggered samples (oracle checks).
@@ -387,18 +448,10 @@ class ModeOperator:
         Returns ((D v)_1 at the N centers, (D v)_2 at the N-1 interior
         vertices); boundary-vertex rows are closure-specific and excluded.
         """
-        surf, k, N, h = self.surface, self.k, self.n_grid, self.h
-        rc, xv = self.r_centers, self.r_vertices
-        fc, fpc, fv = surf.f(rc), surf.fp(rc), surf.f(xv)
-        sigma = fpc / (2 * fc) + k / fc
-        fsig = fpc / 2 + k
+        _, _, _, p_lo, p_hi, q_lo, q_hi = self._stencil()
         p = np.asarray(p, complex)
         q = np.asarray(q_full, complex)
-        rp = 1j * ((q[1:] - q[:-1]) / h + sigma * (q[1:] + q[:-1]) / 2)
-        i = np.arange(1, N)
-        rq = 1j * ((fc[i] * p[i] - fc[i - 1] * p[i - 1]) / h
-                   - (fsig[i - 1] * p[i - 1] + fsig[i] * p[i]) / 2) / fv[i]
-        return rp, rq
+        return p_lo * q[:-1] + p_hi * q[1:], q_lo * p[:-1] + q_hi * p[1:]
 
     @property
     def structural_zeros(self) -> tuple[int, str] | None:
@@ -412,33 +465,14 @@ class ModeOperator:
         center side is a discrete harmonic spinor ("harmonic", kept - these
         are genuine for the experimental aps+ condition).
         """
-        kinds = self._col_kind
-        if "mixed" in kinds:
-            return None
-        n_p = sum(1 for kk in kinds if kk == "p")
-        n_q = len(kinds) - n_p
-        if n_p == n_q:
-            return None
-        return (abs(n_p - n_q), "spurious" if n_q > n_p else "harmonic")
-
-    def _band_full(self) -> Array:
-        """(2 bw + 1, n) banded storage for scipy.linalg.solve_banded."""
-        A, bw = self._A, self._bw
-        n = A.shape[0]
-        ab = np.zeros((2 * bw + 1, n), dtype=complex)
-        for off in range(-bw, bw + 1):
-            diag = np.diagonal(A, off)
-            j0 = max(0, off)
-            ab[bw - off, j0: j0 + len(diag)] = diag
-        return ab
+        return self._zeros
 
     def _inverse_iteration(self, lam: float, ortho: list[Array],
                            rng: np.random.Generator) -> Array:
         """One eigenvector of the reduced operator by shifted inverse iteration."""
-        A, bw = self._A, self._bw
-        n = A.shape[0]
-        scale = max(float(np.max(np.abs(A))), 1.0)
-        ab0 = self._band_full()
+        ab0, bw = self._ab, self._bw
+        n = ab0.shape[1]
+        scale = max(float(np.max(np.abs(ab0))), 1.0)
         shift = lam + 1e-12 * scale
         resid = np.inf
         for attempt in range(6):
@@ -454,7 +488,7 @@ class ModeOperator:
             except np.linalg.LinAlgError:
                 shift = lam + (1e-10 * 10 ** attempt) * scale
                 continue
-            resid = float(np.linalg.norm(A @ x - lam * x))
+            resid = float(np.linalg.norm(_band_matvec(ab0, bw, x) - lam * x))
             if resid <= 1e-7 * scale:
                 return x
             shift = lam + (1e-10 * 10 ** attempt) * scale
@@ -469,13 +503,10 @@ class ModeOperator:
         Returns (values ascending, selected values, selected vectors in
         reduced coordinates, one per column).
         """
-        A, bw = self._A, self._bw
-        n = A.shape[0]
-        band = np.zeros((bw + 1, n), dtype=complex)
-        for i in range(bw + 1):
-            band[i, : n - i] = np.diagonal(A, -i)
+        ab, bw = self._ab, self._bw
+        n = ab.shape[1]
         try:
-            vals = eigvals_banded(band, lower=True)
+            vals = eigvals_banded(ab[bw:], lower=True)
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise NumericalError(f"banded eigensolver failed: {exc}") from exc
 
@@ -495,7 +526,7 @@ class ModeOperator:
             return vals, None, None
         n_sel = min(n_vectors, len(vals))
         if n_sel == 0:
-            return vals, np.empty(0), np.empty((A.shape[0], 0), dtype=complex)
+            return vals, np.empty(0), np.empty((n, 0), dtype=complex)
         order = np.argsort(np.abs(vals), kind="stable")
         wanted = np.sort(vals[order[:n_sel]])
         rng = np.random.default_rng(12345)
@@ -509,41 +540,14 @@ class ModeOperator:
     def expand(self, y: Array) -> tuple[Array, Array]:
         """Reduced eigenvector -> staggered samples (p at centers, q at all
         vertices, eliminated vertex values filled with their exact zeros)."""
-        n = len(self._m)
-        xhat = np.zeros(n, dtype=complex)
-        for a, (_, kind, payload) in enumerate(self._cols):
-            if kind == "unit":
-                xhat[payload] += y[a]
-            else:
-                bi, ci = payload
-                sup, z, _ = self._blocks[bi]
-                xhat[sup] += z[:, ci] * y[a]
-        x = xhat / np.sqrt(self._m)
-        N = self.n_grid
-        p = np.array([x[self._index[("p", j)]] for j in range(N)])
-        q = np.zeros(N + 1, dtype=complex)
-        for i in range(N + 1):
-            d = ("q", i)
-            if d in self._index:
-                q[i] = x[self._index[d]]
-        return p, q
-
-
-def assemble_mode_dirac(surface: WarpedSurface, k: float, N: int) -> ModeOperator:
-    """Radial reduction of D at one mode, no boundary condition applied yet.
-
-    The returned operator uses the minimal (vertex-component Dirichlet)
-    realization, which is Hermitian by construction; apply a
-    BoundaryConditionSpec to obtain the physical spectra.
-    """
-    return ModeOperator(surface, k, N, bc=None)
-
-
-def apply_boundary_condition(op: ModeOperator,
-                             bc: BoundaryConditionSpec) -> ModeOperator:
-    if op.bc is not None:
-        raise ConfigError("operator already carries a boundary condition")
-    return ModeOperator(op.surface, op.k, op.n_grid, bc=bc, frame=op.frame)
+        W = _WINDOW
+        rh, rt = self._head.shape[1], self._tail.shape[1]
+        xhat = np.empty(len(self._msq), dtype=complex)
+        xhat[:W] = self._head @ y[:rh]
+        xhat[W:-W] = y[rh: len(y) - rt]
+        xhat[-W:] = self._tail @ y[len(y) - rt:]
+        x = xhat / self._msq
+        return x[1::2], x[0::2]
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +566,19 @@ class ModeSolution:
     k: float
     lams: Array                       # all eigenvalues, ascending
     pairs: list                       # Eigenpairs with fields, by |lam|
+    op: ModeOperator | None = None    # the native operator that was solved
+    samples: tuple = ()               # (lam, p, q) staggered eigenvectors
+
+    def mirrored(self) -> "ModeSolution":
+        """The solution at -k, for an operator the component swap fixes.
+
+        Valid when mode -k reduces to the same native operator as mode k,
+        as under aps+- (whose swapped condition is itself): same eigenvalues,
+        fields from the same vectors with the components swapped back.
+        """
+        k = -self.k
+        return ModeSolution(k, self.lams, _pairs(self.op, self.samples, k),
+                            self.op, self.samples)
 
 
 def _phase_norm_scale(field_values: Array) -> complex:
@@ -598,22 +615,27 @@ def _collocate(op: ModeOperator, p: Array, q: Array, swap: bool) -> SpinorField:
     return SpinorField(op.surface, k, op.r_centers, vals, traces, frame=op.frame)
 
 
+def _pairs(op: ModeOperator, samples: tuple, k: float) -> list:
+    """Eigenpairs of mode k (by |lam|) from eigenvectors of the native operator."""
+    pairs = []
+    for lam, p, q in samples:
+        field = _collocate(op, p, q, swap=k < 0)
+        field.lam = lam
+        pairs.append(Eigenpair(lam, k, field))
+    pairs.sort(key=lambda e: (abs(e.lam), e.lam))
+    return pairs
+
+
 def solve_mode(surface: WarpedSurface, k: float, bc: BoundaryConditionSpec,
                N: int, n_fields: int = 4) -> ModeSolution:
     """Eigen-solve one mode; negative modes via the exact component swap."""
-    swap = k < 0
-    k_solve = -k if swap else k
-    bc_solve = bc.swapped() if swap else bc
-    op = ModeOperator(surface, k_solve, N, bc=bc_solve)
+    if bc is None:
+        raise ConfigError("solve_mode needs a boundary condition")
+    op = ModeOperator(surface, abs(k), N, bc=bc.swapped() if k < 0 else bc)
     vals, wv, vec = op.eigensystem(n_vectors=n_fields)
-    pairs = []
-    for col in range(vec.shape[1]):
-        p, q = op.expand(vec[:, col])
-        field = _collocate(op, p, q, swap)
-        field.lam = float(wv[col])
-        pairs.append(Eigenpair(float(wv[col]), k, field))
-    pairs.sort(key=lambda e: (abs(e.lam), e.lam))
-    return ModeSolution(k, vals, pairs)
+    samples = tuple((float(lam), *op.expand(vec[:, col]))
+                    for col, lam in enumerate(wv))
+    return ModeSolution(k, vals, _pairs(op, samples, k), op, samples)
 
 
 @dataclass
@@ -651,31 +673,27 @@ class Spectrum:
         return np.sort(sel[:, 0])
 
 
-def _n_threads() -> int:
-    env = os.environ.get("SPINSPEC_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
 def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
               k_max: float = 12.5, N: int = 256,
               n_fields_per_mode: int = 4) -> Spectrum:
     """Solve all modes |k| <= k_max and merge into one Spectrum.
 
-    Mode solves are independent, run on a thread pool (capped by
-    SPINSPEC_THREADS) and merged in fixed mode order, so results are
+    Each distinct mode operator is solved once.  Mode k is the native
+    operator at |k| under bc, or under bc.swapped() for k < 0; under aps+-
+    both signs give the same operator, so the second sign is the mirror of
+    the first solution.  Modes merge in fixed order, so results are
     deterministic.
     """
     modes = modes_for(surface, k_max)
-    threads = _n_threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sols = list(pool.map(
-                lambda kk: solve_mode(surface, kk, bc, N, n_fields_per_mode),
-                modes))
-    else:
-        sols = [solve_mode(surface, kk, bc, N, n_fields_per_mode) for kk in modes]
+    by_operator: dict = {}
+    sols = []
+    for kk in modes:
+        key = (abs(kk), bc.swapped() if kk < 0 else bc)
+        if key in by_operator:
+            sols.append(by_operator[key].mirrored())
+        else:
+            by_operator[key] = solve_mode(surface, kk, bc, N, n_fields_per_mode)
+            sols.append(by_operator[key])
 
     rows = []
     pairs = []
@@ -688,23 +706,6 @@ def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
     pairs.sort(key=lambda e: (abs(e.lam), e.k, np.sign(e.lam)))
     attained = bool(abs(abs(levels[0, 1]) - max(abs(m) for m in modes)) < 1e-9)
     return Spectrum(surface, bc, N, k_max, levels, tuple(pairs), attained)
-
-
-def solve_spectrum(op: ModeOperator, n_fields: int = 4) -> list[Eigenpair]:
-    """Eigenpairs of a single reduced mode operator (real spectrum asserted)."""
-    if op.bc is None:
-        raise ConfigError("apply a boundary condition before solving")
-    vals, wv, vec = op.eigensystem(n_vectors=n_fields)
-    if np.max(np.abs(np.imag(vals))) > 1e-10:
-        raise NumericalError("complex eigenvalue from a Hermitian reduction")
-    out = []
-    for col in range(vec.shape[1]):
-        p, q = op.expand(vec[:, col])
-        field = _collocate(op, p, q, swap=False)
-        field.lam = float(wv[col])
-        out.append(Eigenpair(float(wv[col]), op.k, field))
-    out.sort(key=lambda e: (abs(e.lam), e.lam))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ residuals are limited only by roundoff for analytic profiles.
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -202,19 +204,39 @@ def radial_laplacian(surface: WarpedSurface, w: RadialFunction, r) -> Array:
 # catalog
 # ---------------------------------------------------------------------------
 
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _arithmetic(node: ast.AST) -> float:
+    """Value of an expression tree in numbers, pi, + - * / and parentheses."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_arithmetic(node.left),
+                                      _arithmetic(node.right))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        return _UNARY[type(node.op)](_arithmetic(node.operand))
+    raise ValueError(f"unsupported {type(node).__name__}")
+
+
 def _parse_scalar(text: str) -> float:
-    """Parse a number, allowing 'pi' (e.g. 'pi/3', '5*pi/12')."""
+    """Parse a finite number, or arithmetic in numbers and 'pi' with
+    + - * / and parentheses (e.g. 'pi/3', '5*pi/12')."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        pass
-    expr = text.replace("pi", repr(math.pi))
-    if not set(expr) <= set("0123456789.+-*/e() "):
-        raise ConfigError(f"cannot parse scalar {text!r}")
-    try:
-        return float(eval(expr, {"__builtins__": {}}, {}))
-    except Exception as exc:
-        raise ConfigError(f"cannot parse scalar {text!r}") from exc
+        try:
+            value = _arithmetic(ast.parse(text.strip(), mode="eval").body)
+        except (SyntaxError, ValueError, ArithmeticError,
+                RecursionError) as exc:
+            raise ConfigError(f"cannot parse scalar {text!r}: {exc}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"scalar {text!r} is not finite")
+    return value
 
 
 def _sphere_profile() -> RadialFunction:

@@ -7,14 +7,24 @@ with an adaptive Runge-Kutta from a series start at the pole (or from the
 admissible trace direction at an inner boundary) and bisects the boundary-
 condition residual in lambda.  The hemisphere oracle is the closed-form
 Killing spinor.
+
+The one exception is `DenseModeOperator` at the end: the package's own
+discretization, assembled the original dense way.  It is the reference that
+the banded assembly must reproduce to roundoff, not an independent oracle.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import null_space
 from scipy.optimize import brentq
 from scipy.special import jv
+
+from spinspec.dirac_core import (_HERM_TOL, _MAX_BANDWIDTH, NumericalError,
+                                 _closures)
 
 
 # ---------------------------------------------------------------------------
@@ -158,3 +168,196 @@ def richardson_order(values, ns) -> float:
     if d2 == 0:
         return np.inf
     return float(np.log2(d1 / d2) / np.log2(ns[-1] / ns[-2]))
+
+
+# ---------------------------------------------------------------------------
+# dense reference assembly of the reduced mode operator
+# ---------------------------------------------------------------------------
+
+@dataclass
+class DenseModeOperator:
+    """The reduced mode operator assembled as a dense n x n matrix.
+
+    `_build` and `_reduce` are the original dense assembly of
+    `spinspec.dirac_core.ModeOperator`, kept unchanged: a dict-indexed dof
+    list, the full matrix D, and the mass-orthonormal elimination of the
+    boundary constraints over the whole matrix with a float-keyed column
+    sort.  `matrix` is the reduced, symmetrized operator that the banded
+    assembly must reproduce.
+    """
+
+    surface: object
+    k: float
+    n_grid: int
+    bc: object
+
+    def __post_init__(self):
+        self._build()
+
+    @property
+    def h(self) -> float:
+        return self.surface.length / self.n_grid
+
+    @property
+    def r_centers(self):
+        return self.surface.r_min + (np.arange(self.n_grid) + 0.5) * self.h
+
+    @property
+    def r_vertices(self):
+        return self.surface.r_min + np.arange(self.n_grid + 1) * self.h
+
+    @property
+    def matrix(self):
+        return self._A
+
+    def _build(self) -> None:
+        surf, k, N, h = self.surface, self.k, self.n_grid, self.h
+        rc, xv = self.r_centers, self.r_vertices
+        fc, fpc = surf.f(rc), surf.fp(rc)
+        fv = surf.f(xv)
+        sigma = fpc / (2 * fc) + k / fc          # at centers
+        fsig = fpc / 2 + k                       # f * sigma at centers
+
+        clo = _closures(surf, k, self.bc)
+        q_active = {i: True for i in range(1, N)}
+        q_active[0] = clo["inner"][0] in ("local", "pdir")
+        q_active[N] = clo["outer"][0] in ("local", "pdir")
+
+        dofs: list[tuple[str, int]] = []
+        if q_active[0]:
+            dofs.append(("q", 0))
+        for j in range(N):
+            dofs.append(("p", j))
+            if 0 < j + 1 < N:
+                dofs.append(("q", j + 1))
+        if q_active[N]:
+            dofs.append(("q", N))
+        index = {d: a for a, d in enumerate(dofs)}
+        n = len(dofs)
+
+        D = np.zeros((n, n), dtype=complex)
+        m = np.empty(n)
+
+        for j in range(N):
+            a = index[("p", j)]
+            m[a] = h * fc[j]
+            for iv, sgn in ((j, -1.0), (j + 1, +1.0)):
+                if q_active.get(iv, False):
+                    D[a, index[("q", iv)]] = 1j * (sgn / h + sigma[j] / 2)
+        for i in range(1, N):
+            a = index[("q", i)]
+            m[a] = h * fv[i]
+            D[a, index[("p", i - 1)]] = 1j * (-fc[i - 1] / h - fsig[i - 1] / 2) / fv[i]
+            D[a, index[("p", i)]] = 1j * (fc[i] / h - fsig[i] / 2) / fv[i]
+
+        # Boundary closures: the vertex row is the equation i(p' + tau p_B) at
+        # the boundary; second-order derivative weights (2,-3,1)/h force the
+        # companion trace extrapolation E = 2 p_1 - 1.5 p_2 + 0.5 p_3 (offsets
+        # h/2, 3h/2, 5h/2) -- the unique combination that keeps the reduced
+        # operator exactly Hermitian with the half-cell mass G h / 2.
+        ex = (2.0, -1.5, 0.5)
+        constraints: list[dict] = []
+        if q_active[N]:
+            a = index[("q", N)]
+            tau_r = float(surf.fp(surf.r_max) / (2 * surf.f(surf.r_max))
+                          - k / surf.f(surf.r_max))
+            m[a] = 0.5 * h * fc[N - 1] * (1 + h * sigma[N - 1] / 2)
+            for j, (dw, ew) in enumerate(zip((2.0, -3.0, 1.0), ex)):
+                D[a, index[("p", N - 1 - j)]] = 1j * (dw / h + tau_r * ew)
+        kind, gamma = clo["outer"]
+        if kind == "local":
+            constraints.append({("q", N): 1.0,
+                                ("p", N - 1): -gamma * ex[0],
+                                ("p", N - 2): -gamma * ex[1],
+                                ("p", N - 3): -gamma * ex[2]})
+        elif kind in ("pdir", "both"):
+            constraints.append({("p", N - 1): ex[0], ("p", N - 2): ex[1],
+                                ("p", N - 3): ex[2]})
+
+        if q_active[0]:
+            a = index[("q", 0)]
+            tau_l = float(surf.fp(surf.r_min) / (2 * surf.f(surf.r_min))
+                          - k / surf.f(surf.r_min))
+            m[a] = 0.5 * h * fc[0] * (1 - h * sigma[0] / 2)
+            for j, (dw, ew) in enumerate(zip((-2.0, 3.0, -1.0), ex)):
+                D[a, index[("p", j)]] = 1j * (dw / h + tau_l * ew)
+        kind, gamma = clo["inner"]
+        if kind == "local":
+            constraints.append({("q", 0): 1.0, ("p", 0): -gamma * ex[0],
+                                ("p", 1): -gamma * ex[1],
+                                ("p", 2): -gamma * ex[2]})
+        elif kind in ("pdir", "both"):
+            constraints.append({("p", 0): ex[0], ("p", 1): ex[1],
+                                ("p", 2): ex[2]})
+
+        if np.any(m <= 0):
+            raise NumericalError("nonpositive quadrature weight in assembly")
+
+        self._dofs, self._index, self._D, self._m = dofs, index, D, m
+        self._constraints = constraints
+        self._closure = clo
+        self._q_active = q_active
+        self._reduce()
+
+    def _reduce(self) -> None:
+        """Mass-orthonormal elimination of the boundary constraints."""
+        D, m, index = self._D, self._m, self._index
+        n = len(m)
+        msq = np.sqrt(m)
+        H = D * (msq[:, None] / msq[None, :])
+
+        in_support = np.zeros(n, dtype=bool)
+        blocks = []
+        for c in self._constraints:
+            sup = np.array([index[d] for d in c], dtype=int)
+            coef = np.array([c[d] for d in c], dtype=complex) / msq[sup]
+            z = null_space(coef[None, :])
+            kinds = {self._dofs[a][0] for a in sup}
+            blocks.append((sup, z, "mixed" if len(kinds) > 1 else kinds.pop()))
+            in_support[sup] = True
+
+        keep = np.flatnonzero(~in_support)
+        cols: list[tuple[float, str, object]] = [(float(a), "unit", a) for a in keep]
+        for bi, (sup, z, _) in enumerate(blocks):
+            base = float(np.min(sup))
+            for ci in range(z.shape[1]):
+                cols.append((base + 0.1 * (ci + 1), "block", (bi, ci)))
+        cols.sort(key=lambda t: t[0])
+        n_red = len(cols)
+        col_kind = [self._dofs[payload][0] if kind == "unit"
+                    else blocks[payload[0]][2]
+                    for _, kind, payload in cols]
+
+        A = np.empty((n_red, n_red), dtype=complex)
+        unit_pos = [a for a, (_, kind, _) in enumerate(cols) if kind == "unit"]
+        unit_idx = np.array([cols[a][2] for a in unit_pos], dtype=int)
+        A[np.ix_(unit_pos, unit_pos)] = H[np.ix_(unit_idx, unit_idx)]
+        for a, (_, kind, payload) in enumerate(cols):
+            if kind != "block":
+                continue
+            bi, ci = payload
+            sup, z, _ = blocks[bi]
+            zc = z[:, ci]
+            A[unit_pos, a] = H[np.ix_(unit_idx, sup)] @ zc
+            A[a, unit_pos] = np.conj(zc) @ H[np.ix_(sup, unit_idx)]
+            for b, (_, kind2, payload2) in enumerate(cols):
+                if kind2 != "block":
+                    continue
+                bj, cj = payload2
+                sup2, z2, _ = blocks[bj]
+                A[a, b] = np.conj(zc) @ H[np.ix_(sup, sup2)] @ z2[:, cj]
+
+        herm = float(np.max(np.abs(A - A.conj().T)))
+        scale = float(np.max(np.abs(A))) or 1.0
+        if herm > _HERM_TOL * max(1.0, scale):
+            raise NumericalError(
+                f"reduced operator lost Hermiticity: {herm:.3e} (scale {scale:.3e})")
+        A = 0.5 * (A + A.conj().T)  # strip roundoff asymmetry only
+
+        nz = np.argwhere(np.abs(A) > 1e-14 * max(1.0, scale))
+        bw = int(np.max(np.abs(nz[:, 0] - nz[:, 1]))) if len(nz) else 0
+        if bw > _MAX_BANDWIDTH:
+            raise NumericalError(f"unexpected bandwidth {bw} after reduction")
+
+        self._cols, self._blocks, self._A, self._bw = cols, blocks, A, bw
+        self._col_kind = col_kind

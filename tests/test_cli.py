@@ -35,6 +35,27 @@ def test_invalid_configs_exit_2(tmp_path):
     assert run(["spectrum", "--config", str(bad)]) == 2
 
 
+def test_config_with_scalar_grid_exits_2(tmp_path, capsys):
+    bad = tmp_path / "scalar_n.json"
+    bad.write_text('{"geometry": "disk", "N": 256}')
+    assert run(["spectrum", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_nonfinite_kmax_exits_2(tmp_path):
+    for value in ("nan", "inf"):
+        assert run(["spectrum", "--geometry", "disk", "--kmax", value,
+                    "--out", str(tmp_path)]) == 2
+
+
+def test_geometry_arithmetic_has_no_power(tmp_path):
+    # only numbers, pi, + - * / and parentheses; '9**9**9' must not hang
+    assert make_surface("cap:(pi - pi/2)/2").r_max == pytest.approx(np.pi / 4)
+    for spec in ("cap:2**3/4", "cap:9**9**9", "cap:__import__('os')"):
+        assert run(["spectrum", "--geometry", spec,
+                    "--out", str(tmp_path)]) == 2
+
+
 def test_spectrum_outputs_and_determinism(tmp_path):
     out = str(tmp_path / "o")
     args = ["spectrum", "--geometry", "disk", "--bc", "local+",
@@ -92,6 +113,18 @@ def test_verify_conformal_block(tmp_path):
             "eq3", "eq4"} <= names
     law = [r for r in rows if r["name"] == "conformal_law_curvature"][0]
     assert law["residual"] <= 1e-8
+
+
+def test_verify_conformal_factor_other_than_canned(tmp_path):
+    # eq3/eq4 take the user's conformal factor as their modifier u
+    out = str(tmp_path / "c2")
+    assert run(["verify", "--geometry", "disk", "--bc", "local+",
+                "--N", "64", "--kmax", "0.5", "--conformal-u", "bump:0.2",
+                "--out", out]) == 0
+    rows = [json.loads(ln) for ln in
+            read(os.path.join(out, "verify_localplus.jsonl")).splitlines()]
+    eq = {r["name"]: r["residual"] for r in rows if r["name"] in ("eq3", "eq4")}
+    assert set(eq) == {"eq3", "eq4"} and max(eq.values()) <= 1e-3
 
 
 def test_verify_exit_1_on_overrun(tmp_path, capsys):

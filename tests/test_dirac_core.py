@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import oracles
+from scipy.linalg import eigvals_banded
+
 from spinspec import (BoundaryConditionSpec, ConfigError, ModeOperator,
-                      aggregate, apply_boundary_condition, assemble_mode_dirac,
-                      boundary_dirac_matrix, convergence_study, make_frame,
-                      make_surface, modes_for, solve_mode)
+                      aggregate, boundary_dirac_matrix, convergence_study,
+                      make_frame, make_surface, modes_for, solve_mode)
+from spinspec.dirac_core import _closures
 
 GEOMS = ("disk", "annulus:0.5,1.0", "cylinder:2.0", "hemisphere", "cap:pi/3")
 BCS = ("local+", "local-", "aps-", "aps+")
@@ -17,6 +19,16 @@ BCS = ("local+", "local-", "aps-", "aps+")
 
 def maxabs(m):
     return float(np.max(np.abs(m)))
+
+
+def dense_from_band(ab):
+    """The (n, n) matrix of (2 bw + 1, n) solve_banded storage."""
+    bw, n = (ab.shape[0] - 1) // 2, ab.shape[1]
+    a = np.zeros((n, n), dtype=complex)
+    for off in range(-bw, bw + 1):
+        j = np.arange(max(0, -off), min(n, n - off))
+        a[j + off, j] = ab[bw + off, j]
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -79,26 +91,60 @@ def test_hermiticity_on_random_bulged_caps(eps, bc, k):
 
 
 def test_assembled_operator_without_bc_hermitian():
-    op = assemble_mode_dirac(make_surface("disk"), 0.5, 32)
+    op = ModeOperator(make_surface("disk"), 0.5, 32, bc=None)
     assert op.bc is None
     assert op.hermiticity_residual() <= 1e-12
+    a = dense_from_band(op.matrix)
+    assert maxabs(a - a.conj().T) == 0.0
 
 
 def test_assembly_contract_errors():
     disk = make_surface("disk")
     with pytest.raises(ConfigError, match="N too small"):
-        assemble_mode_dirac(disk, 0.5, 8)
+        ModeOperator(disk, 0.5, 8, bc=None)
     with pytest.raises(ConfigError, match="spin structure"):
-        assemble_mode_dirac(disk, 1.0, 32)  # integer mode on antiperiodic
+        ModeOperator(disk, 1.0, 32, bc=None)  # integer mode on antiperiodic
     cyl = make_surface("cylinder:2.0", spin_structure="periodic")
     with pytest.raises(ConfigError, match="spin structure"):
-        assemble_mode_dirac(cyl, 0.5, 32)
-    op = assemble_mode_dirac(disk, 0.5, 32)
-    bc = BoundaryConditionSpec("local+")
-    with pytest.raises(ConfigError, match="already"):
-        apply_boundary_condition(apply_boundary_condition(op, bc), bc)
+        ModeOperator(cyl, 0.5, 32, bc=None)
+    with pytest.raises(ConfigError, match="native modes"):
+        ModeOperator(disk, -0.5, 32, bc=None)
+    with pytest.raises(ConfigError, match="boundary condition"):
+        solve_mode(disk, 0.5, None, 32)
     with pytest.raises(ConfigError):
         BoundaryConditionSpec("dirichlet")
+
+
+@pytest.mark.parametrize("geom,bc", list(product(GEOMS, BCS)))
+def test_band_matches_dense_reference(geom, bc):
+    """The O(N) banded assembly reproduces the dense assembly to roundoff:
+    same reduced matrix, column order, weights and structural zeros."""
+    surface = make_surface(geom)
+    cases = [(surface, k) for k in (0.5, 2.5)]
+    if geom.startswith("cylinder"):
+        cases.append((make_surface(geom, spin_structure="periodic"), 0.0))
+    for surf, k in cases:
+        for N in (16, 33):
+            spec = BoundaryConditionSpec(bc)
+            op = ModeOperator(surf, k, N, bc=spec)
+            ref = oracles.DenseModeOperator(surf, k, N, spec)
+            a, a_ref = dense_from_band(op.matrix), ref.matrix
+            assert a.shape == a_ref.shape
+            assert maxabs(a - a_ref) <= 1e-13 * maxabs(a_ref)
+            assert np.array_equal(op.weights, ref._m)
+            kinds = ref._col_kind
+            n_p, n_q = kinds.count("p"), kinds.count("q")
+            expected = (None if "mixed" in kinds or n_p == n_q else
+                        (abs(n_p - n_q), "spurious" if n_q > n_p else "harmonic"))
+            assert op.structural_zeros == expected
+
+
+def test_operator_memory_is_linear_in_n():
+    # the dense assembly would need about 68 GB at this size
+    N = 2 ** 15
+    op = ModeOperator(make_surface("hemisphere"), 0.5, N,
+                      bc=BoundaryConditionSpec("aps-"))
+    assert op.matrix.nbytes <= 16 * 9 * (2 * N + 1)
 
 
 def test_modes_for_structures():
@@ -109,14 +155,10 @@ def test_modes_for_structures():
         modes_for(make_surface("disk"), 0.25)
 
 
-def test_solve_spectrum_operator_api():
-    from spinspec import solve_spectrum
+def test_solve_mode_field_api():
     disk = make_surface("disk")
-    op = assemble_mode_dirac(disk, 0.5, 48)
-    with pytest.raises(ConfigError):
-        solve_spectrum(op)   # boundary condition must come first
-    reduced = apply_boundary_condition(op, BoundaryConditionSpec("local+"))
-    pairs = solve_spectrum(reduced, n_fields=3)
+    pairs = solve_mode(disk, 0.5, BoundaryConditionSpec("local+"), 48,
+                       n_fields=3).pairs
     assert len(pairs) == 3
     assert abs(pairs[0].lam) <= abs(pairs[1].lam) <= abs(pairs[2].lam)
     assert pairs[0].field.values.shape == (48, 2)
@@ -284,6 +326,61 @@ def test_conjugation_symmetry_relates_opposite_modes():
     s_neg = solve_mode(disk, -0.5, BoundaryConditionSpec("local+"), 96, n_fields=1)
     assert np.max(np.abs(np.sort(s_neg.lams) - np.sort(-s_pos.lams))) <= 1e-10
     assert np.max(np.abs(np.sort(s_neg.lams) - np.sort(s_pos.lams))) > 0.1
+
+
+@pytest.mark.parametrize("geom", GEOMS)
+@pytest.mark.parametrize("bc", ["aps-", "aps+"])
+def test_aps_modes_swap_invariant(geom, bc):
+    """Under aps+- the swap maps mode -k onto the operator of +k, which is
+    why aggregate solves each |k| once: independent solves at +-k give
+    identical levels, and the mirrored fields equal those solved at -k."""
+    surface = make_surface(geom)
+    spec = BoundaryConditionSpec(bc)
+    for k in (0.5, 2.5):
+        pos = solve_mode(surface, k, spec, 32, n_fields=2)
+        neg = solve_mode(surface, -k, spec, 32, n_fields=2)
+        assert np.array_equal(pos.lams, neg.lams)
+        for a, b in zip(pos.mirrored().pairs, neg.pairs):
+            assert a.k == b.k == -k and a.lam == b.lam
+            assert np.array_equal(a.field.values, b.field.values)
+            assert all(np.array_equal(a.field.trace(w), b.field.trace(w))
+                       for w in surface.boundaries)
+    sp = aggregate(surface, spec, 2.5, 32, n_fields_per_mode=1)
+    for k in (0.5, 1.5, 2.5):
+        assert np.array_equal(sp.eigenvalues(k), sp.eigenvalues(-k))
+
+
+@pytest.mark.parametrize("geom", GEOMS)
+def test_local_conditions_have_opposite_spectra(geom):
+    """spec(local-, k) = -spec(local+, k): the grading q -> -q anticommutes
+    with the interior and exchanges the two chirality conditions."""
+    surface = make_surface(geom)
+    for k in (0.5, 2.5):
+        plus = solve_mode(surface, k, BoundaryConditionSpec("local+"), 64,
+                          n_fields=1)
+        minus = solve_mode(surface, k, BoundaryConditionSpec("local-"), 64,
+                           n_fields=1)
+        assert maxabs(np.sort(minus.lams) - np.sort(-plus.lams)) <= 1e-12
+
+
+@pytest.mark.parametrize("geom", GEOMS)
+def test_aps_structural_zero_count(geom):
+    """Under APS the reduced operator couples p only to q, so it has exactly
+    |n_p - n_q| zero eigenvalues.  Each end that fixes the extrapolated p
+    removes one p; an end that keeps its vertex value adds one q."""
+    surface = make_surface(geom)
+    N = 32
+    for bc in ("aps-", "aps+"):
+        for k in (0.5, 2.5):
+            spec = BoundaryConditionSpec(bc)
+            op = ModeOperator(surface, k, N, bc=spec)
+            ends = [kind for kind, _ in _closures(surface, k, spec).values()]
+            n_p = N - sum(kind in ("pdir", "both") for kind in ends)
+            n_q = N - 1 + sum(kind == "pdir" for kind in ends)
+            bw = (op.matrix.shape[0] - 1) // 2
+            vals = eigvals_banded(op.matrix[bw:], lower=True)
+            n_zero = int(np.sum(np.abs(vals) <= 1e-8 * maxabs(vals)))
+            assert op.structural_zeros[0] == abs(n_p - n_q) == n_zero
 
 
 def test_disk_aggregate_fundamental_in_lowest_mode(solved):
