@@ -26,7 +26,7 @@ def main() -> None:
     print("N,lambda_min_sq,gap")
     for N in (int(x) for x in args.N.split(",")):
         sp = aggregate(surface, BoundaryConditionSpec("aps-"), args.kmax, N,
-                       n_fields_per_mode=1)
+                       n_fields_per_mode=0, n_levels=1)
         rr = np.linspace(surface.r_min, surface.r_max, 513)[1:]
         bound = 0.5 * float(np.min(scalar_curvature(surface, rr)))
         print(f"{N},{sp.lambda_min_sq:.12g},{sp.lambda_min_sq - bound:.12g}")

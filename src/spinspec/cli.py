@@ -183,7 +183,7 @@ def _cmd_spectrum(sc: Scenario) -> int:
         bc = BoundaryConditionSpec(bc_name)
         lam_prev = None
         for N in sc.N:
-            sp = aggregate(surface, bc, sc.kmax, N, n_fields_per_mode=1)
+            sp = aggregate(surface, bc, sc.kmax, N, n_fields_per_mode=0)
             lines = ["mode,index,lambda"]
             for k in sorted({row[1] for row in sp.levels}):
                 for idx, lam in enumerate(sp.eigenvalues(k)):
@@ -204,7 +204,7 @@ def _cmd_spectrum(sc: Scenario) -> int:
 def _identity_reports(sc: Scenario, surface: WarpedSurface,
                       bc: BoundaryConditionSpec) -> list[dict]:
     N = sc.N[-1]
-    sp = aggregate(surface, bc, sc.kmax, N, n_fields_per_mode=2)
+    sp = aggregate(surface, bc, sc.kmax, N, n_fields_per_mode=2, n_levels=2)
     pair = sp.fundamental
     field, lam = pair.field, pair.lam
     mp = canned_modifiers(surface)
@@ -302,7 +302,8 @@ def _cmd_bounds(sc: Scenario) -> int:
     for bc_name in sc.bc:
         bc = BoundaryConditionSpec(bc_name)
         N = sc.N[-1]
-        sp = aggregate(surface, bc, sc.kmax, N, n_fields_per_mode=2)
+        sp = aggregate(surface, bc, sc.kmax, N, n_fields_per_mode=2,
+                       n_levels=2)
         field = sp.fundamental.field
         summary = {}
         if sc.optimize_bounds:

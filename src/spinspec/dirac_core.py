@@ -25,9 +25,18 @@ component, q the vertex component) the interior rows are tridiagonal with
 a zero diagonal; only the two boundary-vertex rows and the boundary
 constraints reach further, and they stay inside a window of 7 unknowns at
 each end.  The constraint elimination runs densely on those two
-windows, the reduced operator (bandwidth at most 5) is stored as a
-(2 bw + 1, n) band, and eigenvalues, banded LU solves and the residual
-mat-vec of inverse iteration all read that band.
+windows and the reduced operator (bandwidth at most 5) is stored as a
+(2 bw + 1, n) band.
+
+Eigenvalues come from an exactly equivalent real symmetric tridiagonal
+form, built in O(N): the band is already tridiagonal outside its two end
+blocks, a Householder tridiagonalization of each block that fixes the one
+index through which it meets the middle leaves the rest untouched, and a
+diagonal unitary gauge makes the off-diagonals real and nonnegative.  The
+full spectrum (`spectrum`) comes from dsterf; the few smallest |lambda| that
+lambda_min and the low fields need come from Sturm bisection on a window
+around 0, in O(N).  Eigenvectors come from shifted inverse iteration on the
+band (banded LU solves and the band mat-vec for the residual).
 
 Modes with k < 0 are solved through the unitary component swap
 (v1, v2) -> (v2, v1), which maps mode k to mode -k and swaps the two local
@@ -36,6 +45,12 @@ the vertex component the faster-vanishing one at the pole, where the
 regular closure (vertex value 0) is then exact for every mode.  The swap
 fixes each APS condition, so under aps+- the modes k and -k share one
 operator: `aggregate` solves it once and mirrors the solution.
+
+Under aps+- every reduced column is pure p or pure q, so the operator is
+bipartite: its tridiagonal form has a zero diagonal (checked at roundoff)
+and its spectrum is exactly symmetric.  It is reported that way, positive
+eigenvalues with their mirror images, so the ordering tie of a +-pair
+always resolves to the same sign.
 
 APS conventions: the admissible boundary values for aps- have no component
 on eigenvectors of e0 . D_boundary with eigenvalue >= 0 (kernel included in
@@ -48,7 +63,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.linalg import eigvals_banded, null_space, solve_banded
+from scipy.linalg import (eigvalsh_tridiagonal, hessenberg, null_space,
+                          solve_banded)
 
 from .geometry import ConfigError, WarpedSurface, boundary_data
 from .identities import SpinorField
@@ -251,6 +267,60 @@ def _put_block(ab: Array, bw: int, at: int, block: Array) -> None:
         ab[bw + off, j0: j0 + len(diag)] = diag
 
 
+def _dense_block(ab: Array, bw: int, at: int, size: int) -> Array:
+    """The dense diagonal block A[at: at + size, at: at + size] of band storage."""
+    block = np.zeros((size, size), dtype=ab.dtype)
+    reach = min(bw, size - 1)
+    for off in range(-reach, reach + 1):
+        j = np.arange(max(0, -off), size - max(0, off))
+        block[j + off, j] = ab[bw + off, at + j]
+    return block
+
+
+def _tridiagonal_block(block: Array, tol: float) -> tuple[Array, Array]:
+    """Diagonal and |subdiagonal| of a Householder tridiagonal form of a
+    Hermitian block, by a unitary that fixes the block's first index.
+
+    The Hessenberg reduction (no balancing) applies its reflectors to the
+    indices after the first only.  A Hermitian block comes out tridiagonal;
+    an entry beyond the first off-diagonal, or an imaginary diagonal part,
+    above `tol` is refused, never dropped.
+    """
+    H = hessenberg(block)
+    off = max(float(np.max(np.abs(np.triu(H, 2)))),
+              float(np.max(np.abs(np.diagonal(H).imag))))
+    if off > tol:
+        raise NumericalError(
+            f"tridiagonal reduction left an entry of {off:.3e} off the "
+            f"tridiagonal (tolerance {tol:.3e})")
+    return np.diagonal(H).real.copy(), np.abs(np.diagonal(H, -1))
+
+
+def _low_values(d: Array, e: Array, count: int) -> Array:
+    """Eigenvalues of the tridiagonal (d, e) in a window (-w, w] around 0.
+
+    The window doubles from w = 1 until it holds `count` values or
+    covers the Gershgorin bound; Sturm bisection then costs O(n) per value.
+    """
+    bound = float(np.max(np.abs(d)) + 2 * np.max(e, initial=0.0))
+    w = 1.0
+    while True:
+        vals = eigvalsh_tridiagonal(d, e, select="v", select_range=(-w, w))
+        if len(vals) >= count or w > bound:
+            return vals
+        w *= 2.0
+
+
+def _lowest(vals: Array, m: int) -> Array:
+    """The m values of smallest |lambda|, ascending; an exact +-tie at the
+    cut is kept whole."""
+    a = np.abs(vals)
+    order = np.argsort(a, kind="stable")
+    while 0 < m < len(vals) and a[order[m]] == a[order[m - 1]]:
+        m += 1
+    return np.sort(vals[order[:m]])
+
+
 def _band_matvec(ab: Array, bw: int, x: Array) -> Array:
     """A @ x for A in (2 bw + 1, n) band storage, A[i, j] = ab[bw + i - j, j]."""
     y = ab[bw] * x
@@ -387,6 +457,8 @@ class ModeOperator:
 
         # links of the middle, including the two that cross into the windows
         mid_lo, mid_up = lower[W - 1: n_full - W], upper[W - 1: n_full - W]
+        if not all(np.all(np.isfinite(b)) for b in (Ah, At, mid_lo, mid_up)):
+            raise NumericalError("non-finite entries in the reduced operator")
         herm = max(float(np.max(np.abs(Ah - Ah.conj().T))),
                    float(np.max(np.abs(At - At.conj().T))),
                    float(np.max(np.abs(mid_lo - np.conj(mid_up)))))
@@ -415,7 +487,8 @@ class ModeOperator:
         kinds = kinds_h + kinds_t         # the middle adds N - 6 p, N - 7 q
         n_p = kinds.count("p") + (N - W + 1)
         n_q = len(kinds) - kinds.count("p") + (N - W)
-        if "mixed" in kinds or n_p == n_q:
+        self._bipartite = "mixed" not in kinds
+        if not self._bipartite or n_p == n_q:
             self._zeros = None
         else:
             self._zeros = (abs(n_p - n_q), "spurious" if n_q > n_p else "harmonic")
@@ -495,32 +568,86 @@ class ModeOperator:
         raise NumericalError(
             f"inverse iteration failed at lambda={lam!r} (residual {resid:.2e})")
 
-    def eigensystem(self, n_vectors: int | None = None
+    def tridiagonal(self) -> tuple[Array, Array]:
+        """Real symmetric tridiagonal (d, e) unitarily similar to `matrix`.
+
+        The band is tridiagonal outside the head block (reduced columns
+        0..rh-1) and the tail block (the last rt), and each block meets the
+        middle through one index, rh - 1 and n - rt.  A Householder
+        tridiagonalization of each block whose unitary fixes that index (the
+        head block index-reversed) leaves the rest untouched; a diagonal
+        unitary gauge then makes every off-diagonal |e|.  O(n) in all.  A
+        bipartite operator (no column mixes p and q) has a zero diagonal:
+        it is checked at roundoff and set to exact zeros.
+        """
+        ab, bw = self._ab, self._bw
+        n = ab.shape[1]
+        rh, rt = self._head.shape[1], self._tail.shape[1]
+        tol = _HERM_TOL * max(1.0, float(np.max(np.abs(ab))))
+        dh, eh = _tridiagonal_block(_dense_block(ab, bw, 0, rh)[::-1, ::-1], tol)
+        dt, et = _tridiagonal_block(_dense_block(ab, bw, n - rt, rt), tol)
+        d = np.concatenate([dh[::-1], ab[bw, rh: n - rt].real, dt])
+        e = np.concatenate([eh[::-1], np.abs(ab[bw + 1, rh - 1: n - rt]), et])
+        if self._bipartite:
+            dmax = float(np.max(np.abs(d)))
+            if dmax > tol:
+                raise NumericalError(
+                    f"bipartite operator has a diagonal entry {dmax:.3e} "
+                    f"(tolerance {tol:.3e})")
+            d = np.zeros(n)
+        return d, e
+
+    def eigensystem(self, n_vectors: int | None = None,
+                    n_values: int | None = None
                     ) -> tuple[Array, Array | None, Array | None]:
-        """All eigenvalues (structural zeros deflated when spurious) and,
-        optionally, eigenvectors for the n smallest |lambda|.
+        """Eigenvalues (structural zeros deflated when spurious) and,
+        optionally, eigenvectors for the n_vectors smallest |lambda|.
+
+        n_values=None computes every eigenvalue of the tridiagonal form
+        (dsterf); otherwise only the max(n_values, n_vectors) smallest
+        |lambda| (Sturm bisection on a window around 0, O(n)).  A
+        bipartite operator has an exactly symmetric spectrum: its positive
+        eigenvalues are reported with their mirror images, so a +-pair is an
+        exact tie.  Eigenvectors come from inverse iteration on `matrix`.
 
         Returns (values ascending, selected values, selected vectors in
         reduced coordinates, one per column).
         """
-        ab, bw = self._ab, self._bw
-        n = ab.shape[1]
-        try:
-            vals = eigvals_banded(ab[bw:], lower=True)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericalError(f"banded eigensolver failed: {exc}") from exc
-
+        d, e = self.tridiagonal()
+        n = len(d)
         struct = self.structural_zeros
+        n_zero = struct[0] if struct is not None else 0
+        want = None if n_values is None else max(n_values, n_vectors or 0)
+        full = want is None or want + n_zero + 1 >= n
+        try:
+            if full:
+                vals = eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
+            else:
+                # one spare value: a +-pair may straddle the window's edge
+                vals = _low_values(d, e, want + n_zero + 1)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
+
+        order = np.argsort(np.abs(vals), kind="stable")
+        zeros, rest = vals[order[:n_zero]], vals[order[n_zero:]]
         if struct is not None and struct[1] == "spurious":
-            m = struct[0]
-            order = np.argsort(np.abs(vals), kind="stable")
-            zeros = vals[order[:m]]
-            tol0 = 1e-8 * max(1.0, float(np.max(np.abs(vals))))
+            # spurious zeros need a bipartite operator, whose spectrum is
+            # symmetric: the top eigenvalue is the spectral radius
+            radius = float(np.max(np.abs(vals))) if full else float(
+                eigvalsh_tridiagonal(d, e, select="i",
+                                     select_range=(n - 1, n - 1))[0])
+            tol0 = 1e-8 * max(1.0, radius)
             if np.any(np.abs(zeros) > tol0):
                 raise NumericalError(
                     "expected exact structural kernel, found "
                     f"{zeros!r}; refusing to deflate")
-            vals = np.delete(vals, order[:m])
+            zeros = zeros[:0]
+        if self._bipartite:
+            pos = rest[rest > 0]
+            rest = np.concatenate([-pos, pos])
+        vals = np.sort(np.concatenate([zeros, rest]))
+        if want is not None:
+            vals = _lowest(vals, want)
 
         if n_vectors is None:
             return vals, None, None
@@ -564,7 +691,7 @@ class Eigenpair:
 @dataclass
 class ModeSolution:
     k: float
-    lams: Array                       # all eigenvalues, ascending
+    lams: Array                       # eigenvalues (all or the lowest), ascending
     pairs: list                       # Eigenpairs with fields, by |lam|
     op: ModeOperator | None = None    # the native operator that was solved
     samples: tuple = ()               # (lam, p, q) staggered eigenvectors
@@ -627,12 +754,17 @@ def _pairs(op: ModeOperator, samples: tuple, k: float) -> list:
 
 
 def solve_mode(surface: WarpedSurface, k: float, bc: BoundaryConditionSpec,
-               N: int, n_fields: int = 4) -> ModeSolution:
-    """Eigen-solve one mode; negative modes via the exact component swap."""
+               N: int, n_fields: int = 4, n_levels: int | None = None
+               ) -> ModeSolution:
+    """Eigen-solve one mode; negative modes via the exact component swap.
+
+    n_levels=None keeps every eigenvalue; otherwise only the n_levels
+    smallest |lambda| (at least n_fields) are computed.
+    """
     if bc is None:
         raise ConfigError("solve_mode needs a boundary condition")
     op = ModeOperator(surface, abs(k), N, bc=bc.swapped() if k < 0 else bc)
-    vals, wv, vec = op.eigensystem(n_vectors=n_fields)
+    vals, wv, vec = op.eigensystem(n_vectors=n_fields, n_values=n_levels)
     samples = tuple((float(lam), *op.expand(vec[:, col]))
                     for col, lam in enumerate(wv))
     return ModeSolution(k, vals, _pairs(op, samples, k), op, samples)
@@ -675,14 +807,17 @@ class Spectrum:
 
 def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
               k_max: float = 12.5, N: int = 256,
-              n_fields_per_mode: int = 4) -> Spectrum:
+              n_fields_per_mode: int = 4,
+              n_levels: int | None = None) -> Spectrum:
     """Solve all modes |k| <= k_max and merge into one Spectrum.
 
-    Each distinct mode operator is solved once.  Mode k is the native
-    operator at |k| under bc, or under bc.swapped() for k < 0; under aps+-
-    both signs give the same operator, so the second sign is the mirror of
-    the first solution.  Modes merge in fixed order, so results are
-    deterministic.
+    `levels` holds every eigenvalue of each mode, or with n_levels only the
+    n_levels smallest |lambda| of each (enough for lambda_min and the low
+    fields).  Each distinct mode operator is solved once.  Mode k is the
+    native operator at |k| under bc, or under bc.swapped() for k < 0; under
+    aps+- both signs give the same operator, so the second sign is the
+    mirror of the first solution.  Modes merge in fixed order, so results
+    are deterministic.
     """
     modes = modes_for(surface, k_max)
     by_operator: dict = {}
@@ -692,7 +827,8 @@ def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
         if key in by_operator:
             sols.append(by_operator[key].mirrored())
         else:
-            by_operator[key] = solve_mode(surface, kk, bc, N, n_fields_per_mode)
+            by_operator[key] = solve_mode(surface, kk, bc, N,
+                                          n_fields_per_mode, n_levels)
             sols.append(by_operator[key])
 
     rows = []
@@ -718,16 +854,16 @@ def convergence_study(surface: WarpedSurface, bc: BoundaryConditionSpec,
     """|lambda_min| versus N with Richardson order estimates.
 
     The magnitude is tracked because the fundamental level often comes as a
-    +-pair whose reported sign is an ordering tie.  Needs at least three
-    ascending grid sizes for an order estimate; the 'converged' flag records
-    drift below drift_tol between the last two.
+    +-pair.  Only the lowest level of each mode is computed.  Needs at least
+    three ascending grid sizes for an order estimate; the 'converged' flag
+    records drift below drift_tol between the last two.
     """
     if len(Ns) < 3:
         raise ConfigError("convergence study needs at least 3 grid sizes")
     if sorted(Ns) != list(Ns):
         raise ConfigError("grid sizes must be ascending")
-    lams = [abs(aggregate(surface, bc, k_max, N, n_fields_per_mode=1).lambda_min)
-            for N in Ns]
+    lams = [abs(aggregate(surface, bc, k_max, N, n_fields_per_mode=0,
+                          n_levels=1).lambda_min) for N in Ns]
     rows = []
     for i, (N, lam) in enumerate(zip(Ns, lams)):
         order = None

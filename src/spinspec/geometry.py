@@ -27,6 +27,7 @@ import ast
 import math
 import operator
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -295,14 +296,38 @@ def make_surface(spec: str, spin_structure: str = "antiperiodic") -> WarpedSurfa
         path = spec[len("profile:"):] if spec.startswith("profile:") else spec
         if not os.path.exists(path):
             raise ConfigError(f"profile file not found: {path}")
-        data = np.loadtxt(path, delimiter=",", skiprows=_csv_header_rows(path))
-        r, f = data[:, 0], data[:, 1]
+        r, f = _load_profile(path)
         prof = RadialFunction.from_samples(r, f)
         cap = abs(f[0]) <= _CAP_TOL
         return WarpedSurface(os.path.basename(path), float(r[0]), float(r[-1]),
                              prof, cap=cap, spin_structure="antiperiodic" if cap
                              else spin_structure, profile_exact=False)
     raise ConfigError(f"unknown geometry {spec!r}; see `spinspec catalog`")
+
+
+def _load_profile(path: str) -> tuple[Array, Array]:
+    """Columns r, f of a profile CSV with an optional header line: exactly
+    two numeric columns, at least 4 rows, finite values, radii strictly
+    increasing."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")        # numpy's empty-file warning
+            data = np.loadtxt(path, delimiter=",", ndmin=2,
+                              skiprows=_csv_header_rows(path))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read profile {path}: {exc}") from exc
+    if data.shape[0] < 4:
+        raise ConfigError(f"profile {path} needs at least 4 rows r,f; "
+                          f"found {data.shape[0]}")
+    if data.shape[1] != 2:
+        raise ConfigError(f"profile {path} needs two columns r,f; "
+                          f"found {data.shape[1]}")
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"profile {path} holds a non-finite value")
+    r, f = data[:, 0], data[:, 1]
+    if np.any(np.diff(r) <= 0):
+        raise ConfigError(f"profile {path}: radii must be strictly increasing")
+    return r, f
 
 
 def _csv_header_rows(path: str) -> int:
@@ -435,8 +460,12 @@ def conformal_rescale(surface: WarpedSurface, u: RadialFunction,
     """Build the conformally rescaled surface e^{2u} g in warped form."""
     edges_r = np.linspace(surface.r_min, surface.r_max, n_panels + 1)
     eu = lambda x: np.exp(u(x))
-    panel = _panel_integral(eu, edges_r[:-1], edges_r[1:])
-    edges_s = np.concatenate([[0.0], np.cumsum(panel)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        panel = _panel_integral(eu, edges_r[:-1], edges_r[1:])
+        edges_s = np.concatenate([[0.0], np.cumsum(panel)])
+    if not (np.all(np.isfinite(edges_s)) and np.all(panel > 0)):
+        raise ConfigError("conformal factor e^u is not finite and positive "
+                          "on the surface")
     s_of_r = _s_of_r_map(u, edges_r, edges_s)
     r_of_s = _r_of_s_map(s_of_r, edges_r, edges_s)
 

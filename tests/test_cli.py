@@ -1,10 +1,15 @@
 """CLI contract: subcommands, config/flags, outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spinspec.cli import Scenario, canned_modifiers, run
 from spinspec import make_surface
@@ -33,6 +38,8 @@ def test_invalid_configs_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"geometry": "disk", "turbo": true}')
     assert run(["spectrum", "--config", str(bad)]) == 2
+    assert run(["verify", "--geometry", "disk", "--N", "16", "--kmax", "0.5",
+                "--conformal-u", "bump:1e308", "--out", str(tmp_path)]) == 2
 
 
 def test_config_with_scalar_grid_exits_2(tmp_path, capsys):
@@ -226,3 +233,105 @@ def test_canned_modifiers_feasible_on_builtins(geom):
     assert feasibility_margin(surface, mp, "interior") >= -TOL_FEAS
     assert float(np.max(np.abs(mp.u.d(np.linspace(surface.r_min,
                                                   surface.r_max, 7))))) > 0
+
+
+# ---------------------------------------------------------------------------
+# bad input: one line on stderr, exit 2 (or 1/3), never a traceback
+# ---------------------------------------------------------------------------
+
+_BAD_PROFILES = {
+    "nonincreasing": "r,f\n1.0,1.0\n0.9,1.0\n1.2,1.0\n1.5,1.0\n",
+    "nonnumeric": "r,f\n1.0,1.0\n1.1,abc\n1.2,1.0\n1.5,1.0\n",
+    "single_column": "r\n1.0\n1.1\n1.2\n1.5\n",
+    "too_few_rows": "r,f\n1.0,1.0\n1.1,1.0\n1.2,1.0\n",
+    "nan": "r,f\n1.0,1.0\n1.1,nan\n1.2,1.0\n1.5,1.0\n",
+    "inf": "r,f\n1.0,1.0\n1.1,1.0\n1.2,inf\n1.5,1.0\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_PROFILES))
+def test_bad_profile_csv_exits_2(tmp_path, capsys, case):
+    path = tmp_path / f"{case}.csv"
+    path.write_text(_BAD_PROFILES[case])
+    assert run(["spectrum", "--geometry", f"profile:{path}", "--N", "16",
+                "--kmax", "0.5", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: profile") or \
+        err.startswith("config error: cannot read profile")
+    assert len(err.strip().splitlines()) == 1
+
+
+def _mostly(valid, *bad):
+    """`valid` in nine draws of ten, else one of the `bad` values."""
+    return st.sampled_from([True] * 9 + [False]).flatmap(
+        lambda ok: valid if ok else st.sampled_from(bad))
+
+
+def _csv(rows) -> str:
+    return "r,f\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
+_GEOMETRY = _mostly(
+    st.one_of(st.sampled_from(["hemisphere", "disk", "cap:pi/3",
+                               "annulus:0.5,1.0", "cylinder:2.0"]),
+              st.builds("cap:{}".format, st.floats(0.05, 3.1)),
+              st.builds("annulus:{},{}".format, st.floats(0.05, 1.0),
+                        st.floats(1.1, 3.0)),
+              st.builds("cylinder:{}".format, st.floats(0.05, 4.0)),
+              st.just("profile:")),
+    "cap:pi", "annulus:1,0.5", "cylinder:0", "cap:2**3", "cap:nan", "torus",
+    "", "annulus:1e-300,1", "cap:1e-300")
+_PROFILE_TEXT = st.one_of(
+    st.lists(st.floats(0.05, 3.0), min_size=4, max_size=12, unique=True).map(
+        lambda rs: _csv((r, r * (1.2 - r / 4)) for r in sorted(rs))),
+    st.text(max_size=40),
+    st.sampled_from(["", "r,f\n1,1\n", "r,f\n1,x\n2,1\n3,1\n4,1\n",
+                     "r\n1\n2\n3\n4\n", "r,f\n1,1\n2,nan\n3,1\n4,1\n",
+                     "r,f\n2,1\n1,1\n3,1\n4,1\n",
+                     "r,f\n1,1\n2,-1\n3,1\n4,1\n",
+                     "r,f\n0,0\n1,1e300\n2,1\n3,1\n"]))
+_SCENARIO = st.fixed_dictionaries({
+    "bc": _mostly(st.lists(st.sampled_from(["local+", "local-", "aps-",
+                                            "aps+"]), min_size=1, max_size=2),
+                  "aps-", [], ["dirichlet"]),
+    "N": _mostly(st.lists(st.integers(16, 64), min_size=1,
+                          max_size=3).map(sorted),
+                 64, ["32"], [8, 16, 32], [64, 32, 16]),
+    "kmax": _mostly(st.floats(0.5, 2.5), 0.0, 0.25, "2.5", None, True),
+}, optional={
+    "spin_structure": _mostly(st.sampled_from(["antiperiodic", "periodic"]),
+                              "mobius"),
+    "conformal_u": _mostly(
+        st.one_of(st.none(), st.sampled_from(["bump:0.3", "const:0.1",
+                                              "poly:0,0.2"]),
+                  st.builds("bump:{}".format, st.floats(-3.0, 3.0))),
+        "bump:", "wave:1", "bump:1e308"),
+})
+_FLAGS = _mostly(st.sampled_from([[], ["--kmax", "1.5"], ["--N", "16,24,32"],
+                                  ["--bc", "aps-,local+"]]),
+                 ["--kmax", "nan"], ["--N", "32,x"], ["--bc", ""])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["spectrum", "convergence", "verify", "bounds"]),
+       geometry=_GEOMETRY, profile=_PROFILE_TEXT, scenario=_SCENARIO,
+       flags=_FLAGS)
+def test_cli_run_fuzz(command, geometry, profile, scenario, flags):
+    """Whatever the scenario, run() returns 0-3 and stderr holds no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if geometry == "profile:":
+            geometry = "profile:" + os.path.join(tmp, "p.csv")
+            with open(geometry[len("profile:"):], "w") as fh:
+                fh.write(profile)
+        cfg = os.path.join(tmp, "scenario.json")
+        with open(cfg, "w") as fh:
+            json.dump(dict(scenario, geometry=geometry), fh)
+        argv = [command, "--config", cfg, "--out", os.path.join(tmp, "o")]
+        argv += flags
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = run(argv)
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

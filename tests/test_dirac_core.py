@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import oracles
-from scipy.linalg import eigvals_banded
+from scipy.linalg import eigvals_banded, eigvalsh_tridiagonal
 
 from spinspec import (BoundaryConditionSpec, ConfigError, ModeOperator,
                       aggregate, boundary_dirac_matrix, convergence_study,
                       make_frame, make_surface, modes_for, solve_mode)
-from spinspec.dirac_core import _closures
+from spinspec.dirac_core import NumericalError, _closures, _tridiagonal_block
 
 GEOMS = ("disk", "annulus:0.5,1.0", "cylinder:2.0", "hemisphere", "cap:pi/3")
 BCS = ("local+", "local-", "aps-", "aps+")
@@ -118,7 +118,9 @@ def test_assembly_contract_errors():
 @pytest.mark.parametrize("geom,bc", list(product(GEOMS, BCS)))
 def test_band_matches_dense_reference(geom, bc):
     """The O(N) banded assembly reproduces the dense assembly to roundoff:
-    same reduced matrix, column order, weights and structural zeros."""
+    same reduced matrix, column order, weights and structural zeros; its
+    real tridiagonal form has the dense spectrum, with an exactly zero
+    diagonal for a bipartite (APS) operator."""
     surface = make_surface(geom)
     cases = [(surface, k) for k in (0.5, 2.5)]
     if geom.startswith("cylinder"):
@@ -137,6 +139,92 @@ def test_band_matches_dense_reference(geom, bc):
             expected = (None if "mixed" in kinds or n_p == n_q else
                         (abs(n_p - n_q), "spurious" if n_q > n_p else "harmonic"))
             assert op.structural_zeros == expected
+            d, e = op.tridiagonal()
+            ev_ref = np.linalg.eigvalsh(a_ref)
+            assert maxabs(eigvalsh_tridiagonal(d, e) - ev_ref) \
+                <= 1e-13 * maxabs(ev_ref)
+            assert np.all(e >= 0)
+            assert not spec.is_aps or not np.any(d)
+
+
+@pytest.mark.parametrize("geom,bc", [("disk", "local+"), ("hemisphere", "aps-"),
+                                     ("annulus:0.5,1.0", "aps+"),
+                                     ("cylinder:2.0", "local-")])
+def test_selective_values_are_lowest_of_full(geom, bc):
+    surface = make_surface(geom)
+    for k in (0.5, 2.5):
+        op = ModeOperator(surface, k, 200, bc=BoundaryConditionSpec(bc))
+        full = op.eigensystem()[0]
+        scale = maxabs(full)
+        for m in (1, 2, 5):
+            low = op.eigensystem(n_values=m)[0]
+            by_size = np.argsort(np.abs(full), kind="stable")
+            ref = np.sort(full[by_size[:len(low)]])
+            assert len(low) >= m
+            assert maxabs(low - ref) <= 1e-13 * scale
+
+
+def test_tridiagonal_reduction_refuses_leftover_entries():
+    """A block whose Hessenberg form is not tridiagonal (here: not
+    Hermitian) is refused, not truncated to its tridiagonal part."""
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    herm = a + a.conj().T
+    d, e = _tridiagonal_block(herm, 1e-12 * maxabs(herm))
+    assert maxabs(np.sort(np.linalg.eigvalsh(herm))
+                  - np.sort(np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1)
+                                               + np.diag(e, -1)))) <= 1e-12
+    bent = herm.copy()
+    bent[0, 3] += 1e-6
+    with pytest.raises(NumericalError, match="off the tridiagonal"):
+        _tridiagonal_block(bent, 1e-12 * maxabs(bent))
+
+
+def test_structural_zero_check_on_selective_path():
+    """A perturbed APS operator is refused on the selective path too: a
+    diagonal entry breaks the bipartite form, and a kernel that is not there
+    is never deflated."""
+    op = ModeOperator(make_surface("hemisphere"), 0.5, 64,
+                      bc=BoundaryConditionSpec("aps-"))
+    assert op.structural_zeros == (1, "spurious")
+    assert len(op.eigensystem(n_values=2)[0]) == 2
+    bw = (op.matrix.shape[0] - 1) // 2
+    op.matrix[bw, 40] += 1e-6
+    with pytest.raises(NumericalError, match="diagonal"):
+        op.eigensystem(n_values=2)
+    op.matrix[bw, 40] = 0.0
+    op._zeros = (2, "spurious")
+    for n_values in (2, None):
+        with pytest.raises(NumericalError, match="refusing to deflate"):
+            op.eigensystem(n_values=n_values)
+
+
+def test_aggregate_without_fields_keeps_levels():
+    surface = make_surface("annulus:0.5,1.0")
+    for bc in ("local+", "aps-"):
+        spec = BoundaryConditionSpec(bc)
+        with_fields = aggregate(surface, spec, 2.5, 48, n_fields_per_mode=1)
+        bare = aggregate(surface, spec, 2.5, 48, n_fields_per_mode=0)
+        assert np.array_equal(bare.levels, with_fields.levels)
+        assert bare.eigenpairs == () and len(with_fields.eigenpairs) == 6
+
+
+@pytest.mark.parametrize("N", [256, 1024])
+def test_aps_levels_come_in_exact_pairs(N):
+    """Under aps- the spectrum is reported exactly symmetric, so the +-tie
+    in the (|lambda|, k, sign) order always resolves to the negative level
+    and its field."""
+    hemi = make_surface("hemisphere")
+    spec = BoundaryConditionSpec("aps-")
+    for n_levels in (None, 2):
+        sp = aggregate(hemi, spec, 4.5, N, n_fields_per_mode=1,
+                       n_levels=n_levels)
+        for k in (-4.5, -0.5, 0.5, 2.5):
+            vals = sp.eigenvalues(k)
+            assert np.array_equal(vals, -vals[::-1])
+        assert sp.lambda_min < 0 and sp.k_min == -0.5
+        assert sp.fundamental.lam == sp.lambda_min
+        assert sp.fundamental.k == -0.5
 
 
 def test_operator_memory_is_linear_in_n():
