@@ -7,8 +7,9 @@ eigenvalue lower bounds, and optimizes those bounds over modifier pairs.
 """
 
 from .bounds import (BoundEntry, BoundReport, ModifierPair, OptimizerResult,
-                     conformal_modified_scalar, evaluate_bounds,
-                     feasibility_margin, modified_scalar, optimize_modifiers)
+                     canned_modifiers, conformal_modified_scalar,
+                     evaluate_bounds, feasibility_margin, modified_scalar,
+                     optimize_modifiers)
 from .dirac_core import (BC_VARIANTS, BoundaryConditionSpec, Eigenpair,
                          FourierMode, ModeOperator, NumericalError, Spectrum,
                          aggregate, boundary_dirac_matrix, convergence_study,

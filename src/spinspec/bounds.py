@@ -34,28 +34,28 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from scipy.optimize import minimize
 
-from .geometry import (RadialFunction, WarpedSurface, boundary_data,
-                       radial_laplacian, scalar_curvature)
+from .geometry import (ConfigError, RadialFunction, WarpedSurface,
+                       boundary_data, parse_radial_spec, radial_laplacian,
+                       scalar_curvature)
 
 Array = np.ndarray
 
 TOL_REPORT = 5e-3   # discretization slack folded into pass/fail margins
 TOL_FEAS = 1e-9     # feasibility margins this negative still count as boundary cases
 
+_ZERO = RadialFunction.constant(0.0)
+
 
 @dataclass(frozen=True)
 class ModifierPair:
-    """The functions (a, u) twisting the spinor connection."""
+    """The functions (a, u) twisting the spinor connection; ModifierPair()
+    is the zero pair, the untwisted connection."""
 
-    a: RadialFunction
-    u: RadialFunction
-
-    @staticmethod
-    def zero() -> "ModifierPair":
-        return ModifierPair(RadialFunction.constant(0.0),
-                            RadialFunction.constant(0.0))
+    a: RadialFunction = _ZERO
+    u: RadialFunction = _ZERO
 
     @staticmethod
     def from_params(surface: WarpedSurface, params: Array,
@@ -70,12 +70,12 @@ class ModifierPair:
         return ModifierPair(a, u)
 
 
-def modified_scalar(surface: WarpedSurface, mp: ModifierPair, n: int = 2,
-                    r: Array | None = None) -> Array:
-    """R_{a,u} sampled on the radial grid (positive Laplacian throughout)."""
+def modified_scalar(surface: WarpedSurface, mp: ModifierPair, r: Array,
+                    n: int = 2) -> Array:
+    """R_{a,u} sampled at the radii r (positive Laplacian throughout)."""
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    rr = np.asarray(r if r is not None else _default_grid(surface), dtype=float)
+    rr = np.asarray(r, dtype=float)
     a, u = mp.a, mp.u
     lap_u = radial_laplacian(surface, u, rr)
     return (scalar_curvature(surface, rr) - 4 * a(rr) * lap_u
@@ -83,11 +83,11 @@ def modified_scalar(surface: WarpedSurface, mp: ModifierPair, n: int = 2,
 
 
 def conformal_modified_scalar(surface: WarpedSurface, mp: ModifierPair,
-                              n: int = 2, r: Array | None = None) -> Array:
-    """R^_{a,u} sampled on the radial grid."""
+                              r: Array, n: int = 2) -> Array:
+    """R^_{a,u} sampled at the radii r."""
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    rr = np.asarray(r if r is not None else _default_grid(surface), dtype=float)
+    rr = np.asarray(r, dtype=float)
     a, u = mp.a, mp.u
     av, up = a(rr), u.d(rr)
     lap_u = radial_laplacian(surface, u, rr)
@@ -96,11 +96,16 @@ def conformal_modified_scalar(surface: WarpedSurface, mp: ModifierPair,
             + 4 * a.d(rr) * up - coeff * up ** 2)
 
 
-def _default_grid(surface: WarpedSurface, n_grid: int = 256) -> Array:
-    h = surface.length / n_grid
-    centers = surface.r_min + (np.arange(n_grid) + 0.5) * h
-    ends = [surface.r_max] if surface.cap else [surface.r_min, surface.r_max]
-    return np.sort(np.concatenate([centers, ends]))
+# per feasibility variant: the inf-curvature bound, its energy-momentum
+# refinement, and the curvature quantity both are built on
+_ESTIMATES = {"interior": ("est1", "est2", modified_scalar),
+              "conformal": ("est3", "est4", conformal_modified_scalar)}
+
+
+def _grid(surface: WarpedSurface, n_grid: int) -> Array:
+    """The n_grid cell centres plus the boundary circles."""
+    inner = [] if surface.cap else [surface.r_min]
+    return np.concatenate([inner, surface.centers(n_grid), [surface.r_max]])
 
 
 def feasibility_margin(surface: WarpedSurface, mp: ModifierPair,
@@ -122,6 +127,35 @@ def feasibility_margin(surface: WarpedSurface, mp: ModifierPair,
         else:
             margins.append(bd.mean_curvature - (2 * a_b - n + 1) * du_e0)
     return float(min(margins))
+
+
+def canned_modifiers(surface: WarpedSurface) -> ModifierPair:
+    """A nontrivial feasible (a, u) pair for identity and bound suites.
+
+    When every boundary has H >= 0 a mild outward-decreasing conformal
+    factor is feasible.  Otherwise the boundary with the lowest H (the inner
+    circle of a flat annulus, the rim of a cap wider than a hemisphere)
+    needs a du(e0) large enough to pay for it, with a = 1.
+    """
+    bd = min((boundary_data(surface, b) for b in surface.boundaries),
+             key=lambda b: b.mean_curvature)
+    if bd.mean_curvature >= 0:
+        mp = ModifierPair(RadialFunction.constant(0.4),
+                          parse_radial_spec("bump:0.3", surface.r_min,
+                                            surface.r_max))
+    else:
+        # |u'| = slope at bd, falling linearly to 0 at the far end, so that
+        # H - 2 du(e0) = 1 there
+        slope = -bd.mean_curvature / 2.0 + 0.5
+        t = -bd.outward_sign * Polynomial([-bd.r_b, 1.0])   # distance from bd
+        u_poly = slope * (t - t ** 2 / (2 * surface.length))
+        mp = ModifierPair(RadialFunction.constant(1.0),
+                          RadialFunction.from_poly(u_poly.coef))
+    margin = feasibility_margin(surface, mp, "interior")
+    if margin < -TOL_FEAS:
+        raise ConfigError(f"canned modifier pair infeasible on {surface.name} "
+                          f"(margin {margin:.3e})")
+    return mp
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +227,10 @@ def evaluate_bounds(spectrum, field_min=None, mp: ModifierPair | None = None,
     surface = spectrum.surface
     lam2 = spectrum.lambda_min_sq
     coeff = n / (4.0 * (n - 1))
-    rr = _grid_for(spectrum)
+    rr = _grid(surface, spectrum.n_grid)
     entries: list[BoundEntry] = []
 
-    zero = ModifierPair.zero()
-    margin0 = feasibility_margin(surface, zero, "interior", n)
+    margin0 = feasibility_margin(surface, ModifierPair(), "interior", n)
     feas0 = margin0 >= -TOL_FEAS
     r_min_val = float(np.min(scalar_curvature(surface, rr)))
     friedrich = coeff * r_min_val
@@ -217,51 +250,30 @@ def evaluate_bounds(spectrum, field_min=None, mp: ModifierPair | None = None,
             bool(lam2 >= hq - tol_report) if feas0 else None,
             "" if feas0 else "skipped (infeasible)"))
 
-    if mp is not None:
-        margin = feasibility_margin(surface, mp, "interior", n)
-        feas = margin >= -TOL_FEAS
-        if feas:
-            est1 = coeff * float(np.min(modified_scalar(surface, mp, n, rr)))
-            entries.append(BoundEntry("est1", est1, margin, True,
-                                      bool(lam2 >= est1 - tol_report)))
-        else:
-            entries.append(BoundEntry("est1", None, margin, False, None,
-                                      "skipped (infeasible)"))
-        if field_min is not None:
-            rau_ctr = modified_scalar(surface, mp, n, field_min.r)
-            est2 = float(np.min((rau_ctr / 4.0 + q_norm_sq)[mask]))
-            if feas:
-                entries.append(BoundEntry("est2", est2, margin, True,
-                                          bool(lam2 >= est2 - tol_report)))
-            else:
-                entries.append(BoundEntry("est2", None, margin, False, None,
-                                          "skipped (infeasible)"))
-
     local_bc = spectrum.bc.is_local
     mpc = mp_conformal if mp_conformal is not None else mp
-    if mpc is not None:
-        margin_c = feasibility_margin(surface, mpc, "conformal", n)
-        feas_c = margin_c >= -TOL_FEAS
-        note = "" if local_bc else \
+    for variant, pair in (("interior", mp), ("conformal", mpc)):
+        if pair is None:
+            continue
+        inf_name, q_name, scalar_fn = _ESTIMATES[variant]
+        names = (inf_name,) if field_min is None else (inf_name, q_name)
+        margin = feasibility_margin(surface, pair, variant, n)
+        judged = variant == "interior" or local_bc
+        note = "" if judged else \
             "experimental: conformal bounds are stated for local conditions"
-        if feas_c:
-            est3 = coeff * float(np.min(conformal_modified_scalar(surface, mpc, n, rr)))
-            entries.append(BoundEntry(
-                "est3", est3, margin_c, True,
-                bool(lam2 >= est3 - tol_report) if local_bc else None, note))
-        else:
-            entries.append(BoundEntry("est3", None, margin_c, False, None,
-                                      (note + "; " if note else "") + "skipped (infeasible)"))
+        if not margin >= -TOL_FEAS:
+            skipped = (note + "; " if note else "") + "skipped (infeasible)"
+            entries += [BoundEntry(name, None, margin, False, None, skipped)
+                        for name in names]
+            continue
+        values = [coeff * float(np.min(scalar_fn(surface, pair, rr, n)))]
         if field_min is not None:
-            rhat_ctr = conformal_modified_scalar(surface, mpc, n, field_min.r)
-            est4 = float(np.min((rhat_ctr / 4.0 + q_norm_sq)[mask]))
-            if feas_c:
-                entries.append(BoundEntry(
-                    "est4", est4, margin_c, True,
-                    bool(lam2 >= est4 - tol_report) if local_bc else None, note))
-            else:
-                entries.append(BoundEntry("est4", None, margin_c, False, None,
-                                          (note + "; " if note else "") + "skipped (infeasible)"))
+            curv_ctr = scalar_fn(surface, pair, field_min.r, n)
+            values.append(float(np.min((curv_ctr / 4.0 + q_norm_sq)[mask])))
+        for name, value in zip(names, values):
+            entries.append(BoundEntry(
+                name, value, margin, True,
+                bool(lam2 >= value - tol_report) if judged else None, note))
 
     diagnostics = {}
     for which in surface.boundaries:
@@ -279,14 +291,6 @@ def evaluate_bounds(spectrum, field_min=None, mp: ModifierPair | None = None,
     return BoundReport(surface.name, spectrum.bc.variant, spectrum.n_grid,
                        lam2, spectrum.k_min, entries, diagnostics,
                        optimizer_summary or {})
-
-
-def _grid_for(spectrum) -> Array:
-    surface = spectrum.surface
-    h = surface.length / spectrum.n_grid
-    centers = surface.r_min + (np.arange(spectrum.n_grid) + 0.5) * h
-    ends = [surface.r_max] if surface.cap else [surface.r_min, surface.r_max]
-    return np.sort(np.concatenate([centers, ends]))
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +345,16 @@ def optimize_modifiers(surface: WarpedSurface, variant: str = "interior",
     the returned pair can never be worse than it; if no feasible point shows
     up within the budget the baseline is returned with a flag.
     """
-    if variant not in ("interior", "conformal"):
+    if variant not in _ESTIMATES:
         raise ValueError(f"unknown optimizer variant {variant!r}")
-    rr = _default_grid(surface, n_grid)
-    scalar_fn = modified_scalar if variant == "interior" else conformal_modified_scalar
+    rr = _grid(surface, n_grid)
+    scalar_fn = _ESTIMATES[variant][2]
 
     trace: list[TracePoint] = []
 
     def measure(params: Array) -> TracePoint:
         pair = ModifierPair.from_params(surface, params, n_ctrl)
-        val = float(np.min(scalar_fn(surface, pair, n, rr)))
+        val = float(np.min(scalar_fn(surface, pair, rr, n)))
         margin = feasibility_margin(surface, pair, variant, n)
         point = TracePoint(np.array(params, dtype=float), val, margin,
                            bool(margin >= -TOL_FEAS))

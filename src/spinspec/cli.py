@@ -28,10 +28,9 @@ from . import bounds as bounds_mod
 from . import identities as ident
 from .dirac_core import (BC_VARIANTS, BoundaryConditionSpec, NumericalError,
                          aggregate, convergence_study)
-from .geometry import (ConfigError, RadialFunction, WarpedSurface,
-                       boundary_data, catalog, conformal_law_residuals,
-                       conformal_rescale, make_surface, parse_radial_spec,
-                       scalar_curvature)
+from .geometry import (ConfigError, WarpedSurface, catalog,
+                       conformal_law_residuals, conformal_rescale,
+                       make_surface, parse_radial_spec, scalar_curvature)
 
 Array = np.ndarray
 
@@ -136,37 +135,6 @@ class Scenario:
         return make_surface(self.geometry, self.spin_structure)
 
 
-def canned_modifiers(surface: WarpedSurface) -> bounds_mod.ModifierPair:
-    """A nontrivial feasible (a, u) pair for identity and bound suites.
-
-    For surfaces whose boundaries all have H >= 0 a mild outward-decreasing
-    conformal factor is always feasible; an inner boundary with H < 0 (flat
-    annulus) needs a du(e0) large enough to pay for it.
-    """
-    h_min = min(boundary_data(surface, b).mean_curvature
-                for b in surface.boundaries)
-    L = surface.length
-    if h_min >= 0:
-        a = RadialFunction.constant(0.4)
-        u = parse_radial_spec("bump:0.3", surface.r_min, surface.r_max)
-        mp = bounds_mod.ModifierPair(a, u)
-    else:
-        # inner H = -f'/f < 0: need u'(r_min) >= -H_in / (2 a)
-        bd_in = boundary_data(surface, "inner")
-        slope = -bd_in.mean_curvature / 2.0 + 0.5
-        from numpy.polynomial import Polynomial
-        t = Polynomial([-surface.r_min, 1.0])
-        u_poly = slope * (t - t ** 2 / (2 * L))   # u' linear: slope -> 0
-        a = RadialFunction.constant(1.0)
-        u = RadialFunction.from_poly(u_poly.coef)
-        mp = bounds_mod.ModifierPair(a, u)
-    margin = bounds_mod.feasibility_margin(surface, mp, "interior")
-    if margin < -bounds_mod.TOL_FEAS:
-        raise ConfigError(f"canned modifier pair infeasible on {surface.name} "
-                          f"(margin {margin:.3e})")
-    return mp
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -207,17 +175,17 @@ def _identity_reports(sc: Scenario, surface: WarpedSurface,
     sp = aggregate(surface, bc, sc.kmax, N, n_fields_per_mode=2, n_levels=2)
     pair = sp.fundamental
     field, lam = pair.field, pair.lam
-    mp = canned_modifiers(surface)
+    mp = bounds_mod.canned_modifiers(surface)
     reports: list[ident.IdentityReport] = []
 
     reports.append(ident.sl_residual(field, lam))
     for which in surface.boundaries:
         reports.append(ident.rtc2_residual(field, which))
-    reports.append(ident.eq_residual(field, lam, None, None, "eq1"))
-    r = ident.eq_residual(field, lam, mp.a, mp.u, "eq1")
+    reports.append(ident.eq_residual(field, lam, "eq1"))
+    r = ident.eq_residual(field, lam, "eq1", mp)
     r.name = "eq1:modified"
     reports.append(r)
-    reports.append(ident.eq_residual(field, lam, mp.a, mp.u, "eq2"))
+    reports.append(ident.eq_residual(field, lam, "eq2", mp))
 
     q = ident.energy_momentum(field)
     tr_res = float(np.max(np.abs(q.trace[q.mask] - lam)))
@@ -262,7 +230,8 @@ def _identity_reports(sc: Scenario, surface: WarpedSurface,
                     "expected_order": 2.0})
         # the rescaling's own factor is the modifier u of eq3/eq4
         for which in ("eq3", "eq4"):
-            r = ident.eq_residual(field, lam, mp.a, u, which, rescaling=resc)
+            r = ident.eq_residual(field, lam, which,
+                                  bounds_mod.ModifierPair(mp.a, u), resc)
             out.append(r.to_dict())
     return out
 
@@ -314,7 +283,7 @@ def _cmd_bounds(sc: Scenario) -> int:
             mp, mpc = res_i.pair, res_c.pair
             summary = {"interior": res_i.summary(), "conformal": res_c.summary()}
         else:
-            mp = mpc = canned_modifiers(surface)
+            mp = mpc = bounds_mod.canned_modifiers(surface)
         report = bounds_mod.evaluate_bounds(sp, field, mp, mpc,
                                             tol_report=sc.tol_report,
                                             optimizer_summary=summary)

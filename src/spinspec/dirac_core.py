@@ -362,7 +362,7 @@ class ModeOperator:
 
     @property
     def r_centers(self) -> Array:
-        return self.surface.r_min + (np.arange(self.n_grid) + 0.5) * self.h
+        return self.surface.centers(self.n_grid)
 
     @property
     def r_vertices(self) -> Array:

@@ -152,6 +152,10 @@ class WarpedSurface:
     def boundaries(self) -> tuple[str, ...]:
         return ("outer",) if self.cap else ("inner", "outer")
 
+    def centers(self, n: int) -> Array:
+        """Cell centres r_min + (j + 1/2) h, h = length / n, of the n-cell grid."""
+        return self.r_min + (np.arange(n) + 0.5) * (self.length / n)
+
 
 @dataclass(frozen=True)
 class BoundaryData:

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .geometry import (ConformalRescaling, RadialFunction, WarpedSurface,
-                       boundary_data, scalar_curvature)
+from .bounds import ModifierPair, conformal_modified_scalar, modified_scalar
+from .geometry import (ConformalRescaling, WarpedSurface, boundary_data,
+                       scalar_curvature)
 from .spin_algebra import CliffordFrame, make_frame
 
 Array = np.ndarray
@@ -333,16 +334,15 @@ def energy_momentum(field: SpinorField, eps_rel: float = EPS_ZERO_REL) -> Energy
 # modified connections
 # ---------------------------------------------------------------------------
 
-def _modified_gradient(field: SpinorField, a: RadialFunction | None,
-                       u: RadialFunction | None, lam, variant: str,
+def _modified_gradient(field: SpinorField, lam, variant: str,
+                       mp: ModifierPair = ModifierPair(),
                        q_tensor: EnergyMomentum | None = None,
                        n: int = 2) -> tuple[Array, Array]:
     """Components of the twisted covariant derivative (gcm / emtm variants)."""
     fr = field.frame
     g1, g2 = spinor_gradient(field)
     phi = field.values
-    av = a(field.r) if a is not None else np.zeros(field.n_grid)
-    up = u.d(field.r) if u is not None else np.zeros(field.n_grid)
+    av, up = mp.a(field.r), mp.u.d(field.r)
     lam_arr = np.broadcast_to(np.asarray(lam, dtype=float), (field.n_grid,))
 
     d1 = g1 + (av * up)[:, None] * phi - (av * up / n)[:, None] * phi
@@ -364,8 +364,8 @@ def _modified_gradient(field: SpinorField, a: RadialFunction | None,
     return d1, d2
 
 
-def modified_gradient_norm(field: SpinorField, a: RadialFunction | None,
-                           u: RadialFunction | None, lam, variant: str = "gcm",
+def modified_gradient_norm(field: SpinorField, lam, variant: str = "gcm",
+                           mp: ModifierPair = ModifierPair(),
                            assume_eigen: bool = True, n: int = 2) -> IdentityReport:
     """|grad^{a,u} phi|^2 evaluated two ways: from the twist definition and
     from its algebraic expansion; returns the integrated mismatch.
@@ -374,15 +374,14 @@ def modified_gradient_norm(field: SpinorField, a: RadialFunction | None,
     so it is an identity for arbitrary smooth fields, not just eigenspinors.
     """
     q_tensor = energy_momentum(field) if variant == "emtm" else None
-    d1, d2 = _modified_gradient(field, a, u, lam, variant, q_tensor, n)
+    d1, d2 = _modified_gradient(field, lam, variant, mp, q_tensor, n)
     direct_density = np.sum(np.abs(d1) ** 2 + np.abs(d2) ** 2, axis=1)
 
     g1, g2 = spinor_gradient(field)
     phi = field.values
     phi_sq = np.sum(np.abs(phi) ** 2, axis=1)
     grad_sq = np.sum(np.abs(g1) ** 2 + np.abs(g2) ** 2, axis=1)
-    av = a(field.r) if a is not None else np.zeros(field.n_grid)
-    up = u.d(field.r) if u is not None else np.zeros(field.n_grid)
+    av, up = mp.a(field.r), mp.u.d(field.r)
     lam_arr = np.broadcast_to(np.asarray(lam, dtype=float), (field.n_grid,))
 
     if field.d_values is not None:
@@ -420,41 +419,31 @@ def modified_gradient_norm(field: SpinorField, a: RadialFunction | None,
 # the four integral identities behind the eigenvalue bounds
 # ---------------------------------------------------------------------------
 
-class _ModifierView:
-    """Minimal (a, u) pair view for the curvature-modifier formulas."""
-
-    def __init__(self, a, u):
-        self.a = a if a is not None else RadialFunction.constant(0.0)
-        self.u = u if u is not None else RadialFunction.constant(0.0)
-
-
-def _boundary_terms(field: SpinorField, a: RadialFunction | None,
-                    u: RadialFunction | None, coeff_du: str,
-                    weighted: bool, n: int = 2) -> float:
+def _boundary_terms(field: SpinorField, mp: ModifierPair = ModifierPair(),
+                    conformal: bool = False, n: int = 2) -> float:
     """∫_bd w(r_b) [ (phi, e0 . D_bd phi) + (c du(e0) - H/2) |phi|^2 ].
 
-    coeff_du selects c: "a" gives a(r_b); "a_minus_half_n1" gives
-    a(r_b) - (n-1)/2 (the conformal identities' verbatim coefficient).
-    With weighted=True every term carries the extra factor e^{-u(r_b)}.
+    Plain (eq1/eq2): c = a(r_b) and w = 1.  conformal (eq3/eq4): the
+    verbatim c = a(r_b) - (n-1)/2 and w = e^{-u(r_b)}.
     """
     total = 0.0
     for which in field.surface.boundaries:
         bd = boundary_data(field.surface, which)
         tb = field.trace(which)
         tb_sq = float(np.sum(np.abs(tb) ** 2))
-        a_b = float(a(bd.r_b)) if a is not None else 0.0
-        c = a_b if coeff_du == "a" else a_b - (n - 1) / 2.0
-        du_e0 = bd.outward_sign * float(u.d(bd.r_b)) if u is not None else 0.0
+        a_b = float(mp.a(bd.r_b))
+        c = a_b - (n - 1) / 2.0 if conformal else a_b
+        du_e0 = bd.outward_sign * float(mp.u.d(bd.r_b))
         pairing = _e0_dirac_trace_pairing(field, which)
-        w = float(np.exp(-u(bd.r_b))) if (weighted and u is not None) else 1.0
+        w = float(np.exp(-mp.u(bd.r_b))) if conformal else 1.0
         total += w * boundary_integral(
             field, which,
             pairing + (c * du_e0 - 0.5 * bd.mean_curvature) * tb_sq)
     return total
 
 
-def eq_residual(field: SpinorField, lam: float, a: RadialFunction | None,
-                u: RadialFunction | None, which: str,
+def eq_residual(field: SpinorField, lam: float, which: str,
+                mp: ModifierPair = ModifierPair(),
                 rescaling: ConformalRescaling | None = None,
                 n: int = 2) -> IdentityReport:
     """Residual of one of the displayed integral identities eq1 ... eq4.
@@ -466,37 +455,33 @@ def eq_residual(field: SpinorField, lam: float, a: RadialFunction | None,
     on the source with the displayed e^{-u} weights and the verbatim
     (a - (n-1)/2) boundary coefficient.
     """
-    from .bounds import conformal_modified_scalar, modified_scalar
-
     phi_sq = np.sum(np.abs(field.values) ** 2, axis=1)
-    mp_like = _ModifierView(a, u)
 
     if which in ("eq1", "eq2"):
         variant = "gcm" if which == "eq1" else "emtm"
-        d1, d2 = _modified_gradient(field, a, u, lam, variant)
+        d1, d2 = _modified_gradient(field, lam, variant, mp)
         left = volume_integral(field, np.sum(np.abs(d1) ** 2 + np.abs(d2) ** 2, axis=1))
-        rau = modified_scalar(field.surface, mp_like, n=n, r=field.r)
+        rau = modified_scalar(field.surface, mp, field.r, n)
         if which == "eq1":
             density = ((1 - 1 / n) * lam ** 2 - rau / 4.0) * phi_sq
         else:
             q_tensor = energy_momentum(field)
             density = (lam ** 2 - (rau / 4.0 + q_tensor.norm_sq)) * phi_sq
         right = volume_integral(field, density) \
-            + _boundary_terms(field, a, u, "a", weighted=False, n=n)
+            + _boundary_terms(field, mp, n=n)
         return IdentityReport(which, left, right, field.n_grid, expected_order=2.0)
 
     if which in ("eq3", "eq4"):
         if rescaling is None:
             raise ValueError("eq3/eq4 need a ConformalRescaling")
         pushed, _ = conformal_push(field, rescaling, lam=lam)
-        u_t = rescaling.pullback(u) if u is not None else None
-        a_t = rescaling.pullback(a) if a is not None else None
+        mp_t = ModifierPair(rescaling.pullback(mp.a), rescaling.pullback(mp.u))
         lam_t = lam * np.exp(-(rescaling.u(rescaling.r_of_s(pushed.r))))
         variant = "gcm" if which == "eq3" else "emtm"
-        d1, d2 = _modified_gradient(pushed, a_t, u_t, lam_t, variant)
+        d1, d2 = _modified_gradient(pushed, lam_t, variant, mp_t)
         left = volume_integral(pushed, np.sum(np.abs(d1) ** 2 + np.abs(d2) ** 2, axis=1))
 
-        rhat = conformal_modified_scalar(field.surface, mp_like, n=n, r=field.r)
+        rhat = conformal_modified_scalar(field.surface, mp, field.r, n)
         w = np.exp(-rescaling.u(field.r))
         if which == "eq3":
             density = w * ((1 - 1 / n) * lam ** 2 - rhat / 4.0) * phi_sq
@@ -504,15 +489,14 @@ def eq_residual(field: SpinorField, lam: float, a: RadialFunction | None,
             q_tensor = energy_momentum(field)
             density = w * (lam ** 2 - (rhat / 4.0 + q_tensor.norm_sq)) * phi_sq
         right = volume_integral(field, density) \
-            + _boundary_terms(field, a, u, "a_minus_half_n1", weighted=True, n=n)
+            + _boundary_terms(field, mp, conformal=True, n=n)
         return IdentityReport(which, left, right, field.n_grid, expected_order=2.0)
 
     raise ValueError(f"unknown identity {which!r}")
 
 
 def killing_residual(field: SpinorField, lam: float,
-                     a: RadialFunction | None = None,
-                     u: RadialFunction | None = None, n: int = 2,
+                     mp: ModifierPair = ModifierPair(), n: int = 2,
                      assume_eigen: bool = True) -> float:
     """Pointwise residual of the twisted Killing equation (max over nodes).
 
@@ -529,8 +513,7 @@ def killing_residual(field: SpinorField, lam: float,
     """
     fr = field.frame
     phi = field.values
-    av = a(field.r) if a is not None else np.zeros(field.n_grid)
-    up = u.d(field.r) if u is not None else np.zeros(field.n_grid)
+    av, up = mp.a(field.r), mp.u.d(field.r)
 
     g2 = spinor_gradient(field)[1]
     r2 = g2 + (lam / n) * _apply_matrix(phi, fr.g2) \
@@ -569,9 +552,7 @@ def conformal_push(field: SpinorField, rescaling: ConformalRescaling,
     if lam is None:
         lam = field.lam
     target = rescaling.target
-    m = n_target or field.n_grid
-    h_t = target.length / m
-    s_centers = target.r_min + (np.arange(m) + 0.5) * h_t
+    s_centers = target.centers(n_target or field.n_grid)
     r_pull = rescaling.r_of_s(s_centers)
     if np.any(r_pull < field.surface.r_min - 1e-9) or \
             np.any(r_pull > field.surface.r_max + 1e-9):

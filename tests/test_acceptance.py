@@ -19,9 +19,8 @@ from spinspec import (BoundaryConditionSpec, ModeOperator, ModifierPair,
                       eq_residual, killing_residual, make_frame, make_surface,
                       optimize_modifiers, parse_radial_spec, rtc2_residual,
                       sl_residual)
-from spinspec.bounds import (conformal_modified_scalar, feasibility_margin,
-                             modified_scalar)
-from spinspec.cli import canned_modifiers
+from spinspec.bounds import (canned_modifiers, conformal_modified_scalar,
+                             feasibility_margin, modified_scalar)
 from spinspec.geometry import conformal_law_residuals
 
 TOL_BOUND = 5e-3   # slack for every theorem-as-oracle comparison
@@ -126,9 +125,9 @@ def test_criterion_5_identity_suite(solved):
                 "ili": sl_residual(f, lam).residual,
                 "rtc2": max(rtc2_residual(f, w).left
                             for w in surface.boundaries),
-                "eq1": eq_residual(f, lam, None, None, "eq1").residual,
-                "eq1_mod": eq_residual(f, lam, mp.a, mp.u, "eq1").residual,
-                "eq2": eq_residual(f, lam, mp.a, mp.u, "eq2").residual,
+                "eq1": eq_residual(f, lam, "eq1").residual,
+                "eq1_mod": eq_residual(f, lam, "eq1", mp).residual,
+                "eq2": eq_residual(f, lam, "eq2", mp).residual,
                 "trace_q": float(np.max(np.abs(q.trace[q.mask] - lam))),
             }
         for name, r256 in res[256].items():
@@ -162,7 +161,7 @@ def test_criterion_6_conformal_covariance(solved):
         f, lam = sp.fundamental.field, sp.fundamental.lam
         _, push[N] = conformal_push(f, resc, lam)
         for which in ("eq3", "eq4"):
-            eqs[which][N] = eq_residual(f, lam, mp.a, mp.u, which,
+            eqs[which][N] = eq_residual(f, lam, which, mp,
                                         rescaling=resc).residual
     orders = [np.log2(push[64] / push[128]), np.log2(push[128] / push[256])]
     assert abs(np.mean(orders) - 2.0) <= 0.25
@@ -209,10 +208,10 @@ def test_criterion_7_theorem_as_oracle_over_traces(solved):
                     continue
                 checked += 1
                 mp = ModifierPair.from_params(surface, pt.params)
-                curv = scalar_fn(surface, mp, 2, r_all)
+                curv = scalar_fn(surface, mp, r_all)
                 if 0.5 * float(np.min(curv)) > lam2 + TOL_BOUND:
                     violations += 1
-                curv_c = scalar_fn(surface, mp, 2, r_ctr)
+                curv_c = scalar_fn(surface, mp, r_ctr)
                 if float(np.min((curv_c / 4 + qn)[mask])) > lam2 + TOL_BOUND:
                     violations += 1
     assert total_points >= 10_000

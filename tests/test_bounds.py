@@ -29,7 +29,7 @@ def test_modified_scalar_a_zero_recovers_curvature():
     mp = pair(RadialFunction.constant(0.0),
               parse_radial_spec("poly:0,0.5,-0.2", 0, np.pi / 2))
     rr = grid(hemi)
-    assert np.max(np.abs(modified_scalar(hemi, mp, 2, rr)
+    assert np.max(np.abs(modified_scalar(hemi, mp, rr)
                          - scalar_curvature(hemi, rr))) <= 1e-12
 
 
@@ -39,7 +39,7 @@ def test_modified_scalar_constant_u_recovers_curvature(c, a0, a1):
     disk = make_surface("disk")
     mp = pair(RadialFunction.from_poly([a0, a1]), RadialFunction.constant(c))
     rr = np.linspace(0.1, 0.9, 9)
-    assert np.max(np.abs(modified_scalar(disk, mp, 2, rr))) <= 1e-12  # R = 0
+    assert np.max(np.abs(modified_scalar(disk, mp, rr))) <= 1e-12  # R = 0
 
 
 def test_modified_scalar_cylinder_linear_u():
@@ -49,7 +49,7 @@ def test_modified_scalar_cylinder_linear_u():
     c = 0.7
     mp = pair(RadialFunction.constant(1.0), RadialFunction.from_poly([0, c]))
     rr = grid(cyl)
-    assert np.max(np.abs(modified_scalar(cyl, mp, 2, rr) + 2 * c ** 2)) <= 1e-12
+    assert np.max(np.abs(modified_scalar(cyl, mp, rr) + 2 * c ** 2)) <= 1e-12
 
 
 def test_conformal_modified_scalar_special_values():
@@ -58,17 +58,17 @@ def test_conformal_modified_scalar_special_values():
     rr = grid(disk)
     # u constant: back to R
     mp0 = pair(RadialFunction.constant(0.3), RadialFunction.constant(1.0))
-    assert np.max(np.abs(conformal_modified_scalar(disk, mp0, 2, rr))) <= 1e-12
+    assert np.max(np.abs(conformal_modified_scalar(disk, mp0, rr))) <= 1e-12
     # a = (n-1)/2 = 1/2 at n = 2: Delta u coefficient drops, |du|^2 keeps -1/2
     mp_half = pair(RadialFunction.constant(0.5), u)
     expected = -0.5 * u.d(rr) ** 2
-    assert np.max(np.abs(conformal_modified_scalar(disk, mp_half, 2, rr)
+    assert np.max(np.abs(conformal_modified_scalar(disk, mp_half, rr)
                          - expected)) <= 1e-12
     # a = 0 at n = 2: R + 2 Delta u (the scalar-curvature conformal law)
     from spinspec import radial_laplacian
     mp_zero = pair(RadialFunction.constant(0.0), u)
     expected = 2 * radial_laplacian(disk, u, rr)
-    assert np.max(np.abs(conformal_modified_scalar(disk, mp_zero, 2, rr)
+    assert np.max(np.abs(conformal_modified_scalar(disk, mp_zero, rr)
                          - expected)) <= 1e-12
 
 
@@ -76,13 +76,13 @@ def test_modified_scalars_agree_only_for_constant_u():
     disk = make_surface("disk")
     rr = grid(disk)
     mp_const = pair(RadialFunction.constant(0.5), RadialFunction.constant(0.7))
-    d = modified_scalar(disk, mp_const, 2, rr) \
-        - conformal_modified_scalar(disk, mp_const, 2, rr)
+    d = modified_scalar(disk, mp_const, rr) \
+        - conformal_modified_scalar(disk, mp_const, rr)
     assert np.max(np.abs(d)) <= 1e-12
     mp_var = pair(RadialFunction.constant(0.5),
                   parse_radial_spec("bump:0.3", 0, 1))
-    d = modified_scalar(disk, mp_var, 2, rr) \
-        - conformal_modified_scalar(disk, mp_var, 2, rr)
+    d = modified_scalar(disk, mp_var, rr) \
+        - conformal_modified_scalar(disk, mp_var, rr)
     assert np.max(np.abs(d)) > 1e-3
 
 
@@ -117,7 +117,7 @@ def test_feasibility_disk_linear_u_infeasible():
 def test_feasibility_rejects_unknown_variant():
     disk = make_surface("disk")
     with pytest.raises(ValueError):
-        feasibility_margin(disk, ModifierPair.zero(), "radial")
+        feasibility_margin(disk, ModifierPair(), "radial")
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +181,28 @@ def test_conformal_entries_under_aps_are_experimental(solved):
     assert "experimental" in e3.note
     # the interior bounds do carry pass/fail under aps-
     assert report.entry("est1").passed is not None
+
+
+def test_entry_table_feasible_interior_infeasible_conformal(solved):
+    # on the hemisphere (H = 0) a = 0.4 with an outward-decreasing u is
+    # feasible for the interior bounds and infeasible for the conformal ones
+    mp = pair(RadialFunction.constant(0.4),
+              parse_radial_spec("bump:0.3", 0, np.pi / 2))
+    experimental = ("experimental: conformal bounds are stated for local "
+                    "conditions; ")
+    for bc, prefix in (("aps-", experimental), ("local+", "")):
+        sp = solved("hemisphere", bc, k_max=1.5, N=128)
+        report = evaluate_bounds(sp, sp.fundamental.field, mp=mp,
+                                 mp_conformal=mp)
+        skipped = prefix + "skipped (infeasible)"
+        assert [(e.name, e.value is None, e.feasible, e.passed, e.note)
+                for e in report.entries] == [
+            ("friedrich", False, True, True, ""),
+            ("hijazi_q", False, True, True, ""),
+            ("est1", False, True, True, ""),
+            ("est2", False, True, True, ""),
+            ("est3", True, False, None, skipped),
+            ("est4", True, False, None, skipped)], bc
 
 
 def test_report_serialization(solved):

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spinspec.cli import Scenario, canned_modifiers, run
+from spinspec.cli import Scenario, run
 from spinspec import make_surface
-from spinspec.bounds import TOL_FEAS, feasibility_margin
+from spinspec.bounds import TOL_FEAS, canned_modifiers, feasibility_margin
 
 
 def read(path):
@@ -226,13 +226,21 @@ def test_checked_in_scenarios_validate(tmp_path):
 
 
 @pytest.mark.parametrize("geom", ["hemisphere", "cap:pi/3", "disk",
-                                  "annulus:0.5,1.0", "cylinder:2.0"])
+                                  "annulus:0.5,1.0", "cylinder:2.0",
+                                  "cap:2.18"])
 def test_canned_modifiers_feasible_on_builtins(geom):
     surface = make_surface(geom)
     mp = canned_modifiers(surface)
     assert feasibility_margin(surface, mp, "interior") >= -TOL_FEAS
     assert float(np.max(np.abs(mp.u.d(np.linspace(surface.r_min,
                                                   surface.r_max, 7))))) > 0
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+def test_wide_cap_runs_with_canned_modifiers(tmp_path, command):
+    # a cap wider than a hemisphere: its one boundary circle has H < 0
+    assert run([command, "--geometry", "cap:2.18", "--N", "34", "--kmax", "2",
+                "--bc", "local+,aps-", "--out", str(tmp_path)]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ import pytest
 
 import oracles
 from spinspec import (ModifierPair, RadialFunction, SpinorField,
-                      VanishingSpinorError, conformal_push, conformal_rescale,
-                      energy_momentum, eq_residual, killing_residual,
-                      make_surface, modified_gradient_norm, parse_radial_spec,
-                      rtc2_residual, sl_residual)
+                      VanishingSpinorError, canned_modifiers, conformal_push,
+                      conformal_rescale, energy_momentum, eq_residual,
+                      killing_residual, make_surface, modified_gradient_norm,
+                      parse_radial_spec, rtc2_residual, sl_residual)
 
 HEMI = make_surface("hemisphere")
 
@@ -157,7 +157,7 @@ def test_hijazi_direction_on_disk(solved):
 def test_modified_gradient_killing_direction():
     # the Killing equation is exactly grad^{0,.}-parallelism
     f = killing_field(256)
-    rep = modified_gradient_norm(f, None, None, 1.0, "gcm")
+    rep = modified_gradient_norm(f, 1.0, "gcm")
     assert abs(rep.left) <= 1e-12
     assert rep.residual <= 1e-10
 
@@ -165,7 +165,7 @@ def test_modified_gradient_killing_direction():
 def test_modified_gradient_a_zero_collapse_analytic():
     f = killing_field(256)
     u = parse_radial_spec("bump:0.3", 0.0, np.pi / 2)
-    rep = modified_gradient_norm(f, None, u, 1.0, "gcm")
+    rep = modified_gradient_norm(f, 1.0, "gcm", ModifierPair(u=u))
     assert rep.residual <= 1e-10
 
 
@@ -181,7 +181,8 @@ def test_modified_gradient_general_identity_random_field(rng):
         f = SpinorField(HEMI, 0.5, r, vals)
         a = RadialFunction.from_poly([0.2, 0.5])
         u = RadialFunction.from_poly([0.0, -0.3, 0.4])
-        rep = modified_gradient_norm(f, a, u, 0.7, "gcm", assume_eigen=False)
+        rep = modified_gradient_norm(f, 0.7, "gcm", ModifierPair(a, u),
+                                     assume_eigen=False)
         res[N] = rep.residual
     assert np.log2(res[64] / res[128]) >= 1.8
 
@@ -189,8 +190,8 @@ def test_modified_gradient_general_identity_random_field(rng):
 def test_modified_gradient_emtm_on_eigenpair(solved):
     sp = solved("disk", "local+", k_max=1.5, N=256)
     mp = modifier_bump(make_surface("disk"))
-    rep = modified_gradient_norm(sp.fundamental.field, mp.a, mp.u,
-                                 sp.fundamental.lam, "emtm")
+    rep = modified_gradient_norm(sp.fundamental.field, sp.fundamental.lam,
+                                 "emtm", mp)
     assert rep.residual <= 1e-3
 
 
@@ -203,7 +204,7 @@ def test_eq1_hand_evaluated_limiting_case():
     boundary term vanishes, so both sides of eq1 are zero."""
     assert (1 - 0.5) * 1.0 ** 2 - 2.0 / 4 == 0.0
     f = killing_field(256)
-    rep = eq_residual(f, 1.0, None, None, "eq1")
+    rep = eq_residual(f, 1.0, "eq1")
     assert abs(rep.left) <= 1e-10
     assert abs(rep.right) <= 1e-6
 
@@ -211,7 +212,7 @@ def test_eq1_hand_evaluated_limiting_case():
 def test_eq1_a_zero_matches_sl_route(solved):
     sp = solved("hemisphere", "local+", k_max=1.5, N=128)
     f, lam = sp.fundamental.field, sp.fundamental.lam
-    rep = eq_residual(f, lam, None, None, "eq1")
+    rep = eq_residual(f, lam, "eq1")
     sl = sl_residual(f, lam)
     assert rep.residual <= 10 * max(sl.residual, 1e-8)
 
@@ -221,15 +222,13 @@ def test_eq1_a_zero_matches_sl_route(solved):
 def test_eq_identities_second_order(geom, which, solved):
     surface = make_surface(geom)
     if geom == "annulus:0.5,1.0":
-        from spinspec.cli import canned_modifiers
         mp = canned_modifiers(surface)
     else:
         mp = modifier_bump(surface)
     res = {}
     for N in (128, 256):
         sp = solved(geom, "local+", k_max=1.5, N=N)
-        rep = eq_residual(sp.fundamental.field, sp.fundamental.lam,
-                          mp.a, mp.u, which)
+        rep = eq_residual(sp.fundamental.field, sp.fundamental.lam, which, mp)
         res[N] = rep.residual
     assert res[256] <= 1e-2
     assert np.log2(res[128] / res[256]) >= 1.8 or res[256] <= 1e-10
@@ -238,9 +237,9 @@ def test_eq_identities_second_order(geom, which, solved):
 def test_eq3_requires_rescaling(solved):
     sp = solved("disk", "local+", k_max=0.5, N=64)
     with pytest.raises(ValueError):
-        eq_residual(sp.fundamental.field, sp.fundamental.lam, None, None, "eq3")
+        eq_residual(sp.fundamental.field, sp.fundamental.lam, "eq3")
     with pytest.raises(ValueError):
-        eq_residual(sp.fundamental.field, sp.fundamental.lam, None, None, "eq9")
+        eq_residual(sp.fundamental.field, sp.fundamental.lam, "eq9")
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +255,7 @@ def test_killing_residual_twisted_zero_when_du_zero():
     f = killing_field(128)
     a = RadialFunction.constant(0.7)
     u = RadialFunction.constant(2.0)   # du = 0: twisted equation = untwisted
-    assert killing_residual(f, 1.0, a, u) <= 1e-10
+    assert killing_residual(f, 1.0, ModifierPair(a, u)) <= 1e-10
 
 
 def test_killing_residual_limiting_vs_non_limiting(solved):
@@ -333,7 +332,7 @@ def test_conformal_integral_identities_second_order(which, solved):
     res = {}
     for N in (128, 256):
         sp = solved("disk", "local+", k_max=0.5, N=N, n_fields=1)
-        rep = eq_residual(sp.fundamental.field, sp.fundamental.lam,
-                          mp.a, mp.u, which, rescaling=resc)
+        rep = eq_residual(sp.fundamental.field, sp.fundamental.lam, which, mp,
+                          rescaling=resc)
         res[N] = rep.residual
     assert np.log2(res[128] / res[256]) >= 1.8
