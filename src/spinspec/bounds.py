@@ -17,11 +17,22 @@ refinements inf(R_{a,u}/4 + |Q_phi|^2)).  Taking a = 0 or u constant
 recovers the classical unmodified inequalities, which every report includes
 as a baseline.
 
+Both curvature quantities and the margin are computed by private helpers
+that take sampled arrays: R, f'/f and the jets a, a', u', u'' for the
+quantities, H, a and du(e0) on the boundary circles for the margin.  The
+public functions fill those arrays from RadialFunctions; the optimizer fills
+them from a precomputed spline basis, so both paths share one copy of each
+formula.
+
 The sup over (a, u) is explored with derivative-free Nelder-Mead over cubic
 spline coefficients, feasibility enforced by an exact penalty; the result is
-a certified-feasible best iterate, never claimed globally optimal.  Every
-evaluated pair is recorded in a trace so the theorems themselves can be
-replayed as oracles over the whole search history.
+a certified-feasible best iterate, never claimed globally optimal.  A spline
+through fixed knots is linear in its control values, so each optimizer call
+evaluates the not-a-knot cardinal splines once (values and two derivatives
+on the grid, values and slopes on the boundary circles) and every objective
+evaluation is a few mat-vecs.  Every evaluated pair is recorded in a trace
+so the theorems themselves can be replayed as oracles over the whole search
+history.
 
 The conformal bounds are stated for the local boundary conditions only;
 under APS conditions they are reported as experimental, with no pass/fail
@@ -35,11 +46,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize
 
-from .geometry import (ConfigError, RadialFunction, WarpedSurface,
-                       boundary_data, parse_radial_spec, radial_laplacian,
-                       scalar_curvature)
+from .geometry import (RadialFunction, WarpedSurface, boundary_data,
+                       parse_radial_spec, scalar_curvature)
 
 Array = np.ndarray
 
@@ -70,42 +81,66 @@ class ModifierPair:
         return ModifierPair(a, u)
 
 
+def _curvature(variant: str, R: Array, fpf: Array, a: Array, da: Array,
+               du: Array, d2u: Array, n: int) -> Array:
+    """R_{a,u} (interior) or R^_{a,u} (conformal) from R, f'/f and the
+    jets a, a', u', u'' sampled on one grid."""
+    if n < 2:
+        raise ValueError("dimension must be at least 2")
+    lap_u = -(d2u + fpf * du)   # geometry.radial_laplacian of u
+    if variant == "interior":
+        return R - 4 * a * lap_u + 4 * da * du \
+            - 4 * (1 - 1 / n) * a ** 2 * du ** 2
+    coeff = (n - 1) * (n - 2) + 4 * (2 - n) * a + 4 * (1 - 1 / n) * a ** 2
+    return R + 4 * ((n - 1) / 2 - a) * lap_u + 4 * da * du - coeff * du ** 2
+
+
+def _jets(surface: WarpedSurface, mp: ModifierPair, r: Array) -> tuple:
+    """R, f'/f, a, a', u', u'' at the radii r."""
+    rr = np.asarray(r, dtype=float)
+    return (scalar_curvature(surface, rr), surface.fp(rr) / surface.f(rr),
+            mp.a(rr), mp.a.d(rr), mp.u.d(rr), mp.u.d2(rr))
+
+
 def modified_scalar(surface: WarpedSurface, mp: ModifierPair, r: Array,
                     n: int = 2) -> Array:
     """R_{a,u} sampled at the radii r (positive Laplacian throughout)."""
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
-    rr = np.asarray(r, dtype=float)
-    a, u = mp.a, mp.u
-    lap_u = radial_laplacian(surface, u, rr)
-    return (scalar_curvature(surface, rr) - 4 * a(rr) * lap_u
-            + 4 * a.d(rr) * u.d(rr) - 4 * (1 - 1 / n) * a(rr) ** 2 * u.d(rr) ** 2)
+    return _curvature("interior", *_jets(surface, mp, r), n)
 
 
 def conformal_modified_scalar(surface: WarpedSurface, mp: ModifierPair,
                               r: Array, n: int = 2) -> Array:
     """R^_{a,u} sampled at the radii r."""
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
-    rr = np.asarray(r, dtype=float)
-    a, u = mp.a, mp.u
-    av, up = a(rr), u.d(rr)
-    lap_u = radial_laplacian(surface, u, rr)
-    coeff = (n - 1) * (n - 2) + 4 * (2 - n) * av + 4 * (1 - 1 / n) * av ** 2
-    return (scalar_curvature(surface, rr) + 4 * ((n - 1) / 2 - av) * lap_u
-            + 4 * a.d(rr) * up - coeff * up ** 2)
+    return _curvature("conformal", *_jets(surface, mp, r), n)
 
 
-# per feasibility variant: the inf-curvature bound, its energy-momentum
-# refinement, and the curvature quantity both are built on
-_ESTIMATES = {"interior": ("est1", "est2", modified_scalar),
-              "conformal": ("est3", "est4", conformal_modified_scalar)}
+# per feasibility variant: the inf-curvature bound and its energy-momentum
+# refinement, both built on the variant's curvature quantity
+_ESTIMATES = {"interior": ("est1", "est2"), "conformal": ("est3", "est4")}
 
 
 def _grid(surface: WarpedSurface, n_grid: int) -> Array:
     """The n_grid cell centres plus the boundary circles."""
     inner = [] if surface.cap else [surface.r_min]
     return np.concatenate([inner, surface.centers(n_grid), [surface.r_max]])
+
+
+def _boundary_circles(surface: WarpedSurface) -> tuple:
+    """Radius, mean curvature H and outward sign of each boundary circle."""
+    bds = [boundary_data(surface, which) for which in surface.boundaries]
+    return (np.array([bd.r_b for bd in bds]),
+            np.array([bd.mean_curvature for bd in bds]),
+            np.array([bd.outward_sign for bd in bds]))
+
+
+def _feasibility_margin(H: Array, a_b: Array, du_e0: Array, variant: str,
+                        n: int) -> float:
+    """min of the margins from H, a and du(e0) on each boundary circle."""
+    if variant == "interior":
+        return float(np.min(H - 2 * a_b * du_e0))
+    if variant == "conformal":
+        return float(np.min(H - (2 * a_b - n + 1) * du_e0))
+    raise ValueError(f"unknown feasibility variant {variant!r}")
 
 
 def feasibility_margin(surface: WarpedSurface, mp: ModifierPair,
@@ -115,47 +150,36 @@ def feasibility_margin(surface: WarpedSurface, mp: ModifierPair,
     interior:   H - 2 a du(e0)
     conformal:  H - (2a - n + 1) du(e0)
     """
-    if variant not in ("interior", "conformal"):
-        raise ValueError(f"unknown feasibility variant {variant!r}")
-    margins = []
-    for which in surface.boundaries:
-        bd = boundary_data(surface, which)
-        du_e0 = bd.outward_sign * float(mp.u.d(bd.r_b))
-        a_b = float(mp.a(bd.r_b))
-        if variant == "interior":
-            margins.append(bd.mean_curvature - 2 * a_b * du_e0)
-        else:
-            margins.append(bd.mean_curvature - (2 * a_b - n + 1) * du_e0)
-    return float(min(margins))
+    r_b, H, sign = _boundary_circles(surface)
+    return _feasibility_margin(H, mp.a(r_b), sign * mp.u.d(r_b), variant, n)
 
 
 def canned_modifiers(surface: WarpedSurface) -> ModifierPair:
-    """A nontrivial feasible (a, u) pair for identity and bound suites.
+    """A nontrivial (a, u) pair for identity and bound suites.
 
     When every boundary has H >= 0 a mild outward-decreasing conformal
     factor is feasible.  Otherwise the boundary with the lowest H (the inner
     circle of a flat annulus, the rim of a cap wider than a hemisphere)
-    needs a du(e0) large enough to pay for it, with a = 1.
+    gets a du(e0) large enough to pay for it, with a = 1.  The pair is
+    feasible whenever at most one boundary has H < 0; with two (a zone
+    across the equator of a sphere) it is returned all the same: the
+    identities hold for any pair, and evaluate_bounds reports the
+    modifier-dependent bounds as skipped (infeasible).
     """
     bd = min((boundary_data(surface, b) for b in surface.boundaries),
              key=lambda b: b.mean_curvature)
     if bd.mean_curvature >= 0:
-        mp = ModifierPair(RadialFunction.constant(0.4),
-                          parse_radial_spec("bump:0.3", surface.r_min,
-                                            surface.r_max))
-    else:
-        # |u'| = slope at bd, falling linearly to 0 at the far end, so that
-        # H - 2 du(e0) = 1 there
-        slope = -bd.mean_curvature / 2.0 + 0.5
-        t = -bd.outward_sign * Polynomial([-bd.r_b, 1.0])   # distance from bd
-        u_poly = slope * (t - t ** 2 / (2 * surface.length))
-        mp = ModifierPair(RadialFunction.constant(1.0),
-                          RadialFunction.from_poly(u_poly.coef))
-    margin = feasibility_margin(surface, mp, "interior")
-    if margin < -TOL_FEAS:
-        raise ConfigError(f"canned modifier pair infeasible on {surface.name} "
-                          f"(margin {margin:.3e})")
-    return mp
+        return ModifierPair(RadialFunction.constant(0.4),
+                            parse_radial_spec("bump:0.3", surface.r_min,
+                                              surface.r_max))
+
+    # |u'| = slope at bd, falling linearly to 0 at the far end, so that
+    # H - 2 du(e0) = 1 there
+    slope = -bd.mean_curvature / 2.0 + 0.5
+    t = -bd.outward_sign * Polynomial([-bd.r_b, 1.0])   # distance from bd
+    u_poly = slope * (t - t ** 2 / (2 * surface.length))
+    return ModifierPair(RadialFunction.constant(1.0),
+                        RadialFunction.from_poly(u_poly.coef))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +279,7 @@ def evaluate_bounds(spectrum, field_min=None, mp: ModifierPair | None = None,
     for variant, pair in (("interior", mp), ("conformal", mpc)):
         if pair is None:
             continue
-        inf_name, q_name, scalar_fn = _ESTIMATES[variant]
+        inf_name, q_name = _ESTIMATES[variant]
         names = (inf_name,) if field_min is None else (inf_name, q_name)
         margin = feasibility_margin(surface, pair, variant, n)
         judged = variant == "interior" or local_bc
@@ -266,9 +290,11 @@ def evaluate_bounds(spectrum, field_min=None, mp: ModifierPair | None = None,
             entries += [BoundEntry(name, None, margin, False, None, skipped)
                         for name in names]
             continue
-        values = [coeff * float(np.min(scalar_fn(surface, pair, rr, n)))]
+        values = [coeff * float(np.min(
+            _curvature(variant, *_jets(surface, pair, rr), n)))]
         if field_min is not None:
-            curv_ctr = scalar_fn(surface, pair, field_min.r, n)
+            curv_ctr = _curvature(variant, *_jets(surface, pair, field_min.r),
+                                  n)
             values.append(float(np.min((curv_ctr / 4.0 + q_norm_sq)[mask])))
         for name, value in zip(names, values):
             entries.append(BoundEntry(
@@ -334,6 +360,33 @@ class OptimizerResult:
                 "baseline_value": self.baseline_value}
 
 
+def _basis_measure(surface: WarpedSurface, variant: str, n_ctrl: int,
+                   n_grid: int, n: int):
+    """params -> (inf of the variant's curvature quantity on _grid, margin)
+    of ModifierPair.from_params(surface, params, n_ctrl), by mat-vecs.
+
+    The cardinal splines of from_params (same knots, same not-a-knot ends):
+    column j interpolates e_j at the knots, so the spline through control
+    values p is basis @ p wherever it is sampled.
+    """
+    basis = CubicSpline(np.linspace(surface.r_min, surface.r_max, n_ctrl),
+                        np.eye(n_ctrl))
+    rr = _grid(surface, n_grid)
+    b0, b1, b2 = (basis(rr, nu) for nu in range(3))
+    curv, fpf = scalar_curvature(surface, rr), surface.fp(rr) / surface.f(rr)
+    r_b, H, sign = _boundary_circles(surface)
+    rim0, rim1 = basis(r_b), basis(r_b, 1)
+
+    def measure(params: Array) -> tuple[float, float]:
+        pa, pu = params[:n_ctrl], params[n_ctrl:]
+        value = float(np.min(_curvature(variant, curv, fpf, b0 @ pa, b1 @ pa,
+                                        b1 @ pu, b2 @ pu, n)))
+        return value, _feasibility_margin(H, rim0 @ pa, sign * (rim1 @ pu),
+                                          variant, n)
+
+    return measure
+
+
 def optimize_modifiers(surface: WarpedSurface, variant: str = "interior",
                        budget: int = 1200, n_ctrl: int = 8,
                        n_grid: int = 256, n: int = 2,
@@ -341,21 +394,19 @@ def optimize_modifiers(surface: WarpedSurface, variant: str = "interior",
     """Maximize inf R_{a,u} (or inf R^_{a,u}) over spline modifier pairs.
 
     Nelder-Mead on the 2*n_ctrl spline coefficients with an exact penalty on
-    the feasibility margin.  The a = 0 baseline is always evaluated first and
-    the returned pair can never be worse than it; if no feasible point shows
-    up within the budget the baseline is returned with a flag.
+    the feasibility margin; every evaluation runs on the spline basis that
+    _basis_measure builds once per call.  The a = 0 baseline is always
+    evaluated first and the returned pair can never be worse than it; if no
+    feasible point shows up within the budget the baseline is returned with
+    a flag.
     """
     if variant not in _ESTIMATES:
         raise ValueError(f"unknown optimizer variant {variant!r}")
-    rr = _grid(surface, n_grid)
-    scalar_fn = _ESTIMATES[variant][2]
-
+    basis_measure = _basis_measure(surface, variant, n_ctrl, n_grid, n)
     trace: list[TracePoint] = []
 
     def measure(params: Array) -> TracePoint:
-        pair = ModifierPair.from_params(surface, params, n_ctrl)
-        val = float(np.min(scalar_fn(surface, pair, rr, n)))
-        margin = feasibility_margin(surface, pair, variant, n)
+        val, margin = basis_measure(params)
         point = TracePoint(np.array(params, dtype=float), val, margin,
                            bool(margin >= -TOL_FEAS))
         trace.append(point)

@@ -268,22 +268,24 @@ def _cmd_bounds(sc: Scenario) -> int:
     rows = ["scenario,bc,n_grid,lambda_min_sq,k_min,friedrich,hijazi_q,"
             "est1,est2,est3,est4,margin_interior,margin_conformal,passed"]
     code = 0
+    # the optimizer reads only the surface and the budget: one run per
+    # variant serves every boundary condition
+    summary = {}
+    if sc.optimize_bounds:
+        res_i = bounds_mod.optimize_modifiers(surface, "interior",
+                                              budget=sc.budget)
+        res_c = bounds_mod.optimize_modifiers(surface, "conformal",
+                                              budget=sc.budget)
+        mp, mpc = res_i.pair, res_c.pair
+        summary = {"interior": res_i.summary(), "conformal": res_c.summary()}
+    else:
+        mp = mpc = bounds_mod.canned_modifiers(surface)
     for bc_name in sc.bc:
         bc = BoundaryConditionSpec(bc_name)
         N = sc.N[-1]
         sp = aggregate(surface, bc, sc.kmax, N, n_fields_per_mode=2,
                        n_levels=2)
         field = sp.fundamental.field
-        summary = {}
-        if sc.optimize_bounds:
-            res_i = bounds_mod.optimize_modifiers(surface, "interior",
-                                                  budget=sc.budget)
-            res_c = bounds_mod.optimize_modifiers(surface, "conformal",
-                                                  budget=sc.budget)
-            mp, mpc = res_i.pair, res_c.pair
-            summary = {"interior": res_i.summary(), "conformal": res_c.summary()}
-        else:
-            mp = mpc = bounds_mod.canned_modifiers(surface)
         report = bounds_mod.evaluate_bounds(sp, field, mp, mpc,
                                             tol_report=sc.tol_report,
                                             optimizer_summary=summary)

@@ -24,6 +24,17 @@ def solved():
     return get
 
 
+@pytest.fixture(scope="session")
+def zone_csv(tmp_path_factory):
+    """A sampled f = sin r on [0.5, 2.6]: a spherical zone across the equator,
+    with H < 0 on both boundary circles."""
+    path = tmp_path_factory.mktemp("profile") / "zone.csv"
+    r = np.linspace(0.5, 2.6, 43)
+    path.write_text("r,f\n" + "".join(f"{x:.17g},{np.sin(x):.17g}\n"
+                                       for x in r))
+    return str(path)
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)

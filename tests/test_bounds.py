@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import BUILTIN_SCENARIOS
 from spinspec import (ModifierPair, RadialFunction, evaluate_bounds,
                       feasibility_margin, conformal_modified_scalar,
                       make_surface, modified_scalar, optimize_modifiers,
                       parse_radial_spec, scalar_curvature)
-from spinspec.bounds import TOL_FEAS
+from spinspec.bounds import TOL_FEAS, _basis_measure, _grid
 
 
 def pair(a, u):
@@ -275,3 +276,42 @@ def test_modifier_pair_from_params_roundtrip():
     assert np.max(np.abs(mp.u(knots) - params[8:])) <= 1e-12
     with pytest.raises(ValueError):
         ModifierPair.from_params(disk, params[:10], n_ctrl=8)
+
+
+# ---------------------------------------------------------------------------
+# the optimizer's spline-basis path against the public functions
+# ---------------------------------------------------------------------------
+
+def assert_matches_public_path(surface, variant, params, n_ctrl, n_grid,
+                               value, margin):
+    mp = ModifierPair.from_params(surface, params, n_ctrl)
+    scalar_fn = (modified_scalar if variant == "interior"
+                 else conformal_modified_scalar)
+    expected = float(np.min(scalar_fn(surface, mp, _grid(surface, n_grid))))
+    assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+    expected_margin = feasibility_margin(surface, mp, variant)
+    assert abs(margin - expected_margin) <= \
+        1e-12 * max(1.0, abs(expected_margin))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(geom=st.sampled_from(BUILTIN_SCENARIOS + ("profile",)),
+       variant=st.sampled_from(["interior", "conformal"]),
+       n_ctrl=st.integers(4, 12), n_grid=st.integers(16, 300), data=st.data())
+def test_basis_measure_matches_public_path(zone_csv, geom, variant, n_ctrl,
+                                           n_grid, data):
+    surface = make_surface(zone_csv if geom == "profile" else geom)
+    params = np.array(data.draw(st.lists(
+        st.floats(-2, 2), min_size=2 * n_ctrl, max_size=2 * n_ctrl)))
+    value, margin = _basis_measure(surface, variant, n_ctrl, n_grid, 2)(params)
+    assert_matches_public_path(surface, variant, params, n_ctrl, n_grid,
+                               value, margin)
+
+
+def test_basis_measure_matches_public_path_over_a_trace():
+    ann = make_surface("annulus:0.5,1.0")
+    res = optimize_modifiers(ann, "conformal", budget=300)
+    assert res.n_eval == 300
+    for pt in res.trace:
+        assert_matches_public_path(ann, "conformal", pt.params, 8, 256,
+                                   pt.value, pt.margin)

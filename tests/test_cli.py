@@ -166,6 +166,27 @@ def test_bounds_with_optimizer(tmp_path):
     assert report["passed"] is True
 
 
+def test_bounds_optimizes_once_per_surface(tmp_path, monkeypatch):
+    from spinspec import bounds
+    calls = []
+    optimize = bounds.optimize_modifiers
+
+    def counted(surface, variant, **kwargs):
+        calls.append(variant)
+        return optimize(surface, variant, **kwargs)
+
+    monkeypatch.setattr(bounds, "optimize_modifiers", counted)
+    out = str(tmp_path / "ob")
+    assert run(["bounds", "--geometry", "annulus:0.5,1.0", "--bc",
+                "local+,aps-", "--optimize-bounds", "--budget", "120",
+                "--N", "64", "--kmax", "1.5", "--out", out]) == 0
+    assert sorted(calls) == ["conformal", "interior"]
+    summaries = [json.loads(read(os.path.join(out, f"bounds_{slug}.json")))
+                 ["optimizer_summary"] for slug in ("localplus", "apsminus")]
+    assert summaries[0] == summaries[1]
+    assert summaries[0]["interior"]["n_eval"] == 120
+
+
 def test_bounds_exit_1_iff_entry_fails(tmp_path, capsys):
     # an impossible pass tolerance forces a failing entry and exit code 1
     out = str(tmp_path / "bf")
@@ -241,6 +262,24 @@ def test_wide_cap_runs_with_canned_modifiers(tmp_path, command):
     # a cap wider than a hemisphere: its one boundary circle has H < 0
     assert run([command, "--geometry", "cap:2.18", "--N", "34", "--kmax", "2",
                 "--bc", "local+,aps-", "--out", str(tmp_path)]) == 0
+
+
+def test_zone_with_two_concave_boundaries_runs(tmp_path, zone_csv):
+    # H < 0 on both circles: no canned pair is feasible, so the modifier
+    # bounds are skipped
+    surface = make_surface(f"profile:{zone_csv}")
+    assert feasibility_margin(surface, canned_modifiers(surface)) < -TOL_FEAS
+    out = str(tmp_path / "zone")
+    args = ["--geometry", f"profile:{zone_csv}", "--bc", "local+,aps-",
+            "--N", "128", "--kmax", "2.5", "--out", out]
+    assert run(["verify"] + args) == 0
+    assert run(["bounds"] + args) == 0
+    for slug in ("localplus", "apsminus"):
+        report = json.loads(read(os.path.join(out, f"bounds_{slug}.json")))
+        for e in report["entries"]:
+            if e["name"] in ("est1", "est2", "est3", "est4"):
+                assert e["value"] is None and e["feasible"] is False
+                assert e["note"].endswith("skipped (infeasible)")
 
 
 # ---------------------------------------------------------------------------
