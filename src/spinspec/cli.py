@@ -163,9 +163,12 @@ def _cmd_spectrum(sc: Scenario) -> int:
             if sp.kmax_attained:
                 print(f"warning: lambda_min attained at |k| = kmax = {sc.kmax}; "
                       "increase --kmax", file=sys.stderr)
+            # |lambda_min|: under local+- the fundamental level is a +-lambda
+            # tie that roundoff settles, as in convergence_study
             if lam_prev is not None:
-                print(f"  drift vs previous N: {abs(sp.lambda_min - lam_prev):.3e}")
-            lam_prev = sp.lambda_min
+                print(f"  drift vs previous N: "
+                      f"{abs(abs(sp.lambda_min) - lam_prev):.3e}")
+            lam_prev = abs(sp.lambda_min)
     return 0
 
 

@@ -8,9 +8,11 @@ admissible trace direction at an inner boundary) and bisects the boundary-
 condition residual in lambda.  The hemisphere oracle is the closed-form
 Killing spinor.
 
-The one exception is `DenseModeOperator` at the end: the package's own
-discretization, assembled the original dense way.  It is the reference that
-the banded assembly must reproduce to roundoff, not an independent oracle.
+Two entries are references rather than independent oracles.
+`brentq_r_of_s` is the package's original per-point arclength inverse, which
+the vectorized inverse must reproduce to roundoff.  `DenseModeOperator` at
+the end is the package's own discretization, assembled the original dense
+way; the banded assembly must reproduce it to roundoff.
 """
 
 from __future__ import annotations
@@ -168,6 +170,36 @@ def richardson_order(values, ns) -> float:
     if d2 == 0:
         return np.inf
     return float(np.log2(d1 / d2) / np.log2(ns[-1] / ns[-2]))
+
+
+# ---------------------------------------------------------------------------
+# scalar reference inverse of the conformal arclength map
+# ---------------------------------------------------------------------------
+
+def brentq_r_of_s(s_of_r, edges_r, edges_s):
+    """The original `spinspec.geometry` arclength inverse, kept unchanged:
+    one scalar `brentq` per point inside its panel, `s` clamped to
+    [0, s_max], and a snap to the left panel edge within 1e-14."""
+    smax = float(edges_s[-1])
+
+    def r_of_s(s):
+        s = np.asarray(s, dtype=float)
+        scalar = s.ndim == 0
+        flat = np.atleast_1d(s).ravel()
+        out = np.empty_like(flat)
+        for i, si in enumerate(flat):
+            si = min(max(float(si), 0.0), smax)
+            j = int(np.clip(np.searchsorted(edges_s, si) - 1, 0,
+                            len(edges_s) - 2))
+            a, b = edges_r[j], edges_r[j + 1]
+            if abs(float(edges_s[j]) - si) < 1e-14 * (1 + smax):
+                out[i] = a
+                continue
+            out[i] = brentq(lambda r: s_of_r(r) - si, a, b,
+                            xtol=1e-14, rtol=8.9e-16)
+        return float(out[0]) if scalar else out.reshape(np.shape(s))
+
+    return r_of_s
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,19 @@ def test_spectrum_warns_when_kmax_attained(tmp_path, capsys):
     assert "kmax" in capsys.readouterr().err
 
 
+def test_spectrum_drift_ignores_the_sign_tie(tmp_path, capsys):
+    """Under local+- the sign of lambda_min is a roundoff tie; the drift
+    line compares |lambda_min| (it read 2.000e+00 when the sign flipped)."""
+    assert run(["spectrum", "--geometry", "hemisphere", "--bc", "local+,local-",
+                "--N", "64,128", "--kmax", "2.5",
+                "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    drifts = [float(line.split(":")[1]) for line in out.splitlines()
+              if "drift vs previous N" in line]
+    assert len(drifts) == 2
+    assert all(d < 0.05 for d in drifts)
+
+
 def test_convergence_subcommand(tmp_path):
     out = str(tmp_path / "cv")
     assert run(["convergence", "--geometry", "disk", "--bc", "local+",

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from spinspec import (ConfigError, RadialFunction, boundary_data,
-                      conformal_law_residuals, conformal_rescale, make_surface,
-                      parse_radial_spec, radial_laplacian, scalar_curvature)
+                      conformal_law_residuals, conformal_rescale, geometry,
+                      make_surface, parse_radial_spec, radial_laplacian,
+                      scalar_curvature)
 
 COT_PI_3 = 0.5773502691896258  # hand evaluation of cos/sin at pi/3
 
@@ -214,3 +216,65 @@ def test_conformal_cap_is_preserved():
     assert resc.target.cap
     assert abs(float(resc.target.f(0.0))) <= 1e-10
     assert abs(float(resc.target.fp(0.0)) - 1.0) <= 1e-10
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(geo=st.sampled_from(("disk", "hemisphere", "annulus:0.5,1.0",
+                            "cap:1.2", "zone")),
+       kind=st.sampled_from(("const", "bump", "poly")),
+       amp=st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+       fracs=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=40))
+def test_r_of_s_matches_brentq_oracle(zone_csv, geo, kind, amp, fracs):
+    """The vectorized arclength inverse reproduces the per-point brentq
+    inverse on 0, s_max, every panel edge, interior and out-of-range s.
+
+    The oracle snaps an s within 1e-14 (1 + s_max) above a panel's left edge
+    onto that edge, an error of up to that much over e^u; such points are
+    held to the round trip s(r(s)) = s alone."""
+    surf = make_surface(zone_csv if geo == "zone" else geo)
+    spec = {"const": f"const:{amp[0]!r}", "bump": f"bump:{amp[0]!r}",
+            "poly": f"poly:{amp[0]!r},{amp[1]!r}"}[kind]
+    u = parse_radial_spec(spec, surf.r_min, surf.r_max)
+    resc = conformal_rescale(surf, u)
+    edges_r, edges_s = geometry._arclength_edges(surf, u, 512)
+    smax = resc.target.r_max
+    assert smax == edges_s[-1]
+    s = np.concatenate([[0.0, smax, -1.0, smax + 1.0, -np.inf, np.inf],
+                        edges_s, np.array(fracs) * smax])
+    r = resc.r_of_s(s)
+    ref = oracles.brentq_r_of_s(resc.s_of_r, edges_r, edges_s)(s)
+    sc = np.clip(s, 0.0, smax)
+    left = edges_s[np.clip(np.searchsorted(edges_s, sc) - 1, 0, 511)]
+    kept = (sc == left) | (np.abs(sc - left) >= 1e-14 * (1 + smax))
+    assert np.all(np.abs(r - ref)[kept] <= 1e-14 * (1 + np.abs(ref[kept])))
+    inside = (s >= 0) & (s <= smax)
+    assert np.all(np.abs(resc.s_of_r(r[inside]) - s[inside])
+                  <= 1e-14 * (1 + smax))
+    assert np.all(np.diff(resc.r_of_s(np.sort(s))) >= 0)
+    x = resc.r_of_s(float(s[-1]))
+    assert type(x) is float and abs(x - r[-1]) <= 1e-14 * (1 + abs(x))
+    assert resc.r_of_s(s[:6].reshape(2, 3)).shape == (2, 3)
+    with pytest.raises(ValueError):
+        resc.r_of_s(np.array([0.5 * smax, np.nan]))
+
+
+def test_r_of_s_sweeps_do_not_grow_with_points(monkeypatch):
+    """One vectorized panel quadrature per Newton sweep, however many points:
+    the count stays at or below the sweep cap and is the same for 10 and
+    10^4 points (a per-point root finder needs several per point)."""
+    resc = conformal_rescale(make_surface("disk"),
+                             parse_radial_spec("bump:0.3", 0.0, 1.0))
+    calls = []
+    quadrature = geometry._panel_integral
+
+    def counted(*args):
+        calls.append(1)
+        return quadrature(*args)
+
+    monkeypatch.setattr(geometry, "_panel_integral", counted)
+    counts = []
+    for n in (10, 10 ** 4):
+        calls.clear()
+        resc.r_of_s(np.linspace(0.0, resc.target.r_max, n))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= geometry._NEWTON_SWEEPS
