@@ -35,16 +35,16 @@ index through which it meets the middle leaves the rest untouched, and a
 diagonal unitary gauge makes the off-diagonals real and nonnegative.  The
 full spectrum (`spectrum`) comes from dsterf; the few smallest |lambda| that
 lambda_min and the low fields need come from Sturm bisection on a window
-around 0, in O(N).  Eigenvectors come from shifted inverse iteration on the
-band (banded LU solves and the band mat-vec for the residual).
+around 0, in O(N).  The few eigenvectors come from the same form (stebz and
+stein), mapped back and checked by their residual against the band.
 
-Modes with k < 0 are solved through the unitary component swap
-(v1, v2) -> (v2, v1), which maps mode k to mode -k and swaps the two local
-boundary conditions while fixing each APS condition.  At a cap this keeps
-the vertex component the faster-vanishing one at the pole, where the
-regular closure (vertex value 0) is then exact for every mode.  The swap
-fixes each APS condition, so under aps+- the modes k and -k share one
-operator: `aggregate` solves it once and mirrors the solution.
+Modes with k < 0 go through the unitary component swap (v1, v2) -> (v2, v1),
+which maps mode k to mode -k and swaps the two local boundary conditions
+while fixing each APS condition.  At a cap this keeps the vertex component
+the faster-vanishing one at the pole, where the regular closure (vertex
+value 0) is then exact for every mode.  Mode -k is thus the native operator
+at |k| under the swapped condition: the same operator under aps+-, exactly
+-conj of it under local+-.  Each |k| is solved once and mode -k mirrors it.
 
 Under aps+- every reduced column is pure p or pure q, so the operator is
 bipartite: its tridiagonal form has a zero diagonal (checked at roundoff)
@@ -63,8 +63,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.linalg import (eigvalsh_tridiagonal, hessenberg, null_space,
-                          solve_banded)
+from scipy.linalg import (eigh_tridiagonal, eigvalsh_tridiagonal, hessenberg,
+                          null_space)
+from scipy.linalg import solve_banded  # noqa: F401  unused; perfbench --trace counts it
 
 from .geometry import ConfigError, WarpedSurface, boundary_data
 from .identities import SpinorField
@@ -105,12 +106,6 @@ class BoundaryConditionSpec:
     def experimental(self) -> bool:
         # the elliptic estimate is only proved for local+/- and aps-
         return self.variant == "aps+"
-
-    def swapped(self) -> "BoundaryConditionSpec":
-        """Image under the component swap used for k -> -k."""
-        table = {"local+": "local-", "local-": "local+",
-                 "aps-": "aps-", "aps+": "aps+"}
-        return BoundaryConditionSpec(table[self.variant])
 
 
 @dataclass(frozen=True)
@@ -277,23 +272,24 @@ def _dense_block(ab: Array, bw: int, at: int, size: int) -> Array:
     return block
 
 
-def _tridiagonal_block(block: Array, tol: float) -> tuple[Array, Array]:
-    """Diagonal and |subdiagonal| of a Householder tridiagonal form of a
-    Hermitian block, by a unitary that fixes the block's first index.
+def _tridiagonal_block(block: Array, tol: float) -> tuple[Array, Array, Array]:
+    """Householder tridiagonal form T = Q^H block Q of a Hermitian block, by
+    a unitary Q that fixes the block's first index.
 
-    The Hessenberg reduction (no balancing) applies its reflectors to the
+    Returns the real diagonal of T, its complex subdiagonal and Q.  The
+    Hessenberg reduction (no balancing) applies its reflectors to the
     indices after the first only.  A Hermitian block comes out tridiagonal;
     an entry beyond the first off-diagonal, or an imaginary diagonal part,
     above `tol` is refused, never dropped.
     """
-    H = hessenberg(block)
+    H, Q = hessenberg(block, calc_q=True)
     off = max(float(np.max(np.abs(np.triu(H, 2)))),
               float(np.max(np.abs(np.diagonal(H).imag))))
     if off > tol:
         raise NumericalError(
             f"tridiagonal reduction left an entry of {off:.3e} off the "
             f"tridiagonal (tolerance {tol:.3e})")
-    return np.diagonal(H).real.copy(), np.abs(np.diagonal(H, -1))
+    return np.diagonal(H).real.copy(), np.diagonal(H, -1).copy(), Q
 
 
 def _low_values(d: Array, e: Array, count: int) -> Array:
@@ -540,34 +536,6 @@ class ModeOperator:
         """
         return self._zeros
 
-    def _inverse_iteration(self, lam: float, ortho: list[Array],
-                           rng: np.random.Generator) -> Array:
-        """One eigenvector of the reduced operator by shifted inverse iteration."""
-        ab0, bw = self._ab, self._bw
-        n = ab0.shape[1]
-        scale = max(float(np.max(np.abs(ab0))), 1.0)
-        shift = lam + 1e-12 * scale
-        resid = np.inf
-        for attempt in range(6):
-            ab = ab0.copy()
-            ab[bw, :] -= shift
-            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            try:
-                for _ in range(3):
-                    x = solve_banded((bw, bw), ab, x)
-                    for v in ortho:
-                        x = x - v * np.vdot(v, x)
-                    x = x / np.linalg.norm(x)
-            except np.linalg.LinAlgError:
-                shift = lam + (1e-10 * 10 ** attempt) * scale
-                continue
-            resid = float(np.linalg.norm(_band_matvec(ab0, bw, x) - lam * x))
-            if resid <= 1e-7 * scale:
-                return x
-            shift = lam + (1e-10 * 10 ** attempt) * scale
-        raise NumericalError(
-            f"inverse iteration failed at lambda={lam!r} (residual {resid:.2e})")
-
     def tridiagonal(self) -> tuple[Array, Array]:
         """Real symmetric tridiagonal (d, e) unitarily similar to `matrix`.
 
@@ -576,18 +544,25 @@ class ModeOperator:
         middle through one index, rh - 1 and n - rt.  A Householder
         tridiagonalization of each block whose unitary fixes that index (the
         head block index-reversed) leaves the rest untouched; a diagonal
-        unitary gauge then makes every off-diagonal |e|.  O(n) in all.  A
-        bipartite operator (no column mixes p and q) has a zero diagonal:
+        unitary gauge g then makes every off-diagonal |e|.  O(n) in all.  An
+        eigenvector z of (d, e) maps back to blockdiag(Q_head, I, Q_tail)
+        (g * z); the two unitaries and g are kept for that.  A bipartite operator (no column mixes p and q) has a zero diagonal:
         it is checked at roundoff and set to exact zeros.
         """
         ab, bw = self._ab, self._bw
         n = ab.shape[1]
         rh, rt = self._head.shape[1], self._tail.shape[1]
         tol = _HERM_TOL * max(1.0, float(np.max(np.abs(ab))))
-        dh, eh = _tridiagonal_block(_dense_block(ab, bw, 0, rh)[::-1, ::-1], tol)
-        dt, et = _tridiagonal_block(_dense_block(ab, bw, n - rt, rt), tol)
+        dh, lh, qh = _tridiagonal_block(
+            _dense_block(ab, bw, 0, rh)[::-1, ::-1], tol)
+        dt, lt, qt = _tridiagonal_block(_dense_block(ab, bw, n - rt, rt), tol)
         d = np.concatenate([dh[::-1], ab[bw, rh: n - rt].real, dt])
-        e = np.concatenate([eh[::-1], np.abs(ab[bw + 1, rh - 1: n - rt]), et])
+        lower = np.concatenate([np.conj(lh[::-1]), ab[bw + 1, rh - 1: n - rt], lt])
+        e = np.abs(lower)
+        phase = np.ones(n, dtype=complex)
+        np.divide(lower, e, out=phase[1:], where=e > 0)
+        gauge = np.cumprod(phase)     # drifts off |g| = 1 by O(n eps): rescale
+        self._back = (qh[::-1, ::-1], qt, gauge / np.abs(gauge))
         if self._bipartite:
             dmax = float(np.max(np.abs(d)))
             if dmax > tol:
@@ -608,7 +583,8 @@ class ModeOperator:
         |lambda| (Sturm bisection on a window around 0, O(n)).  A
         bipartite operator has an exactly symmetric spectrum: its positive
         eigenvalues are reported with their mirror images, so a +-pair is an
-        exact tie.  Eigenvectors come from inverse iteration on `matrix`.
+        exact tie.  Eigenvectors come from the same tridiagonal form (stebz
+        and stein, O(n) each), checked by their residual against `matrix`.
 
         Returns (values ascending, selected values, selected vectors in
         reduced coordinates, one per column).
@@ -656,13 +632,30 @@ class ModeOperator:
             return vals, np.empty(0), np.empty((n, 0), dtype=complex)
         order = np.argsort(np.abs(vals), kind="stable")
         wanted = np.sort(vals[order[:n_sel]])
-        rng = np.random.default_rng(12345)
-        vecs = []
-        for i, lam in enumerate(wanted):
-            cluster = [vecs[j] for j in range(i)
-                       if abs(wanted[j] - lam) < 1e-7 * max(1.0, abs(lam))]
-            vecs.append(self._inverse_iteration(float(lam), cluster, rng))
-        return vals, wanted, np.column_stack(vecs)
+        ab, bw = self._ab, self._bw
+        scale = max(float(np.max(np.abs(ab))), 1.0)
+        # stebz + stein give n x m vectors (scipy's stemr allocates n x n);
+        # the bracket may also hold a deflated zero, so take the nearest
+        slack = 1e-10 * scale
+        try:
+            got, z = eigh_tridiagonal(d, e, select="v", lapack_driver="stebz",
+                                      select_range=(wanted[0] - slack,
+                                                    wanted[-1] + slack))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"tridiagonal eigenvectors failed: {exc}") from exc
+        pick = np.argmin(np.abs(got[:, None] - wanted), axis=0) if len(got) else []
+        if len(set(pick)) < n_sel:
+            raise NumericalError(f"eigenvectors missing near {wanted!r}")
+        qh, qt, g = self._back
+        y = g[:, None] * z[:, pick]
+        y[:len(qh)] = qh @ y[:len(qh)]
+        y[-len(qt):] = qt @ y[-len(qt):]
+        for lam, col in zip(wanted, y.T):
+            resid = float(np.linalg.norm(_band_matvec(ab, bw, col) - lam * col))
+            if resid > 1e-10 * scale:
+                raise NumericalError(f"eigenvector residual {resid:.2e} at "
+                                     f"lambda={lam!r} (scale {scale:.2e})")
+        return vals, wanted, y
 
     def expand(self, y: Array) -> tuple[Array, Array]:
         """Reduced eigenvector -> staggered samples (p at centers, q at all
@@ -697,15 +690,18 @@ class ModeSolution:
     samples: tuple = ()               # (lam, p, q) staggered eigenvectors
 
     def mirrored(self) -> "ModeSolution":
-        """The solution at -k, for an operator the component swap fixes.
-
-        Valid when mode -k reduces to the same native operator as mode k,
-        as under aps+- (whose swapped condition is itself): same eigenvalues,
-        fields from the same vectors with the components swapped back.
+        """The solution at -k, whose native operator is this one under
+        aps+- and exactly -conj of it (band and end bases) under local+-:
+        same levels and vectors, or levels -lams and conjugate vectors; the
+        fields take their components swapped back.
         """
-        k = -self.k
-        return ModeSolution(k, self.lams, _pairs(self.op, self.samples, k),
-                            self.op, self.samples)
+        k, lams, samples = -self.k, self.lams, self.samples
+        if self.op.bc.is_local:
+            lams = -lams[::-1]
+            samples = tuple((-lam, np.conj(p), np.conj(q))
+                            for lam, p, q in samples)
+        return ModeSolution(k, lams, _pairs(self.op, samples, k), self.op,
+                            samples)
 
 
 def _phase_norm_scale(field_values: Array) -> complex:
@@ -756,14 +752,17 @@ def _pairs(op: ModeOperator, samples: tuple, k: float) -> list:
 def solve_mode(surface: WarpedSurface, k: float, bc: BoundaryConditionSpec,
                N: int, n_fields: int = 4, n_levels: int | None = None
                ) -> ModeSolution:
-    """Eigen-solve one mode; negative modes via the exact component swap.
+    """Eigen-solve one mode; a negative mode is the mirror of the native
+    solve at |k| (`ModeSolution.mirrored`).
 
     n_levels=None keeps every eigenvalue; otherwise only the n_levels
     smallest |lambda| (at least n_fields) are computed.
     """
     if bc is None:
         raise ConfigError("solve_mode needs a boundary condition")
-    op = ModeOperator(surface, abs(k), N, bc=bc.swapped() if k < 0 else bc)
+    if k < 0:
+        return solve_mode(surface, -k, bc, N, n_fields, n_levels).mirrored()
+    op = ModeOperator(surface, k, N, bc=bc)
     vals, wv, vec = op.eigensystem(n_vectors=n_fields, n_values=n_levels)
     samples = tuple((float(lam), *op.expand(vec[:, col]))
                     for col, lam in enumerate(wv))
@@ -813,23 +812,19 @@ def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
 
     `levels` holds every eigenvalue of each mode, or with n_levels only the
     n_levels smallest |lambda| of each (enough for lambda_min and the low
-    fields).  Each distinct mode operator is solved once.  Mode k is the
-    native operator at |k| under bc, or under bc.swapped() for k < 0; under
-    aps+- both signs give the same operator, so the second sign is the
-    mirror of the first solution.  Modes merge in fixed order, so results
-    are deterministic.
+    fields).  Each |k| is solved once, natively; mode -k is the exact
+    mirror of that solution, so a +-lambda tie between the two modes is
+    exact and the (|lambda|, k, sign) order settles it the same way
+    everywhere.  Modes merge in fixed order, so results are deterministic.
     """
     modes = modes_for(surface, k_max)
-    by_operator: dict = {}
+    native: dict = {}
     sols = []
     for kk in modes:
-        key = (abs(kk), bc.swapped() if kk < 0 else bc)
-        if key in by_operator:
-            sols.append(by_operator[key].mirrored())
-        else:
-            by_operator[key] = solve_mode(surface, kk, bc, N,
-                                          n_fields_per_mode, n_levels)
-            sols.append(by_operator[key])
+        if abs(kk) not in native:
+            native[abs(kk)] = solve_mode(surface, abs(kk), bc, N,
+                                         n_fields_per_mode, n_levels)
+        sols.append(native[abs(kk)].mirrored() if kk < 0 else native[abs(kk)])
 
     rows = []
     pairs = []

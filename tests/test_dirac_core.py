@@ -11,10 +11,13 @@ from scipy.linalg import eigvals_banded, eigvalsh_tridiagonal
 from spinspec import (BoundaryConditionSpec, ConfigError, ModeOperator,
                       aggregate, boundary_dirac_matrix, convergence_study,
                       make_frame, make_surface, modes_for, solve_mode)
-from spinspec.dirac_core import NumericalError, _closures, _tridiagonal_block
+from spinspec.dirac_core import (NumericalError, _closures, _collocate,
+                                 _tridiagonal_block)
 
 GEOMS = ("disk", "annulus:0.5,1.0", "cylinder:2.0", "hemisphere", "cap:pi/3")
 BCS = ("local+", "local-", "aps-", "aps+")
+# image of each condition under the component swap that maps mode k to -k
+SWAPPED = {"local+": "local-", "local-": "local+", "aps-": "aps-", "aps+": "aps+"}
 
 
 def maxabs(m):
@@ -170,10 +173,15 @@ def test_tridiagonal_reduction_refuses_leftover_entries():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     herm = a + a.conj().T
-    d, e = _tridiagonal_block(herm, 1e-12 * maxabs(herm))
+    d, sub, q = _tridiagonal_block(herm, 1e-12 * maxabs(herm))
+    e = np.abs(sub)
     assert maxabs(np.sort(np.linalg.eigvalsh(herm))
                   - np.sort(np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1)
                                                + np.diag(e, -1)))) <= 1e-12
+    # the unitary fixes the first index and carries the block to (d, sub)
+    assert np.array_equal(q[:, 0], np.eye(5)[0])
+    assert maxabs(q.conj().T @ herm @ q - (np.diag(d) + np.diag(sub, -1)
+                                           + np.diag(np.conj(sub), 1))) <= 1e-12
     bent = herm.copy()
     bent[0, 3] += 1e-6
     with pytest.raises(NumericalError, match="off the tridiagonal"):
@@ -228,11 +236,42 @@ def test_aps_levels_come_in_exact_pairs(N):
 
 
 def test_operator_memory_is_linear_in_n():
-    # the dense assembly would need about 68 GB at this size
+    # the dense assembly would need about 68 GB at this size, and dense
+    # eigenvector output (scipy's stemr) an n x n array of 8 GiB
+    import tracemalloc
     N = 2 ** 15
     op = ModeOperator(make_surface("hemisphere"), 0.5, N,
                       bc=BoundaryConditionSpec("aps-"))
     assert op.matrix.nbytes <= 16 * 9 * (2 * N + 1)
+    tracemalloc.start()
+    try:
+        _, wanted, vecs = op.eigensystem(n_vectors=2, n_values=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vecs.shape == (op.matrix.shape[1], 2) and len(wanted) == 2
+    assert peak <= 32 * 2 ** 20
+
+
+@pytest.mark.parametrize("geom,bc", list(product(GEOMS, BCS)))
+def test_eigenvectors_match_dense_oracle(geom, bc):
+    """The vectors mapped back from the tridiagonal form are eigenvectors of
+    the dense reference operator: the same up to phase as numpy's, with a
+    residual at roundoff, on the full and on the selective path."""
+    surface = make_surface(geom)
+    spec = BoundaryConditionSpec(bc)
+    for k in (0.5, 2.5):
+        for N in (16, 33):
+            op = ModeOperator(surface, k, N, bc=spec)
+            a = oracles.DenseModeOperator(surface, k, N, spec).matrix
+            w, v = np.linalg.eigh(a)
+            for n_values in (None, 4):
+                _, wanted, vecs = op.eigensystem(n_vectors=4, n_values=n_values)
+                assert len(wanted) == 4
+                for lam, y in zip(wanted, vecs.T):
+                    x = v[:, np.argmin(np.abs(w - lam))]
+                    assert 1 - abs(np.vdot(x, y)) <= 1e-12
+                    assert np.linalg.norm(a @ y - lam * y) <= 1e-13 * maxabs(a)
 
 
 def test_modes_for_structures():
@@ -410,36 +449,119 @@ def test_spectrum_real_and_sorted(solved):
     assert np.all(np.diff(a) >= -1e-12)
 
 
+def _swap_solve(surface, k, bc, N, n_fields, n_levels=None):
+    """Mode -k solved on its own: the native operator at k > 0 under the
+    swapped condition, assembled directly, its vectors collocated with the
+    components swapped back.  Returns (levels, [(lambda, field)] by |lambda|)."""
+    op = ModeOperator(surface, k, N, bc=BoundaryConditionSpec(SWAPPED[bc]))
+    vals, wanted, vecs = op.eigensystem(n_vectors=n_fields, n_values=n_levels)
+    fields = [(lam, _collocate(op, *op.expand(y), swap=True))
+              for lam, y in zip(wanted, vecs.T)]
+    return vals, sorted(fields, key=lambda f: (abs(f[0]), f[0]))
+
+
+def _assert_mirror_matches(surface, sol, k, levels, fields):
+    """The mirrored solution `sol` at -k against an independent solve."""
+    assert np.array_equal(sol.lams, levels)
+    assert len(sol.pairs) == len(fields)
+    for pair, (lam, field) in zip(sol.pairs, fields):
+        assert pair.k == field.k == -k and pair.lam == lam
+        scale = maxabs(field.values)
+        assert maxabs(pair.field.values - field.values) <= 1e-13 * scale
+        for w in surface.boundaries:
+            assert maxabs(pair.field.trace(w) - field.trace(w)) <= 1e-13 * scale
+
+
 def test_conjugation_symmetry_relates_opposite_modes():
     """spec(local+, -k) = -spec(local+, k); plain equality of the two mode
-    spectra fails, so the symmetry is documented in this signed form only."""
+    spectra fails, so the symmetry is documented in this signed form only.
+    Mode -k is the swapped native local- operator, solved here on its own.
+    Its tridiagonal form is exactly the negated one of +k, so bisection
+    gives the mirrored levels bit for bit (dsterf, on the full spectrum, is
+    sign-symmetric to roundoff only), and its fields match to roundoff."""
     disk = make_surface("disk")
-    s_pos = solve_mode(disk, 0.5, BoundaryConditionSpec("local+"), 96, n_fields=1)
-    s_neg = solve_mode(disk, -0.5, BoundaryConditionSpec("local+"), 96, n_fields=1)
-    assert np.max(np.abs(np.sort(s_neg.lams) - np.sort(-s_pos.lams))) <= 1e-10
-    assert np.max(np.abs(np.sort(s_neg.lams) - np.sort(s_pos.lams))) > 0.1
+    spec = BoundaryConditionSpec("local+")
+    full_pos = solve_mode(disk, 0.5, spec, 96, n_fields=0)
+    full_neg = _swap_solve(disk, 0.5, "local+", 96, 0)[0]
+    assert maxabs(full_neg + full_pos.lams[::-1]) <= 1e-14 * maxabs(full_neg)
+    assert np.max(np.abs(full_neg - full_pos.lams)) > 0.1
+    s_pos = solve_mode(disk, 0.5, spec, 96, n_fields=2, n_levels=6)
+    levels, fields = _swap_solve(disk, 0.5, "local+", 96, 2, n_levels=6)
+    assert np.array_equal(levels, -s_pos.lams[::-1])
+    _assert_mirror_matches(
+        disk, solve_mode(disk, -0.5, spec, 96, n_fields=2, n_levels=6), 0.5,
+        levels, fields)
 
 
 @pytest.mark.parametrize("geom", GEOMS)
 @pytest.mark.parametrize("bc", ["aps-", "aps+"])
 def test_aps_modes_swap_invariant(geom, bc):
     """Under aps+- the swap maps mode -k onto the operator of +k, which is
-    why aggregate solves each |k| once: independent solves at +-k give
-    identical levels, and the mirrored fields equal those solved at -k."""
+    why aggregate solves each |k| once: an independent solve of the swapped
+    operator gives the levels of +k exactly, and its swapped fields equal
+    the mirrored ones."""
     surface = make_surface(geom)
     spec = BoundaryConditionSpec(bc)
     for k in (0.5, 2.5):
         pos = solve_mode(surface, k, spec, 32, n_fields=2)
-        neg = solve_mode(surface, -k, spec, 32, n_fields=2)
-        assert np.array_equal(pos.lams, neg.lams)
-        for a, b in zip(pos.mirrored().pairs, neg.pairs):
-            assert a.k == b.k == -k and a.lam == b.lam
-            assert np.array_equal(a.field.values, b.field.values)
-            assert all(np.array_equal(a.field.trace(w), b.field.trace(w))
-                       for w in surface.boundaries)
+        levels, fields = _swap_solve(surface, k, bc, 32, 2)
+        assert np.array_equal(pos.lams, levels)
+        _assert_mirror_matches(surface, solve_mode(surface, -k, spec, 32,
+                                                   n_fields=2), k, levels, fields)
     sp = aggregate(surface, spec, 2.5, 32, n_fields_per_mode=1)
     for k in (0.5, 1.5, 2.5):
         assert np.array_equal(sp.eigenvalues(k), sp.eigenvalues(-k))
+
+
+@pytest.mark.parametrize("geom", GEOMS)
+def test_local_band_is_negated_conjugate(geom):
+    """The native local- operator is exactly -conj of the local+ one, band
+    and end bases alike: the identity behind mirroring mode -k."""
+    surface = make_surface(geom)
+    for k in (0.5, 1.5, 4.5):
+        plus = ModeOperator(surface, k, 64, bc=BoundaryConditionSpec("local+"))
+        minus = ModeOperator(surface, k, 64, bc=BoundaryConditionSpec("local-"))
+        assert np.array_equal(minus.matrix, -np.conj(plus.matrix))
+        assert np.array_equal(minus._head, np.conj(plus._head))
+        assert np.array_equal(minus._tail, np.conj(plus._tail))
+
+
+@pytest.mark.parametrize("geom", GEOMS)
+@pytest.mark.parametrize("bc", ["local+", "local-"])
+def test_local_modes_mirror_exactly(geom, bc):
+    """Under local+- mode -k is the exact mirror of +k, bit for bit, and its
+    fields match an independent solve of the swapped condition."""
+    surface = make_surface(geom)
+    spec = BoundaryConditionSpec(bc)
+    sp = aggregate(surface, spec, 2.5, 48, n_fields_per_mode=1)
+    for k in (0.5, 1.5, 2.5):
+        vals = sp.eigenvalues(k)
+        assert np.array_equal(sp.eigenvalues(-k), -vals[::-1])
+    levels, fields = _swap_solve(surface, 1.5, bc, 48, 2)
+    mirrored = solve_mode(surface, -1.5, spec, 48, n_fields=2)
+    assert maxabs(mirrored.lams - levels) <= 1e-12 * maxabs(levels)
+    assert len(mirrored.pairs) == len(fields) == 2
+    for pair, (lam, field) in zip(mirrored.pairs, fields):
+        assert abs(pair.lam - lam) <= 1e-12 * maxabs(levels)
+        assert maxabs(pair.field.values - field.values) \
+            <= 1e-12 * maxabs(field.values)
+
+
+@pytest.mark.parametrize("N", [256, 512])
+def test_local_fundamental_sign_is_settled(N):
+    """On the hemisphere the fundamental local+- level is a +-1 tie between
+    modes +-1/2.  The mirror makes it exact, so the (|lambda|, k, sign)
+    order always picks mode -1/2: lambda_min < 0 under local+, > 0 under
+    local-, with the field of that level."""
+    hemi = make_surface("hemisphere")
+    for bc, sign in (("local+", -1.0), ("local-", 1.0)):
+        for n_levels in (None, 2):
+            sp = aggregate(hemi, BoundaryConditionSpec(bc), 2.5, N,
+                           n_fields_per_mode=1, n_levels=n_levels)
+            assert np.sign(sp.lambda_min) == sign and sp.k_min == -0.5
+            assert abs(abs(sp.lambda_min) - 1.0) <= 1e-3
+            assert sp.fundamental.lam == sp.lambda_min
+            assert sp.fundamental.k == -0.5
 
 
 @pytest.mark.parametrize("geom", GEOMS)

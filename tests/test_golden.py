@@ -5,9 +5,7 @@ Compared exactly: the file set, keys and their order, entry order, strings,
 `passed`/`feasible` flags, integers and exit codes.  Compared to 1e-12
 relative: every other number (eigenvalues, lambda_min_sq, bound values,
 margins; for the half-integer k this is exact).  Rows of `verify` are identity values and residuals, which sit at
-roundoff level, so they also get an absolute floor of 1e-12.  `k_min` and the
-`lambda` of a `verify` row are compared in absolute value: under local+- the
-fundamental level is a +-lambda tie at +-k that roundoff settles.
+roundoff level, so they also get an absolute floor of 1e-12.
 
 The reference files are data.  Regenerate them with
 
@@ -37,7 +35,6 @@ CASES = [(s, c) for s in SCENARIOS for c in ("verify", "bounds")] + [
 
 REL = 1e-12
 IDENTITY_FLOOR = 1e-12
-SIGN_TIE = {"k_min", "lambda"}
 
 
 def _argv(scenario: str, command: str, out: Path) -> list[str]:
@@ -54,12 +51,11 @@ def _files(d: Path) -> list[str]:
     return sorted(str(p.relative_to(d)) for p in d.rglob("*") if p.is_file())
 
 
-def _compare(ref, new, floor: float, where: str, tie: bool = False) -> None:
+def _compare(ref, new, floor: float, where: str) -> None:
     if isinstance(ref, dict):
         assert isinstance(new, dict) and list(new) == list(ref), where
         for key in ref:
-            _compare(ref[key], new[key], floor, f"{where}.{key}",
-                     key in SIGN_TIE)
+            _compare(ref[key], new[key], floor, f"{where}.{key}")
     elif isinstance(ref, list):
         assert isinstance(new, list) and len(new) == len(ref), where
         for i, (a, b) in enumerate(zip(ref, new)):
@@ -68,9 +64,8 @@ def _compare(ref, new, floor: float, where: str, tie: bool = False) -> None:
         assert type(new) is int and new == ref, f"{where}: {new!r} != {ref!r}"
     elif isinstance(ref, float):
         assert type(new) in (int, float), f"{where}: {new!r} is no number"
-        a, b = (abs(ref), abs(new)) if tie else (ref, new)
-        if not (math.isnan(a) and math.isnan(b)):
-            assert abs(a - b) <= REL * max(abs(a), abs(b)) + floor, \
+        if not (math.isnan(ref) and math.isnan(new)):
+            assert abs(ref - new) <= REL * max(abs(ref), abs(new)) + floor, \
                 f"{where}: {new!r} vs {ref!r}"
     else:
         assert new == ref and type(new) is type(ref), \
