@@ -14,7 +14,7 @@ from .dirac_core import (BC_VARIANTS, BoundaryConditionSpec, Eigenpair,
                          FourierMode, ModeOperator, NumericalError, Spectrum,
                          aggregate, boundary_dirac_matrix, convergence_study,
                          modes_for, solve_mode)
-from .geometry import (BoundaryData, ConfigError, ConformalRescaling,
+from .geometry import (DIM, BoundaryData, ConfigError, ConformalRescaling,
                        RadialFunction, WarpedSurface, boundary_data, catalog,
                        conformal_law_residuals, conformal_rescale,
                        make_surface, parse_radial_spec, radial_laplacian,
@@ -24,9 +24,9 @@ from .identities import (EnergyMomentum, IdentityReport, SpinorField,
                          energy_momentum, eq_residual, killing_residual,
                          modified_gradient_norm, rtc2_residual, sl_residual,
                          spinor_gradient)
-from .spin_algebra import (ChiralityOps, CliffordFrame, boundary_chirality,
-                           chirality, chirality_ops, chirality_projectors,
-                           clifford_mul, make_frame, pairing, spinor_norm_sq)
+from .spin_algebra import (FRAME, CliffordFrame, boundary_chirality,
+                           chirality, chirality_projectors, clifford_mul,
+                           pairing)
 
 __version__ = "0.1.0"
 

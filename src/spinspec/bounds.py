@@ -15,7 +15,8 @@ feasibility (conformal bounds):  H >= (2a - n + 1) du(e0)
 and the bound values are n/(4(n-1)) inf R_{a,u} (plus the energy-momentum
 refinements inf(R_{a,u}/4 + |Q_phi|^2)).  Taking a = 0 or u constant
 recovers the classical unmodified inequalities, which every report includes
-as a baseline.
+as a baseline.  The code keeps these formulas in terms of the paper's
+dimension n, the constant geometry.DIM = 2 of every surface here.
 
 Both curvature quantities and the margin are computed by private helpers
 that take sampled arrays: R, f'/f and the jets a, a', u', u'' for the
@@ -49,7 +50,7 @@ from numpy.polynomial import Polynomial
 from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize
 
-from .geometry import (RadialFunction, WarpedSurface, boundary_data,
+from .geometry import (DIM, RadialFunction, WarpedSurface, boundary_data,
                        parse_radial_spec, scalar_curvature)
 
 Array = np.ndarray
@@ -82,17 +83,16 @@ class ModifierPair:
 
 
 def _curvature(variant: str, R: Array, fpf: Array, a: Array, da: Array,
-               du: Array, d2u: Array, n: int) -> Array:
+               du: Array, d2u: Array) -> Array:
     """R_{a,u} (interior) or R^_{a,u} (conformal) from R, f'/f and the
     jets a, a', u', u'' sampled on one grid."""
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
     lap_u = -(d2u + fpf * du)   # geometry.radial_laplacian of u
     if variant == "interior":
         return R - 4 * a * lap_u + 4 * da * du \
-            - 4 * (1 - 1 / n) * a ** 2 * du ** 2
-    coeff = (n - 1) * (n - 2) + 4 * (2 - n) * a + 4 * (1 - 1 / n) * a ** 2
-    return R + 4 * ((n - 1) / 2 - a) * lap_u + 4 * da * du - coeff * du ** 2
+            - 4 * (1 - 1 / DIM) * a ** 2 * du ** 2
+    coeff = (DIM - 1) * (DIM - 2) + 4 * (2 - DIM) * a \
+        + 4 * (1 - 1 / DIM) * a ** 2
+    return R + 4 * ((DIM - 1) / 2 - a) * lap_u + 4 * da * du - coeff * du ** 2
 
 
 def _jets(surface: WarpedSurface, mp: ModifierPair, r: Array) -> tuple:
@@ -102,16 +102,16 @@ def _jets(surface: WarpedSurface, mp: ModifierPair, r: Array) -> tuple:
             mp.a(rr), mp.a.d(rr), mp.u.d(rr), mp.u.d2(rr))
 
 
-def modified_scalar(surface: WarpedSurface, mp: ModifierPair, r: Array,
-                    n: int = 2) -> Array:
+def modified_scalar(surface: WarpedSurface, mp: ModifierPair,
+                    r: Array) -> Array:
     """R_{a,u} sampled at the radii r (positive Laplacian throughout)."""
-    return _curvature("interior", *_jets(surface, mp, r), n)
+    return _curvature("interior", *_jets(surface, mp, r))
 
 
 def conformal_modified_scalar(surface: WarpedSurface, mp: ModifierPair,
-                              r: Array, n: int = 2) -> Array:
+                              r: Array) -> Array:
     """R^_{a,u} sampled at the radii r."""
-    return _curvature("conformal", *_jets(surface, mp, r), n)
+    return _curvature("conformal", *_jets(surface, mp, r))
 
 
 # per feasibility variant: the inf-curvature bound and its energy-momentum
@@ -133,25 +133,25 @@ def _boundary_circles(surface: WarpedSurface) -> tuple:
             np.array([bd.outward_sign for bd in bds]))
 
 
-def _feasibility_margin(H: Array, a_b: Array, du_e0: Array, variant: str,
-                        n: int) -> float:
+def _feasibility_margin(H: Array, a_b: Array, du_e0: Array,
+                        variant: str) -> float:
     """min of the margins from H, a and du(e0) on each boundary circle."""
     if variant == "interior":
         return float(np.min(H - 2 * a_b * du_e0))
     if variant == "conformal":
-        return float(np.min(H - (2 * a_b - n + 1) * du_e0))
+        return float(np.min(H - (2 * a_b - DIM + 1) * du_e0))
     raise ValueError(f"unknown feasibility variant {variant!r}")
 
 
 def feasibility_margin(surface: WarpedSurface, mp: ModifierPair,
-                       variant: str = "interior", n: int = 2) -> float:
+                       variant: str = "interior") -> float:
     """min over boundary circles of the mean-curvature feasibility margin.
 
     interior:   H - 2 a du(e0)
     conformal:  H - (2a - n + 1) du(e0)
     """
     r_b, H, sign = _boundary_circles(surface)
-    return _feasibility_margin(H, mp.a(r_b), sign * mp.u.d(r_b), variant, n)
+    return _feasibility_margin(H, mp.a(r_b), sign * mp.u.d(r_b), variant)
 
 
 def canned_modifiers(surface: WarpedSurface) -> ModifierPair:
@@ -237,7 +237,7 @@ class BoundReport:
 
 def evaluate_bounds(spectrum, field_min=None, mp: ModifierPair | None = None,
                     mp_conformal: ModifierPair | None = None,
-                    tol_report: float = TOL_REPORT, n: int = 2,
+                    tol_report: float = TOL_REPORT,
                     optimizer_summary: dict | None = None) -> BoundReport:
     """Evaluate every applicable lower bound against lambda_min^2.
 
@@ -250,11 +250,11 @@ def evaluate_bounds(spectrum, field_min=None, mp: ModifierPair | None = None,
 
     surface = spectrum.surface
     lam2 = spectrum.lambda_min_sq
-    coeff = n / (4.0 * (n - 1))
+    coeff = DIM / (4.0 * (DIM - 1))
     rr = _grid(surface, spectrum.n_grid)
     entries: list[BoundEntry] = []
 
-    margin0 = feasibility_margin(surface, ModifierPair(), "interior", n)
+    margin0 = feasibility_margin(surface, ModifierPair(), "interior")
     feas0 = margin0 >= -TOL_FEAS
     r_min_val = float(np.min(scalar_curvature(surface, rr)))
     friedrich = coeff * r_min_val
@@ -281,7 +281,7 @@ def evaluate_bounds(spectrum, field_min=None, mp: ModifierPair | None = None,
             continue
         inf_name, q_name = _ESTIMATES[variant]
         names = (inf_name,) if field_min is None else (inf_name, q_name)
-        margin = feasibility_margin(surface, pair, variant, n)
+        margin = feasibility_margin(surface, pair, variant)
         judged = variant == "interior" or local_bc
         note = "" if judged else \
             "experimental: conformal bounds are stated for local conditions"
@@ -291,10 +291,9 @@ def evaluate_bounds(spectrum, field_min=None, mp: ModifierPair | None = None,
                         for name in names]
             continue
         values = [coeff * float(np.min(
-            _curvature(variant, *_jets(surface, pair, rr), n)))]
+            _curvature(variant, *_jets(surface, pair, rr))))]
         if field_min is not None:
-            curv_ctr = _curvature(variant, *_jets(surface, pair, field_min.r),
-                                  n)
+            curv_ctr = _curvature(variant, *_jets(surface, pair, field_min.r))
             values.append(float(np.min((curv_ctr / 4.0 + q_norm_sq)[mask])))
         for name, value in zip(names, values):
             entries.append(BoundEntry(
@@ -361,7 +360,7 @@ class OptimizerResult:
 
 
 def _basis_measure(surface: WarpedSurface, variant: str, n_ctrl: int,
-                   n_grid: int, n: int):
+                   n_grid: int):
     """params -> (inf of the variant's curvature quantity on _grid, margin)
     of ModifierPair.from_params(surface, params, n_ctrl), by mat-vecs.
 
@@ -380,16 +379,16 @@ def _basis_measure(surface: WarpedSurface, variant: str, n_ctrl: int,
     def measure(params: Array) -> tuple[float, float]:
         pa, pu = params[:n_ctrl], params[n_ctrl:]
         value = float(np.min(_curvature(variant, curv, fpf, b0 @ pa, b1 @ pa,
-                                        b1 @ pu, b2 @ pu, n)))
+                                        b1 @ pu, b2 @ pu)))
         return value, _feasibility_margin(H, rim0 @ pa, sign * (rim1 @ pu),
-                                          variant, n)
+                                          variant)
 
     return measure
 
 
 def optimize_modifiers(surface: WarpedSurface, variant: str = "interior",
                        budget: int = 1200, n_ctrl: int = 8,
-                       n_grid: int = 256, n: int = 2,
+                       n_grid: int = 256,
                        penalty: float = 1e3) -> OptimizerResult:
     """Maximize inf R_{a,u} (or inf R^_{a,u}) over spline modifier pairs.
 
@@ -402,7 +401,7 @@ def optimize_modifiers(surface: WarpedSurface, variant: str = "interior",
     """
     if variant not in _ESTIMATES:
         raise ValueError(f"unknown optimizer variant {variant!r}")
-    basis_measure = _basis_measure(surface, variant, n_ctrl, n_grid, n)
+    basis_measure = _basis_measure(surface, variant, n_ctrl, n_grid)
     trace: list[TracePoint] = []
 
     def measure(params: Array) -> TracePoint:

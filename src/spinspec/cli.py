@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -28,7 +29,7 @@ from . import bounds as bounds_mod
 from . import identities as ident
 from .dirac_core import (BC_VARIANTS, BoundaryConditionSpec, NumericalError,
                          aggregate, convergence_study)
-from .geometry import (ConfigError, WarpedSurface, catalog,
+from .geometry import (DIM, ConfigError, WarpedSurface, catalog,
                        conformal_law_residuals, conformal_rescale,
                        make_surface, parse_radial_spec, scalar_curvature)
 
@@ -163,8 +164,9 @@ def _cmd_spectrum(sc: Scenario) -> int:
             if sp.kmax_attained:
                 print(f"warning: lambda_min attained at |k| = kmax = {sc.kmax}; "
                       "increase --kmax", file=sys.stderr)
-            # |lambda_min|: under local+- the fundamental level is a +-lambda
-            # tie that roundoff settles, as in convergence_study
+            # |lambda_min|, as in convergence_study: under local+- the
+            # fundamental level is an exact +-lambda tie between modes +-k,
+            # settled on k = -1/2 by the ordering, not by the level's sign
             if lam_prev is not None:
                 print(f"  drift vs previous N: "
                       f"{abs(abs(sp.lambda_min) - lam_prev):.3e}")
@@ -203,7 +205,7 @@ def _identity_reports(sc: Scenario, surface: WarpedSurface,
                 "note": "diagnostic: vanishes only in the limiting case"})
 
     if bc.variant == "aps-":
-        coeff = 2 / 4  # n/(4(n-1)) at n=2
+        coeff = DIM / (4 * (DIM - 1))
         inf_r = float(np.min(scalar_curvature(surface, field.r)))
         gap = sp.lambda_min_sq - coeff * inf_r
         out.append({"name": "aps_strict_gap", "left": sp.lambda_min_sq,
@@ -392,17 +394,27 @@ def run(argv: list[str]) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        if args.command == "catalog":
-            return _cmd_catalog(None)
-        sc = _scenario_from_args(args)
-        return _COMMANDS[args.command](sc)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    # numpy signals overflow on extreme input by RuntimeWarnings: they are
+    # recorded, so that a failed run keeps to its one-line message and a
+    # finished one adds a single line that counts them
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        try:
+            if args.command == "catalog":
+                return _cmd_catalog(None)
+            sc = _scenario_from_args(args)
+            code = _COMMANDS[args.command](sc)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except NumericalError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
+    if caught:
+        first = " ".join(str(caught[0].message).split())
+        print(f"warning: {len(caught)} numerical warning(s) suppressed, "
+              f"the first: {first}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -60,16 +60,17 @@ experimental condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import (eigh_tridiagonal, eigvalsh_tridiagonal, hessenberg,
                           null_space)
 from scipy.linalg import solve_banded  # noqa: F401  unused; perfbench --trace counts it
 
-from .geometry import ConfigError, WarpedSurface, boundary_data
+from .geometry import (SLOPE_STENCIL, TRACE_STENCIL, ConfigError,
+                       WarpedSurface, apply_stencil, boundary_data)
 from .identities import SpinorField
-from .spin_algebra import CliffordFrame, make_frame
+from .spin_algebra import FRAME
 
 Array = np.ndarray
 
@@ -102,11 +103,6 @@ class BoundaryConditionSpec:
     def is_aps(self) -> bool:
         return self.variant.startswith("aps")
 
-    @property
-    def experimental(self) -> bool:
-        # the elliptic estimate is only proved for local+/- and aps-
-        return self.variant == "aps+"
-
 
 @dataclass(frozen=True)
 class FourierMode:
@@ -136,9 +132,8 @@ def modes_for(surface: WarpedSurface, k_max: float) -> list[float]:
     return sorted(np.arange(-n, n + 1).astype(float).tolist())
 
 
-def boundary_dirac_matrix(surface: WarpedSurface, boundary_id: str, k: float,
-                          frame: CliffordFrame | None = None
-                          ) -> tuple[Array, Array]:
+def boundary_dirac_matrix(surface: WarpedSurface, boundary_id: str,
+                          k: float) -> tuple[Array, Array]:
     """2x2 matrices of D^boundary and e0 . D^boundary at one mode.
 
     On the circle of radius f_b the intrinsic boundary Dirac operator of the
@@ -146,10 +141,9 @@ def boundary_dirac_matrix(surface: WarpedSurface, boundary_id: str, k: float,
     self-adjoint e0 . D^boundary, whose eigenvalues are +-k/f_b.
     """
     FourierMode(k).validate(surface)
-    fr = frame or make_frame()
     bd = boundary_data(surface, boundary_id)
-    d_bnd = (1j * k / bd.radius) * fr.g2
-    e0 = fr.covector((bd.outward_sign, 0.0))
+    d_bnd = (1j * k / bd.radius) * FRAME.g2
+    e0 = FRAME.covector((bd.outward_sign, 0.0))
     return d_bnd, e0 @ d_bnd
 
 
@@ -200,7 +194,6 @@ def _closures(surface: WarpedSurface, k: float,
 # are plain unknowns.  Both windows start at a vertex, so even window
 # positions are q and odd ones p.
 _WINDOW = 7
-_EXTRAPOLATION = (2.0, -1.5, 0.5)
 
 
 def _end_constraint(closure: tuple, q: int, ps: tuple) -> tuple | None:
@@ -211,9 +204,9 @@ def _end_constraint(closure: tuple, q: int, ps: tuple) -> tuple | None:
     """
     kind, gamma = closure
     if kind == "local":
-        return (q,) + ps, (1.0,) + tuple(-gamma * e for e in _EXTRAPOLATION)
+        return (q,) + ps, (1.0,) + tuple(-gamma * e for e in TRACE_STENCIL)
     if kind in ("pdir", "both"):
-        return ps, _EXTRAPOLATION
+        return ps, TRACE_STENCIL
     return None
 
 
@@ -339,7 +332,6 @@ class ModeOperator:
     k: float
     n_grid: int
     bc: BoundaryConditionSpec | None
-    frame: CliffordFrame = dc_field(default_factory=make_frame)
 
     def __post_init__(self):
         if self.n_grid < 16:
@@ -428,22 +420,22 @@ class ModeOperator:
             return (np.diag(lower[at: at + W - 1], -1)
                     + np.diag(upper[at: at + W - 1], 1))
 
-        # Boundary-vertex rows: the equation i(p' + tau p_B) at the boundary;
-        # second-order derivative weights (2,-3,1)/h force the companion
-        # trace extrapolation E = 2 p_1 - 1.5 p_2 + 0.5 p_3 (offsets h/2,
-        # 3h/2, 5h/2) -- the unique combination that keeps the reduced
-        # operator exactly Hermitian with the half-cell mass G h / 2.
+        # Boundary-vertex rows: the equation i(p' + tau p_B) at the boundary,
+        # p' from the one-sided slope stencil and p_B from its companion trace
+        # stencil (offsets h/2, 3h/2, 5h/2) -- the unique pair that keeps the
+        # reduced operator exactly Hermitian with the half-cell mass G h / 2.
         # Per end: window start, boundary vertex and nearest centers (window
-        # positions), derivative weights, boundary radius
-        ends = {"inner": (0, 0, (1, 3, 5), (-2.0, 3.0, -1.0), surf.r_min),
-                "outer": (n_full - W, W - 1, (5, 3, 1), (2.0, -3.0, 1.0),
-                          surf.r_max)}
+        # positions), d/dr weights (the inward slope, negated at the outer
+        # end), boundary radius
+        ends = {"inner": (0, 0, (1, 3, 5), SLOPE_STENCIL, surf.r_min),
+                "outer": (n_full - W, W - 1, (5, 3, 1),
+                          tuple(-w for w in SLOPE_STENCIL), surf.r_max)}
         reduced = {}
         for which, (at, q, ps, dws, r_b) in ends.items():
             block = window(at)
             if active[at + q]:
                 tau = float(surf.fp(r_b) / (2 * surf.f(r_b)) - k / surf.f(r_b))
-                for pw, dw, ew in zip(ps, dws, _EXTRAPOLATION):
+                for pw, dw, ew in zip(ps, dws, TRACE_STENCIL):
                     block[q, pw] = (1j * (dw / h + tau * ew)
                                     * (msq[at + q] / msq[at + pw]))
             reduced[which] = _reduce_window(
@@ -546,8 +538,9 @@ class ModeOperator:
         head block index-reversed) leaves the rest untouched; a diagonal
         unitary gauge g then makes every off-diagonal |e|.  O(n) in all.  An
         eigenvector z of (d, e) maps back to blockdiag(Q_head, I, Q_tail)
-        (g * z); the two unitaries and g are kept for that.  A bipartite operator (no column mixes p and q) has a zero diagonal:
-        it is checked at roundoff and set to exact zeros.
+        (g * z); the two unitaries and g are kept for that.  A bipartite
+        operator (no column mixes p and q) has a zero diagonal: it is checked
+        at roundoff and set to exact zeros.
         """
         ab, bw = self._ab, self._bw
         n = ab.shape[1]
@@ -725,9 +718,9 @@ def _collocate(op: ModeOperator, p: Array, q: Array, swap: bool) -> SpinorField:
     traces = {}
     for which in op.surface.boundaries:
         if which == "outer":
-            tr = np.array([2.0 * p[-1] - 1.5 * p[-2] + 0.5 * p[-3], q[-1]])
+            tr = np.array([apply_stencil(TRACE_STENCIL, p[:-4:-1]), q[-1]])
         else:
-            tr = np.array([2.0 * p[0] - 1.5 * p[1] + 0.5 * p[2], q[0]])
+            tr = np.array([apply_stencil(TRACE_STENCIL, p[:3]), q[0]])
         traces[which] = tr[::-1].copy() if swap else tr
     if swap:
         vals = vals[:, ::-1]
@@ -735,16 +728,14 @@ def _collocate(op: ModeOperator, p: Array, q: Array, swap: bool) -> SpinorField:
     scale = _phase_norm_scale(vals)
     vals = vals * scale
     traces = {w: t * scale for w, t in traces.items()}
-    return SpinorField(op.surface, k, op.r_centers, vals, traces, frame=op.frame)
+    return SpinorField(op.surface, k, op.r_centers, vals, traces)
 
 
 def _pairs(op: ModeOperator, samples: tuple, k: float) -> list:
     """Eigenpairs of mode k (by |lam|) from eigenvectors of the native operator."""
     pairs = []
     for lam, p, q in samples:
-        field = _collocate(op, p, q, swap=k < 0)
-        field.lam = lam
-        pairs.append(Eigenpair(lam, k, field))
+        pairs.append(Eigenpair(lam, k, _collocate(op, p, q, swap=k < 0)))
     pairs.sort(key=lambda e: (abs(e.lam), e.lam))
     return pairs
 

@@ -42,6 +42,21 @@ Array = np.ndarray
 
 _CAP_TOL = 1e-10
 
+# The dimension n of the paper's formulas: every surface here has n = 2.
+DIM = 2
+
+# One-sided second-order stencils at a boundary circle, on the values at
+# distances h/2, 3h/2, 5h/2 from it, nearest first: the boundary trace, and
+# h times the derivative along the inward normal.  The trace is the companion
+# of the slope that keeps the assembled Dirac operator exactly Hermitian.
+TRACE_STENCIL = (2.0, -1.5, 0.5)
+SLOPE_STENCIL = (-2.0, 3.0, -1.0)
+
+
+def apply_stencil(stencil: tuple, near) -> Array:
+    """sum_i stencil[i] near[i] over the three values nearest a boundary."""
+    return stencil[0] * near[0] + stencil[1] * near[1] + stencil[2] * near[2]
+
 
 class ConfigError(ValueError):
     """Invalid geometry/scenario specification."""
@@ -100,10 +115,6 @@ class RadialFunction:
         sp = CubicSpline(np.asarray(r, float), np.asarray(y, float))
         d1, d2, d3 = sp.derivative(1), sp.derivative(2), sp.derivative(3)
         return RadialFunction(sp, d1, d2, d3)
-
-    @staticmethod
-    def from_callables(value, deriv, deriv2, deriv3=None) -> "RadialFunction":
-        return RadialFunction(value, deriv, deriv2, deriv3)
 
 
 @dataclass(frozen=True)

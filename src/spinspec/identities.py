@@ -22,9 +22,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .bounds import ModifierPair, conformal_modified_scalar, modified_scalar
-from .geometry import (ConformalRescaling, WarpedSurface, boundary_data,
-                       scalar_curvature)
-from .spin_algebra import CliffordFrame, make_frame
+from .geometry import (DIM, SLOPE_STENCIL, ConformalRescaling, WarpedSurface,
+                       apply_stencil, boundary_data, scalar_curvature)
+from .spin_algebra import FRAME
 
 Array = np.ndarray
 
@@ -48,8 +48,6 @@ class SpinorField:
     r: Array                     # cell centers, uniform
     values: Array                # (N, 2) complex
     traces: dict = dc_field(default_factory=dict)  # boundary_id -> (2,)
-    lam: float | None = None
-    frame: CliffordFrame = dc_field(default_factory=make_frame)
     d_values: Array | None = None
 
     def __post_init__(self):
@@ -104,45 +102,42 @@ def _apply_matrix(vals: Array, m: Array) -> Array:
     return vals @ m.T
 
 
-def spinor_gradient(field: SpinorField) -> tuple[Array, Array]:
-    """Covariant derivative components (nabla_1 phi, nabla_2 phi) at centers.
+def _tangential(k: float, f, fp, values: Array) -> Array:
+    """nabla_2 = (ik/f) + (f'/2f) G1 G2 on spinor values (one per row), in
+    the adapted frame; f and f' broadcast against the rows."""
+    return (1j * k / f) * values \
+        + (fp / (2 * f)) * _apply_matrix(values, FRAME.volume)
 
-    nabla_1 = d/dr,  nabla_2 = (ik/f) + (f'/2f) G1 G2 in the adapted frame.
-    """
-    fr = field.frame
+
+def spinor_gradient(field: SpinorField) -> tuple[Array, Array]:
+    """Covariant derivative components (nabla_1 phi, nabla_2 phi) at centers,
+    nabla_1 = d/dr and nabla_2 the tangential derivative."""
     f = field.surface.f(field.r)
     fp = field.surface.fp(field.r)
     g1 = field.d_values if field.d_values is not None \
         else _radial_derivative(field, field.values)
-    g2 = (1j * field.k / f)[:, None] * field.values \
-        + (fp / (2 * f))[:, None] * _apply_matrix(field.values, fr.volume)
-    return g1, g2
+    return g1, _tangential(field.k, f[:, None], fp[:, None], field.values)
 
 
 def apply_dirac(field: SpinorField) -> Array:
     """D phi = e^1 . nabla_1 phi + e^2 . nabla_2 phi at the cell centers."""
-    fr = field.frame
     g1, g2 = spinor_gradient(field)
-    return _apply_matrix(g1, fr.g1) + _apply_matrix(g2, fr.g2)
+    return _apply_matrix(g1, FRAME.g1) + _apply_matrix(g2, FRAME.g2)
 
 
 def boundary_gradient(field: SpinorField, boundary_id: str) -> tuple[Array, Array]:
-    """(nabla_1 phi, nabla_2 phi) at one boundary circle (2nd-order stencils,
-    grid values only, one-sided through the staggered offsets h/2, 3h/2, 5h/2)."""
-    fr = field.frame
-    h = field.h
+    """(nabla_1 phi, nabla_2 phi) at one boundary circle: nabla_1 from the
+    one-sided slope stencil on the grid values, nabla_2 on the trace."""
     v = field.values
-    tb = field.trace(boundary_id)
     if boundary_id == "outer":
-        g1 = (2.0 * v[-1] - 3.0 * v[-2] + v[-3]) / h
+        g1 = -apply_stencil(SLOPE_STENCIL, v[:-4:-1]) / field.h
         r_b = field.surface.r_max
     else:
-        g1 = -(2.0 * v[0] - 3.0 * v[1] + v[2]) / h
+        g1 = apply_stencil(SLOPE_STENCIL, v[:3]) / field.h
         r_b = field.surface.r_min
     f_b = float(field.surface.f(r_b))
     fp_b = float(field.surface.fp(r_b))
-    g2 = (1j * field.k / f_b) * tb + (fp_b / (2 * f_b)) * (fr.volume @ tb)
-    return g1, g2
+    return g1, _tangential(field.k, f_b, fp_b, field.trace(boundary_id))
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +180,7 @@ def boundary_integral(field: SpinorField, boundary_id: str, value: float) -> flo
 def _e0_dirac_trace_pairing(field: SpinorField, boundary_id: str) -> float:
     """(phi, e^0 . D^boundary phi) at the boundary circle, per mode."""
     from .dirac_core import boundary_dirac_matrix
-    _, e0d = boundary_dirac_matrix(field.surface, boundary_id, field.k,
-                                   frame=field.frame)
+    _, e0d = boundary_dirac_matrix(field.surface, boundary_id, field.k)
     tb = field.trace(boundary_id)
     return float(np.real(np.vdot(tb, e0d @ tb)))
 
@@ -223,14 +217,12 @@ class IdentityReport:
 # the integral Lichnerowicz identity
 # ---------------------------------------------------------------------------
 
-def sl_residual(field: SpinorField, lam: float | None = None) -> IdentityReport:
+def sl_residual(field: SpinorField, lam: float) -> IdentityReport:
     """Integral Schroedinger-Lichnerowicz balance.
 
     ∫_bd (phi, e0 . D_bd phi) - (H/2)|phi|^2  =  ∫_M |grad phi|^2
                                                + (R/4)|phi|^2 - |D phi|^2
     """
-    if lam is None:
-        lam = field.lam
     g1, g2 = spinor_gradient(field)
     dphi = apply_dirac(field)
     rr = scalar_curvature(field.surface, field.r)
@@ -245,8 +237,8 @@ def sl_residual(field: SpinorField, lam: float | None = None) -> IdentityReport:
         tb = field.trace(which)
         r_b = boundary_data(field.surface, which).r_b
         rr_b = float(scalar_curvature(field.surface, r_b))
-        db = _apply_matrix(bg1[None, :], field.frame.g1)[0] \
-            + _apply_matrix(bg2[None, :], field.frame.g2)[0]
+        db = _apply_matrix(bg1[None, :], FRAME.g1)[0] \
+            + _apply_matrix(bg2[None, :], FRAME.g2)[0]
         bvals[which] = (np.sum(np.abs(bg1) ** 2 + np.abs(bg2) ** 2)
                         + 0.25 * rr_b * np.sum(np.abs(tb) ** 2)
                         - np.sum(np.abs(db) ** 2)).real
@@ -264,7 +256,7 @@ def sl_residual(field: SpinorField, lam: float | None = None) -> IdentityReport:
 
     return IdentityReport("schrodinger_lichnerowicz", left, right,
                           field.n_grid, expected_order=2.0,
-                          extra={"lambda": None if lam is None else float(np.mean(lam))})
+                          extra={"lambda": float(np.mean(lam))})
 
 
 def rtc2_residual(field: SpinorField, boundary_id: str) -> IdentityReport:
@@ -272,15 +264,13 @@ def rtc2_residual(field: SpinorField, boundary_id: str) -> IdentityReport:
 
     nabla^bd_i = nabla_i - (1/2) h e^0 . e^j . , restricted to the mode.
     """
-    fr = field.frame
     bd = boundary_data(field.surface, boundary_id)
     tb = field.trace(boundary_id)
-    f_b, fp_b = bd.radius, float(field.surface.fp(bd.r_b))
     # ambient nabla_2 at the boundary (tangential direction, algebraic per mode)
-    ambient = (1j * field.k / f_b) * tb + (fp_b / (2 * f_b)) * (fr.volume @ tb)
-    e0 = fr.covector((bd.outward_sign, 0.0))
-    shape = 0.5 * bd.mean_curvature * (e0 @ (fr.g2 @ tb))
-    intrinsic = (1j * field.k / f_b) * tb
+    ambient = boundary_gradient(field, boundary_id)[1]
+    e0 = FRAME.covector((bd.outward_sign, 0.0))
+    shape = 0.5 * bd.mean_curvature * (e0 @ (FRAME.g2 @ tb))
+    intrinsic = (1j * field.k / bd.radius) * tb
     res = float(np.max(np.abs(intrinsic - (ambient - shape))))
     scale = float(np.max(np.abs(tb))) or 1.0
     return IdentityReport("rtc2:" + boundary_id, res / scale, 0.0, field.n_grid,
@@ -312,7 +302,6 @@ def energy_momentum(field: SpinorField, eps_rel: float = EPS_ZERO_REL) -> Energy
     Defined only off the zero set; nodes with |phi|^2 below eps_rel * max are
     excluded and reported, not regularized.
     """
-    fr = field.frame
     phi = field.values
     phi_sq = np.sum(np.abs(phi) ** 2, axis=1)
     top = float(np.max(phi_sq))
@@ -320,7 +309,7 @@ def energy_momentum(field: SpinorField, eps_rel: float = EPS_ZERO_REL) -> Energy
         raise VanishingSpinorError("vanishing spinor")
     mask = phi_sq >= eps_rel * top
     grads = spinor_gradient(field)
-    gens = (fr.g1, fr.g2)
+    gens = (FRAME.g1, FRAME.g2)
     q = np.zeros((field.n_grid, 2, 2))
     for i in range(2):
         for j in range(2):
@@ -336,27 +325,26 @@ def energy_momentum(field: SpinorField, eps_rel: float = EPS_ZERO_REL) -> Energy
 
 def _modified_gradient(field: SpinorField, lam, variant: str,
                        mp: ModifierPair = ModifierPair(),
-                       q_tensor: EnergyMomentum | None = None,
-                       n: int = 2) -> tuple[Array, Array]:
+                       q_tensor: EnergyMomentum | None = None
+                       ) -> tuple[Array, Array]:
     """Components of the twisted covariant derivative (gcm / emtm variants)."""
-    fr = field.frame
     g1, g2 = spinor_gradient(field)
     phi = field.values
     av, up = mp.a(field.r), mp.u.d(field.r)
     lam_arr = np.broadcast_to(np.asarray(lam, dtype=float), (field.n_grid,))
 
-    d1 = g1 + (av * up)[:, None] * phi - (av * up / n)[:, None] * phi
-    d2 = g2 + (av * up / n)[:, None] * _apply_matrix(phi, fr.g2 @ fr.g1)
+    d1 = g1 + (av * up)[:, None] * phi - (av * up / DIM)[:, None] * phi
+    d2 = g2 + (av * up / DIM)[:, None] * _apply_matrix(phi, FRAME.g2 @ FRAME.g1)
 
     if variant == "gcm":
-        d1 = d1 + (lam_arr / n)[:, None] * _apply_matrix(phi, fr.g1)
-        d2 = d2 + (lam_arr / n)[:, None] * _apply_matrix(phi, fr.g2)
+        d1 = d1 + (lam_arr / DIM)[:, None] * _apply_matrix(phi, FRAME.g1)
+        d2 = d2 + (lam_arr / DIM)[:, None] * _apply_matrix(phi, FRAME.g2)
     elif variant == "emtm":
         if q_tensor is None:
             q_tensor = energy_momentum(field)
         q = q_tensor.q
-        e1phi = _apply_matrix(phi, fr.g1)
-        e2phi = _apply_matrix(phi, fr.g2)
+        e1phi = _apply_matrix(phi, FRAME.g1)
+        e2phi = _apply_matrix(phi, FRAME.g2)
         d1 = d1 + q[:, 0, 0, None] * e1phi + q[:, 0, 1, None] * e2phi
         d2 = d2 + q[:, 1, 0, None] * e1phi + q[:, 1, 1, None] * e2phi
     else:
@@ -366,7 +354,7 @@ def _modified_gradient(field: SpinorField, lam, variant: str,
 
 def modified_gradient_norm(field: SpinorField, lam, variant: str = "gcm",
                            mp: ModifierPair = ModifierPair(),
-                           assume_eigen: bool = True, n: int = 2) -> IdentityReport:
+                           assume_eigen: bool = True) -> IdentityReport:
     """|grad^{a,u} phi|^2 evaluated two ways: from the twist definition and
     from its algebraic expansion; returns the integrated mismatch.
 
@@ -374,7 +362,7 @@ def modified_gradient_norm(field: SpinorField, lam, variant: str = "gcm",
     so it is an identity for arbitrary smooth fields, not just eigenspinors.
     """
     q_tensor = energy_momentum(field) if variant == "emtm" else None
-    d1, d2 = _modified_gradient(field, lam, variant, mp, q_tensor, n)
+    d1, d2 = _modified_gradient(field, lam, variant, mp, q_tensor)
     direct_density = np.sum(np.abs(d1) ** 2 + np.abs(d2) ** 2, axis=1)
 
     g1, g2 = spinor_gradient(field)
@@ -388,24 +376,24 @@ def modified_gradient_norm(field: SpinorField, lam, variant: str = "gcm",
         d_phi_sq = 2 * np.real(np.sum(np.conj(phi) * field.d_values, axis=1))
     else:
         d_phi_sq = _radial_derivative(field, phi_sq[:, None])[:, 0]
-    base = grad_sq + av ** 2 * (1 - 1 / n) * up ** 2 * phi_sq + av * up * d_phi_sq
+    base = grad_sq + av ** 2 * (1 - 1 / DIM) * up ** 2 * phi_sq \
+        + av * up * d_phi_sq
 
     if variant == "emtm":
         expansion = base - q_tensor.norm_sq * phi_sq
     elif assume_eigen:
-        expansion = base - lam_arr ** 2 / n * phi_sq
+        expansion = base - lam_arr ** 2 / DIM * phi_sq
     else:
         # pre-collapse expansion, valid for arbitrary smooth fields: keeps the
         # cross terms that the eigenspinor relation would eliminate, namely
         # (2 lam/n) Re(grad_i phi, e^i phi) and a du(e_r) Re(e^1 . D phi, phi)
-        fr = field.frame
-        cross = np.real(np.sum(np.conj(g1) * _apply_matrix(phi, fr.g1), axis=1)
-                        + np.sum(np.conj(g2) * _apply_matrix(phi, fr.g2), axis=1))
+        cross = np.real(np.sum(np.conj(g1) * _apply_matrix(phi, FRAME.g1), axis=1)
+                        + np.sum(np.conj(g2) * _apply_matrix(phi, FRAME.g2), axis=1))
         dphi = apply_dirac(field)
-        dcross = np.real(np.sum(np.conj(_apply_matrix(dphi, fr.g1)) * phi, axis=1))
-        expansion = (grad_sq + lam_arr ** 2 / n * phi_sq
-                     + av ** 2 * (1 - 1 / n) * up ** 2 * phi_sq
-                     + av * up * d_phi_sq + 2 * lam_arr / n * cross
+        dcross = np.real(np.sum(np.conj(_apply_matrix(dphi, FRAME.g1)) * phi, axis=1))
+        expansion = (grad_sq + lam_arr ** 2 / DIM * phi_sq
+                     + av ** 2 * (1 - 1 / DIM) * up ** 2 * phi_sq
+                     + av * up * d_phi_sq + 2 * lam_arr / DIM * cross
                      + av * up * dcross)
 
     left = volume_integral(field, direct_density)
@@ -420,7 +408,7 @@ def modified_gradient_norm(field: SpinorField, lam, variant: str = "gcm",
 # ---------------------------------------------------------------------------
 
 def _boundary_terms(field: SpinorField, mp: ModifierPair = ModifierPair(),
-                    conformal: bool = False, n: int = 2) -> float:
+                    conformal: bool = False) -> float:
     """∫_bd w(r_b) [ (phi, e0 . D_bd phi) + (c du(e0) - H/2) |phi|^2 ].
 
     Plain (eq1/eq2): c = a(r_b) and w = 1.  conformal (eq3/eq4): the
@@ -432,7 +420,7 @@ def _boundary_terms(field: SpinorField, mp: ModifierPair = ModifierPair(),
         tb = field.trace(which)
         tb_sq = float(np.sum(np.abs(tb) ** 2))
         a_b = float(mp.a(bd.r_b))
-        c = a_b - (n - 1) / 2.0 if conformal else a_b
+        c = a_b - (DIM - 1) / 2.0 if conformal else a_b
         du_e0 = bd.outward_sign * float(mp.u.d(bd.r_b))
         pairing = _e0_dirac_trace_pairing(field, which)
         w = float(np.exp(-mp.u(bd.r_b))) if conformal else 1.0
@@ -444,8 +432,7 @@ def _boundary_terms(field: SpinorField, mp: ModifierPair = ModifierPair(),
 
 def eq_residual(field: SpinorField, lam: float, which: str,
                 mp: ModifierPair = ModifierPair(),
-                rescaling: ConformalRescaling | None = None,
-                n: int = 2) -> IdentityReport:
+                rescaling: ConformalRescaling | None = None) -> IdentityReport:
     """Residual of one of the displayed integral identities eq1 ... eq4.
 
     eq1/eq2 compare ∫ |grad^{a,u} phi|^2 (resp. the Q-twisted version)
@@ -461,43 +448,42 @@ def eq_residual(field: SpinorField, lam: float, which: str,
         variant = "gcm" if which == "eq1" else "emtm"
         d1, d2 = _modified_gradient(field, lam, variant, mp)
         left = volume_integral(field, np.sum(np.abs(d1) ** 2 + np.abs(d2) ** 2, axis=1))
-        rau = modified_scalar(field.surface, mp, field.r, n)
+        rau = modified_scalar(field.surface, mp, field.r)
         if which == "eq1":
-            density = ((1 - 1 / n) * lam ** 2 - rau / 4.0) * phi_sq
+            density = ((1 - 1 / DIM) * lam ** 2 - rau / 4.0) * phi_sq
         else:
             q_tensor = energy_momentum(field)
             density = (lam ** 2 - (rau / 4.0 + q_tensor.norm_sq)) * phi_sq
         right = volume_integral(field, density) \
-            + _boundary_terms(field, mp, n=n)
+            + _boundary_terms(field, mp)
         return IdentityReport(which, left, right, field.n_grid, expected_order=2.0)
 
     if which in ("eq3", "eq4"):
         if rescaling is None:
             raise ValueError("eq3/eq4 need a ConformalRescaling")
-        pushed, _ = conformal_push(field, rescaling, lam=lam)
+        pushed, _ = conformal_push(field, rescaling, lam)
         mp_t = ModifierPair(rescaling.pullback(mp.a), rescaling.pullback(mp.u))
         lam_t = lam * np.exp(-(rescaling.u(rescaling.r_of_s(pushed.r))))
         variant = "gcm" if which == "eq3" else "emtm"
         d1, d2 = _modified_gradient(pushed, lam_t, variant, mp_t)
         left = volume_integral(pushed, np.sum(np.abs(d1) ** 2 + np.abs(d2) ** 2, axis=1))
 
-        rhat = conformal_modified_scalar(field.surface, mp, field.r, n)
+        rhat = conformal_modified_scalar(field.surface, mp, field.r)
         w = np.exp(-rescaling.u(field.r))
         if which == "eq3":
-            density = w * ((1 - 1 / n) * lam ** 2 - rhat / 4.0) * phi_sq
+            density = w * ((1 - 1 / DIM) * lam ** 2 - rhat / 4.0) * phi_sq
         else:
             q_tensor = energy_momentum(field)
             density = w * (lam ** 2 - (rhat / 4.0 + q_tensor.norm_sq)) * phi_sq
         right = volume_integral(field, density) \
-            + _boundary_terms(field, mp, conformal=True, n=n)
+            + _boundary_terms(field, mp, conformal=True)
         return IdentityReport(which, left, right, field.n_grid, expected_order=2.0)
 
     raise ValueError(f"unknown identity {which!r}")
 
 
 def killing_residual(field: SpinorField, lam: float,
-                     mp: ModifierPair = ModifierPair(), n: int = 2,
-                     assume_eigen: bool = True) -> float:
+                     mp: ModifierPair = ModifierPair()) -> float:
     """Pointwise residual of the twisted Killing equation (max over nodes).
 
     Zero for real Killing spinors with a = 0; the limiting-case diagnostic
@@ -506,25 +492,24 @@ def killing_residual(field: SpinorField, lam: float,
     On an eigenspinor the two components of the residual are unitary images
     of each other (summing e^i . R_i reproduces D phi - lam phi = 0, so
     e^1 . R_1 = -e^2 . R_2), and the tangential component is algebraic in
-    the field values.  With assume_eigen the radial component is therefore
-    reconstructed from that identity instead of being differenced, which
-    keeps the max-norm diagnostic second-order accurate; fields carrying
-    analytic derivatives, or non-eigen fields, use the direct formula.
+    the field values.  The radial component is therefore reconstructed from
+    that identity instead of being differenced, which keeps the max-norm
+    diagnostic second-order accurate; fields carrying analytic derivatives
+    use the direct formula.
     """
-    fr = field.frame
     phi = field.values
     av, up = mp.a(field.r), mp.u.d(field.r)
 
     g2 = spinor_gradient(field)[1]
-    r2 = g2 + (lam / n) * _apply_matrix(phi, fr.g2) \
-        + (av * up / n)[:, None] * _apply_matrix(phi, fr.g2 @ fr.g1)
-    if assume_eigen and field.d_values is None:
+    r2 = g2 + (lam / DIM) * _apply_matrix(phi, FRAME.g2) \
+        + (av * up / DIM)[:, None] * _apply_matrix(phi, FRAME.g2 @ FRAME.g1)
+    if field.d_values is None:
         r1_norm_sq = np.sum(np.abs(r2) ** 2, axis=1)   # |R1| = |R2| pointwise
     else:
         g1 = spinor_gradient(field)[0]
-        r1 = g1 + (lam / n) * _apply_matrix(phi, fr.g1) \
+        r1 = g1 + (lam / DIM) * _apply_matrix(phi, FRAME.g1) \
             + (av * up)[:, None] * phi \
-            + (av * up / n)[:, None] * _apply_matrix(phi, fr.g1 @ fr.g1)
+            + (av * up / DIM)[:, None] * _apply_matrix(phi, FRAME.g1 @ FRAME.g1)
         r1_norm_sq = np.sum(np.abs(r1) ** 2, axis=1)
 
     phi_norm = np.sqrt(np.sum(np.abs(phi) ** 2, axis=1))
@@ -541,18 +526,15 @@ def killing_residual(field: SpinorField, lam: float,
 # ---------------------------------------------------------------------------
 
 def conformal_push(field: SpinorField, rescaling: ConformalRescaling,
-                   lam: float | None = None, n_target: int | None = None,
-                   n: int = 2) -> tuple[SpinorField, float]:
+                   lam: float) -> tuple[SpinorField, float]:
     """Push an eigenspinor to the rescaled surface: psi = e^{-(n-1)u/2} phi.
 
     Returns the pushed field on the target's own cell-centered grid and the
     relative eigen-residual  |D-bar psi - lam e^{-u} psi| / |psi|  measured
     with the target's discrete Dirac operator.
     """
-    if lam is None:
-        lam = field.lam
     target = rescaling.target
-    s_centers = target.centers(n_target or field.n_grid)
+    s_centers = target.centers(field.n_grid)
     r_pull = rescaling.r_of_s(s_centers)
     if np.any(r_pull < field.surface.r_min - 1e-9) or \
             np.any(r_pull > field.surface.r_max + 1e-9):
@@ -564,21 +546,18 @@ def conformal_push(field: SpinorField, rescaling: ConformalRescaling,
     # the data at that order.  Target centers map inside the source interval
     # up to half a cell, where the spline extrapolates at full order.
     interp = CubicSpline(field.r, field.values, axis=0)
-    scale = np.exp(-(n - 1) / 2.0 * rescaling.u(r_pull))
+    scale = np.exp(-(DIM - 1) / 2.0 * rescaling.u(r_pull))
     pushed_values = scale[:, None] * interp(r_pull)
 
     traces = {}
     for which in target.boundaries:
         bd_src = boundary_data(field.surface, which)
-        traces[which] = (np.exp(-(n - 1) / 2.0 * float(rescaling.u(bd_src.r_b)))
+        traces[which] = (np.exp(-(DIM - 1) / 2.0
+                                * float(rescaling.u(bd_src.r_b)))
                          * field.trace(which))
 
-    lam_fn = None if lam is None else lam * np.exp(-rescaling.u(r_pull))
-    pushed = SpinorField(target, field.k, s_centers, pushed_values, traces,
-                         lam=None, frame=field.frame)
-
-    if lam is None:
-        return pushed, float("nan")
+    lam_fn = lam * np.exp(-rescaling.u(r_pull))
+    pushed = SpinorField(target, field.k, s_centers, pushed_values, traces)
     d_psi = apply_dirac(pushed)
     resid = d_psi - lam_fn[:, None] * pushed.values
     num = volume_integral(pushed, np.sum(np.abs(resid) ** 2, axis=1))

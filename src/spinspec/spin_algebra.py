@@ -8,8 +8,9 @@ rank-2 spinor bundle of a surface, with the Riemannian convention
 each G_a skew-Hermitian for the standard Hermitian product (so unit
 covectors act isometrically).  The interior chirality operator is F = i w
 with volume element w = G_1 G_2; for a unit normal covector e0 the boundary
-chirality operator is Gamma = F (e0 . ).  Any unitarily equivalent
-representation would do; tests check the axioms, not matrix entries.
+chirality operator is Gamma = F (e0 . ).  The representation is fixed once, as
+`FRAME`; any unitarily equivalent one would do, and tests check the axioms,
+not matrix entries.
 """
 
 from __future__ import annotations
@@ -24,16 +25,17 @@ _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 
+def _read_only(a: Array) -> Array:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class CliffordFrame:
     """Concrete representation of the coframe Clifford action."""
 
     g1: Array
     g2: Array
-
-    @property
-    def dimension(self) -> int:
-        return 2
 
     @property
     def volume(self) -> Array:
@@ -46,22 +48,14 @@ class CliffordFrame:
         return x[0] * self.g1 + x[1] * self.g2
 
 
-@dataclass(frozen=True)
-class ChiralityOps:
-    """Interior chirality F and boundary chirality Gamma for a unit normal."""
-
-    F: Array
-    gamma: Array
+# The one representation used throughout: G_a = i sigma_a.  Every generator
+# has one nonzero entry per row, so applying it to a spinor is exact.
+FRAME = CliffordFrame(_read_only(1j * _SIGMA_X), _read_only(1j * _SIGMA_Y))
 
 
-def make_frame() -> CliffordFrame:
-    """Fixed Pauli-type representation: G_a = i * sigma_a."""
-    return CliffordFrame(1j * _SIGMA_X, 1j * _SIGMA_Y)
-
-
-def clifford_mul(frame: CliffordFrame, x, s) -> Array:
+def clifford_mul(x, s) -> Array:
     """Clifford multiplication of the covector x on the spinor s."""
-    return frame.covector(x) @ np.asarray(s, dtype=complex)
+    return FRAME.covector(x) @ np.asarray(s, dtype=complex)
 
 
 def pairing(phi, psi) -> complex:
@@ -69,26 +63,18 @@ def pairing(phi, psi) -> complex:
     return complex(np.vdot(np.asarray(phi, complex), np.asarray(psi, complex)))
 
 
-def spinor_norm_sq(phi) -> float:
-    return float(np.real(pairing(phi, phi)))
-
-
-def chirality(frame: CliffordFrame) -> Array:
+def chirality() -> Array:
     """Interior chirality operator F = i G1 G2 (sign fixed once and for all)."""
-    return 1j * frame.volume
+    return 1j * FRAME.volume
 
 
-def boundary_chirality(frame: CliffordFrame, normal) -> Array:
+def boundary_chirality(normal) -> Array:
     """Boundary chirality Gamma = F (normal . ) for a unit normal covector."""
     normal = np.asarray(normal, dtype=float)
     nsq = float(normal @ normal)
     if abs(nsq - 1.0) > 1e-12:
         raise ValueError(f"normal covector fails normalization: |e0|^2 = {nsq!r}")
-    return chirality(frame) @ frame.covector(normal)
-
-
-def chirality_ops(frame: CliffordFrame, normal) -> ChiralityOps:
-    return ChiralityOps(chirality(frame), boundary_chirality(frame, normal))
+    return chirality() @ FRAME.covector(normal)
 
 
 def chirality_projectors(gamma: Array) -> tuple[Array, Array]:

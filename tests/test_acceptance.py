@@ -12,11 +12,11 @@ import numpy as np
 
 import oracles
 from conftest import BUILTIN_SCENARIOS
-from spinspec import (BoundaryConditionSpec, ModeOperator, ModifierPair,
+from spinspec import (FRAME, BoundaryConditionSpec, ModeOperator, ModifierPair,
                       aggregate, boundary_chirality, boundary_data,
                       boundary_dirac_matrix, conformal_push, conformal_rescale,
                       chirality, chirality_projectors, energy_momentum,
-                      eq_residual, killing_residual, make_frame, make_surface,
+                      eq_residual, killing_residual, make_surface,
                       optimize_modifiers, parse_radial_spec, rtc2_residual,
                       sl_residual)
 from spinspec.bounds import (canned_modifiers, conformal_modified_scalar,
@@ -223,9 +223,8 @@ def test_criterion_7_theorem_as_oracle_over_traces(solved):
 def test_criterion_8_algebraic_suite():
     """Chirality/Clifford axioms, boundary anticommutation, Hermiticity and
     projector identities: 1e-12 at worst, exact-construction items at zero."""
-    frame = make_frame()
     eye = np.eye(2, dtype=complex)
-    gens = (frame.g1, frame.g2)
+    gens = (FRAME.g1, FRAME.g2)
 
     def zero(m):
         return float(np.max(np.abs(m)))
@@ -233,13 +232,13 @@ def test_criterion_8_algebraic_suite():
     exact = [
         zero(gens[0] @ gens[1] + gens[1] @ gens[0]),
         zero(gens[0] @ gens[0] + eye),
-        zero(frame.volume @ frame.volume + eye),
-        zero(chirality(frame) @ chirality(frame) - eye),
+        zero(FRAME.volume @ FRAME.volume + eye),
+        zero(chirality() @ chirality() - eye),
     ]
-    F = chirality(frame)
+    F = chirality()
     for g in gens:
         exact.append(zero(F @ g + g @ F))
-    gam = boundary_chirality(frame, (1.0, 0.0))
+    gam = boundary_chirality((1.0, 0.0))
     exact.append(zero(gam @ gam - eye))
     exact.append(zero(gam @ gens[0] + gens[0] @ gam))
     exact.append(zero(gam @ gens[1] - gens[1] @ gam))
@@ -248,7 +247,7 @@ def test_criterion_8_algebraic_suite():
     exact.append(zero(p_plus @ p_minus))
     disk = make_surface("disk")
     d_bnd, e0d = boundary_dirac_matrix(disk, "outer", 1.5)
-    e0 = frame.covector((1.0, 0.0))
+    e0 = FRAME.covector((1.0, 0.0))
     exact.append(zero(d_bnd @ e0 + e0 @ d_bnd))
     exact.append(abs(np.trace(e0d)))
     assert max(exact) == 0.0

@@ -303,7 +303,7 @@ def test_basis_measure_matches_public_path(zone_csv, geom, variant, n_ctrl,
     surface = make_surface(zone_csv if geom == "profile" else geom)
     params = np.array(data.draw(st.lists(
         st.floats(-2, 2), min_size=2 * n_ctrl, max_size=2 * n_ctrl)))
-    value, margin = _basis_measure(surface, variant, n_ctrl, n_grid, 2)(params)
+    value, margin = _basis_measure(surface, variant, n_ctrl, n_grid)(params)
     assert_matches_public_path(surface, variant, params, n_ctrl, n_grid,
                                value, margin)
 

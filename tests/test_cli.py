@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -321,6 +323,22 @@ def test_bad_profile_csv_exits_2(tmp_path, capsys, case):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_overflowing_input_prints_one_line(tmp_path):
+    """numpy's overflow warnings on an extreme factor stay off stderr: the run
+    ends with its one config-error line alone."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinspec.cli", "verify", "--geometry", "disk",
+         "--N", "16", "--kmax", "0.5", "--conformal-u", "bump:1e308",
+         "--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("config error:")
+
+
 def _mostly(valid, *bad):
     """`valid` in nine draws of ten, else one of the `bad` values."""
     return st.sampled_from([True] * 9 + [False]).flatmap(
@@ -395,3 +413,4 @@ def test_cli_run_fuzz(command, geometry, profile, scenario, flags):
             rc = run(argv)
     assert rc in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+    assert "RuntimeWarning" not in err.getvalue()

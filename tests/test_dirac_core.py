@@ -8,9 +8,9 @@ import pytest
 import oracles
 from scipy.linalg import eigvals_banded, eigvalsh_tridiagonal
 
-from spinspec import (BoundaryConditionSpec, ConfigError, ModeOperator,
+from spinspec import (FRAME, BoundaryConditionSpec, ConfigError, ModeOperator,
                       aggregate, boundary_dirac_matrix, convergence_study,
-                      make_frame, make_surface, modes_for, solve_mode)
+                      make_surface, modes_for, solve_mode)
 from spinspec.dirac_core import (NumericalError, _closures, _collocate,
                                  _tridiagonal_block)
 
@@ -53,9 +53,8 @@ def test_boundary_dirac_spectrum(geom, which, k):
 
 def test_boundary_dirac_anticommutation_exact():
     surface = make_surface("disk")
-    frame = make_frame()
-    d_bnd, e0d = boundary_dirac_matrix(surface, "outer", 0.5, frame=frame)
-    e0 = frame.covector((1.0, 0.0))
+    d_bnd, e0d = boundary_dirac_matrix(surface, "outer", 0.5)
+    e0 = FRAME.covector((1.0, 0.0))
     # D_bnd (e0 . phi) = -e0 . D_bnd phi, exact at matrix level
     assert maxabs(d_bnd @ e0 + e0 @ d_bnd) == 0.0
     assert maxabs(e0d @ e0 + e0 @ e0d) == 0.0
@@ -82,7 +81,7 @@ from hypothesis import strategies as st
 @given(eps=st.floats(0.0, 0.3), bc=st.sampled_from(BCS), k=st.sampled_from([0.5, 1.5]))
 def test_hermiticity_on_random_bulged_caps(eps, bc, k):
     from spinspec import RadialFunction, WarpedSurface
-    prof = RadialFunction.from_callables(
+    prof = RadialFunction(
         lambda r: np.sin(r) * (1 + eps * r ** 2),
         lambda r: np.cos(r) * (1 + eps * r ** 2) + 2 * eps * r * np.sin(r),
         lambda r: -np.sin(r) * (1 + eps * r ** 2) + 4 * eps * r * np.cos(r)
@@ -369,7 +368,7 @@ def test_annulus_aps_minus_matches_shooting():
 def test_non_catalog_profile_matches_shooting():
     # a perturbed cap profile outside the catalog, still f(0)=0, f'(0)=1
     from spinspec import RadialFunction, WarpedSurface
-    prof = RadialFunction.from_callables(
+    prof = RadialFunction(
         lambda r: np.sin(r) * (1 + 0.1 * r ** 2),
         lambda r: np.cos(r) * (1 + 0.1 * r ** 2) + 0.2 * r * np.sin(r),
         lambda r: -np.sin(r) * (1 + 0.1 * r ** 2) + 0.4 * r * np.cos(r)
@@ -410,8 +409,7 @@ def test_cylinder_aps_plus_matches_shooting():
 def test_local_condition_kills_normal_pairing(solved):
     """(e0 . phi, psi) = 0 at the boundary for local-condition eigenspinors."""
     sp = solved("disk", "local+", k_max=1.5, N=64)
-    frame = make_frame()
-    e0 = frame.covector((1.0, 0.0))
+    e0 = FRAME.covector((1.0, 0.0))
     pairs = sp.eigenpairs[:4]
     for a in pairs:
         for b in pairs:
@@ -423,8 +421,7 @@ def test_local_condition_kills_normal_pairing(solved):
 def test_local_condition_gamma_eigenvector(solved):
     from spinspec import boundary_chirality
     sp = solved("disk", "local+", k_max=1.5, N=64)
-    frame = make_frame()
-    gam = boundary_chirality(frame, (1.0, 0.0))
+    gam = boundary_chirality((1.0, 0.0))
     tr = sp.fundamental.field.trace("outer")
     assert maxabs(gam @ tr - tr) / maxabs(tr) <= 1e-12
 
@@ -655,7 +652,6 @@ def test_discrete_lichnerowicz_consistency(geom):
     from spinspec.identities import apply_dirac, _apply_matrix
 
     surface = make_surface(geom)
-    frame = make_frame()
     k = 0.5
     res = {}
     for N in (64, 128):
@@ -684,7 +680,7 @@ def test_discrete_lichnerowicz_consistency(geom):
         rough = (-d2v - (fp / fv)[:, None] * dv
                  + (k ** 2 / fv ** 2 + fp ** 2 / (4 * fv ** 2))[:, None] * vals
                  - (1j * k * fp / fv ** 2)[:, None]
-                 * _apply_matrix(vals, frame.volume))
+                 * _apply_matrix(vals, FRAME.volume))
         rr = scalar_curvature(surface, r)
         resid = d2 - rough - 0.25 * rr[:, None] * vals
         # fixed interior region: the constant in C h^2 grows like 1/r toward

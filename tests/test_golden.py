@@ -1,5 +1,7 @@
 """Golden scenario outputs: every checked-in scenario, rerun at reduced size,
-must reproduce the reference files under tests/golden/.
+must reproduce the reference files under tests/golden/.  `verify` and
+`bounds` run on every scenario, `spectrum` on hemisphere_limiting and
+`convergence` on disk_oracle and hemisphere_aps_gap.
 
 Compared exactly: the file set, keys and their order, entry order, strings,
 `passed`/`feasible` flags, integers and exit codes.  Compared to 1e-12
@@ -31,7 +33,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCENARIOS = sorted(p.stem for p in (ROOT / "scenarios").glob("*.json"))
 CASES = [(s, c) for s in SCENARIOS for c in ("verify", "bounds")] + [
-    ("hemisphere_limiting", "spectrum")]
+    ("hemisphere_limiting", "spectrum"), ("disk_oracle", "convergence"),
+    ("hemisphere_aps_gap", "convergence")]
 
 REL = 1e-12
 IDENTITY_FLOOR = 1e-12
@@ -42,6 +45,8 @@ def _argv(scenario: str, command: str, out: Path) -> list[str]:
             "--kmax", "2.5", "--out", str(out)]
     if command == "spectrum":
         return argv + ["--N", "64,128"]
+    if command == "convergence":
+        return argv + ["--N", "64,128,256"]
     if command == "bounds":
         argv += ["--optimize-bounds", "--budget", "600"]
     return argv + ["--N", "64"]

@@ -21,7 +21,7 @@ def killing_field(N, analytic=True):
     dv = np.stack([-0.5 * np.sin(r / 2), -0.5j * np.cos(r / 2)], axis=-1)
     return SpinorField(HEMI, 0.5, r, vals,
                        {"outer": oracles.killing_spinor_hemisphere(np.pi / 2)},
-                       lam=1.0, d_values=dv if analytic else None)
+                       d_values=dv if analytic else None)
 
 
 def modifier_bump(surface, c_a=0.4, c_u=0.3):
@@ -111,7 +111,7 @@ def test_parallel_spinor_has_zero_energy_momentum():
     vals = np.tile([1.0 + 0j, 0.0 + 0j], (N, 1))
     f = SpinorField(cyl, 0.0, r, vals,
                     {"inner": np.array([1, 0], complex),
-                     "outer": np.array([1, 0], complex)}, lam=0.0)
+                     "outer": np.array([1, 0], complex)})
     q = energy_momentum(f)
     assert np.max(np.abs(q.q)) <= 1e-14
 
