@@ -55,6 +55,10 @@ from .geometry import (DIM, RadialFunction, WarpedSurface, boundary_data,
 
 Array = np.ndarray
 
+# n/(4(n-1)), the coefficient of inf R in Friedrich's inequality and of every
+# curvature bound built on it
+FRIEDRICH = DIM / (4 * (DIM - 1))
+
 TOL_REPORT = 5e-3   # discretization slack folded into pass/fail margins
 TOL_FEAS = 1e-9     # feasibility margins this negative still count as boundary cases
 
@@ -250,14 +254,13 @@ def evaluate_bounds(spectrum, field_min=None, mp: ModifierPair | None = None,
 
     surface = spectrum.surface
     lam2 = spectrum.lambda_min_sq
-    coeff = DIM / (4.0 * (DIM - 1))
     rr = _grid(surface, spectrum.n_grid)
     entries: list[BoundEntry] = []
 
     margin0 = feasibility_margin(surface, ModifierPair(), "interior")
     feas0 = margin0 >= -TOL_FEAS
     r_min_val = float(np.min(scalar_curvature(surface, rr)))
-    friedrich = coeff * r_min_val
+    friedrich = FRIEDRICH * r_min_val
     entries.append(BoundEntry(
         "friedrich", friedrich, margin0, feas0,
         bool(lam2 >= friedrich - tol_report) if feas0 else None,
@@ -290,7 +293,7 @@ def evaluate_bounds(spectrum, field_min=None, mp: ModifierPair | None = None,
             entries += [BoundEntry(name, None, margin, False, None, skipped)
                         for name in names]
             continue
-        values = [coeff * float(np.min(
+        values = [FRIEDRICH * float(np.min(
             _curvature(variant, *_jets(surface, pair, rr))))]
         if field_min is not None:
             curv_ctr = _curvature(variant, *_jets(surface, pair, field_min.r))

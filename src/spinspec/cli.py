@@ -29,7 +29,7 @@ from . import bounds as bounds_mod
 from . import identities as ident
 from .dirac_core import (BC_VARIANTS, BoundaryConditionSpec, NumericalError,
                          aggregate, convergence_study)
-from .geometry import (DIM, ConfigError, WarpedSurface, catalog,
+from .geometry import (ConfigError, WarpedSurface, catalog,
                        conformal_law_residuals, conformal_rescale,
                        make_surface, parse_radial_spec, scalar_curvature)
 
@@ -146,19 +146,36 @@ def _cmd_catalog(_: Scenario) -> int:
     return 0
 
 
+def _spectrum_csv(levels: Array) -> str:
+    """`mode,index,lambda` rows: modes ascending, each mode's levels
+    ascending and indexed from 0."""
+    by_mode = levels[np.lexsort((levels[:, 0], levels[:, 1]))]
+    ks, starts = np.unique(by_mode[:, 1], return_index=True)
+    lines = ["mode,index,lambda"]
+    for k, lams in zip(ks.tolist(), np.split(by_mode[:, 0], starts[1:])):
+        mode = fmt(k)
+        lines.extend("%s,%d,%.17g" % (mode, idx, lam)
+                     for idx, lam in enumerate(lams.tolist()))
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_spectrum(sc: Scenario) -> int:
     surface = sc.surface()
+    local = {}                # N -> the last local+- Spectrum of this call
     for bc_name in sc.bc:
         bc = BoundaryConditionSpec(bc_name)
         lam_prev = None
         for N in sc.N:
-            sp = aggregate(surface, bc, sc.kmax, N, n_fields_per_mode=0)
-            lines = ["mode,index,lambda"]
-            for k in sorted({row[1] for row in sp.levels}):
-                for idx, lam in enumerate(sp.eigenvalues(k)):
-                    lines.append(f"{fmt(k)},{idx},{fmt(lam)}")
+            # the two local conditions share one solve (Spectrum.negated)
+            twin = local.get(N) if bc.is_local else None
+            if twin is not None and twin.bc != bc:
+                sp = twin.negated()
+            else:
+                sp = aggregate(surface, bc, sc.kmax, N, n_fields_per_mode=0)
+            if bc.is_local:
+                local[N] = sp
             path = os.path.join(sc.out, f"spectrum_{_slug(bc_name)}_N{N}.csv")
-            atomic_write(path, "\n".join(lines) + "\n")
+            atomic_write(path, _spectrum_csv(sp.levels))
             print(f"wrote {path} (lambda_min = {fmt(sp.lambda_min)}, "
                   f"attained at k = {fmt(sp.k_min)})")
             if sp.kmax_attained:
@@ -205,11 +222,11 @@ def _identity_reports(sc: Scenario, surface: WarpedSurface,
                 "note": "diagnostic: vanishes only in the limiting case"})
 
     if bc.variant == "aps-":
-        coeff = DIM / (4 * (DIM - 1))
         inf_r = float(np.min(scalar_curvature(surface, field.r)))
-        gap = sp.lambda_min_sq - coeff * inf_r
+        friedrich = bounds_mod.FRIEDRICH * inf_r
         out.append({"name": "aps_strict_gap", "left": sp.lambda_min_sq,
-                    "right": coeff * inf_r, "residual": gap, "n_grid": N,
+                    "right": friedrich, "residual": sp.lambda_min_sq - friedrich,
+                    "n_grid": N,
                     "expected_order": None,
                     "note": "strict inequality under APS; gap must stay positive"})
 

@@ -33,10 +33,12 @@ form, built in O(N): the band is already tridiagonal outside its two end
 blocks, a Householder tridiagonalization of each block that fixes the one
 index through which it meets the middle leaves the rest untouched, and a
 diagonal unitary gauge makes the off-diagonals real and nonnegative.  The
-full spectrum (`spectrum`) comes from dsterf; the few smallest |lambda| that
-lambda_min and the low fields need come from Sturm bisection on a window
-around 0, in O(N).  The few eigenvectors come from the same form (stebz and
-stein), mapped back and checked by their residual against the band.
+full spectrum (`spectrum`) comes from dsterf, or, for a bipartite operator,
+from the dqds singular values of the bidiagonal hidden in its form (below);
+the few smallest |lambda| that lambda_min and the low fields need come from
+Sturm bisection on a window around 0, in O(N).  The few eigenvectors come
+from the same form (stebz and stein), mapped back and checked by their
+residual against the band.
 
 Modes with k < 0 go through the unitary component swap (v1, v2) -> (v2, v1),
 which maps mode k to mode -k and swaps the two local boundary conditions
@@ -45,12 +47,18 @@ the faster-vanishing one at the pole, where the regular closure (vertex
 value 0) is then exact for every mode.  Mode -k is thus the native operator
 at |k| under the swapped condition: the same operator under aps+-, exactly
 -conj of it under local+-.  Each |k| is solved once and mode -k mirrors it.
+For the same reason the native local- operator is exactly -conj of the
+local+ one at the same k, so local- is never solved on its own: its levels
+and vectors are the negated, conjugated local+ ones.
 
 Under aps+- every reduced column is pure p or pure q, so the operator is
 bipartite: its tridiagonal form has a zero diagonal (checked at roundoff)
-and its spectrum is exactly symmetric.  It is reported that way, positive
-eigenvalues with their mirror images, so the ordering tie of a +-pair
-always resolves to the same sign.
+and its spectrum is exactly symmetric.  Its full spectrum is +-sigma, sigma
+the singular values of the bidiagonal formed by alternate off-diagonals,
+which LAPACK's dqds (dlasq1) computes to high relative accuracy in about a
+third of dsterf's time.  It is reported that way, positive eigenvalues with
+their mirror images, so the ordering tie of a +-pair always resolves to the
+same sign.
 
 APS conventions: the admissible boundary values for aps- have no component
 on eigenvectors of e0 . D_boundary with eigenvalue >= 0 (kernel included in
@@ -60,11 +68,12 @@ experimental condition.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import (eigh_tridiagonal, eigvalsh_tridiagonal, hessenberg,
-                          null_space)
+from scipy.linalg import (cython_lapack, eigh_tridiagonal,
+                          eigvalsh_tridiagonal, hessenberg, null_space)
 from scipy.linalg import solve_banded  # noqa: F401  unused; perfbench --trace counts it
 
 from .geometry import (SLOPE_STENCIL, TRACE_STENCIL, ConfigError,
@@ -298,6 +307,55 @@ def _low_values(d: Array, e: Array, count: int) -> Array:
         if len(vals) >= count or w > bound:
             return vals
         w *= 2.0
+
+
+def _lapack_routine(name: str, *argtypes):
+    """A LAPACK routine from scipy's Cython table (which also covers the ones
+    scipy.linalg.lapack does not wrap), callable through ctypes."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                    ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return ctypes.CFUNCTYPE(None, *argtypes)(
+        get_pointer(capsule, get_name(capsule)))
+
+
+_INT_P = ctypes.POINTER(ctypes.c_int)
+_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+# dlasq1(n, d, e, work, info): singular values of the upper bidiagonal
+# (d, e) by dqds, returned in d, decreasing; e and work (4 n) are scratch
+_DLASQ1 = _lapack_routine("dlasq1", _INT_P, _DOUBLE_P, _DOUBLE_P, _DOUBLE_P,
+                          _INT_P)
+
+
+def _bipartite_values(e: Array) -> Array:
+    """Every eigenvalue of the zero-diagonal tridiagonal with off-diagonal e.
+
+    Ordering the indices even-first makes it [[0, B], [B^T, 0]] with B the
+    upper bidiagonal of diagonal e[0::2] and superdiagonal e[1::2], padded
+    to a square by one zero diagonal entry when n is odd.  Its eigenvalues
+    are +-sigma over the singular values sigma of B, the pad's exact zero
+    counted once.  Returns -sigma (pad dropped) then sigma ascending.
+    """
+    n = len(e) + 1
+    m = (n + 1) // 2
+    d = np.zeros(m)
+    d[:n // 2] = e[0::2]
+    sup = np.zeros(m)                 # dlasq1 reads m - 1, needs room for m
+    sup[:m - 1] = e[1::2]
+    work = np.empty(4 * m)
+    size, info = ctypes.c_int(m), ctypes.c_int(0)
+    _DLASQ1(ctypes.byref(size), d.ctypes.data_as(_DOUBLE_P),
+            sup.ctypes.data_as(_DOUBLE_P), work.ctypes.data_as(_DOUBLE_P),
+            ctypes.byref(info))
+    if info.value != 0:
+        raise NumericalError(f"dqds singular values failed (dlasq1 info "
+                             f"{info.value})")
+    sigma = d[::-1]
+    # + 0.0 turns a -0.0 of an exact zero singular value into 0.0
+    return np.concatenate([-sigma[n % 2:], sigma]) + 0.0
 
 
 def _lowest(vals: Array, m: int) -> Array:
@@ -571,13 +629,15 @@ class ModeOperator:
         """Eigenvalues (structural zeros deflated when spurious) and,
         optionally, eigenvectors for the n_vectors smallest |lambda|.
 
-        n_values=None computes every eigenvalue of the tridiagonal form
-        (dsterf); otherwise only the max(n_values, n_vectors) smallest
-        |lambda| (Sturm bisection on a window around 0, O(n)).  A
-        bipartite operator has an exactly symmetric spectrum: its positive
-        eigenvalues are reported with their mirror images, so a +-pair is an
-        exact tie.  Eigenvectors come from the same tridiagonal form (stebz
-        and stein, O(n) each), checked by their residual against `matrix`.
+        n_values=None computes every eigenvalue of the tridiagonal form:
+        dsterf, or for a bipartite operator +-sigma from the dqds singular
+        values of its bidiagonal (`_bipartite_values`).  Otherwise only the
+        max(n_values, n_vectors) smallest |lambda| are computed (Sturm
+        bisection on a window around 0, O(n)).  A bipartite operator has an
+        exactly symmetric spectrum: its positive eigenvalues are reported
+        with their mirror images, so a +-pair is an exact tie.  Eigenvectors
+        come from the same tridiagonal form (stebz and stein, O(n) each),
+        checked by their residual against `matrix`.
 
         Returns (values ascending, selected values, selected vectors in
         reduced coordinates, one per column).
@@ -589,7 +649,9 @@ class ModeOperator:
         want = None if n_values is None else max(n_values, n_vectors or 0)
         full = want is None or want + n_zero + 1 >= n
         try:
-            if full:
+            if full and self._bipartite:
+                vals = _bipartite_values(e)
+            elif full:
                 vals = eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
             else:
                 # one spare value: a +-pair may straddle the window's edge
@@ -685,16 +747,29 @@ class ModeSolution:
     def mirrored(self) -> "ModeSolution":
         """The solution at -k, whose native operator is this one under
         aps+- and exactly -conj of it (band and end bases) under local+-:
-        same levels and vectors, or levels -lams and conjugate vectors; the
-        fields take their components swapped back.
+        same levels and vectors, or the `_negated` ones; the fields take
+        their components swapped back.
         """
         k, lams, samples = -self.k, self.lams, self.samples
         if self.op.bc.is_local:
-            lams = -lams[::-1]
-            samples = tuple((-lam, np.conj(p), np.conj(q))
-                            for lam, p, q in samples)
+            lams, samples = _negated(lams, samples)
         return ModeSolution(k, lams, _pairs(self.op, samples, k), self.op,
                             samples)
+
+    def negated(self) -> "ModeSolution":
+        """The solution at the same k under the other local condition, whose
+        native operator is exactly -conj of this one: the `_negated` levels
+        and vectors, collocated without swap."""
+        lams, samples = _negated(self.lams, self.samples)
+        return ModeSolution(self.k, lams, _pairs(self.op, samples, self.k),
+                            self.op, samples)
+
+
+def _negated(lams: Array, samples: tuple) -> tuple[Array, tuple]:
+    """Levels (ascending) and staggered eigenvectors of -conj of an operator
+    from its own: -lams reversed, conjugate vectors."""
+    return -lams[::-1], tuple((-lam, np.conj(p), np.conj(q))
+                              for lam, p, q in samples)
 
 
 def _phase_norm_scale(field_values: Array) -> complex:
@@ -744,7 +819,8 @@ def solve_mode(surface: WarpedSurface, k: float, bc: BoundaryConditionSpec,
                N: int, n_fields: int = 4, n_levels: int | None = None
                ) -> ModeSolution:
     """Eigen-solve one mode; a negative mode is the mirror of the native
-    solve at |k| (`ModeSolution.mirrored`).
+    solve at |k| (`ModeSolution.mirrored`), and local- the negation of the
+    local+ solve at the same k (`ModeSolution.negated`).
 
     n_levels=None keeps every eigenvalue; otherwise only the n_levels
     smallest |lambda| (at least n_fields) are computed.
@@ -753,6 +829,9 @@ def solve_mode(surface: WarpedSurface, k: float, bc: BoundaryConditionSpec,
         raise ConfigError("solve_mode needs a boundary condition")
     if k < 0:
         return solve_mode(surface, -k, bc, N, n_fields, n_levels).mirrored()
+    if bc.variant == "local-":
+        return solve_mode(surface, k, BoundaryConditionSpec("local+"), N,
+                          n_fields, n_levels).negated()
     op = ModeOperator(surface, k, N, bc=bc)
     vals, wv, vec = op.eigensystem(n_vectors=n_fields, n_values=n_levels)
     samples = tuple((float(lam), *op.expand(vec[:, col]))
@@ -794,6 +873,29 @@ class Spectrum:
         sel = self.levels[np.abs(self.levels[:, 1] - k) < 1e-9]
         return np.sort(sel[:, 0])
 
+    def negated(self) -> "Spectrum":
+        """The spectrum under the other local condition, bit for bit what
+        `aggregate` gives there: every level negated (`solve_mode`), the
+        order settled again.  Spectra without fields only."""
+        if not self.bc.is_local or self.eigenpairs:
+            raise ValueError("only a local spectrum without fields negates")
+        other = "local-" if self.bc.variant == "local+" else "local+"
+        return _spectrum(self.surface, BoundaryConditionSpec(other),
+                         self.n_grid, self.k_max,
+                         self.levels * np.array([-1.0, 1.0]), [])
+
+
+def _spectrum(surface: WarpedSurface, bc: BoundaryConditionSpec, N: int,
+              k_max: float, levels: Array, pairs: list) -> Spectrum:
+    """Spectrum of (lambda, k) rows and eigenpairs in the fixed order
+    (|lambda|, k, sign)."""
+    order = np.lexsort((np.sign(levels[:, 0]), levels[:, 1], np.abs(levels[:, 0])))
+    levels = levels[order]
+    pairs.sort(key=lambda e: (abs(e.lam), e.k, np.sign(e.lam)))
+    top = float(np.max(np.abs(levels[:, 1])))
+    attained = bool(abs(abs(levels[0, 1]) - top) < 1e-9)
+    return Spectrum(surface, bc, N, k_max, levels, tuple(pairs), attained)
+
 
 def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
               k_max: float = 12.5, N: int = 256,
@@ -806,7 +908,8 @@ def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
     fields).  Each |k| is solved once, natively; mode -k is the exact
     mirror of that solution, so a +-lambda tie between the two modes is
     exact and the (|lambda|, k, sign) order settles it the same way
-    everywhere.  Modes merge in fixed order, so results are deterministic.
+    everywhere.  Under local- every solve is the negated local+ one.  Modes
+    merge in fixed order, so results are deterministic.
     """
     modes = modes_for(surface, k_max)
     native: dict = {}
@@ -822,12 +925,7 @@ def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
     for sol in sols:
         rows.append(np.column_stack([sol.lams, np.full(len(sol.lams), sol.k)]))
         pairs.extend(sol.pairs)
-    levels = np.vstack(rows)
-    order = np.lexsort((np.sign(levels[:, 0]), levels[:, 1], np.abs(levels[:, 0])))
-    levels = levels[order]
-    pairs.sort(key=lambda e: (abs(e.lam), e.k, np.sign(e.lam)))
-    attained = bool(abs(abs(levels[0, 1]) - max(abs(m) for m in modes)) < 1e-9)
-    return Spectrum(surface, bc, N, k_max, levels, tuple(pairs), attained)
+    return _spectrum(surface, bc, N, k_max, np.vstack(rows), pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -387,13 +387,19 @@ def parse_radial_spec(spec: str, r_min: float, r_max: float) -> RadialFunction:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def _panel_integral(fn, a: Array, b: Array) -> Array:
-    """8-point Gauss-Legendre of fn over [a, b] (vectorized over panels)."""
+def _panel_nodes(a: Array, b: Array) -> tuple[Array, Array]:
+    """8-point Gauss-Legendre nodes (..., 8) of the panels [a, b] and the
+    panels' half widths."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    x = mid[..., None] + half[..., None] * _GL_NODES
+    return mid[..., None] + half[..., None] * _GL_NODES, half
+
+
+def _panel_integral(fn, a: Array, b: Array) -> Array:
+    """8-point Gauss-Legendre of fn over [a, b] (vectorized over panels)."""
+    x, half = _panel_nodes(a, b)
     return half * (fn(x) @ _GL_WEIGHTS)
 
 
@@ -494,18 +500,36 @@ class ConformalRescaling:
         return RadialFunction(val, d1, d2)
 
 
+# The rescaled surface is computed with e^{+-u} and e^{+-2u} (the target
+# profile's derivatives, the conformal laws), so |2u| must stay below the
+# log of the largest double.  And e^{2u} must vary by less than 1/eps over
+# the surface: past that the short end of the rescaled surface falls below
+# the roundoff of its long end, and its arclength table and curvature no
+# longer resolve it.
+_LOG_MAX = float(np.log(np.finfo(float).max))
+_LOG_INV_EPS = float(-np.log(np.finfo(float).eps))
+
+
 def _arclength_edges(surface: WarpedSurface, u: RadialFunction,
                      n_panels: int) -> tuple[Array, Array]:
-    """Equal panels in r and the arclength s = int e^u dr at their edges."""
+    """Equal panels in r and the arclength s = int e^u dr at their edges.
+
+    u is checked at the quadrature nodes: e^{+-2u} must be finite there and
+    e^{2u} must vary by less than 1/eps, else ConfigError."""
     edges_r = np.linspace(surface.r_min, surface.r_max, n_panels + 1)
-    eu = lambda x: np.exp(u(x))
+    x, half = _panel_nodes(edges_r[:-1], edges_r[1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        panel = _panel_integral(eu, edges_r[:-1], edges_r[1:])
-        edges_s = np.concatenate([[0.0], np.cumsum(panel)])
-    if not (np.all(np.isfinite(edges_s)) and np.all(panel > 0)):
-        raise ConfigError("conformal factor e^u is not finite and positive "
-                          "on the surface")
-    return edges_r, edges_s
+        ux = u(x)
+    if not np.all(np.isfinite(ux)):
+        raise ConfigError("conformal factor u is not finite on the surface")
+    lo, hi = float(np.min(ux)), float(np.max(ux))
+    if 2 * max(hi, -lo) > _LOG_MAX or 2 * (hi - lo) > _LOG_INV_EPS:
+        raise ConfigError(
+            f"conformal factor u ranges over [{lo:.6g}, {hi:.6g}] on the "
+            f"surface; e^(2u) must stay in double range and vary by less than "
+            f"e^{_LOG_INV_EPS:.4g} = 1/eps")
+    panel = half * (np.exp(ux) @ _GL_WEIGHTS)
+    return edges_r, np.concatenate([[0.0], np.cumsum(panel)])
 
 
 def conformal_rescale(surface: WarpedSurface, u: RadialFunction,

@@ -353,13 +353,10 @@ def _modified_gradient(field: SpinorField, lam, variant: str,
 
 
 def modified_gradient_norm(field: SpinorField, lam, variant: str = "gcm",
-                           mp: ModifierPair = ModifierPair(),
-                           assume_eigen: bool = True) -> IdentityReport:
+                           mp: ModifierPair = ModifierPair()) -> IdentityReport:
     """|grad^{a,u} phi|^2 evaluated two ways: from the twist definition and
-    from its algebraic expansion; returns the integrated mismatch.
-
-    With assume_eigen=False (gcm only) the expansion keeps the cross terms,
-    so it is an identity for arbitrary smooth fields, not just eigenspinors.
+    from its algebraic expansion for an eigenspinor; returns the integrated
+    mismatch.
     """
     q_tensor = energy_momentum(field) if variant == "emtm" else None
     d1, d2 = _modified_gradient(field, lam, variant, mp, q_tensor)
@@ -381,26 +378,13 @@ def modified_gradient_norm(field: SpinorField, lam, variant: str = "gcm",
 
     if variant == "emtm":
         expansion = base - q_tensor.norm_sq * phi_sq
-    elif assume_eigen:
-        expansion = base - lam_arr ** 2 / DIM * phi_sq
     else:
-        # pre-collapse expansion, valid for arbitrary smooth fields: keeps the
-        # cross terms that the eigenspinor relation would eliminate, namely
-        # (2 lam/n) Re(grad_i phi, e^i phi) and a du(e_r) Re(e^1 . D phi, phi)
-        cross = np.real(np.sum(np.conj(g1) * _apply_matrix(phi, FRAME.g1), axis=1)
-                        + np.sum(np.conj(g2) * _apply_matrix(phi, FRAME.g2), axis=1))
-        dphi = apply_dirac(field)
-        dcross = np.real(np.sum(np.conj(_apply_matrix(dphi, FRAME.g1)) * phi, axis=1))
-        expansion = (grad_sq + lam_arr ** 2 / DIM * phi_sq
-                     + av ** 2 * (1 - 1 / DIM) * up ** 2 * phi_sq
-                     + av * up * d_phi_sq + 2 * lam_arr / DIM * cross
-                     + av * up * dcross)
+        expansion = base - lam_arr ** 2 / DIM * phi_sq
 
     left = volume_integral(field, direct_density)
     right = volume_integral(field, expansion)
     return IdentityReport(f"modified_gradient_norm:{variant}", left, right,
-                          field.n_grid, expected_order=2.0,
-                          extra={"assume_eigen": assume_eigen})
+                          field.n_grid, expected_order=2.0)
 
 
 # ---------------------------------------------------------------------------

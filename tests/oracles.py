@@ -173,6 +173,46 @@ def richardson_order(values, ns) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the un-collapsed modified-gradient expansion
+# ---------------------------------------------------------------------------
+
+def modified_gradient_general_residual(field, lam, mp) -> float:
+    """|grad^{a,u} phi|^2 integrated two ways for an arbitrary smooth field.
+
+    The direct side is the package's twisted derivative (gcm variant).  The
+    expansion keeps the cross terms that the eigenspinor relation would
+    eliminate, (2 lam/n) Re(grad_i phi, e^i phi) and a du(e_r)
+    Re(e^1 . D phi, phi), so the two agree for any field and any lambda up
+    to discretization error.  Returns |direct - expansion|.
+    """
+    from spinspec.geometry import DIM
+    from spinspec.identities import (_apply_matrix, _modified_gradient,
+                                     _radial_derivative, apply_dirac,
+                                     spinor_gradient, volume_integral)
+    from spinspec.spin_algebra import FRAME
+
+    d1, d2 = _modified_gradient(field, lam, "gcm", mp)
+    direct = np.sum(np.abs(d1) ** 2 + np.abs(d2) ** 2, axis=1)
+
+    g1, g2 = spinor_gradient(field)
+    phi = field.values
+    phi_sq = np.sum(np.abs(phi) ** 2, axis=1)
+    grad_sq = np.sum(np.abs(g1) ** 2 + np.abs(g2) ** 2, axis=1)
+    av, up = mp.a(field.r), mp.u.d(field.r)
+    d_phi_sq = _radial_derivative(field, phi_sq[:, None])[:, 0]
+    cross = np.real(np.sum(np.conj(g1) * _apply_matrix(phi, FRAME.g1), axis=1)
+                    + np.sum(np.conj(g2) * _apply_matrix(phi, FRAME.g2), axis=1))
+    dcross = np.real(np.sum(np.conj(_apply_matrix(apply_dirac(field), FRAME.g1))
+                            * phi, axis=1))
+    expansion = (grad_sq + lam ** 2 / DIM * phi_sq
+                 + av ** 2 * (1 - 1 / DIM) * up ** 2 * phi_sq
+                 + av * up * d_phi_sq + 2 * lam / DIM * cross
+                 + av * up * dcross)
+    return abs(volume_integral(field, direct)
+               - volume_integral(field, expansion))
+
+
+# ---------------------------------------------------------------------------
 # scalar reference inverse of the conformal arclength map
 # ---------------------------------------------------------------------------
 

@@ -339,6 +339,42 @@ def test_overflowing_input_prints_one_line(tmp_path):
     assert proc.stderr.startswith("config error:")
 
 
+@pytest.mark.parametrize("factor", ["poly:0,300", "bump:700"])
+def test_conformal_factor_beyond_double_range_exits_2(factor, tmp_path):
+    """A factor u whose e^(2u) overflows (bump:700) or spans more than 1/eps
+    over the surface (poly:0,300: e^600, where the rescaled surface's pole
+    test swallowed the grid and the curvature law read 2.5e+241) is refused
+    with one config-error line, before any identity is evaluated."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinspec.cli", "verify", "--geometry", "disk",
+         "--N", "16", "--kmax", "0.5", "--conformal-u", factor,
+         "--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("config error: conformal factor u")
+
+
+def test_local_minus_spectrum_alone_matches_the_shared_solve(tmp_path):
+    """`spectrum` serves each local condition from the other's solve when
+    both are asked for; every file is byte-identical to a run of that
+    condition alone."""
+    base = ["spectrum", "--geometry", "annulus:0.5,1.0", "--N", "32,40",
+            "--kmax", "2.5", "--out"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(base + [str(tmp_path / "both"), "--bc", "local+,local-"]) == 0
+        assert run(base + [str(tmp_path / "minus"), "--bc", "local-"]) == 0
+        assert run(base + [str(tmp_path / "plus"), "--bc", "local+"]) == 0
+    for bc in ("localminus", "localplus"):
+        alone = "minus" if bc == "localminus" else "plus"
+        for N in (32, 40):
+            name = f"spectrum_{bc}_N{N}.csv"
+            assert read(tmp_path / "both" / name) == read(tmp_path / alone / name)
+
+
 def _mostly(valid, *bad):
     """`valid` in nine draws of ten, else one of the `bad` values."""
     return st.sampled_from([True] * 9 + [False]).flatmap(

@@ -11,8 +11,8 @@ from scipy.linalg import eigvals_banded, eigvalsh_tridiagonal
 from spinspec import (FRAME, BoundaryConditionSpec, ConfigError, ModeOperator,
                       aggregate, boundary_dirac_matrix, convergence_study,
                       make_surface, modes_for, solve_mode)
-from spinspec.dirac_core import (NumericalError, _closures, _collocate,
-                                 _tridiagonal_block)
+from spinspec.dirac_core import (NumericalError, _bipartite_values, _closures,
+                                 _collocate, _tridiagonal_block)
 
 GEOMS = ("disk", "annulus:0.5,1.0", "cylinder:2.0", "hemisphere", "cap:pi/3")
 BCS = ("local+", "local-", "aps-", "aps+")
@@ -164,6 +164,38 @@ def test_selective_values_are_lowest_of_full(geom, bc):
             ref = np.sort(full[by_size[:len(low)]])
             assert len(low) >= m
             assert maxabs(low - ref) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("geom,bc", list(product(GEOMS, ("aps-", "aps+"))))
+def test_bipartite_full_spectrum_matches_dense(geom, bc):
+    """The full spectrum of an APS mode comes from the dqds singular values
+    of its bidiagonal: with the spurious structural zero deflated, it is the
+    spectrum of the dense reference assembly.  Every APS operator here has
+    odd n, padded by one exact zero; the even-n branch is checked on the
+    form with its last index cut off, against eigvalsh of that matrix."""
+    surface = make_surface(geom)
+    spec = BoundaryConditionSpec(bc)
+    for k in (0.5, 2.5):
+        for N in (16, 33):
+            op = ModeOperator(surface, k, N, bc=spec)
+            ref = np.linalg.eigvalsh(
+                oracles.DenseModeOperator(surface, k, N, spec).matrix)
+            scale = maxabs(ref)
+            n_zero, kind = op.structural_zeros
+            if kind == "spurious":
+                by_size = np.argsort(np.abs(ref), kind="stable")
+                ref = np.sort(ref[by_size[n_zero:]])
+            vals = op.eigensystem()[0]
+            assert len(vals) == len(ref)
+            assert maxabs(vals - ref) <= 1e-13 * scale
+            d, e = op.tridiagonal()
+            assert len(d) % 2 == 1
+            for n in (len(d), len(d) - 1):
+                t = np.diag(e[:n - 1], 1) + np.diag(e[:n - 1], -1)
+                got = np.sort(_bipartite_values(e[:n - 1]))
+                assert len(got) == n
+                assert maxabs(got - np.linalg.eigvalsh(t)) <= 1e-13 * scale
+                assert np.sum(got == 0.0) == n % 2
 
 
 def test_tridiagonal_reduction_refuses_leftover_entries():
@@ -559,6 +591,63 @@ def test_local_fundamental_sign_is_settled(N):
             assert abs(abs(sp.lambda_min) - 1.0) <= 1e-3
             assert sp.fundamental.lam == sp.lambda_min
             assert sp.fundamental.k == -0.5
+
+
+@pytest.mark.parametrize("geom", GEOMS)
+def test_local_minus_is_the_negated_local_plus_solve(geom):
+    """solve_mode serves local- from the local+ solve at the same k (its
+    operator is exactly -conj of the local+ one): an independent solve of
+    the native local- operator gives the same levels and fields."""
+    surface = make_surface(geom)
+    spec = BoundaryConditionSpec("local-")
+    for k in (0.5, 2.5):
+        for n_levels in (None, 4):
+            sol = solve_mode(surface, k, spec, 48, n_fields=2,
+                             n_levels=n_levels)
+            op = ModeOperator(surface, k, 48, bc=spec)
+            vals, wanted, vecs = op.eigensystem(n_vectors=2, n_values=n_levels)
+            scale = maxabs(vals)
+            assert maxabs(sol.lams - vals) <= 1e-12 * scale
+            fields = sorted(((lam, _collocate(op, *op.expand(y), swap=False))
+                             for lam, y in zip(wanted, vecs.T)),
+                            key=lambda f: (abs(f[0]), f[0]))
+            assert len(sol.pairs) == len(fields) == 2
+            for pair, (lam, field) in zip(sol.pairs, fields):
+                assert pair.k == field.k == k
+                assert abs(pair.lam - lam) <= 1e-12 * scale
+                big = maxabs(field.values)
+                assert maxabs(pair.field.values - field.values) <= 1e-12 * big
+                for w in surface.boundaries:
+                    assert maxabs(pair.field.trace(w) - field.trace(w)) \
+                        <= 1e-12 * big
+
+
+@pytest.mark.parametrize("geom", GEOMS)
+def test_local_minus_levels_are_negated_local_plus(geom):
+    """aggregate(local-) is aggregate(local+) with every level negated and
+    the (|lambda|, k, sign) order settled again, bit for bit; so is
+    Spectrum.negated, both ways."""
+    surface = make_surface(geom)
+    plus_bc, minus_bc = (BoundaryConditionSpec(b) for b in ("local+", "local-"))
+    for n_levels in (None, 2):
+        plus = aggregate(surface, plus_bc, 2.5, 40, n_fields_per_mode=0,
+                         n_levels=n_levels)
+        minus = aggregate(surface, minus_bc, 2.5, 40, n_fields_per_mode=0,
+                          n_levels=n_levels)
+        flipped = plus.levels * np.array([-1.0, 1.0])
+        order = np.lexsort((np.sign(flipped[:, 0]), flipped[:, 1],
+                            np.abs(flipped[:, 0])))
+        assert np.array_equal(minus.levels, flipped[order])
+        twin = plus.negated()
+        assert twin.bc == minus_bc and twin.n_grid == 40
+        assert np.array_equal(twin.levels, minus.levels)
+        assert twin.kmax_attained == minus.kmax_attained
+        assert np.array_equal(minus.negated().levels, plus.levels)
+    with pytest.raises(ValueError):
+        aggregate(surface, plus_bc, 0.5, 32, n_fields_per_mode=1).negated()
+    with pytest.raises(ValueError):
+        aggregate(surface, BoundaryConditionSpec("aps-"), 0.5, 32,
+                  n_fields_per_mode=0).negated()
 
 
 @pytest.mark.parametrize("geom", GEOMS)

@@ -1,7 +1,8 @@
 """Golden scenario outputs: every checked-in scenario, rerun at reduced size,
 must reproduce the reference files under tests/golden/.  `verify` and
-`bounds` run on every scenario, `spectrum` on hemisphere_limiting and
-`convergence` on disk_oracle and hemisphere_aps_gap.
+`bounds` run on every scenario, `spectrum` and `convergence` on
+hemisphere_aps_gap, `spectrum` on hemisphere_limiting and `convergence` on
+disk_oracle.
 
 Compared exactly: the file set, keys and their order, entry order, strings,
 `passed`/`feasible` flags, integers and exit codes.  Compared to 1e-12
@@ -34,7 +35,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SCENARIOS = sorted(p.stem for p in (ROOT / "scenarios").glob("*.json"))
 CASES = [(s, c) for s in SCENARIOS for c in ("verify", "bounds")] + [
     ("hemisphere_limiting", "spectrum"), ("disk_oracle", "convergence"),
-    ("hemisphere_aps_gap", "convergence")]
+    ("hemisphere_aps_gap", "convergence"), ("hemisphere_aps_gap", "spectrum")]
 
 REL = 1e-12
 IDENTITY_FLOOR = 1e-12
