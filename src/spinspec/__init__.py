@@ -11,9 +11,9 @@ from .bounds import (BoundEntry, BoundReport, ModifierPair, OptimizerResult,
                      evaluate_bounds, feasibility_margin, modified_scalar,
                      optimize_modifiers)
 from .dirac_core import (BC_VARIANTS, BoundaryConditionSpec, Eigenpair,
-                         FourierMode, ModeOperator, NumericalError, Spectrum,
-                         aggregate, boundary_dirac_matrix, convergence_study,
-                         modes_for, solve_mode)
+                         ModeOperator, NumericalError, Spectrum, aggregate,
+                         boundary_dirac_matrix, convergence_study, modes_for,
+                         solve_mode)
 from .geometry import (DIM, BoundaryData, ConfigError, ConformalRescaling,
                        RadialFunction, WarpedSurface, boundary_data, catalog,
                        conformal_law_residuals, conformal_rescale,

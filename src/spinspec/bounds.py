@@ -26,8 +26,9 @@ them from a precomputed spline basis, so both paths share one copy of each
 formula.
 
 The sup over (a, u) is explored with derivative-free Nelder-Mead over cubic
-spline coefficients, feasibility enforced by an exact penalty; the result is
-a certified-feasible best iterate, never claimed globally optimal.  A spline
+spline coefficients, feasibility enforced by charging _PENALTY per unit of
+margin deficit; the result is a certified-feasible best iterate, never
+claimed globally optimal.  A spline
 through fixed knots is linear in its control values, so each optimizer call
 evaluates the not-a-knot cardinal splines once (values and two derivatives
 on the grid, values and slopes on the boundary circles) and every objective
@@ -61,6 +62,7 @@ FRIEDRICH = DIM / (4 * (DIM - 1))
 
 TOL_REPORT = 5e-3   # discretization slack folded into pass/fail margins
 TOL_FEAS = 1e-9     # feasibility margins this negative still count as boundary cases
+_PENALTY = 1e3      # optimizer objective cost per unit of feasibility deficit
 
 _ZERO = RadialFunction.constant(0.0)
 
@@ -391,13 +393,12 @@ def _basis_measure(surface: WarpedSurface, variant: str, n_ctrl: int,
 
 def optimize_modifiers(surface: WarpedSurface, variant: str = "interior",
                        budget: int = 1200, n_ctrl: int = 8,
-                       n_grid: int = 256,
-                       penalty: float = 1e3) -> OptimizerResult:
+                       n_grid: int = 256) -> OptimizerResult:
     """Maximize inf R_{a,u} (or inf R^_{a,u}) over spline modifier pairs.
 
-    Nelder-Mead on the 2*n_ctrl spline coefficients with an exact penalty on
-    the feasibility margin; every evaluation runs on the spline basis that
-    _basis_measure builds once per call.  The a = 0 baseline is always
+    Nelder-Mead on the 2*n_ctrl spline coefficients, an infeasible point
+    charged _PENALTY per unit of margin deficit; every evaluation runs on
+    the spline basis that _basis_measure builds once per call.  The a = 0 baseline is always
     evaluated first and the returned pair can never be worse than it; if no
     feasible point shows up within the budget the baseline is returned with
     a flag.
@@ -416,7 +417,7 @@ def optimize_modifiers(surface: WarpedSurface, variant: str = "interior",
 
     def objective(params: Array) -> float:
         point = measure(params)
-        return -point.value + penalty * max(0.0, -point.margin)
+        return -point.value + _PENALTY * max(0.0, -point.margin)
 
     x0 = np.zeros(2 * n_ctrl)
     baseline = measure(x0)

@@ -113,21 +113,18 @@ class BoundaryConditionSpec:
         return self.variant.startswith("aps")
 
 
-@dataclass(frozen=True)
-class FourierMode:
-    k: float
-
-    def validate(self, surface: WarpedSurface) -> None:
-        two_k = 2 * self.k
-        if abs(two_k - round(two_k)) > 1e-12:
-            raise ConfigError(f"mode {self.k} is not half-integral")
-        odd = int(round(two_k)) % 2 != 0
-        if surface.spin_structure == "antiperiodic" and not odd:
-            raise ConfigError(f"mode {self.k} incompatible with the "
-                              "antiperiodic spin structure")
-        if surface.spin_structure == "periodic" and odd:
-            raise ConfigError(f"mode {self.k} incompatible with the "
-                              "periodic spin structure")
+def _check_mode(surface: WarpedSurface, k: float) -> None:
+    """ConfigError unless k is a wave number of the surface's spin structure."""
+    two_k = 2 * k
+    if abs(two_k - round(two_k)) > 1e-12:
+        raise ConfigError(f"mode {k} is not half-integral")
+    odd = int(round(two_k)) % 2 != 0
+    if surface.spin_structure == "antiperiodic" and not odd:
+        raise ConfigError(f"mode {k} incompatible with the "
+                          "antiperiodic spin structure")
+    if surface.spin_structure == "periodic" and odd:
+        raise ConfigError(f"mode {k} incompatible with the "
+                          "periodic spin structure")
 
 
 def modes_for(surface: WarpedSurface, k_max: float) -> list[float]:
@@ -149,7 +146,7 @@ def boundary_dirac_matrix(surface: WarpedSurface, boundary_id: str,
     mode is (ik/f_b) e^2 . ; Clifford action of the outward normal gives the
     self-adjoint e0 . D^boundary, whose eigenvalues are +-k/f_b.
     """
-    FourierMode(k).validate(surface)
+    _check_mode(surface, k)
     bd = boundary_data(surface, boundary_id)
     d_bnd = (1j * k / bd.radius) * FRAME.g2
     e0 = FRAME.covector((bd.outward_sign, 0.0))
@@ -159,6 +156,15 @@ def boundary_dirac_matrix(surface: WarpedSurface, boundary_id: str,
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
+
+# (inner, outer) closures of each condition at k != 0; None is the no-BC
+# realization
+_END_CLOSURES = {None: (("qdir", None), ("qdir", None)),
+                 "local+": (("local", 1j), ("local", -1j)),
+                 "local-": (("local", -1j), ("local", 1j)),
+                 "aps-": (("qdir", None), ("pdir", None)),
+                 "aps+": (("pdir", None), ("qdir", None))}
+
 
 def _closures(surface: WarpedSurface, k: float,
               bc: BoundaryConditionSpec | None) -> dict:
@@ -170,31 +176,10 @@ def _closures(surface: WarpedSurface, k: float,
     'pdir'  : extrapolated center component vanishes, vertex value free
     'both'  : qdir and pdir together (APS at a mode where e0.D_bnd = 0)
     """
-    out = {}
-    if surface.cap:
-        out["inner"] = ("pole", None)
-    elif bc is None:
-        out["inner"] = ("qdir", None)
-    elif bc.variant == "local+":
-        out["inner"] = ("local", 1j)
-    elif bc.variant == "local-":
-        out["inner"] = ("local", -1j)
-    elif bc.variant == "aps-":
-        out["inner"] = ("both", None) if k == 0 else ("qdir", None)
-    else:  # aps+
-        out["inner"] = ("both", None) if k == 0 else ("pdir", None)
-
-    if bc is None:
-        out["outer"] = ("qdir", None)
-    elif bc.variant == "local+":
-        out["outer"] = ("local", -1j)
-    elif bc.variant == "local-":
-        out["outer"] = ("local", 1j)
-    elif bc.variant == "aps-":
-        out["outer"] = ("both", None) if k == 0 else ("pdir", None)
-    else:
-        out["outer"] = ("both", None) if k == 0 else ("qdir", None)
-    return out
+    inner, outer = _END_CLOSURES[None if bc is None else bc.variant]
+    if bc is not None and bc.is_aps and k == 0:
+        inner = outer = ("both", None)
+    return {"inner": ("pole", None) if surface.cap else inner, "outer": outer}
 
 
 # End windows of the interleaved layout: 7 dofs hold each end's constraint
@@ -394,7 +379,7 @@ class ModeOperator:
     def __post_init__(self):
         if self.n_grid < 16:
             raise ConfigError("N too small: need at least 16 radial cells")
-        FourierMode(self.k).validate(self.surface)
+        _check_mode(self.surface, self.k)
         if self.k < 0:
             raise ConfigError("ModeOperator assembles native modes k >= 0; "
                               "negative modes are solved by component swap")
@@ -746,30 +731,27 @@ class ModeSolution:
 
     def mirrored(self) -> "ModeSolution":
         """The solution at -k, whose native operator is this one under
-        aps+- and exactly -conj of it (band and end bases) under local+-:
-        same levels and vectors, or the `_negated` ones; the fields take
-        their components swapped back.
-        """
-        k, lams, samples = -self.k, self.lams, self.samples
-        if self.op.bc.is_local:
-            lams, samples = _negated(lams, samples)
-        return ModeSolution(k, lams, _pairs(self.op, samples, k), self.op,
-                            samples)
+        aps+- and exactly -conj of it (band and end bases) under local+-;
+        the fields take their components swapped back."""
+        return self._image(-self.k, negate=self.op.bc.is_local)
 
     def negated(self) -> "ModeSolution":
         """The solution at the same k under the other local condition, whose
-        native operator is exactly -conj of this one: the `_negated` levels
-        and vectors, collocated without swap."""
-        lams, samples = _negated(self.lams, self.samples)
-        return ModeSolution(self.k, lams, _pairs(self.op, samples, self.k),
-                            self.op, samples)
+        native operator is exactly -conj of this one; collocated without
+        swap."""
+        return self._image(self.k, negate=True)
 
-
-def _negated(lams: Array, samples: tuple) -> tuple[Array, tuple]:
-    """Levels (ascending) and staggered eigenvectors of -conj of an operator
-    from its own: -lams reversed, conjugate vectors."""
-    return -lams[::-1], tuple((-lam, np.conj(p), np.conj(q))
-                              for lam, p, q in samples)
+    def _image(self, k: float, negate: bool) -> "ModeSolution":
+        """This solve reported at mode k: the same levels and vectors, or with
+        `negate` those of -conj of the operator (-lams reversed, conjugate
+        vectors)."""
+        lams, samples = self.lams, self.samples
+        if negate:
+            lams = -lams[::-1]
+            samples = tuple((-lam, np.conj(p), np.conj(q))
+                            for lam, p, q in samples)
+        return ModeSolution(k, lams, _pairs(self.op, samples, k), self.op,
+                            samples)
 
 
 def _phase_norm_scale(field_values: Array) -> complex:
@@ -932,15 +914,17 @@ def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
 # convergence studies
 # ---------------------------------------------------------------------------
 
+DRIFT_TOL = 1e-3    # |lambda_min| drift of a converged convergence study
+
+
 def convergence_study(surface: WarpedSurface, bc: BoundaryConditionSpec,
-                      Ns: list[int], k_max: float = 2.5,
-                      drift_tol: float = 1e-3) -> list[dict]:
+                      Ns: list[int], k_max: float = 2.5) -> list[dict]:
     """|lambda_min| versus N with Richardson order estimates.
 
     The magnitude is tracked because the fundamental level often comes as a
     +-pair.  Only the lowest level of each mode is computed.  Needs at least
     three ascending grid sizes for an order estimate; the 'converged' flag
-    records drift below drift_tol between the last two.
+    records drift below DRIFT_TOL between the last two.
     """
     if len(Ns) < 3:
         raise ConfigError("convergence study needs at least 3 grid sizes")
@@ -957,7 +941,7 @@ def convergence_study(surface: WarpedSurface, bc: BoundaryConditionSpec,
             if d2 > 0 and d1 > 0:
                 order = float(np.log(d1 / d2)
                               / np.log(Ns[i] / Ns[i - 1]))
-        converged = i == len(Ns) - 1 and abs(lams[i] - lams[i - 1]) < drift_tol
+        converged = i == len(Ns) - 1 and abs(lams[i] - lams[i - 1]) < DRIFT_TOL
         rows.append({"N": N, "lambda_min": lam, "order": order,
                      "converged": bool(converged)})
     return rows

@@ -18,9 +18,11 @@ A conformal rescaling g -> e^{2u} g with radial u stays inside the warped
 class after the arclength reparametrization s(r) = int e^u dr, with new
 profile f~(s) = e^{u(r)} f(r).  `conformal_rescale` builds the target
 surface with analytic chain-rule derivatives, so transformation-law
-residuals are limited only by roundoff for analytic profiles.  s(r) is
-Gauss-Legendre quadrature on equal panels in r; its inverse r(s) runs a
-Newton iteration, safeguarded by bisection inside each point's panel, on all
+residuals are limited only by roundoff for analytic profiles.  The map is
+one `ConformalRescaling`: source, u, target and the table of s at the edges
+of equal panels in r.  s(r) is Gauss-Legendre quadrature on those panels
+(`_arclength`); its inverse r(s) (`_arclength_inverse`) runs a Newton
+iteration, safeguarded by bisection inside each point's panel, on all
 points at once, and agrees with a per-point brentq root to 1e-14 (1 + |r|).
 """
 
@@ -403,29 +405,26 @@ def _panel_integral(fn, a: Array, b: Array) -> Array:
     return half * (fn(x) @ _GL_WEIGHTS)
 
 
-def _s_of_r_map(u: RadialFunction, edges_r: Array, edges_s: Array):
-    eu = lambda x: np.exp(u(x))
-
-    def s_of_r(r) -> Array:
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r1 = np.atleast_1d(r)
-        idx = np.clip(np.searchsorted(edges_r, r1, side="right") - 1,
-                      0, len(edges_r) - 2)
-        s = edges_s[idx] + _panel_integral(eu, edges_r[idx], r1)
-        return float(s[0]) if scalar else s
-
-    return s_of_r
+def _arclength(u: RadialFunction, edges_r: Array, edges_s: Array,
+               r) -> Array:
+    """s = int e^u dr: the table at r's panel's left edge plus one quadrature."""
+    r = np.asarray(r, dtype=float)
+    r1 = np.atleast_1d(r)
+    idx = np.clip(np.searchsorted(edges_r, r1, side="right") - 1,
+                  0, len(edges_r) - 2)
+    s = edges_s[idx] + _panel_integral(lambda x: np.exp(u(x)), edges_r[idx], r1)
+    return float(s[0]) if r.ndim == 0 else s
 
 
-# Cap on the Newton sweeps of `r_of_s`.  Each rejected step bisects the
-# point's bracket inside its panel, so the cap is far past roundoff; finite
-# input stops after about three sweeps.
+# Cap on the Newton sweeps of `_arclength_inverse`.  Each rejected step
+# bisects the point's bracket inside its panel, so the cap is far past
+# roundoff; finite input stops after about three sweeps.
 _NEWTON_SWEEPS = 60
 
 
-def _r_of_s_map(u: RadialFunction, edges_r: Array, edges_s: Array):
-    """Inverse of `_s_of_r_map`, vectorized over all points at once.
+def _arclength_inverse(u: RadialFunction, edges_r: Array, edges_s: Array,
+                       s) -> Array:
+    """Inverse of `_arclength`, vectorized over all points at once.
 
     Each point is bracketed by its panel [edges_r[j], edges_r[j+1]] and starts
     from the linear interpolant there; every sweep evaluates
@@ -434,57 +433,52 @@ def _r_of_s_map(u: RadialFunction, edges_r: Array, edges_s: Array):
     step leaves it.  The panel is the first whose right edge reaches s, so
     its arclength width is positive even where e^u is negligible.
     """
-    smax = float(edges_s[-1])
-    last = len(edges_s) - 2
     eu = lambda x: np.exp(u(x))
-
-    def r_of_s(s) -> Array:
-        s = np.asarray(s, dtype=float)
-        if np.any(np.isnan(s)):
-            raise ValueError("r_of_s: arclength is NaN")
-        target = np.clip(np.atleast_1d(s).ravel(), 0.0, smax)
-        j = np.clip(np.searchsorted(edges_s, target) - 1, 0, last)
-        a, s_a = edges_r[j], edges_s[j]
-        lo, hi = a, edges_r[j + 1]
-        r = a + (target - s_a) / (edges_s[j + 1] - s_a) * (hi - a)
-        for _ in range(_NEWTON_SWEEPS):
-            F = s_a + _panel_integral(eu, a, r) - target
-            lo = np.where(F < 0, r, lo)
-            hi = np.where(F > 0, r, hi)
-            step = r - F / eu(r)
-            step = np.where((step < lo) | (step > hi), 0.5 * (lo + hi), step)
-            tol = 1e-15 * (1.0 + np.abs(step))
-            done = np.all((np.abs(step - r) <= tol) | (hi - lo <= tol))
-            r = step
-            if done:
-                break
-        return float(r[0]) if s.ndim == 0 else r.reshape(s.shape)
-
-    return r_of_s
+    s = np.asarray(s, dtype=float)
+    if np.any(np.isnan(s)):
+        raise ValueError("r_of_s: arclength is NaN")
+    target = np.clip(np.atleast_1d(s).ravel(), 0.0, float(edges_s[-1]))
+    j = np.clip(np.searchsorted(edges_s, target) - 1, 0, len(edges_s) - 2)
+    a, s_a = edges_r[j], edges_s[j]
+    lo, hi = a, edges_r[j + 1]
+    r = a + (target - s_a) / (edges_s[j + 1] - s_a) * (hi - a)
+    for _ in range(_NEWTON_SWEEPS):
+        F = s_a + _panel_integral(eu, a, r) - target
+        lo = np.where(F < 0, r, lo)
+        hi = np.where(F > 0, r, hi)
+        step = r - F / eu(r)
+        step = np.where((step < lo) | (step > hi), 0.5 * (lo + hi), step)
+        tol = 1e-15 * (1.0 + np.abs(step))
+        done = np.all((np.abs(step - r) <= tol) | (hi - lo <= tol))
+        r = step
+        if done:
+            break
+    return float(r[0]) if s.ndim == 0 else r.reshape(s.shape)
 
 
 @dataclass(frozen=True)
 class ConformalRescaling:
-    """g -> e^{2u} g realized as a reparametrized warped surface."""
+    """g -> e^{2u} g realized as a reparametrized warped surface, with the
+    arclength s = int e^u dr of the panel edges `edges_r` in `edges_s`."""
 
     source: WarpedSurface
     u: RadialFunction
     target: WarpedSurface
-    _s_of_r: object
-    _r_of_s: object
+    edges_r: Array
+    edges_s: Array
 
     def s_of_r(self, r) -> Array:
-        return self._s_of_r(r)
+        return _arclength(self.u, self.edges_r, self.edges_s, r)
 
     def r_of_s(self, s) -> Array:
-        return self._r_of_s(s)
+        return _arclength_inverse(self.u, self.edges_r, self.edges_s, s)
 
     def pullback(self, g: RadialFunction) -> RadialFunction:
         """Transport a radial function to the target arclength coordinate.
 
         Derivatives use d/ds = e^{-u} d/dr.
         """
-        u, r_of_s = self.u, self._r_of_s
+        u, r_of_s = self.u, self.r_of_s
 
         def val(s):
             return g(r_of_s(s))
@@ -532,36 +526,37 @@ def _arclength_edges(surface: WarpedSurface, u: RadialFunction,
     return edges_r, np.concatenate([[0.0], np.cumsum(panel)])
 
 
-def conformal_rescale(surface: WarpedSurface, u: RadialFunction,
-                      n_panels: int = 512) -> ConformalRescaling:
+_N_PANELS = 512     # equal panels in r of the arclength table
+
+
+def conformal_rescale(surface: WarpedSurface,
+                      u: RadialFunction) -> ConformalRescaling:
     """Build the conformally rescaled surface e^{2u} g in warped form.
 
     The target's arclength coordinate s = int e^u dr is tabulated at the edges
-    of `n_panels` equal panels in r.  r(s) is inverted for all requested s in
+    of `_N_PANELS` equal panels in r.  r(s) is inverted for all requested s in
     one vectorized Newton iteration bracketed by each point's panel (a few
-    sweeps; see `_r_of_s_map`), to 1e-14 (1 + |r|) of a per-point brentq root;
-    s outside [0, s_max] is clamped and NaN raises ValueError.
+    sweeps; see `_arclength_inverse`), to 1e-14 (1 + |r|) of a per-point
+    brentq root; s outside [0, s_max] is clamped and NaN raises ValueError.
     """
-    edges_r, edges_s = _arclength_edges(surface, u, n_panels)
-    s_of_r = _s_of_r_map(u, edges_r, edges_s)
-    r_of_s = _r_of_s_map(u, edges_r, edges_s)
+    edges_r, edges_s = _arclength_edges(surface, u, _N_PANELS)
 
     # target profile in the arclength coordinate s, via chain rule
     def val(s):
-        r = r_of_s(s)
+        r = _arclength_inverse(u, edges_r, edges_s, s)
         return np.exp(u(r)) * surface.f(r)
 
     def d1(s):
-        r = r_of_s(s)
+        r = _arclength_inverse(u, edges_r, edges_s, s)
         return u.d(r) * surface.f(r) + surface.fp(r)
 
     def d2(s):
-        r = r_of_s(s)
+        r = _arclength_inverse(u, edges_r, edges_s, s)
         g = (u.d2(r) * surface.f(r) + u.d(r) * surface.fp(r) + surface.fpp(r))
         return np.exp(-u(r)) * g
 
     def d3(s):
-        r = r_of_s(s)
+        r = _arclength_inverse(u, edges_r, edges_s, s)
         up, upp, uppp = u.d(r), u.d2(r), u.d3(r)
         f, fp, fpp, fppp = (surface.f(r), surface.fp(r), surface.fpp(r),
                             surface.profile.d3(r))
@@ -574,7 +569,7 @@ def conformal_rescale(surface: WarpedSurface, u: RadialFunction,
                            prof, cap=surface.cap,
                            spin_structure=surface.spin_structure,
                            profile_exact=surface.profile_exact)
-    return ConformalRescaling(surface, u, target, s_of_r, r_of_s)
+    return ConformalRescaling(surface, u, target, edges_r, edges_s)
 
 
 def conformal_law_residuals(resc: ConformalRescaling, r: Array) -> dict:

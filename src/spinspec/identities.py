@@ -16,7 +16,6 @@ relative floor (zero-set exclusion, reported, never regularized).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -75,9 +74,6 @@ class SpinorField:
             return 1.5 * v[-1] - 0.5 * v[-2]
         return 1.5 * v[0] - 0.5 * v[1]
 
-    def norm_sq(self) -> float:
-        return float(volume_integral(self, np.sum(np.abs(self.values) ** 2, axis=1)))
-
 
 # ---------------------------------------------------------------------------
 # discrete calculus on a field
@@ -119,10 +115,14 @@ def spinor_gradient(field: SpinorField) -> tuple[Array, Array]:
     return g1, _tangential(field.k, f[:, None], fp[:, None], field.values)
 
 
+def _dirac(g1: Array, g2: Array) -> Array:
+    """e^1 . g1 + e^2 . g2 on gradient components (one spinor per row)."""
+    return _apply_matrix(g1, FRAME.g1) + _apply_matrix(g2, FRAME.g2)
+
+
 def apply_dirac(field: SpinorField) -> Array:
     """D phi = e^1 . nabla_1 phi + e^2 . nabla_2 phi at the cell centers."""
-    g1, g2 = spinor_gradient(field)
-    return _apply_matrix(g1, FRAME.g1) + _apply_matrix(g2, FRAME.g2)
+    return _dirac(*spinor_gradient(field))
 
 
 def boundary_gradient(field: SpinorField, boundary_id: str) -> tuple[Array, Array]:
@@ -177,14 +177,6 @@ def boundary_integral(field: SpinorField, boundary_id: str, value: float) -> flo
     return 2 * np.pi * bd.radius * float(value)
 
 
-def _e0_dirac_trace_pairing(field: SpinorField, boundary_id: str) -> float:
-    """(phi, e^0 . D^boundary phi) at the boundary circle, per mode."""
-    from .dirac_core import boundary_dirac_matrix
-    _, e0d = boundary_dirac_matrix(field.surface, boundary_id, field.k)
-    tb = field.trace(boundary_id)
-    return float(np.real(np.vdot(tb, e0d @ tb)))
-
-
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -209,9 +201,6 @@ class IdentityReport:
         d.update(self.extra)
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 # ---------------------------------------------------------------------------
 # the integral Lichnerowicz identity
@@ -223,37 +212,22 @@ def sl_residual(field: SpinorField, lam: float) -> IdentityReport:
     ∫_bd (phi, e0 . D_bd phi) - (H/2)|phi|^2  =  ∫_M |grad phi|^2
                                                + (R/4)|phi|^2 - |D phi|^2
     """
-    g1, g2 = spinor_gradient(field)
-    dphi = apply_dirac(field)
-    rr = scalar_curvature(field.surface, field.r)
-    grad_sq = np.sum(np.abs(g1) ** 2 + np.abs(g2) ** 2, axis=1)
-    phi_sq = np.sum(np.abs(field.values) ** 2, axis=1)
-    d_sq = np.sum(np.abs(dphi) ** 2, axis=1)
-    integrand = grad_sq + 0.25 * rr * phi_sq - d_sq
+    def density(g1, g2, phi, rr):
+        return (np.sum(np.abs(g1) ** 2 + np.abs(g2) ** 2, axis=1)
+                + 0.25 * rr * np.sum(np.abs(phi) ** 2, axis=1)
+                - np.sum(np.abs(_dirac(g1, g2)) ** 2, axis=1))
 
+    integrand = density(*spinor_gradient(field), field.values,
+                        scalar_curvature(field.surface, field.r))
     bvals = {}
     for which in field.surface.boundaries:
-        bg1, bg2 = boundary_gradient(field, which)
-        tb = field.trace(which)
+        g1, g2 = boundary_gradient(field, which)
         r_b = boundary_data(field.surface, which).r_b
-        rr_b = float(scalar_curvature(field.surface, r_b))
-        db = _apply_matrix(bg1[None, :], FRAME.g1)[0] \
-            + _apply_matrix(bg2[None, :], FRAME.g2)[0]
-        bvals[which] = (np.sum(np.abs(bg1) ** 2 + np.abs(bg2) ** 2)
-                        + 0.25 * rr_b * np.sum(np.abs(tb) ** 2)
-                        - np.sum(np.abs(db) ** 2)).real
+        bvals[which] = density(g1[None], g2[None], field.trace(which)[None],
+                               scalar_curvature(field.surface, r_b))[0]
 
     right = volume_integral(field, integrand, bvals)
-
-    left = 0.0
-    for which in field.surface.boundaries:
-        bd = boundary_data(field.surface, which)
-        tb = field.trace(which)
-        pairing = _e0_dirac_trace_pairing(field, which)
-        left += boundary_integral(field, which,
-                                  pairing - 0.5 * bd.mean_curvature
-                                  * float(np.sum(np.abs(tb) ** 2)))
-
+    left = _boundary_terms(field)
     return IdentityReport("schrodinger_lichnerowicz", left, right,
                           field.n_grid, expected_order=2.0,
                           extra={"lambda": float(np.mean(lam))})
@@ -296,18 +270,18 @@ class EnergyMomentum:
         return self.q[:, 0, 0] + self.q[:, 1, 1]
 
 
-def energy_momentum(field: SpinorField, eps_rel: float = EPS_ZERO_REL) -> EnergyMomentum:
+def energy_momentum(field: SpinorField) -> EnergyMomentum:
     """Q_{ij} = Re(e^i . grad_j phi + e^j . grad_i phi, phi) / (2 |phi|^2).
 
-    Defined only off the zero set; nodes with |phi|^2 below eps_rel * max are
-    excluded and reported, not regularized.
+    Defined only off the zero set; nodes with |phi|^2 below EPS_ZERO_REL * max
+    are excluded and reported, not regularized.
     """
     phi = field.values
     phi_sq = np.sum(np.abs(phi) ** 2, axis=1)
     top = float(np.max(phi_sq))
     if top == 0.0:
         raise VanishingSpinorError("vanishing spinor")
-    mask = phi_sq >= eps_rel * top
+    mask = phi_sq >= EPS_ZERO_REL * top
     grads = spinor_gradient(field)
     gens = (FRAME.g1, FRAME.g2)
     q = np.zeros((field.n_grid, 2, 2))
@@ -336,19 +310,17 @@ def _modified_gradient(field: SpinorField, lam, variant: str,
     d1 = g1 + (av * up)[:, None] * phi - (av * up / DIM)[:, None] * phi
     d2 = g2 + (av * up / DIM)[:, None] * _apply_matrix(phi, FRAME.g2 @ FRAME.g1)
 
+    # the twist T_ij e^j . phi: T = (lam/n) Id (gcm) or T = Q_phi (emtm)
     if variant == "gcm":
-        d1 = d1 + (lam_arr / DIM)[:, None] * _apply_matrix(phi, FRAME.g1)
-        d2 = d2 + (lam_arr / DIM)[:, None] * _apply_matrix(phi, FRAME.g2)
+        t = (lam_arr / DIM)[:, None, None] * np.eye(2)
     elif variant == "emtm":
-        if q_tensor is None:
-            q_tensor = energy_momentum(field)
-        q = q_tensor.q
-        e1phi = _apply_matrix(phi, FRAME.g1)
-        e2phi = _apply_matrix(phi, FRAME.g2)
-        d1 = d1 + q[:, 0, 0, None] * e1phi + q[:, 0, 1, None] * e2phi
-        d2 = d2 + q[:, 1, 0, None] * e1phi + q[:, 1, 1, None] * e2phi
+        t = (q_tensor if q_tensor is not None else energy_momentum(field)).q
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    e1phi = _apply_matrix(phi, FRAME.g1)
+    e2phi = _apply_matrix(phi, FRAME.g2)
+    d1 = d1 + t[:, 0, 0, None] * e1phi + t[:, 0, 1, None] * e2phi
+    d2 = d2 + t[:, 1, 0, None] * e1phi + t[:, 1, 1, None] * e2phi
     return d1, d2
 
 
@@ -398,6 +370,7 @@ def _boundary_terms(field: SpinorField, mp: ModifierPair = ModifierPair(),
     Plain (eq1/eq2): c = a(r_b) and w = 1.  conformal (eq3/eq4): the
     verbatim c = a(r_b) - (n-1)/2 and w = e^{-u(r_b)}.
     """
+    from .dirac_core import boundary_dirac_matrix
     total = 0.0
     for which in field.surface.boundaries:
         bd = boundary_data(field.surface, which)
@@ -406,7 +379,9 @@ def _boundary_terms(field: SpinorField, mp: ModifierPair = ModifierPair(),
         a_b = float(mp.a(bd.r_b))
         c = a_b - (DIM - 1) / 2.0 if conformal else a_b
         du_e0 = bd.outward_sign * float(mp.u.d(bd.r_b))
-        pairing = _e0_dirac_trace_pairing(field, which)
+        # (phi, e^0 . D^boundary phi) on the trace
+        e0d = boundary_dirac_matrix(field.surface, which, field.k)[1]
+        pairing = float(np.real(np.vdot(tb, e0d @ tb)))
         w = float(np.exp(-mp.u(bd.r_b))) if conformal else 1.0
         total += w * boundary_integral(
             field, which,
@@ -426,49 +401,42 @@ def eq_residual(field: SpinorField, lam: float, which: str,
     on the source with the displayed e^{-u} weights and the verbatim
     (a - (n-1)/2) boundary coefficient.
     """
-    phi_sq = np.sum(np.abs(field.values) ** 2, axis=1)
-
-    if which in ("eq1", "eq2"):
-        variant = "gcm" if which == "eq1" else "emtm"
-        d1, d2 = _modified_gradient(field, lam, variant, mp)
-        left = volume_integral(field, np.sum(np.abs(d1) ** 2 + np.abs(d2) ** 2, axis=1))
-        rau = modified_scalar(field.surface, mp, field.r)
-        if which == "eq1":
-            density = ((1 - 1 / DIM) * lam ** 2 - rau / 4.0) * phi_sq
-        else:
-            q_tensor = energy_momentum(field)
-            density = (lam ** 2 - (rau / 4.0 + q_tensor.norm_sq)) * phi_sq
-        right = volume_integral(field, density) \
-            + _boundary_terms(field, mp)
-        return IdentityReport(which, left, right, field.n_grid, expected_order=2.0)
-
-    if which in ("eq3", "eq4"):
+    if which not in ("eq1", "eq2", "eq3", "eq4"):
+        raise ValueError(f"unknown identity {which!r}")
+    conformal = which in ("eq3", "eq4")
+    if conformal:
         if rescaling is None:
             raise ValueError("eq3/eq4 need a ConformalRescaling")
-        pushed, _ = conformal_push(field, rescaling, lam)
-        mp_t = ModifierPair(rescaling.pullback(mp.a), rescaling.pullback(mp.u))
-        lam_t = lam * np.exp(-(rescaling.u(rescaling.r_of_s(pushed.r))))
-        variant = "gcm" if which == "eq3" else "emtm"
-        d1, d2 = _modified_gradient(pushed, lam_t, variant, mp_t)
-        left = volume_integral(pushed, np.sum(np.abs(d1) ** 2 + np.abs(d2) ** 2, axis=1))
-
-        rhat = conformal_modified_scalar(field.surface, mp, field.r)
+        side, _ = conformal_push(field, rescaling, lam)
+        side_mp = ModifierPair(rescaling.pullback(mp.a), rescaling.pullback(mp.u))
+        side_lam = lam * np.exp(-(rescaling.u(rescaling.r_of_s(side.r))))
+        curvature = conformal_modified_scalar
         w = np.exp(-rescaling.u(field.r))
-        if which == "eq3":
-            density = w * ((1 - 1 / DIM) * lam ** 2 - rhat / 4.0) * phi_sq
-        else:
-            q_tensor = energy_momentum(field)
-            density = w * (lam ** 2 - (rhat / 4.0 + q_tensor.norm_sq)) * phi_sq
-        right = volume_integral(field, density) \
-            + _boundary_terms(field, mp, conformal=True)
-        return IdentityReport(which, left, right, field.n_grid, expected_order=2.0)
+    else:
+        side, side_mp, side_lam = field, mp, lam
+        curvature = modified_scalar
+        w = 1.0
 
-    raise ValueError(f"unknown identity {which!r}")
+    variant = "gcm" if which in ("eq1", "eq3") else "emtm"
+    d1, d2 = _modified_gradient(side, side_lam, variant, side_mp)
+    left = volume_integral(side, np.sum(np.abs(d1) ** 2 + np.abs(d2) ** 2, axis=1))
+
+    phi_sq = np.sum(np.abs(field.values) ** 2, axis=1)
+    rau = curvature(field.surface, mp, field.r)
+    if variant == "gcm":
+        density = w * ((1 - 1 / DIM) * lam ** 2 - rau / 4.0) * phi_sq
+    else:
+        q_norm_sq = energy_momentum(field).norm_sq
+        density = w * (lam ** 2 - (rau / 4.0 + q_norm_sq)) * phi_sq
+    right = volume_integral(field, density) \
+        + _boundary_terms(field, mp, conformal)
+    return IdentityReport(which, left, right, field.n_grid, expected_order=2.0)
 
 
 def killing_residual(field: SpinorField, lam: float,
                      mp: ModifierPair = ModifierPair()) -> float:
-    """Pointwise residual of the twisted Killing equation (max over nodes).
+    """Pointwise residual of the twisted Killing equation (max over nodes):
+    the components R_i of the gcm twisted connection, relative to |phi|.
 
     Zero for real Killing spinors with a = 0; the limiting-case diagnostic
     for the interior bound.
@@ -481,27 +449,17 @@ def killing_residual(field: SpinorField, lam: float,
     diagnostic second-order accurate; fields carrying analytic derivatives
     use the direct formula.
     """
-    phi = field.values
-    av, up = mp.a(field.r), mp.u.d(field.r)
+    r1, r2 = _modified_gradient(field, lam, "gcm", mp)
+    r2_sq = np.sum(np.abs(r2) ** 2, axis=1)
+    # |R1| = |R2| pointwise on an eigenspinor
+    r1_sq = r2_sq if field.d_values is None else np.sum(np.abs(r1) ** 2, axis=1)
 
-    g2 = spinor_gradient(field)[1]
-    r2 = g2 + (lam / DIM) * _apply_matrix(phi, FRAME.g2) \
-        + (av * up / DIM)[:, None] * _apply_matrix(phi, FRAME.g2 @ FRAME.g1)
-    if field.d_values is None:
-        r1_norm_sq = np.sum(np.abs(r2) ** 2, axis=1)   # |R1| = |R2| pointwise
-    else:
-        g1 = spinor_gradient(field)[0]
-        r1 = g1 + (lam / DIM) * _apply_matrix(phi, FRAME.g1) \
-            + (av * up)[:, None] * phi \
-            + (av * up / DIM)[:, None] * _apply_matrix(phi, FRAME.g1 @ FRAME.g1)
-        r1_norm_sq = np.sum(np.abs(r1) ** 2, axis=1)
-
-    phi_norm = np.sqrt(np.sum(np.abs(phi) ** 2, axis=1))
+    phi_norm = np.sqrt(np.sum(np.abs(field.values) ** 2, axis=1))
     top = float(np.max(phi_norm))
     if top == 0.0:
         raise VanishingSpinorError("vanishing spinor")
     mask = phi_norm >= EPS_ZERO_REL * top
-    res = np.sqrt(r1_norm_sq + np.sum(np.abs(r2) ** 2, axis=1))
+    res = np.sqrt(r1_sq + r2_sq)
     return float(np.max(res[mask] / phi_norm[mask]))
 
 
