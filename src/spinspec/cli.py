@@ -29,7 +29,7 @@ from . import bounds as bounds_mod
 from . import identities as ident
 from .dirac_core import (BC_VARIANTS, BoundaryConditionSpec, NumericalError,
                          aggregate, convergence_study)
-from .geometry import (ConfigError, WarpedSurface, catalog,
+from .geometry import (LAW_TOL, ConfigError, WarpedSurface, catalog,
                        conformal_law_residuals, conformal_rescale,
                        make_surface, parse_radial_spec, scalar_curvature)
 
@@ -82,6 +82,17 @@ def _check_type(name: str, value, kind) -> None:
         raise ConfigError(f"config field {name!r} has a bad value {value!r}")
 
 
+# Admission caps (docs/formats.md), checked before anything is allocated.
+# The largest scenario solves 13 |k| at N up to 1024 with a budget of 1200,
+# the largest test a single mode at N = 2^15: the caps sit far above.
+MAX_KMAX = 1000.0
+MAX_N = 2 ** 18               # radial cells of one grid, O(N) memory per solve
+MAX_BUDGET = 10 ** 5          # optimizer evaluations, each one kept in a trace
+MAX_CELLS = 2 ** 20           # modes x sum of N: levels and fields held, about
+                              # 200 B per cell
+MAX_SPECTRUM_WORK = 2 ** 30   # |k| solved x sum of N^2 in `spectrum`, where
+                              # every eigenvalue costs O(N): about 100 s
+
 # JSON type of each Scenario field: a list holds items of the one type given
 _FIELD_TYPES = {"geometry": str, "spin_structure": str, "bc": [str],
                 "kmax": float, "N": [int], "conformal_u": (str, type(None)),
@@ -118,7 +129,9 @@ class Scenario:
             raise ConfigError(f"unknown config fields: {sorted(bad)}")
         return Scenario(**data)
 
-    def validate(self) -> None:
+    def validate(self, command: str = "spectrum") -> None:
+        """ConfigError unless every field is well formed and the work that
+        `command` would do stays inside the admission caps."""
         for name, kind in _FIELD_TYPES.items():
             _check_type(name, getattr(self, name), kind)
         if not self.bc:
@@ -130,7 +143,31 @@ class Scenario:
             raise ConfigError("grid sizes must be ascending and at least 16")
         if self.kmax < 0.5:
             raise ConfigError("kmax must be at least 1/2")
+        if not 1 <= self.budget <= MAX_BUDGET:
+            raise ConfigError(f"budget must lie in [1, {MAX_BUDGET}]")
+        for name in ("tol_report", "tol_identity"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive")
+        self._admit(command)
         make_surface(self.geometry, self.spin_structure)  # resolvable?
+
+    def _admit(self, command: str) -> None:
+        """Refuse kmax and N past the caps, from counts alone: |k| <= kmax
+        holds at most floor(kmax + 1/2) + 1 wave numbers of either sign."""
+        if self.kmax > MAX_KMAX:
+            raise ConfigError(f"kmax {self.kmax:g} exceeds the cap {MAX_KMAX:g}")
+        if max(self.N) > MAX_N:
+            raise ConfigError(f"grid size {max(self.N)} exceeds the cap {MAX_N}")
+        n_abs = math.floor(self.kmax + 0.5) + 1
+        cells = 2 * n_abs * sum(self.N)
+        if cells > MAX_CELLS:
+            raise ConfigError(f"kmax {self.kmax:g} with N {self.N} holds about "
+                              f"{cells:.3g} mode cells; the cap is {MAX_CELLS}")
+        work = n_abs * sum(N * N for N in self.N)
+        if command == "spectrum" and work > MAX_SPECTRUM_WORK:
+            raise ConfigError(f"kmax {self.kmax:g} with N {self.N} is about "
+                              f"{work:.3g} spectrum work; the cap is "
+                              f"{MAX_SPECTRUM_WORK}")
 
     def surface(self) -> WarpedSurface:
         return make_surface(self.geometry, self.spin_structure)
@@ -234,7 +271,7 @@ def _identity_reports(sc: Scenario, surface: WarpedSurface,
         u = parse_radial_spec(sc.conformal_u, surface.r_min, surface.r_max)
         resc = conformal_rescale(surface, u)
         laws = conformal_law_residuals(resc, field.r)
-        law_tol = 1e-8 if surface.profile_exact else 1e-4
+        law_tol = LAW_TOL if surface.profile_exact else 1e-4
         for name, arr in (("conformal_law_curvature", laws["curvature"]),
                           ("conformal_law_laplacian", laws["laplacian"])):
             out.append({"name": name,
@@ -402,7 +439,7 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
             sc.N = [int(x) for x in args.N.split(",")]
         except ValueError as exc:
             raise ConfigError(f"cannot parse --N {args.N!r}") from exc
-    sc.validate()
+    sc.validate(args.command)
     return sc
 
 

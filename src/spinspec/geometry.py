@@ -204,8 +204,9 @@ def scalar_curvature(surface: WarpedSurface, r) -> Array:
     if np.any(r < surface.r_min - 1e-12) or np.any(r > surface.r_max + 1e-12):
         raise ConfigError("radius outside the surface domain")
     out = np.empty_like(r)
-    tol = 1e-8 * surface.length
-    near_pole = (np.abs(r - surface.r_min) < tol) if surface.cap else np.zeros(r.shape, bool)
+    # the limit only where f vanishes: near the pole of a rescaled cap f and
+    # f'' are small but resolved, and the limit is wrong there
+    near_pole = (r <= surface.r_min) if surface.cap else np.zeros(r.shape, bool)
     reg = ~near_pole
     out[reg] = -2.0 * surface.fpp(r[reg]) / surface.f(r[reg])
     if np.any(near_pole):
@@ -503,13 +504,45 @@ class ConformalRescaling:
 _LOG_MAX = float(np.log(np.finfo(float).max))
 _LOG_INV_EPS = float(-np.log(np.finfo(float).eps))
 
+# The conformal laws (`conformal_law_residuals`) hold to LAW_TOL on an
+# analytic profile as long as roundoff allows.  Their residuals carry about
+# eps times the terms they compare, e^{-2u} (|R| + |u''| + u'^2 + |f'u'/f|)
+# inside (at least the unscaled terms) and e^{-u} (|H| + |u'|) on a boundary
+# circle, plus the position error eps s e^{-u} of the arclength coordinate
+# times the rate at which those terms vary.  A factor whose estimate, taken
+# at the quadrature nodes, passes LAW_TOL / _LAW_SAFETY is refused.
+LAW_TOL = 1e-8
+_LAW_SAFETY = 16.0
+
+
+def _law_roundoff(surface: WarpedSurface, u: RadialFunction, x: Array,
+                  ux: Array, s_x: Array) -> float:
+    """Estimated roundoff of the conformal-law residuals, in units of eps,
+    from u and the arclength s_x at the nodes x."""
+    length = surface.length
+    du = u.d(x)
+    terms = np.maximum(1.0, np.exp(-2 * ux)) * (
+        np.abs(scalar_curvature(surface, x)) + np.abs(u.d2(x)) + du ** 2
+        + np.abs(surface.fp(x) / surface.f(x) * du))
+    rate = 1 / (x - surface.r_min) + 2 * np.abs(du) + 1 / length
+    est = float(np.max(terms * (1 + s_x * np.exp(-ux) * rate)))
+    for which in surface.boundaries:
+        bd = boundary_data(surface, which)
+        ub, dub = float(u(bd.r_b)), float(u.d(bd.r_b))
+        s_b = float(np.max(s_x)) if which == "outer" else 0.0
+        rate_b = 2 * abs(dub) + abs(bd.mean_curvature) + 1 / length
+        est = max(est, np.exp(-ub) * (abs(bd.mean_curvature) + abs(dub))
+                  * (1 + s_b * np.exp(-ub) * rate_b))
+    return est
+
 
 def _arclength_edges(surface: WarpedSurface, u: RadialFunction,
                      n_panels: int) -> tuple[Array, Array]:
     """Equal panels in r and the arclength s = int e^u dr at their edges.
 
-    u is checked at the quadrature nodes: e^{+-2u} must be finite there and
-    e^{2u} must vary by less than 1/eps, else ConfigError."""
+    u is checked at the quadrature nodes: e^{+-2u} must be finite there,
+    e^{2u} must vary by less than 1/eps, and the conformal laws must be
+    resolvable to LAW_TOL (`_law_roundoff`), else ConfigError."""
     edges_r = np.linspace(surface.r_min, surface.r_max, n_panels + 1)
     x, half = _panel_nodes(edges_r[:-1], edges_r[1:])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -523,7 +556,17 @@ def _arclength_edges(surface: WarpedSurface, u: RadialFunction,
             f"surface; e^(2u) must stay in double range and vary by less than "
             f"e^{_LOG_INV_EPS:.4g} = 1/eps")
     panel = half * (np.exp(ux) @ _GL_WEIGHTS)
-    return edges_r, np.concatenate([[0.0], np.cumsum(panel)])
+    edges_s = np.concatenate([[0.0], np.cumsum(panel)])
+    # s at the nodes, e^u taken constant across the rest of each panel
+    s_x = edges_s[:-1, None] + (x - edges_r[:-1, None]) * np.exp(ux)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        roundoff = np.finfo(float).eps * _law_roundoff(surface, u, x, ux, s_x)
+    if not roundoff <= LAW_TOL / _LAW_SAFETY:
+        raise ConfigError(
+            f"conformal factor u is too strong for {surface.name}: the "
+            f"conformal laws of the rescaled surface carry an estimated "
+            f"roundoff of {roundoff:.3g}, above {LAW_TOL:g} / {_LAW_SAFETY:g}")
+    return edges_r, edges_s
 
 
 _N_PANELS = 512     # equal panels in r of the arclength table

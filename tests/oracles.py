@@ -3,9 +3,9 @@
 Nothing here reuses the package's discretization.  The flat-disk oracle
 reduces the mode problem to a Bessel-type transcendental equation solved by
 bracketing + brentq; the generic oracle integrates the radial ODE system
-with an adaptive Runge-Kutta from a series start at the pole (or from the
-admissible trace direction at an inner boundary) and bisects the boundary-
-condition residual in lambda.  The hemisphere oracle is the closed-form
+with an adaptive 8th-order Runge-Kutta (DOP853) from a series start at the
+pole (or from the admissible trace direction at an inner boundary) and
+bisects the boundary-condition residual in lambda.  The hemisphere oracle is the closed-form
 Killing spinor.
 
 Two entries are references rather than independent oracles.
@@ -138,7 +138,7 @@ def shooting_residual(surface, k: float, bc_variant: str, lam: float) -> float:
     r0, y0 = _initial_state(surface, k, lam, bc_variant)
     sol = solve_ivp(_rhs(surface, k, lam), (r0, surface.r_max), y0,
                     rtol=1e-11, atol=1e-14, dense_output=False,
-                    method="RK45")
+                    method="DOP853")
     if not sol.success:
         raise RuntimeError(f"shooting integration failed: {sol.message}")
     a, b = sol.y[0, -1], sol.y[1, -1]

@@ -10,7 +10,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spinspec.cli import Scenario, run
@@ -190,10 +190,12 @@ def test_bounds_optimizes_once_per_surface(tmp_path, monkeypatch):
 
 
 def test_bounds_exit_1_iff_entry_fails(tmp_path, capsys):
-    # an impossible pass tolerance forces a failing entry and exit code 1
+    # the hemisphere is the limiting case lambda_min^2 = friedrich = 1; a
+    # pass tolerance below the O(h^2) deficit of lambda_min^2 (5e-5 at
+    # N = 64) forces a failing entry and exit code 1
     out = str(tmp_path / "bf")
     assert run(["bounds", "--geometry", "hemisphere", "--bc", "local+",
-                "--N", "64", "--kmax", "1.5", "--tol-report", "-10",
+                "--N", "64", "--kmax", "1.5", "--tol-report", "1e-6",
                 "--out", out]) == 1
     assert "FAIL" in capsys.readouterr().err
     report = json.loads(read(os.path.join(out, "bounds_localplus.json")))
@@ -358,6 +360,48 @@ def test_conformal_factor_beyond_double_range_exits_2(factor, tmp_path):
     assert proc.stderr.startswith("config error: conformal factor u")
 
 
+@pytest.mark.parametrize("command", ["spectrum", "verify", "bounds",
+                                     "convergence"])
+@pytest.mark.parametrize("override", [
+    {"kmax": 1e12}, {"N": [10 ** 12]}, {"N": [16, 10 ** 12]},
+    {"budget": 0}, {"budget": -3}, {"budget": 10 ** 12},
+    {"tol_identity": -1.0}, {"tol_identity": 0.0}, {"tol_report": -10.0},
+    {"kmax": 900.5, "N": [4096]}])
+def test_admission_refuses_before_allocating(command, override, tmp_path,
+                                             capsys):
+    """Caps on kmax, N and budget and positive tolerances are checked from
+    the config alone: one config-error line, exit 2, well inside a second
+    and without a large allocation (the mode list of kmax = 1e12 alone
+    would be 2e12 floats)."""
+    import time
+    import tracemalloc
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(dict({"geometry": "disk", "N": [16],
+                                    "kmax": 0.5}, **override)))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        rc = run([command, "--config", str(cfg), "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert time.perf_counter() - start < 1.0
+    assert peak < 2 ** 20
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+
+
+def test_spectrum_work_cap_spares_the_other_commands(tmp_path):
+    """`spectrum` costs O(N^2) per mode, the other commands O(N): the same
+    grid is refused for the one and admitted for the others."""
+    sc = Scenario(geometry="disk", kmax=30.5, N=[8192])
+    with pytest.raises(Exception, match="spectrum work"):
+        sc.validate("spectrum")
+    for command in ("verify", "bounds", "convergence"):
+        sc.validate(command)
+
+
 def test_local_minus_spectrum_alone_matches_the_shared_solve(tmp_path):
     """`spectrum` serves each local condition from the other's solve when
     both are asked for; every file is byte-identical to a run of that
@@ -421,9 +465,12 @@ _SCENARIO = st.fixed_dictionaries({
                   st.builds("bump:{}".format, st.floats(-3.0, 3.0))),
         "bump:", "wave:1", "bump:1e308"),
 })
+# every bad flag is refused with exit 2, whatever the scenario
+_BAD_FLAGS = (["--kmax", "nan"], ["--N", "32,x"], ["--bc", ""],
+              ["--budget", "0"], ["--tol-identity", "-0.01"],
+              ["--tol-report", "-5e-3"], ["--kmax", "1e12"])
 _FLAGS = _mostly(st.sampled_from([[], ["--kmax", "1.5"], ["--N", "16,24,32"],
-                                  ["--bc", "aps-,local+"]]),
-                 ["--kmax", "nan"], ["--N", "32,x"], ["--bc", ""])
+                                  ["--bc", "aps-,local+"]]), *_BAD_FLAGS)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True,
@@ -432,7 +479,8 @@ _FLAGS = _mostly(st.sampled_from([[], ["--kmax", "1.5"], ["--N", "16,24,32"],
        geometry=_GEOMETRY, profile=_PROFILE_TEXT, scenario=_SCENARIO,
        flags=_FLAGS)
 def test_cli_run_fuzz(command, geometry, profile, scenario, flags):
-    """Whatever the scenario, run() returns 0-3 and stderr holds no traceback."""
+    """Whatever the scenario, run() returns 0-3 (2 for a bad flag) and
+    stderr holds no traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         if geometry == "profile:":
             geometry = "profile:" + os.path.join(tmp, "p.csv")
@@ -448,5 +496,43 @@ def test_cli_run_fuzz(command, geometry, profile, scenario, flags):
                 contextlib.redirect_stdout(io.StringIO()):
             rc = run(argv)
     assert rc in (0, 1, 2, 3)
+    if flags in _BAD_FLAGS:
+        assert rc == 2
     assert "Traceback" not in err.getvalue()
     assert "RuntimeWarning" not in err.getvalue()
+
+
+_CAP = st.builds("cap:{}".format, st.floats(0.05, 3.1))
+_FACTOR = st.one_of(
+    st.builds("bump:{!r}".format, st.floats(-20.0, 20.0)),
+    st.builds("poly:{!r},{!r}".format, st.floats(-20.0, 20.0),
+              st.floats(-40.0, 40.0)),
+    st.builds("poly:{!r},{!r},{!r}".format, st.floats(-20.0, 20.0),
+              st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(geometry=st.one_of(st.just("disk"), _CAP), factor=_FACTOR,
+       N=st.sampled_from([16, 64]))
+@example(geometry="disk", factor="poly:0,17.9", N=256)
+def test_conformal_laws_hold_or_the_factor_is_refused(geometry, factor, N):
+    """Across poly: and bump: factors, admitted or not, `verify` either
+    refuses the factor (exit 2) or reports every conformal_law_* row within
+    its tolerance.  A factor that steepens towards the pole of a rescaled
+    cap used to send real grid points down the pole-limit branch of the
+    curvature (poly:0,17.9 on the disk read 1.9e+04)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stderr(io.StringIO()), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = run(["verify", "--geometry", geometry, "--N", str(N),
+                      "--kmax", "0.5", "--conformal-u", factor,
+                      "--out", tmp])
+        if rc == 2:
+            return
+        rows = [json.loads(line) for line in
+                read(os.path.join(tmp, "verify_localplus.jsonl")).splitlines()]
+    laws = [r for r in rows if r["name"].startswith("conformal_law_")]
+    assert len(laws) == 3
+    for r in laws:
+        assert r["residual"] <= r["tolerance"], (r["name"], r["residual"])
