@@ -505,12 +505,14 @@ _LOG_MAX = float(np.log(np.finfo(float).max))
 _LOG_INV_EPS = float(-np.log(np.finfo(float).eps))
 
 # The conformal laws (`conformal_law_residuals`) hold to LAW_TOL on an
-# analytic profile as long as roundoff allows.  Their residuals carry about
-# eps times the terms they compare, e^{-2u} (|R| + |u''| + u'^2 + |f'u'/f|)
-# inside (at least the unscaled terms) and e^{-u} (|H| + |u'|) on a boundary
-# circle, plus the position error eps s e^{-u} of the arclength coordinate
-# times the rate at which those terms vary.  A factor whose estimate, taken
-# at the quadrature nodes, passes LAW_TOL / _LAW_SAFETY is refused.
+# analytic profile as far as roundoff allows.  Their residuals carry about
+# eps times the terms they compare, max(1, e^{-2u}) (|R| + |u''| + u'^2 +
+# |f'u'/f|) inside and e^{-u} (|H| + |u'|) on a boundary circle, plus the
+# position error eps s e^{-u} of the arclength coordinate times the rate at
+# which those terms vary.  A factor whose estimate, taken at the quadrature
+# nodes, passes LAW_TOL / _LAW_SAFETY is refused.  On poly and bump factors
+# over caps, annuli and cylinders the measured residuals stayed within 12
+# times the estimate.
 LAW_TOL = 1e-8
 _LAW_SAFETY = 16.0
 

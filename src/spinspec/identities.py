@@ -488,15 +488,13 @@ def conformal_push(field: SpinorField, rescaling: ConformalRescaling,
     # the data at that order.  Target centers map inside the source interval
     # up to half a cell, where the spline extrapolates at full order.
     interp = CubicSpline(field.r, field.values, axis=0)
-    scale = np.exp(-(DIM - 1) / 2.0 * rescaling.u(r_pull))
-    pushed_values = scale[:, None] * interp(r_pull)
 
-    traces = {}
-    for which in target.boundaries:
-        bd_src = boundary_data(field.surface, which)
-        traces[which] = (np.exp(-(DIM - 1) / 2.0
-                                * float(rescaling.u(bd_src.r_b)))
-                         * field.trace(which))
+    def weight(r):
+        return np.exp(-(DIM - 1) / 2.0 * rescaling.u(r))
+
+    pushed_values = weight(r_pull)[:, None] * interp(r_pull)
+    traces = {which: weight(boundary_data(field.surface, which).r_b)
+              * field.trace(which) for which in target.boundaries}
 
     lam_fn = lam * np.exp(-rescaling.u(r_pull))
     pushed = SpinorField(target, field.k, s_centers, pushed_values, traces)

@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spinspec.cli import Scenario, run
-from spinspec import make_surface
+from spinspec import ConfigError, make_surface
 from spinspec.bounds import TOL_FEAS, canned_modifiers, feasibility_margin
 
 
@@ -373,8 +375,6 @@ def test_admission_refuses_before_allocating(command, override, tmp_path,
     the config alone: one config-error line, exit 2, well inside a second
     and without a large allocation (the mode list of kmax = 1e12 alone
     would be 2e12 floats)."""
-    import time
-    import tracemalloc
     cfg = tmp_path / "huge.json"
     cfg.write_text(json.dumps(dict({"geometry": "disk", "N": [16],
                                     "kmax": 0.5}, **override)))
@@ -396,7 +396,7 @@ def test_spectrum_work_cap_spares_the_other_commands(tmp_path):
     """`spectrum` costs O(N^2) per mode, the other commands O(N): the same
     grid is refused for the one and admitted for the others."""
     sc = Scenario(geometry="disk", kmax=30.5, N=[8192])
-    with pytest.raises(Exception, match="spectrum work"):
+    with pytest.raises(ConfigError, match="spectrum work"):
         sc.validate("spectrum")
     for command in ("verify", "bounds", "convergence"):
         sc.validate(command)
