@@ -39,6 +39,10 @@ history.
 The conformal bounds are stated for the local boundary conditions only;
 under APS conditions they are reported as experimental, with no pass/fail
 semantics.
+
+scipy.interpolate and scipy.optimize load on first use, in _basis_measure
+and optimize_modifiers, so that `spectrum` and `verify` on built-in
+geometries never pay for them; they must not move back to module level.
 """
 
 from __future__ import annotations
@@ -48,8 +52,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize
 
 from .geometry import (DIM, RadialFunction, WarpedSurface, boundary_data,
                        parse_radial_spec, scalar_curvature)
@@ -373,6 +375,7 @@ def _basis_measure(surface: WarpedSurface, variant: str, n_ctrl: int,
     column j interpolates e_j at the knots, so the spline through control
     values p is basis @ p wherever it is sampled.
     """
+    from scipy.interpolate import CubicSpline
     basis = CubicSpline(np.linspace(surface.r_min, surface.r_max, n_ctrl),
                         np.eye(n_ctrl))
     rr = _grid(surface, n_grid)
@@ -424,6 +427,7 @@ def optimize_modifiers(surface: WarpedSurface, variant: str = "interior",
 
     # restart the simplex around the incumbent until the evaluation budget
     # is spent; plain Nelder-Mead stalls long before desk-scale budgets
+    from scipy.optimize import minimize
     rng = np.random.default_rng(7)
     incumbent = x0
     restart = 0

@@ -149,7 +149,12 @@ class Scenario:
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
         self._admit(command)
-        make_surface(self.geometry, self.spin_structure)  # resolvable?
+        surface = make_surface(self.geometry, self.spin_structure)
+        if self.conformal_u:
+            # only verify rescales by it, but every command refuses a factor
+            # that verify would refuse (about 2 ms)
+            conformal_rescale(surface, parse_radial_spec(
+                self.conformal_u, surface.r_min, surface.r_max))
 
     def _admit(self, command: str) -> None:
         """Refuse kmax and N past the caps, from counts alone: |k| <= kmax

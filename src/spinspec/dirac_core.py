@@ -890,23 +890,24 @@ def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
     fields).  Each |k| is solved once, natively; mode -k is the exact
     mirror of that solution, so a +-lambda tie between the two modes is
     exact and the (|lambda|, k, sign) order settles it the same way
-    everywhere.  Under local- every solve is the negated local+ one.  Modes
-    merge in fixed order, so results are deterministic.
+    everywhere.  Under local- every solve is the negated local+ one.  That
+    order fixes the result whatever the order of the solves, so each solve,
+    its operator and eigenvectors included, is dropped as soon as its modes
+    are merged: at most one is held at a time.
     """
-    modes = modes_for(surface, k_max)
-    native: dict = {}
-    sols = []
-    for kk in modes:
-        if abs(kk) not in native:
-            native[abs(kk)] = solve_mode(surface, abs(kk), bc, N,
-                                         n_fields_per_mode, n_levels)
-        sols.append(native[abs(kk)].mirrored() if kk < 0 else native[abs(kk)])
-
+    by_abs: dict = {}
+    for kk in modes_for(surface, k_max):
+        by_abs.setdefault(abs(kk), []).append(kk)
     rows = []
     pairs = []
-    for sol in sols:
-        rows.append(np.column_stack([sol.lams, np.full(len(sol.lams), sol.k)]))
-        pairs.extend(sol.pairs)
+    for k_abs, ks in by_abs.items():
+        native = solve_mode(surface, k_abs, bc, N, n_fields_per_mode, n_levels)
+        for kk in ks:
+            sol = native.mirrored() if kk < 0 else native
+            rows.append(np.column_stack([sol.lams,
+                                         np.full(len(sol.lams), sol.k)]))
+            pairs.extend(sol.pairs)
+        del native, sol
     return _spectrum(surface, bc, N, k_max, np.vstack(rows), pairs)
 
 

@@ -24,6 +24,10 @@ of equal panels in r.  s(r) is Gauss-Legendre quadrature on those panels
 (`_arclength`); its inverse r(s) (`_arclength_inverse`) runs a Newton
 iteration, safeguarded by bisection inside each point's panel, on all
 points at once, and agrees with a per-point brentq root to 1e-14 (1 + |r|).
+
+scipy.interpolate loads on first use, in `RadialFunction.from_samples`, so
+that `spectrum` and `verify` on built-in geometries never pay for it; it
+must not move back to module level.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.interpolate import CubicSpline
 
 Array = np.ndarray
 
@@ -114,6 +117,7 @@ class RadialFunction:
     @staticmethod
     def from_samples(r: Array, y: Array) -> "RadialFunction":
         """Cubic-spline interpolant; derivative accuracy O(h^2)."""
+        from scipy.interpolate import CubicSpline
         sp = CubicSpline(np.asarray(r, float), np.asarray(y, float))
         d1, d2, d3 = sp.derivative(1), sp.derivative(2), sp.derivative(3)
         return RadialFunction(sp, d1, d2, d3)

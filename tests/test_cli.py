@@ -19,6 +19,10 @@ from spinspec.cli import Scenario, run
 from spinspec import ConfigError, make_surface
 from spinspec.bounds import TOL_FEAS, canned_modifiers, feasibility_margin
 
+# the package source, for the tests that start a fresh interpreter
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
 
 def read(path):
     with open(path) as fh:
@@ -44,6 +48,22 @@ def test_invalid_configs_exit_2(tmp_path):
     assert run(["spectrum", "--config", str(bad)]) == 2
     assert run(["verify", "--geometry", "disk", "--N", "16", "--kmax", "0.5",
                 "--conformal-u", "bump:1e308", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["spectrum", "bounds", "convergence",
+                                     "verify"])
+@pytest.mark.parametrize("factor", ["wave:1", "bump:1e308"])
+def test_bad_conformal_factor_exits_2_under_every_command(command, factor,
+                                                          tmp_path, capsys):
+    """Every command checks conformal_u on the surface, though only verify
+    rescales by it: a spec that does not parse, or a factor the rescaling
+    refuses, is one config-error line and exit 2."""
+    assert run([command, "--geometry", "disk", "--N", "16,32,64",
+                "--kmax", "0.5", "--conformal-u", factor,
+                "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert not os.listdir(tmp_path)
 
 
 def test_config_with_scalar_grid_exits_2(tmp_path, capsys):
@@ -330,17 +350,50 @@ def test_bad_profile_csv_exits_2(tmp_path, capsys, case):
 def test_overflowing_input_prints_one_line(tmp_path):
     """numpy's overflow warnings on an extreme factor stay off stderr: the run
     ends with its one config-error line alone."""
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
     proc = subprocess.run(
         [sys.executable, "-m", "spinspec.cli", "verify", "--geometry", "disk",
          "--N", "16", "--kmax", "0.5", "--conformal-u", "bump:1e308",
          "--out", str(tmp_path)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
         timeout=120)
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("config error:")
+
+
+_IMPORT_PROBE = """
+import json, sys
+from spinspec import cli
+from spinspec.geometry import make_surface
+
+out = sys.argv[1]
+lazy = ("scipy.interpolate", "scipy.optimize")
+flags = ["--N", "16", "--kmax", "1.5", "--out", out]
+codes = [cli.run(["spectrum", "--geometry", "hemisphere", "--bc", "aps-"]
+                 + flags),
+         cli.run(["verify", "--geometry", "disk"] + flags)]
+for spec in ("hemisphere", "cap:1.2", "annulus:0.5,1.0", "disk"):
+    make_surface(spec)
+before = [m for m in lazy if m in sys.modules]
+codes.append(cli.run(["bounds", "--geometry", "cap:1.2", "--optimize-bounds",
+                      "--budget", "10"] + flags))
+print(json.dumps({"codes": codes, "before": before,
+                  "after": [m for m in lazy if m in sys.modules]}))
+"""
+
+
+def test_built_in_runs_never_load_interpolate_or_optimize(tmp_path):
+    """scipy.interpolate and scipy.optimize load on first use: spectrum and
+    verify on built-in geometries never import them, --optimize-bounds
+    does.  A structural check of the cold start, not a timing."""
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["codes"] == [0, 0, 0]
+    assert seen["before"] == []
+    assert seen["after"] == ["scipy.interpolate", "scipy.optimize"]
 
 
 @pytest.mark.parametrize("factor", ["poly:0,300", "bump:700"])
@@ -349,13 +402,11 @@ def test_conformal_factor_beyond_double_range_exits_2(factor, tmp_path):
     over the surface (poly:0,300: e^600, where the rescaled surface's pole
     test swallowed the grid and the curvature law read 2.5e+241) is refused
     with one config-error line, before any identity is evaluated."""
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
     proc = subprocess.run(
         [sys.executable, "-m", "spinspec.cli", "verify", "--geometry", "disk",
          "--N", "16", "--kmax", "0.5", "--conformal-u", factor,
          "--out", str(tmp_path)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
         timeout=120)
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1, proc.stderr

@@ -248,6 +248,50 @@ def test_aggregate_without_fields_keeps_levels():
         assert bare.eigenpairs == () and len(with_fields.eigenpairs) == 6
 
 
+@pytest.mark.parametrize("geom,bc", [("disk", "local+"), ("disk", "local-"),
+                                     ("hemisphere", "aps-"),
+                                     ("cylinder:2.0", "aps+")])
+def test_aggregate_is_the_merge_of_per_mode_solves(geom, bc):
+    """Solving each |k| once and dropping it after its modes merge gives the
+    levels and eigenpairs of one solve_mode call per mode, bit for bit."""
+    # on the periodic cylinder k = 0 is a mode
+    surface = make_surface(geom, "periodic" if geom.startswith("cylinder")
+                           else "antiperiodic")
+    spec = BoundaryConditionSpec(bc)
+    for n_levels in (None, 2):
+        sp = aggregate(surface, spec, 3.5, 32, n_fields_per_mode=2,
+                       n_levels=n_levels)
+        sols = [solve_mode(surface, k, spec, 32, 2, n_levels)
+                for k in modes_for(surface, 3.5)]
+        rows = np.vstack([np.column_stack([s.lams, np.full(len(s.lams), s.k)])
+                          for s in sols])
+        order = np.lexsort((np.sign(rows[:, 0]), rows[:, 1],
+                            np.abs(rows[:, 0])))
+        assert np.array_equal(sp.levels, rows[order])
+        pairs = sorted((e for s in sols for e in s.pairs),
+                       key=lambda e: (abs(e.lam), e.k, np.sign(e.lam)))
+        assert [(e.lam, e.k) for e in sp.eigenpairs] == \
+            [(e.lam, e.k) for e in pairs]
+        for got, want in zip(sp.eigenpairs, pairs):
+            assert np.array_equal(got.field.values, want.field.values)
+
+
+def test_aggregate_holds_one_solve_at_a_time():
+    """aggregate drops each |k| solve (band, end bases, eigenvectors) once its
+    modes are merged.  On the disk at kmax 20.5, N 2048 its tracemalloc peak
+    measured 7.7 MiB; holding all 21 solves to the end peaks at 26.6 MiB."""
+    import tracemalloc
+    surface = make_surface("disk")
+    tracemalloc.start()
+    try:
+        aggregate(surface, BoundaryConditionSpec("local+"), 20.5, 2048,
+                  n_fields_per_mode=2, n_levels=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
+
+
 @pytest.mark.parametrize("N", [256, 1024])
 def test_aps_levels_come_in_exact_pairs(N):
     """Under aps- the spectrum is reported exactly symmetric, so the +-tie
