@@ -8,10 +8,8 @@ face of 'equality cannot hold under APS'.
 
 import argparse
 
-import numpy as np
-
-from spinspec import (BoundaryConditionSpec, aggregate, make_surface,
-                      scalar_curvature)
+from spinspec import (BoundaryConditionSpec, aggregate, friedrich_bound,
+                      make_surface)
 
 
 def main() -> None:
@@ -26,9 +24,8 @@ def main() -> None:
     print("N,lambda_min_sq,gap")
     for N in (int(x) for x in args.N.split(",")):
         sp = aggregate(surface, BoundaryConditionSpec("aps-"), args.kmax, N,
-                       n_fields_per_mode=0, n_levels=1)
-        rr = np.linspace(surface.r_min, surface.r_max, 513)[1:]
-        bound = 0.5 * float(np.min(scalar_curvature(surface, rr)))
+                       n_levels=1)
+        bound = friedrich_bound(surface, N)
         print(f"{N},{sp.lambda_min_sq:.12g},{sp.lambda_min_sq - bound:.12g}")
 
 

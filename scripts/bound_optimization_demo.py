@@ -18,10 +18,10 @@ def main() -> None:
 
     surface = make_surface(args.geometry)
     sp = aggregate(surface, BoundaryConditionSpec(args.bc), 12.5, args.N,
-                   n_fields_per_mode=2, n_levels=2)
+                   n_levels=2)
     res_i = optimize_modifiers(surface, "interior", budget=args.budget)
     res_c = optimize_modifiers(surface, "conformal", budget=args.budget)
-    report = evaluate_bounds(sp, sp.fundamental.field, res_i.pair, res_c.pair,
+    report = evaluate_bounds(sp, res_i.pair, res_c.pair,
                              optimizer_summary={"interior": res_i.summary(),
                                                 "conformal": res_c.summary()})
     print(report.to_json())

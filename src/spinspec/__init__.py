@@ -8,8 +8,8 @@ eigenvalue lower bounds, and optimizes those bounds over modifier pairs.
 
 from .bounds import (BoundEntry, BoundReport, ModifierPair, OptimizerResult,
                      canned_modifiers, conformal_modified_scalar,
-                     evaluate_bounds, feasibility_margin, modified_scalar,
-                     optimize_modifiers)
+                     evaluate_bounds, feasibility_margin, friedrich_bound,
+                     modified_scalar, optimize_modifiers)
 from .dirac_core import (BC_VARIANTS, BoundaryConditionSpec, Eigenpair,
                          ModeOperator, NumericalError, Spectrum, aggregate,
                          boundary_dirac_matrix, convergence_study, modes_for,

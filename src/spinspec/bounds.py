@@ -133,6 +133,12 @@ def _grid(surface: WarpedSurface, n_grid: int) -> Array:
     return np.concatenate([inner, surface.centers(n_grid), [surface.r_max]])
 
 
+def friedrich_bound(surface: WarpedSurface, n_grid: int) -> float:
+    """Friedrich's bound n/(4(n-1)) inf R, the infimum taken on _grid."""
+    return FRIEDRICH * float(np.min(scalar_curvature(surface,
+                                                     _grid(surface, n_grid))))
+
+
 def _boundary_circles(surface: WarpedSurface) -> tuple:
     """Radius, mean curvature H and outward sign of each boundary circle."""
     bds = [boundary_data(surface, which) for which in surface.boundaries]
@@ -243,7 +249,7 @@ class BoundReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
 
 
-def evaluate_bounds(spectrum, field_min=None, mp: ModifierPair | None = None,
+def evaluate_bounds(spectrum, mp: ModifierPair | None = None,
                     mp_conformal: ModifierPair | None = None,
                     tol_report: float = TOL_REPORT,
                     optimizer_summary: dict | None = None) -> BoundReport:
@@ -251,43 +257,40 @@ def evaluate_bounds(spectrum, field_min=None, mp: ModifierPair | None = None,
 
     The a = 0 baselines (classical curvature and energy-momentum bounds) are
     always included; modifier-dependent entries appear when pairs are given
-    and are marked skipped when infeasible.  Conformal entries carry
-    pass/fail semantics under the local conditions only.
+    and are marked skipped when infeasible.  The energy-momentum bounds read
+    the field of `spectrum.fundamental`.  Conformal entries carry pass/fail
+    semantics under the local conditions only.
     """
     from .identities import energy_momentum
 
     surface = spectrum.surface
     lam2 = spectrum.lambda_min_sq
+    field = spectrum.fundamental.field
     rr = _grid(surface, spectrum.n_grid)
     entries: list[BoundEntry] = []
 
     margin0 = feasibility_margin(surface, ModifierPair(), "interior")
     feas0 = margin0 >= -TOL_FEAS
-    r_min_val = float(np.min(scalar_curvature(surface, rr)))
-    friedrich = FRIEDRICH * r_min_val
+    friedrich = friedrich_bound(surface, spectrum.n_grid)
     entries.append(BoundEntry(
         "friedrich", friedrich, margin0, feas0,
         bool(lam2 >= friedrich - tol_report) if feas0 else None,
         "" if feas0 else "skipped (infeasible: H < 0 somewhere)"))
 
-    q_norm_sq = mask = None
-    if field_min is not None:
-        q = energy_momentum(field_min)
-        q_norm_sq, mask = q.norm_sq, q.mask
-        r_ctr = scalar_curvature(surface, field_min.r)
-        hq = float(np.min((r_ctr / 4.0 + q_norm_sq)[mask]))
-        entries.append(BoundEntry(
-            "hijazi_q", hq, margin0, feas0,
-            bool(lam2 >= hq - tol_report) if feas0 else None,
-            "" if feas0 else "skipped (infeasible)"))
+    q = energy_momentum(field)
+    r_ctr = scalar_curvature(surface, field.r)
+    hq = float(np.min((r_ctr / 4.0 + q.norm_sq)[q.mask]))
+    entries.append(BoundEntry(
+        "hijazi_q", hq, margin0, feas0,
+        bool(lam2 >= hq - tol_report) if feas0 else None,
+        "" if feas0 else "skipped (infeasible)"))
 
     local_bc = spectrum.bc.is_local
     mpc = mp_conformal if mp_conformal is not None else mp
     for variant, pair in (("interior", mp), ("conformal", mpc)):
         if pair is None:
             continue
-        inf_name, q_name = _ESTIMATES[variant]
-        names = (inf_name,) if field_min is None else (inf_name, q_name)
+        names = _ESTIMATES[variant]
         margin = feasibility_margin(surface, pair, variant)
         judged = variant == "interior" or local_bc
         note = "" if judged else \
@@ -297,11 +300,10 @@ def evaluate_bounds(spectrum, field_min=None, mp: ModifierPair | None = None,
             entries += [BoundEntry(name, None, margin, False, None, skipped)
                         for name in names]
             continue
-        values = [FRIEDRICH * float(np.min(
-            _curvature(variant, *_jets(surface, pair, rr))))]
-        if field_min is not None:
-            curv_ctr = _curvature(variant, *_jets(surface, pair, field_min.r))
-            values.append(float(np.min((curv_ctr / 4.0 + q_norm_sq)[mask])))
+        inf_curv = float(np.min(_curvature(variant, *_jets(surface, pair, rr))))
+        curv_ctr = _curvature(variant, *_jets(surface, pair, field.r))
+        values = [FRIEDRICH * inf_curv,
+                  float(np.min((curv_ctr / 4.0 + q.norm_sq)[q.mask]))]
         for name, value in zip(names, values):
             entries.append(BoundEntry(
                 name, value, margin, True,

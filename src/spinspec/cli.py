@@ -31,7 +31,7 @@ from .dirac_core import (BC_VARIANTS, BoundaryConditionSpec, NumericalError,
                          aggregate, convergence_study)
 from .geometry import (LAW_TOL, ConfigError, WarpedSurface, catalog,
                        conformal_law_residuals, conformal_rescale,
-                       make_surface, parse_radial_spec, scalar_curvature)
+                       make_surface, parse_radial_spec)
 
 Array = np.ndarray
 
@@ -88,8 +88,7 @@ def _check_type(name: str, value, kind) -> None:
 MAX_KMAX = 1000.0
 MAX_N = 2 ** 18               # radial cells of one grid, O(N) memory per solve
 MAX_BUDGET = 10 ** 5          # optimizer evaluations, each one kept in a trace
-MAX_CELLS = 2 ** 20           # modes x sum of N: levels and fields held, about
-                              # 200 B per cell
+MAX_CELLS = 2 ** 20           # modes x sum of N: the levels held
 MAX_SPECTRUM_WORK = 2 ** 30   # |k| solved x sum of N^2 in `spectrum`, where
                               # every eigenvalue costs O(N): about 100 s
 
@@ -201,6 +200,12 @@ def _spectrum_csv(levels: Array) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _warn_kmax(sp) -> None:
+    if sp.kmax_attained:
+        print(f"warning: lambda_min attained at |k| = kmax = {sp.k_max}; "
+              "increase --kmax", file=sys.stderr)
+
+
 def _cmd_spectrum(sc: Scenario) -> int:
     surface = sc.surface()
     local = {}                # N -> the last local+- Spectrum of this call
@@ -213,16 +218,14 @@ def _cmd_spectrum(sc: Scenario) -> int:
             if twin is not None and twin.bc != bc:
                 sp = twin.negated()
             else:
-                sp = aggregate(surface, bc, sc.kmax, N, n_fields_per_mode=0)
+                sp = aggregate(surface, bc, sc.kmax, N)
             if bc.is_local:
                 local[N] = sp
             path = os.path.join(sc.out, f"spectrum_{_slug(bc_name)}_N{N}.csv")
             atomic_write(path, _spectrum_csv(sp.levels))
             print(f"wrote {path} (lambda_min = {fmt(sp.lambda_min)}, "
                   f"attained at k = {fmt(sp.k_min)})")
-            if sp.kmax_attained:
-                print(f"warning: lambda_min attained at |k| = kmax = {sc.kmax}; "
-                      "increase --kmax", file=sys.stderr)
+            _warn_kmax(sp)
             # |lambda_min|, as in convergence_study: under local+- the
             # fundamental level is an exact +-lambda tie between modes +-k,
             # settled on k = -1/2 by the ordering, not by the level's sign
@@ -236,9 +239,9 @@ def _cmd_spectrum(sc: Scenario) -> int:
 def _identity_reports(sc: Scenario, surface: WarpedSurface,
                       bc: BoundaryConditionSpec) -> list[dict]:
     N = sc.N[-1]
-    sp = aggregate(surface, bc, sc.kmax, N, n_fields_per_mode=2, n_levels=2)
-    pair = sp.fundamental
-    field, lam = pair.field, pair.lam
+    sp = aggregate(surface, bc, sc.kmax, N, n_levels=2)
+    _warn_kmax(sp)
+    field, lam = sp.fundamental.field, sp.fundamental.lam
     mp = bounds_mod.canned_modifiers(surface)
     reports: list[ident.IdentityReport] = []
 
@@ -264,8 +267,7 @@ def _identity_reports(sc: Scenario, surface: WarpedSurface,
                 "note": "diagnostic: vanishes only in the limiting case"})
 
     if bc.variant == "aps-":
-        inf_r = float(np.min(scalar_curvature(surface, field.r)))
-        friedrich = bounds_mod.FRIEDRICH * inf_r
+        friedrich = bounds_mod.friedrich_bound(surface, N)
         out.append({"name": "aps_strict_gap", "left": sp.lambda_min_sq,
                     "right": friedrich, "residual": sp.lambda_min_sq - friedrich,
                     "n_grid": N,
@@ -347,10 +349,9 @@ def _cmd_bounds(sc: Scenario) -> int:
     for bc_name in sc.bc:
         bc = BoundaryConditionSpec(bc_name)
         N = sc.N[-1]
-        sp = aggregate(surface, bc, sc.kmax, N, n_fields_per_mode=2,
-                       n_levels=2)
-        field = sp.fundamental.field
-        report = bounds_mod.evaluate_bounds(sp, field, mp, mpc,
+        sp = aggregate(surface, bc, sc.kmax, N, n_levels=2)
+        _warn_kmax(sp)
+        report = bounds_mod.evaluate_bounds(sp, mp, mpc,
                                             tol_report=sc.tol_report,
                                             optimizer_summary=summary)
         path = os.path.join(sc.out, f"bounds_{_slug(bc_name)}.json")

@@ -35,7 +35,7 @@ index through which it meets the middle leaves the rest untouched, and a
 diagonal unitary gauge makes the off-diagonals real and nonnegative.  The
 full spectrum (`spectrum`) comes from dsterf, or, for a bipartite operator,
 from the dqds singular values of the bidiagonal hidden in its form (below);
-the few smallest |lambda| that lambda_min and the low fields need come from
+the few smallest |lambda| that lambda_min and its field need come from
 Sturm bisection on a window around 0, in O(N).  The few eigenvectors come
 from the same form (stebz and stein), mapped back and checked by their
 residual against the band.
@@ -69,6 +69,7 @@ experimental condition.
 from __future__ import annotations
 
 import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -608,11 +609,10 @@ class ModeOperator:
             d = np.zeros(n)
         return d, e
 
-    def eigensystem(self, n_vectors: int | None = None,
-                    n_values: int | None = None
-                    ) -> tuple[Array, Array | None, Array | None]:
-        """Eigenvalues (structural zeros deflated when spurious) and,
-        optionally, eigenvectors for the n_vectors smallest |lambda|.
+    def eigensystem(self, n_vectors: int = 0, n_values: int | None = None
+                    ) -> tuple[Array, Array, Array]:
+        """Eigenvalues (structural zeros deflated when spurious) and
+        eigenvectors for the n_vectors smallest |lambda|.
 
         n_values=None computes every eigenvalue of the tridiagonal form:
         dsterf, or for a bipartite operator +-sigma from the dqds singular
@@ -631,7 +631,7 @@ class ModeOperator:
         n = len(d)
         struct = self.structural_zeros
         n_zero = struct[0] if struct is not None else 0
-        want = None if n_values is None else max(n_values, n_vectors or 0)
+        want = None if n_values is None else max(n_values, n_vectors)
         full = want is None or want + n_zero + 1 >= n
         try:
             if full and self._bipartite:
@@ -665,8 +665,6 @@ class ModeOperator:
         if want is not None:
             vals = _lowest(vals, want)
 
-        if n_vectors is None:
-            return vals, None, None
         n_sel = min(n_vectors, len(vals))
         if n_sel == 0:
             return vals, np.empty(0), np.empty((n, 0), dtype=complex)
@@ -718,16 +716,22 @@ class ModeOperator:
 class Eigenpair:
     lam: float
     k: float
-    field: SpinorField | None = None
+    field: SpinorField
 
 
 @dataclass
 class ModeSolution:
     k: float
     lams: Array                       # eigenvalues (all or the lowest), ascending
-    pairs: list                       # Eigenpairs with fields, by |lam|
-    op: ModeOperator | None = None    # the native operator that was solved
-    samples: tuple = ()               # (lam, p, q) staggered eigenvectors
+    op: ModeOperator                  # the native operator that was solved
+    samples: tuple                    # (lam, p, q) staggered eigenvectors
+
+    @functools.cached_property
+    def pairs(self) -> list:
+        """Eigenpairs by |lam|, their fields collocated on first access."""
+        pairs = [Eigenpair(lam, self.k, _collocate(self.op, p, q, self.k < 0))
+                 for lam, p, q in self.samples]
+        return sorted(pairs, key=lambda e: (abs(e.lam), e.lam))
 
     def mirrored(self) -> "ModeSolution":
         """The solution at -k, whose native operator is this one under
@@ -750,8 +754,7 @@ class ModeSolution:
             lams = -lams[::-1]
             samples = tuple((-lam, np.conj(p), np.conj(q))
                             for lam, p, q in samples)
-        return ModeSolution(k, lams, _pairs(self.op, samples, k), self.op,
-                            samples)
+        return ModeSolution(k, lams, self.op, samples)
 
 
 def _phase_norm_scale(field_values: Array) -> complex:
@@ -788,15 +791,6 @@ def _collocate(op: ModeOperator, p: Array, q: Array, swap: bool) -> SpinorField:
     return SpinorField(op.surface, k, op.r_centers, vals, traces)
 
 
-def _pairs(op: ModeOperator, samples: tuple, k: float) -> list:
-    """Eigenpairs of mode k (by |lam|) from eigenvectors of the native operator."""
-    pairs = []
-    for lam, p, q in samples:
-        pairs.append(Eigenpair(lam, k, _collocate(op, p, q, swap=k < 0)))
-    pairs.sort(key=lambda e: (abs(e.lam), e.lam))
-    return pairs
-
-
 def solve_mode(surface: WarpedSurface, k: float, bc: BoundaryConditionSpec,
                N: int, n_fields: int = 4, n_levels: int | None = None
                ) -> ModeSolution:
@@ -818,7 +812,7 @@ def solve_mode(surface: WarpedSurface, k: float, bc: BoundaryConditionSpec,
     vals, wv, vec = op.eigensystem(n_vectors=n_fields, n_values=n_levels)
     samples = tuple((float(lam), *op.expand(vec[:, col]))
                     for col, lam in enumerate(wv))
-    return ModeSolution(k, vals, _pairs(op, samples, k), op, samples)
+    return ModeSolution(k, vals, op, samples)
 
 
 @dataclass
@@ -830,7 +824,7 @@ class Spectrum:
     n_grid: int
     k_max: float
     levels: Array                 # (n, 2) columns (lambda, k), sorted
-    eigenpairs: tuple             # low-lying Eigenpairs with fields
+    n_levels: int | None          # levels computed per mode; None: all
     kmax_attained: bool
 
     @property
@@ -845,9 +839,17 @@ class Spectrum:
     def k_min(self) -> float:
         return float(self.levels[0, 1])
 
-    @property
+    @functools.cached_property
     def fundamental(self) -> Eigenpair:
-        return self.eigenpairs[0]
+        """The eigenpair of levels[0], solved on first access: mode k_min with
+        n_levels levels and two fields (the count sets the stebz window, so
+        the field's last bits); NumericalError unless bit-equal to levels[0]."""
+        pair = solve_mode(self.surface, self.k_min, self.bc, self.n_grid, 2,
+                          self.n_levels).pairs[0]
+        if (pair.lam, pair.k) != (self.lambda_min, self.k_min):
+            raise NumericalError(f"fundamental re-solve gave {pair.lam!r} at "
+                                 f"k = {pair.k!r}, not levels[0]")
+        return pair
 
     def eigenvalues(self, k: float | None = None) -> Array:
         if k is None:
@@ -858,57 +860,51 @@ class Spectrum:
     def negated(self) -> "Spectrum":
         """The spectrum under the other local condition, bit for bit what
         `aggregate` gives there: every level negated (`solve_mode`), the
-        order settled again.  Spectra without fields only."""
-        if not self.bc.is_local or self.eigenpairs:
-            raise ValueError("only a local spectrum without fields negates")
+        order settled again."""
+        if not self.bc.is_local:
+            raise ValueError("only a local spectrum negates")
         other = "local-" if self.bc.variant == "local+" else "local+"
         return _spectrum(self.surface, BoundaryConditionSpec(other),
                          self.n_grid, self.k_max,
-                         self.levels * np.array([-1.0, 1.0]), [])
+                         self.levels * np.array([-1.0, 1.0]), self.n_levels)
 
 
 def _spectrum(surface: WarpedSurface, bc: BoundaryConditionSpec, N: int,
-              k_max: float, levels: Array, pairs: list) -> Spectrum:
-    """Spectrum of (lambda, k) rows and eigenpairs in the fixed order
-    (|lambda|, k, sign)."""
+              k_max: float, levels: Array, n_levels: int | None) -> Spectrum:
+    """Spectrum of (lambda, k) rows in the fixed order (|lambda|, k, sign)."""
     order = np.lexsort((np.sign(levels[:, 0]), levels[:, 1], np.abs(levels[:, 0])))
     levels = levels[order]
-    pairs.sort(key=lambda e: (abs(e.lam), e.k, np.sign(e.lam)))
     top = float(np.max(np.abs(levels[:, 1])))
     attained = bool(abs(abs(levels[0, 1]) - top) < 1e-9)
-    return Spectrum(surface, bc, N, k_max, levels, tuple(pairs), attained)
+    return Spectrum(surface, bc, N, k_max, levels, n_levels, attained)
 
 
 def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
               k_max: float = 12.5, N: int = 256,
-              n_fields_per_mode: int = 4,
               n_levels: int | None = None) -> Spectrum:
-    """Solve all modes |k| <= k_max and merge into one Spectrum.
+    """Merge the levels of all modes |k| <= k_max, no fields, into one Spectrum.
 
     `levels` holds every eigenvalue of each mode, or with n_levels only the
-    n_levels smallest |lambda| of each (enough for lambda_min and the low
-    fields).  Each |k| is solved once, natively; mode -k is the exact
-    mirror of that solution, so a +-lambda tie between the two modes is
-    exact and the (|lambda|, k, sign) order settles it the same way
-    everywhere.  Under local- every solve is the negated local+ one.  That
-    order fixes the result whatever the order of the solves, so each solve,
-    its operator and eigenvectors included, is dropped as soon as its modes
-    are merged: at most one is held at a time.
+    n_levels smallest |lambda| of each.  Each |k| is solved once, natively;
+    mode -k is the exact mirror of that solution, so a +-lambda tie between
+    the two modes is exact and the (|lambda|, k, sign) order settles it the
+    same way everywhere.  Under local- every solve is the negated local+
+    one.  That order fixes the result whatever the order of the solves, so
+    each solve, its operator included, is dropped as soon as its modes are
+    merged: at most one is held at a time.
     """
     by_abs: dict = {}
     for kk in modes_for(surface, k_max):
         by_abs.setdefault(abs(kk), []).append(kk)
     rows = []
-    pairs = []
     for k_abs, ks in by_abs.items():
-        native = solve_mode(surface, k_abs, bc, N, n_fields_per_mode, n_levels)
+        native = solve_mode(surface, k_abs, bc, N, 0, n_levels)
         for kk in ks:
             sol = native.mirrored() if kk < 0 else native
             rows.append(np.column_stack([sol.lams,
                                          np.full(len(sol.lams), sol.k)]))
-            pairs.extend(sol.pairs)
         del native, sol
-    return _spectrum(surface, bc, N, k_max, np.vstack(rows), pairs)
+    return _spectrum(surface, bc, N, k_max, np.vstack(rows), n_levels)
 
 
 # ---------------------------------------------------------------------------
@@ -931,8 +927,8 @@ def convergence_study(surface: WarpedSurface, bc: BoundaryConditionSpec,
         raise ConfigError("convergence study needs at least 3 grid sizes")
     if sorted(Ns) != list(Ns):
         raise ConfigError("grid sizes must be ascending")
-    lams = [abs(aggregate(surface, bc, k_max, N, n_fields_per_mode=0,
-                          n_levels=1).lambda_min) for N in Ns]
+    lams = [abs(aggregate(surface, bc, k_max, N, n_levels=1).lambda_min)
+            for N in Ns]
     rows = []
     for i, (N, lam) in enumerate(zip(Ns, lams)):
         order = None

@@ -12,14 +12,12 @@ def solved():
     """Session cache of aggregated spectra keyed by scenario parameters."""
     cache = {}
 
-    def get(geometry, bc, k_max=2.5, N=128, n_fields=2, spin="antiperiodic"):
+    def get(geometry, bc, k_max=2.5, N=128, spin="antiperiodic"):
         key = (geometry, bc, float(k_max), int(N), spin)
-        if key not in cache or cache[key][1] < n_fields:
-            surface = make_surface(geometry, spin)
-            sp = aggregate(surface, BoundaryConditionSpec(bc), k_max, N,
-                           n_fields_per_mode=n_fields)
-            cache[key] = (sp, n_fields)
-        return cache[key][0]
+        if key not in cache:
+            cache[key] = aggregate(make_surface(geometry, spin),
+                                   BoundaryConditionSpec(bc), k_max, N)
+        return cache[key]
 
     return get
 

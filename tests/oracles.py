@@ -8,11 +8,13 @@ pole (or from the admissible trace direction at an inner boundary) and
 bisects the boundary-condition residual in lambda.  The hemisphere oracle is the closed-form
 Killing spinor.
 
-Two entries are references rather than independent oracles.
+Three entries are references rather than independent oracles.
 `brentq_r_of_s` is the package's original per-point arclength inverse, which
-the vectorized inverse must reproduce to roundoff.  `DenseModeOperator` at
-the end is the package's own discretization, assembled the original dense
-way; the banded assembly must reproduce it to roundoff.
+the vectorized inverse must reproduce to roundoff.  `low_eigenpairs` collects
+the low eigenpairs of every mode from the package's per-mode solves, the
+fields that `aggregate` no longer keeps.  `DenseModeOperator` at the end is
+the package's own discretization, assembled the original dense way; the
+banded assembly must reproduce it to roundoff.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from scipy.linalg import null_space
 from scipy.optimize import brentq
 from scipy.special import jv
 
-from spinspec.dirac_core import (_HERM_TOL, _MAX_BANDWIDTH, NumericalError,
-                                 _closures)
+from spinspec.dirac_core import (_HERM_TOL, _MAX_BANDWIDTH,
+                                 BoundaryConditionSpec, NumericalError,
+                                 _closures, modes_for, solve_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +243,19 @@ def brentq_r_of_s(s_of_r, edges_r, edges_s):
         return float(out[0]) if scalar else out.reshape(np.shape(s))
 
     return r_of_s
+
+
+# ---------------------------------------------------------------------------
+# low eigenpairs of every mode
+# ---------------------------------------------------------------------------
+
+def low_eigenpairs(surface, bc: str, k_max: float, N: int) -> list:
+    """The eigenpairs of one solve_mode call per mode |k| <= k_max, two
+    fields each and every level, in the (|lambda|, k, sign) order."""
+    spec = BoundaryConditionSpec(bc)
+    pairs = [e for k in modes_for(surface, k_max)
+             for e in solve_mode(surface, k, spec, N, 2).pairs]
+    return sorted(pairs, key=lambda e: (abs(e.lam), e.k, np.sign(e.lam)))
 
 
 # ---------------------------------------------------------------------------

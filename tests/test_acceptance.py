@@ -35,8 +35,7 @@ def test_criterion_1_hemisphere_limiting_case(solved):
     bound: lambda_min^2 -> 1 with a Killing-spinor minimizer and H = 0."""
     hemi = make_surface("hemisphere")
     t0 = time.monotonic()
-    sp = aggregate(hemi, BoundaryConditionSpec("local+"), 12.5, 512,
-                   n_fields_per_mode=2)
+    sp = aggregate(hemi, BoundaryConditionSpec("local+"), 12.5, 512)
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
 
@@ -65,8 +64,7 @@ def test_criterion_2_aps_strictness():
     hemi = make_surface("hemisphere")
     gaps = {}
     for N in (256, 512, 1024):
-        sp = aggregate(hemi, BoundaryConditionSpec("aps-"), 12.5, N,
-                       n_fields_per_mode=1)
+        sp = aggregate(hemi, BoundaryConditionSpec("aps-"), 12.5, N)
         gaps[N] = sp.lambda_min_sq - 1.0
     assert all(g > 5e-3 for g in gaps.values())
     lo, hi = min(gaps.values()), max(gaps.values())
@@ -84,8 +82,7 @@ def test_criterion_3_flat_disk_oracle(solved):
     lam = {}
     for N in (128, 256, 512):
         sp = solved("disk", "local+", 2.5, N) if N < 512 else \
-            aggregate(disk, BoundaryConditionSpec("local+"), 2.5, 512,
-                      n_fields_per_mode=1)
+            aggregate(disk, BoundaryConditionSpec("local+"), 2.5, 512)
         lam[N] = abs(sp.lambda_min)
     assert abs(lam[512] - root) <= 1e-4
     order = oracles.richardson_order([lam[128], lam[256], lam[512]],
@@ -172,7 +169,7 @@ def test_criterion_6_conformal_covariance(solved):
     resc_c = conformal_rescale(disk, parse_radial_spec(f"const:{c}", 0, 1))
     sp_src = solved("disk", "local+", 1.5, 128)
     sp_tgt = aggregate(resc_c.target, BoundaryConditionSpec("local+"), 1.5,
-                       128, n_fields_per_mode=1)
+                       128)
     lam_src = np.sort(np.abs(sp_src.levels[:10, 0]))
     lam_tgt = np.sort(np.abs(sp_tgt.levels[:10, 0]))
     hom = float(np.max(np.abs(lam_tgt - np.exp(-c) * lam_src)))

@@ -128,7 +128,7 @@ def test_feasibility_rejects_unknown_variant():
 def test_hemisphere_friedrich_baseline_passes(solved):
     # inf R = 2, n = 2: the unmodified bound is lambda^2 >= 1, attained
     sp = solved("hemisphere", "local+", k_max=2.5, N=128)
-    report = evaluate_bounds(sp, sp.fundamental.field)
+    report = evaluate_bounds(sp)
     fr = report.entry("friedrich")
     assert abs(fr.value - 1.0) <= 1e-10
     assert fr.feasible and fr.passed
@@ -138,7 +138,7 @@ def test_hemisphere_friedrich_baseline_passes(solved):
 
 def test_disk_baseline_entries(solved):
     sp = solved("disk", "local+", k_max=2.5, N=128)
-    report = evaluate_bounds(sp, sp.fundamental.field)
+    report = evaluate_bounds(sp)
     assert abs(report.entry("friedrich").value) <= 1e-12  # R = 0
     hq = report.entry("hijazi_q")
     assert hq.value >= 0.0
@@ -148,7 +148,7 @@ def test_disk_baseline_entries(solved):
 def test_infeasible_pair_is_skipped(solved):
     sp = solved("disk", "local+", k_max=1.5, N=128)
     mp = pair(RadialFunction.constant(1.0), RadialFunction.from_poly([0, 1]))
-    report = evaluate_bounds(sp, sp.fundamental.field, mp=mp)
+    report = evaluate_bounds(sp, mp=mp)
     e1 = report.entry("est1")
     assert e1.feasible is False and e1.passed is None
     assert "infeasible" in e1.note
@@ -156,7 +156,7 @@ def test_infeasible_pair_is_skipped(solved):
 
 def test_annulus_baseline_marked_infeasible(solved):
     sp = solved("annulus:0.5,1.0", "local+", k_max=1.5, N=128)
-    report = evaluate_bounds(sp, sp.fundamental.field)
+    report = evaluate_bounds(sp)
     fr = report.entry("friedrich")
     assert fr.feasible is False and fr.passed is None
 
@@ -164,7 +164,7 @@ def test_annulus_baseline_marked_infeasible(solved):
 def test_interior_bounds_hold_under_aps_minus(solved):
     # the curvature bound covers aps- as well; here with a strict gap
     sp = solved("hemisphere", "aps-", k_max=2.5, N=128)
-    report = evaluate_bounds(sp, sp.fundamental.field)
+    report = evaluate_bounds(sp)
     fr = report.entry("friedrich")
     assert fr.passed is True
     assert sp.lambda_min_sq - fr.value > 5e-3   # strictness
@@ -176,7 +176,7 @@ def test_conformal_entries_under_aps_are_experimental(solved):
     sp = solved("hemisphere", "aps-", k_max=1.5, N=128)
     mp = pair(RadialFunction.constant(0.4),
               parse_radial_spec("bump:0.3", 0, np.pi / 2))
-    report = evaluate_bounds(sp, sp.fundamental.field, mp=mp, mp_conformal=mp)
+    report = evaluate_bounds(sp, mp=mp, mp_conformal=mp)
     e3 = report.entry("est3")
     assert e3.passed is None
     assert "experimental" in e3.note
@@ -193,8 +193,7 @@ def test_entry_table_feasible_interior_infeasible_conformal(solved):
                     "conditions; ")
     for bc, prefix in (("aps-", experimental), ("local+", "")):
         sp = solved("hemisphere", bc, k_max=1.5, N=128)
-        report = evaluate_bounds(sp, sp.fundamental.field, mp=mp,
-                                 mp_conformal=mp)
+        report = evaluate_bounds(sp, mp=mp, mp_conformal=mp)
         skipped = prefix + "skipped (infeasible)"
         assert [(e.name, e.value is None, e.feasible, e.passed, e.note)
                 for e in report.entries] == [
@@ -208,9 +207,9 @@ def test_entry_table_feasible_interior_infeasible_conformal(solved):
 
 def test_report_serialization(solved):
     sp = solved("hemisphere", "local+", k_max=1.5, N=128)
-    report = evaluate_bounds(sp, sp.fundamental.field,
-                             mp=pair(RadialFunction.constant(0.4),
-                                     parse_radial_spec("bump:0.3", 0, np.pi / 2)))
+    report = evaluate_bounds(sp, mp=pair(RadialFunction.constant(0.4),
+                                         parse_radial_spec("bump:0.3", 0,
+                                                           np.pi / 2)))
     d = report.to_dict()
     assert d["passed"] is True
     assert {e["name"] for e in d["entries"]} >= {"friedrich", "hijazi_q",

@@ -231,6 +231,40 @@ def test_spectrum_warns_when_kmax_attained(tmp_path, capsys):
     assert "kmax" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "verify", "bounds"])
+def test_kmax_warning_in_every_command_reporting_lambda_min(command, tmp_path,
+                                                            capsys):
+    """On the disk the fundamental sits at |k| = 1/2: with kmax 1/2 each
+    command that reports lambda_min prints the one warning line, once per
+    spectrum, and with kmax 3/2 none."""
+    for kmax, lines in (("0.5", 1), ("1.5", 0)):
+        assert run([command, "--geometry", "disk", "--bc", "local+",
+                    "--N", "32", "--kmax", kmax, "--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == lines * [f"warning: lambda_min attained at |k| = kmax "
+                               f"= {float(kmax)}; increase --kmax"]
+
+
+def test_verify_and_bounds_share_the_friedrich_infimum(tmp_path):
+    """R = 1/f falls toward the outer circle of this profile, so its
+    infimum lies on the boundary, off every cell centre: verify's APS gap
+    and bounds' friedrich entry read the same infimum."""
+    path = tmp_path / "p.csv"
+    r = np.linspace(0.3, 2.0, 40)
+    path.write_text("r,f\n" + "".join(f"{x:.17g},{x * (1.2 - x / 4):.17g}\n"
+                                       for x in r))
+    args = ["--geometry", f"profile:{path}", "--bc", "aps-", "--N", "64",
+            "--kmax", "2.5", "--out", str(tmp_path)]
+    assert run(["verify"] + args) == 0
+    assert run(["bounds"] + args) == 0
+    rows = [json.loads(ln) for ln in
+            read(tmp_path / "verify_apsminus.jsonl").splitlines()]
+    gap = next(r for r in rows if r["name"] == "aps_strict_gap")
+    report = json.loads(read(tmp_path / "bounds_apsminus.json"))
+    friedrich = next(e for e in report["entries"] if e["name"] == "friedrich")
+    assert gap["right"] == friedrich["value"]
+
+
 def test_spectrum_drift_ignores_the_sign_tie(tmp_path, capsys):
     """Under local+- the sign of lambda_min is a roundoff tie; the drift
     line compares |lambda_min| (it read 2.000e+00 when the sign flipped)."""

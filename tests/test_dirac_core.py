@@ -239,13 +239,28 @@ def test_structural_zero_check_on_selective_path():
 
 
 def test_aggregate_without_fields_keeps_levels():
+    """aggregate keeps levels only, the levels of per-mode solves that also
+    build fields; the fundamental's field is built on first access, once."""
     surface = make_surface("annulus:0.5,1.0")
     for bc in ("local+", "aps-"):
         spec = BoundaryConditionSpec(bc)
-        with_fields = aggregate(surface, spec, 2.5, 48, n_fields_per_mode=1)
-        bare = aggregate(surface, spec, 2.5, 48, n_fields_per_mode=0)
-        assert np.array_equal(bare.levels, with_fields.levels)
-        assert bare.eigenpairs == () and len(with_fields.eigenpairs) == 6
+        sp = aggregate(surface, spec, 2.5, 48)
+        assert "fundamental" not in vars(sp)
+        sols = [solve_mode(surface, k, spec, 48, 1)
+                for k in modes_for(surface, 2.5)]
+        assert sum(len(s.pairs) for s in sols) == 6
+        assert np.array_equal(np.sort(sp.levels[:, 0]),
+                              np.sort(np.concatenate([s.lams for s in sols])))
+        assert sp.fundamental is sp.fundamental
+        assert sp.fundamental.lam == sp.lambda_min
+
+
+def _assert_same_pair(surface, got, want):
+    """Two eigenpairs equal bit for bit: level, mode, field and traces."""
+    assert (got.lam, got.k) == (want.lam, want.k)
+    assert np.array_equal(got.field.values, want.field.values)
+    for w in surface.boundaries:
+        assert np.array_equal(got.field.trace(w), want.field.trace(w))
 
 
 @pytest.mark.parametrize("geom,bc", [("disk", "local+"), ("disk", "local-"),
@@ -253,14 +268,15 @@ def test_aggregate_without_fields_keeps_levels():
                                      ("cylinder:2.0", "aps+")])
 def test_aggregate_is_the_merge_of_per_mode_solves(geom, bc):
     """Solving each |k| once and dropping it after its modes merge gives the
-    levels and eigenpairs of one solve_mode call per mode, bit for bit."""
+    levels of one solve_mode call per mode, bit for bit, and the fundamental
+    is the (|lambda|, k, sign)-first of their eigenpairs, field and traces
+    bit for bit."""
     # on the periodic cylinder k = 0 is a mode
     surface = make_surface(geom, "periodic" if geom.startswith("cylinder")
                            else "antiperiodic")
     spec = BoundaryConditionSpec(bc)
     for n_levels in (None, 2):
-        sp = aggregate(surface, spec, 3.5, 32, n_fields_per_mode=2,
-                       n_levels=n_levels)
+        sp = aggregate(surface, spec, 3.5, 32, n_levels=n_levels)
         sols = [solve_mode(surface, k, spec, 32, 2, n_levels)
                 for k in modes_for(surface, 3.5)]
         rows = np.vstack([np.column_stack([s.lams, np.full(len(s.lams), s.k)])
@@ -268,28 +284,56 @@ def test_aggregate_is_the_merge_of_per_mode_solves(geom, bc):
         order = np.lexsort((np.sign(rows[:, 0]), rows[:, 1],
                             np.abs(rows[:, 0])))
         assert np.array_equal(sp.levels, rows[order])
-        pairs = sorted((e for s in sols for e in s.pairs),
-                       key=lambda e: (abs(e.lam), e.k, np.sign(e.lam)))
-        assert [(e.lam, e.k) for e in sp.eigenpairs] == \
-            [(e.lam, e.k) for e in pairs]
-        for got, want in zip(sp.eigenpairs, pairs):
-            assert np.array_equal(got.field.values, want.field.values)
+        want = min((e for s in sols for e in s.pairs),
+                   key=lambda e: (abs(e.lam), e.k, np.sign(e.lam)))
+        _assert_same_pair(surface, sp.fundamental, want)
+
+
+def test_fundamental_refuses_a_re_solve_off_levels0(monkeypatch):
+    """The fundamental re-solves mode k_min; a re-solve whose first pair is
+    not levels[0] bit for bit (here one ulp off) is refused, never paired
+    with the level."""
+    from spinspec import dirac_core
+    sp = aggregate(make_surface("disk"), BoundaryConditionSpec("local+"),
+                   1.5, 32, n_levels=2)
+    solve = dirac_core.solve_mode
+
+    def one_ulp_off(*args):
+        sol = solve(*args)
+        sol.pairs[0].lam = np.nextafter(sol.pairs[0].lam, 0.0)
+        return sol
+
+    monkeypatch.setattr(dirac_core, "solve_mode", one_ulp_off)
+    with pytest.raises(NumericalError, match="re-solve"):
+        sp.fundamental
+
+
+def _aggregate_peak(k_max: float) -> int:
+    """tracemalloc peak of aggregate on the disk, local+, N 2048, two
+    levels per mode, followed by its fundamental."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        aggregate(make_surface("disk"), BoundaryConditionSpec("local+"),
+                  k_max, 2048, n_levels=2).fundamental
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_aggregate_holds_one_solve_at_a_time():
-    """aggregate drops each |k| solve (band, end bases, eigenvectors) once its
-    modes are merged.  On the disk at kmax 20.5, N 2048 its tracemalloc peak
-    measured 7.7 MiB; holding all 21 solves to the end peaks at 26.6 MiB."""
-    import tracemalloc
-    surface = make_surface("disk")
-    tracemalloc.start()
-    try:
-        aggregate(surface, BoundaryConditionSpec("local+"), 20.5, 2048,
-                  n_fields_per_mode=2, n_levels=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * 2 ** 20
+    """aggregate drops each |k| solve (band, end bases) once its modes are
+    merged and builds one field, the fundamental's.  At kmax 20.5 the peak
+    measured 1.3 MiB; keeping two fields per mode peaked at 7.7 MiB, and
+    also holding all 21 solves to the end at 26.6 MiB."""
+    assert _aggregate_peak(20.5) <= 4 * 2 ** 20
+
+
+def test_aggregate_memory_does_not_grow_with_kmax():
+    """Levels are all that aggregate keeps per mode, about 32 B each here:
+    the peak at kmax 40.5 stays within 1.25x the one at 10.5 (both measured
+    1.3 MiB; with two fields kept per mode, 14.0 against 4.6 MiB)."""
+    assert _aggregate_peak(40.5) <= 1.25 * _aggregate_peak(10.5)
 
 
 @pytest.mark.parametrize("N", [256, 1024])
@@ -300,8 +344,7 @@ def test_aps_levels_come_in_exact_pairs(N):
     hemi = make_surface("hemisphere")
     spec = BoundaryConditionSpec("aps-")
     for n_levels in (None, 2):
-        sp = aggregate(hemi, spec, 4.5, N, n_fields_per_mode=1,
-                       n_levels=n_levels)
+        sp = aggregate(hemi, spec, 4.5, N, n_levels=n_levels)
         for k in (-4.5, -0.5, 0.5, 2.5):
             vals = sp.eigenvalues(k)
             assert np.array_equal(vals, -vals[::-1])
@@ -482,11 +525,10 @@ def test_cylinder_aps_plus_matches_shooting():
 # boundary condition structure on computed eigenspinors
 # ---------------------------------------------------------------------------
 
-def test_local_condition_kills_normal_pairing(solved):
+def test_local_condition_kills_normal_pairing():
     """(e0 . phi, psi) = 0 at the boundary for local-condition eigenspinors."""
-    sp = solved("disk", "local+", k_max=1.5, N=64)
     e0 = FRAME.covector((1.0, 0.0))
-    pairs = sp.eigenpairs[:4]
+    pairs = oracles.low_eigenpairs(make_surface("disk"), "local+", 1.5, 64)[:4]
     for a in pairs:
         for b in pairs:
             ta, tb = a.field.trace("outer"), b.field.trace("outer")
@@ -502,11 +544,11 @@ def test_local_condition_gamma_eigenvector(solved):
     assert maxabs(gam @ tr - tr) / maxabs(tr) <= 1e-12
 
 
-def test_aps_minus_admissible_trace(solved):
+def test_aps_minus_admissible_trace():
     """Admissible boundary values have no component on the nonnegative
     eigenvectors of e0 . D_boundary."""
-    sp = solved("disk", "aps-", k_max=1.5, N=64)
-    for pair in sp.eigenpairs[:4]:
+    for pair in oracles.low_eigenpairs(make_surface("disk"), "aps-", 1.5,
+                                       64)[:4]:
         tr = pair.field.trace("outer")
         _, e0d = boundary_dirac_matrix(make_surface("disk"), "outer", pair.k)
         w, v = np.linalg.eigh(e0d)
@@ -581,7 +623,7 @@ def test_aps_modes_swap_invariant(geom, bc):
         assert np.array_equal(pos.lams, levels)
         _assert_mirror_matches(surface, solve_mode(surface, -k, spec, 32,
                                                    n_fields=2), k, levels, fields)
-    sp = aggregate(surface, spec, 2.5, 32, n_fields_per_mode=1)
+    sp = aggregate(surface, spec, 2.5, 32)
     for k in (0.5, 1.5, 2.5):
         assert np.array_equal(sp.eigenvalues(k), sp.eigenvalues(-k))
 
@@ -606,7 +648,7 @@ def test_local_modes_mirror_exactly(geom, bc):
     fields match an independent solve of the swapped condition."""
     surface = make_surface(geom)
     spec = BoundaryConditionSpec(bc)
-    sp = aggregate(surface, spec, 2.5, 48, n_fields_per_mode=1)
+    sp = aggregate(surface, spec, 2.5, 48)
     for k in (0.5, 1.5, 2.5):
         vals = sp.eigenvalues(k)
         assert np.array_equal(sp.eigenvalues(-k), -vals[::-1])
@@ -630,7 +672,7 @@ def test_local_fundamental_sign_is_settled(N):
     for bc, sign in (("local+", -1.0), ("local-", 1.0)):
         for n_levels in (None, 2):
             sp = aggregate(hemi, BoundaryConditionSpec(bc), 2.5, N,
-                           n_fields_per_mode=1, n_levels=n_levels)
+                           n_levels=n_levels)
             assert np.sign(sp.lambda_min) == sign and sp.k_min == -0.5
             assert abs(abs(sp.lambda_min) - 1.0) <= 1e-3
             assert sp.fundamental.lam == sp.lambda_min
@@ -670,28 +712,26 @@ def test_local_minus_is_the_negated_local_plus_solve(geom):
 def test_local_minus_levels_are_negated_local_plus(geom):
     """aggregate(local-) is aggregate(local+) with every level negated and
     the (|lambda|, k, sign) order settled again, bit for bit; so is
-    Spectrum.negated, both ways."""
+    Spectrum.negated, both ways, and the fundamental of the negated
+    spectrum."""
     surface = make_surface(geom)
     plus_bc, minus_bc = (BoundaryConditionSpec(b) for b in ("local+", "local-"))
     for n_levels in (None, 2):
-        plus = aggregate(surface, plus_bc, 2.5, 40, n_fields_per_mode=0,
-                         n_levels=n_levels)
-        minus = aggregate(surface, minus_bc, 2.5, 40, n_fields_per_mode=0,
-                          n_levels=n_levels)
+        plus = aggregate(surface, plus_bc, 2.5, 40, n_levels=n_levels)
+        minus = aggregate(surface, minus_bc, 2.5, 40, n_levels=n_levels)
         flipped = plus.levels * np.array([-1.0, 1.0])
         order = np.lexsort((np.sign(flipped[:, 0]), flipped[:, 1],
                             np.abs(flipped[:, 0])))
         assert np.array_equal(minus.levels, flipped[order])
         twin = plus.negated()
         assert twin.bc == minus_bc and twin.n_grid == 40
+        assert twin.n_levels == minus.n_levels == n_levels
         assert np.array_equal(twin.levels, minus.levels)
         assert twin.kmax_attained == minus.kmax_attained
         assert np.array_equal(minus.negated().levels, plus.levels)
+        _assert_same_pair(surface, twin.fundamental, minus.fundamental)
     with pytest.raises(ValueError):
-        aggregate(surface, plus_bc, 0.5, 32, n_fields_per_mode=1).negated()
-    with pytest.raises(ValueError):
-        aggregate(surface, BoundaryConditionSpec("aps-"), 0.5, 32,
-                  n_fields_per_mode=0).negated()
+        aggregate(surface, BoundaryConditionSpec("aps-"), 0.5, 32).negated()
 
 
 @pytest.mark.parametrize("geom", GEOMS)
