@@ -40,9 +40,8 @@ The conformal bounds are stated for the local boundary conditions only;
 under APS conditions they are reported as experimental, with no pass/fail
 semantics.
 
-scipy.interpolate and scipy.optimize load on first use, in _basis_measure
-and optimize_modifiers, so that `spectrum` and `verify` on built-in
-geometries never pay for them; they must not move back to module level.
+spinspec never imports scipy.interpolate (the splines are
+`geometry._Spline`); scipy.optimize loads in `optimize_modifiers` only.
 """
 
 from __future__ import annotations
@@ -53,8 +52,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .geometry import (DIM, RadialFunction, WarpedSurface, boundary_data,
-                       parse_radial_spec, scalar_curvature)
+from .geometry import (DIM, RadialFunction, WarpedSurface, _Spline,
+                       boundary_data, parse_radial_spec, scalar_curvature)
 
 Array = np.ndarray
 
@@ -377,9 +376,8 @@ def _basis_measure(surface: WarpedSurface, variant: str, n_ctrl: int,
     column j interpolates e_j at the knots, so the spline through control
     values p is basis @ p wherever it is sampled.
     """
-    from scipy.interpolate import CubicSpline
-    basis = CubicSpline(np.linspace(surface.r_min, surface.r_max, n_ctrl),
-                        np.eye(n_ctrl))
+    knots = np.linspace(surface.r_min, surface.r_max, n_ctrl)
+    basis = _Spline.not_a_knot(knots, np.eye(n_ctrl))
     rr = _grid(surface, n_grid)
     b0, b1, b2 = (basis(rr, nu) for nu in range(3))
     curv, fpf = scalar_curvature(surface, rr), surface.fp(rr) / surface.f(rr)

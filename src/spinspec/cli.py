@@ -28,7 +28,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import identities as ident
 from .dirac_core import (BC_VARIANTS, BoundaryConditionSpec, NumericalError,
-                         aggregate, convergence_study)
+                         aggregate, convergence_study, modes_for)
 from .geometry import (LAW_TOL, ConfigError, WarpedSurface, catalog,
                        conformal_law_residuals, conformal_rescale,
                        make_surface, parse_radial_spec)
@@ -192,12 +192,13 @@ def _spectrum_csv(levels: Array) -> str:
     ascending and indexed from 0."""
     by_mode = levels[np.lexsort((levels[:, 0], levels[:, 1]))]
     ks, starts = np.unique(by_mode[:, 1], return_index=True)
-    lines = ["mode,index,lambda"]
+    parts = ["mode,index,lambda\n"]
     for k, lams in zip(ks.tolist(), np.split(by_mode[:, 0], starts[1:])):
-        mode = fmt(k)
-        lines.extend("%s,%d,%.17g" % (mode, idx, lam)
-                     for idx, lam in enumerate(lams.tolist()))
-    return "\n".join(lines) + "\n"
+        # one % per mode: the template repeated, its (index, lambda) pairs
+        args = [0] * (2 * len(lams))
+        args[::2], args[1::2] = range(len(lams)), lams.tolist()
+        parts.append((fmt(k) + ",%d,%.17g\n") * len(lams) % tuple(args))
+    return "".join(parts)
 
 
 def _warn_kmax(sp) -> None:
@@ -385,9 +386,11 @@ def _cmd_bounds(sc: Scenario) -> int:
 
 def _cmd_convergence(sc: Scenario) -> int:
     surface = sc.surface()
+    k_top = min(sc.kmax, 2.5)
+    top = modes_for(surface, k_top)[-1]
     for bc_name in sc.bc:
         bc = BoundaryConditionSpec(bc_name)
-        table = convergence_study(surface, bc, list(sc.N), k_max=min(sc.kmax, 2.5))
+        table = convergence_study(surface, bc, list(sc.N), k_max=k_top)
         lines = ["N,lambda_min,order,converged"]
         for row in table:
             lines.append(f"{row['N']},{fmt(row['lambda_min'])},"
@@ -395,6 +398,11 @@ def _cmd_convergence(sc: Scenario) -> int:
         path = os.path.join(sc.out, f"convergence_{_slug(bc_name)}.csv")
         atomic_write(path, "\n".join(lines) + "\n")
         print(f"wrote {path}")
+        # no "increase --kmax": past 2.5 it would not add a mode
+        if any(row["kmax_attained"] for row in table):
+            print(f"warning: lambda_min attained at |k| = {top}, the largest "
+                  f"mode convergence solves (|k| <= min(kmax, 2.5))",
+                  file=sys.stderr)
     return 0
 
 

@@ -921,16 +921,17 @@ def convergence_study(surface: WarpedSurface, bc: BoundaryConditionSpec,
     The magnitude is tracked because the fundamental level often comes as a
     +-pair.  Only the lowest level of each mode is computed.  Needs at least
     three ascending grid sizes for an order estimate; the 'converged' flag
-    records drift below DRIFT_TOL between the last two.
+    records drift below DRIFT_TOL between the last two, 'kmax_attained'
+    that grid's Spectrum.kmax_attained.
     """
     if len(Ns) < 3:
         raise ConfigError("convergence study needs at least 3 grid sizes")
     if sorted(Ns) != list(Ns):
         raise ConfigError("grid sizes must be ascending")
-    lams = [abs(aggregate(surface, bc, k_max, N, n_levels=1).lambda_min)
-            for N in Ns]
+    spectra = [aggregate(surface, bc, k_max, N, n_levels=1) for N in Ns]
+    lams = [abs(sp.lambda_min) for sp in spectra]
     rows = []
-    for i, (N, lam) in enumerate(zip(Ns, lams)):
+    for i, (N, lam, sp) in enumerate(zip(Ns, lams, spectra)):
         order = None
         if i >= 2:
             d1 = abs(lams[i - 1] - lams[i - 2])
@@ -940,5 +941,6 @@ def convergence_study(surface: WarpedSurface, bc: BoundaryConditionSpec,
                               / np.log(Ns[i] / Ns[i - 1]))
         converged = i == len(Ns) - 1 and abs(lams[i] - lams[i - 1]) < DRIFT_TOL
         rows.append({"N": N, "lambda_min": lam, "order": order,
-                     "converged": bool(converged)})
+                     "converged": bool(converged),
+                     "kmax_attained": sp.kmax_attained})
     return rows

@@ -25,9 +25,9 @@ of equal panels in r.  s(r) is Gauss-Legendre quadrature on those panels
 iteration, safeguarded by bisection inside each point's panel, on all
 points at once, and agrees with a per-point brentq root to 1e-14 (1 + |r|).
 
-scipy.interpolate loads on first use, in `RadialFunction.from_samples`, so
-that `spectrum` and `verify` on built-in geometries never pay for it; it
-must not move back to module level.
+Sampled profiles are interpolated by `_Spline`, the not-a-knot cubic, bit
+for bit scipy's CubicSpline.  spinspec never imports scipy.interpolate;
+scipy.optimize loads in `optimize_modifiers` only.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from scipy.linalg import solve_banded
 
 Array = np.ndarray
 
@@ -117,10 +118,98 @@ class RadialFunction:
     @staticmethod
     def from_samples(r: Array, y: Array) -> "RadialFunction":
         """Cubic-spline interpolant; derivative accuracy O(h^2)."""
-        from scipy.interpolate import CubicSpline
-        sp = CubicSpline(np.asarray(r, float), np.asarray(y, float))
+        sp = _Spline.not_a_knot(r, np.asarray(y, float))
         d1, d2, d3 = sp.derivative(1), sp.derivative(2), sp.derivative(3)
         return RadialFunction(sp, d1, d2, d3)
+
+
+@dataclass(frozen=True)
+class _Spline:
+    """Piecewise polynomial on the knots x: on [x[i], x[i+1]) it is
+    sum_j c[j, i] (r - x[i])^(K-1-j), K = len(c); the end cells extend past
+    the first and last knot.  Values may be real or complex, with any
+    trailing shape after the two leading axes of c.
+
+    `not_a_knot` is the interpolating cubic with the not-a-knot ends
+    (de Boor, A Practical Guide to Splines, ch. IV).  Construction and
+    evaluation do scipy's CubicSpline / PPoly arithmetic operation for
+    operation (scipy 1.17), so the two agree bit for bit
+    (tests/test_geometry.py holds scipy as the oracle).
+    """
+
+    x: Array
+    c: Array
+
+    @staticmethod
+    def not_a_knot(x, y) -> "_Spline":
+        """The spline through (x[i], y[i]), y along axis 0: at least 4
+        strictly increasing finite knots, finite values."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y)
+        y = y.astype(complex if np.iscomplexobj(y) else float, copy=False)
+        n = len(x)
+        if n < 4 or y.shape[0] != n:
+            raise ValueError("a spline needs at least 4 knots, one value each")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("spline knots and values must be finite")
+        dx = np.diff(x)
+        if np.any(dx <= 0):
+            raise ValueError("spline knots must be strictly increasing")
+        dxr = dx.reshape([n - 1] + [1] * (y.ndim - 1))
+        slope = np.diff(y, axis=0) / dxr
+        # slopes s[i] at the knots: the (3, n) band of the C^2 conditions
+        A = np.zeros((3, n))
+        b = np.empty((n,) + y.shape[1:], dtype=y.dtype)
+        A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        A[0, 2:] = dx[:-1]
+        A[-1, :-2] = dx[1:]
+        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        # not-a-knot: the third derivative is continuous at x[1] and x[-2]
+        A[1, 0] = dx[1]
+        A[0, 1] = x[2] - x[0]
+        d = x[2] - x[0]
+        b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0]
+                + dxr[0] ** 2 * slope[1]) / d
+        A[1, -1] = dx[-2]
+        A[-1, -2] = x[-1] - x[-3]
+        d = x[-1] - x[-3]
+        b[-1] = ((dxr[-1] ** 2 * slope[-2]
+                  + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d)
+        s = solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True,
+                         overwrite_b=True, check_finite=False).reshape(b.shape)
+        # the cubic Hermite cells through (y, s)
+        t = (s[:-1] + s[1:] - 2 * slope) / dxr
+        c = np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+        return _Spline(x, c)
+
+    def derivative(self, nu: int = 1) -> "_Spline":
+        """The nu-th derivative, a piecewise polynomial of order K - nu."""
+        K = len(self.c)
+        c = self.c[:K - nu].copy()
+        factor = np.array([math.perm(K - 1 - j, nu) for j in range(len(c))],
+                          dtype=float)
+        c *= factor[(slice(None),) + (None,) * (c.ndim - 1)]
+        return _Spline(self.x, c)
+
+    def __call__(self, r, nu: int = 0) -> Array:
+        """The nu-th derivative at the points r, shape r.shape + values'
+        trailing shape: over the cell x[i] <= r < x[i+1] (the end cells past
+        the ends), the power sum of c[K-1-p, i] z_p p!/(p-nu)! for p >= nu,
+        added in that order, with z_nu = 1 and z_(p+1) = z_p (r - x[i])."""
+        r = np.asarray(r, dtype=float)
+        rf = r.ravel()
+        # the count of interior knots <= r: the cell, clamped to the ends
+        i = self.x[1:-1].searchsorted(rf, "right")
+        K, tail = len(self.c), (1,) * (self.c.ndim - 2)
+        s = (rf - self.x.take(i)).reshape((len(rf),) + tail)
+        cg = self.c.take(i, axis=1)
+        res = np.zeros(s.shape, dtype=self.c.dtype)
+        z = 1.0
+        for p in range(nu, K):
+            if p > nu:
+                z = z * s
+            res = res + cg[K - 1 - p] * z * float(math.perm(p, nu))
+        return res.reshape(r.shape + self.c.shape[2:])
 
 
 @dataclass(frozen=True)

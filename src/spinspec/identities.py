@@ -22,7 +22,7 @@ import numpy as np
 
 from .bounds import ModifierPair, conformal_modified_scalar, modified_scalar
 from .geometry import (DIM, SLOPE_STENCIL, ConformalRescaling, WarpedSurface,
-                       apply_stencil, boundary_data, scalar_curvature)
+                       _Spline, apply_stencil, boundary_data, scalar_curvature)
 from .spin_algebra import FRAME
 
 Array = np.ndarray
@@ -482,12 +482,11 @@ def conformal_push(field: SpinorField, rescaling: ConformalRescaling,
             np.any(r_pull > field.surface.r_max + 1e-9):
         raise ValueError("interpolation outside the source grid")
 
-    from scipy.interpolate import CubicSpline
     # Interpolate the co-located values alone: they ride one smooth O(h^2)
     # collocation bias, and mixing in the exact boundary traces would kink
     # the data at that order.  Target centers map inside the source interval
     # up to half a cell, where the spline extrapolates at full order.
-    interp = CubicSpline(field.r, field.values, axis=0)
+    interp = _Spline.not_a_knot(field.r, field.values)
 
     def weight(r):
         return np.exp(-(DIM - 1) / 2.0 * rescaling.u(r))

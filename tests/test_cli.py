@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from spinspec.cli import Scenario, run
+from spinspec.cli import Scenario, _spectrum_csv, fmt, run
 from spinspec import ConfigError, make_surface
 from spinspec.bounds import TOL_FEAS, canned_modifiers, feasibility_margin
 
@@ -289,6 +289,48 @@ def test_convergence_subcommand(tmp_path):
     assert last[3] == "1"
 
 
+def test_convergence_warns_when_its_top_mode_is_attained(tmp_path, capsys):
+    """On the disk the fundamental sits at |k| = 1/2: convergence with kmax
+    1/2 or 1.2 (no mode 3/2) prints one warning line per boundary condition
+    naming the top mode solved, keeps its file and exit code, and with kmax
+    3/2 none."""
+    args = ["convergence", "--geometry", "disk", "--bc", "local+,aps-",
+            "--N", "32,64,128"]
+    assert run(args + ["--kmax", "1.5", "--out", str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().err == ""
+    for kmax in ("0.5", "1.2"):
+        assert run(args + ["--kmax", kmax, "--out", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().err.splitlines() == 2 * [
+            "warning: lambda_min attained at |k| = 0.5, the largest mode "
+            "convergence solves (|k| <= min(kmax, 2.5))"]
+    for bc in ("localplus", "apsminus"):
+        name = f"convergence_{bc}.csv"
+        assert read(tmp_path / "b" / name).splitlines()[0] == \
+            "N,lambda_min,order,converged"
+
+
+def _rowwise_spectrum_csv(levels):
+    """One % per row: the plain formatter, oracle of _spectrum_csv's one %
+    per mode."""
+    by_mode = levels[np.lexsort((levels[:, 0], levels[:, 1]))]
+    ks, starts = np.unique(by_mode[:, 1], return_index=True)
+    lines = ["mode,index,lambda"]
+    for k, lams in zip(ks.tolist(), np.split(by_mode[:, 0], starts[1:])):
+        lines.extend("%s,%d,%.17g" % (fmt(k), idx, lam)
+                     for idx, lam in enumerate(lams.tolist()))
+    return "\n".join(lines) + "\n"
+
+
+def test_spectrum_csv_matches_the_rowwise_formatter(rng):
+    ks = np.arange(-3.5, 4.0)
+    lams = rng.normal(size=8 * 37) * 10.0 ** rng.integers(-320, 308, 8 * 37)
+    lams[:6] = [-0.0, 0.0, 5e-324, -1.7976931348623157e308, 1e-310, 1 / 3]
+    levels = np.column_stack([lams, np.repeat(ks, 37)])
+    assert _spectrum_csv(levels) == _rowwise_spectrum_csv(levels)
+    one = np.array([[-0.0, 0.5]])
+    assert _spectrum_csv(one) == "mode,index,lambda\n0.5,0,-0\n"
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps({"geometry": "disk", "bc": ["local+"],
@@ -401,12 +443,21 @@ from spinspec import cli
 from spinspec.geometry import make_surface
 
 out = sys.argv[1]
+profile = out + "/profile.csv"
+with open(profile, "w") as fh:
+    fh.write("r,f\\n" + "".join(f"{0.5 + j / 16!r},{1 + j / 32!r}\\n"
+                                  for j in range(17)))
 lazy = ("scipy.interpolate", "scipy.optimize")
 flags = ["--N", "16", "--kmax", "1.5", "--out", out]
 codes = [cli.run(["spectrum", "--geometry", "hemisphere", "--bc", "aps-"]
                  + flags),
-         cli.run(["verify", "--geometry", "disk"] + flags)]
-for spec in ("hemisphere", "cap:1.2", "annulus:0.5,1.0", "disk"):
+         cli.run(["verify", "--geometry", "disk"] + flags),
+         cli.run(["verify", "--geometry", "disk", "--conformal-u", "bump:0.3",
+                  "--N", "64", "--kmax", "1.5", "--out", out]),
+         cli.run(["convergence", "--geometry", "profile:" + profile,
+                  "--N", "16,32,64", "--out", out])]
+for spec in ("hemisphere", "cap:1.2", "annulus:0.5,1.0", "disk",
+             "profile:" + profile):
     make_surface(spec)
 before = [m for m in lazy if m in sys.modules]
 codes.append(cli.run(["bounds", "--geometry", "cap:1.2", "--optimize-bounds",
@@ -417,17 +468,18 @@ print(json.dumps({"codes": codes, "before": before,
 
 
 def test_built_in_runs_never_load_interpolate_or_optimize(tmp_path):
-    """scipy.interpolate and scipy.optimize load on first use: spectrum and
-    verify on built-in geometries never import them, --optimize-bounds
-    does.  A structural check of the cold start, not a timing."""
+    """spinspec never imports scipy.interpolate: not for a profile geometry,
+    its convergence study, verify's conformal push, nor --optimize-bounds.
+    scipy.optimize loads with --optimize-bounds only.  A structural check
+    of the cold start, not a timing."""
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
                           env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen["codes"] == [0, 0, 0]
+    assert seen["codes"] == [0, 0, 0, 0, 0]
     assert seen["before"] == []
-    assert seen["after"] == ["scipy.interpolate", "scipy.optimize"]
+    assert seen["after"] == ["scipy.optimize"]
 
 
 @pytest.mark.parametrize("factor", ["poly:0,300", "bump:700"])

@@ -278,3 +278,52 @@ def test_r_of_s_sweeps_do_not_grow_with_points(monkeypatch):
         resc.r_of_s(np.linspace(0.0, resc.target.r_max, n))
         counts.append(len(calls))
     assert counts[0] == counts[1] <= geometry._NEWTON_SWEEPS
+
+
+def _spline_values(kind, n, rng):
+    if kind == "real":
+        return rng.normal(size=n)
+    if kind == "eye":        # the cardinal basis of bounds._basis_measure
+        return np.eye(n)
+    values = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    values.imag[:, 1] = 0.0  # a real component carried as complex
+    return values
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(4, 200), kind=st.sampled_from(["real", "eye", "complex"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_spline_is_bit_identical_to_scipy(n, kind, seed):
+    """geometry._Spline against scipy's CubicSpline (not-a-knot) on
+    non-uniform knots: values and derivatives of order 0-3, by __call__ and
+    by derivative(), inside, on every knot, at both ends and up to one cell
+    outside, equal to the last bit."""
+    from scipy.interpolate import CubicSpline
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2.0, 2.0) + np.cumsum(rng.uniform(1e-3, 1.0, n))
+    y = _spline_values(kind, n, rng)
+    ours, theirs = geometry._Spline.not_a_knot(x, y), CubicSpline(x, y)
+    h0, h1 = x[1] - x[0], x[-1] - x[-2]
+    pts = np.concatenate([x, rng.uniform(x[0], x[-1], 64),
+                          rng.uniform(x[0] - h0, x[0], 4),
+                          rng.uniform(x[-1], x[-1] + h1, 4),
+                          [x[0] - h0, x[-1] + h1]])
+    for nu in range(4):
+        for mine, ref in ((ours(pts, nu), theirs(pts, nu)),
+                          (ours.derivative(nu)(pts),
+                           theirs.derivative(nu)(pts)),
+                          (ours(x[-1], nu), theirs(x[-1], nu))):
+            assert mine.shape == ref.shape and mine.dtype == ref.dtype
+            assert np.array_equal(mine, ref)
+
+
+@pytest.mark.parametrize("x, y", [
+    (np.arange(5.0), np.array([0.0, 1.0, np.nan, 2.0, 3.0])),
+    (np.array([0.0, 1.0, np.inf, 3.0]), np.zeros(4)),
+    (np.arange(3.0), np.zeros(3)),
+    (np.array([0.0, 1.0, 1.0, 2.0]), np.zeros(4)),
+    (np.array([0.0, 2.0, 1.0, 3.0]), np.zeros(4)),
+])
+def test_spline_refuses_bad_knots_and_values(x, y):
+    with pytest.raises(ValueError):
+        geometry._Spline.not_a_knot(x, y)
