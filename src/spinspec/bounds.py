@@ -448,16 +448,11 @@ def optimize_modifiers(surface: WarpedSurface, variant: str = "interior",
         if restart > 200:  # pragma: no cover - budget should bind first
             break
 
+    # the baseline is trace[0] and max keeps the first of equal values, so a
+    # feasible baseline wins every tie
     feasible = [t for t in trace if t.feasible]
-    if feasible:
-        best = max(feasible, key=lambda t: t.value)
-        fell_back = False
-        if baseline.feasible and baseline.value >= best.value:
-            best = baseline
-    else:
-        best = baseline
-        fell_back = True
+    best = max(feasible, key=lambda t: t.value) if feasible else baseline
     pair = ModifierPair.from_params(surface, best.params, n_ctrl)
     return OptimizerResult(pair, best.value, best.margin,
-                           bool(feasible), fell_back, len(trace),
+                           bool(feasible), not feasible, len(trace),
                            baseline.value, trace)

@@ -27,10 +27,10 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import identities as ident
-from .dirac_core import (BC_VARIANTS, BoundaryConditionSpec, NumericalError,
-                         aggregate, convergence_study, modes_for)
-from .geometry import (LAW_TOL, ConfigError, WarpedSurface, catalog,
-                       conformal_law_residuals, conformal_rescale,
+from .dirac_core import (CONVERGENCE_KMAX, BoundaryConditionSpec,
+                         NumericalError, aggregate, convergence_study)
+from .geometry import (LAW_TOL, ConfigError, ConformalRescaling, WarpedSurface,
+                       catalog, conformal_law_residuals, conformal_rescale,
                        make_surface, parse_radial_spec)
 
 Array = np.ndarray
@@ -128,16 +128,18 @@ class Scenario:
             raise ConfigError(f"unknown config fields: {sorted(bad)}")
         return Scenario(**data)
 
-    def validate(self, command: str = "spectrum") -> None:
+    def validate(self, command: str = "spectrum"
+                 ) -> tuple[WarpedSurface, ConformalRescaling | None]:
         """ConfigError unless every field is well formed and the work that
-        `command` would do stays inside the admission caps."""
+        `command` would do stays inside the admission caps.  Returns the
+        run's surface and, with `conformal_u`, its rescaling (else None):
+        the command runs on these, not on a second build."""
         for name, kind in _FIELD_TYPES.items():
             _check_type(name, getattr(self, name), kind)
         if not self.bc:
             raise ConfigError("at least one boundary condition is required")
         for bc in self.bc:
-            if bc not in BC_VARIANTS:
-                raise ConfigError(f"unknown boundary condition {bc!r}")
+            BoundaryConditionSpec(bc)
         if not self.N or list(self.N) != sorted(self.N) or min(self.N) < 16:
             raise ConfigError("grid sizes must be ascending and at least 16")
         if self.kmax < 0.5:
@@ -149,11 +151,13 @@ class Scenario:
                 raise ConfigError(f"{name} must be positive")
         self._admit(command)
         surface = make_surface(self.geometry, self.spin_structure)
+        resc = None
         if self.conformal_u:
             # only verify rescales by it, but every command refuses a factor
             # that verify would refuse (about 2 ms)
-            conformal_rescale(surface, parse_radial_spec(
+            resc = conformal_rescale(surface, parse_radial_spec(
                 self.conformal_u, surface.r_min, surface.r_max))
+        return surface, resc
 
     def _admit(self, command: str) -> None:
         """Refuse kmax and N past the caps, from counts alone: |k| <= kmax
@@ -172,9 +176,6 @@ class Scenario:
             raise ConfigError(f"kmax {self.kmax:g} with N {self.N} is about "
                               f"{work:.3g} spectrum work; the cap is "
                               f"{MAX_SPECTRUM_WORK}")
-
-    def surface(self) -> WarpedSurface:
-        return make_surface(self.geometry, self.spin_structure)
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +202,13 @@ def _spectrum_csv(levels: Array) -> str:
     return "".join(parts)
 
 
-def _warn_kmax(sp) -> None:
-    if sp.kmax_attained:
-        print(f"warning: lambda_min attained at |k| = kmax = {sp.k_max}; "
-              "increase --kmax", file=sys.stderr)
+def _warn_top(top: float, hint: str = "increase --kmax") -> None:
+    """The one line saying lambda_min sits on `top`, the largest |k| solved."""
+    print(f"warning: lambda_min attained at |k| = {top:g}, the largest mode "
+          f"solved; {hint}", file=sys.stderr)
 
 
-def _cmd_spectrum(sc: Scenario) -> int:
-    surface = sc.surface()
+def _cmd_spectrum(sc: Scenario, surface: WarpedSurface, _) -> int:
     local = {}                # N -> the last local+- Spectrum of this call
     for bc_name in sc.bc:
         bc = BoundaryConditionSpec(bc_name)
@@ -226,7 +226,8 @@ def _cmd_spectrum(sc: Scenario) -> int:
             atomic_write(path, _spectrum_csv(sp.levels))
             print(f"wrote {path} (lambda_min = {fmt(sp.lambda_min)}, "
                   f"attained at k = {fmt(sp.k_min)})")
-            _warn_kmax(sp)
+            if sp.kmax_attained:
+                _warn_top(sp.k_top)
             # |lambda_min|, as in convergence_study: under local+- the
             # fundamental level is an exact +-lambda tie between modes +-k,
             # settled on k = -1/2 by the ordering, not by the level's sign
@@ -238,10 +239,12 @@ def _cmd_spectrum(sc: Scenario) -> int:
 
 
 def _identity_reports(sc: Scenario, surface: WarpedSurface,
+                      resc: ConformalRescaling | None,
                       bc: BoundaryConditionSpec) -> list[dict]:
     N = sc.N[-1]
     sp = aggregate(surface, bc, sc.kmax, N, n_levels=2)
-    _warn_kmax(sp)
+    if sp.kmax_attained:
+        _warn_top(sp.k_top)
     field, lam = sp.fundamental.field, sp.fundamental.lam
     mp = bounds_mod.canned_modifiers(surface)
     reports: list[ident.IdentityReport] = []
@@ -275,9 +278,7 @@ def _identity_reports(sc: Scenario, surface: WarpedSurface,
                     "expected_order": None,
                     "note": "strict inequality under APS; gap must stay positive"})
 
-    if sc.conformal_u:
-        u = parse_radial_spec(sc.conformal_u, surface.r_min, surface.r_max)
-        resc = conformal_rescale(surface, u)
+    if resc is not None:
         laws = conformal_law_residuals(resc, field.r)
         law_tol = LAW_TOL if surface.profile_exact else 1e-4
         for name, arr in (("conformal_law_curvature", laws["curvature"]),
@@ -298,17 +299,17 @@ def _identity_reports(sc: Scenario, surface: WarpedSurface,
         # the rescaling's own factor is the modifier u of eq3/eq4
         for which in ("eq3", "eq4"):
             r = ident.eq_residual(field, lam, which,
-                                  bounds_mod.ModifierPair(mp.a, u), resc)
+                                  bounds_mod.ModifierPair(mp.a, resc.u), resc)
             out.append(r.to_dict())
     return out
 
 
-def _cmd_verify(sc: Scenario) -> int:
-    surface = sc.surface()
+def _cmd_verify(sc: Scenario, surface: WarpedSurface,
+                resc: ConformalRescaling | None) -> int:
     failures = []
     for bc_name in sc.bc:
         bc = BoundaryConditionSpec(bc_name)
-        rows = _identity_reports(sc, surface, bc)
+        rows = _identity_reports(sc, surface, resc, bc)
         path = os.path.join(sc.out, f"verify_{_slug(bc_name)}.jsonl")
         atomic_write(path, "\n".join(json.dumps(r, sort_keys=True)
                                      for r in rows) + "\n")
@@ -330,8 +331,7 @@ def _cmd_verify(sc: Scenario) -> int:
     return 1 if failures else 0
 
 
-def _cmd_bounds(sc: Scenario) -> int:
-    surface = sc.surface()
+def _cmd_bounds(sc: Scenario, surface: WarpedSurface, _) -> int:
     rows = ["scenario,bc,n_grid,lambda_min_sq,k_min,friedrich,hijazi_q,"
             "est1,est2,est3,est4,margin_interior,margin_conformal,passed"]
     code = 0
@@ -351,27 +351,21 @@ def _cmd_bounds(sc: Scenario) -> int:
         bc = BoundaryConditionSpec(bc_name)
         N = sc.N[-1]
         sp = aggregate(surface, bc, sc.kmax, N, n_levels=2)
-        _warn_kmax(sp)
+        if sp.kmax_attained:
+            _warn_top(sp.k_top)
         report = bounds_mod.evaluate_bounds(sp, mp, mpc,
                                             tol_report=sc.tol_report,
                                             optimizer_summary=summary)
         path = os.path.join(sc.out, f"bounds_{_slug(bc_name)}.json")
         atomic_write(path, report.to_json() + "\n")
         print(f"wrote {path}")
-
-        def val(name):
-            try:
-                return report.entry(name).value
-            except KeyError:
-                return None
-
-        margins = {e.name: e.margin for e in report.entries}
+        values = [report.entry(name).value for name in
+                  ("friedrich", "hijazi_q", "est1", "est2", "est3", "est4")]
         rows.append(",".join([
             surface.name, bc_name, str(N), fmt(report.lambda_min_sq),
-            fmt(report.k_min), fmt(val("friedrich")), fmt(val("hijazi_q")),
-            fmt(val("est1")), fmt(val("est2")), fmt(val("est3")),
-            fmt(val("est4")), fmt(margins.get("est1")),
-            fmt(margins.get("est3")), fmt(report.passed)]))
+            fmt(report.k_min), *map(fmt, values),
+            fmt(report.entry("est1").margin), fmt(report.entry("est3").margin),
+            fmt(report.passed)]))
         for e in report.entries:
             if e.passed is False:
                 print(f"FAIL [{bc_name}] bound {e.name}: value {e.value!r} "
@@ -384,13 +378,11 @@ def _cmd_bounds(sc: Scenario) -> int:
     return code
 
 
-def _cmd_convergence(sc: Scenario) -> int:
-    surface = sc.surface()
-    k_top = min(sc.kmax, 2.5)
-    top = modes_for(surface, k_top)[-1]
+def _cmd_convergence(sc: Scenario, surface: WarpedSurface, _) -> int:
     for bc_name in sc.bc:
         bc = BoundaryConditionSpec(bc_name)
-        table = convergence_study(surface, bc, list(sc.N), k_max=k_top)
+        table = convergence_study(surface, bc, list(sc.N),
+                                  k_max=min(sc.kmax, CONVERGENCE_KMAX))
         lines = ["N,lambda_min,order,converged"]
         for row in table:
             lines.append(f"{row['N']},{fmt(row['lambda_min'])},"
@@ -398,11 +390,10 @@ def _cmd_convergence(sc: Scenario) -> int:
         path = os.path.join(sc.out, f"convergence_{_slug(bc_name)}.csv")
         atomic_write(path, "\n".join(lines) + "\n")
         print(f"wrote {path}")
-        # no "increase --kmax": past 2.5 it would not add a mode
+        # no "increase --kmax": past CONVERGENCE_KMAX it would add no mode
         if any(row["kmax_attained"] for row in table):
-            print(f"warning: lambda_min attained at |k| = {top}, the largest "
-                  f"mode convergence solves (|k| <= min(kmax, 2.5))",
-                  file=sys.stderr)
+            _warn_top(table[0]["k_top"], "convergence solves |k| <= "
+                      f"min(kmax, {CONVERGENCE_KMAX:g})")
     return 0
 
 
@@ -453,7 +444,6 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
             sc.N = [int(x) for x in args.N.split(",")]
         except ValueError as exc:
             raise ConfigError(f"cannot parse --N {args.N!r}") from exc
-    sc.validate(args.command)
     return sc
 
 
@@ -471,7 +461,7 @@ def run(argv: list[str]) -> int:
             if args.command == "catalog":
                 return _cmd_catalog(None)
             sc = _scenario_from_args(args)
-            code = _COMMANDS[args.command](sc)
+            code = _COMMANDS[args.command](sc, *sc.validate(args.command))
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2

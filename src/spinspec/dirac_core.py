@@ -158,27 +158,25 @@ def boundary_dirac_matrix(surface: WarpedSurface, boundary_id: str,
 # assembly
 # ---------------------------------------------------------------------------
 
-# (inner, outer) closures of each condition at k != 0; None is the no-BC
-# realization
-_END_CLOSURES = {None: (("qdir", None), ("qdir", None)),
-                 "local+": (("local", 1j), ("local", -1j)),
+# (inner, outer) closures of each condition at k != 0
+_END_CLOSURES = {"local+": (("local", 1j), ("local", -1j)),
                  "local-": (("local", -1j), ("local", 1j)),
                  "aps-": (("qdir", None), ("pdir", None)),
                  "aps+": (("pdir", None), ("qdir", None))}
 
 
 def _closures(surface: WarpedSurface, k: float,
-              bc: BoundaryConditionSpec | None) -> dict:
+              bc: BoundaryConditionSpec) -> dict:
     """Per-end closure type for the native solve (k >= 0 only).
 
     'pole'  : cap; the vertex component vanishes there exactly
-    'qdir'  : vertex component fixed to zero (also the no-BC realization)
+    'qdir'  : vertex component fixed to zero
     'local' : chirality constraint q_b = gamma * (extrapolated p), gamma = +-i
     'pdir'  : extrapolated center component vanishes, vertex value free
     'both'  : qdir and pdir together (APS at a mode where e0.D_bnd = 0)
     """
-    inner, outer = _END_CLOSURES[None if bc is None else bc.variant]
-    if bc is not None and bc.is_aps and k == 0:
+    inner, outer = _END_CLOSURES[bc.variant]
+    if bc.is_aps and k == 0:
         inner = outer = ("both", None)
     return {"inner": ("pole", None) if surface.cap else inner, "outer": outer}
 
@@ -365,17 +363,16 @@ def _band_matvec(ab: Array, bw: int, x: Array) -> Array:
 
 @dataclass
 class ModeOperator:
-    """Discrete radial Dirac operator of one mode, before or after a BC.
+    """Discrete radial Dirac operator of one mode under a boundary condition.
 
-    `matrix` is the reduced operator in band storage, exactly Hermitian
-    after the boundary condition is applied; eigenvectors are reported back
-    on the staggered grids through `expand`.
+    `matrix` is the reduced operator in band storage, exactly Hermitian;
+    eigenvectors are reported back on the staggered grids through `expand`.
     """
 
     surface: WarpedSurface
     k: float
     n_grid: int
-    bc: BoundaryConditionSpec | None
+    bc: BoundaryConditionSpec
 
     def __post_init__(self):
         if self.n_grid < 16:
@@ -801,8 +798,6 @@ def solve_mode(surface: WarpedSurface, k: float, bc: BoundaryConditionSpec,
     n_levels=None keeps every eigenvalue; otherwise only the n_levels
     smallest |lambda| (at least n_fields) are computed.
     """
-    if bc is None:
-        raise ConfigError("solve_mode needs a boundary condition")
     if k < 0:
         return solve_mode(surface, -k, bc, N, n_fields, n_levels).mirrored()
     if bc.variant == "local-":
@@ -822,10 +817,9 @@ class Spectrum:
     surface: WarpedSurface
     bc: BoundaryConditionSpec
     n_grid: int
-    k_max: float
+    k_top: float                  # the largest |k| solved
     levels: Array                 # (n, 2) columns (lambda, k), sorted
     n_levels: int | None          # levels computed per mode; None: all
-    kmax_attained: bool
 
     @property
     def lambda_min(self) -> float:
@@ -838,6 +832,11 @@ class Spectrum:
     @property
     def k_min(self) -> float:
         return float(self.levels[0, 1])
+
+    @property
+    def kmax_attained(self) -> bool:
+        """lambda_min sits on the largest |k| solved, k_top."""
+        return abs(abs(self.k_min) - self.k_top) < 1e-9
 
     @functools.cached_property
     def fundamental(self) -> Eigenpair:
@@ -865,18 +864,16 @@ class Spectrum:
             raise ValueError("only a local spectrum negates")
         other = "local-" if self.bc.variant == "local+" else "local+"
         return _spectrum(self.surface, BoundaryConditionSpec(other),
-                         self.n_grid, self.k_max,
-                         self.levels * np.array([-1.0, 1.0]), self.n_levels)
+                         self.n_grid, self.levels * np.array([-1.0, 1.0]),
+                         self.n_levels)
 
 
 def _spectrum(surface: WarpedSurface, bc: BoundaryConditionSpec, N: int,
-              k_max: float, levels: Array, n_levels: int | None) -> Spectrum:
+              levels: Array, n_levels: int | None) -> Spectrum:
     """Spectrum of (lambda, k) rows in the fixed order (|lambda|, k, sign)."""
     order = np.lexsort((np.sign(levels[:, 0]), levels[:, 1], np.abs(levels[:, 0])))
-    levels = levels[order]
-    top = float(np.max(np.abs(levels[:, 1])))
-    attained = bool(abs(abs(levels[0, 1]) - top) < 1e-9)
-    return Spectrum(surface, bc, N, k_max, levels, n_levels, attained)
+    return Spectrum(surface, bc, N, float(np.max(np.abs(levels[:, 1]))),
+                    levels[order], n_levels)
 
 
 def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
@@ -904,25 +901,27 @@ def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
             rows.append(np.column_stack([sol.lams,
                                          np.full(len(sol.lams), sol.k)]))
         del native, sol
-    return _spectrum(surface, bc, N, k_max, np.vstack(rows), n_levels)
+    return _spectrum(surface, bc, N, np.vstack(rows), n_levels)
 
 
 # ---------------------------------------------------------------------------
 # convergence studies
 # ---------------------------------------------------------------------------
 
-DRIFT_TOL = 1e-3    # |lambda_min| drift of a converged convergence study
+DRIFT_TOL = 1e-3          # |lambda_min| drift of a converged convergence study
+CONVERGENCE_KMAX = 2.5    # the largest |k| a convergence study solves
 
 
 def convergence_study(surface: WarpedSurface, bc: BoundaryConditionSpec,
-                      Ns: list[int], k_max: float = 2.5) -> list[dict]:
+                      Ns: list[int], k_max: float = CONVERGENCE_KMAX
+                      ) -> list[dict]:
     """|lambda_min| versus N with Richardson order estimates.
 
     The magnitude is tracked because the fundamental level often comes as a
     +-pair.  Only the lowest level of each mode is computed.  Needs at least
     three ascending grid sizes for an order estimate; the 'converged' flag
-    records drift below DRIFT_TOL between the last two, 'kmax_attained'
-    that grid's Spectrum.kmax_attained.
+    records drift below DRIFT_TOL between the last two, 'k_top' and
+    'kmax_attained' that grid's Spectrum.k_top and .kmax_attained.
     """
     if len(Ns) < 3:
         raise ConfigError("convergence study needs at least 3 grid sizes")
@@ -942,5 +941,5 @@ def convergence_study(surface: WarpedSurface, bc: BoundaryConditionSpec,
         converged = i == len(Ns) - 1 and abs(lams[i] - lams[i - 1]) < DRIFT_TOL
         rows.append({"N": N, "lambda_min": lam, "order": order,
                      "converged": bool(converged),
-                     "kmax_attained": sp.kmax_attained})
+                     "k_top": sp.k_top, "kmax_attained": sp.kmax_attained})
     return rows

@@ -241,8 +241,49 @@ def test_kmax_warning_in_every_command_reporting_lambda_min(command, tmp_path,
         assert run([command, "--geometry", "disk", "--bc", "local+",
                     "--N", "32", "--kmax", kmax, "--out", str(tmp_path)]) == 0
         err = capsys.readouterr().err.splitlines()
-        assert err == lines * [f"warning: lambda_min attained at |k| = kmax "
-                               f"= {float(kmax)}; increase --kmax"]
+        assert err == lines * ["warning: lambda_min attained at |k| = 0.5, "
+                               "the largest mode solved; increase --kmax"]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify", "bounds"])
+def test_top_mode_warning_names_a_solved_mode(command, tmp_path, capsys):
+    """kmax 1.2 on the disk solves |k| = 1/2 only: the warning names 0.5,
+    the largest mode solved, not kmax."""
+    assert run([command, "--geometry", "disk", "--bc", "local+", "--N", "32",
+                "--kmax", "1.2", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: lambda_min attained at |k| = 0.5, the largest mode solved; "
+        "increase --kmax"]
+
+
+def test_top_mode_warning_on_a_periodic_surface(tmp_path, capsys):
+    """Under the periodic spin structure kmax 0.7 solves k = 0 alone."""
+    assert run(["spectrum", "--geometry", "cylinder:1", "--spin", "periodic",
+                "--bc", "aps-", "--N", "32", "--kmax", "0.7",
+                "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: lambda_min attained at |k| = 0, the largest mode solved; "
+        "increase --kmax"]
+
+
+@pytest.mark.parametrize("command",
+                         ["spectrum", "verify", "bounds", "convergence"])
+def test_each_run_builds_its_surface_and_rescaling_once(command, tmp_path,
+                                                        monkeypatch):
+    """The surface and the conformal rescaling that validation builds are
+    the ones the command runs on: one build each, whatever the number of
+    boundary conditions."""
+    from spinspec import cli
+    counts = dict.fromkeys(("make_surface", "conformal_rescale"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _build=getattr(cli, name)):
+            counts[_name] += 1
+            return _build(*args)
+        monkeypatch.setattr(cli, name, counted)
+    assert run([command, "--geometry", "disk", "--bc", "local+,local-",
+                "--N", "32,48,64", "--kmax", "1.5", "--conformal-u", "bump:0.3",
+                "--out", str(tmp_path)]) == 0
+    assert counts == {"make_surface": 1, "conformal_rescale": 1}
 
 
 def test_verify_and_bounds_share_the_friedrich_infimum(tmp_path):
@@ -302,7 +343,7 @@ def test_convergence_warns_when_its_top_mode_is_attained(tmp_path, capsys):
         assert run(args + ["--kmax", kmax, "--out", str(tmp_path / "b")]) == 0
         assert capsys.readouterr().err.splitlines() == 2 * [
             "warning: lambda_min attained at |k| = 0.5, the largest mode "
-            "convergence solves (|k| <= min(kmax, 2.5))"]
+            "solved; convergence solves |k| <= min(kmax, 2.5)"]
     for bc in ("localplus", "apsminus"):
         name = f"convergence_{bc}.csv"
         assert read(tmp_path / "b" / name).splitlines()[0] == \

@@ -92,27 +92,18 @@ def test_hermiticity_on_random_bulged_caps(eps, bc, k):
     assert np.all(op.weights > 0)
 
 
-def test_assembled_operator_without_bc_hermitian():
-    op = ModeOperator(make_surface("disk"), 0.5, 32, bc=None)
-    assert op.bc is None
-    assert op.hermiticity_residual() <= 1e-12
-    a = dense_from_band(op.matrix)
-    assert maxabs(a - a.conj().T) == 0.0
-
-
 def test_assembly_contract_errors():
     disk = make_surface("disk")
+    aps = BoundaryConditionSpec("aps-")
     with pytest.raises(ConfigError, match="N too small"):
-        ModeOperator(disk, 0.5, 8, bc=None)
+        ModeOperator(disk, 0.5, 8, bc=aps)
     with pytest.raises(ConfigError, match="spin structure"):
-        ModeOperator(disk, 1.0, 32, bc=None)  # integer mode on antiperiodic
+        ModeOperator(disk, 1.0, 32, bc=aps)  # integer mode on antiperiodic
     cyl = make_surface("cylinder:2.0", spin_structure="periodic")
     with pytest.raises(ConfigError, match="spin structure"):
-        ModeOperator(cyl, 0.5, 32, bc=None)
+        ModeOperator(cyl, 0.5, 32, bc=aps)
     with pytest.raises(ConfigError, match="native modes"):
-        ModeOperator(disk, -0.5, 32, bc=None)
-    with pytest.raises(ConfigError, match="boundary condition"):
-        solve_mode(disk, 0.5, None, 32)
+        ModeOperator(disk, -0.5, 32, bc=aps)
     with pytest.raises(ConfigError):
         BoundaryConditionSpec("dirichlet")
 
@@ -727,6 +718,7 @@ def test_local_minus_levels_are_negated_local_plus(geom):
         assert twin.bc == minus_bc and twin.n_grid == 40
         assert twin.n_levels == minus.n_levels == n_levels
         assert np.array_equal(twin.levels, minus.levels)
+        assert twin.k_top == minus.k_top == 2.5
         assert twin.kmax_attained == minus.kmax_attained
         assert np.array_equal(minus.negated().levels, plus.levels)
         _assert_same_pair(surface, twin.fundamental, minus.fundamental)
@@ -811,6 +803,7 @@ def test_convergence_study_table():
     assert rows[0]["order"] is None and rows[1]["order"] is None
     assert 1.7 <= rows[2]["order"] <= 2.4
     assert rows[2]["converged"]
+    assert all(row["k_top"] == 0.5 and row["kmax_attained"] for row in rows)
     with pytest.raises(ConfigError):
         convergence_study(disk, BoundaryConditionSpec("local+"), [32, 64])
     with pytest.raises(ConfigError):
