@@ -25,7 +25,8 @@ public functions fill those arrays from RadialFunctions; the optimizer fills
 them from a precomputed spline basis, so both paths share one copy of each
 formula.
 
-The sup over (a, u) is explored with derivative-free Nelder-Mead over cubic
+The sup over (a, u) is explored with derivative-free Nelder-Mead
+(`_nelder_mead`, scipy's method evaluation for evaluation) over cubic
 spline coefficients, feasibility enforced by charging _PENALTY per unit of
 margin deficit; the result is a certified-feasible best iterate, never
 claimed globally optimal.  A spline
@@ -40,8 +41,8 @@ The conformal bounds are stated for the local boundary conditions only;
 under APS conditions they are reported as experimental, with no pass/fail
 semantics.
 
-spinspec never imports scipy.interpolate (the splines are
-`geometry._Spline`); scipy.optimize loads in `optimize_modifiers` only.
+spinspec loads no scipy module: the splines are `geometry._Spline` and the
+optimizer is `_nelder_mead`.
 """
 
 from __future__ import annotations
@@ -394,6 +395,97 @@ def _basis_measure(surface: WarpedSurface, variant: str, n_ctrl: int,
     return measure
 
 
+class _BudgetSpent(Exception):
+    """One Nelder-Mead run has made its maxfev evaluations."""
+
+
+def _nelder_mead(func, simplex: Array, maxfev: int, xatol: float,
+                 fatol: float) -> Array:
+    """Minimize func from the initial simplex (N + 1 points, one per row);
+    returns the best point.
+
+    scipy 1.17's _minimize_neldermead step for step, and so evaluation for
+    evaluation, with the options optimize_modifiers uses: the standard
+    coefficients (not adaptive), no bounds, an initial simplex, maxfev and
+    no iteration cap, xatol and fatol.  As under scipy.optimize.minimize,
+    func gets a copy of each point, and a step that would exceed maxfev
+    ends the run where it stands.  Stops when maxfev evaluations are spent,
+    or when every vertex lies within xatol of the best and every value
+    within fatol of its value.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    sim = np.array(simplex, dtype=float)
+    N = sim.shape[1]
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    calls = 0
+
+    def f(x: Array) -> float:
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetSpent
+        calls += 1
+        return func(np.copy(x))
+
+    try:
+        for k in range(N + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    finally:
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    ind = np.argsort(fsim)
+    fsim = np.take(fsim, ind, 0)
+    sim = np.take(sim, ind, 0)
+
+    while calls < maxfev:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
+                    np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = f(xr)
+            doshrink = 0
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    # outside contraction
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = f(xc)
+                    if fxc <= fxr:
+                        sim[-1], fsim[-1] = xc, fxc
+                    else:
+                        doshrink = 1
+                else:
+                    # inside contraction
+                    xcc = (1 - psi) * xbar + psi * sim[-1]
+                    fxcc = f(xcc)
+                    if fxcc < fsim[-1]:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                    else:
+                        doshrink = 1
+                if doshrink:
+                    for j in range(1, N + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0]
+
+
 def optimize_modifiers(surface: WarpedSurface, variant: str = "interior",
                        budget: int = 1200, n_ctrl: int = 8,
                        n_grid: int = 256) -> OptimizerResult:
@@ -427,7 +519,6 @@ def optimize_modifiers(surface: WarpedSurface, variant: str = "interior",
 
     # restart the simplex around the incumbent until the evaluation budget
     # is spent; plain Nelder-Mead stalls long before desk-scale budgets
-    from scipy.optimize import minimize
     rng = np.random.default_rng(7)
     incumbent = x0
     restart = 0
@@ -437,10 +528,8 @@ def optimize_modifiers(surface: WarpedSurface, variant: str = "interior",
                              if restart else 0.0)
         simplex = np.vstack([start] + [start + step * e
                                        for e in np.eye(2 * n_ctrl)])
-        minimize(objective, start, method="Nelder-Mead",
-                 options={"maxfev": max(budget - len(trace), 1),
-                          "initial_simplex": simplex,
-                          "xatol": 1e-8, "fatol": 1e-12})
+        _nelder_mead(objective, simplex, max(budget - len(trace), 1),
+                     xatol=1e-8, fatol=1e-12)
         feas_now = [t for t in trace if t.feasible]
         if feas_now:
             incumbent = max(feas_now, key=lambda t: t.value).params

@@ -30,8 +30,8 @@ from . import identities as ident
 from .dirac_core import (CONVERGENCE_KMAX, BoundaryConditionSpec,
                          NumericalError, aggregate, convergence_study)
 from .geometry import (LAW_TOL, ConfigError, ConformalRescaling, WarpedSurface,
-                       catalog, conformal_law_residuals, conformal_rescale,
-                       make_surface, parse_radial_spec)
+                       catalog, check_input_file, conformal_law_residuals,
+                       conformal_rescale, make_surface, parse_radial_spec)
 
 Array = np.ndarray
 
@@ -91,6 +91,7 @@ MAX_BUDGET = 10 ** 5          # optimizer evaluations, each one kept in a trace
 MAX_CELLS = 2 ** 20           # modes x sum of N: the levels held
 MAX_SPECTRUM_WORK = 2 ** 30   # |k| solved x sum of N^2 in `spectrum`, where
                               # every eigenvalue costs O(N): about 100 s
+MAX_CONFIG_BYTES = 2 ** 20    # a scenario config file
 
 # JSON type of each Scenario field: a list holds items of the one type given
 _FIELD_TYPES = {"geometry": str, "spin_structure": str, "bc": [str],
@@ -117,6 +118,7 @@ class Scenario:
 
     @staticmethod
     def from_json(path: str) -> "Scenario":
+        check_input_file(path, "config", MAX_CONFIG_BYTES)
         try:
             with open(path) as fh:
                 data = json.load(fh)

@@ -38,7 +38,9 @@ from the dqds singular values of the bidiagonal hidden in its form (below);
 the few smallest |lambda| that lambda_min and its field need come from
 Sturm bisection on a window around 0, in O(N).  The few eigenvectors come
 from the same form (stebz and stein), mapped back and checked by their
-residual against the band.
+residual against the band.  Every LAPACK routine is called through
+`_lapack`: from numpy's bundled OpenBLAS, or scipy's table where that is
+missing.
 
 Modes with k < 0 go through the unitary component swap (v1, v2) -> (v2, v1),
 which maps mode k to mode -k and swaps the two local boundary conditions
@@ -68,15 +70,15 @@ experimental condition.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import (cython_lapack, eigh_tridiagonal,
-                          eigvalsh_tridiagonal, hessenberg, null_space)
-from scipy.linalg import solve_banded  # noqa: F401  unused; perfbench --trace counts it
 
+from ._lapack import (bidiagonal_singular_values, eigh_tridiagonal,
+                      eigvalsh_tridiagonal, hessenberg, null_space)
+# unused here; perfbench --trace counts calls to this name
+from ._lapack import solve_tridiagonal as solve_banded  # noqa: F401
 from .geometry import (SLOPE_STENCIL, TRACE_STENCIL, ConfigError,
                        WarpedSurface, apply_stencil, boundary_data)
 from .identities import SpinorField
@@ -268,7 +270,7 @@ def _tridiagonal_block(block: Array, tol: float) -> tuple[Array, Array, Array]:
     an entry beyond the first off-diagonal, or an imaginary diagonal part,
     above `tol` is refused, never dropped.
     """
-    H, Q = hessenberg(block, calc_q=True)
+    H, Q = hessenberg(block)
     off = max(float(np.max(np.abs(np.triu(H, 2)))),
               float(np.max(np.abs(np.diagonal(H).imag))))
     if off > tol:
@@ -293,27 +295,6 @@ def _low_values(d: Array, e: Array, count: int) -> Array:
         w *= 2.0
 
 
-def _lapack_routine(name: str, *argtypes):
-    """A LAPACK routine from scipy's Cython table (which also covers the ones
-    scipy.linalg.lapack does not wrap), callable through ctypes."""
-    capsule = cython_lapack.__pyx_capi__[name]
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
-                                    ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    return ctypes.CFUNCTYPE(None, *argtypes)(
-        get_pointer(capsule, get_name(capsule)))
-
-
-_INT_P = ctypes.POINTER(ctypes.c_int)
-_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
-# dlasq1(n, d, e, work, info): singular values of the upper bidiagonal
-# (d, e) by dqds, returned in d, decreasing; e and work (4 n) are scratch
-_DLASQ1 = _lapack_routine("dlasq1", _INT_P, _DOUBLE_P, _DOUBLE_P, _DOUBLE_P,
-                          _INT_P)
-
-
 def _bipartite_values(e: Array) -> Array:
     """Every eigenvalue of the zero-diagonal tridiagonal with off-diagonal e.
 
@@ -329,15 +310,7 @@ def _bipartite_values(e: Array) -> Array:
     d[:n // 2] = e[0::2]
     sup = np.zeros(m)                 # dlasq1 reads m - 1, needs room for m
     sup[:m - 1] = e[1::2]
-    work = np.empty(4 * m)
-    size, info = ctypes.c_int(m), ctypes.c_int(0)
-    _DLASQ1(ctypes.byref(size), d.ctypes.data_as(_DOUBLE_P),
-            sup.ctypes.data_as(_DOUBLE_P), work.ctypes.data_as(_DOUBLE_P),
-            ctypes.byref(info))
-    if info.value != 0:
-        raise NumericalError(f"dqds singular values failed (dlasq1 info "
-                             f"{info.value})")
-    sigma = d[::-1]
+    sigma = bidiagonal_singular_values(d, sup)[::-1]
     # + 0.0 turns a -0.0 of an exact zero singular value into 0.0
     return np.concatenate([-sigma[n % 2:], sigma]) + 0.0
 
@@ -634,7 +607,7 @@ class ModeOperator:
             if full and self._bipartite:
                 vals = _bipartite_values(e)
             elif full:
-                vals = eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
+                vals = eigvalsh_tridiagonal(d, e)
             else:
                 # one spare value: a +-pair may straddle the window's edge
                 vals = _low_values(d, e, want + n_zero + 1)
@@ -673,9 +646,8 @@ class ModeOperator:
         # the bracket may also hold a deflated zero, so take the nearest
         slack = 1e-10 * scale
         try:
-            got, z = eigh_tridiagonal(d, e, select="v", lapack_driver="stebz",
-                                      select_range=(wanted[0] - slack,
-                                                    wanted[-1] + slack))
+            got, z = eigh_tridiagonal(d, e, (wanted[0] - slack,
+                                             wanted[-1] + slack))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"tridiagonal eigenvectors failed: {exc}") from exc
         pick = np.argmin(np.abs(got[:, None] - wanted), axis=0) if len(got) else []

@@ -26,8 +26,8 @@ iteration, safeguarded by bisection inside each point's panel, on all
 points at once, and agrees with a per-point brentq root to 1e-14 (1 + |r|).
 
 Sampled profiles are interpolated by `_Spline`, the not-a-knot cubic, bit
-for bit scipy's CubicSpline.  spinspec never imports scipy.interpolate;
-scipy.optimize loads in `optimize_modifiers` only.
+for bit scipy's CubicSpline; its one linear solve is LAPACK's gtsv
+(`_lapack.solve_tridiagonal`).  spinspec loads no scipy module.
 """
 
 from __future__ import annotations
@@ -36,13 +36,15 @@ import ast
 import math
 import operator
 import os
+import stat
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.linalg import solve_banded
+
+from ._lapack import solve_tridiagonal
 
 Array = np.ndarray
 
@@ -175,8 +177,7 @@ class _Spline:
         d = x[-1] - x[-3]
         b[-1] = ((dxr[-1] ** 2 * slope[-2]
                   + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d)
-        s = solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True,
-                         overwrite_b=True, check_finite=False).reshape(b.shape)
+        s = solve_tridiagonal(A, b.reshape(n, -1)).reshape(b.shape)
         # the cubic Hermite cells through (y, s)
         t = (s[:-1] + s[1:] - 2 * slope) / dxr
         c = np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
@@ -372,6 +373,26 @@ def catalog() -> dict[str, str]:
     }
 
 
+# The largest profile CSV read (docs/formats.md): about 100k rows r,f at full
+# precision, far more than a spline profile needs.
+MAX_PROFILE_BYTES = 4 * 2 ** 20
+
+
+def check_input_file(path: str, what: str, cap: int) -> None:
+    """ConfigError unless `path` is a regular file of at most `cap` bytes,
+    checked without opening it: a named pipe or a device would block or
+    never end."""
+    try:
+        info = os.stat(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    if not stat.S_ISREG(info.st_mode):
+        raise ConfigError(f"{what} {path} is not a regular file")
+    if info.st_size > cap:
+        raise ConfigError(f"{what} {path} holds {info.st_size} bytes; the cap "
+                          f"is {cap}")
+
+
 def make_surface(spec: str, spin_structure: str = "antiperiodic") -> WarpedSurface:
     """Build a catalog surface from its textual name."""
     spec = spec.strip()
@@ -409,6 +430,7 @@ def make_surface(spec: str, spin_structure: str = "antiperiodic") -> WarpedSurfa
         path = spec[len("profile:"):] if spec.startswith("profile:") else spec
         if not os.path.exists(path):
             raise ConfigError(f"profile file not found: {path}")
+        check_input_file(path, "profile", MAX_PROFILE_BYTES)
         r, f = _load_profile(path)
         prof = RadialFunction.from_samples(r, f)
         cap = abs(f[0]) <= _CAP_TOL

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from spinspec.cli import Scenario, _spectrum_csv, fmt, run
+from spinspec.cli import MAX_CONFIG_BYTES, Scenario, _spectrum_csv, fmt, run
 from spinspec import ConfigError, make_surface
+from spinspec.geometry import MAX_PROFILE_BYTES
 from spinspec.bounds import TOL_FEAS, canned_modifiers, feasibility_margin
 
 # the package source, for the tests that start a fresh interpreter
@@ -464,6 +466,64 @@ def test_bad_profile_csv_exits_2(tmp_path, capsys, case):
     assert len(err.strip().splitlines()) == 1
 
 
+def _input_argv(where, path, tmp_path):
+    """spectrum reading `path` as its config or as its profile CSV."""
+    if where == "config":
+        args = ["--config", str(path)]
+    else:
+        args = ["--geometry", f"profile:{path}", "--N", "16", "--kmax", "0.5"]
+    return ["spectrum", *args, "--out", str(tmp_path / "o")]
+
+
+@pytest.mark.parametrize("where", ["config", "profile"])
+def test_named_pipe_input_exits_2_without_blocking(where, tmp_path, capsys):
+    """A named pipe with no writer, given as --config or as a profile:, is
+    refused before it is opened (opening it would block for good): one
+    line, exit 2, well inside a second.  A timer turns a block into a
+    failure of this test rather than a hung suite."""
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+
+    def blocked(signum, frame):
+        raise TimeoutError(f"{where} input blocked")
+
+    previous = signal.signal(signal.SIGALRM, blocked)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    start = time.perf_counter()
+    try:
+        code = run(_input_argv(where, fifo, tmp_path))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {where} {fifo} is not a regular file"]
+
+
+@pytest.mark.parametrize("where, cap", [("config", MAX_CONFIG_BYTES),
+                                        ("profile", MAX_PROFILE_BYTES)])
+def test_oversize_input_exits_2_without_reading_it(where, cap, tmp_path,
+                                                    capsys):
+    """A file one byte over its cap is refused from its size alone: one
+    line, exit 2, nothing large allocated.  The file is sparse, so making
+    it writes no data either."""
+    path = tmp_path / "big"
+    path.touch()
+    os.truncate(path, cap + 1)
+    tracemalloc.start()
+    try:
+        code = run(_input_argv(where, path, tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < cap // 4
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {where} {path} holds {cap + 1} bytes; "
+        f"the cap is {cap}"]
+
+
 def test_overflowing_input_prints_one_line(tmp_path):
     """numpy's overflow warnings on an extreme factor stay off stderr: the run
     ends with its one config-error line alone."""
@@ -481,46 +541,48 @@ def test_overflowing_input_prints_one_line(tmp_path):
 _IMPORT_PROBE = """
 import json, sys
 from spinspec import cli
-from spinspec.geometry import make_surface
 
 out = sys.argv[1]
 profile = out + "/profile.csv"
 with open(profile, "w") as fh:
     fh.write("r,f\\n" + "".join(f"{0.5 + j / 16!r},{1 + j / 32!r}\\n"
                                   for j in range(17)))
-lazy = ("scipy.interpolate", "scipy.optimize")
 flags = ["--N", "16", "--kmax", "1.5", "--out", out]
-codes = [cli.run(["spectrum", "--geometry", "hemisphere", "--bc", "aps-"]
-                 + flags),
-         cli.run(["verify", "--geometry", "disk"] + flags),
-         cli.run(["verify", "--geometry", "disk", "--conformal-u", "bump:0.3",
-                  "--N", "64", "--kmax", "1.5", "--out", out]),
-         cli.run(["convergence", "--geometry", "profile:" + profile,
-                  "--N", "16,32,64", "--out", out])]
-for spec in ("hemisphere", "cap:1.2", "annulus:0.5,1.0", "disk",
-             "profile:" + profile):
-    make_surface(spec)
-before = [m for m in lazy if m in sys.modules]
-codes.append(cli.run(["bounds", "--geometry", "cap:1.2", "--optimize-bounds",
-                      "--budget", "10"] + flags))
-print(json.dumps({"codes": codes, "before": before,
-                  "after": [m for m in lazy if m in sys.modules]}))
+runs = [["spectrum", "--geometry", "hemisphere", "--bc", "aps-"] + flags,
+        ["spectrum", "--geometry", "profile:" + profile,
+         "--bc", "local+,local-"] + flags,
+        ["verify", "--geometry", "disk"] + flags,
+        ["verify", "--geometry", "disk", "--conformal-u", "bump:0.3",
+         "--N", "64", "--kmax", "1.5", "--out", out],
+        ["convergence", "--geometry", "profile:" + profile,
+         "--N", "16,32,64", "--out", out],
+        ["bounds", "--geometry", "cap:1.2", "--optimize-bounds",
+         "--budget", "10"] + flags,
+        ["bounds", "--geometry", "profile:" + profile, "--conformal-u",
+         "const:0.1", "--optimize-bounds", "--budget", "10"] + flags]
+codes, loaded = [], []
+for argv in runs:
+    codes.append(cli.run(argv))
+    loaded.append(sorted(m for m in sys.modules
+                         if m == "scipy" or m.startswith("scipy.")))
+print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
 def test_built_in_runs_never_load_interpolate_or_optimize(tmp_path):
-    """spinspec never imports scipy.interpolate: not for a profile geometry,
-    its convergence study, verify's conformal push, nor --optimize-bounds.
-    scipy.optimize loads with --optimize-bounds only.  A structural check
-    of the cold start, not a timing."""
+    """No CLI command loads any scipy module: not spectrum, verify, bounds
+    or convergence, not for a profile geometry, verify's conformal push,
+    nor --optimize-bounds.  LAPACK comes from numpy's bundled OpenBLAS, the
+    splines and Nelder-Mead are in-house.  A structural check of the cold
+    start, not a timing; it holds where that OpenBLAS resolves, as it does
+    for numpy's wheels."""
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
                           env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen["codes"] == [0, 0, 0, 0, 0]
-    assert seen["before"] == []
-    assert seen["after"] == ["scipy.optimize"]
+    assert seen["codes"] == [0] * 7
+    assert seen["loaded"] == [[]] * 7
 
 
 @pytest.mark.parametrize("factor", ["poly:0,300", "bump:700"])
