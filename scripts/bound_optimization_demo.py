@@ -27,10 +27,7 @@ def main() -> None:
     print(report.to_json())
     print(f"\nlambda_min^2 = {sp.lambda_min_sq:.8f} at k = {sp.k_min}")
     for name in ("friedrich", "est1", "est2", "est3", "est4"):
-        try:
-            e = report.entry(name)
-        except KeyError:
-            continue
+        e = report.entry(name)
         print(f"{name:10s} value={e.value!r:24} feasible={e.feasible} "
               f"passed={e.passed}")
 

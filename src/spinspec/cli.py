@@ -204,13 +204,13 @@ def _spectrum_csv(levels: Array) -> str:
     return "".join(parts)
 
 
-def _warn_top(top: float, hint: str = "increase --kmax") -> None:
+def _warn_top(top: float, hint: str = "increase --kmax") -> str:
     """The one line saying lambda_min sits on `top`, the largest |k| solved."""
-    print(f"warning: lambda_min attained at |k| = {top:g}, the largest mode "
-          f"solved; {hint}", file=sys.stderr)
+    return (f"warning: lambda_min attained at |k| = {top:g}, the largest mode "
+            f"solved; {hint}")
 
 
-def _cmd_spectrum(sc: Scenario, surface: WarpedSurface, _) -> int:
+def _cmd_spectrum(sc: Scenario, surface: WarpedSurface, _, err: list) -> int:
     local = {}                # N -> the last local+- Spectrum of this call
     for bc_name in sc.bc:
         bc = BoundaryConditionSpec(bc_name)
@@ -229,7 +229,7 @@ def _cmd_spectrum(sc: Scenario, surface: WarpedSurface, _) -> int:
             print(f"wrote {path} (lambda_min = {fmt(sp.lambda_min)}, "
                   f"attained at k = {fmt(sp.k_min)})")
             if sp.kmax_attained:
-                _warn_top(sp.k_top)
+                err.append(_warn_top(sp.k_top))
             # |lambda_min|, as in convergence_study: under local+- the
             # fundamental level is an exact +-lambda tie between modes +-k,
             # settled on k = -1/2 by the ordering, not by the level's sign
@@ -242,11 +242,11 @@ def _cmd_spectrum(sc: Scenario, surface: WarpedSurface, _) -> int:
 
 def _identity_reports(sc: Scenario, surface: WarpedSurface,
                       resc: ConformalRescaling | None,
-                      bc: BoundaryConditionSpec) -> list[dict]:
+                      bc: BoundaryConditionSpec, err: list) -> list[dict]:
     N = sc.N[-1]
     sp = aggregate(surface, bc, sc.kmax, N, n_levels=2)
     if sp.kmax_attained:
-        _warn_top(sp.k_top)
+        err.append(_warn_top(sp.k_top))
     field, lam = sp.fundamental.field, sp.fundamental.lam
     mp = bounds_mod.canned_modifiers(surface)
     reports: list[ident.IdentityReport] = []
@@ -307,11 +307,11 @@ def _identity_reports(sc: Scenario, surface: WarpedSurface,
 
 
 def _cmd_verify(sc: Scenario, surface: WarpedSurface,
-                resc: ConformalRescaling | None) -> int:
+                resc: ConformalRescaling | None, err: list) -> int:
     failures = []
     for bc_name in sc.bc:
         bc = BoundaryConditionSpec(bc_name)
-        rows = _identity_reports(sc, surface, resc, bc)
+        rows = _identity_reports(sc, surface, resc, bc, err)
         path = os.path.join(sc.out, f"verify_{_slug(bc_name)}.jsonl")
         atomic_write(path, "\n".join(json.dumps(r, sort_keys=True)
                                      for r in rows) + "\n")
@@ -328,12 +328,11 @@ def _cmd_verify(sc: Scenario, surface: WarpedSurface,
             if res > tol:
                 failures.append((bc_name, r["name"], res))
     for bc_name, name, res in failures:
-        print(f"FAIL [{bc_name}] identity {name}: residual {res:.3e}",
-              file=sys.stderr)
+        err.append(f"FAIL [{bc_name}] identity {name}: residual {res:.3e}")
     return 1 if failures else 0
 
 
-def _cmd_bounds(sc: Scenario, surface: WarpedSurface, _) -> int:
+def _cmd_bounds(sc: Scenario, surface: WarpedSurface, _, err: list) -> int:
     rows = ["scenario,bc,n_grid,lambda_min_sq,k_min,friedrich,hijazi_q,"
             "est1,est2,est3,est4,margin_interior,margin_conformal,passed"]
     code = 0
@@ -354,7 +353,7 @@ def _cmd_bounds(sc: Scenario, surface: WarpedSurface, _) -> int:
         N = sc.N[-1]
         sp = aggregate(surface, bc, sc.kmax, N, n_levels=2)
         if sp.kmax_attained:
-            _warn_top(sp.k_top)
+            err.append(_warn_top(sp.k_top))
         report = bounds_mod.evaluate_bounds(sp, mp, mpc,
                                             tol_report=sc.tol_report,
                                             optimizer_summary=summary)
@@ -370,9 +369,9 @@ def _cmd_bounds(sc: Scenario, surface: WarpedSurface, _) -> int:
             fmt(report.passed)]))
         for e in report.entries:
             if e.passed is False:
-                print(f"FAIL [{bc_name}] bound {e.name}: value {e.value!r} "
-                      f"vs lambda_min^2 {report.lambda_min_sq!r}",
-                      file=sys.stderr)
+                err.append(f"FAIL [{bc_name}] bound {e.name}: value "
+                           f"{e.value!r} vs lambda_min^2 "
+                           f"{report.lambda_min_sq!r}")
                 code = 1
     atomic_write(os.path.join(sc.out, "bounds_summary.csv"),
                  "\n".join(rows) + "\n")
@@ -380,7 +379,7 @@ def _cmd_bounds(sc: Scenario, surface: WarpedSurface, _) -> int:
     return code
 
 
-def _cmd_convergence(sc: Scenario, surface: WarpedSurface, _) -> int:
+def _cmd_convergence(sc: Scenario, surface: WarpedSurface, _, err: list) -> int:
     for bc_name in sc.bc:
         bc = BoundaryConditionSpec(bc_name)
         table = convergence_study(surface, bc, list(sc.N),
@@ -394,8 +393,8 @@ def _cmd_convergence(sc: Scenario, surface: WarpedSurface, _) -> int:
         print(f"wrote {path}")
         # no "increase --kmax": past CONVERGENCE_KMAX it would add no mode
         if any(row["kmax_attained"] for row in table):
-            _warn_top(table[0]["k_top"], "convergence solves |k| <= "
-                      f"min(kmax, {CONVERGENCE_KMAX:g})")
+            err.append(_warn_top(table[0]["k_top"], "convergence solves "
+                                 f"|k| <= min(kmax, {CONVERGENCE_KMAX:g})"))
     return 0
 
 
@@ -456,20 +455,24 @@ def run(argv: list[str]) -> int:
         return 2 if exc.code not in (0, None) else 0
     # numpy signals overflow on extreme input by RuntimeWarnings: they are
     # recorded, so that a failed run keeps to its one-line message and a
-    # finished one adds a single line that counts them
+    # finished one adds a single line that counts them; the command's own
+    # stderr lines wait in `err` for the same reason
+    err: list[str] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
         try:
             if args.command == "catalog":
                 return _cmd_catalog(None)
             sc = _scenario_from_args(args)
-            code = _COMMANDS[args.command](sc, *sc.validate(args.command))
+            code = _COMMANDS[args.command](sc, *sc.validate(args.command), err)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         except NumericalError as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return 3
+    for line in err:
+        print(line, file=sys.stderr)
     if caught:
         first = " ".join(str(caught[0].message).split())
         print(f"warning: {len(caught)} numerical warning(s) suppressed, "

@@ -25,16 +25,16 @@ component, q the vertex component) the interior rows are tridiagonal with
 a zero diagonal; only the two boundary-vertex rows and the boundary
 constraints reach further, and they stay inside a window of 7 unknowns at
 each end.  The constraint elimination runs densely on those two
-windows and the reduced operator (bandwidth at most 5) is stored as a
-(2 bw + 1, n) band.
+windows; the reduced operator is kept as its two end blocks and the middle
+links, and as a (2 bw + 1, n) band (bandwidth at most 5).
 
 Eigenvalues come from an exactly equivalent real symmetric tridiagonal
-form, built in O(N): the band is already tridiagonal outside its two end
-blocks, a Householder tridiagonalization of each block that fixes the one
-index through which it meets the middle leaves the rest untouched, and a
-diagonal unitary gauge makes the off-diagonals real and nonnegative.  The
-full spectrum (`spectrum`) comes from dsterf, or, for a bipartite operator,
-from the dqds singular values of the bidiagonal hidden in its form (below);
+form, built in O(N) from the blocks and links: the operator is tridiagonal
+outside its two end blocks, a Householder tridiagonalization of each block
+that fixes the one index through which it meets the middle leaves the rest
+untouched, and a diagonal unitary gauge makes the off-diagonals real and
+nonnegative.  The full spectrum (`spectrum`) comes from dsterf, or, for a
+bipartite operator, from the dqds singular values of the bidiagonal hidden in its form (below);
 the few smallest |lambda| that lambda_min and its field need come from
 Sturm bisection on a window around 0, in O(N).  The few eigenvectors come
 from the same form (stebz and stein), mapped back and checked by their
@@ -48,10 +48,10 @@ while fixing each APS condition.  At a cap this keeps the vertex component
 the faster-vanishing one at the pole, where the regular closure (vertex
 value 0) is then exact for every mode.  Mode -k is thus the native operator
 at |k| under the swapped condition: the same operator under aps+-, exactly
--conj of it under local+-.  Each |k| is solved once and mode -k mirrors it.
-For the same reason the native local- operator is exactly -conj of the
-local+ one at the same k, so local- is never solved on its own: its levels
-and vectors are the negated, conjugated local+ ones.
+-conj of it under local+-.  For the same reason the native local- operator
+is exactly -conj of the local+ one at the same k.  So each mode is one
+native solve at |k|, under aps+- or local+, and a local one is reported
+negated (levels and vectors of -conj) when exactly one of local-, k < 0 holds.
 
 Under aps+- every reduced column is pure p or pure q, so the operator is
 bipartite: its tridiagonal form has a zero diagonal (checked at roundoff)
@@ -171,8 +171,8 @@ def _closures(surface: WarpedSurface, k: float,
               bc: BoundaryConditionSpec) -> dict:
     """Per-end closure type for the native solve (k >= 0 only).
 
-    'pole'  : cap; the vertex component vanishes there exactly
-    'qdir'  : vertex component fixed to zero
+    'qdir'  : vertex component fixed to zero (also a cap pole, where it
+              vanishes exactly)
     'local' : chirality constraint q_b = gamma * (extrapolated p), gamma = +-i
     'pdir'  : extrapolated center component vanishes, vertex value free
     'both'  : qdir and pdir together (APS at a mode where e0.D_bnd = 0)
@@ -180,7 +180,7 @@ def _closures(surface: WarpedSurface, k: float,
     inner, outer = _END_CLOSURES[bc.variant]
     if bc.is_aps and k == 0:
         inner = outer = ("both", None)
-    return {"inner": ("pole", None) if surface.cap else inner, "outer": outer}
+    return {"inner": ("qdir", None) if surface.cap else inner, "outer": outer}
 
 
 # End windows of the interleaved layout: 7 dofs hold each end's constraint
@@ -248,16 +248,6 @@ def _put_block(ab: Array, bw: int, at: int, block: Array) -> None:
         diag = np.diagonal(block, -off)
         j0 = at + max(0, -off)
         ab[bw + off, j0: j0 + len(diag)] = diag
-
-
-def _dense_block(ab: Array, bw: int, at: int, size: int) -> Array:
-    """The dense diagonal block A[at: at + size, at: at + size] of band storage."""
-    block = np.zeros((size, size), dtype=ab.dtype)
-    reach = min(bw, size - 1)
-    for off in range(-reach, reach + 1):
-        j = np.arange(max(0, -off), size - max(0, off))
-        block[j + off, j] = ab[bw + off, at + j]
-    return block
 
 
 def _tridiagonal_block(block: Array, tol: float) -> tuple[Array, Array, Array]:
@@ -338,8 +328,10 @@ def _band_matvec(ab: Array, bw: int, x: Array) -> Array:
 class ModeOperator:
     """Discrete radial Dirac operator of one mode under a boundary condition.
 
-    `matrix` is the reduced operator in band storage, exactly Hermitian;
-    eigenvectors are reported back on the staggered grids through `expand`.
+    Assembly keeps the reduced operator, exactly Hermitian, as its end
+    blocks and middle links (`_blocks`, the source of `tridiagonal`) and as
+    the band `matrix`; eigenvectors are reported back on the staggered grids
+    through `expand`.
     """
 
     surface: WarpedSurface
@@ -416,8 +408,9 @@ class ModeOperator:
             m[0] = 0.5 * h * fc[0] * (1 - h * sigma[0] / 2)
         if active[-1]:
             m[-1] = 0.5 * h * fc[-1] * (1 + h * sigma[-1] / 2)
-        if np.any(m[active] <= 0):
-            raise NumericalError("nonpositive quadrature weight in assembly")
+        if not np.all((m[active] > 0) & np.isfinite(m[active])):
+            raise NumericalError("nonpositive or non-finite quadrature weight "
+                                 "in assembly")
         msq = np.sqrt(m)
 
         # lower[r] = H[r+1, r] and upper[r] = H[r, r+1], each from its own row
@@ -496,6 +489,7 @@ class ModeOperator:
             self._zeros = (abs(n_p - n_q), "spurious" if n_q > n_p else "harmonic")
 
         self._ab, self._bw, self._herm = ab, bw, herm
+        self._blocks = (Ah, mid_lo, At)
         self._m, self._msq = m[active], msq
         self._head, self._tail = Zh, Zt
 
@@ -504,7 +498,9 @@ class ModeOperator:
     @property
     def matrix(self) -> Array:
         """Reduced operator in (2 bw + 1, n) band storage, the layout of
-        scipy.linalg.solve_banded: A[i, j] = matrix[bw + i - j, j]."""
+        scipy.linalg.solve_banded: A[i, j] = matrix[bw + i - j, j].  The
+        eigensolve does not read it (`tridiagonal` works from the end blocks
+        and links); its eigenvectors are checked by their residual here."""
         return self._ab
 
     @property
@@ -543,33 +539,37 @@ class ModeOperator:
         return self._zeros
 
     def tridiagonal(self) -> tuple[Array, Array]:
-        """Real symmetric tridiagonal (d, e) unitarily similar to `matrix`.
+        """Real symmetric tridiagonal (d, e) unitarily similar to `matrix`."""
+        return self._tridiagonal_form()[:2]
 
-        The band is tridiagonal outside the head block (reduced columns
-        0..rh-1) and the tail block (the last rt), and each block meets the
-        middle through one index, rh - 1 and n - rt.  A Householder
-        tridiagonalization of each block whose unitary fixes that index (the
-        head block index-reversed) leaves the rest untouched; a diagonal
-        unitary gauge g then makes every off-diagonal |e|.  O(n) in all.  An
+    def _tridiagonal_form(self) -> tuple[Array, Array, tuple]:
+        """(d, e) and its back-map, built from the reduced blocks.
+
+        The operator is tridiagonal outside its head block (reduced columns
+        0..rh-1) and tail block (the last rt), with a zero diagonal between
+        them, and each block meets the middle links through one index,
+        rh - 1 and n - rt.  A Householder tridiagonalization of each block
+        whose unitary fixes that index (the head block index-reversed)
+        leaves the rest untouched; a diagonal unitary gauge g then makes
+        every off-diagonal |e|.  O(n) in all, rebuilt on every call.  An
         eigenvector z of (d, e) maps back to blockdiag(Q_head, I, Q_tail)
-        (g * z); the two unitaries and g are kept for that.  A bipartite
-        operator (no column mixes p and q) has a zero diagonal: it is checked
-        at roundoff and set to exact zeros.
+        (g * z); the back-map is (Q_head, Q_tail, g).  A bipartite operator
+        (no column mixes p and q) has a zero diagonal: it is checked at
+        roundoff and set to exact zeros.
         """
-        ab, bw = self._ab, self._bw
-        n = ab.shape[1]
-        rh, rt = self._head.shape[1], self._tail.shape[1]
-        tol = _HERM_TOL * max(1.0, float(np.max(np.abs(ab))))
-        dh, lh, qh = _tridiagonal_block(
-            _dense_block(ab, bw, 0, rh)[::-1, ::-1], tol)
-        dt, lt, qt = _tridiagonal_block(_dense_block(ab, bw, n - rt, rt), tol)
-        d = np.concatenate([dh[::-1], ab[bw, rh: n - rt].real, dt])
-        lower = np.concatenate([np.conj(lh[::-1]), ab[bw + 1, rh - 1: n - rt], lt])
+        head, mid_lo, tail = self._blocks
+        rh, rt = len(head), len(tail)
+        n = rh + len(mid_lo) - 1 + rt
+        tol = _HERM_TOL * max(1.0, *(float(np.max(np.abs(b)))
+                                     for b in self._blocks))
+        dh, lh, qh = _tridiagonal_block(head[::-1, ::-1], tol)
+        dt, lt, qt = _tridiagonal_block(tail, tol)
+        d = np.concatenate([dh[::-1], np.zeros(n - rh - rt), dt])
+        lower = np.concatenate([np.conj(lh[::-1]), mid_lo, lt])
         e = np.abs(lower)
         phase = np.ones(n, dtype=complex)
         np.divide(lower, e, out=phase[1:], where=e > 0)
         gauge = np.cumprod(phase)     # drifts off |g| = 1 by O(n eps): rescale
-        self._back = (qh[::-1, ::-1], qt, gauge / np.abs(gauge))
         if self._bipartite:
             dmax = float(np.max(np.abs(d)))
             if dmax > tol:
@@ -577,7 +577,7 @@ class ModeOperator:
                     f"bipartite operator has a diagonal entry {dmax:.3e} "
                     f"(tolerance {tol:.3e})")
             d = np.zeros(n)
-        return d, e
+        return d, e, (qh[::-1, ::-1], qt, gauge / np.abs(gauge))
 
     def eigensystem(self, n_vectors: int = 0, n_values: int | None = None
                     ) -> tuple[Array, Array, Array]:
@@ -597,7 +597,7 @@ class ModeOperator:
         Returns (values ascending, selected values, selected vectors in
         reduced coordinates, one per column).
         """
-        d, e = self.tridiagonal()
+        d, e, (qh, qt, g) = self._tridiagonal_form()
         n = len(d)
         struct = self.structural_zeros
         n_zero = struct[0] if struct is not None else 0
@@ -653,7 +653,6 @@ class ModeOperator:
         pick = np.argmin(np.abs(got[:, None] - wanted), axis=0) if len(got) else []
         if len(set(pick)) < n_sel:
             raise NumericalError(f"eigenvectors missing near {wanted!r}")
-        qh, qt, g = self._back
         y = g[:, None] * z[:, pick]
         y[:len(qh)] = qh @ y[:len(qh)]
         y[-len(qt):] = qt @ y[-len(qt):]
@@ -702,22 +701,11 @@ class ModeSolution:
                  for lam, p, q in self.samples]
         return sorted(pairs, key=lambda e: (abs(e.lam), e.lam))
 
-    def mirrored(self) -> "ModeSolution":
-        """The solution at -k, whose native operator is this one under
-        aps+- and exactly -conj of it (band and end bases) under local+-;
-        the fields take their components swapped back."""
-        return self._image(-self.k, negate=self.op.bc.is_local)
-
-    def negated(self) -> "ModeSolution":
-        """The solution at the same k under the other local condition, whose
-        native operator is exactly -conj of this one; collocated without
-        swap."""
-        return self._image(self.k, negate=True)
-
-    def _image(self, k: float, negate: bool) -> "ModeSolution":
+    def image(self, k: float, negate: bool) -> "ModeSolution":
         """This solve reported at mode k: the same levels and vectors, or with
         `negate` those of -conj of the operator (-lams reversed, conjugate
-        vectors)."""
+        vectors).  A negative k collocates the fields with their components
+        swapped back."""
         lams, samples = self.lams, self.samples
         if negate:
             lams = -lams[::-1]
@@ -763,23 +751,20 @@ def _collocate(op: ModeOperator, p: Array, q: Array, swap: bool) -> SpinorField:
 def solve_mode(surface: WarpedSurface, k: float, bc: BoundaryConditionSpec,
                N: int, n_fields: int = 4, n_levels: int | None = None
                ) -> ModeSolution:
-    """Eigen-solve one mode; a negative mode is the mirror of the native
-    solve at |k| (`ModeSolution.mirrored`), and local- the negation of the
-    local+ solve at the same k (`ModeSolution.negated`).
+    """Eigen-solve one mode by one native solve at |k|, under local+ for
+    either local condition, reported through `ModeSolution.image`: negated
+    when exactly one of local-, k < 0 holds (see the module docstring).
 
     n_levels=None keeps every eigenvalue; otherwise only the n_levels
     smallest |lambda| (at least n_fields) are computed.
     """
-    if k < 0:
-        return solve_mode(surface, -k, bc, N, n_fields, n_levels).mirrored()
-    if bc.variant == "local-":
-        return solve_mode(surface, k, BoundaryConditionSpec("local+"), N,
-                          n_fields, n_levels).negated()
-    op = ModeOperator(surface, k, N, bc=bc)
+    op = ModeOperator(surface, abs(k), N,
+                      bc=bc if bc.is_aps else BoundaryConditionSpec("local+"))
     vals, wv, vec = op.eigensystem(n_vectors=n_fields, n_values=n_levels)
     samples = tuple((float(lam), *op.expand(vec[:, col]))
                     for col, lam in enumerate(wv))
-    return ModeSolution(k, vals, op, samples)
+    negate = bc.is_local and ((bc.variant == "local-") != (k < 0))
+    return ModeSolution(op.k, vals, op, samples).image(k, negate)
 
 
 @dataclass
@@ -854,13 +839,12 @@ def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
     """Merge the levels of all modes |k| <= k_max, no fields, into one Spectrum.
 
     `levels` holds every eigenvalue of each mode, or with n_levels only the
-    n_levels smallest |lambda| of each.  Each |k| is solved once, natively;
-    mode -k is the exact mirror of that solution, so a +-lambda tie between
-    the two modes is exact and the (|lambda|, k, sign) order settles it the
-    same way everywhere.  Under local- every solve is the negated local+
-    one.  That order fixes the result whatever the order of the solves, so
-    each solve, its operator included, is dropped as soon as its modes are
-    merged: at most one is held at a time.
+    n_levels smallest |lambda| of each.  Each |k| is solved once; mode -k is
+    the exact image of that solution, so a +-lambda tie between the two
+    modes is exact and the (|lambda|, k, sign) order settles it the same way
+    everywhere.  That order fixes the result whatever the order of the
+    solves, so each solve, its operator included, is dropped as soon as its
+    modes are merged: at most one is held at a time.
     """
     by_abs: dict = {}
     for kk in modes_for(surface, k_max):
@@ -869,7 +853,7 @@ def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
     for k_abs, ks in by_abs.items():
         native = solve_mode(surface, k_abs, bc, N, 0, n_levels)
         for kk in ks:
-            sol = native.mirrored() if kk < 0 else native
+            sol = native.image(kk, negate=bc.is_local) if kk < 0 else native
             rows.append(np.column_stack([sol.lams,
                                          np.full(len(sol.lams), sol.k)]))
         del native, sol

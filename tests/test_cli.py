@@ -538,6 +538,37 @@ def test_overflowing_input_prints_one_line(tmp_path):
     assert proc.stderr.startswith("config error:")
 
 
+@pytest.mark.parametrize("command, geometry", [("spectrum", "annulus:1,1e300"),
+                                               ("verify", "profile:")])
+def test_overflowing_quadrature_weight_exits_3(command, geometry, tmp_path,
+                                               capsys):
+    """A surface so long that a quadrature weight h f overflows is refused in
+    assembly with one line and exit 3; its inf used to reach the window
+    elimination as nan and end in an SVD traceback."""
+    if geometry == "profile:":
+        path = tmp_path / "huge.csv"
+        path.write_text("r,f\n0,1\n1,2\n2,3\n1e308,4\n")
+        geometry += str(path)
+    code = run([command, "--geometry", geometry, "--N", "16", "--kmax", "0.5",
+                "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: nonpositive or non-finite quadrature weight "
+        "in assembly"]
+
+
+@pytest.mark.parametrize("command", ["verify", "bounds"])
+def test_failed_run_drops_its_top_mode_warning(command, tmp_path, capsys):
+    """A command that warns about its top mode and then fails numerically
+    prints the failure line alone: stderr lines wait for the command to
+    return."""
+    code = run([command, "--geometry", "cylinder:1e200", "--spin", "periodic",
+                "--N", "16", "--kmax", "0.5", "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure:"), err
+
+
 _IMPORT_PROBE = """
 import json, sys
 from spinspec import cli
@@ -678,7 +709,7 @@ _GEOMETRY = _mostly(
               st.builds("cylinder:{}".format, st.floats(0.05, 4.0)),
               st.just("profile:")),
     "cap:pi", "annulus:1,0.5", "cylinder:0", "cap:2**3", "cap:nan", "torus",
-    "", "annulus:1e-300,1", "cap:1e-300")
+    "", "annulus:1e-300,1", "cap:1e-300", "annulus:1,1e300", "cylinder:1e200")
 _PROFILE_TEXT = st.one_of(
     st.lists(st.floats(0.05, 3.0), min_size=4, max_size=12, unique=True).map(
         lambda rs: _csv((r, r * (1.2 - r / 4)) for r in sorted(rs))),
@@ -719,8 +750,8 @@ _FLAGS = _mostly(st.sampled_from([[], ["--kmax", "1.5"], ["--N", "16,24,32"],
        geometry=_GEOMETRY, profile=_PROFILE_TEXT, scenario=_SCENARIO,
        flags=_FLAGS)
 def test_cli_run_fuzz(command, geometry, profile, scenario, flags):
-    """Whatever the scenario, run() returns 0-3 (2 for a bad flag) and
-    stderr holds no traceback."""
+    """Whatever the scenario, run() returns 0-3 (2 for a bad flag), stderr
+    holds no traceback, and a refused or failed run prints one line."""
     with tempfile.TemporaryDirectory() as tmp:
         if geometry == "profile:":
             geometry = "profile:" + os.path.join(tmp, "p.csv")
@@ -740,6 +771,8 @@ def test_cli_run_fuzz(command, geometry, profile, scenario, flags):
         assert rc == 2
     assert "Traceback" not in err.getvalue()
     assert "RuntimeWarning" not in err.getvalue()
+    if rc in (2, 3):
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
 _CAP = st.builds("cap:{}".format, st.floats(0.05, 3.1))
