@@ -92,6 +92,11 @@ MAX_CELLS = 2 ** 20           # modes x sum of N: the levels held
 MAX_SPECTRUM_WORK = 2 ** 30   # |k| solved x sum of N^2 in `spectrum`, where
                               # every eigenvalue costs O(N): about 100 s
 MAX_CONFIG_BYTES = 2 ** 20    # a scenario config file
+# A surface's length and largest radius must lie in this range.  The solve
+# and the identities hold absolute floors of order 1 (the eigenvector bracket
+# is 1e-10 max(scale, 1)), so far outside it their results mean nothing: a
+# cylinder of length 1e200 gave levels of 1e-199 and no eigenvectors.
+SCALE_RANGE = (1e-6, 1e6)
 
 # JSON type of each Scenario field: a list holds items of the one type given
 _FIELD_TYPES = {"geometry": str, "spin_structure": str, "bc": [str],
@@ -153,6 +158,7 @@ class Scenario:
                 raise ConfigError(f"{name} must be positive")
         self._admit(command)
         surface = make_surface(self.geometry, self.spin_structure)
+        _admit_scale(surface)
         resc = None
         if self.conformal_u:
             # only verify rescales by it, but every command refuses a factor
@@ -178,6 +184,18 @@ class Scenario:
             raise ConfigError(f"kmax {self.kmax:g} with N {self.N} is about "
                               f"{work:.3g} spectrum work; the cap is "
                               f"{MAX_SPECTRUM_WORK}")
+
+
+def _admit_scale(surface: WarpedSurface) -> None:
+    """ConfigError unless the surface's length and its largest radius (at 65
+    equally spaced radii, the ends included) lie in SCALE_RANGE."""
+    lo, hi = SCALE_RANGE
+    radius = float(np.max(surface.f(np.linspace(surface.r_min, surface.r_max,
+                                                 65))))
+    for what, size in (("length", surface.length), ("largest radius", radius)):
+        if not lo <= size <= hi:
+            raise ConfigError(f"surface {what} {size:.3g} lies outside "
+                              f"[{lo:g}, {hi:g}]")
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,15 @@ eliminated with a mass-orthonormal basis, preserving exact Hermiticity.
 Single-grid centered differencing is avoided deliberately: it carries a
 spurious oscillatory branch whose eigenvalues pollute the low spectrum.
 
-The operator is built in band storage in O(N) time and memory.  On the
+The operator is built in O(N) time and memory.  On the
 interleaved unknowns q_0, p_0, q_1, ..., p_{N-1}, q_N (p the center
 component, q the vertex component) the interior rows are tridiagonal with
 a zero diagonal; only the two boundary-vertex rows and the boundary
 constraints reach further, and they stay inside a window of 7 unknowns at
 each end.  The constraint elimination runs densely on those two
 windows; the reduced operator is kept as its two end blocks and the middle
-links, and as a (2 bw + 1, n) band (bandwidth at most 5).
+links; the (2 bw + 1, n) band (bandwidth at most 5) is built from them
+only where eigenvectors are checked against it.
 
 Eigenvalues come from an exactly equivalent real symmetric tridiagonal
 form, built in O(N) from the blocks and links: the operator is tridiagonal
@@ -41,6 +42,14 @@ from the same form (stebz and stein), mapped back and checked by their
 residual against the band.  Every LAPACK routine is called through
 `_lapack`: from numpy's bundled OpenBLAS, or scipy's table where that is
 missing.
+
+`aggregate` solves the modes of a full spectrum on a thread pool, one
+thread per available CPU: almost all of an O(N^2) full solve is dsterf or
+dlasq1, and `_lapack`'s ctypes calls release the GIL for their length, so
+the solves run side by side (about 1.5x on 2 cores).  Selective solves run
+inline: they are O(N) and mostly Python and numpy work under the GIL, and
+on a pool they ran slower (the `low_modes` benchmark, 2 cores: 0.12 s
+against 0.14 s).
 
 Modes with k < 0 go through the unitary component swap (v1, v2) -> (v2, v1),
 which maps mode k to mode -k and swaps the two local boundary conditions
@@ -71,6 +80,7 @@ experimental condition.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -329,9 +339,9 @@ class ModeOperator:
     """Discrete radial Dirac operator of one mode under a boundary condition.
 
     Assembly keeps the reduced operator, exactly Hermitian, as its end
-    blocks and middle links (`_blocks`, the source of `tridiagonal`) and as
-    the band `matrix`; eigenvectors are reported back on the staggered grids
-    through `expand`.
+    blocks and middle links (`_blocks`, the source of `tridiagonal` and of
+    the band `matrix`, built when first read); eigenvectors are reported
+    back on the staggered grids through `expand`.
     """
 
     surface: WarpedSurface
@@ -471,14 +481,6 @@ class ModeOperator:
         if bw > _MAX_BANDWIDTH:
             raise NumericalError(f"unexpected bandwidth {bw} after reduction")
 
-        rh, rt = len(kinds_h), len(kinds_t)
-        n = rh + (n_full - 2 * W) + rt
-        ab = np.zeros((2 * bw + 1, n), dtype=complex)
-        ab[bw + 1, rh - 1: rh - 1 + len(mid_lo)] = mid_lo
-        ab[bw - 1, rh: rh + len(mid_lo)] = np.conj(mid_lo)
-        _put_block(ab, bw, 0, Ah)
-        _put_block(ab, bw, n - rt, At)
-
         kinds = kinds_h + kinds_t         # the middle adds N - 6 p, N - 7 q
         n_p = kinds.count("p") + (N - W + 1)
         n_q = len(kinds) - kinds.count("p") + (N - W)
@@ -488,20 +490,29 @@ class ModeOperator:
         else:
             self._zeros = (abs(n_p - n_q), "spurious" if n_q > n_p else "harmonic")
 
-        self._ab, self._bw, self._herm = ab, bw, herm
+        self._bw, self._herm = bw, herm
         self._blocks = (Ah, mid_lo, At)
         self._m, self._msq = m[active], msq
         self._head, self._tail = Zh, Zt
 
     # -- public surface --------------------------------------------------
 
-    @property
+    @functools.cached_property
     def matrix(self) -> Array:
         """Reduced operator in (2 bw + 1, n) band storage, the layout of
-        scipy.linalg.solve_banded: A[i, j] = matrix[bw + i - j, j].  The
-        eigensolve does not read it (`tridiagonal` works from the end blocks
-        and links); its eigenvectors are checked by their residual here."""
-        return self._ab
+        scipy.linalg.solve_banded: A[i, j] = matrix[bw + i - j, j], built
+        from the blocks on first access.  The eigensolve does not read it
+        (`tridiagonal` works from the end blocks and links), so a full
+        spectrum never builds it; eigenvectors are checked by their
+        residual here."""
+        head, mid_lo, tail = self._blocks
+        bw, rh, rt = self._bw, len(head), len(tail)
+        ab = np.zeros((2 * bw + 1, rh + len(mid_lo) - 1 + rt), dtype=complex)
+        ab[bw + 1, rh - 1: rh - 1 + len(mid_lo)] = mid_lo
+        ab[bw - 1, rh: rh + len(mid_lo)] = np.conj(mid_lo)
+        _put_block(ab, bw, 0, head)
+        _put_block(ab, bw, ab.shape[1] - rt, tail)
+        return ab
 
     @property
     def weights(self) -> Array:
@@ -640,7 +651,7 @@ class ModeOperator:
             return vals, np.empty(0), np.empty((n, 0), dtype=complex)
         order = np.argsort(np.abs(vals), kind="stable")
         wanted = np.sort(vals[order[:n_sel]])
-        ab, bw = self._ab, self._bw
+        ab, bw = self.matrix, self._bw
         scale = max(float(np.max(np.abs(ab))), 1.0)
         # stebz + stein give n x m vectors (scipy's stemr allocates n x n);
         # the bracket may also hold a deflated zero, so take the nearest
@@ -833,6 +844,14 @@ def _spectrum(surface: WarpedSurface, bc: BoundaryConditionSpec, N: int,
                     levels[order], n_levels)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
 def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
               k_max: float = 12.5, N: int = 256,
               n_levels: int | None = None) -> Spectrum:
@@ -844,20 +863,44 @@ def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
     modes is exact and the (|lambda|, k, sign) order settles it the same way
     everywhere.  That order fixes the result whatever the order of the
     solves, so each solve, its operator included, is dropped as soon as its
-    modes are merged: at most one is held at a time.
+    levels are taken: at most one is held per worker.
+
+    A full spectrum (n_levels=None) solves the |k| on a pool of one thread
+    per available CPU, at most one per |k| (see the module docstring).  The
+    rows come back in the serial order, largest |k| first, so the result is
+    bit for bit the serial one.  A failure cancels the solves not yet
+    started and raises the first failure in that order.  Selective solves
+    run in this thread.
     """
     by_abs: dict = {}
     for kk in modes_for(surface, k_max):
         by_abs.setdefault(abs(kk), []).append(kk)
-    rows = []
-    for k_abs, ks in by_abs.items():
-        native = solve_mode(surface, k_abs, bc, N, 0, n_levels)
-        for kk in ks:
-            sol = native.image(kk, negate=bc.is_local) if kk < 0 else native
-            rows.append(np.column_stack([sol.lams,
-                                         np.full(len(sol.lams), sol.k)]))
-        del native, sol
-    return _spectrum(surface, bc, N, np.vstack(rows), n_levels)
+
+    def solve_levels(k_abs: float) -> Array:
+        # only the levels leave the worker; the operator is dropped here
+        return solve_mode(surface, k_abs, bc, N, 0, n_levels).lams
+
+    def merged(per_abs) -> Array:
+        """(lambda, k) rows of every mode, from the |k| levels in order."""
+        rows = []
+        for lams, ks in zip(per_abs, by_abs.values()):
+            for kk in ks:
+                # mode -k is the image of the |k| solve (ModeSolution.image)
+                lk = -lams[::-1] if kk < 0 and bc.is_local else lams
+                rows.append(np.column_stack([lk, np.full(len(lk), kk)]))
+        return np.vstack(rows)
+
+    workers = 1 if n_levels is not None else min(_cpu_count(), len(by_abs))
+    if workers == 1:
+        levels = merged(map(solve_levels, by_abs))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(workers)
+        try:
+            levels = merged(pool.map(solve_levels, by_abs))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return _spectrum(surface, bc, N, levels, n_levels)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 
@@ -16,8 +17,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from spinspec import cli, dirac_core
 from spinspec.cli import MAX_CONFIG_BYTES, Scenario, _spectrum_csv, fmt, run
-from spinspec import ConfigError, make_surface
+from spinspec import ConfigError, NumericalError, make_surface
 from spinspec.geometry import MAX_PROFILE_BYTES
 from spinspec.bounds import TOL_FEAS, canned_modifiers, feasibility_margin
 
@@ -475,26 +477,32 @@ def _input_argv(where, path, tmp_path):
     return ["spectrum", *args, "--out", str(tmp_path / "o")]
 
 
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """TimeoutError once `seconds` have passed: a blocked read fails the test
+    rather than hanging the suite."""
+    def blocked(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, blocked)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("where", ["config", "profile"])
 def test_named_pipe_input_exits_2_without_blocking(where, tmp_path, capsys):
     """A named pipe with no writer, given as --config or as a profile:, is
     refused before it is opened (opening it would block for good): one
-    line, exit 2, well inside a second.  A timer turns a block into a
-    failure of this test rather than a hung suite."""
+    line, exit 2, well inside a second."""
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
-
-    def blocked(signum, frame):
-        raise TimeoutError(f"{where} input blocked")
-
-    previous = signal.signal(signal.SIGALRM, blocked)
-    signal.setitimer(signal.ITIMER_REAL, 5.0)
     start = time.perf_counter()
-    try:
+    with _deadline(5.0):
         code = run(_input_argv(where, fifo, tmp_path))
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
@@ -541,10 +549,13 @@ def test_overflowing_input_prints_one_line(tmp_path):
 @pytest.mark.parametrize("command, geometry", [("spectrum", "annulus:1,1e300"),
                                                ("verify", "profile:")])
 def test_overflowing_quadrature_weight_exits_3(command, geometry, tmp_path,
-                                               capsys):
+                                               capsys, monkeypatch):
     """A surface so long that a quadrature weight h f overflows is refused in
     assembly with one line and exit 3; its inf used to reach the window
-    elimination as nan and end in an SVD traceback."""
+    elimination as nan and end in an SVD traceback.  Admission refuses such
+    a length first (`cli._admit_scale`); it is skipped here so that the
+    check in assembly stays tested."""
+    monkeypatch.setattr(cli, "_admit_scale", lambda surface: None)
     if geometry == "profile:":
         path = tmp_path / "huge.csv"
         path.write_text("r,f\n0,1\n1,2\n2,3\n1e308,4\n")
@@ -558,15 +569,105 @@ def test_overflowing_quadrature_weight_exits_3(command, geometry, tmp_path,
 
 
 @pytest.mark.parametrize("command", ["verify", "bounds"])
-def test_failed_run_drops_its_top_mode_warning(command, tmp_path, capsys):
+def test_failed_run_drops_its_top_mode_warning(command, tmp_path, capsys,
+                                               monkeypatch):
     """A command that warns about its top mode and then fails numerically
     prints the failure line alone: stderr lines wait for the command to
-    return."""
+    return.  Admission refuses this length (`cli._admit_scale`); it is
+    skipped here to reach the failure."""
+    monkeypatch.setattr(cli, "_admit_scale", lambda surface: None)
     code = run([command, "--geometry", "cylinder:1e200", "--spin", "periodic",
                 "--N", "16", "--kmax", "0.5", "--out", str(tmp_path)])
     assert code == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numerical failure:"), err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify", "bounds",
+                                     "convergence"])
+@pytest.mark.parametrize("geometry, message", [
+    ("cylinder:1e200", "surface length 1e+200"),
+    ("cap:1e-7", "surface length 1e-07"),
+    ("wide", "surface largest radius 1e+07"),
+])
+def test_surface_scale_outside_the_range_exits_2(command, geometry, message,
+                                                 tmp_path, capsys):
+    """A surface whose length or largest radius leaves [1e-6, 1e6] is refused
+    with one line.  The cylinder of length 1e200 gave `spectrum` levels of
+    1e-199 (exit 0) and `verify` no eigenvectors (exit 3)."""
+    if geometry == "wide":
+        path = tmp_path / "wide.csv"
+        path.write_text("r,f\n0,1e7\n1,1e7\n2,1e7\n3,1e7\n")
+        geometry = f"profile:{path}"
+    code = run([command, "--geometry", geometry, "--spin", "periodic",
+                "--N", "16,24,32", "--kmax", "0.5", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {message} lies outside [1e-06, 1e+06]"]
+
+
+def _mode_hook(monkeypatch, at: float, action) -> list:
+    """Run `action()` inside solve_mode at |k| = at, on a pool of two
+    workers; returns one entry per call there: True on the main thread."""
+    real, threads = dirac_core.solve_mode, []
+
+    def hooked(surface, k, *args):
+        if k == at:
+            threads.append(threading.current_thread()
+                           is threading.main_thread())
+            action()
+        return real(surface, k, *args)
+
+    monkeypatch.setattr(dirac_core, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(dirac_core, "solve_mode", hooked)
+    return threads
+
+
+def test_failure_on_a_pool_thread_exits_3_with_one_line(monkeypatch, tmp_path,
+                                                        capsys):
+    def fail():
+        raise NumericalError("injected at |k| = 1.5")
+
+    threads = _mode_hook(monkeypatch, 1.5, fail)
+    code = run(["spectrum", "--geometry", "disk", "--N", "32", "--kmax", "4.5",
+                "--out", str(tmp_path)])
+    assert code == 3 and threads == [False]
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: injected at |k| = 1.5"]
+
+
+def test_warning_on_a_pool_thread_is_counted(monkeypatch, tmp_path, capsys):
+    """A RuntimeWarning raised in a solve on a pool thread reaches run()'s
+    count: warnings.catch_warnings is process-wide, and numpy's default
+    error state warns on a thread as on the main one."""
+    threads = _mode_hook(monkeypatch, 1.5, lambda: np.array([1e308]) * 10.0)
+    code = run(["spectrum", "--geometry", "disk", "--N", "32", "--kmax", "4.5",
+                "--out", str(tmp_path)])
+    assert code == 0 and threads == [False]
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: 1 numerical warning(s) suppressed, the first: overflow "
+        "encountered in multiply"]
+
+
+def test_pooled_spectrum_files_are_the_serial_ones(monkeypatch, tmp_path):
+    """`spectrum --bc local+,local-` on a pool writes the bytes of the two
+    single runs, and the bytes of the same runs in one thread."""
+    files = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(dirac_core, "_cpu_count", lambda: workers)
+        for bcs in ("local+,local-", "local+", "local-"):
+            out = tmp_path / f"{workers}{bcs}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(["spectrum", "--geometry", "hemisphere", "--bc",
+                            bcs, "--N", "64,128", "--kmax", "6.5",
+                            "--out", str(out)]) == 0
+            files[workers, bcs] = {n: (out / n).read_bytes()
+                                   for n in sorted(os.listdir(out))}
+    for workers in (1, 2):
+        assert files[workers, "local+,local-"] == {
+            **files[workers, "local+"], **files[workers, "local-"]}
+        assert len(files[workers, "local+,local-"]) == 4
+    assert files[1, "local+,local-"] == files[2, "local+,local-"]
 
 
 _IMPORT_PROBE = """
@@ -709,7 +810,8 @@ _GEOMETRY = _mostly(
               st.builds("cylinder:{}".format, st.floats(0.05, 4.0)),
               st.just("profile:")),
     "cap:pi", "annulus:1,0.5", "cylinder:0", "cap:2**3", "cap:nan", "torus",
-    "", "annulus:1e-300,1", "cap:1e-300", "annulus:1,1e300", "cylinder:1e200")
+    "", "annulus:1e-300,1", "cap:1e-300", "annulus:1,1e300", "cylinder:1e200",
+    "profile:pipe", "profile:sparse")
 _PROFILE_TEXT = st.one_of(
     st.lists(st.floats(0.05, 3.0), min_size=4, max_size=12, unique=True).map(
         lambda rs: _csv((r, r * (1.2 - r / 4)) for r in sorted(rs))),
@@ -742,32 +844,64 @@ _BAD_FLAGS = (["--kmax", "nan"], ["--N", "32,x"], ["--bc", ""],
               ["--tol-report", "-5e-3"], ["--kmax", "1e12"])
 _FLAGS = _mostly(st.sampled_from([[], ["--kmax", "1.5"], ["--N", "16,24,32"],
                                   ["--bc", "aps-,local+"]]), *_BAD_FLAGS)
+# the config as a regular file, or a named pipe with no writer, or a sparse
+# file one byte over its cap
+_CONFIG_FILE = _mostly(st.just("file"), "pipe", "sparse")
+
+
+def _special_file(path: str, kind: str, cap: int) -> None:
+    """A named pipe (`kind` "pipe") or a sparse file of cap + 1 bytes."""
+    if kind == "pipe":
+        os.mkfifo(path)
+    else:
+        with open(path, "wb"):
+            pass
+        os.truncate(path, cap + 1)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(command=st.sampled_from(["spectrum", "convergence", "verify", "bounds"]),
        geometry=_GEOMETRY, profile=_PROFILE_TEXT, scenario=_SCENARIO,
-       flags=_FLAGS)
-def test_cli_run_fuzz(command, geometry, profile, scenario, flags):
+       flags=_FLAGS, config_file=_CONFIG_FILE)
+@example(command="spectrum", geometry="profile:pipe", profile="",
+         scenario={"bc": ["local+"], "N": [16], "kmax": 0.5}, flags=[],
+         config_file="file")
+@example(command="verify", geometry="profile:sparse", profile="",
+         scenario={"bc": ["aps-"], "N": [16], "kmax": 0.5}, flags=[],
+         config_file="file")
+def test_cli_run_fuzz(command, geometry, profile, scenario, flags,
+                      config_file):
     """Whatever the scenario, run() returns 0-3 (2 for a bad flag), stderr
-    holds no traceback, and a refused or failed run prints one line."""
+    holds no traceback, and a refused or failed run prints one line.  A
+    named pipe or an oversize file as the config or the profile never
+    blocks the run."""
+    special = config_file != "file" or geometry in ("profile:pipe",
+                                                    "profile:sparse")
     with tempfile.TemporaryDirectory() as tmp:
-        if geometry == "profile:":
-            geometry = "profile:" + os.path.join(tmp, "p.csv")
-            with open(geometry[len("profile:"):], "w") as fh:
-                fh.write(profile)
+        if geometry.startswith("profile:"):
+            path = os.path.join(tmp, "p.csv")
+            if geometry == "profile:":
+                with open(path, "w") as fh:
+                    fh.write(profile)
+            else:
+                _special_file(path, geometry[len("profile:"):],
+                              MAX_PROFILE_BYTES)
+            geometry = "profile:" + path
         cfg = os.path.join(tmp, "scenario.json")
-        with open(cfg, "w") as fh:
-            json.dump(dict(scenario, geometry=geometry), fh)
+        if config_file == "file":
+            with open(cfg, "w") as fh:
+                json.dump(dict(scenario, geometry=geometry), fh)
+        else:
+            _special_file(cfg, config_file, MAX_CONFIG_BYTES)
         argv = [command, "--config", cfg, "--out", os.path.join(tmp, "o")]
         argv += flags
         err = io.StringIO()
         with contextlib.redirect_stderr(err), \
-                contextlib.redirect_stdout(io.StringIO()):
+                contextlib.redirect_stdout(io.StringIO()), _deadline(60.0):
             rc = run(argv)
     assert rc in (0, 1, 2, 3)
-    if flags in _BAD_FLAGS:
+    if flags in _BAD_FLAGS or special:
         assert rc == 2
     assert "Traceback" not in err.getvalue()
     assert "RuntimeWarning" not in err.getvalue()

@@ -327,6 +327,157 @@ def test_aggregate_memory_does_not_grow_with_kmax():
     assert _aggregate_peak(40.5) <= 1.25 * _aggregate_peak(10.5)
 
 
+def _full_aggregate_memory(monkeypatch, k_max: float, N: int = 1024
+                           ) -> tuple[int, int, int]:
+    """A full-spectrum aggregate on the disk, local+, on two workers, under
+    tracemalloc: its peak, the most memory in use as a solve starts, and
+    the bytes of its levels."""
+    import tracemalloc
+    from spinspec import dirac_core
+    real, in_use = dirac_core.solve_mode, []
+
+    def traced(*args):
+        in_use.append(tracemalloc.get_traced_memory()[0])
+        return real(*args)
+
+    monkeypatch.setattr(dirac_core, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(dirac_core, "solve_mode", traced)
+    tracemalloc.start()
+    try:
+        levels = aggregate(make_surface("disk"), BoundaryConditionSpec("local+"),
+                           k_max, N).levels
+        return tracemalloc.get_traced_memory()[1], max(in_use), levels.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_pooled_aggregate_holds_one_solve_per_worker(monkeypatch):
+    """A full spectrum holds its levels and one solve per worker.  As a solve
+    starts on one worker, the rows merged so far and the other worker's
+    solve are all that is held: at N 1024 and kmax 40.5, 2.6 MiB for 2.56
+    MiB of levels, where keeping every finished solve measured 3.4 MiB.
+    Merging then holds the stacked levels, their sorted copy and three sort
+    keys, about 3.5x the levels (a 2.5 MiB peak for 0.69 MiB of levels at
+    kmax 10.5, 9.0 for 2.56 at 40.5); one solve peaks at about 0.28 MiB."""
+    import concurrent.futures  # noqa: F401  (its import is not measured)
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        solve_mode(make_surface("disk"), 40.5, BoundaryConditionSpec("local+"),
+                   1024, 0)
+        solve = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    low, high = (_full_aggregate_memory(monkeypatch, k_max)
+                 for k_max in (10.5, 40.5))
+    for peak, at_solve, levels in (low, high):
+        assert at_solve <= levels + solve
+        assert peak <= 4 * levels + 2 * solve
+    assert high[0] - low[0] <= 4 * (high[2] - low[2])
+
+
+def _profile_annulus(tmp_path) -> str:
+    path = tmp_path / "annulus.csv"
+    r = np.linspace(0.5, 1.5, 21).tolist()
+    path.write_text("r,f\n" + "".join(f"{x!r},{x * (1.2 - x / 4)!r}\n"
+                                       for x in r))
+    return f"profile:{path}"
+
+
+@pytest.mark.parametrize("geometry, bc, spin", [
+    ("hemisphere", "aps-", "antiperiodic"),
+    ("hemisphere", "local+", "antiperiodic"),
+    ("cap:1.2", "local+", "antiperiodic"),
+    ("profile", "aps+", "antiperiodic"),
+    ("cylinder:2.0", "local-", "periodic"),       # integer k, k = 0 included
+])
+def test_pooled_spectrum_is_the_serial_one(geometry, bc, spin, monkeypatch,
+                                           tmp_path):
+    """A full spectrum solved on a pool of 2 or 3 threads is bit for bit the
+    one solved in this thread, and the pool really runs off this thread."""
+    import threading
+    from spinspec import dirac_core
+    if geometry == "profile":
+        geometry = _profile_annulus(tmp_path)
+    surface, spec = make_surface(geometry, spin), BoundaryConditionSpec(bc)
+    real, threads = dirac_core.solve_mode, []
+
+    def recorded(*args):
+        threads.append(threading.current_thread() is threading.main_thread())
+        return real(*args)
+
+    monkeypatch.setattr(dirac_core, "solve_mode", recorded)
+    levels = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(dirac_core, "_cpu_count", lambda: workers)
+        threads.clear()
+        levels[workers] = aggregate(surface, spec, 6.5, 256).levels
+        assert all(threads) == (workers == 1) and any(threads) == (workers == 1)
+    assert len(levels[1]) > 0
+    assert np.array_equal(levels[1], levels[2])
+    assert np.array_equal(levels[1], levels[3])
+
+
+def test_selective_aggregate_stays_in_this_thread(monkeypatch):
+    """With n_levels set, aggregate solves inline whatever the CPU count."""
+    import threading
+    from spinspec import dirac_core
+    real, threads = dirac_core.solve_mode, []
+
+    def recorded(*args):
+        threads.append(threading.current_thread() is threading.main_thread())
+        return real(*args)
+
+    monkeypatch.setattr(dirac_core, "solve_mode", recorded)
+    monkeypatch.setattr(dirac_core, "_cpu_count", lambda: 4)
+    aggregate(make_surface("disk"), BoundaryConditionSpec("aps-"), 4.5, 64,
+              n_levels=1)
+    assert len(threads) == 5 and all(threads)
+
+
+def _fail_at(monkeypatch, order: list, at: int):
+    """solve_mode raising at order[at] after a pause and at order[at + 1] at
+    once; the modes after those pause before solving.  Returns the list of
+    |k| called."""
+    import time
+    from spinspec import dirac_core
+    real, calls = dirac_core.solve_mode, []
+
+    def failing(surface, k, *args):
+        calls.append(k)
+        if k in order[at:at + 2]:
+            if k == order[at]:
+                time.sleep(0.2)
+            raise NumericalError(f"injected at |k| = {k:g}")
+        if k in order[at + 2:]:
+            time.sleep(0.05)
+        return real(surface, k, *args)
+
+    monkeypatch.setattr(dirac_core, "solve_mode", failing)
+    return calls
+
+
+def test_pool_failure_is_the_serial_failure(monkeypatch):
+    """A failing |k| raises its own error, the first in the serial order
+    (largest |k| first) even when a later one fails sooner, and the solves
+    not yet started are cancelled."""
+    from spinspec import dirac_core
+    surface, spec = make_surface("disk"), BoundaryConditionSpec("local+")
+    order = list(dict.fromkeys(abs(k) for k in modes_for(surface, 20.5)))
+    calls = _fail_at(monkeypatch, order, 10)
+    errors, counts = [], []
+    for workers in (1, 2):
+        monkeypatch.setattr(dirac_core, "_cpu_count", lambda: workers)
+        calls.clear()
+        with pytest.raises(NumericalError) as info:
+            aggregate(surface, spec, 20.5, 64)
+        errors.append(str(info.value))
+        counts.append(len(calls))
+    assert errors == [f"injected at |k| = {order[10]:g}"] * 2
+    assert counts[0] == 11
+    assert counts[1] < len(order)
+
+
 @pytest.mark.parametrize("N", [256, 1024])
 def test_aps_levels_come_in_exact_pairs(N):
     """Under aps- the spectrum is reported exactly symmetric, so the +-tie
