@@ -702,27 +702,7 @@ class Eigenpair:
 class ModeSolution:
     k: float
     lams: Array                       # eigenvalues (all or the lowest), ascending
-    op: ModeOperator                  # the native operator that was solved
-    samples: tuple                    # (lam, p, q) staggered eigenvectors
-
-    @functools.cached_property
-    def pairs(self) -> list:
-        """Eigenpairs by |lam|, their fields collocated on first access."""
-        pairs = [Eigenpair(lam, self.k, _collocate(self.op, p, q, self.k < 0))
-                 for lam, p, q in self.samples]
-        return sorted(pairs, key=lambda e: (abs(e.lam), e.lam))
-
-    def image(self, k: float, negate: bool) -> "ModeSolution":
-        """This solve reported at mode k: the same levels and vectors, or with
-        `negate` those of -conj of the operator (-lams reversed, conjugate
-        vectors).  A negative k collocates the fields with their components
-        swapped back."""
-        lams, samples = self.lams, self.samples
-        if negate:
-            lams = -lams[::-1]
-            samples = tuple((-lam, np.conj(p), np.conj(q))
-                            for lam, p, q in samples)
-        return ModeSolution(k, lams, self.op, samples)
+    pairs: list                       # eigenpairs by |lam|, then lam
 
 
 def _phase_norm_scale(field_values: Array) -> complex:
@@ -759,23 +739,39 @@ def _collocate(op: ModeOperator, p: Array, q: Array, swap: bool) -> SpinorField:
     return SpinorField(op.surface, k, op.r_centers, vals, traces)
 
 
+def _native(bc: BoundaryConditionSpec) -> BoundaryConditionSpec:
+    """The condition of the native solve: local+ for either local one."""
+    return bc if bc.is_aps else BoundaryConditionSpec("local+")
+
+
+def _negated(bc: BoundaryConditionSpec, k: float) -> bool:
+    """Whether mode k under bc reports its native solve negated: a local
+    mode where exactly one of local-, k < 0 holds (see the module docstring)."""
+    return bc.is_local and ((bc.variant == "local-") != (k < 0))
+
+
 def solve_mode(surface: WarpedSurface, k: float, bc: BoundaryConditionSpec,
                N: int, n_fields: int = 4, n_levels: int | None = None
                ) -> ModeSolution:
     """Eigen-solve one mode by one native solve at |k|, under local+ for
-    either local condition, reported through `ModeSolution.image`: negated
-    when exactly one of local-, k < 0 holds (see the module docstring).
+    either local condition, reported negated (-lams reversed, conjugate
+    vectors) where `_negated` says so.
 
     n_levels=None keeps every eigenvalue; otherwise only the n_levels
     smallest |lambda| (at least n_fields) are computed.
     """
-    op = ModeOperator(surface, abs(k), N,
-                      bc=bc if bc.is_aps else BoundaryConditionSpec("local+"))
-    vals, wv, vec = op.eigensystem(n_vectors=n_fields, n_values=n_levels)
-    samples = tuple((float(lam), *op.expand(vec[:, col]))
-                    for col, lam in enumerate(wv))
-    negate = bc.is_local and ((bc.variant == "local-") != (k < 0))
-    return ModeSolution(op.k, vals, op, samples).image(k, negate)
+    op = ModeOperator(surface, abs(k), N, bc=_native(bc))
+    lams, wanted, vecs = op.eigensystem(n_vectors=n_fields, n_values=n_levels)
+    negate = _negated(bc, k)
+    lams = -lams[::-1] if negate else lams
+    pairs = []
+    for lam, y in zip(wanted, vecs.T):
+        p, q = op.expand(y)
+        if negate:
+            lam, p, q = -lam, np.conj(p), np.conj(q)
+        pairs.append(Eigenpair(float(lam), k, _collocate(op, p, q, k < 0)))
+    pairs.sort(key=lambda e: (abs(e.lam), e.lam))
+    return ModeSolution(k, lams, pairs)
 
 
 @dataclass
@@ -818,9 +814,7 @@ class Spectrum:
                                  f"k = {pair.k!r}, not levels[0]")
         return pair
 
-    def eigenvalues(self, k: float | None = None) -> Array:
-        if k is None:
-            return self.levels[:, 0].copy()
+    def eigenvalues(self, k: float) -> Array:
         sel = self.levels[np.abs(self.levels[:, 1] - k) < 1e-9]
         return np.sort(sel[:, 0])
 
@@ -839,7 +833,8 @@ class Spectrum:
 def _spectrum(surface: WarpedSurface, bc: BoundaryConditionSpec, N: int,
               levels: Array, n_levels: int | None) -> Spectrum:
     """Spectrum of (lambda, k) rows in the fixed order (|lambda|, k, sign)."""
-    order = np.lexsort((np.sign(levels[:, 0]), levels[:, 1], np.abs(levels[:, 0])))
+    # for equal |lambda| and k, ordering by lambda is ordering by its sign
+    order = np.lexsort((levels[:, 0], levels[:, 1], np.abs(levels[:, 0])))
     return Spectrum(surface, bc, N, float(np.max(np.abs(levels[:, 1]))),
                     levels[order], n_levels)
 
@@ -858,12 +853,13 @@ def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
     """Merge the levels of all modes |k| <= k_max, no fields, into one Spectrum.
 
     `levels` holds every eigenvalue of each mode, or with n_levels only the
-    n_levels smallest |lambda| of each.  Each |k| is solved once; mode -k is
-    the exact image of that solution, so a +-lambda tie between the two
-    modes is exact and the (|lambda|, k, sign) order settles it the same way
-    everywhere.  That order fixes the result whatever the order of the
-    solves, so each solve, its operator included, is dropped as soon as its
-    levels are taken: at most one is held per worker.
+    n_levels smallest |lambda| of each.  Each |k| is solved once, under its
+    native condition; modes +-k report those levels as they are or negated
+    (`_negated`), so a +-lambda tie between the two modes is exact and the
+    (|lambda|, k, sign) order settles it the same way everywhere.  That
+    order fixes the result whatever the order of the solves, so each solve,
+    its operator included, is dropped as soon as its levels are taken: at
+    most one is held per worker.
 
     A full spectrum (n_levels=None) solves the |k| on a pool of one thread
     per available CPU, at most one per |k| (see the module docstring).  The
@@ -877,16 +873,15 @@ def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
         by_abs.setdefault(abs(kk), []).append(kk)
 
     def solve_levels(k_abs: float) -> Array:
-        # only the levels leave the worker; the operator is dropped here
-        return solve_mode(surface, k_abs, bc, N, 0, n_levels).lams
+        # only the native levels leave the worker; the operator is dropped
+        return solve_mode(surface, k_abs, _native(bc), N, 0, n_levels).lams
 
     def merged(per_abs) -> Array:
         """(lambda, k) rows of every mode, from the |k| levels in order."""
         rows = []
         for lams, ks in zip(per_abs, by_abs.values()):
             for kk in ks:
-                # mode -k is the image of the |k| solve (ModeSolution.image)
-                lk = -lams[::-1] if kk < 0 and bc.is_local else lams
+                lk = -lams[::-1] if _negated(bc, kk) else lams
                 rows.append(np.column_stack([lk, np.full(len(lk), kk)]))
         return np.vstack(rows)
 

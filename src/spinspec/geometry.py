@@ -81,7 +81,6 @@ class RadialFunction:
     value: Callable[[Array], Array]
     deriv: Callable[[Array], Array]
     deriv2: Callable[[Array], Array]
-    deriv3: Callable[[Array], Array] | None = None
 
     def __call__(self, r) -> Array:
         r = np.asarray(r, dtype=float)
@@ -95,17 +94,9 @@ class RadialFunction:
         r = np.asarray(r, dtype=float)
         return np.asarray(self.deriv2(r), dtype=float) + np.zeros_like(r)
 
-    def d3(self, r) -> Array:
-        r = np.asarray(r, dtype=float)
-        if self.deriv3 is not None:
-            return np.asarray(self.deriv3(r), dtype=float) + np.zeros_like(r)
-        eps = 1e-5 * (1.0 + np.max(np.abs(r)))
-        return (self.d2(r + eps) - self.d2(r - eps)) / (2 * eps)
-
     @staticmethod
     def constant(c: float) -> "RadialFunction":
         return RadialFunction(lambda r: c + 0.0 * r,
-                              lambda r: 0.0 * r,
                               lambda r: 0.0 * r,
                               lambda r: 0.0 * r)
 
@@ -113,16 +104,14 @@ class RadialFunction:
     def from_poly(coeffs: Sequence[float]) -> "RadialFunction":
         """Polynomial in r, coefficients in ascending order."""
         p = Polynomial(list(coeffs))
-        p1, p2, p3 = p.deriv(1), p.deriv(2), p.deriv(3)
-        return RadialFunction(lambda r: p(r), lambda r: p1(r),
-                              lambda r: p2(r), lambda r: p3(r))
+        p1, p2 = p.deriv(1), p.deriv(2)
+        return RadialFunction(lambda r: p(r), lambda r: p1(r), lambda r: p2(r))
 
     @staticmethod
     def from_samples(r: Array, y: Array) -> "RadialFunction":
         """Cubic-spline interpolant; derivative accuracy O(h^2)."""
         sp = _Spline.not_a_knot(r, np.asarray(y, float))
-        d1, d2, d3 = sp.derivative(1), sp.derivative(2), sp.derivative(3)
-        return RadialFunction(sp, d1, d2, d3)
+        return RadialFunction(sp, sp.derivative(1), sp.derivative(2))
 
 
 @dataclass(frozen=True)
@@ -265,6 +254,13 @@ class WarpedSurface:
         """Cell centres r_min + (j + 1/2) h, h = length / n, of the n-cell grid."""
         return self.r_min + (np.arange(n) + 0.5) * (self.length / n)
 
+    def off_surface(self, r) -> bool:
+        """Whether a radius r passes an end by more than roundoff: 1e-12 of
+        the length plus four ulps of the larger end radius."""
+        big = max(abs(self.r_min), abs(self.r_max))
+        slack = 1e-12 * self.length + 4 * np.spacing(big)
+        return bool(np.any((r < self.r_min - slack) | (r > self.r_max + slack)))
+
 
 @dataclass(frozen=True)
 class BoundaryData:
@@ -292,20 +288,15 @@ def boundary_data(surface: WarpedSurface, boundary_id: str) -> BoundaryData:
 
 
 def scalar_curvature(surface: WarpedSurface, r) -> Array:
-    """R(r) = -2 f''(r)/f(r); at a cap pole the limit -2 f'''(r_min)/f'(r_min)."""
+    """R(r) = -2 f''(r)/f(r).  A cap's pole r <= r_min, where f vanishes, is
+    refused like any radius off the surface: the scheme never samples it."""
     scalar = np.ndim(r) == 0
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(r < surface.r_min - 1e-12) or np.any(r > surface.r_max + 1e-12):
+    if surface.off_surface(r):
         raise ConfigError("radius outside the surface domain")
-    out = np.empty_like(r)
-    # the limit only where f vanishes: near the pole of a rescaled cap f and
-    # f'' are small but resolved, and the limit is wrong there
-    near_pole = (r <= surface.r_min) if surface.cap else np.zeros(r.shape, bool)
-    reg = ~near_pole
-    out[reg] = -2.0 * surface.fpp(r[reg]) / surface.f(r[reg])
-    if np.any(near_pole):
-        f3 = float(surface.profile.d3(surface.r_min))
-        out[near_pole] = -2.0 * f3 / float(surface.fp(surface.r_min))
+    if surface.cap and np.any(r <= surface.r_min):
+        raise ConfigError("no scalar curvature at the cap pole, where f = 0")
+    out = -2.0 * surface.fpp(r) / surface.f(r)
     return float(out[0]) if scalar else out
 
 
@@ -358,8 +349,7 @@ def _sphere_profile() -> RadialFunction:
     # written about r = pi/2 so the hemisphere's equator has exactly f' = 0
     return RadialFunction(lambda r: np.cos(r - np.pi / 2),
                           lambda r: -np.sin(r - np.pi / 2),
-                          lambda r: -np.cos(r - np.pi / 2),
-                          lambda r: np.sin(r - np.pi / 2))
+                          lambda r: -np.cos(r - np.pi / 2))
 
 
 def catalog() -> dict[str, str]:
@@ -715,16 +705,7 @@ def conformal_rescale(surface: WarpedSurface,
         g = (u.d2(r) * surface.f(r) + u.d(r) * surface.fp(r) + surface.fpp(r))
         return np.exp(-u(r)) * g
 
-    def d3(s):
-        r = _arclength_inverse(u, edges_r, edges_s, s)
-        up, upp, uppp = u.d(r), u.d2(r), u.d3(r)
-        f, fp, fpp, fppp = (surface.f(r), surface.fp(r), surface.fpp(r),
-                            surface.profile.d3(r))
-        g = upp * f + up * fp + fpp
-        gp = uppp * f + 2 * upp * fp + up * fpp + fppp
-        return np.exp(-2 * u(r)) * (gp - up * g)
-
-    prof = RadialFunction(val, d1, d2, d3)
+    prof = RadialFunction(val, d1, d2)
     target = WarpedSurface(surface.name + "|conformal", 0.0, float(edges_s[-1]),
                            prof, cap=surface.cap,
                            spin_structure=surface.spin_structure,

@@ -66,13 +66,8 @@ class SpinorField:
         return len(self.r)
 
     def trace(self, boundary_id: str) -> Array:
-        """Boundary trace; extrapolated from the grid if not stored."""
-        if boundary_id in self.traces:
-            return np.asarray(self.traces[boundary_id], dtype=complex)
-        v = self.values
-        if boundary_id == "outer":
-            return 1.5 * v[-1] - 0.5 * v[-2]
-        return 1.5 * v[0] - 0.5 * v[1]
+        """The stored boundary trace (KeyError if there is none)."""
+        return np.asarray(self.traces[boundary_id], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +473,7 @@ def conformal_push(field: SpinorField, rescaling: ConformalRescaling,
     target = rescaling.target
     s_centers = target.centers(field.n_grid)
     r_pull = rescaling.r_of_s(s_centers)
-    if np.any(r_pull < field.surface.r_min - 1e-9) or \
-            np.any(r_pull > field.surface.r_max + 1e-9):
+    if field.surface.off_surface(r_pull):
         raise ValueError("interpolation outside the source grid")
 
     # Interpolate the co-located values alone: they ride one smooth O(h^2)

@@ -356,9 +356,10 @@ def test_pooled_aggregate_holds_one_solve_per_worker(monkeypatch):
     starts on one worker, the rows merged so far and the other worker's
     solve are all that is held: at N 1024 and kmax 40.5, 2.6 MiB for 2.56
     MiB of levels, where keeping every finished solve measured 3.4 MiB.
-    Merging then holds the stacked levels, their sorted copy and three sort
-    keys, about 3.5x the levels (a 2.5 MiB peak for 0.69 MiB of levels at
-    kmax 10.5, 9.0 for 2.56 at 40.5); one solve peaks at about 0.28 MiB."""
+    Merging then holds the stacked levels, their sorted copy, the |lambda|
+    sort key and the order (the other two keys are views of the levels),
+    about 3x the levels (a 2.1 MiB peak for 0.69 MiB of levels at kmax
+    10.5, 7.7 for 2.56 at 40.5); one solve peaks at about 0.28 MiB."""
     import concurrent.futures  # noqa: F401  (its import is not measured)
     import tracemalloc
     tracemalloc.start()

@@ -29,17 +29,59 @@ def test_scalar_curvature_builtins():
     assert np.max(np.abs(scalar_curvature(cyl, grid(cyl)))) <= 1e-14
 
 
-def test_scalar_curvature_pole_limit():
+def test_scalar_curvature_refuses_the_cap_pole():
+    """The scheme never samples a cap's pole: the staggered grid skips it,
+    bounds._grid leaves it out and volume_integral weights it 0.  So R there
+    is refused, alone or among other radii, while the cell centres of the
+    hemisphere keep R = 2."""
+    for geom in ("hemisphere", "disk", "cap:pi/3"):
+        surface = make_surface(geom)
+        for r in (surface.r_min, np.append(surface.centers(8), surface.r_min)):
+            with pytest.raises(ConfigError, match="pole"):
+                scalar_curvature(surface, r)
     hemi = make_surface("hemisphere")
-    assert abs(float(scalar_curvature(hemi, 0.0)) - 2.0) <= 1e-6
-    disk = make_surface("disk")
-    assert abs(float(scalar_curvature(disk, 0.0))) <= 1e-8
+    assert np.max(np.abs(scalar_curvature(hemi, hemi.centers(64)) - 2.0)) \
+        <= 1e-12
 
 
 def test_scalar_curvature_domain_check():
     disk = make_surface("disk")
     with pytest.raises(ConfigError):
         scalar_curvature(disk, 1.5)
+
+
+@pytest.mark.parametrize("end", ["low", "high"])
+def test_domain_slack_is_relative_at_the_ends_of_the_scale_range(end):
+    """At both ends of cli.SCALE_RANGE every radius the commands evaluate
+    passes the domain checks: the cell centres and both boundary circles
+    (the inner one r_min included) on the surface and on a conformal
+    target, and the pulled-back centres of a conformal push.  A radius past
+    either end by 1e-9 of the length is refused; one a few ulps past the
+    end, roundoff, is not."""
+    from spinspec import BoundaryConditionSpec, aggregate, cli, conformal_push
+    from spinspec.bounds import _grid
+    lo, hi = cli.SCALE_RANGE
+    # length lo, or largest radius hi; admitted either way
+    surface = make_surface(f"annulus:{lo},{2 * lo}" if end == "low"
+                           else f"annulus:{hi / 2},{hi}")
+    cli._admit_scale(surface)
+    assert _grid(surface, 32)[0] == surface.r_min
+    assert np.all(np.isfinite(scalar_curvature(surface, _grid(surface, 32))))
+    resc = conformal_rescale(surface, parse_radial_spec(
+        "const:0.3", surface.r_min, surface.r_max))
+    target = resc.target
+    assert np.all(np.isfinite(scalar_curvature(target, _grid(target, 32))))
+    pair = aggregate(surface, BoundaryConditionSpec("local+"), 0.5, 32,
+                     n_levels=1).fundamental
+    conformal_push(pair.field, resc, pair.lam)
+    for surf in (surface, target):
+        step = 1e-9 * surf.length
+        for r in (surf.r_min - step, surf.r_max + step):
+            with pytest.raises(ConfigError, match="outside"):
+                scalar_curvature(surf, r)
+        for r in (surf.r_min, surf.r_max):
+            assert not surf.off_surface(r)
+        assert not surf.off_surface(surf.r_max + 2 * np.spacing(surf.r_max))
 
 
 def test_mean_curvature_conventions():

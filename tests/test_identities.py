@@ -34,6 +34,14 @@ def modifier_bump(surface, c_a=0.4, c_u=0.3):
 # Lichnerowicz balance
 # ---------------------------------------------------------------------------
 
+def test_trace_without_a_stored_trace_raises():
+    """A trace is what the field stores; there is no extrapolated fallback."""
+    f = killing_field(16)
+    f.traces = {}
+    with pytest.raises(KeyError):
+        f.trace("outer")
+
+
 def test_sl_zero_field_trivial():
     f = killing_field(64)
     f.values = 0 * f.values
