@@ -6,23 +6,23 @@ spinor identities behind the Friedrich / energy-momentum / conformal
 eigenvalue lower bounds, and optimizes those bounds over modifier pairs.
 """
 
-from .bounds import (BoundEntry, BoundReport, ModifierPair, OptimizerResult,
-                     canned_modifiers, conformal_modified_scalar,
-                     evaluate_bounds, feasibility_margin, friedrich_bound,
-                     modified_scalar, optimize_modifiers)
+from .bounds import (BoundEntry, BoundReport, OptimizerResult,
+                     canned_modifiers, evaluate_bounds, feasibility_margin,
+                     friedrich_bound, optimize_modifiers)
 from .dirac_core import (BC_VARIANTS, BoundaryConditionSpec, Eigenpair,
                          ModeOperator, NumericalError, Spectrum, aggregate,
-                         boundary_dirac_matrix, convergence_study, modes_for,
-                         solve_mode)
+                         convergence_study, solve_mode)
 from .geometry import (DIM, BoundaryData, ConfigError, ConformalRescaling,
                        RadialFunction, WarpedSurface, boundary_data, catalog,
                        conformal_law_residuals, conformal_rescale,
-                       make_surface, parse_radial_spec, radial_laplacian,
-                       scalar_curvature)
-from .identities import (EnergyMomentum, IdentityReport, SpinorField,
-                         VanishingSpinorError, apply_dirac, conformal_push,
-                         energy_momentum, eq_residual, killing_residual,
-                         modified_gradient_norm, rtc2_residual, sl_residual,
+                       make_surface, modes_for, parse_radial_spec,
+                       radial_laplacian, scalar_curvature)
+from .identities import (EnergyMomentum, IdentityReport, ModifierPair,
+                         SpinorField, VanishingSpinorError, apply_dirac,
+                         boundary_dirac_matrix, conformal_modified_scalar,
+                         conformal_push, energy_momentum, eq_residual,
+                         killing_residual, modified_gradient_norm,
+                         modified_scalar, rtc2_residual, sl_residual,
                          spinor_gradient)
 from .spin_algebra import (FRAME, CliffordFrame, boundary_chirality,
                            chirality, chirality_projectors, clifford_mul,

@@ -18,12 +18,12 @@ recovers the classical unmodified inequalities, which every report includes
 as a baseline.  The code keeps these formulas in terms of the paper's
 dimension n, the constant geometry.DIM = 2 of every surface here.
 
-Both curvature quantities and the margin are computed by private helpers
-that take sampled arrays: R, f'/f and the jets a, a', u', u'' for the
-quantities, H, a and du(e0) on the boundary circles for the margin.  The
-public functions fill those arrays from RadialFunctions; the optimizer fills
-them from a precomputed spline basis, so both paths share one copy of each
-formula.
+Both curvature quantities live in `identities`, with the twisted connection
+they belong to, as `_curvature` on sampled R, f'/f and jets a, a', u', u'';
+the margin is computed here from H, a and du(e0) on the boundary circles.
+The public functions fill those arrays from RadialFunctions; the optimizer
+fills them from a precomputed spline basis, so both paths share one copy of
+each formula.
 
 The sup over (a, u) is explored with derivative-free Nelder-Mead
 (`_nelder_mead`, scipy's method evaluation for evaluation) over cubic
@@ -53,8 +53,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from numpy.polynomial import Polynomial
 
+from . import identities
 from .geometry import (DIM, RadialFunction, WarpedSurface, _Spline,
                        boundary_data, parse_radial_spec, scalar_curvature)
+from .identities import ModifierPair, _curvature, _jets
 
 Array = np.ndarray
 
@@ -65,62 +67,6 @@ FRIEDRICH = DIM / (4 * (DIM - 1))
 TOL_REPORT = 5e-3   # discretization slack folded into pass/fail margins
 TOL_FEAS = 1e-9     # feasibility margins this negative still count as boundary cases
 _PENALTY = 1e3      # optimizer objective cost per unit of feasibility deficit
-
-_ZERO = RadialFunction.constant(0.0)
-
-
-@dataclass(frozen=True)
-class ModifierPair:
-    """The functions (a, u) twisting the spinor connection; ModifierPair()
-    is the zero pair, the untwisted connection."""
-
-    a: RadialFunction = _ZERO
-    u: RadialFunction = _ZERO
-
-    @staticmethod
-    def from_params(surface: WarpedSurface, params: Array,
-                    n_ctrl: int = 8) -> "ModifierPair":
-        """Cubic-spline pair from 2*n_ctrl control values on the surface."""
-        params = np.asarray(params, dtype=float)
-        if params.shape != (2 * n_ctrl,):
-            raise ValueError(f"expected {2 * n_ctrl} parameters")
-        knots = np.linspace(surface.r_min, surface.r_max, n_ctrl)
-        a = RadialFunction.from_samples(knots, params[:n_ctrl])
-        u = RadialFunction.from_samples(knots, params[n_ctrl:])
-        return ModifierPair(a, u)
-
-
-def _curvature(variant: str, R: Array, fpf: Array, a: Array, da: Array,
-               du: Array, d2u: Array) -> Array:
-    """R_{a,u} (interior) or R^_{a,u} (conformal) from R, f'/f and the
-    jets a, a', u', u'' sampled on one grid."""
-    lap_u = -(d2u + fpf * du)   # geometry.radial_laplacian of u
-    if variant == "interior":
-        return R - 4 * a * lap_u + 4 * da * du \
-            - 4 * (1 - 1 / DIM) * a ** 2 * du ** 2
-    coeff = (DIM - 1) * (DIM - 2) + 4 * (2 - DIM) * a \
-        + 4 * (1 - 1 / DIM) * a ** 2
-    return R + 4 * ((DIM - 1) / 2 - a) * lap_u + 4 * da * du - coeff * du ** 2
-
-
-def _jets(surface: WarpedSurface, mp: ModifierPair, r: Array) -> tuple:
-    """R, f'/f, a, a', u', u'' at the radii r."""
-    rr = np.asarray(r, dtype=float)
-    return (scalar_curvature(surface, rr), surface.fp(rr) / surface.f(rr),
-            mp.a(rr), mp.a.d(rr), mp.u.d(rr), mp.u.d2(rr))
-
-
-def modified_scalar(surface: WarpedSurface, mp: ModifierPair,
-                    r: Array) -> Array:
-    """R_{a,u} sampled at the radii r (positive Laplacian throughout)."""
-    return _curvature("interior", *_jets(surface, mp, r))
-
-
-def conformal_modified_scalar(surface: WarpedSurface, mp: ModifierPair,
-                              r: Array) -> Array:
-    """R^_{a,u} sampled at the radii r."""
-    return _curvature("conformal", *_jets(surface, mp, r))
-
 
 # per feasibility variant: the inf-curvature bound and its energy-momentum
 # refinement, both built on the variant's curvature quantity
@@ -261,8 +207,6 @@ def evaluate_bounds(spectrum, mp: ModifierPair | None = None,
     the field of `spectrum.fundamental`.  Conformal entries carry pass/fail
     semantics under the local conditions only.
     """
-    from .identities import energy_momentum
-
     surface = spectrum.surface
     lam2 = spectrum.lambda_min_sq
     field = spectrum.fundamental.field
@@ -277,7 +221,7 @@ def evaluate_bounds(spectrum, mp: ModifierPair | None = None,
         bool(lam2 >= friedrich - tol_report) if feas0 else None,
         "" if feas0 else "skipped (infeasible: H < 0 somewhere)"))
 
-    q = energy_momentum(field)
+    q = identities.energy_momentum(field)
     r_ctr = scalar_curvature(surface, field.r)
     hq = float(np.min((r_ctr / 4.0 + q.norm_sq)[q.mask]))
     entries.append(BoundEntry(

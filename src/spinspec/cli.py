@@ -125,10 +125,15 @@ class Scenario:
     def from_json(path: str) -> "Scenario":
         check_input_file(path, "config", MAX_CONFIG_BYTES)
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError: not UTF-8, or not JSON; RecursionError: nested
+            # deeper than the decoder goes
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {path} holds a JSON "
+                              f"{type(data).__name__}, not an object")
         known = {f.name for f in dataclasses.fields(Scenario)}
         bad = set(data) - known
         if bad:
@@ -165,6 +170,7 @@ class Scenario:
             # that verify would refuse (about 2 ms)
             resc = conformal_rescale(surface, parse_radial_spec(
                 self.conformal_u, surface.r_min, surface.r_max))
+        _admit_out(self.out)
         return surface, resc
 
     def _admit(self, command: str) -> None:
@@ -196,6 +202,20 @@ def _admit_scale(surface: WarpedSurface) -> None:
         if not lo <= size <= hi:
             raise ConfigError(f"surface {what} {size:.3g} lies outside "
                               f"[{lo:g}, {hi:g}]")
+
+
+def _admit_out(out: str) -> None:
+    """ConfigError unless the output directory exists or can be made: the
+    path, or else its nearest existing ancestor, must be a directory.
+    Creates nothing."""
+    if "\0" in out:
+        raise ConfigError(f"output path {out!r} holds a NUL byte")
+    target = path = os.path.abspath(out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        where = "is" if path == target else f"lies under {path!r}, which is"
+        raise ConfigError(f"output path {out!r} {where} not a directory")
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +339,7 @@ def _identity_reports(sc: Scenario, surface: WarpedSurface,
         # the rescaling's own factor is the modifier u of eq3/eq4
         for which in ("eq3", "eq4"):
             r = ident.eq_residual(field, lam, which,
-                                  bounds_mod.ModifierPair(mp.a, resc.u), resc)
+                                  ident.ModifierPair(mp.a, resc.u), resc)
             out.append(r.to_dict())
     return out
 

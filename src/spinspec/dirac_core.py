@@ -90,9 +90,8 @@ from ._lapack import (bidiagonal_singular_values, eigh_tridiagonal,
 # unused here; perfbench --trace counts calls to this name
 from ._lapack import solve_tridiagonal as solve_banded  # noqa: F401
 from .geometry import (SLOPE_STENCIL, TRACE_STENCIL, ConfigError,
-                       WarpedSurface, apply_stencil, boundary_data)
+                       WarpedSurface, _check_mode, apply_stencil, modes_for)
 from .identities import SpinorField
-from .spin_algebra import FRAME
 
 Array = np.ndarray
 
@@ -124,46 +123,6 @@ class BoundaryConditionSpec:
     @property
     def is_aps(self) -> bool:
         return self.variant.startswith("aps")
-
-
-def _check_mode(surface: WarpedSurface, k: float) -> None:
-    """ConfigError unless k is a wave number of the surface's spin structure."""
-    two_k = 2 * k
-    if abs(two_k - round(two_k)) > 1e-12:
-        raise ConfigError(f"mode {k} is not half-integral")
-    odd = int(round(two_k)) % 2 != 0
-    if surface.spin_structure == "antiperiodic" and not odd:
-        raise ConfigError(f"mode {k} incompatible with the "
-                          "antiperiodic spin structure")
-    if surface.spin_structure == "periodic" and odd:
-        raise ConfigError(f"mode {k} incompatible with the "
-                          "periodic spin structure")
-
-
-def modes_for(surface: WarpedSurface, k_max: float) -> list[float]:
-    """All admissible wave numbers with |k| <= k_max."""
-    if surface.spin_structure == "antiperiodic":
-        pos = np.arange(0.5, k_max + 1e-9, 1.0)
-        if len(pos) == 0:
-            raise ConfigError("k_max below the lowest antiperiodic mode 1/2")
-        return sorted(np.concatenate([-pos, pos]).tolist())
-    n = int(np.floor(k_max + 1e-9))
-    return sorted(np.arange(-n, n + 1).astype(float).tolist())
-
-
-def boundary_dirac_matrix(surface: WarpedSurface, boundary_id: str,
-                          k: float) -> tuple[Array, Array]:
-    """2x2 matrices of D^boundary and e0 . D^boundary at one mode.
-
-    On the circle of radius f_b the intrinsic boundary Dirac operator of the
-    mode is (ik/f_b) e^2 . ; Clifford action of the outward normal gives the
-    self-adjoint e0 . D^boundary, whose eigenvalues are +-k/f_b.
-    """
-    _check_mode(surface, k)
-    bd = boundary_data(surface, boundary_id)
-    d_bnd = (1j * k / bd.radius) * FRAME.g2
-    e0 = FRAME.covector((bd.outward_sign, 0.0))
-    return d_bnd, e0 @ d_bnd
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +377,14 @@ class ModeOperator:
             m[0] = 0.5 * h * fc[0] * (1 - h * sigma[0] / 2)
         if active[-1]:
             m[-1] = 0.5 * h * fc[-1] * (1 + h * sigma[-1] / 2)
-        if not np.all((m[active] > 0) & np.isfinite(m[active])):
+        if not np.all(np.isfinite(m[active])):
             raise NumericalError("nonpositive or non-finite quadrature weight "
                                  "in assembly")
+        if not np.all(m[active] > 0):
+            # an end half-cell weight turns once h sigma reaches 2
+            raise ConfigError(
+                f"N = {N} is too coarse for the surface {surf.name} at "
+                f"|k| = {k:g}: a quadrature weight is not positive; raise N")
         msq = np.sqrt(m)
 
         # lower[r] = H[r+1, r] and upper[r] = H[r, r+1], each from its own row

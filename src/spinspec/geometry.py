@@ -262,6 +262,31 @@ class WarpedSurface:
         return bool(np.any((r < self.r_min - slack) | (r > self.r_max + slack)))
 
 
+def _check_mode(surface: WarpedSurface, k: float) -> None:
+    """ConfigError unless k is a wave number of the surface's spin structure."""
+    two_k = 2 * k
+    if abs(two_k - round(two_k)) > 1e-12:
+        raise ConfigError(f"mode {k} is not half-integral")
+    odd = int(round(two_k)) % 2 != 0
+    if surface.spin_structure == "antiperiodic" and not odd:
+        raise ConfigError(f"mode {k} incompatible with the "
+                          "antiperiodic spin structure")
+    if surface.spin_structure == "periodic" and odd:
+        raise ConfigError(f"mode {k} incompatible with the "
+                          "periodic spin structure")
+
+
+def modes_for(surface: WarpedSurface, k_max: float) -> list[float]:
+    """All admissible wave numbers with |k| <= k_max."""
+    if surface.spin_structure == "antiperiodic":
+        pos = np.arange(0.5, k_max + 1e-9, 1.0)
+        if len(pos) == 0:
+            raise ConfigError("k_max below the lowest antiperiodic mode 1/2")
+        return sorted(np.concatenate([-pos, pos]).tolist())
+    n = int(np.floor(k_max + 1e-9))
+    return sorted(np.arange(-n, n + 1).astype(float).tolist())
+
+
 @dataclass(frozen=True)
 class BoundaryData:
     """One boundary circle with outward-normal mean curvature."""

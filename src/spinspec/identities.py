@@ -10,8 +10,13 @@ data.
 
 Conventions: the eigenvalue may be a constant or a radial function (needed
 after conformal rescaling, where D-bar psi-bar = lam e^{-u} psi-bar), the
-energy-momentum tensor is only evaluated where |phi|^2 stays above a
-relative floor (zero-set exclusion, reported, never regularized).
+energy-momentum tensor and the Killing residual are only evaluated where
+|phi|^2 stays above a relative floor (zero-set exclusion, reported, never
+regularized).
+
+It also holds what the identities share with the bounds: the modifier pair
+(a, u) of the twisted connection, its curvatures R_{a,u} and R^_{a,u}
+(formulas in `bounds`), and the boundary operator e0 . D^bd.
 """
 
 from __future__ import annotations
@@ -20,14 +25,16 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .bounds import ModifierPair, conformal_modified_scalar, modified_scalar
-from .geometry import (DIM, SLOPE_STENCIL, ConformalRescaling, WarpedSurface,
-                       _Spline, apply_stencil, boundary_data, scalar_curvature)
+from .geometry import (DIM, SLOPE_STENCIL, ConformalRescaling, RadialFunction,
+                       WarpedSurface, _check_mode, _Spline, apply_stencil,
+                       boundary_data, scalar_curvature)
 from .spin_algebra import FRAME
 
 Array = np.ndarray
 
 EPS_ZERO_REL = 1e-8  # zero-set exclusion threshold, relative to max |phi|^2
+
+_ZERO = RadialFunction.constant(0.0)
 
 
 class VanishingSpinorError(ValueError):
@@ -126,13 +133,26 @@ def boundary_gradient(field: SpinorField, boundary_id: str) -> tuple[Array, Arra
     v = field.values
     if boundary_id == "outer":
         g1 = -apply_stencil(SLOPE_STENCIL, v[:-4:-1]) / field.h
-        r_b = field.surface.r_max
     else:
         g1 = apply_stencil(SLOPE_STENCIL, v[:3]) / field.h
-        r_b = field.surface.r_min
-    f_b = float(field.surface.f(r_b))
-    fp_b = float(field.surface.fp(r_b))
-    return g1, _tangential(field.k, f_b, fp_b, field.trace(boundary_id))
+    bd = boundary_data(field.surface, boundary_id)
+    fp_b = float(field.surface.fp(bd.r_b))
+    return g1, _tangential(field.k, bd.radius, fp_b, field.trace(boundary_id))
+
+
+def boundary_dirac_matrix(surface: WarpedSurface, boundary_id: str,
+                          k: float) -> tuple[Array, Array]:
+    """2x2 matrices of D^boundary and e0 . D^boundary at one mode.
+
+    On the circle of radius f_b the intrinsic boundary Dirac operator of the
+    mode is (ik/f_b) e^2 . ; Clifford action of the outward normal gives the
+    self-adjoint e0 . D^boundary, whose eigenvalues are +-k/f_b.
+    """
+    _check_mode(surface, k)
+    bd = boundary_data(surface, boundary_id)
+    d_bnd = (1j * k / bd.radius) * FRAME.g2
+    e0 = FRAME.covector((bd.outward_sign, 0.0))
+    return d_bnd, e0 @ d_bnd
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +184,6 @@ def volume_integral(field: SpinorField, integrand: Array,
         w_ext[0] = 0.0
     y = np.concatenate([[endpoint("inner", 0, 1)], g, [endpoint("outer", -1, -2)]])
     return 2 * np.pi * float(np.trapezoid(y * w_ext, r_ext))
-
-
-def boundary_integral(field: SpinorField, boundary_id: str, value: float) -> float:
-    """∫ over one boundary circle of a mode-quadratic quantity: 2 pi f_b value."""
-    bd = boundary_data(field.surface, boundary_id)
-    return 2 * np.pi * bd.radius * float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +279,24 @@ class EnergyMomentum:
         return self.q[:, 0, 0] + self.q[:, 1, 1]
 
 
-def energy_momentum(field: SpinorField) -> EnergyMomentum:
-    """Q_{ij} = Re(e^i . grad_j phi + e^j . grad_i phi, phi) / (2 |phi|^2).
-
-    Defined only off the zero set; nodes with |phi|^2 below EPS_ZERO_REL * max
-    are excluded and reported, not regularized.
-    """
-    phi = field.values
-    phi_sq = np.sum(np.abs(phi) ** 2, axis=1)
+def _off_zero_set(field: SpinorField) -> tuple[Array, Array]:
+    """|phi|^2 at the nodes and the mask of the nodes off the zero set, where
+    |phi|^2 >= EPS_ZERO_REL * max |phi|^2; VanishingSpinorError if phi = 0."""
+    phi_sq = np.sum(np.abs(field.values) ** 2, axis=1)
     top = float(np.max(phi_sq))
     if top == 0.0:
         raise VanishingSpinorError("vanishing spinor")
-    mask = phi_sq >= EPS_ZERO_REL * top
+    return phi_sq, phi_sq >= EPS_ZERO_REL * top
+
+
+def energy_momentum(field: SpinorField) -> EnergyMomentum:
+    """Q_{ij} = Re(e^i . grad_j phi + e^j . grad_i phi, phi) / (2 |phi|^2).
+
+    Defined only off the zero set (`_off_zero_set`); the nodes on it are
+    excluded and reported, not regularized.
+    """
+    phi = field.values
+    phi_sq, mask = _off_zero_set(field)
     grads = spinor_gradient(field)
     gens = (FRAME.g1, FRAME.g2)
     q = np.zeros((field.n_grid, 2, 2))
@@ -291,6 +311,59 @@ def energy_momentum(field: SpinorField) -> EnergyMomentum:
 # ---------------------------------------------------------------------------
 # modified connections
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ModifierPair:
+    """The functions (a, u) twisting the spinor connection; ModifierPair()
+    is the zero pair, the untwisted connection."""
+
+    a: RadialFunction = _ZERO
+    u: RadialFunction = _ZERO
+
+    @staticmethod
+    def from_params(surface: WarpedSurface, params: Array,
+                    n_ctrl: int = 8) -> "ModifierPair":
+        """Cubic-spline pair from 2*n_ctrl control values on the surface."""
+        params = np.asarray(params, dtype=float)
+        if params.shape != (2 * n_ctrl,):
+            raise ValueError(f"expected {2 * n_ctrl} parameters")
+        knots = np.linspace(surface.r_min, surface.r_max, n_ctrl)
+        a = RadialFunction.from_samples(knots, params[:n_ctrl])
+        u = RadialFunction.from_samples(knots, params[n_ctrl:])
+        return ModifierPair(a, u)
+
+
+def _curvature(variant: str, R: Array, fpf: Array, a: Array, da: Array,
+               du: Array, d2u: Array) -> Array:
+    """R_{a,u} (interior) or R^_{a,u} (conformal) from R, f'/f and the
+    jets a, a', u', u'' sampled on one grid."""
+    lap_u = -(d2u + fpf * du)   # geometry.radial_laplacian of u
+    if variant == "interior":
+        return R - 4 * a * lap_u + 4 * da * du \
+            - 4 * (1 - 1 / DIM) * a ** 2 * du ** 2
+    coeff = (DIM - 1) * (DIM - 2) + 4 * (2 - DIM) * a \
+        + 4 * (1 - 1 / DIM) * a ** 2
+    return R + 4 * ((DIM - 1) / 2 - a) * lap_u + 4 * da * du - coeff * du ** 2
+
+
+def _jets(surface: WarpedSurface, mp: ModifierPair, r: Array) -> tuple:
+    """R, f'/f, a, a', u', u'' at the radii r."""
+    rr = np.asarray(r, dtype=float)
+    return (scalar_curvature(surface, rr), surface.fp(rr) / surface.f(rr),
+            mp.a(rr), mp.a.d(rr), mp.u.d(rr), mp.u.d2(rr))
+
+
+def modified_scalar(surface: WarpedSurface, mp: ModifierPair,
+                    r: Array) -> Array:
+    """R_{a,u} sampled at the radii r (positive Laplacian throughout)."""
+    return _curvature("interior", *_jets(surface, mp, r))
+
+
+def conformal_modified_scalar(surface: WarpedSurface, mp: ModifierPair,
+                              r: Array) -> Array:
+    """R^_{a,u} sampled at the radii r."""
+    return _curvature("conformal", *_jets(surface, mp, r))
+
 
 def _modified_gradient(field: SpinorField, lam, variant: str,
                        mp: ModifierPair = ModifierPair(),
@@ -360,12 +433,12 @@ def modified_gradient_norm(field: SpinorField, lam, variant: str = "gcm",
 
 def _boundary_terms(field: SpinorField, mp: ModifierPair = ModifierPair(),
                     conformal: bool = False) -> float:
-    """∫_bd w(r_b) [ (phi, e0 . D_bd phi) + (c du(e0) - H/2) |phi|^2 ].
+    """∫_bd w(r_b) [ (phi, e0 . D_bd phi) + (c du(e0) - H/2) |phi|^2 ], each
+    circle's integral 2 pi f(r_b) times its mode-quadratic integrand.
 
     Plain (eq1/eq2): c = a(r_b) and w = 1.  conformal (eq3/eq4): the
     verbatim c = a(r_b) - (n-1)/2 and w = e^{-u(r_b)}.
     """
-    from .dirac_core import boundary_dirac_matrix
     total = 0.0
     for which in field.surface.boundaries:
         bd = boundary_data(field.surface, which)
@@ -378,9 +451,8 @@ def _boundary_terms(field: SpinorField, mp: ModifierPair = ModifierPair(),
         e0d = boundary_dirac_matrix(field.surface, which, field.k)[1]
         pairing = float(np.real(np.vdot(tb, e0d @ tb)))
         w = float(np.exp(-mp.u(bd.r_b))) if conformal else 1.0
-        total += w * boundary_integral(
-            field, which,
-            pairing + (c * du_e0 - 0.5 * bd.mean_curvature) * tb_sq)
+        total += w * (2 * np.pi * bd.radius * (
+            pairing + (c * du_e0 - 0.5 * bd.mean_curvature) * tb_sq))
     return total
 
 
@@ -430,8 +502,9 @@ def eq_residual(field: SpinorField, lam: float, which: str,
 
 def killing_residual(field: SpinorField, lam: float,
                      mp: ModifierPair = ModifierPair()) -> float:
-    """Pointwise residual of the twisted Killing equation (max over nodes):
-    the components R_i of the gcm twisted connection, relative to |phi|.
+    """Pointwise residual of the twisted Killing equation (max over the
+    nodes off the zero set, as for `energy_momentum`): the components R_i of
+    the gcm twisted connection, relative to |phi|.
 
     Zero for real Killing spinors with a = 0; the limiting-case diagnostic
     for the interior bound.
@@ -449,13 +522,9 @@ def killing_residual(field: SpinorField, lam: float,
     # |R1| = |R2| pointwise on an eigenspinor
     r1_sq = r2_sq if field.d_values is None else np.sum(np.abs(r1) ** 2, axis=1)
 
-    phi_norm = np.sqrt(np.sum(np.abs(field.values) ** 2, axis=1))
-    top = float(np.max(phi_norm))
-    if top == 0.0:
-        raise VanishingSpinorError("vanishing spinor")
-    mask = phi_norm >= EPS_ZERO_REL * top
+    phi_sq, mask = _off_zero_set(field)
     res = np.sqrt(r1_sq + r2_sq)
-    return float(np.max(res[mask] / phi_norm[mask]))
+    return float(np.max(res[mask] / np.sqrt(phi_sq[mask])))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from spinspec import (FRAME, BoundaryConditionSpec, ModeOperator, ModifierPair,
                       eq_residual, killing_residual, make_surface,
                       optimize_modifiers, parse_radial_spec, rtc2_residual,
                       sl_residual)
-from spinspec.bounds import (canned_modifiers, conformal_modified_scalar,
-                             feasibility_margin, modified_scalar)
+from spinspec.bounds import canned_modifiers, feasibility_margin
+from spinspec.identities import conformal_modified_scalar, modified_scalar
 from spinspec.geometry import conformal_law_residuals
 
 TOL_BOUND = 5e-3   # slack for every theorem-as-oracle comparison

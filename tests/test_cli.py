@@ -77,6 +77,83 @@ def test_config_with_scalar_grid_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+COMMANDS = ("spectrum", "verify", "bounds", "convergence")
+
+# config documents that are not a JSON object, cannot be decoded or nest too
+# deep: each ended in a traceback (TypeError, RecursionError,
+# UnicodeDecodeError), and "abc" was read as the fields a, b, c
+_MALFORMED_CONFIGS = {"number": b"5", "null": b"null", "list": b"[]",
+                      "pairs": b'[["N", 1]]', "string": b'"abc"',
+                      "deep": b"[" * 100000, "not_utf8": b"\xff\xfe{"}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("case", sorted(_MALFORMED_CONFIGS))
+def test_malformed_config_document_exits_2(command, case, tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(_MALFORMED_CONFIGS[case])
+    out = tmp_path / "o"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert "'a', 'b', 'c'" not in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("where", ["file", "under_file"])
+def test_unwritable_out_exits_2_before_any_mode_is_assembled(
+        command, where, tmp_path, capsys, monkeypatch):
+    """An --out that is a file, or lies under one, is refused by `validate`
+    with one line: it used to end in FileExistsError or NotADirectoryError,
+    exit 1, after the whole solve."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    out = blocker if where == "file" else blocker / "sub" / "dir"
+
+    def assemble(*args):
+        raise AssertionError("a mode was assembled")
+
+    monkeypatch.setattr(dirac_core.ModeOperator, "__post_init__", assemble)
+    assert run([command, "--geometry", "disk", "--N", "16,32,64",
+                "--kmax", "0.5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: output path")
+    assert os.listdir(tmp_path) == ["blocker"]
+    assert blocker.read_text() == "keep"
+
+
+def test_out_with_a_nul_byte_exits_2(tmp_path, capsys):
+    """Only a config can carry a NUL byte into `out`; os.makedirs raised
+    ValueError on it after the solve."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"geometry": "disk", "N": [16], "kmax": 0.5,
+                               "out": str(tmp_path / "a\0b")}))
+    assert run(["spectrum", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: output path")
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+def test_too_coarse_grid_is_a_config_error_naming_N(command, tmp_path, capsys):
+    """On a cylinder of length 1e4 at N 256 the end half-cell weight
+    0.5 h f (1 - h sigma / 2) is negative (h sigma about 20): one line
+    naming N and the surface, exit 2, in place of an exit-3 line that named
+    neither."""
+    assert run([command, "--geometry", "cylinder:1e4", "--N", "256",
+                "--kmax", "0.5", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: N = 256 is too coarse for the surface "
+                   "cylinder:1e4 at |k| = 0.5: a quadrature weight is not "
+                   "positive; raise N"]
+
+
+def test_fine_enough_grid_solves_the_long_cylinder(tmp_path):
+    assert run(["spectrum", "--geometry", "cylinder:1e4", "--N", "4096",
+                "--kmax", "0.5", "--out", str(tmp_path)]) == 0
+
+
 def test_nonfinite_kmax_exits_2(tmp_path):
     for value in ("nan", "inf"):
         assert run(["spectrum", "--geometry", "disk", "--kmax", value,

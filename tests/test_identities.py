@@ -265,6 +265,20 @@ def test_killing_residual_twisted_zero_when_du_zero():
     assert killing_residual(f, 1.0, ModifierPair(a, u)) <= 1e-10
 
 
+def test_killing_residual_skips_the_zero_set_of_energy_momentum():
+    """One zero-set rule: a node with |phi| = 1e-6 max |phi| (so |phi|^2 =
+    1e-12 of the peak, below EPS_ZERO_REL) is left out of the Killing
+    residual as it is out of Q.  Its radial derivative stays of order one,
+    so counting it, divided by |phi|, would give a residual near 5e5."""
+    f = killing_field(256)
+    f.values[10] = 1e-6 * f.values[10]
+    assert not energy_momentum(f).mask[10]
+    assert killing_residual(f, 1.0) <= 1e-10
+    f.values = 0 * f.values
+    with pytest.raises(VanishingSpinorError):
+        killing_residual(f, 1.0)
+
+
 def test_killing_residual_limiting_vs_non_limiting(solved):
     sp_h = solved("hemisphere", "local+", k_max=1.5, N=256)
     r_h = killing_residual(sp_h.fundamental.field, sp_h.fundamental.lam)

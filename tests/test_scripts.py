@@ -10,7 +10,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("script, args", [
-    ("bound_optimization_demo.py", ["--N", "64", "--budget", "100"]),
     ("aps_gap_study.py", ["--N", "64,128", "--kmax", "2.5"]),
 ])
 def test_study_script_runs(tmp_path, script, args):
