@@ -294,17 +294,6 @@ class OptimizerResult:
     baseline_value: float
     trace: list
 
-    @property
-    def best_series(self) -> Array:
-        """Best feasible value seen so far, per evaluation (monotone)."""
-        best = -np.inf
-        out = []
-        for t in self.trace:
-            if t.feasible:
-                best = max(best, t.value)
-            out.append(best)
-        return np.asarray(out)
-
     def summary(self) -> dict:
         return {"n_eval": self.n_eval, "value": self.value,
                 "margin": self.margin, "feasible_found": self.feasible_found,

@@ -49,7 +49,7 @@ def fmt(x) -> str:
 def atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(path) or "."
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-spinspec-")
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=_TMP_PREFIX)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -60,8 +60,12 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _slug(bc: str) -> str:
-    return bc.replace("+", "plus").replace("-", "minus")
+def _out_name(command: str, bc_name: str, N: int = 0) -> str:
+    """The file `command` writes for one condition (spectrum: and grid N)."""
+    ext = {"verify": "jsonl", "bounds": "json"}.get(command, "csv")
+    grid = f"_N{N}" if command == "spectrum" else ""
+    slug = bc_name.replace("+", "plus").replace("-", "minus")
+    return f"{command}_{slug}{grid}.{ext}"
 
 
 def _check_type(name: str, value, kind) -> None:
@@ -97,6 +101,7 @@ MAX_CONFIG_BYTES = 2 ** 20    # a scenario config file
 # is 1e-10 max(scale, 1)), so far outside it their results mean nothing: a
 # cylinder of length 1e200 gave levels of 1e-199 and no eigenvectors.
 SCALE_RANGE = (1e-6, 1e6)
+_TMP_PREFIX = ".tmp-spinspec-"  # atomic_write's, before 8 random characters
 
 # JSON type of each Scenario field: a list holds items of the one type given
 _FIELD_TYPES = {"geometry": str, "spin_structure": str, "bc": [str],
@@ -170,7 +175,8 @@ class Scenario:
             # that verify would refuse (about 2 ms)
             resc = conformal_rescale(surface, parse_radial_spec(
                 self.conformal_u, surface.r_min, surface.r_max))
-        _admit_out(self.out)
+        _admit_out(self.out, max((_out_name(command, bc, N) for bc in self.bc
+                                  for N in self.N), key=len))
         return surface, resc
 
     def _admit(self, command: str) -> None:
@@ -204,18 +210,48 @@ def _admit_scale(surface: WarpedSurface) -> None:
                               f"[{lo:g}, {hi:g}]")
 
 
-def _admit_out(out: str) -> None:
-    """ConfigError unless the output directory exists or can be made: the
-    path, or else its nearest existing ancestor, must be a directory.
-    Creates nothing."""
+def _admit_out(out: str, name: str) -> None:
+    """ConfigError unless `out`, or else its nearest existing ancestor, is a
+    directory this process may write and search, no missing component
+    exceeds NAME_MAX, and `out` (as given, or absolute as mkstemp makes it)
+    joined with `name`, the longest file name per boundary condition, or
+    the temporary name stays below PATH_MAX.  Creates nothing."""
     if "\0" in out:
         raise ConfigError(f"output path {out!r} holds a NUL byte")
     target = path = os.path.abspath(out)
+    try:    # the longest path the writer hands to the kernel, in bytes
+        size = max(len(os.fsencode(os.path.join(d, f))) for d in (out, target)
+                   for f in (name, _TMP_PREFIX + 8 * "x"))
+    except UnicodeEncodeError as exc:    # a lone surrogate from a config
+        raise ConfigError(f"output path {out!r} is not a file name") from exc
     while not os.path.lexists(path):
         path = os.path.dirname(path)
+    where = "is" if path == target else f"lies under {path!r}, which is"
     if not os.path.isdir(path):
-        where = "is" if path == target else f"lies under {path!r}, which is"
         raise ConfigError(f"output path {out!r} {where} not a directory")
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise ConfigError(f"output path {out!r} {where} not writable")
+    name_max, path_max = (os.pathconf(path, key)
+                          for key in ("PC_NAME_MAX", "PC_PATH_MAX"))
+    part = max(len(os.fsencode(p))
+               for p in os.path.relpath(target, path).split(os.sep))
+    if part > name_max:
+        raise ConfigError(f"output path {out!r} has a component of {part} "
+                          f"bytes; the limit is {name_max}")
+    if size >= path_max:
+        raise ConfigError(f"output path {out!r} makes file paths of {size} "
+                          f"bytes; the limit is {path_max - 1}")
+
+
+def _write(sc: Scenario, name: str, text: str, note: str = "") -> None:
+    """Write the file `name` under sc.out and say so.  An OSError (a full or
+    read-only file system, EIO, a race) is a ConfigError after the fact."""
+    path = os.path.join(sc.out, name)
+    try:
+        atomic_write(path, text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    print(f"wrote {path}{note}")
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +298,10 @@ def _cmd_spectrum(sc: Scenario, surface: WarpedSurface, _, err: list) -> int:
                 sp = aggregate(surface, bc, sc.kmax, N)
             if bc.is_local:
                 local[N] = sp
-            path = os.path.join(sc.out, f"spectrum_{_slug(bc_name)}_N{N}.csv")
-            atomic_write(path, _spectrum_csv(sp.levels))
-            print(f"wrote {path} (lambda_min = {fmt(sp.lambda_min)}, "
-                  f"attained at k = {fmt(sp.k_min)})")
+            _write(sc, _out_name("spectrum", bc_name, N),
+                   _spectrum_csv(sp.levels),
+                   f" (lambda_min = {fmt(sp.lambda_min)}, "
+                   f"attained at k = {fmt(sp.k_min)})")
             if sp.kmax_attained:
                 err.append(_warn_top(sp.k_top))
             # |lambda_min|, as in convergence_study: under local+- the
@@ -287,60 +323,48 @@ def _identity_reports(sc: Scenario, surface: WarpedSurface,
         err.append(_warn_top(sp.k_top))
     field, lam = sp.fundamental.field, sp.fundamental.lam
     mp = bounds_mod.canned_modifiers(surface)
-    reports: list[ident.IdentityReport] = []
-
-    reports.append(ident.sl_residual(field, lam))
-    for which in surface.boundaries:
-        reports.append(ident.rtc2_residual(field, which))
-    reports.append(ident.eq_residual(field, lam, "eq1"))
-    r = ident.eq_residual(field, lam, "eq1", mp)
-    r.name = "eq1:modified"
-    reports.append(r)
-    reports.append(ident.eq_residual(field, lam, "eq2", mp))
-
     q = ident.energy_momentum(field)
-    tr_res = float(np.max(np.abs(q.trace[q.mask] - lam)))
-    reports.append(ident.IdentityReport("trace_q_equals_lambda", tr_res, 0.0,
-                                        N, expected_order=2.0,
-                                        extra={"excluded_nodes": q.excluded}))
-
-    kill = ident.killing_residual(field, lam)
+    reports = [
+        ident.sl_residual(field, lam),
+        *(ident.rtc2_residual(field, which) for which in surface.boundaries),
+        ident.eq_residual(field, lam, "eq1"),
+        dataclasses.replace(ident.eq_residual(field, lam, "eq1", mp),
+                            name="eq1:modified"),
+        ident.eq_residual(field, lam, "eq2", mp),
+        ident.IdentityReport("trace_q_equals_lambda",
+                             float(np.max(np.abs(q.trace[q.mask] - lam))), 0.0,
+                             N, expected_order=2.0,
+                             extra={"excluded_nodes": q.excluded}),
+        ident.IdentityReport(
+            "killing_residual", ident.killing_residual(field, lam), None, N,
+            extra={"note": "diagnostic: vanishes only in the limiting case"})]
     out = [r.to_dict() for r in reports]
-    out.append({"name": "killing_residual", "left": kill, "right": None,
-                "residual": None, "n_grid": N, "expected_order": None,
-                "note": "diagnostic: vanishes only in the limiting case"})
 
     if bc.variant == "aps-":
         friedrich = bounds_mod.friedrich_bound(surface, N)
         out.append({"name": "aps_strict_gap", "left": sp.lambda_min_sq,
                     "right": friedrich, "residual": sp.lambda_min_sq - friedrich,
-                    "n_grid": N,
-                    "expected_order": None,
+                    "n_grid": N, "expected_order": None,
                     "note": "strict inequality under APS; gap must stay positive"})
 
     if resc is not None:
         laws = conformal_law_residuals(resc, field.r)
-        law_tol = LAW_TOL if surface.profile_exact else 1e-4
-        for name, arr in (("conformal_law_curvature", laws["curvature"]),
-                          ("conformal_law_laplacian", laws["laplacian"])):
-            out.append({"name": name,
-                        "left": float(np.max(np.abs(arr))), "right": 0.0,
-                        "residual": float(np.max(np.abs(arr))), "n_grid": N,
-                        "expected_order": None, "tolerance": law_tol})
-        for which, v in laws["mean_curvature"].items():
-            out.append({"name": f"conformal_law_mean_curvature:{which}",
-                        "left": abs(v), "right": 0.0, "residual": abs(v),
-                        "n_grid": N, "expected_order": None,
-                        "tolerance": law_tol})
+        law_tol = {"tolerance": LAW_TOL if surface.profile_exact else 1e-4}
+        reports = [ident.IdentityReport(f"conformal_law_{name}",
+                                        float(np.max(np.abs(laws[name]))),
+                                        0.0, N, extra=law_tol)
+                   for name in ("curvature", "laplacian")]
+        reports += [ident.IdentityReport(f"conformal_law_mean_curvature:{which}",
+                                         abs(v), 0.0, N, extra=law_tol)
+                    for which, v in laws["mean_curvature"].items()]
         _, push_res = ident.conformal_push(field, resc, lam)
-        out.append({"name": "conformal_push_residual", "left": push_res,
-                    "right": 0.0, "residual": push_res, "n_grid": N,
-                    "expected_order": 2.0})
+        reports.append(ident.IdentityReport(
+            "conformal_push_residual", push_res, 0.0, N, expected_order=2.0))
         # the rescaling's own factor is the modifier u of eq3/eq4
         for which in ("eq3", "eq4"):
-            r = ident.eq_residual(field, lam, which,
-                                  ident.ModifierPair(mp.a, resc.u), resc)
-            out.append(r.to_dict())
+            reports.append(ident.eq_residual(
+                field, lam, which, ident.ModifierPair(mp.a, resc.u), resc))
+        out += [r.to_dict() for r in reports]
     return out
 
 
@@ -350,23 +374,16 @@ def _cmd_verify(sc: Scenario, surface: WarpedSurface,
     for bc_name in sc.bc:
         bc = BoundaryConditionSpec(bc_name)
         rows = _identity_reports(sc, surface, resc, bc, err)
-        path = os.path.join(sc.out, f"verify_{_slug(bc_name)}.jsonl")
-        atomic_write(path, "\n".join(json.dumps(r, sort_keys=True)
-                                     for r in rows) + "\n")
-        print(f"wrote {path}")
+        _write(sc, _out_name("verify", bc_name),
+               "\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n")
         for r in rows:
-            res = r.get("residual")
-            if res is None:
-                continue
-            tol = r.get("tolerance", sc.tol_identity)
-            if r["name"] == "aps_strict_gap":
-                if res <= 0:
-                    failures.append((bc_name, r["name"], res))
-                continue
-            if res > tol:
-                failures.append((bc_name, r["name"], res))
-    for bc_name, name, res in failures:
-        err.append(f"FAIL [{bc_name}] identity {name}: residual {res:.3e}")
+            # a diagnostic has no residual; the APS gap must stay positive
+            res, gap = r["residual"], r["name"] == "aps_strict_gap"
+            if res is not None and (res <= 0 if gap else
+                                    res > r.get("tolerance", sc.tol_identity)):
+                failures.append(f"FAIL [{bc_name}] identity {r['name']}: "
+                                f"residual {res:.3e}")
+    err += failures
     return 1 if failures else 0
 
 
@@ -395,9 +412,7 @@ def _cmd_bounds(sc: Scenario, surface: WarpedSurface, _, err: list) -> int:
         report = bounds_mod.evaluate_bounds(sp, mp, mpc,
                                             tol_report=sc.tol_report,
                                             optimizer_summary=summary)
-        path = os.path.join(sc.out, f"bounds_{_slug(bc_name)}.json")
-        atomic_write(path, report.to_json() + "\n")
-        print(f"wrote {path}")
+        _write(sc, _out_name("bounds", bc_name, N), report.to_json() + "\n")
         values = [report.entry(name).value for name in
                   ("friedrich", "hijazi_q", "est1", "est2", "est3", "est4")]
         rows.append(",".join([
@@ -411,9 +426,7 @@ def _cmd_bounds(sc: Scenario, surface: WarpedSurface, _, err: list) -> int:
                            f"{e.value!r} vs lambda_min^2 "
                            f"{report.lambda_min_sq!r}")
                 code = 1
-    atomic_write(os.path.join(sc.out, "bounds_summary.csv"),
-                 "\n".join(rows) + "\n")
-    print(f"wrote {os.path.join(sc.out, 'bounds_summary.csv')}")
+    _write(sc, "bounds_summary.csv", "\n".join(rows) + "\n")
     return code
 
 
@@ -426,9 +439,8 @@ def _cmd_convergence(sc: Scenario, surface: WarpedSurface, _, err: list) -> int:
         for row in table:
             lines.append(f"{row['N']},{fmt(row['lambda_min'])},"
                          f"{fmt(row['order'])},{fmt(row['converged'])}")
-        path = os.path.join(sc.out, f"convergence_{_slug(bc_name)}.csv")
-        atomic_write(path, "\n".join(lines) + "\n")
-        print(f"wrote {path}")
+        _write(sc, _out_name("convergence", bc_name),
+               "\n".join(lines) + "\n")
         # no "increase --kmax": past CONVERGENCE_KMAX it would add no mode
         if any(row["kmax_attained"] for row in table):
             err.append(_warn_top(table[0]["k_top"], "convergence solves "
@@ -465,14 +477,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--tol-report", dest="tol_report", type=float)
     p.add_argument("--tol-identity", dest="tol_identity", type=float)
+    p.print_usage = lambda file=None: None    # an error is its one line
     return p
 
 
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     sc = Scenario.from_json(args.config) if args.config else Scenario()
-    for name in ("geometry", "spin_structure", "kmax", "conformal_u",
-                 "budget", "out", "tol_report", "tol_identity",
-                 "optimize_bounds"):
+    for name in _FIELD_TYPES.keys() - {"bc", "N"}:     # the plain flags
         v = getattr(args, name, None)
         if v is not None:
             setattr(sc, name, v)

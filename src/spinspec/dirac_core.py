@@ -456,6 +456,9 @@ class ModeOperator:
 
         self._bw, self._herm = bw, herm
         self._blocks = (Ah, mid_lo, At)
+        # the tolerances' one scale: the largest entry, at least 1
+        self._scale = max(1.0, *(float(np.max(np.abs(b)))
+                                 for b in self._blocks))
         self._m, self._msq = m[active], msq
         self._head, self._tail = Zh, Zt
 
@@ -535,8 +538,7 @@ class ModeOperator:
         head, mid_lo, tail = self._blocks
         rh, rt = len(head), len(tail)
         n = rh + len(mid_lo) - 1 + rt
-        tol = _HERM_TOL * max(1.0, *(float(np.max(np.abs(b)))
-                                     for b in self._blocks))
+        tol = _HERM_TOL * self._scale
         dh, lh, qh = _tridiagonal_block(head[::-1, ::-1], tol)
         dt, lt, qt = _tridiagonal_block(tail, tol)
         d = np.concatenate([dh[::-1], np.zeros(n - rh - rt), dt])
@@ -615,8 +617,7 @@ class ModeOperator:
             return vals, np.empty(0), np.empty((n, 0), dtype=complex)
         order = np.argsort(np.abs(vals), kind="stable")
         wanted = np.sort(vals[order[:n_sel]])
-        ab, bw = self.matrix, self._bw
-        scale = max(float(np.max(np.abs(ab))), 1.0)
+        ab, bw, scale = self.matrix, self._bw, self._scale
         # stebz + stein give n x m vectors (scipy's stemr allocates n x n);
         # the bracket may also hold a deflated zero, so take the nearest
         slack = 1e-10 * scale

@@ -443,8 +443,6 @@ def make_surface(spec: str, spin_structure: str = "antiperiodic") -> WarpedSurfa
                              spin_structure=spin_structure)
     if spec.startswith("profile:") or spec.endswith(".csv"):
         path = spec[len("profile:"):] if spec.startswith("profile:") else spec
-        if not os.path.exists(path):
-            raise ConfigError(f"profile file not found: {path}")
         check_input_file(path, "profile", MAX_PROFILE_BYTES)
         r, f = _load_profile(path)
         prof = RadialFunction.from_samples(r, f)

@@ -194,14 +194,14 @@ def volume_integral(field: SpinorField, integrand: Array,
 class IdentityReport:
     name: str
     left: float
-    right: float
+    right: float | None               # None: a diagnostic, no residual
     n_grid: int
     expected_order: float | None = None
     extra: dict = dc_field(default_factory=dict)
 
     @property
-    def residual(self) -> float:
-        return abs(self.left - self.right)
+    def residual(self) -> float | None:
+        return None if self.right is None else abs(self.left - self.right)
 
     def to_dict(self) -> dict:
         d = {"name": self.name, "left": self.left, "right": self.right,

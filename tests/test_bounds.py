@@ -231,8 +231,6 @@ def test_optimizer_dominates_baseline_on_hemisphere():
     assert res.value >= res.baseline_value - 1e-12
     assert res.value >= 2.0 - 1e-9         # inf R = 2 already at a = 0
     assert res.margin >= -TOL_FEAS
-    best = res.best_series
-    assert np.all(np.diff(best) >= 0)      # monotone trace
     assert res.n_eval <= 251
 
 

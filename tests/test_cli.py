@@ -1,6 +1,7 @@
 """CLI contract: subcommands, config/flags, outputs, exit codes, determinism."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -100,16 +101,32 @@ def test_malformed_config_document_exits_2(command, case, tmp_path, capsys):
     assert not out.exists()
 
 
+# a 300-byte component, over NAME_MAX; 25 components of 200 bytes, over
+# PATH_MAX: each ended in an OSError traceback after the solve, and left
+# part of the path behind
+_LONG_OUTS = {"long_name": ("o", "x" * 300), "long_path": ("y" * 200,) * 25}
+
+
 @pytest.mark.parametrize("command", COMMANDS)
-@pytest.mark.parametrize("where", ["file", "under_file"])
+@pytest.mark.parametrize("where", ["file", "under_file", "long_name",
+                                   "long_path", "read_only"])
 def test_unwritable_out_exits_2_before_any_mode_is_assembled(
         command, where, tmp_path, capsys, monkeypatch):
-    """An --out that is a file, or lies under one, is refused by `validate`
-    with one line: it used to end in FileExistsError or NotADirectoryError,
-    exit 1, after the whole solve."""
+    """An --out that is a file, lies under one, has a component or a length
+    the file system refuses, or lies under a directory this process may not
+    write, is refused by `validate` with one line: it used to end in an
+    OSError (FileExistsError, NotADirectoryError, ENAMETOOLONG), exit 1,
+    after the whole solve."""
     blocker = tmp_path / "blocker"
     blocker.write_text("keep")
-    out = blocker if where == "file" else blocker / "sub" / "dir"
+    out = {"file": blocker, "under_file": blocker / "sub" / "dir",
+           "read_only": tmp_path / "sub" / "dir"}.get(where)
+    if where in _LONG_OUTS:
+        out = tmp_path.joinpath(*_LONG_OUTS[where])
+    if where == "read_only":
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: (
+            path != str(tmp_path) and access(path, mode)))
 
     def assemble(*args):
         raise AssertionError("a mode was assembled")
@@ -121,6 +138,42 @@ def test_unwritable_out_exits_2_before_any_mode_is_assembled(
     assert len(err) == 1 and err[0].startswith("config error: output path")
     assert os.listdir(tmp_path) == ["blocker"]
     assert blocker.read_text() == "keep"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_write_failure_is_one_line_and_keeps_earlier_files(
+        command, tmp_path, capsys, monkeypatch):
+    """An OSError of the writer after the solve (here a full file system on
+    the second file) ends as one `cannot write` line and exit 2, not a
+    traceback; the file written before it stays."""
+    calls = []
+
+    def write(path, text):
+        calls.append(path)
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        atomic_write(path, text)
+
+    atomic_write = cli.atomic_write
+    monkeypatch.setattr(cli, "atomic_write", write)
+    out = tmp_path / "o"
+    assert run([command, "--geometry", "disk", "--N", "16,32,64", "--kmax",
+                "0.5", "--bc", "local+,aps-", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: cannot write {calls[1]}: No space left on device"]
+    assert [str(p) for p in out.iterdir()] == calls[:1]
+
+
+def test_out_that_is_no_file_name_exits_2(tmp_path, capsys):
+    """A config can carry a lone surrogate into `out`; os.makedirs raised
+    UnicodeEncodeError on it after the solve."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"geometry": "disk", "N": [16], "kmax": 0.5, '
+                   '"out": "o\\ud800"}')
+    assert run(["spectrum", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: output path")
+    assert os.listdir(tmp_path) == ["c.json"]
 
 
 def test_out_with_a_nul_byte_exits_2(tmp_path, capsys):
@@ -924,6 +977,9 @@ _FLAGS = _mostly(st.sampled_from([[], ["--kmax", "1.5"], ["--N", "16,24,32"],
 # the config as a regular file, or a named pipe with no writer, or a sparse
 # file one byte over its cap
 _CONFIG_FILE = _mostly(st.just("file"), "pipe", "sparse")
+# --out as a directory to make, or one refused before the solve: a component
+# over NAME_MAX, a path over PATH_MAX, an existing file, a path under a file
+_OUT = _mostly(st.just("o"), "long_name", "long_path", "file", "under_file")
 
 
 def _special_file(path: str, kind: str, cap: int) -> None:
@@ -940,21 +996,21 @@ def _special_file(path: str, kind: str, cap: int) -> None:
           suppress_health_check=[HealthCheck.too_slow])
 @given(command=st.sampled_from(["spectrum", "convergence", "verify", "bounds"]),
        geometry=_GEOMETRY, profile=_PROFILE_TEXT, scenario=_SCENARIO,
-       flags=_FLAGS, config_file=_CONFIG_FILE)
+       flags=_FLAGS, config_file=_CONFIG_FILE, out=_OUT)
 @example(command="spectrum", geometry="profile:pipe", profile="",
          scenario={"bc": ["local+"], "N": [16], "kmax": 0.5}, flags=[],
-         config_file="file")
+         config_file="file", out="o")
 @example(command="verify", geometry="profile:sparse", profile="",
          scenario={"bc": ["aps-"], "N": [16], "kmax": 0.5}, flags=[],
-         config_file="file")
+         config_file="file", out="o")
 def test_cli_run_fuzz(command, geometry, profile, scenario, flags,
-                      config_file):
-    """Whatever the scenario, run() returns 0-3 (2 for a bad flag), stderr
-    holds no traceback, and a refused or failed run prints one line.  A
-    named pipe or an oversize file as the config or the profile never
-    blocks the run."""
-    special = config_file != "file" or geometry in ("profile:pipe",
-                                                    "profile:sparse")
+                      config_file, out):
+    """Whatever the scenario, run() returns 0-3 (2 for a bad flag or a bad
+    --out), stderr holds no traceback, and a refused or failed run prints
+    one line.  A named pipe or an oversize file as the config or the
+    profile never blocks the run."""
+    special = (config_file != "file" or out != "o"
+               or geometry in ("profile:pipe", "profile:sparse"))
     with tempfile.TemporaryDirectory() as tmp:
         if geometry.startswith("profile:"):
             path = os.path.join(tmp, "p.csv")
@@ -971,7 +1027,10 @@ def test_cli_run_fuzz(command, geometry, profile, scenario, flags,
                 json.dump(dict(scenario, geometry=geometry), fh)
         else:
             _special_file(cfg, config_file, MAX_CONFIG_BYTES)
-        argv = [command, "--config", cfg, "--out", os.path.join(tmp, "o")]
+        with open(os.path.join(tmp, "file"), "w") as fh:
+            fh.write("keep")
+        parts = {**_LONG_OUTS, "under_file": ("file", "o")}.get(out, (out,))
+        argv = [command, "--config", cfg, "--out", os.path.join(tmp, *parts)]
         argv += flags
         err = io.StringIO()
         with contextlib.redirect_stderr(err), \
