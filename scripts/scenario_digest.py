@@ -2,16 +2,22 @@
 """Digest every scenario command's outputs, to compare two trees byte for byte.
 
     python scripts/scenario_digest.py [SCENARIO.json ...]
+    python scripts/scenario_digest.py --perfbench SEED
 
-With no argument it takes every scenarios/*.json.  Each scenario runs the
-four commands spectrum, verify, bounds and convergence through
-`spinspec.cli.run`, each into a fresh temporary directory, and prints one
-line per command: the scenario, the command, the exit code, the SHA-256 of
-each output file by its path relative to the output directory, and the
-SHA-256 of stdout and stderr with the temporary path taken out.  Two trees
-that print the same lines wrote the same files, exit codes and messages.
+With no argument it takes every scenarios/*.json.  With --perfbench it
+takes the job configs of the three benchmark workloads at that seed,
+written with their inputs by `perfbench/workloads.write_inputs` into a
+temporary directory that is removed afterwards (9 configs, 36 lines).  Each
+scenario runs the four commands spectrum, verify, bounds and convergence
+through `spinspec.cli.run`, each into a fresh temporary directory, and
+prints one line per command: the scenario, the command, the exit code, the
+SHA-256 of each output file by its path relative to the output directory,
+and the SHA-256 of stdout and stderr with the temporary path taken out.
+Two trees that print the same lines wrote the same files, exit codes and
+messages.
 """
 
+import argparse
 import contextlib
 import glob
 import hashlib
@@ -49,12 +55,33 @@ def digest(scenario: str, command: str) -> str:
     return " ".join([name, command, f"exit={code}"] + files + streams)
 
 
+def perfbench_configs(seed: int, input_dir: str) -> list[str]:
+    """Write the seeded inputs of every benchmark workload into input_dir;
+    returns the paths of their job configs, in workload and job order."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
+    return [workloads.config_path(input_dir, job)
+            for workload in workloads.WORKLOADS
+            for job in workloads.write_inputs(workload, seed, input_dir)]
+
+
 def main(argv: list[str]) -> int:
-    scenarios = argv or sorted(glob.glob(os.path.join(ROOT, "scenarios",
-                                                      "*.json")))
-    for scenario in scenarios:
-        for command in COMMANDS:
-            print(digest(scenario, command), flush=True)
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("scenarios", nargs="*", metavar="SCENARIO.json")
+    p.add_argument("--perfbench", type=int, metavar="SEED",
+                   help="digest the benchmark's job configs at this seed")
+    args = p.parse_args(argv)
+    if args.perfbench is not None and args.scenarios:
+        p.error("--perfbench takes no scenario files")
+    with tempfile.TemporaryDirectory() as inputs:
+        if args.perfbench is not None:
+            scenarios = perfbench_configs(args.perfbench, inputs)
+        else:
+            scenarios = args.scenarios or sorted(
+                glob.glob(os.path.join(ROOT, "scenarios", "*.json")))
+        for scenario in scenarios:
+            for command in COMMANDS:
+                print(digest(scenario, command), flush=True)
     return 0
 
 

@@ -279,7 +279,7 @@ def _spectrum_csv(levels: Array) -> str:
 
 
 def _warn_top(top: float, hint: str = "increase --kmax") -> str:
-    """The one line saying lambda_min sits on `top`, the largest |k| solved."""
+    """The one line saying lambda_min sits on `top`, the largest |k| assessed."""
     return (f"warning: lambda_min attained at |k| = {top:g}, the largest mode "
             f"solved; {hint}")
 
@@ -457,6 +457,22 @@ _COMMANDS = {"spectrum": _cmd_spectrum, "verify": _cmd_verify,
              "catalog": _cmd_catalog}
 
 
+class _NegativeNumber:
+    """argparse's test for an argument that is a negative number, not an
+    option (it calls `match`): every string float() reads, -5e-3 and -inf
+    included, where argparse's own pattern takes only -5 and -.5."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        if not text.startswith("-"):
+            return False
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="spinspec",
@@ -478,6 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-report", dest="tol_report", type=float)
     p.add_argument("--tol-identity", dest="tol_identity", type=float)
     p.print_usage = lambda file=None: None    # an error is its one line
+    p._negative_number_matcher = _NegativeNumber
     return p
 
 

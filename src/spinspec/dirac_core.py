@@ -49,7 +49,11 @@ dlasq1, and `_lapack`'s ctypes calls release the GIL for their length, so
 the solves run side by side (about 1.5x on 2 cores).  Selective solves run
 inline: they are O(N) and mostly Python and numpy work under the GIL, and
 on a pool they ran slower (the `low_modes` benchmark, 2 cores: 0.12 s
-against 0.14 s).
+against 0.14 s).  They serve lambda_min, so they take the |k| in ascending
+order and probe every mode after the first with one stebz count on a
+window just wider than the smallest |lambda| found so far
+(`ModeOperator.clear_of`); only a mode with a level in that window, other
+than its spurious structural zeros, is bisected, and the rest hold no rows.
 
 Modes with k < 0 go through the unitary component swap (v1, v2) -> (v2, v1),
 which maps mode k to mode -k and swaps the two local boundary conditions
@@ -556,8 +560,30 @@ class ModeOperator:
             d = np.zeros(n)
         return d, e, (qh[::-1, ::-1], qt, gauge / np.abs(gauge))
 
-    def eigensystem(self, n_vectors: int = 0, n_values: int | None = None
-                    ) -> tuple[Array, Array, Array]:
+    def clear_of(self, bound: float, form: tuple) -> bool:
+        """Whether no level this operator reports has |lambda| <= bound.
+
+        One stebz count on the window (-t, t], t = bound plus the
+        eigenvector bracket's slack 1e-10 * scale, of the operator's
+        tridiagonal `form` (`_tridiagonal_form`).  It clears the operator
+        only when the window holds exactly its spurious structural zeros,
+        each within 1e-8 of 0, which `eigensystem` would deflate (its own
+        bound is never tighter).  Anything else -- a zero above 1e-8 or one
+        missing, a harmonic zero, any other level -- is not cleared, and is
+        left to `eigensystem` and its checks.
+        """
+        d, e, _ = form
+        t = bound + 1e-10 * self._scale
+        try:
+            vals = eigvalsh_tridiagonal(d, e, select="v", select_range=(-t, t))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
+        struct = self.structural_zeros
+        n_zero = struct[0] if struct is not None and struct[1] == "spurious" else 0
+        return len(vals) == n_zero and bool(np.all(np.abs(vals) <= 1e-8))
+
+    def eigensystem(self, n_vectors: int = 0, n_values: int | None = None,
+                    form: tuple | None = None) -> tuple[Array, Array, Array]:
         """Eigenvalues (structural zeros deflated when spurious) and
         eigenvectors for the n_vectors smallest |lambda|.
 
@@ -571,10 +597,11 @@ class ModeOperator:
         come from the same tridiagonal form (stebz and stein, O(n) each),
         checked by their residual against `matrix`.
 
-        Returns (values ascending, selected values, selected vectors in
-        reduced coordinates, one per column).
+        `form` is the operator's `_tridiagonal_form`, when the caller has
+        built it already.  Returns (values ascending, selected values,
+        selected vectors in reduced coordinates, one per column).
         """
-        d, e, (qh, qt, g) = self._tridiagonal_form()
+        d, e, (qh, qt, g) = form or self._tridiagonal_form()
         n = len(d)
         struct = self.structural_zeros
         n_zero = struct[0] if struct is not None else 0
@@ -716,17 +743,22 @@ def _negated(bc: BoundaryConditionSpec, k: float) -> bool:
 
 
 def solve_mode(surface: WarpedSurface, k: float, bc: BoundaryConditionSpec,
-               N: int, n_fields: int = 4, n_levels: int | None = None
-               ) -> ModeSolution:
+               N: int, n_fields: int = 4, n_levels: int | None = None,
+               above: float | None = None) -> ModeSolution:
     """Eigen-solve one mode by one native solve at |k|, under local+ for
     either local condition, reported negated (-lams reversed, conjugate
     vectors) where `_negated` says so.
 
     n_levels=None keeps every eigenvalue; otherwise only the n_levels
-    smallest |lambda| (at least n_fields) are computed.
+    smallest |lambda| (at least n_fields) are computed.  With `above`, the
+    mode is first probed (`ModeOperator.clear_of`) and, if no level it
+    reports can have |lambda| <= above, returned with no levels and no pairs.
     """
     op = ModeOperator(surface, abs(k), N, bc=_native(bc))
-    lams, wanted, vecs = op.eigensystem(n_vectors=n_fields, n_values=n_levels)
+    form = op._tridiagonal_form()
+    if above is not None and op.clear_of(above, form):
+        return ModeSolution(k, np.empty(0), [])
+    lams, wanted, vecs = op.eigensystem(n_fields, n_levels, form)
     negate = _negated(bc, k)
     lams = -lams[::-1] if negate else lams
     pairs = []
@@ -746,7 +778,7 @@ class Spectrum:
     surface: WarpedSurface
     bc: BoundaryConditionSpec
     n_grid: int
-    k_top: float                  # the largest |k| solved
+    k_top: float                  # the largest |k| assessed
     levels: Array                 # (n, 2) columns (lambda, k), sorted
     n_levels: int | None          # levels computed per mode; None: all
 
@@ -764,7 +796,7 @@ class Spectrum:
 
     @property
     def kmax_attained(self) -> bool:
-        """lambda_min sits on the largest |k| solved, k_top."""
+        """lambda_min sits on the largest |k| assessed, k_top."""
         return abs(abs(self.k_min) - self.k_top) < 1e-9
 
     @functools.cached_property
@@ -791,17 +823,16 @@ class Spectrum:
             raise ValueError("only a local spectrum negates")
         other = "local-" if self.bc.variant == "local+" else "local+"
         return _spectrum(self.surface, BoundaryConditionSpec(other),
-                         self.n_grid, self.levels * np.array([-1.0, 1.0]),
-                         self.n_levels)
+                         self.n_grid, self.k_top,
+                         self.levels * np.array([-1.0, 1.0]), self.n_levels)
 
 
 def _spectrum(surface: WarpedSurface, bc: BoundaryConditionSpec, N: int,
-              levels: Array, n_levels: int | None) -> Spectrum:
+              k_top: float, levels: Array, n_levels: int | None) -> Spectrum:
     """Spectrum of (lambda, k) rows in the fixed order (|lambda|, k, sign)."""
     # for equal |lambda| and k, ordering by lambda is ordering by its sign
     order = np.lexsort((levels[:, 0], levels[:, 1], np.abs(levels[:, 0])))
-    return Spectrum(surface, bc, N, float(np.max(np.abs(levels[:, 1]))),
-                    levels[order], n_levels)
+    return Spectrum(surface, bc, N, k_top, levels[order], n_levels)
 
 
 def _cpu_count() -> int:
@@ -817,21 +848,28 @@ def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
               n_levels: int | None = None) -> Spectrum:
     """Merge the levels of all modes |k| <= k_max, no fields, into one Spectrum.
 
-    `levels` holds every eigenvalue of each mode, or with n_levels only the
-    n_levels smallest |lambda| of each.  Each |k| is solved once, under its
-    native condition; modes +-k report those levels as they are or negated
-    (`_negated`), so a +-lambda tie between the two modes is exact and the
-    (|lambda|, k, sign) order settles it the same way everywhere.  That
-    order fixes the result whatever the order of the solves, so each solve,
-    its operator included, is dropped as soon as its levels are taken: at
-    most one is held per worker.
+    `levels` holds every eigenvalue of each mode, or with n_levels the
+    n_levels smallest |lambda| of each mode that could hold levels[0].  Each
+    |k| is solved once, under its native condition; modes +-k report those
+    levels as they are or negated (`_negated`), so a +-lambda tie between
+    the two modes is exact and the (|lambda|, k, sign) order settles it the
+    same way everywhere.  That order fixes the result whatever the order of
+    the solves, so each solve, its operator included, is dropped as soon as
+    its levels are taken: at most one is held per worker.  `k_top` is the
+    largest |k| assessed, whether or not its modes hold rows.
 
     A full spectrum (n_levels=None) solves the |k| on a pool of one thread
     per available CPU, at most one per |k| (see the module docstring).  The
     rows come back in the serial order, largest |k| first, so the result is
     bit for bit the serial one.  A failure cancels the solves not yet
-    started and raises the first failure in that order.  Selective solves
-    run in this thread.
+    started and raises the first failure in that order.
+
+    Selective solves run in this thread, |k| ascending.  Every |k| after the
+    first is probed with the smallest |lambda| found so far
+    (`solve_mode`'s `above`): a mode whose probe clears it has no level that
+    could be levels[0] and holds no rows, and only the others are bisected.
+    A level that ties the smallest |lambda| exactly is inside the probe's
+    window, so its mode keeps its rows and the order settles the tie.
     """
     by_abs: dict = {}
     for kk in modes_for(surface, k_max):
@@ -841,26 +879,39 @@ def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
         # only the native levels leave the worker; the operator is dropped
         return solve_mode(surface, k_abs, _native(bc), N, 0, n_levels).lams
 
-    def merged(per_abs) -> Array:
-        """(lambda, k) rows of every mode, from the |k| levels in order."""
+    def pruned():
+        """(|k|, levels) of the modes that could hold levels[0]."""
+        best = None
+        for k_abs in sorted(by_abs):
+            lams = solve_mode(surface, k_abs, _native(bc), N, 0, n_levels,
+                              best).lams
+            if len(lams):
+                low = float(np.min(np.abs(lams)))
+                best = low if best is None else min(best, low)
+                yield k_abs, lams
+
+    def merged(solved) -> Array:
+        """(lambda, k) rows of every mode, from (|k|, levels) pairs."""
         rows = []
-        for lams, ks in zip(per_abs, by_abs.values()):
-            for kk in ks:
+        for k_abs, lams in solved:
+            for kk in by_abs[k_abs]:
                 lk = -lams[::-1] if _negated(bc, kk) else lams
                 rows.append(np.column_stack([lk, np.full(len(lk), kk)]))
         return np.vstack(rows)
 
-    workers = 1 if n_levels is not None else min(_cpu_count(), len(by_abs))
-    if workers == 1:
-        levels = merged(map(solve_levels, by_abs))
+    workers = min(_cpu_count(), len(by_abs))
+    if n_levels is not None:
+        levels = merged(pruned())
+    elif workers == 1:
+        levels = merged(zip(by_abs, map(solve_levels, by_abs)))
     else:
         from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(workers)
         try:
-            levels = merged(pool.map(solve_levels, by_abs))
+            levels = merged(zip(by_abs, pool.map(solve_levels, by_abs)))
         finally:
             pool.shutdown(cancel_futures=True)
-    return _spectrum(surface, bc, N, levels, n_levels)
+    return _spectrum(surface, bc, N, max(by_abs), levels, n_levels)
 
 
 # ---------------------------------------------------------------------------

@@ -516,6 +516,26 @@ def test_config_file_with_flag_override(tmp_path):
     assert os.path.exists(os.path.join(out, "spectrum_localplus_N32.csv"))
 
 
+@pytest.mark.parametrize("flag,value", [("--tol-report", "-5e-3"),
+                                        ("--kmax", "-1e-3"), ("--kmax", "-inf"),
+                                        ("--tol-identity", "-1E+2")])
+def test_negative_flag_value_reaches_validation(flag, value, tmp_path):
+    """A negative flag value that float() reads is a value, not an option,
+    whether it follows its flag or an '=': both forms exit 2 with the same
+    one validation line (argparse's own pattern took -5e-3 for an option)."""
+    lines = []
+    for form in ([flag, value], [f"{flag}={value}"]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run(["spectrum", "--geometry", "disk", "--N", "16",
+                        "--out", str(tmp_path / "o")] + form) == 2
+        lines.append(err.getvalue())
+    assert lines[0] == lines[1]
+    assert len(lines[0].splitlines()) == 1
+    assert lines[0].startswith("config error: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_scenario_validation():
     with pytest.raises(Exception):
         Scenario(geometry="disk", bc=[]).validate()
@@ -1003,6 +1023,12 @@ def _special_file(path: str, kind: str, cap: int) -> None:
 @example(command="verify", geometry="profile:sparse", profile="",
          scenario={"bc": ["aps-"], "N": [16], "kmax": 0.5}, flags=[],
          config_file="file", out="o")
+@example(command="convergence", geometry="disk", profile="",
+         scenario={"bc": ["local+"], "N": [16, 24, 32], "kmax": 0.5},
+         flags=["--tol-report", "-5e-3"], config_file="file", out="o")
+@example(command="bounds", geometry="disk", profile="",
+         scenario={"bc": ["aps-"], "N": [16], "kmax": 0.5},
+         flags=["--kmax", "-1e-3"], config_file="file", out="o")
 def test_cli_run_fuzz(command, geometry, profile, scenario, flags,
                       config_file, out):
     """Whatever the scenario, run() returns 0-3 (2 for a bad flag or a bad

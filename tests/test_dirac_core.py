@@ -259,9 +259,11 @@ def _assert_same_pair(surface, got, want):
                                      ("cylinder:2.0", "aps+")])
 def test_aggregate_is_the_merge_of_per_mode_solves(geom, bc):
     """Solving each |k| once and dropping it after its modes merge gives the
-    levels of one solve_mode call per mode, bit for bit, and the fundamental
-    is the (|lambda|, k, sign)-first of their eigenpairs, field and traces
-    bit for bit."""
+    levels of one solve_mode call per mode, bit for bit: every mode's for a
+    full spectrum; for a selective one, those of each mode that holds rows,
+    while no other mode has a level with |lambda| <= |lambda_min| in its own
+    solve.  Either way the fundamental is the (|lambda|, k, sign)-first of
+    the per-mode eigenpairs, field and traces bit for bit."""
     # on the periodic cylinder k = 0 is a mode
     surface = make_surface(geom, "periodic" if geom.startswith("cylinder")
                            else "antiperiodic")
@@ -270,14 +272,87 @@ def test_aggregate_is_the_merge_of_per_mode_solves(geom, bc):
         sp = aggregate(surface, spec, 3.5, 32, n_levels=n_levels)
         sols = [solve_mode(surface, k, spec, 32, 2, n_levels)
                 for k in modes_for(surface, 3.5)]
+        assert sp.k_top == max(abs(s.k) for s in sols)
+        kept = [s for s in sols if np.any(sp.levels[:, 1] == s.k)]
+        dropped = [s for s in sols if not np.any(sp.levels[:, 1] == s.k)]
+        assert not dropped or n_levels is not None
+        for s in dropped:
+            assert np.all(np.abs(s.lams) > abs(sp.lambda_min))
         rows = np.vstack([np.column_stack([s.lams, np.full(len(s.lams), s.k)])
-                          for s in sols])
+                          for s in kept])
         order = np.lexsort((np.sign(rows[:, 0]), rows[:, 1],
                             np.abs(rows[:, 0])))
         assert np.array_equal(sp.levels, rows[order])
         want = min((e for s in sols for e in s.pairs),
                    key=lambda e: (abs(e.lam), e.k, np.sign(e.lam)))
         _assert_same_pair(surface, sp.fundamental, want)
+
+
+def _count_work(monkeypatch) -> dict:
+    """Counts of solve_mode, clear_of and eigensystem calls, as they run."""
+    from spinspec import dirac_core
+    counts = dict.fromkeys(("solve_mode", "clear_of", "eigensystem"), 0)
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(dirac_core, "solve_mode")
+    counted(ModeOperator, "clear_of")
+    counted(ModeOperator, "eigensystem")
+    return counts
+
+
+@pytest.mark.parametrize("geom,bc", [("disk", "local+"), ("hemisphere", "aps-")])
+def test_selective_aggregate_bisects_only_the_modes_that_can_hold_lambda_min(
+        geom, bc, monkeypatch):
+    """On the disk under local+, and on the hemisphere under aps-, where
+    every mode carries a spurious structural zero, lambda_min sits at
+    |k| = 1/2: each of the 5 |k| is assembled and solved once, the 4 above
+    it are cleared by one probe each, and only |k| = 1/2 is bisected."""
+    counts = _count_work(monkeypatch)
+    sp = aggregate(make_surface(geom), BoundaryConditionSpec(bc), 4.5, 64,
+                   n_levels=1)
+    assert counts == {"solve_mode": 5, "clear_of": 4, "eigensystem": 1}
+    assert set(np.abs(sp.levels[:, 1])) == {0.5}
+    assert (sp.k_top, sp.kmax_attained) == (4.5, False)
+
+
+_REAL_FORM = ModeOperator._tridiagonal_form
+_REAL_ASSEMBLE = ModeOperator._assemble
+
+
+def _plant_small_zero(self):
+    """The tridiagonal form at |k| = 2.5 shifted by 1e-3: its structural zero
+    becomes 1e-3, every other level moves by as much."""
+    d, e, back = _REAL_FORM(self)
+    return (d + 1e-3 if self.k == 2.5 else d), e, back
+
+
+def _plant_missing_zero(self):
+    """The assembly at |k| = 2.5 claiming a second spurious zero it lacks."""
+    _REAL_ASSEMBLE(self)
+    if self.k == 2.5:
+        self._zeros = (2, "spurious")
+
+
+@pytest.mark.parametrize("attr,plant", [("_tridiagonal_form", _plant_small_zero),
+                                        ("_assemble", _plant_missing_zero)])
+def test_probe_leaves_a_doubtful_kernel_to_the_refusal(attr, plant,
+                                                       monkeypatch):
+    """A mode the probe would clear (hemisphere, aps-, |k| = 2.5) is
+    bisected, and refused, once its structural kernel is in doubt: a zero of
+    1e-3, or a claimed zero that is not there.  Neither is deflated."""
+    surface, spec = make_surface("hemisphere"), BoundaryConditionSpec("aps-")
+    sp = aggregate(surface, spec, 4.5, 64, n_levels=1)
+    assert 2.5 not in np.abs(sp.levels[:, 1])
+    monkeypatch.setattr(ModeOperator, attr, plant)
+    with pytest.raises(NumericalError, match="refusing to deflate"):
+        aggregate(surface, spec, 4.5, 64, n_levels=1)
 
 
 def test_fundamental_refuses_a_re_solve_off_levels0(monkeypatch):

@@ -1,5 +1,6 @@
 """scripts/scenario_digest.py runs end to end and reproduces itself."""
 
+import json
 import os
 import subprocess
 import sys
@@ -24,3 +25,32 @@ def test_scenario_digest_is_reproducible(tmp_path):
                                          "convergence")]
     assert runs[1].stdout == runs[0].stdout
     assert not os.listdir(tmp_path)
+
+
+def test_perfbench_digest_covers_every_job_and_cleans_up(monkeypatch, capsys):
+    """`--perfbench SEED` digests the 9 job configs of the three benchmark
+    workloads at that seed, 36 lines, the profile CSV beside them, and
+    removes the directory it wrote them to (the digest itself is stubbed:
+    the real jobs run full-size)."""
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "scenario_digest", os.path.join(ROOT, "scripts", "scenario_digest.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    seen = []
+
+    def stub(scenario, command):
+        with open(scenario) as fh:
+            geometry = json.load(fh)["geometry"]
+        if geometry.startswith("profile:"):
+            assert os.path.isfile(geometry[len("profile:"):])
+        seen.append(scenario)
+        return f"{os.path.basename(scenario)} {command}"
+
+    monkeypatch.setattr(script, "digest", stub)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds to it
+    assert script.main(["--perfbench", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 36 and len(set(lines)) == 36
+    assert len(set(seen)) == 9
+    assert not any(os.path.exists(path) for path in seen)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from spinspec import (BoundaryConditionSpec, ModeOperator, aggregate,
-                      make_surface, solve_mode)
+                      make_surface, modes_for, solve_mode)
 from spinspec.cli import run
 from spinspec.dirac_core import _closures, _collocate
 
@@ -173,6 +173,41 @@ def test_selective_levels_and_fundamental(profile, bc, k_index, N):
     pair = sp.fundamental
     assert (pair.lam, pair.k) == (sp.lambda_min, sp.k_min)
     assert sp.levels[0, 0] == pair.lam
+
+
+@SETTINGS
+@given(profile=profiles(), n_levels=st.sampled_from([1, 2]),
+       k_index=st.integers(0, 12), N=_CASE["N"])
+def test_pruned_aggregate_is_the_unpruned_merge(profile, n_levels, k_index,
+                                                 N):
+    """Under each of the four conditions, a selective aggregate, which
+    bisects only the modes that could hold levels[0], has the lambda_min,
+    k_min, k_top and kmax_attained, bit for bit, of the merge of one
+    solve_mode per mode, and its fundamental is the first pair of that
+    mode's own solve; a mode without rows has no level with
+    |lambda| <= |lambda_min| in its own solve."""
+    with tempfile.TemporaryDirectory() as tmp:
+        _, surface = _surface(tmp, *profile)
+    k_max = k_index + 0.5
+    for bc in BCS:
+        spec = BoundaryConditionSpec(bc)
+        sp = aggregate(surface, spec, k_max, N, n_levels=n_levels)
+        sols = [solve_mode(surface, k, spec, N, 0, n_levels)
+                for k in modes_for(surface, k_max)]
+        rows = np.vstack([np.column_stack([s.lams, np.full(len(s.lams), s.k)])
+                          for s in sols])
+        lam, k = rows[np.lexsort((rows[:, 0], rows[:, 1],
+                                  np.abs(rows[:, 0])))][0]
+        k_top = max(abs(s.k) for s in sols)
+        assert (sp.lambda_min, sp.k_min, sp.k_top) == (lam, k, k_top)
+        assert sp.kmax_attained == (abs(abs(k) - k_top) < 1e-9)
+        want = solve_mode(surface, k, spec, N, 2, n_levels).pairs[0]
+        got = sp.fundamental
+        assert (got.lam, got.k) == (want.lam, want.k)
+        assert np.array_equal(got.field.values, want.field.values)
+        for s in sols:
+            if not np.any(sp.levels[:, 1] == s.k):
+                assert np.all(np.abs(s.lams) > abs(sp.lambda_min))
 
 
 @settings(max_examples=4, deadline=None, derandomize=True,
