@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Digest every scenario command's outputs, to compare two trees byte for byte.
 
-    python scripts/scenario_digest.py [SCENARIO.json ...]
-    python scripts/scenario_digest.py --perfbench SEED
+    python scripts/scenario_digest.py [--bc LIST] [SCENARIO.json ...]
+    python scripts/scenario_digest.py [--bc LIST] --perfbench SEED
 
 With no argument it takes every scenarios/*.json.  With --perfbench it
 takes the job configs of the three benchmark workloads at that seed,
 written with their inputs by `perfbench/workloads.write_inputs` into a
-temporary directory that is removed afterwards (9 configs, 36 lines).  Each
-scenario runs the four commands spectrum, verify, bounds and convergence
+temporary directory that is removed afterwards (9 configs, 36 lines).  With
+--bc (a comma list, as the CLI flag takes it) each scenario is digested as
+a copy of its config, under the same file name in that directory, with
+`bc` replaced by the list.  Each scenario runs the four commands spectrum, verify, bounds and convergence
 through `spinspec.cli.run`, each into a fresh temporary directory, and
 prints one line per command: the scenario, the command, the exit code, the
 SHA-256 of each output file by its path relative to the output directory,
@@ -22,6 +24,7 @@ import contextlib
 import glob
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -65,11 +68,26 @@ def perfbench_configs(seed: int, input_dir: str) -> list[str]:
             for job in workloads.write_inputs(workload, seed, input_dir)]
 
 
+def with_bc(scenario: str, bc: list[str], into: str) -> str:
+    """Write a copy of the scenario config with `bc` replaced into the new
+    directory `into`, under the same file name; returns its path."""
+    with open(scenario) as fh:
+        config = json.load(fh)
+    config["bc"] = bc
+    os.makedirs(into)
+    path = os.path.join(into, os.path.basename(scenario))
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    return path
+
+
 def main(argv: list[str]) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("scenarios", nargs="*", metavar="SCENARIO.json")
     p.add_argument("--perfbench", type=int, metavar="SEED",
                    help="digest the benchmark's job configs at this seed")
+    p.add_argument("--bc", metavar="LIST",
+                   help="replace the boundary conditions of every scenario")
     args = p.parse_args(argv)
     if args.perfbench is not None and args.scenarios:
         p.error("--perfbench takes no scenario files")
@@ -79,6 +97,10 @@ def main(argv: list[str]) -> int:
         else:
             scenarios = args.scenarios or sorted(
                 glob.glob(os.path.join(ROOT, "scenarios", "*.json")))
+        if args.bc is not None:
+            bc = [b.strip() for b in args.bc.split(",") if b.strip()]
+            scenarios = [with_bc(s, bc, os.path.join(inputs, f"bc{i}"))
+                         for i, s in enumerate(scenarios)]
         for scenario in scenarios:
             for command in COMMANDS:
                 print(digest(scenario, command), flush=True)

@@ -261,8 +261,6 @@ def bidiagonal_singular_values(d: Array, e: Array) -> Array:
     m = len(d)
     if d.dtype != float or e.dtype != float or len(e) < m:
         raise ValueError("dlasq1 needs float64 d and e, e of length >= len(d)")
-    info = _call("dlasq1", m, d, e, np.empty(4 * m))
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dqds singular values failed (dlasq1 "
-                                    f"info {info})")
+    _check_info(_call("dlasq1", m, d, e, np.empty(4 * m)),
+                "dlasq1 (bidiagonal_singular_values)")
     return d

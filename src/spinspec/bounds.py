@@ -310,8 +310,8 @@ def _basis_measure(surface: WarpedSurface, variant: str, n_ctrl: int,
     column j interpolates e_j at the knots, so the spline through control
     values p is basis @ p wherever it is sampled.
     """
-    knots = np.linspace(surface.r_min, surface.r_max, n_ctrl)
-    basis = _Spline.not_a_knot(knots, np.eye(n_ctrl))
+    basis = _Spline.not_a_knot(identities._modifier_knots(surface, n_ctrl),
+                               np.eye(n_ctrl))
     rr = _grid(surface, n_grid)
     b0, b1, b2 = (basis(rr, nu) for nu in range(3))
     curv, fpf = scalar_curvature(surface, rr), surface.fp(rr) / surface.f(rr)
@@ -420,7 +420,7 @@ def _nelder_mead(func, simplex: Array, maxfev: int, xatol: float,
 
 
 def optimize_modifiers(surface: WarpedSurface, variant: str = "interior",
-                       budget: int = 1200, n_ctrl: int = 8,
+                       budget: int = 1200, n_ctrl: int = identities.N_CTRL,
                        n_grid: int = 256) -> OptimizerResult:
     """Maximize inf R_{a,u} (or inf R^_{a,u}) over spline modifier pairs.
 

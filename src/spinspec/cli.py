@@ -27,8 +27,9 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import identities as ident
-from .dirac_core import (CONVERGENCE_KMAX, BoundaryConditionSpec,
-                         NumericalError, aggregate, convergence_study)
+from .dirac_core import (CONVERGENCE_KMAX, FUNDAMENTAL_LEVELS,
+                         BoundaryConditionSpec, NumericalError, Spectrum,
+                         aggregate, convergence_study)
 from .geometry import (LAW_TOL, ConfigError, ConformalRescaling, WarpedSurface,
                        catalog, check_input_file, conformal_law_residuals,
                        conformal_rescale, make_surface, parse_radial_spec)
@@ -122,7 +123,7 @@ class Scenario:
     conformal_u: str | None = None
     optimize_bounds: bool = False
     budget: int = 1200
-    tol_report: float = 5e-3
+    tol_report: float = bounds_mod.TOL_REPORT
     tol_identity: float = 1e-2
     out: str = "out"
 
@@ -284,43 +285,48 @@ def _warn_top(top: float, hint: str = "increase --kmax") -> str:
             f"solved; {hint}")
 
 
-def _cmd_spectrum(sc: Scenario, surface: WarpedSurface, _, err: list) -> int:
+def _spectra(sc: Scenario, surface: WarpedSurface, Ns: list, err: list,
+             n_levels: int | None = None):
+    """(condition name, Spectrum) per entry of sc.bc, then per grid of Ns,
+    n_levels levels per mode (None: all).  A local condition whose twin was
+    solved on that grid is that solve negated (Spectrum.negated).  A
+    spectrum whose lambda_min sits on its top mode adds the warning to err."""
     local = {}                # N -> the last local+- Spectrum of this call
     for bc_name in sc.bc:
         bc = BoundaryConditionSpec(bc_name)
-        lam_prev = None
-        for N in sc.N:
-            # the two local conditions share one solve (Spectrum.negated)
+        for N in Ns:
             twin = local.get(N) if bc.is_local else None
             if twin is not None and twin.bc != bc:
                 sp = twin.negated()
             else:
-                sp = aggregate(surface, bc, sc.kmax, N)
+                sp = aggregate(surface, bc, sc.kmax, N, n_levels)
             if bc.is_local:
                 local[N] = sp
-            _write(sc, _out_name("spectrum", bc_name, N),
-                   _spectrum_csv(sp.levels),
-                   f" (lambda_min = {fmt(sp.lambda_min)}, "
-                   f"attained at k = {fmt(sp.k_min)})")
             if sp.kmax_attained:
                 err.append(_warn_top(sp.k_top))
-            # |lambda_min|, as in convergence_study: under local+- the
-            # fundamental level is an exact +-lambda tie between modes +-k,
-            # settled on k = -1/2 by the ordering, not by the level's sign
-            if lam_prev is not None:
-                print(f"  drift vs previous N: "
-                      f"{abs(abs(sp.lambda_min) - lam_prev):.3e}")
-            lam_prev = abs(sp.lambda_min)
+            yield bc_name, sp
+
+
+def _cmd_spectrum(sc: Scenario, surface: WarpedSurface, _, err: list) -> int:
+    for i, (bc_name, sp) in enumerate(_spectra(sc, surface, sc.N, err)):
+        _write(sc, _out_name("spectrum", bc_name, sp.n_grid),
+               _spectrum_csv(sp.levels),
+               f" (lambda_min = {fmt(sp.lambda_min)}, "
+               f"attained at k = {fmt(sp.k_min)})")
+        # |lambda_min| against the previous grid of this entry of sc.bc, as
+        # in convergence_study: under local+- the fundamental level is an
+        # exact +-lambda tie between modes +-k, settled on k = -1/2 by the
+        # ordering, not by the level's sign
+        if i % len(sc.N):
+            print(f"  drift vs previous N: "
+                  f"{abs(abs(sp.lambda_min) - lam_prev):.3e}")
+        lam_prev = abs(sp.lambda_min)
     return 0
 
 
-def _identity_reports(sc: Scenario, surface: WarpedSurface,
-                      resc: ConformalRescaling | None,
-                      bc: BoundaryConditionSpec, err: list) -> list[dict]:
-    N = sc.N[-1]
-    sp = aggregate(surface, bc, sc.kmax, N, n_levels=2)
-    if sp.kmax_attained:
-        err.append(_warn_top(sp.k_top))
+def _identity_reports(sp: Spectrum, resc: ConformalRescaling | None
+                      ) -> list[dict]:
+    surface, N = sp.surface, sp.n_grid
     field, lam = sp.fundamental.field, sp.fundamental.lam
     mp = bounds_mod.canned_modifiers(surface)
     q = ident.energy_momentum(field)
@@ -340,7 +346,7 @@ def _identity_reports(sc: Scenario, surface: WarpedSurface,
             extra={"note": "diagnostic: vanishes only in the limiting case"})]
     out = [r.to_dict() for r in reports]
 
-    if bc.variant == "aps-":
+    if sp.bc.variant == "aps-":
         friedrich = bounds_mod.friedrich_bound(surface, N)
         out.append({"name": "aps_strict_gap", "left": sp.lambda_min_sq,
                     "right": friedrich, "residual": sp.lambda_min_sq - friedrich,
@@ -371,9 +377,9 @@ def _identity_reports(sc: Scenario, surface: WarpedSurface,
 def _cmd_verify(sc: Scenario, surface: WarpedSurface,
                 resc: ConformalRescaling | None, err: list) -> int:
     failures = []
-    for bc_name in sc.bc:
-        bc = BoundaryConditionSpec(bc_name)
-        rows = _identity_reports(sc, surface, resc, bc, err)
+    for bc_name, sp in _spectra(sc, surface, sc.N[-1:], err,
+                                FUNDAMENTAL_LEVELS):
+        rows = _identity_reports(sp, resc)
         _write(sc, _out_name("verify", bc_name),
                "\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n")
         for r in rows:
@@ -403,20 +409,16 @@ def _cmd_bounds(sc: Scenario, surface: WarpedSurface, _, err: list) -> int:
         summary = {"interior": res_i.summary(), "conformal": res_c.summary()}
     else:
         mp = mpc = bounds_mod.canned_modifiers(surface)
-    for bc_name in sc.bc:
-        bc = BoundaryConditionSpec(bc_name)
-        N = sc.N[-1]
-        sp = aggregate(surface, bc, sc.kmax, N, n_levels=2)
-        if sp.kmax_attained:
-            err.append(_warn_top(sp.k_top))
+    for bc_name, sp in _spectra(sc, surface, sc.N[-1:], err,
+                                FUNDAMENTAL_LEVELS):
         report = bounds_mod.evaluate_bounds(sp, mp, mpc,
                                             tol_report=sc.tol_report,
                                             optimizer_summary=summary)
-        _write(sc, _out_name("bounds", bc_name, N), report.to_json() + "\n")
+        _write(sc, _out_name("bounds", bc_name), report.to_json() + "\n")
         values = [report.entry(name).value for name in
                   ("friedrich", "hijazi_q", "est1", "est2", "est3", "est4")]
         rows.append(",".join([
-            surface.name, bc_name, str(N), fmt(report.lambda_min_sq),
+            surface.name, bc_name, str(sp.n_grid), fmt(report.lambda_min_sq),
             fmt(report.k_min), *map(fmt, values),
             fmt(report.entry("est1").margin), fmt(report.entry("est3").margin),
             fmt(report.passed)]))

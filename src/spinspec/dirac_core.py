@@ -103,10 +103,14 @@ BC_VARIANTS = ("local+", "local-", "aps-", "aps+")
 
 _HERM_TOL = 1e-12
 _MAX_BANDWIDTH = 8
+# levels per mode of a spectrum whose fundamental is read, and fields of its
+# re-solve: equal counts bisect equal windows, so levels[0] comes back exactly
+FUNDAMENTAL_LEVELS = 2
 
 
 class NumericalError(RuntimeError):
-    """Eigensolver or optimizer failure (never silent truncation)."""
+    """Eigensolver or optimizer failure (never silent truncation); a LAPACK
+    LinAlgError becomes one in `solve_mode` only, not in `ModeOperator`."""
 
 
 @dataclass(frozen=True)
@@ -302,9 +306,9 @@ class ModeOperator:
     """Discrete radial Dirac operator of one mode under a boundary condition.
 
     Assembly keeps the reduced operator, exactly Hermitian, as its end
-    blocks and middle links (`_blocks`, the source of `tridiagonal` and of
-    the band `matrix`, built when first read); eigenvectors are reported
-    back on the staggered grids through `expand`.
+    blocks and middle links (`_blocks`, read-only; `tridiagonal` and the
+    band `matrix` are built from them once, when first read); eigenvectors
+    are reported back on the staggered grids through `expand`.
     """
 
     surface: WarpedSurface
@@ -460,6 +464,8 @@ class ModeOperator:
 
         self._bw, self._herm = bw, herm
         self._blocks = (Ah, mid_lo, At)
+        for b in self._blocks:    # the cached tridiagonal form reads them once
+            b.flags.writeable = False
         # the tolerances' one scale: the largest entry, at least 1
         self._scale = max(1.0, *(float(np.max(np.abs(b)))
                                  for b in self._blocks))
@@ -522,7 +528,15 @@ class ModeOperator:
 
     def tridiagonal(self) -> tuple[Array, Array]:
         """Real symmetric tridiagonal (d, e) unitarily similar to `matrix`."""
-        return self._tridiagonal_form()[:2]
+        return self._form[:2]
+
+    @functools.cached_property
+    def _form(self) -> tuple[Array, Array, tuple]:
+        """`_tridiagonal_form`, built on first read, its arrays read-only."""
+        d, e, back = self._tridiagonal_form()
+        for a in (d, e, *back):
+            a.flags.writeable = False
+        return d, e, back
 
     def _tridiagonal_form(self) -> tuple[Array, Array, tuple]:
         """(d, e) and its back-map, built from the reduced blocks.
@@ -533,11 +547,10 @@ class ModeOperator:
         rh - 1 and n - rt.  A Householder tridiagonalization of each block
         whose unitary fixes that index (the head block index-reversed)
         leaves the rest untouched; a diagonal unitary gauge g then makes
-        every off-diagonal |e|.  O(n) in all, rebuilt on every call.  An
-        eigenvector z of (d, e) maps back to blockdiag(Q_head, I, Q_tail)
-        (g * z); the back-map is (Q_head, Q_tail, g).  A bipartite operator
-        (no column mixes p and q) has a zero diagonal: it is checked at
-        roundoff and set to exact zeros.
+        every off-diagonal |e|.  O(n) in all.  An eigenvector z of (d, e)
+        maps back to blockdiag(Q_head, I, Q_tail) (g * z); the back-map is
+        (Q_head, Q_tail, g).  A bipartite operator (no column mixes p and q)
+        has a zero diagonal: it is checked at roundoff and set to exact zeros.
         """
         head, mid_lo, tail = self._blocks
         rh, rt = len(head), len(tail)
@@ -560,30 +573,27 @@ class ModeOperator:
             d = np.zeros(n)
         return d, e, (qh[::-1, ::-1], qt, gauge / np.abs(gauge))
 
-    def clear_of(self, bound: float, form: tuple) -> bool:
+    def clear_of(self, bound: float) -> bool:
         """Whether no level this operator reports has |lambda| <= bound.
 
         One stebz count on the window (-t, t], t = bound plus the
         eigenvector bracket's slack 1e-10 * scale, of the operator's
-        tridiagonal `form` (`_tridiagonal_form`).  It clears the operator
-        only when the window holds exactly its spurious structural zeros,
-        each within 1e-8 of 0, which `eigensystem` would deflate (its own
-        bound is never tighter).  Anything else -- a zero above 1e-8 or one
-        missing, a harmonic zero, any other level -- is not cleared, and is
-        left to `eigensystem` and its checks.
+        tridiagonal form.  It clears the operator only when the window holds
+        exactly its spurious structural zeros, each within 1e-8 of 0, which
+        `eigensystem` would deflate (its own bound is never tighter).
+        Anything else -- a zero above 1e-8 or one missing, a harmonic zero,
+        any other level -- is not cleared, and is left to `eigensystem` and
+        its checks.
         """
-        d, e, _ = form
+        d, e, _ = self._form
         t = bound + 1e-10 * self._scale
-        try:
-            vals = eigvalsh_tridiagonal(d, e, select="v", select_range=(-t, t))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
+        vals = eigvalsh_tridiagonal(d, e, select="v", select_range=(-t, t))
         struct = self.structural_zeros
         n_zero = struct[0] if struct is not None and struct[1] == "spurious" else 0
         return len(vals) == n_zero and bool(np.all(np.abs(vals) <= 1e-8))
 
-    def eigensystem(self, n_vectors: int = 0, n_values: int | None = None,
-                    form: tuple | None = None) -> tuple[Array, Array, Array]:
+    def eigensystem(self, n_vectors: int = 0, n_values: int | None = None
+                    ) -> tuple[Array, Array, Array]:
         """Eigenvalues (structural zeros deflated when spurious) and
         eigenvectors for the n_vectors smallest |lambda|.
 
@@ -597,26 +607,22 @@ class ModeOperator:
         come from the same tridiagonal form (stebz and stein, O(n) each),
         checked by their residual against `matrix`.
 
-        `form` is the operator's `_tridiagonal_form`, when the caller has
-        built it already.  Returns (values ascending, selected values,
-        selected vectors in reduced coordinates, one per column).
+        Returns (values ascending, selected values, selected vectors in
+        reduced coordinates, one per column).
         """
-        d, e, (qh, qt, g) = form or self._tridiagonal_form()
+        d, e, (qh, qt, g) = self._form
         n = len(d)
         struct = self.structural_zeros
         n_zero = struct[0] if struct is not None else 0
         want = None if n_values is None else max(n_values, n_vectors)
         full = want is None or want + n_zero + 1 >= n
-        try:
-            if full and self._bipartite:
-                vals = _bipartite_values(e)
-            elif full:
-                vals = eigvalsh_tridiagonal(d, e)
-            else:
-                # one spare value: a +-pair may straddle the window's edge
-                vals = _low_values(d, e, want + n_zero + 1)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
+        if full and self._bipartite:
+            vals = _bipartite_values(e)
+        elif full:
+            vals = eigvalsh_tridiagonal(d, e)
+        else:
+            # one spare value: a +-pair may straddle the window's edge
+            vals = _low_values(d, e, want + n_zero + 1)
 
         order = np.argsort(np.abs(vals), kind="stable")
         zeros, rest = vals[order[:n_zero]], vals[order[n_zero:]]
@@ -648,11 +654,8 @@ class ModeOperator:
         # stebz + stein give n x m vectors (scipy's stemr allocates n x n);
         # the bracket may also hold a deflated zero, so take the nearest
         slack = 1e-10 * scale
-        try:
-            got, z = eigh_tridiagonal(d, e, (wanted[0] - slack,
-                                             wanted[-1] + slack))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"tridiagonal eigenvectors failed: {exc}") from exc
+        got, z = eigh_tridiagonal(d, e, (wanted[0] - slack,
+                                         wanted[-1] + slack))
         pick = np.argmin(np.abs(got[:, None] - wanted), axis=0) if len(got) else []
         if len(set(pick)) < n_sel:
             raise NumericalError(f"eigenvectors missing near {wanted!r}")
@@ -753,12 +756,17 @@ def solve_mode(surface: WarpedSurface, k: float, bc: BoundaryConditionSpec,
     smallest |lambda| (at least n_fields) are computed.  With `above`, the
     mode is first probed (`ModeOperator.clear_of`) and, if no level it
     reports can have |lambda| <= above, returned with no levels and no pairs.
+    A LAPACK failure (LinAlgError) anywhere in the solve becomes the one
+    NumericalError here: `ModeOperator.clear_of` and `eigensystem`, called
+    directly, raise it as the `_lapack` wrappers and scipy do.
     """
-    op = ModeOperator(surface, abs(k), N, bc=_native(bc))
-    form = op._tridiagonal_form()
-    if above is not None and op.clear_of(above, form):
-        return ModeSolution(k, np.empty(0), [])
-    lams, wanted, vecs = op.eigensystem(n_fields, n_levels, form)
+    try:
+        op = ModeOperator(surface, abs(k), N, bc=_native(bc))
+        if above is not None and op.clear_of(above):
+            return ModeSolution(k, np.empty(0), [])
+        lams, wanted, vecs = op.eigensystem(n_fields, n_levels)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"LAPACK failed at k = {k:g}: {exc}") from exc
     negate = _negated(bc, k)
     lams = -lams[::-1] if negate else lams
     pairs = []
@@ -802,10 +810,11 @@ class Spectrum:
     @functools.cached_property
     def fundamental(self) -> Eigenpair:
         """The eigenpair of levels[0], solved on first access: mode k_min with
-        n_levels levels and two fields (the count sets the stebz window, so
-        the field's last bits); NumericalError unless bit-equal to levels[0]."""
-        pair = solve_mode(self.surface, self.k_min, self.bc, self.n_grid, 2,
-                          self.n_levels).pairs[0]
+        n_levels levels and FUNDAMENTAL_LEVELS fields (the count sets the
+        stebz window, so the field's last bits); NumericalError unless
+        bit-equal to levels[0]."""
+        pair = solve_mode(self.surface, self.k_min, self.bc, self.n_grid,
+                          FUNDAMENTAL_LEVELS, self.n_levels).pairs[0]
         if (pair.lam, pair.k) != (self.lambda_min, self.k_min):
             raise NumericalError(f"fundamental re-solve gave {pair.lam!r} at "
                                  f"k = {pair.k!r}, not levels[0]")

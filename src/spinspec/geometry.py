@@ -454,14 +454,15 @@ def make_surface(spec: str, spin_structure: str = "antiperiodic") -> WarpedSurfa
 
 
 def _load_profile(path: str) -> tuple[Array, Array]:
-    """Columns r, f of a profile CSV with an optional header line: exactly
-    two numeric columns, at least 4 rows, finite values, radii strictly
-    increasing."""
+    """Columns r, f of a UTF-8 profile CSV (a byte-order mark is skipped)
+    with an optional header line: exactly two numeric columns, at least 4
+    rows, finite values, radii strictly increasing."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")        # numpy's empty-file warning
             data = np.loadtxt(path, delimiter=",", ndmin=2,
-                              skiprows=_csv_header_rows(path))
+                              skiprows=_csv_header_rows(path),
+                              encoding="utf-8-sig")
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read profile {path}: {exc}") from exc
     if data.shape[0] < 4:
@@ -479,7 +480,7 @@ def _load_profile(path: str) -> tuple[Array, Array]:
 
 
 def _csv_header_rows(path: str) -> int:
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         first = fh.readline()
     try:
         float(first.split(",")[0])

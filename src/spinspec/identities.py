@@ -312,6 +312,14 @@ def energy_momentum(field: SpinorField) -> EnergyMomentum:
 # modified connections
 # ---------------------------------------------------------------------------
 
+N_CTRL = 8      # control values of each modifier spline
+
+
+def _modifier_knots(surface: WarpedSurface, n_ctrl: int) -> Array:
+    """The modifier splines' knots: n_ctrl equally spaced radii, ends too."""
+    return np.linspace(surface.r_min, surface.r_max, n_ctrl)
+
+
 @dataclass(frozen=True)
 class ModifierPair:
     """The functions (a, u) twisting the spinor connection; ModifierPair()
@@ -322,12 +330,12 @@ class ModifierPair:
 
     @staticmethod
     def from_params(surface: WarpedSurface, params: Array,
-                    n_ctrl: int = 8) -> "ModifierPair":
+                    n_ctrl: int = N_CTRL) -> "ModifierPair":
         """Cubic-spline pair from 2*n_ctrl control values on the surface."""
         params = np.asarray(params, dtype=float)
         if params.shape != (2 * n_ctrl,):
             raise ValueError(f"expected {2 * n_ctrl} parameters")
-        knots = np.linspace(surface.r_min, surface.r_max, n_ctrl)
+        knots = _modifier_knots(surface, n_ctrl)
         a = RadialFunction.from_samples(knots, params[:n_ctrl])
         u = RadialFunction.from_samples(knots, params[n_ctrl:])
         return ModifierPair(a, u)

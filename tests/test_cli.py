@@ -618,6 +618,30 @@ def test_bad_profile_csv_exits_2(tmp_path, capsys, case):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_profile_csv_byte_order_mark_is_no_header(tmp_path):
+    """A profile CSV may open with a UTF-8 byte-order mark.  Without a
+    header, with one, and with neither mark nor header, it gives the same
+    surface bit for bit and the same convergence file byte for byte (the
+    mark once made a first row of numbers pass for a header, dropped)."""
+    r = np.linspace(0.5, 1.5, 33)
+    rows = "".join(f"{x:.17g},{1 + 0.2 * np.sin(3 * x):.17g}\n" for x in r)
+    rr = np.linspace(0.5, 1.5, 101)
+    seen = set()
+    for name, text in (("plain", rows), ("bom", "\ufeff" + rows),
+                       ("bom_header", "\ufeffr,f\n" + rows)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text, encoding="utf-8")
+        surface = make_surface(f"profile:{path}")
+        out = tmp_path / name
+        assert run(["convergence", "--geometry", f"profile:{path}", "--bc",
+                    "local+", "--N", "32,64,128", "--out", str(out)]) == 0
+        with open(out / "convergence_localplus.csv", "rb") as fh:
+            seen.add((surface.r_min, surface.r_max, surface.f(rr).tobytes(),
+                      surface.fp(rr).tobytes(), fh.read()))
+    assert len(seen) == 1
+    assert next(iter(seen))[:2] == (0.5, 1.5)
+
+
 def _input_argv(where, path, tmp_path):
     """spectrum reading `path` as its config or as its profile CSV."""
     if where == "config":
@@ -939,6 +963,91 @@ def test_local_minus_spectrum_alone_matches_the_shared_solve(tmp_path):
         for N in (32, 40):
             name = f"spectrum_{bc}_N{N}.csv"
             assert read(tmp_path / "both" / name) == read(tmp_path / alone / name)
+
+
+@pytest.mark.parametrize("order", ["local+,local-", "local-,aps-,local+"])
+@pytest.mark.parametrize("command", ["spectrum", "verify", "bounds"])
+def test_local_pair_shares_its_solve_in_every_command(command, order, tmp_path,
+                                                      monkeypatch):
+    """A run with both local conditions writes, file for file, the bytes of
+    the one-condition runs (bounds_summary.csv: their rows, in order).  The
+    second local condition is the first one's solve negated: each |k| of
+    the pair is solved once per grid (3 |k| on the disk at kmax 2.5), and
+    verify and bounds add one fundamental re-solve per condition."""
+    conditions = order.split(",")
+    base = [command, "--geometry", "disk", "--N", "32,64", "--kmax", "2.5"]
+    real, fields = dirac_core.solve_mode, []
+
+    def counted(*args, **kwargs):
+        fields.append(args[4])            # n_fields: 0 in aggregate
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dirac_core, "solve_mode", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(base + ["--bc", order, "--out", str(tmp_path / "all")]) == 0
+    native = len({bc[:5] for bc in conditions})   # "local" and "aps-"
+    grids = 2 if command == "spectrum" else 1
+    assert fields.count(0) == 3 * grids * native
+    assert fields.count(dirac_core.FUNDAMENTAL_LEVELS) == (
+        0 if command == "spectrum" else len(conditions))
+    assert len(fields) == fields.count(0) + fields.count(
+        dirac_core.FUNDAMENTAL_LEVELS)
+
+    joint = {name: (tmp_path / "all" / name).read_bytes()
+             for name in os.listdir(tmp_path / "all")}
+    alone, summary = {}, []
+    for bc in conditions:
+        out = tmp_path / bc
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(base + ["--bc", bc, "--out", str(out)]) == 0
+        for name in os.listdir(out):
+            data = (out / name).read_bytes()
+            if name == "bounds_summary.csv":
+                header, row = data.decode().splitlines()
+                summary += [header] * (not summary) + [row]
+            else:
+                alone[name] = data
+    if summary:
+        alone["bounds_summary.csv"] = ("\n".join(summary) + "\n").encode()
+    assert joint == alone
+
+
+@pytest.mark.parametrize("case, name, caller, command, geometry, bc", [
+    ("probe", "eigvalsh_tridiagonal", "clear_of", "verify", "disk", "local+"),
+    ("sturm_window", "eigvalsh_tridiagonal", "_low_values", "verify", "disk",
+     "local+"),
+    ("radius", "eigvalsh_tridiagonal", "eigensystem", "verify", "hemisphere",
+     "aps-"),
+    ("eigenvectors", "eigh_tridiagonal", "eigensystem", "verify", "disk",
+     "local+"),
+    ("dsterf", "eigvalsh_tridiagonal", "eigensystem", "spectrum", "disk",
+     "local+"),
+    ("dlasq1", "bidiagonal_singular_values", "_bipartite_values", "spectrum",
+     "hemisphere", "aps-"),
+])
+def test_every_lapack_failure_of_a_mode_solve_exits_3_with_one_line(
+        case, name, caller, command, geometry, bc, tmp_path, capsys,
+        monkeypatch):
+    """A LinAlgError from any LAPACK call of a mode solve -- the probe, the
+    Sturm window, the spectral-radius query of the structural-zero check,
+    the eigenvectors, and the full dsterf and dlasq1 paths -- ends the run
+    with exit 3 and one stderr line (solve_mode turns it into a
+    NumericalError); the radius query once escaped as a traceback."""
+    real, hits = getattr(dirac_core, name), []
+
+    def failing(*args, **kwargs):
+        if sys._getframe(1).f_code.co_name == caller:
+            hits.append(case)
+            raise np.linalg.LinAlgError(f"{case} injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dirac_core, name, failing)
+    code = run([command, "--geometry", geometry, "--bc", bc, "--N", "32",
+                "--kmax", "2.5", "--out", str(tmp_path)])
+    err = capsys.readouterr().err.splitlines()
+    assert hits and code == 3
+    assert len(err) == 1 and err[0].startswith("numerical failure: "), err
+    assert err[0].endswith(f"{case} injected")
 
 
 def _mostly(valid, *bad):

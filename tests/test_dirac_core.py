@@ -210,23 +210,35 @@ def test_tridiagonal_reduction_refuses_leftover_entries():
         _tridiagonal_block(bent, 1e-12 * maxabs(bent))
 
 
-def test_structural_zero_check_on_selective_path():
+def test_structural_zero_check_on_selective_path(monkeypatch):
     """A perturbed APS operator is refused on the selective path too: a
     diagonal entry breaks the bipartite form, and a kernel that is not there
-    is never deflated."""
-    op = ModeOperator(make_surface("hemisphere"), 0.5, 64,
-                      bc=BoundaryConditionSpec("aps-"))
+    is never deflated.  The blocks, and the tridiagonal form built from them
+    once, are read-only, so a perturbation goes in before the first read."""
+    surface, spec = make_surface("hemisphere"), BoundaryConditionSpec("aps-")
+    op = ModeOperator(surface, 0.5, 64, bc=spec)
     assert op.structural_zeros == (1, "spurious")
     assert len(op.eigensystem(n_values=2)[0]) == 2
-    head = op._blocks[0]              # the solve reads the blocks, not the band
-    head[2, 2] += 1e-6
-    with pytest.raises(NumericalError, match="diagonal"):
-        op.eigensystem(n_values=2)
-    head[2, 2] = 0.0
+    for a in (*op._blocks, *op.tridiagonal()):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
     op._zeros = (2, "spurious")
     for n_values in (2, None):
         with pytest.raises(NumericalError, match="refusing to deflate"):
             op.eigensystem(n_values=n_values)
+
+    assemble = ModeOperator._assemble
+
+    def plant_diagonal(self):
+        # the solve reads the blocks, not the band
+        assemble(self)
+        head = self._blocks[0].copy()
+        head[2, 2] += 1e-6
+        self._blocks = (head, *self._blocks[1:])
+
+    monkeypatch.setattr(ModeOperator, "_assemble", plant_diagonal)
+    with pytest.raises(NumericalError, match="diagonal"):
+        ModeOperator(surface, 0.5, 64, bc=spec).eigensystem(n_values=2)
 
 
 def test_aggregate_without_fields_keeps_levels():

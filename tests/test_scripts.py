@@ -1,5 +1,7 @@
 """scripts/scenario_digest.py runs end to end and reproduces itself."""
 
+import glob
+import importlib.util
 import json
 import os
 import subprocess
@@ -27,16 +29,21 @@ def test_scenario_digest_is_reproducible(tmp_path):
     assert not os.listdir(tmp_path)
 
 
+def _digest_script():
+    """scripts/scenario_digest.py loaded as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "scenario_digest", os.path.join(ROOT, "scripts", "scenario_digest.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def test_perfbench_digest_covers_every_job_and_cleans_up(monkeypatch, capsys):
     """`--perfbench SEED` digests the 9 job configs of the three benchmark
     workloads at that seed, 36 lines, the profile CSV beside them, and
     removes the directory it wrote them to (the digest itself is stubbed:
     the real jobs run full-size)."""
-    import importlib.util
-    spec = importlib.util.spec_from_file_location(
-        "scenario_digest", os.path.join(ROOT, "scripts", "scenario_digest.py"))
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _digest_script()
     seen = []
 
     def stub(scenario, command):
@@ -54,3 +61,29 @@ def test_perfbench_digest_covers_every_job_and_cleans_up(monkeypatch, capsys):
     assert len(lines) == 36 and len(set(lines)) == 36
     assert len(set(seen)) == 9
     assert not any(os.path.exists(path) for path in seen)
+
+
+def test_bc_digest_replaces_the_conditions_of_every_scenario(monkeypatch,
+                                                            capsys):
+    """`--bc LIST` digests, for each scenario, a copy of its config under the
+    same file name with `bc` replaced by the list and every other field
+    kept, and removes the copies (the digest itself is stubbed)."""
+    script = _digest_script()
+    seen = {}
+
+    def stub(scenario, command):
+        with open(scenario) as fh:
+            seen[scenario] = json.load(fh)
+        return f"{os.path.basename(scenario)} {command}"
+
+    monkeypatch.setattr(script, "digest", stub)
+    assert script.main(["--bc", "local-, aps-,local+"]) == 0
+    originals = sorted(glob.glob(os.path.join(ROOT, "scenarios", "*.json")))
+    assert capsys.readouterr().out.splitlines() == [
+        f"{os.path.basename(path)} {command}" for path in originals
+        for command in script.COMMANDS]
+    assert len(seen) == len(originals) == 6
+    for (copy, config), original in zip(seen.items(), originals):
+        with open(original) as fh:
+            assert config == dict(json.load(fh), bc=["local-", "aps-", "local+"])
+        assert not os.path.exists(copy)
