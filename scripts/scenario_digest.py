@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Digest every scenario command's outputs, to compare two trees byte for byte.
 
-    python scripts/scenario_digest.py [--bc LIST] [SCENARIO.json ...]
-    python scripts/scenario_digest.py [--bc LIST] --perfbench SEED
+    python scripts/scenario_digest.py [--bc LIST] [--optimizer] [SCENARIO.json ...]
+    python scripts/scenario_digest.py [--bc LIST] [--optimizer] --perfbench SEED
 
 With no argument it takes every scenarios/*.json.  With --perfbench it
 takes the job configs of the three benchmark workloads at that seed,
@@ -17,6 +17,14 @@ SHA-256 of each output file by its path relative to the output directory,
 and the SHA-256 of stdout and stderr with the temporary path taken out.
 Two trees that print the same lines wrote the same files, exit codes and
 messages.
+
+With --optimizer it digests, in place of the commands, every evaluation of
+the bound optimizer that `bounds` runs: for each scenario with
+`optimize_bounds`, one line per variant (interior, conformal) with the
+evaluation count and the SHA-256 over every trace point's params, value,
+margin and feasible flag, in order.  It calls `make_surface` and
+`bounds.optimize_modifiers` as `bounds` does, so it runs on any tree's
+`src` through PYTHONPATH.
 """
 
 import argparse
@@ -26,10 +34,14 @@ import hashlib
 import io
 import json
 import os
+import struct
 import sys
 import tempfile
 
-from spinspec.cli import run
+import numpy as np
+
+from spinspec import bounds, make_surface
+from spinspec.cli import Scenario, run
 
 COMMANDS = ("spectrum", "verify", "bounds", "convergence")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -56,6 +68,27 @@ def digest(scenario: str, command: str) -> str:
                    for name, text in (("stdout", stdout), ("stderr", stderr))]
     name = os.path.splitext(os.path.basename(scenario))[0]
     return " ".join([name, command, f"exit={code}"] + files + streams)
+
+
+def optimizer_digest(scenario: str) -> list[str]:
+    """The digest lines of the optimizer runs `bounds` makes on one
+    scenario: none without optimize_bounds."""
+    sc = Scenario.from_json(scenario)
+    if not sc.optimize_bounds:
+        return []
+    surface = make_surface(sc.geometry, sc.spin_structure)
+    name = os.path.splitext(os.path.basename(scenario))[0]
+    lines = []
+    for variant in ("interior", "conformal"):
+        res = bounds.optimize_modifiers(surface, variant, budget=sc.budget)
+        h = hashlib.sha256()
+        for point in res.trace:
+            h.update(np.asarray(point.params, dtype="<f8").tobytes())
+            h.update(struct.pack("<dd?", point.value, point.margin,
+                                 point.feasible))
+        lines.append(f"{name} optimizer:{variant} n_eval={res.n_eval} "
+                     f"trace={h.hexdigest()}")
+    return lines
 
 
 def perfbench_configs(seed: int, input_dir: str) -> list[str]:
@@ -88,6 +121,8 @@ def main(argv: list[str]) -> int:
                    help="digest the benchmark's job configs at this seed")
     p.add_argument("--bc", metavar="LIST",
                    help="replace the boundary conditions of every scenario")
+    p.add_argument("--optimizer", action="store_true",
+                   help="digest the optimizer traces of `bounds` instead")
     args = p.parse_args(argv)
     if args.perfbench is not None and args.scenarios:
         p.error("--perfbench takes no scenario files")
@@ -102,8 +137,10 @@ def main(argv: list[str]) -> int:
             scenarios = [with_bc(s, bc, os.path.join(inputs, f"bc{i}"))
                          for i, s in enumerate(scenarios)]
         for scenario in scenarios:
-            for command in COMMANDS:
-                print(digest(scenario, command), flush=True)
+            lines = (optimizer_digest(scenario) if args.optimizer else
+                     (digest(scenario, command) for command in COMMANDS))
+            for line in lines:
+                print(line, flush=True)
     return 0
 
 

@@ -29,11 +29,15 @@ The sup over (a, u) is explored with derivative-free Nelder-Mead
 (`_nelder_mead`, scipy's method evaluation for evaluation) over cubic
 spline coefficients, feasibility enforced by charging _PENALTY per unit of
 margin deficit; the result is a certified-feasible best iterate, never
-claimed globally optimal.  A spline
-through fixed knots is linear in its control values, so each optimizer call
-evaluates the not-a-knot cardinal splines once (values and two derivatives
-on the grid, values and slopes on the boundary circles) and every objective
-evaluation is a few mat-vecs.  Every evaluated pair is recorded in a trace
+claimed globally optimal.  A spline through fixed knots is linear in its
+control values, so each optimizer call evaluates the not-a-knot cardinal
+splines once (values and two derivatives on the grid, values and slopes on
+the boundary circles) and an evaluation is six mat-vecs, `_curvature` in
+four reused buffers and the margin in Python floats: about 33 us with its
+Nelder-Mead step on a 2-core host, 256 cells.  It is bit for bit the plain
+expressions (`@`, np.min, a new array per operation), because `ndarray.dot`
+reaches the same OpenBLAS dgemv as `@` and every operation keeps the
+formula's operands and order.  Every evaluated pair is recorded in a trace
 so the theorems themselves can be replayed as oracles over the whole search
 history.
 
@@ -93,14 +97,22 @@ def _boundary_circles(surface: WarpedSurface) -> tuple:
             np.array([bd.outward_sign for bd in bds]))
 
 
-def _feasibility_margin(H: Array, a_b: Array, du_e0: Array,
-                        variant: str) -> float:
-    """min of the margins from H, a and du(e0) on each boundary circle."""
+def _feasibility_margin(H, a_b, du_e0, variant: str) -> float:
+    """min of the margins from H, a and du(e0) on each boundary circle, one
+    scalar operation at a time on the items given (floats, or an array's).
+    As under np.min, a NaN margin is the result and a tie (0.0 and -0.0)
+    goes to the later circle."""
     if variant == "interior":
-        return float(np.min(H - 2 * a_b * du_e0))
-    if variant == "conformal":
-        return float(np.min(H - (2 * a_b - DIM + 1) * du_e0))
-    raise ValueError(f"unknown feasibility variant {variant!r}")
+        margins = [h - 2 * a * d for h, a, d in zip(H, a_b, du_e0)]
+    elif variant == "conformal":
+        margins = [h - (2 * a - DIM + 1) * d for h, a, d in zip(H, a_b, du_e0)]
+    else:
+        raise ValueError(f"unknown feasibility variant {variant!r}")
+    low = margins[0]
+    for m in margins[1:]:
+        if low == low and not low < m:
+            low = m
+    return float(low)
 
 
 def feasibility_margin(surface: WarpedSurface, mp: ModifierPair,
@@ -317,13 +329,16 @@ def _basis_measure(surface: WarpedSurface, variant: str, n_ctrl: int,
     curv, fpf = scalar_curvature(surface, rr), surface.fp(rr) / surface.f(rr)
     r_b, H, sign = _boundary_circles(surface)
     rim0, rim1 = basis(r_b), basis(r_b, 1)
+    H, sign = H.tolist(), sign.tolist()
+    out = [np.empty(len(rr)) for _ in range(4)]
 
     def measure(params: Array) -> tuple[float, float]:
         pa, pu = params[:n_ctrl], params[n_ctrl:]
-        value = float(np.min(_curvature(variant, curv, fpf, b0 @ pa, b1 @ pa,
-                                        b1 @ pu, b2 @ pu)))
-        return value, _feasibility_margin(H, rim0 @ pa, sign * (rim1 @ pu),
-                                          variant)
+        value = _curvature(variant, curv, fpf, b0.dot(pa), b1.dot(pa),
+                           b1.dot(pu), b2.dot(pu), out).min()
+        du_e0 = [s * d for s, d in zip(sign, rim1.dot(pu).tolist())]
+        return float(value), _feasibility_margin(H, rim0.dot(pa).tolist(),
+                                                 du_e0, variant)
 
     return measure
 
@@ -364,25 +379,21 @@ def _nelder_mead(func, simplex: Array, maxfev: int, xatol: float,
             fsim[k] = f(sim[k])
     except _BudgetSpent:
         pass
-    finally:
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    ind = np.argsort(fsim)
-    fsim = np.take(fsim, ind, 0)
-    sim = np.take(sim, ind, 0)
+    for _ in range(2):      # scipy sorts in a finally clause, then again
+        ind = fsim.argsort()
+        sim, fsim = sim[ind], fsim[ind]
 
     while calls < maxfev:
         try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
-                    np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            if (abs(fsim[0] - fsim[1:]).max() <= fatol and
+                    abs(sim[1:] - sim[0]).max() <= xatol):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / N
-            xr = (1 + rho) * xbar - rho * sim[-1]
+            xr = (1 + rho) * xbar - sim[-1]
             fxr = f(xr)
             doshrink = 0
             if fxr < fsim[0]:
-                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                xe = (1 + rho * chi) * xbar - chi * sim[-1]
                 fxe = f(xe)
                 if fxe < fxr:
                     sim[-1], fsim[-1] = xe, fxe
@@ -393,7 +404,7 @@ def _nelder_mead(func, simplex: Array, maxfev: int, xatol: float,
             else:
                 if fxr < fsim[-1]:
                     # outside contraction
-                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    xc = (1 + psi * rho) * xbar - psi * sim[-1]
                     fxc = f(xc)
                     if fxc <= fxr:
                         sim[-1], fsim[-1] = xc, fxc
@@ -413,9 +424,8 @@ def _nelder_mead(func, simplex: Array, maxfev: int, xatol: float,
                         fsim[j] = f(sim[j])
         except _BudgetSpent:
             pass
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim, fsim = sim[ind], fsim[ind]
     return sim[0]
 
 
@@ -433,22 +443,19 @@ def optimize_modifiers(surface: WarpedSurface, variant: str = "interior",
     """
     if variant not in _ESTIMATES:
         raise ValueError(f"unknown optimizer variant {variant!r}")
-    basis_measure = _basis_measure(surface, variant, n_ctrl, n_grid)
+    measure = _basis_measure(surface, variant, n_ctrl, n_grid)
     trace: list[TracePoint] = []
 
-    def measure(params: Array) -> TracePoint:
-        val, margin = basis_measure(params)
-        point = TracePoint(np.array(params, dtype=float), val, margin,
-                           bool(margin >= -TOL_FEAS))
-        trace.append(point)
-        return point
-
     def objective(params: Array) -> float:
-        point = measure(params)
-        return -point.value + _PENALTY * max(0.0, -point.margin)
+        """The penalized cost of params, which it keeps in the trace: each
+        point is the copy _nelder_mead made for this call, or x0."""
+        value, margin = measure(params)
+        trace.append(TracePoint(params, value, margin, margin >= -TOL_FEAS))
+        return -value + _PENALTY * max(0.0, -margin)
 
     x0 = np.zeros(2 * n_ctrl)
-    baseline = measure(x0)
+    objective(x0)
+    baseline = trace[0]
 
     # restart the simplex around the incumbent until the evaluation budget
     # is spent; plain Nelder-Mead stalls long before desk-scale budgets

@@ -156,8 +156,10 @@ class Scenario:
             _check_type(name, getattr(self, name), kind)
         if not self.bc:
             raise ConfigError("at least one boundary condition is required")
-        for bc in self.bc:
+        for i, bc in enumerate(self.bc):
             BoundaryConditionSpec(bc)
+            if bc in self.bc[:i]:   # it would solve and write the same again
+                raise ConfigError(f"boundary condition {bc!r} is listed twice")
         if not self.N or list(self.N) != sorted(self.N) or min(self.N) < 16:
             raise ConfigError("grid sizes must be ascending and at least 16")
         if self.kmax < 0.5:

@@ -33,6 +33,7 @@ for bit scipy's CubicSpline; its one linear solve is LAPACK's gtsv
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import operator
 import os
@@ -701,6 +702,7 @@ def _arclength_edges(surface: WarpedSurface, u: RadialFunction,
 
 
 _N_PANELS = 512     # equal panels in r of the arclength table
+_R_MEMO = 3         # r(s) inversions a rescaled profile keeps
 
 
 def conformal_rescale(surface: WarpedSurface,
@@ -712,20 +714,35 @@ def conformal_rescale(surface: WarpedSurface,
     one vectorized Newton iteration bracketed by each point's panel (a few
     sweeps; see `_arclength_inverse`), to 1e-14 (1 + |r|) of a per-point
     brentq root; s outside [0, s_max] is clamped and NaN raises ValueError.
+    The target profile and its two derivatives share the inversions of the
+    last `_R_MEMO` distinct s (by exact shape and bytes), as read-only arrays.
     """
     edges_r, edges_s = _arclength_edges(surface, u, _N_PANELS)
 
+    # lru_cache is thread-safe: aggregate may evaluate the profile on a pool
+    @functools.lru_cache(maxsize=_R_MEMO)
+    def inverse(shape: tuple, data: bytes) -> Array:
+        r = _arclength_inverse(u, edges_r, edges_s,
+                               np.frombuffer(data).reshape(shape))
+        if shape:
+            r.flags.writeable = False
+        return r
+
+    def r_of(s):
+        s = np.asarray(s, dtype=float)
+        return inverse(s.shape, s.tobytes())
+
     # target profile in the arclength coordinate s, via chain rule
     def val(s):
-        r = _arclength_inverse(u, edges_r, edges_s, s)
+        r = r_of(s)
         return np.exp(u(r)) * surface.f(r)
 
     def d1(s):
-        r = _arclength_inverse(u, edges_r, edges_s, s)
+        r = r_of(s)
         return u.d(r) * surface.f(r) + surface.fp(r)
 
     def d2(s):
-        r = _arclength_inverse(u, edges_r, edges_s, s)
+        r = r_of(s)
         g = (u.d2(r) * surface.f(r) + u.d(r) * surface.fp(r) + surface.fpp(r))
         return np.exp(-u(r)) * g
 

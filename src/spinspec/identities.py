@@ -342,16 +342,29 @@ class ModifierPair:
 
 
 def _curvature(variant: str, R: Array, fpf: Array, a: Array, da: Array,
-               du: Array, d2u: Array) -> Array:
+               du: Array, d2u: Array, out: list | None = None) -> Array:
     """R_{a,u} (interior) or R^_{a,u} (conformal) from R, f'/f and the
-    jets a, a', u', u'' sampled on one grid."""
-    lap_u = -(d2u + fpf * du)   # geometry.radial_laplacian of u
+    jets a, a', u', u'' sampled on one grid.  Each operation of the formula
+    runs on its operands in its order, into one of four arrays of R's shape:
+    `out`, which the result (a view of its second) then shares, or new
+    ones.  0-d jets give a numpy scalar."""
+    lap, x, y, z = out or [np.empty(np.shape(R)) for _ in range(4)]
+    mul, add, sub = np.multiply, np.add, np.subtract
+    # lap_u = -(d2u + fpf u'), geometry.radial_laplacian of u
+    np.negative(add(d2u, mul(fpf, du, out=lap), out=lap), out=lap)
     if variant == "interior":
-        return R - 4 * a * lap_u + 4 * da * du \
-            - 4 * (1 - 1 / DIM) * a ** 2 * du ** 2
-    coeff = (DIM - 1) * (DIM - 2) + 4 * (2 - DIM) * a \
-        + 4 * (1 - 1 / DIM) * a ** 2
-    return R + 4 * ((DIM - 1) / 2 - a) * lap_u + 4 * da * du - coeff * du ** 2
+        # R - 4 a lap_u + 4 a'u' - coeff u'^2, coeff = 4 (1 - 1/n) a^2
+        sub(R, mul(mul(4, a, out=x), lap, out=x), out=x)
+        coeff = mul(4 * (1 - 1 / DIM), np.square(a, out=y), out=y)
+    else:
+        # R + 4 ((n-1)/2 - a) lap_u + 4 a'u' - coeff u'^2, coeff =
+        # (n-1)(n-2) + 4 (2-n) a + 4 (1 - 1/n) a^2
+        coeff = add((DIM - 1) * (DIM - 2), mul(4 * (2 - DIM), a, out=y), out=y)
+        add(coeff, mul(4 * (1 - 1 / DIM), np.square(a, out=z), out=z), out=y)
+        add(R, mul(mul(4, sub((DIM - 1) / 2, a, out=x), out=x), lap, out=x),
+            out=x)
+    add(x, mul(mul(4, da, out=z), du, out=z), out=x)
+    return sub(x, mul(coeff, np.square(du, out=z), out=z), out=x)[()]
 
 
 def _jets(surface: WarpedSurface, mp: ModifierPair, r: Array) -> tuple:

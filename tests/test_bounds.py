@@ -10,7 +10,10 @@ from spinspec import (ModifierPair, RadialFunction, evaluate_bounds,
                       feasibility_margin, conformal_modified_scalar,
                       make_surface, modified_scalar, optimize_modifiers,
                       parse_radial_spec, scalar_curvature)
-from spinspec.bounds import TOL_FEAS, _basis_measure, _grid
+from spinspec.bounds import (TOL_FEAS, _basis_measure, _boundary_circles,
+                             _feasibility_margin, _grid)
+from spinspec.geometry import DIM, _Spline
+from spinspec.identities import _curvature, _modifier_knots
 
 
 def pair(a, u):
@@ -312,3 +315,79 @@ def test_basis_measure_matches_public_path_over_a_trace():
     for pt in res.trace:
         assert_matches_public_path(ann, "conformal", pt.params, 8, 256,
                                    pt.value, pt.margin)
+
+
+def bits(values):
+    """The bytes of floats: equal iff == holds and every zero has its sign."""
+    return np.array(values, dtype=float).tobytes()
+
+
+def curvature_formula(variant, R, fpf, a, da, du, d2u):
+    """identities._curvature as the formulas read, one new array per step."""
+    lap_u = -(d2u + fpf * du)
+    if variant == "interior":
+        return R - 4 * a * lap_u + 4 * da * du \
+            - 4 * (1 - 1 / DIM) * a ** 2 * du ** 2
+    coeff = (DIM - 1) * (DIM - 2) + 4 * (2 - DIM) * a \
+        + 4 * (1 - 1 / DIM) * a ** 2
+    return R + 4 * ((DIM - 1) / 2 - a) * lap_u + 4 * da * du - coeff * du ** 2
+
+
+@pytest.mark.parametrize("variant", ["interior", "conformal"])
+def test_curvature_in_buffers_is_the_formula_bit_for_bit(variant):
+    """_curvature, in new arrays or in buffers it is handed (reused), is
+    curvature_formula bit for bit, zeros of either sign included, and gives
+    a numpy scalar for 0-d jets, as the formula does."""
+    rng = np.random.default_rng(11)
+    out = [np.empty(64) for _ in range(4)]
+    for i in range(100):
+        jets = rng.normal(size=(6, 64)) * 10.0 ** rng.uniform(-3, 3, (6, 1))
+        jets[i % 6, ::3] = 0.0
+        jets[(i + 1) % 6, 1::3] = -0.0
+        ref = bits(curvature_formula(variant, *jets))
+        assert bits(_curvature(variant, *jets)) == ref
+        assert bits(_curvature(variant, *jets, out)) == ref
+    for jet in jets.T[:3]:
+        value = _curvature(variant, *jet)
+        assert type(value) is np.float64
+        assert bits([value]) == bits([curvature_formula(variant, *jet)])
+
+
+@pytest.mark.parametrize("variant", ["interior", "conformal"])
+@pytest.mark.parametrize("geom", BUILTIN_SCENARIOS + ("profile",))
+def test_basis_measure_is_the_matmul_expression_bit_for_bit(zone_csv, geom,
+                                                            variant):
+    """The optimizer's measure is, bit for bit (== and the sign of zero),
+    the expression it replaced: grid and rim products by @, np.min over the
+    curvature and over the numpy margins of the boundary circles.  200
+    seeded parameter vectors of magnitudes 1e-3 to 1e3, feasible and
+    infeasible, some with a = 0 or u = 0."""
+    surface = make_surface(zone_csv if geom == "profile" else geom)
+    n_ctrl, n_grid = 8, 256
+    basis = _Spline.not_a_knot(_modifier_knots(surface, n_ctrl),
+                               np.eye(n_ctrl))
+    rr = _grid(surface, n_grid)
+    b0, b1, b2 = (basis(rr, nu) for nu in range(3))
+    curv, fpf = scalar_curvature(surface, rr), surface.fp(rr) / surface.f(rr)
+    r_b, H, sign = _boundary_circles(surface)
+    rim0, rim1 = basis(r_b), basis(r_b, 1)
+    measure = _basis_measure(surface, variant, n_ctrl, n_grid)
+    rng = np.random.default_rng(24)
+    feasible = []
+    # a = 0, u = 0 or both, in every 20: signed zeros at the rims
+    zeroed = (slice(None, n_ctrl), slice(n_ctrl, None), slice(None))
+    for i in range(200):
+        params = rng.normal(size=2 * n_ctrl) * 10.0 ** rng.uniform(-3, 3)
+        if i % 20 < 3:
+            params[zeroed[i % 20]] = 0.0
+        pa, pu = params[:n_ctrl], params[n_ctrl:]
+        value = float(np.min(curvature_formula(
+            variant, curv, fpf, b0 @ pa, b1 @ pa, b1 @ pu, b2 @ pu)))
+        a_b, du_e0 = rim0 @ pa, sign * (rim1 @ pu)
+        c = 2 * a_b if variant == "interior" else 2 * a_b - DIM + 1
+        margin = float(np.min(H - c * du_e0))
+        assert bits(measure(params)) == bits((value, margin))
+        assert bits([_feasibility_margin(H, a_b, du_e0, variant)]) == \
+            bits([margin])
+        feasible.append(margin >= -TOL_FEAS)
+    assert any(feasible) and not all(feasible)

@@ -938,6 +938,34 @@ def test_admission_refuses_before_allocating(command, override, tmp_path,
     assert err.startswith("config error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("form", ["config", "flag"])
+def test_condition_listed_twice_exits_2_before_any_solve(command, form,
+                                                         tmp_path, capsys,
+                                                         monkeypatch):
+    """A boundary condition listed twice, in the config or by --bc, would be
+    solved again and its file written twice: `validate` refuses it with one
+    line, exit 2, before any mode is assembled and without making --out."""
+    def assemble(*args):
+        raise AssertionError("a mode was assembled")
+
+    monkeypatch.setattr(dirac_core.ModeOperator, "__post_init__", assemble)
+    out = tmp_path / "out"
+    argv = [command, "--geometry", "hemisphere", "--N", "64,80,96",
+            "--kmax", "2.5", "--out", str(out)]
+    if form == "config":
+        cfg = tmp_path / "twice.json"
+        cfg.write_text(json.dumps({"bc": ["aps-", "local+", "aps-"]}))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--bc", "local+,local+"]
+    assert run(argv) == 2
+    twice = "aps-" if form == "config" else "local+"
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: boundary condition {twice!r} is listed twice"]
+    assert not out.exists()
+
+
 def test_spectrum_work_cap_spares_the_other_commands(tmp_path):
     """`spectrum` costs O(N^2) per mode, the other commands O(N): the same
     grid is refused for the one and admitted for the others."""

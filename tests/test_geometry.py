@@ -1,6 +1,8 @@
 """Curvatures, boundary data, Laplacian convention, conformal machinery."""
 
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -320,6 +322,88 @@ def test_r_of_s_sweeps_do_not_grow_with_points(monkeypatch):
         resc.r_of_s(np.linspace(0.0, resc.target.r_max, n))
         counts.append(len(calls))
     assert counts[0] == counts[1] <= geometry._NEWTON_SWEEPS
+
+
+def _counted_inversions(monkeypatch) -> list:
+    """The s of every r(s) inversion geometry runs from now on."""
+    calls, inverse = [], geometry._arclength_inverse
+
+    def counted(u, edges_r, edges_s, s):
+        calls.append(np.array(s, dtype=float))
+        return inverse(u, edges_r, edges_s, s)
+
+    monkeypatch.setattr(geometry, "_arclength_inverse", counted)
+    return calls
+
+
+def test_rescaled_profile_shares_a_few_inversions(monkeypatch):
+    """The target profile and its two derivatives at one s share one
+    inversion of r(s), kept read-only and bit for bit a fresh inversion.
+    Only the last _R_MEMO distinct inputs, by exact shape and bytes, are
+    kept: a new shape or -0.0 for 0.0 is a miss, and the oldest goes."""
+    seen = []
+
+    def recorded(fn):
+        return lambda r: (seen.append(r), fn(r))[1]
+
+    bump = parse_radial_spec("bump:0.3", 0.0, 1.0)
+    u = RadialFunction(recorded(bump), recorded(bump.d), recorded(bump.d2))
+    resc = conformal_rescale(make_surface("disk"), u)
+    target, n = resc.target, geometry._R_MEMO
+    grids = [np.linspace(0.0, target.r_max, 33 + i) for i in range(n)]
+    fresh = [geometry._arclength_inverse(u, resc.edges_r, resc.edges_s, s)
+             for s in grids]
+    calls = _counted_inversions(monkeypatch)
+    for s, ref in zip(grids, fresh):
+        for fn in (target.f, target.fp, target.fpp, target.f):
+            fn(s)
+            assert np.array_equal(seen[-1], ref)
+            assert not seen[-1].flags.writeable
+    assert len(calls) == n
+    signed = np.where(grids[0] == 0.0, -0.0, grids[0])
+    target.f(signed)
+    target.f(grids[0].reshape(1, -1))
+    assert len(calls) == n + 2
+    target.f(grids[-1])                 # still kept
+    assert len(calls) == n + 2
+    target.f(grids[0])                  # pushed out
+    assert len(calls) == n + 3
+    x = target.f(0.5)                   # a scalar s: a float r, kept too
+    assert np.ndim(x) == 0 and target.f(0.5) == x and len(calls) == n + 4
+
+
+def test_rescaled_profile_memo_is_safe_on_threads():
+    """Threads sharing one rescaled profile, as aggregate's pool does, get
+    the values of fresh inversions, with more threads than cores and the
+    interpreter switching threads every microsecond."""
+    disk, bump = make_surface("disk"), parse_radial_spec("bump:0.3", 0.0, 1.0)
+    target = conformal_rescale(disk, bump).target
+    grids = [np.linspace(0.0, target.r_max, 17 + i) for i in range(8)]
+    ref = conformal_rescale(disk, bump).target
+    expected = [(ref.f(s), ref.fp(s)) for s in grids]
+    wrong = []
+
+    def work(seed):
+        order = np.random.default_rng(seed).permutation(40) % len(grids)
+        for i in order:
+            f, fp = target.f(grids[i]), target.fp(grids[i])
+            if not (np.array_equal(f, expected[i][0])
+                    and np.array_equal(fp, expected[i][1])):
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,))
+                   for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def _spline_values(kind, n, rng):

@@ -217,6 +217,20 @@ def test_nelder_mead_repeats_scipys_evaluations_on_bound_objectives(
     assert ours.summary() == theirs.summary()
 
 
+@pytest.mark.parametrize("dim", [1, 3, 6, 16])
+def test_nelder_mead_repeats_scipys_evaluations_through_ties(dim):
+    """A piecewise-constant objective gives vertices equal values, so the
+    sorts of the simplex order ties: every point and value, in order, is
+    still scipy's, in runs cut by maxfev and runs that converge."""
+    rng = np.random.default_rng(dim)
+    for maxfev in (7, 300):
+        simplex = 0.3 + 0.01 * rng.normal(size=(dim + 1, dim))
+        calls = _against_scipy(lambda x: float(np.floor(4 * x.sum())),
+                               simplex, maxfev, 1e-8, 1e-12)
+        values = [v for _, v in calls]
+        assert len(set(values[:dim + 1])) < dim + 1    # a tied first sort
+
+
 # ---------------------------------------------------------------------------
 # the fallback table
 # ---------------------------------------------------------------------------

@@ -87,3 +87,51 @@ def test_bc_digest_replaces_the_conditions_of_every_scenario(monkeypatch,
         with open(original) as fh:
             assert config == dict(json.load(fh), bc=["local-", "aps-", "local+"])
         assert not os.path.exists(copy)
+
+
+def test_optimizer_digest_hashes_every_trace_point(monkeypatch, capsys):
+    """`--optimizer` digests the optimizer runs of `bounds`, one line per
+    variant for each scenario with optimize_bounds (annulus_bounds) and for
+    each bounds job of the benchmark, over every trace point in order (the
+    optimizer itself is stubbed)."""
+    import hashlib
+    import struct
+
+    import numpy as np
+    from spinspec import bounds
+
+    script = _digest_script()
+    runs = []
+
+    def stub(surface, variant, budget):
+        runs.append((surface.name, variant, budget))
+        trace = [bounds.TracePoint(np.array([0.5, -1.0]), 2.0, -0.25, False),
+                 bounds.TracePoint(np.array([0.0, 1e-3]), -1.5, 1.0, True)]
+        return bounds.OptimizerResult(None, 0.0, 0.0, True, False, 2, 0.0,
+                                      trace)
+
+    monkeypatch.setattr(bounds, "optimize_modifiers", stub)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds to it
+    h = hashlib.sha256()
+    for params, rest in ((b"\x00\x00\x00\x00\x00\x00\xe0?"
+                          b"\x00\x00\x00\x00\x00\x00\xf0\xbf",
+                          (2.0, -0.25, False)),
+                         (np.array([0.0, 1e-3]).astype("<f8").tobytes(),
+                          (-1.5, 1.0, True))):
+        h.update(params + struct.pack("<dd?", *rest))
+    trace = f"n_eval=2 trace={h.hexdigest()}"
+
+    assert script.main(["--optimizer"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"annulus_bounds optimizer:{variant} {trace}"
+        for variant in ("interior", "conformal")]
+    assert runs == [("annulus:0.5,1.0", "interior", 1200),
+                    ("annulus:0.5,1.0", "conformal", 1200)]
+
+    runs.clear()
+    assert script.main(["--optimizer", "--perfbench", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{job} optimizer:{variant} {trace}"
+        for job in ("annulus_bounds", "cap_bounds")
+        for variant in ("interior", "conformal")]
+    assert [budget for _, _, budget in runs] == [1200] * 4
