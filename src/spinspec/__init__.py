@@ -17,13 +17,13 @@ from .geometry import (DIM, BoundaryData, ConfigError, ConformalRescaling,
                        conformal_law_residuals, conformal_rescale,
                        make_surface, modes_for, parse_radial_spec,
                        radial_laplacian, scalar_curvature)
-from .identities import (EnergyMomentum, IdentityReport, ModifierPair,
-                         SpinorField, VanishingSpinorError, apply_dirac,
-                         boundary_dirac_matrix, conformal_modified_scalar,
-                         conformal_push, energy_momentum, eq_residual,
-                         killing_residual, modified_gradient_norm,
-                         modified_scalar, rtc2_residual, sl_residual,
-                         spinor_gradient)
+from .identities import (ConformalPush, EnergyMomentum, IdentityReport,
+                         ModifierPair, SpinorField, VanishingSpinorError,
+                         apply_dirac, boundary_dirac_matrix,
+                         conformal_modified_scalar, conformal_push,
+                         energy_momentum, eq_residual, killing_residual,
+                         modified_gradient_norm, modified_scalar,
+                         rtc2_residual, sl_residual, spinor_gradient)
 from .spin_algebra import (FRAME, CliffordFrame, boundary_chirality,
                            chirality, chirality_projectors, clifford_mul,
                            pairing)

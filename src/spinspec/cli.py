@@ -30,8 +30,9 @@ from . import identities as ident
 from .dirac_core import (CONVERGENCE_KMAX, FUNDAMENTAL_LEVELS,
                          BoundaryConditionSpec, NumericalError, Spectrum,
                          aggregate, convergence_study)
-from .geometry import (LAW_TOL, ConfigError, ConformalRescaling, WarpedSurface,
-                       catalog, check_input_file, conformal_law_residuals,
+from .geometry import (LAW_TOL, PROFILE_LAW_TOL, ConfigError,
+                       ConformalRescaling, WarpedSurface, catalog,
+                       check_input_file, conformal_law_residuals,
                        conformal_rescale, make_surface, parse_radial_spec)
 
 Array = np.ndarray
@@ -160,8 +161,8 @@ class Scenario:
             BoundaryConditionSpec(bc)
             if bc in self.bc[:i]:   # it would solve and write the same again
                 raise ConfigError(f"boundary condition {bc!r} is listed twice")
-        if not self.N or list(self.N) != sorted(self.N) or min(self.N) < 16:
-            raise ConfigError("grid sizes must be ascending and at least 16")
+        if not self.N or list(self.N) != sorted(set(self.N)) or min(self.N) < 16:
+            raise ConfigError("grid sizes must be strictly ascending and at least 16")
         if self.kmax < 0.5:
             raise ConfigError("kmax must be at least 1/2")
         if not 1 <= self.budget <= MAX_BUDGET:
@@ -357,7 +358,8 @@ def _identity_reports(sp: Spectrum, resc: ConformalRescaling | None
 
     if resc is not None:
         laws = conformal_law_residuals(resc, field.r)
-        law_tol = {"tolerance": LAW_TOL if surface.profile_exact else 1e-4}
+        law_tol = {"tolerance": LAW_TOL if surface.profile_exact
+                   else PROFILE_LAW_TOL}
         reports = [ident.IdentityReport(f"conformal_law_{name}",
                                         float(np.max(np.abs(laws[name]))),
                                         0.0, N, extra=law_tol)
@@ -365,13 +367,13 @@ def _identity_reports(sp: Spectrum, resc: ConformalRescaling | None
         reports += [ident.IdentityReport(f"conformal_law_mean_curvature:{which}",
                                          abs(v), 0.0, N, extra=law_tol)
                     for which, v in laws["mean_curvature"].items()]
-        _, push_res = ident.conformal_push(field, resc, lam)
+        push = ident.conformal_push(field, resc, lam)
         reports.append(ident.IdentityReport(
-            "conformal_push_residual", push_res, 0.0, N, expected_order=2.0))
+            "conformal_push_residual", push.residual, 0.0, N, expected_order=2.0))
         # the rescaling's own factor is the modifier u of eq3/eq4
         for which in ("eq3", "eq4"):
             reports.append(ident.eq_residual(
-                field, lam, which, ident.ModifierPair(mp.a, resc.u), resc))
+                field, lam, which, ident.ModifierPair(mp.a, resc.u), push))
         out += [r.to_dict() for r in reports]
     return out
 
@@ -488,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spin", dest="spin_structure",
                    choices=["antiperiodic", "periodic"])
     p.add_argument("--bc", help="comma list of local+,local-,aps-,aps+")
-    p.add_argument("--N", help="comma list of grid sizes, ascending")
+    p.add_argument("--N", help="comma list of grid sizes, strictly ascending")
     p.add_argument("--kmax", type=float)
     p.add_argument("--conformal-u", dest="conformal_u",
                    help="radial factor spec: const:<c> | bump:<c> | poly:<c0>,<c1>,...")

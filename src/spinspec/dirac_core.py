@@ -938,14 +938,15 @@ def convergence_study(surface: WarpedSurface, bc: BoundaryConditionSpec,
 
     The magnitude is tracked because the fundamental level often comes as a
     +-pair.  Only the lowest level of each mode is computed.  Needs at least
-    three ascending grid sizes for an order estimate; the 'converged' flag
-    records drift below DRIFT_TOL between the last two, 'k_top' and
-    'kmax_attained' that grid's Spectrum.k_top and .kmax_attained.
+    three strictly ascending grid sizes for an order estimate; the
+    'converged' flag records drift below DRIFT_TOL between the last two,
+    'k_top' and 'kmax_attained' that grid's Spectrum.k_top and
+    .kmax_attained.
     """
     if len(Ns) < 3:
         raise ConfigError("convergence study needs at least 3 grid sizes")
-    if sorted(Ns) != list(Ns):
-        raise ConfigError("grid sizes must be ascending")
+    if sorted(set(Ns)) != list(Ns):
+        raise ConfigError("grid sizes must be strictly ascending")
     spectra = [aggregate(surface, bc, k_max, N, n_levels=1) for N in Ns]
     lams = [abs(sp.lambda_min) for sp in spectra]
     rows = []

@@ -24,6 +24,8 @@ of equal panels in r.  s(r) is Gauss-Legendre quadrature on those panels
 (`_arclength`); its inverse r(s) (`_arclength_inverse`) runs a Newton
 iteration, safeguarded by bisection inside each point's panel, on all
 points at once, and agrees with a per-point brentq root to 1e-14 (1 + |r|).
+`ConformalRescaling.r_of_s` is its one caller, a memo of the last few
+inputs that the target profile, `pullback` and the conformal push share.
 
 Sampled profiles are interpolated by `_Spline`, the not-a-knot cubic, bit
 for bit scipy's CubicSpline; its one linear solve is LAPACK's gtsv
@@ -39,7 +41,7 @@ import operator
 import os
 import stat
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -554,8 +556,10 @@ _NEWTON_SWEEPS = 60
 
 
 def _arclength_inverse(u: RadialFunction, edges_r: Array, edges_s: Array,
-                       s) -> Array:
-    """Inverse of `_arclength`, vectorized over all points at once.
+                       s: Array) -> Array:
+    """Inverse of `_arclength` at the float array s (a float r where s is
+    0-d), vectorized over all points at once; its caller is the memo of
+    `ConformalRescaling.r_of_s`.
 
     Each point is bracketed by its panel [edges_r[j], edges_r[j+1]] and starts
     from the linear interpolant there; every sweep evaluates
@@ -565,7 +569,6 @@ def _arclength_inverse(u: RadialFunction, edges_r: Array, edges_s: Array,
     its arclength width is positive even where e^u is negligible.
     """
     eu = lambda x: np.exp(u(x))
-    s = np.asarray(s, dtype=float)
     if np.any(np.isnan(s)):
         raise ValueError("r_of_s: arclength is NaN")
     target = np.clip(np.atleast_1d(s).ravel(), 0.0, float(edges_s[-1]))
@@ -587,42 +590,71 @@ def _arclength_inverse(u: RadialFunction, edges_r: Array, edges_s: Array,
     return float(r[0]) if s.ndim == 0 else r.reshape(s.shape)
 
 
+_R_MEMO = 3         # r(s) inversions a rescaling keeps
+
+
 @dataclass(frozen=True)
 class ConformalRescaling:
     """g -> e^{2u} g realized as a reparametrized warped surface, with the
-    arclength s = int e^u dr of the panel edges `edges_r` in `edges_s`."""
+    arclength s = int e^u dr of the panel edges `edges_r` in `edges_s`.
+
+    It owns the only inversion r(s): `r_of_s` keeps the last `_R_MEMO`
+    distinct s (by exact shape and bytes) and returns read-only arrays, so
+    the target profile, `pullback` and the conformal push read one r(s).
+    """
 
     source: WarpedSurface
     u: RadialFunction
-    target: WarpedSurface
     edges_r: Array
     edges_s: Array
+    target: WarpedSurface = dc_field(init=False)
+
+    def __post_init__(self):
+        # lru_cache is thread-safe: aggregate may evaluate the profile on a pool
+        @functools.lru_cache(maxsize=_R_MEMO)
+        def inverse(shape: tuple, data: bytes) -> Array:
+            r = _arclength_inverse(self.u, self.edges_r, self.edges_s,
+                                   np.frombuffer(data).reshape(shape))
+            if shape:
+                r.flags.writeable = False
+            return r
+
+        object.__setattr__(self, "_inverse", inverse)
+        src, u = self.source, self.u
+        # target profile in the arclength coordinate s, via chain rule
+        prof = self._in_s(
+            lambda r: np.exp(u(r)) * src.f(r),
+            lambda r: u.d(r) * src.f(r) + src.fp(r),
+            lambda r: np.exp(-u(r)) * (u.d2(r) * src.f(r) + u.d(r) * src.fp(r)
+                                       + src.fpp(r)))
+        object.__setattr__(self, "target", WarpedSurface(
+            src.name + "|conformal", 0.0, float(self.edges_s[-1]), prof,
+            cap=src.cap, spin_structure=src.spin_structure,
+            profile_exact=src.profile_exact))
 
     def s_of_r(self, r) -> Array:
         return _arclength(self.u, self.edges_r, self.edges_s, r)
 
     def r_of_s(self, s) -> Array:
-        return _arclength_inverse(self.u, self.edges_r, self.edges_s, s)
+        s = np.asarray(s, dtype=float)
+        return self._inverse(s.shape, s.tobytes())
+
+    def _in_s(self, val, d1, d2) -> RadialFunction:
+        """The function of s whose value and first two s-derivatives are the
+        functions val, d1 and d2 of r, taken at r(s)."""
+        r_of_s = self.r_of_s
+        return RadialFunction(lambda s: val(r_of_s(s)), lambda s: d1(r_of_s(s)),
+                              lambda s: d2(r_of_s(s)))
 
     def pullback(self, g: RadialFunction) -> RadialFunction:
         """Transport a radial function to the target arclength coordinate.
 
         Derivatives use d/ds = e^{-u} d/dr.
         """
-        u, r_of_s = self.u, self.r_of_s
-
-        def val(s):
-            return g(r_of_s(s))
-
-        def d1(s):
-            r = r_of_s(s)
-            return g.d(r) * np.exp(-u(r))
-
-        def d2(s):
-            r = r_of_s(s)
-            return np.exp(-2 * u(r)) * (g.d2(r) - u.d(r) * g.d(r))
-
-        return RadialFunction(val, d1, d2)
+        u = self.u
+        return self._in_s(
+            g, lambda r: g.d(r) * np.exp(-u(r)),
+            lambda r: np.exp(-2 * u(r)) * (g.d2(r) - u.d(r) * g.d(r)))
 
 
 # The rescaled surface is computed with e^{+-u} and e^{+-2u} (the target
@@ -645,6 +677,11 @@ _LOG_INV_EPS = float(-np.log(np.finfo(float).eps))
 # times the estimate.
 LAW_TOL = 1e-8
 _LAW_SAFETY = 16.0
+# A sampled (`profile:`) surface is a cubic spline, whose f''' jumps at the
+# knots; `_law_roundoff` models the rate of variation of analytic profiles
+# only, so `verify` holds the laws to this looser tolerance there.  On the
+# sampled zone f = sin r with bump factors the residuals measured ~1e-15.
+PROFILE_LAW_TOL = 1e-4
 
 
 def _law_roundoff(surface: WarpedSurface, u: RadialFunction, x: Array,
@@ -702,7 +739,6 @@ def _arclength_edges(surface: WarpedSurface, u: RadialFunction,
 
 
 _N_PANELS = 512     # equal panels in r of the arclength table
-_R_MEMO = 3         # r(s) inversions a rescaled profile keeps
 
 
 def conformal_rescale(surface: WarpedSurface,
@@ -714,44 +750,10 @@ def conformal_rescale(surface: WarpedSurface,
     one vectorized Newton iteration bracketed by each point's panel (a few
     sweeps; see `_arclength_inverse`), to 1e-14 (1 + |r|) of a per-point
     brentq root; s outside [0, s_max] is clamped and NaN raises ValueError.
-    The target profile and its two derivatives share the inversions of the
-    last `_R_MEMO` distinct s (by exact shape and bytes), as read-only arrays.
+    The target profile and its two derivatives read r(s) from the
+    rescaling's memo (`ConformalRescaling.r_of_s`).
     """
-    edges_r, edges_s = _arclength_edges(surface, u, _N_PANELS)
-
-    # lru_cache is thread-safe: aggregate may evaluate the profile on a pool
-    @functools.lru_cache(maxsize=_R_MEMO)
-    def inverse(shape: tuple, data: bytes) -> Array:
-        r = _arclength_inverse(u, edges_r, edges_s,
-                               np.frombuffer(data).reshape(shape))
-        if shape:
-            r.flags.writeable = False
-        return r
-
-    def r_of(s):
-        s = np.asarray(s, dtype=float)
-        return inverse(s.shape, s.tobytes())
-
-    # target profile in the arclength coordinate s, via chain rule
-    def val(s):
-        r = r_of(s)
-        return np.exp(u(r)) * surface.f(r)
-
-    def d1(s):
-        r = r_of(s)
-        return u.d(r) * surface.f(r) + surface.fp(r)
-
-    def d2(s):
-        r = r_of(s)
-        g = (u.d2(r) * surface.f(r) + u.d(r) * surface.fp(r) + surface.fpp(r))
-        return np.exp(-u(r)) * g
-
-    prof = RadialFunction(val, d1, d2)
-    target = WarpedSurface(surface.name + "|conformal", 0.0, float(edges_s[-1]),
-                           prof, cap=surface.cap,
-                           spin_structure=surface.spin_structure,
-                           profile_exact=surface.profile_exact)
-    return ConformalRescaling(surface, u, target, edges_r, edges_s)
+    return ConformalRescaling(surface, u, *_arclength_edges(surface, u, _N_PANELS))
 
 
 def conformal_law_residuals(resc: ConformalRescaling, r: Array) -> dict:

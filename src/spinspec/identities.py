@@ -12,7 +12,9 @@ Conventions: the eigenvalue may be a constant or a radial function (needed
 after conformal rescaling, where D-bar psi-bar = lam e^{-u} psi-bar), the
 energy-momentum tensor and the Killing residual are only evaluated where
 |phi|^2 stays above a relative floor (zero-set exclusion, reported, never
-regularized).
+regularized).  An eigenspinor is pushed to a conformally rescaled surface
+once (`conformal_push`); the record it returns carries the pushed field and
+its eigenvalue, and eq3/eq4 read it.
 
 It also holds what the identities share with the bounds: the modifier pair
 (a, u) of the twisted connection, its curvatures R_{a,u} and R^_{a,u}
@@ -479,27 +481,26 @@ def _boundary_terms(field: SpinorField, mp: ModifierPair = ModifierPair(),
 
 def eq_residual(field: SpinorField, lam: float, which: str,
                 mp: ModifierPair = ModifierPair(),
-                rescaling: ConformalRescaling | None = None) -> IdentityReport:
+                push: ConformalPush | None = None) -> IdentityReport:
     """Residual of one of the displayed integral identities eq1 ... eq4.
 
     eq1/eq2 compare ∫ |grad^{a,u} phi|^2 (resp. the Q-twisted version)
     against the curvature/boundary side on the source surface.  eq3/eq4 do
     the same on the conformally rescaled surface: the left side is computed
-    entirely on the target geometry from the pushed spinor, the right side
-    on the source with the displayed e^{-u} weights and the verbatim
-    (a - (n-1)/2) boundary coefficient.
+    entirely on the target geometry from `push`, this field's
+    `conformal_push`, the right side on the source with the displayed
+    e^{-u} weights and the verbatim (a - (n-1)/2) boundary coefficient.
     """
     if which not in ("eq1", "eq2", "eq3", "eq4"):
         raise ValueError(f"unknown identity {which!r}")
     conformal = which in ("eq3", "eq4")
     if conformal:
-        if rescaling is None:
-            raise ValueError("eq3/eq4 need a ConformalRescaling")
-        side, _ = conformal_push(field, rescaling, lam)
-        side_mp = ModifierPair(rescaling.pullback(mp.a), rescaling.pullback(mp.u))
-        side_lam = lam * np.exp(-(rescaling.u(rescaling.r_of_s(side.r))))
+        if push is None:
+            raise ValueError("eq3/eq4 need the field's conformal push")
+        side, side_lam, resc = push.field, push.lam, push.rescaling
+        side_mp = ModifierPair(resc.pullback(mp.a), resc.pullback(mp.u))
         curvature = conformal_modified_scalar
-        w = np.exp(-rescaling.u(field.r))
+        w = np.exp(-resc.u(field.r))
     else:
         side, side_mp, side_lam = field, mp, lam
         curvature = modified_scalar
@@ -552,13 +553,26 @@ def killing_residual(field: SpinorField, lam: float,
 # conformal push-forward
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class ConformalPush:
+    """An eigenspinor pushed to a rescaled surface: the field on the target's
+    own grid, its eigenvalue lam e^{-u(r(s))} there, its eigen-residual and
+    the rescaling it was pushed by."""
+
+    field: SpinorField
+    lam: Array
+    residual: float
+    rescaling: ConformalRescaling
+
+
 def conformal_push(field: SpinorField, rescaling: ConformalRescaling,
-                   lam: float) -> tuple[SpinorField, float]:
+                   lam: float) -> ConformalPush:
     """Push an eigenspinor to the rescaled surface: psi = e^{-(n-1)u/2} phi.
 
-    Returns the pushed field on the target's own cell-centered grid and the
-    relative eigen-residual  |D-bar psi - lam e^{-u} psi| / |psi|  measured
-    with the target's discrete Dirac operator.
+    The pushed field lives on the target's own cell-centered grid; its
+    residual is the relative eigen-residual
+    |D-bar psi - lam e^{-u} psi| / |psi|  measured with the target's discrete
+    Dirac operator.
     """
     target = rescaling.target
     s_centers = target.centers(field.n_grid)
@@ -585,4 +599,4 @@ def conformal_push(field: SpinorField, rescaling: ConformalRescaling,
     resid = d_psi - lam_fn[:, None] * pushed.values
     num = volume_integral(pushed, np.sum(np.abs(resid) ** 2, axis=1))
     den = volume_integral(pushed, np.sum(np.abs(pushed.values) ** 2, axis=1))
-    return pushed, float(np.sqrt(num / den))
+    return ConformalPush(pushed, lam_fn, float(np.sqrt(num / den)), rescaling)

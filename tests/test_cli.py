@@ -420,6 +420,29 @@ def test_each_run_builds_its_surface_and_rescaling_once(command, tmp_path,
     assert counts == {"make_surface": 1, "conformal_rescale": 1}
 
 
+@pytest.mark.parametrize("bc", ["local+", "local+,aps-"])
+def test_verify_pushes_once_per_condition(bc, tmp_path, monkeypatch):
+    """`verify --conformal-u` pushes each condition's fundamental once, and
+    eq3/eq4 read that push.  On the checked-in conformal disk the
+    rescaling's memo leaves at most 6 inversions of r(s)."""
+    from spinspec import geometry, identities
+    counts = {"conformal_push": 0, "_arclength_inverse": 0}
+    for module, name in ((identities, "conformal_push"),
+                         (geometry, "_arclength_inverse")):
+        def counted(*args, _name=name, _fn=getattr(module, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["verify", "--config",
+                    os.path.join(here, "scenarios", "disk_conformal.json"),
+                    "--bc", bc, "--out", str(tmp_path)]) == 0
+    assert counts["conformal_push"] == len(bc.split(","))
+    if bc == "local+":
+        assert 0 < counts["_arclength_inverse"] <= 6
+
+
 def test_verify_and_bounds_share_the_friedrich_infimum(tmp_path):
     """R = 1/f falls toward the outer circle of this profile, so its
     infimum lies on the boundary, off every cell centre: verify's APS gap
@@ -939,31 +962,41 @@ def test_admission_refuses_before_allocating(command, override, tmp_path,
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-@pytest.mark.parametrize("form", ["config", "flag"])
+@pytest.mark.parametrize("form", ["config", "flag", "grid"])
 def test_condition_listed_twice_exits_2_before_any_solve(command, form,
                                                          tmp_path, capsys,
                                                          monkeypatch):
-    """A boundary condition listed twice, in the config or by --bc, would be
-    solved again and its file written twice: `validate` refuses it with one
-    line, exit 2, before any mode is assembled and without making --out."""
+    """A boundary condition listed twice, in the config or by --bc, or a
+    grid size listed twice by --N, would be solved again and its file
+    written twice: `validate` refuses it with one line, exit 2, before any
+    mode is assembled and without making --out.  `convergence_study`
+    refuses a repeated grid size too."""
     def assemble(*args):
         raise AssertionError("a mode was assembled")
 
     monkeypatch.setattr(dirac_core.ModeOperator, "__post_init__", assemble)
     out = tmp_path / "out"
-    argv = [command, "--geometry", "hemisphere", "--N", "64,80,96",
+    grid = "64,64,96" if form == "grid" else "64,80,96"
+    argv = [command, "--geometry", "hemisphere", "--N", grid,
             "--kmax", "2.5", "--out", str(out)]
     if form == "config":
         cfg = tmp_path / "twice.json"
         cfg.write_text(json.dumps({"bc": ["aps-", "local+", "aps-"]}))
         argv += ["--config", str(cfg)]
-    else:
+    elif form == "flag":
         argv += ["--bc", "local+,local+"]
     assert run(argv) == 2
     twice = "aps-" if form == "config" else "local+"
     assert capsys.readouterr().err.splitlines() == [
+        "config error: grid sizes must be strictly ascending and at least 16"
+        if form == "grid" else
         f"config error: boundary condition {twice!r} is listed twice"]
     assert not out.exists()
+    if form == "grid":
+        with pytest.raises(ConfigError, match="strictly ascending"):
+            dirac_core.convergence_study(
+                make_surface("disk"), dirac_core.BoundaryConditionSpec("local+"),
+                [16, 16, 16])
 
 
 def test_spectrum_work_cap_spares_the_other_commands(tmp_path):

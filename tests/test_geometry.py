@@ -75,7 +75,7 @@ def test_domain_slack_is_relative_at_the_ends_of_the_scale_range(end):
     assert np.all(np.isfinite(scalar_curvature(target, _grid(target, 32))))
     pair = aggregate(surface, BoundaryConditionSpec("local+"), 0.5, 32,
                      n_levels=1).fundamental
-    conformal_push(pair.field, resc, pair.lam)
+    assert conformal_push(pair.field, resc, pair.lam).field.surface is target
     for surf in (surface, target):
         step = 1e-9 * surf.length
         for r in (surf.r_min - step, surf.r_max + step):
@@ -337,10 +337,11 @@ def _counted_inversions(monkeypatch) -> list:
 
 
 def test_rescaled_profile_shares_a_few_inversions(monkeypatch):
-    """The target profile and its two derivatives at one s share one
-    inversion of r(s), kept read-only and bit for bit a fresh inversion.
-    Only the last _R_MEMO distinct inputs, by exact shape and bytes, are
-    kept: a new shape or -0.0 for 0.0 is a miss, and the oldest goes."""
+    """The target profile and its two derivatives, `r_of_s` and a pullback
+    at one s share one inversion of r(s), kept read-only and bit for bit a
+    fresh inversion.  Only the last _R_MEMO distinct inputs, by exact shape
+    and bytes, are kept: a new shape or -0.0 for 0.0 is a miss, and the
+    oldest goes."""
     seen = []
 
     def recorded(fn):
@@ -350,45 +351,55 @@ def test_rescaled_profile_shares_a_few_inversions(monkeypatch):
     u = RadialFunction(recorded(bump), recorded(bump.d), recorded(bump.d2))
     resc = conformal_rescale(make_surface("disk"), u)
     target, n = resc.target, geometry._R_MEMO
+    u_t = resc.pullback(u)
+
+    def r_of_s(s):
+        seen.append(resc.r_of_s(s))
+
     grids = [np.linspace(0.0, target.r_max, 33 + i) for i in range(n)]
     fresh = [geometry._arclength_inverse(u, resc.edges_r, resc.edges_s, s)
              for s in grids]
     calls = _counted_inversions(monkeypatch)
     for s, ref in zip(grids, fresh):
-        for fn in (target.f, target.fp, target.fpp, target.f):
+        for fn in (target.f, target.fp, r_of_s, target.fpp, u_t, u_t.d,
+                   u_t.d2, target.f):
             fn(s)
             assert np.array_equal(seen[-1], ref)
             assert not seen[-1].flags.writeable
     assert len(calls) == n
     signed = np.where(grids[0] == 0.0, -0.0, grids[0])
-    target.f(signed)
+    r_of_s(signed)
     target.f(grids[0].reshape(1, -1))
     assert len(calls) == n + 2
-    target.f(grids[-1])                 # still kept
+    u_t(grids[-1])                      # still kept
     assert len(calls) == n + 2
-    target.f(grids[0])                  # pushed out
+    resc.r_of_s(grids[0])               # pushed out
     assert len(calls) == n + 3
     x = target.f(0.5)                   # a scalar s: a float r, kept too
     assert np.ndim(x) == 0 and target.f(0.5) == x and len(calls) == n + 4
+    assert resc.r_of_s(0.5) == seen[-1] and len(calls) == n + 4
 
 
 def test_rescaled_profile_memo_is_safe_on_threads():
-    """Threads sharing one rescaled profile, as aggregate's pool does, get
-    the values of fresh inversions, with more threads than cores and the
-    interpreter switching threads every microsecond."""
+    """Threads sharing one rescaling, as aggregate's pool does with its
+    profile, get the values of fresh inversions from the profile, `r_of_s`
+    and a pullback, with more threads than cores and the interpreter
+    switching threads every microsecond."""
     disk, bump = make_surface("disk"), parse_radial_spec("bump:0.3", 0.0, 1.0)
-    target = conformal_rescale(disk, bump).target
+    resc = conformal_rescale(disk, bump)
+    target, u_t = resc.target, resc.pullback(bump)
     grids = [np.linspace(0.0, target.r_max, 17 + i) for i in range(8)]
-    ref = conformal_rescale(disk, bump).target
-    expected = [(ref.f(s), ref.fp(s)) for s in grids]
+    ref = conformal_rescale(disk, bump)
+    expected = [(ref.target.f(s), ref.target.fp(s), ref.r_of_s(s),
+                 ref.pullback(bump).d(s)) for s in grids]
     wrong = []
 
     def work(seed):
         order = np.random.default_rng(seed).permutation(40) % len(grids)
         for i in order:
-            f, fp = target.f(grids[i]), target.fp(grids[i])
-            if not (np.array_equal(f, expected[i][0])
-                    and np.array_equal(fp, expected[i][1])):
+            got = (target.f(grids[i]), target.fp(grids[i]),
+                   resc.r_of_s(grids[i]), u_t.d(grids[i]))
+            if not all(map(np.array_equal, got, expected[i])):
                 wrong.append(i)
 
     interval = sys.getswitchinterval()

@@ -243,7 +243,7 @@ def test_eq_identities_second_order(geom, which, solved):
 
 def test_eq3_requires_rescaling(solved):
     sp = solved("disk", "local+", k_max=0.5, N=64)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="conformal push"):
         eq_residual(sp.fundamental.field, sp.fundamental.lam, "eq3")
     with pytest.raises(ValueError):
         eq_residual(sp.fundamental.field, sp.fundamental.lam, "eq9")
@@ -299,12 +299,13 @@ def test_conformal_push_identity(solved):
     disk = make_surface("disk")
     sp = solved("disk", "local+", k_max=0.5, N=128)
     resc = conformal_rescale(disk, RadialFunction.constant(0.0))
-    pushed, res = conformal_push(sp.fundamental.field, resc,
-                                 sp.fundamental.lam)
+    push = conformal_push(sp.fundamental.field, resc, sp.fundamental.lam)
     src = sp.fundamental.field.values
-    match = np.max(np.abs(pushed.values - src)) / np.max(np.abs(src))
+    match = np.max(np.abs(push.field.values - src)) / np.max(np.abs(src))
     assert match <= 1e-6   # same grid up to the identity reparametrization
-    assert res <= 1e-3     # the eigen-residual of the field itself
+    assert push.residual <= 1e-3   # the eigen-residual of the field itself
+    assert push.rescaling is resc and push.field.surface is resc.target
+    assert np.all(push.lam == sp.fundamental.lam)   # lam e^{-u}, u = 0
 
 
 def test_conformal_push_homothety_scales_spectrum():
@@ -335,8 +336,8 @@ def test_conformal_push_residual_second_order(solved):
     res = {}
     for N in (64, 128, 256):
         sp = solved("disk", "local+", k_max=0.5, N=N)
-        _, res[N] = conformal_push(sp.fundamental.field, resc,
-                                   sp.fundamental.lam)
+        res[N] = conformal_push(sp.fundamental.field, resc,
+                                sp.fundamental.lam).residual
     orders = (np.log2(res[64] / res[128]), np.log2(res[128] / res[256]))
     assert min(orders) >= 1.8 and max(orders) <= 2.3
     assert abs(np.mean(orders) - 2.0) <= 0.25
@@ -351,7 +352,7 @@ def test_conformal_integral_identities_second_order(which, solved):
     res = {}
     for N in (128, 256):
         sp = solved("disk", "local+", k_max=0.5, N=N)
-        rep = eq_residual(sp.fundamental.field, sp.fundamental.lam, which, mp,
-                          rescaling=resc)
+        f, lam = sp.fundamental.field, sp.fundamental.lam
+        rep = eq_residual(f, lam, which, mp, push=conformal_push(f, resc, lam))
         res[N] = rep.residual
     assert np.log2(res[128] / res[256]) >= 1.8
