@@ -13,7 +13,7 @@ The wrappers do with their arguments what scipy 1.17's scipy.linalg does on
 the paths spinspec takes (tests/test_lapack.py holds scipy as the oracle):
 
 * `eigvalsh_tridiagonal` : sterf for every eigenvalue; stebz for those in
-  a value range or an index range,
+  a value range,
 * `eigh_tridiagonal`     : stebz + stein for the vectors in a value range,
 * `hessenberg`           : zgehrd + zunghr with calc_q=True (no balancing),
 * `solve_tridiagonal`    : solve_banded's gtsv branch, l = u = 1,
@@ -123,22 +123,17 @@ def _finite(*arrays) -> None:
             raise ValueError("array must not contain infs or NaNs")
 
 
-def _stebz(d: Array, e: Array, select: str, select_range, order: str
+def _stebz(d: Array, e: Array, select_range, order: str
            ) -> tuple[Array, Array, Array]:
-    """dstebz on a value range (vl, vu] ('v') or an index range [il, iu]
-    counted from 0 ('i'): the eigenvalues, then their blocks and the block
-    ends for stein."""
+    """dstebz on the value range (vl, vu]: the eigenvalues, then their
+    blocks and the block ends for stein."""
     n = len(d)
-    vl, vu, il, iu = 0.0, 1.0, 1, 1
-    if select == "v":
-        vl, vu = (float(v) for v in select_range)
-    else:
-        il, iu = (int(i) + 1 for i in select_range)
+    vl, vu = (float(v) for v in select_range)
     w = np.empty(n)
     iblock = np.empty(n, _INT_DTYPE)
     isplit = np.empty(n, _INT_DTYPE)
     m, nsplit = _INT(0), _INT(0)
-    info = _call("dstebz", select.upper(), order, n, vl, vu, il, iu, 0.0,
+    info = _call("dstebz", "V", order, n, vl, vu, 1, 1, 0.0,
                  d, e, ctypes.byref(m), ctypes.byref(nsplit), w, iblock,
                  isplit, np.empty(4 * n), np.empty(3 * n, _INT_DTYPE))
     _check_info(info, "stebz (eigh_tridiagonal)")
@@ -158,10 +153,10 @@ def eigvalsh_tridiagonal(d, e, select: str = "a",
                          select_range=None) -> Array:
     """Eigenvalues of the real symmetric tridiagonal (d, e), ascending:
     every one by dsterf ('a'), or by dstebz those in the value range
-    (vl, vu] ('v') or with the indices il..iu counted from 0 ('i')."""
+    (vl, vu] ('v')."""
     d, e = _tridiagonal(d, e)
     if select != "a":
-        return _stebz(d, e, select, select_range, "E")[0]
+        return _stebz(d, e, select_range, "E")[0]
     w, work = d.copy(), e.copy()
     _check_info(_call("dsterf", len(d), w, work), "sterf (eigh_tridiagonal)")
     return w
@@ -172,7 +167,7 @@ def eigh_tridiagonal(d, e, select_range) -> tuple[Array, Array]:
     ascending, and their unit eigenvectors as columns: dstebz by blocks,
     then dstein."""
     d, e = _tridiagonal(d, e)
-    w, iblock, isplit = _stebz(d, e, "v", select_range, "B")
+    w, iblock, isplit = _stebz(d, e, select_range, "B")
     n, m = len(d), len(w)
     z = np.empty((n, m), order="F")
     info = _call("dstein", n, d, e, m, w, iblock, isplit, z, max(n, 1),

@@ -27,10 +27,9 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import identities as ident
-from .dirac_core import (CONVERGENCE_KMAX, FUNDAMENTAL_LEVELS,
-                         BoundaryConditionSpec, NumericalError, Spectrum,
-                         aggregate, convergence_study)
-from .geometry import (LAW_TOL, PROFILE_LAW_TOL, ConfigError,
+from .dirac_core import (FUNDAMENTAL_LEVELS, BoundaryConditionSpec,
+                         NumericalError, Spectrum, aggregate)
+from .geometry import (LAW_TOL, ConfigError,
                        ConformalRescaling, WarpedSurface, catalog,
                        check_input_file, conformal_law_residuals,
                        conformal_rescale, make_surface, parse_radial_spec)
@@ -94,7 +93,7 @@ def _check_type(name: str, value, kind) -> None:
 MAX_KMAX = 1000.0
 MAX_N = 2 ** 18               # radial cells of one grid, O(N) memory per solve
 MAX_BUDGET = 10 ** 5          # optimizer evaluations, each one kept in a trace
-MAX_CELLS = 2 ** 20           # modes x sum of N: the levels held
+MAX_CELLS = 2 ** 20           # modes x sum of the grids a command solves
 MAX_SPECTRUM_WORK = 2 ** 30   # |k| solved x sum of N^2 in `spectrum`, where
                               # every eigenvalue costs O(N): about 100 s
 MAX_CONFIG_BYTES = 2 ** 20    # a scenario config file
@@ -103,6 +102,8 @@ MAX_CONFIG_BYTES = 2 ** 20    # a scenario config file
 # is 1e-10 max(scale, 1)), so far outside it their results mean nothing: a
 # cylinder of length 1e200 gave levels of 1e-199 and no eigenvectors.
 SCALE_RANGE = (1e-6, 1e6)
+CONVERGENCE_KMAX = 2.5    # the largest |k| `convergence` solves
+DRIFT_TOL = 1e-3          # |lambda_min| drift of a converged ladder
 _TMP_PREFIX = ".tmp-spinspec-"  # atomic_write's, before 8 random characters
 
 # JSON type of each Scenario field: a list holds items of the one type given
@@ -181,25 +182,40 @@ class Scenario:
                 self.conformal_u, surface.r_min, surface.r_max))
         _admit_out(self.out, max((_out_name(command, bc, N) for bc in self.bc
                                   for N in self.N), key=len))
+        if command == "convergence" and len(self.N) < 3:   # an order needs 3
+            raise ConfigError("convergence study needs at least 3 grid sizes")
         return surface, resc
 
     def _admit(self, command: str) -> None:
-        """Refuse kmax and N past the caps, from counts alone: |k| <= kmax
-        holds at most floor(kmax + 1/2) + 1 wave numbers of either sign."""
+        """Refuse kmax and N past the caps, from counts alone and for what
+        `command` solves (`_plan`): |k| <= k_max holds at most
+        floor(k_max + 1/2) + 1 wave numbers of either sign."""
         if self.kmax > MAX_KMAX:
             raise ConfigError(f"kmax {self.kmax:g} exceeds the cap {MAX_KMAX:g}")
         if max(self.N) > MAX_N:
             raise ConfigError(f"grid size {max(self.N)} exceeds the cap {MAX_N}")
-        n_abs = math.floor(self.kmax + 0.5) + 1
-        cells = 2 * n_abs * sum(self.N)
+        grids, k_max, _ = _plan(self, command)
+        n_abs = math.floor(k_max + 0.5) + 1
+        cells = 2 * n_abs * sum(grids)
         if cells > MAX_CELLS:
-            raise ConfigError(f"kmax {self.kmax:g} with N {self.N} holds about "
+            raise ConfigError(f"kmax {k_max:g} with N {grids} holds about "
                               f"{cells:.3g} mode cells; the cap is {MAX_CELLS}")
-        work = n_abs * sum(N * N for N in self.N)
+        work = n_abs * sum(N * N for N in grids)
         if command == "spectrum" and work > MAX_SPECTRUM_WORK:
-            raise ConfigError(f"kmax {self.kmax:g} with N {self.N} is about "
+            raise ConfigError(f"kmax {k_max:g} with N {grids} is about "
                               f"{work:.3g} spectrum work; the cap is "
                               f"{MAX_SPECTRUM_WORK}")
+
+
+def _plan(sc: Scenario, command: str) -> tuple[list, float, int | None]:
+    """What `command` solves: its grids, its largest |k| and its levels per
+    mode (None: all).  `verify` and `bounds` need only the fundamental of
+    the finest grid; `convergence` only each grid's lowest level."""
+    if command == "spectrum":
+        return sc.N, sc.kmax, None
+    if command == "convergence":
+        return sc.N, min(sc.kmax, CONVERGENCE_KMAX), 1
+    return sc.N[-1:], sc.kmax, FUNDAMENTAL_LEVELS
 
 
 def _admit_scale(surface: WarpedSurface) -> None:
@@ -288,21 +304,21 @@ def _warn_top(top: float, hint: str = "increase --kmax") -> str:
             f"solved; {hint}")
 
 
-def _spectra(sc: Scenario, surface: WarpedSurface, Ns: list, err: list,
-             n_levels: int | None = None):
-    """(condition name, Spectrum) per entry of sc.bc, then per grid of Ns,
-    n_levels levels per mode (None: all).  A local condition whose twin was
-    solved on that grid is that solve negated (Spectrum.negated).  A
-    spectrum whose lambda_min sits on its top mode adds the warning to err."""
+def _spectra(sc: Scenario, surface: WarpedSurface, command: str, err: list):
+    """(condition name, Spectrum) per entry of sc.bc, then per grid of
+    `command`'s plan (`_plan`).  A local condition whose twin was solved on
+    that grid is that solve negated (Spectrum.negated).  A spectrum whose
+    lambda_min sits on its top mode adds the warning to err."""
+    grids, k_max, n_levels = _plan(sc, command)
     local = {}                # N -> the last local+- Spectrum of this call
     for bc_name in sc.bc:
         bc = BoundaryConditionSpec(bc_name)
-        for N in Ns:
+        for N in grids:
             twin = local.get(N) if bc.is_local else None
             if twin is not None and twin.bc != bc:
                 sp = twin.negated()
             else:
-                sp = aggregate(surface, bc, sc.kmax, N, n_levels)
+                sp = aggregate(surface, bc, k_max, N, n_levels)
             if bc.is_local:
                 local[N] = sp
             if sp.kmax_attained:
@@ -311,14 +327,14 @@ def _spectra(sc: Scenario, surface: WarpedSurface, Ns: list, err: list,
 
 
 def _cmd_spectrum(sc: Scenario, surface: WarpedSurface, _, err: list) -> int:
-    for i, (bc_name, sp) in enumerate(_spectra(sc, surface, sc.N, err)):
+    for i, (bc_name, sp) in enumerate(_spectra(sc, surface, "spectrum", err)):
         _write(sc, _out_name("spectrum", bc_name, sp.n_grid),
                _spectrum_csv(sp.levels),
                f" (lambda_min = {fmt(sp.lambda_min)}, "
                f"attained at k = {fmt(sp.k_min)})")
         # |lambda_min| against the previous grid of this entry of sc.bc, as
-        # in convergence_study: under local+- the fundamental level is an
-        # exact +-lambda tie between modes +-k, settled on k = -1/2 by the
+        # in convergence: under local+- the fundamental level is an exact
+        # +-lambda tie between modes +-k, settled on k = -1/2 by the
         # ordering, not by the level's sign
         if i % len(sc.N):
             print(f"  drift vs previous N: "
@@ -358,8 +374,7 @@ def _identity_reports(sp: Spectrum, resc: ConformalRescaling | None
 
     if resc is not None:
         laws = conformal_law_residuals(resc, field.r)
-        law_tol = {"tolerance": LAW_TOL if surface.profile_exact
-                   else PROFILE_LAW_TOL}
+        law_tol = {"tolerance": LAW_TOL}
         reports = [ident.IdentityReport(f"conformal_law_{name}",
                                         float(np.max(np.abs(laws[name]))),
                                         0.0, N, extra=law_tol)
@@ -381,8 +396,7 @@ def _identity_reports(sp: Spectrum, resc: ConformalRescaling | None
 def _cmd_verify(sc: Scenario, surface: WarpedSurface,
                 resc: ConformalRescaling | None, err: list) -> int:
     failures = []
-    for bc_name, sp in _spectra(sc, surface, sc.N[-1:], err,
-                                FUNDAMENTAL_LEVELS):
+    for bc_name, sp in _spectra(sc, surface, "verify", err):
         rows = _identity_reports(sp, resc)
         _write(sc, _out_name("verify", bc_name),
                "\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n")
@@ -413,8 +427,7 @@ def _cmd_bounds(sc: Scenario, surface: WarpedSurface, _, err: list) -> int:
         summary = {"interior": res_i.summary(), "conformal": res_c.summary()}
     else:
         mp = mpc = bounds_mod.canned_modifiers(surface)
-    for bc_name, sp in _spectra(sc, surface, sc.N[-1:], err,
-                                FUNDAMENTAL_LEVELS):
+    for bc_name, sp in _spectra(sc, surface, "bounds", err):
         report = bounds_mod.evaluate_bounds(sp, mp, mpc,
                                             tol_report=sc.tol_report,
                                             optimizer_summary=summary)
@@ -437,19 +450,29 @@ def _cmd_bounds(sc: Scenario, surface: WarpedSurface, _, err: list) -> int:
 
 
 def _cmd_convergence(sc: Scenario, surface: WarpedSurface, _, err: list) -> int:
+    """Per condition, |lambda_min| on each grid (the fundamental level often
+    comes as a +-pair), the Richardson order from each three grids, and
+    whether the last two drift by less than DRIFT_TOL."""
+    # the ladder warns once per condition, with its own hint, not per grid
+    ladders = _spectra(sc, surface, "convergence", [])
     for bc_name in sc.bc:
-        bc = BoundaryConditionSpec(bc_name)
-        table = convergence_study(surface, bc, list(sc.N),
-                                  k_max=min(sc.kmax, CONVERGENCE_KMAX))
+        spectra = [next(ladders)[1] for _ in sc.N]
+        lams = [abs(sp.lambda_min) for sp in spectra]
         lines = ["N,lambda_min,order,converged"]
-        for row in table:
-            lines.append(f"{row['N']},{fmt(row['lambda_min'])},"
-                         f"{fmt(row['order'])},{fmt(row['converged'])}")
-        _write(sc, _out_name("convergence", bc_name),
-               "\n".join(lines) + "\n")
+        for i, (sp, lam) in enumerate(zip(spectra, lams)):
+            order = None
+            if i >= 2:
+                d1, d2 = abs(lams[i - 1] - lams[i - 2]), abs(lam - lams[i - 1])
+                if d2 > 0 and d1 > 0:
+                    order = float(np.log(d1 / d2) / np.log(
+                        sp.n_grid / spectra[i - 1].n_grid))
+            converged = i == len(lams) - 1 and abs(lam - lams[i - 1]) < DRIFT_TOL
+            lines.append(f"{sp.n_grid},{fmt(lam)},{fmt(order)},"
+                         f"{fmt(converged)}")
+        _write(sc, _out_name("convergence", bc_name), "\n".join(lines) + "\n")
         # no "increase --kmax": past CONVERGENCE_KMAX it would add no mode
-        if any(row["kmax_attained"] for row in table):
-            err.append(_warn_top(table[0]["k_top"], "convergence solves "
+        if any(sp.kmax_attained for sp in spectra):
+            err.append(_warn_top(spectra[0].k_top, "convergence solves "
                                  f"|k| <= min(kmax, {CONVERGENCE_KMAX:g})"))
     return 0
 

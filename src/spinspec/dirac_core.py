@@ -627,12 +627,12 @@ class ModeOperator:
         order = np.argsort(np.abs(vals), kind="stable")
         zeros, rest = vals[order[:n_zero]], vals[order[n_zero:]]
         if struct is not None and struct[1] == "spurious":
-            # spurious zeros need a bipartite operator, whose spectrum is
-            # symmetric: the top eigenvalue is the spectral radius
-            radius = float(np.max(np.abs(vals))) if full else float(
-                eigvalsh_tridiagonal(d, e, select="i",
-                                     select_range=(n - 1, n - 1))[0])
-            tol0 = 1e-8 * max(1.0, radius)
+            # the largest column norm of the tridiagonal form: a lower bound
+            # of its spectral radius, O(n) on either path
+            col = np.square(d)
+            col[1:] += np.square(e)
+            col[:-1] += np.square(e)
+            tol0 = 1e-8 * max(1.0, float(np.sqrt(np.max(col))))
             if np.any(np.abs(zeros) > tol0):
                 raise NumericalError(
                     "expected exact structural kernel, found "
@@ -921,45 +921,3 @@ def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
         finally:
             pool.shutdown(cancel_futures=True)
     return _spectrum(surface, bc, N, max(by_abs), levels, n_levels)
-
-
-# ---------------------------------------------------------------------------
-# convergence studies
-# ---------------------------------------------------------------------------
-
-DRIFT_TOL = 1e-3          # |lambda_min| drift of a converged convergence study
-CONVERGENCE_KMAX = 2.5    # the largest |k| a convergence study solves
-
-
-def convergence_study(surface: WarpedSurface, bc: BoundaryConditionSpec,
-                      Ns: list[int], k_max: float = CONVERGENCE_KMAX
-                      ) -> list[dict]:
-    """|lambda_min| versus N with Richardson order estimates.
-
-    The magnitude is tracked because the fundamental level often comes as a
-    +-pair.  Only the lowest level of each mode is computed.  Needs at least
-    three strictly ascending grid sizes for an order estimate; the
-    'converged' flag records drift below DRIFT_TOL between the last two,
-    'k_top' and 'kmax_attained' that grid's Spectrum.k_top and
-    .kmax_attained.
-    """
-    if len(Ns) < 3:
-        raise ConfigError("convergence study needs at least 3 grid sizes")
-    if sorted(set(Ns)) != list(Ns):
-        raise ConfigError("grid sizes must be strictly ascending")
-    spectra = [aggregate(surface, bc, k_max, N, n_levels=1) for N in Ns]
-    lams = [abs(sp.lambda_min) for sp in spectra]
-    rows = []
-    for i, (N, lam, sp) in enumerate(zip(Ns, lams, spectra)):
-        order = None
-        if i >= 2:
-            d1 = abs(lams[i - 1] - lams[i - 2])
-            d2 = abs(lams[i] - lams[i - 1])
-            if d2 > 0 and d1 > 0:
-                order = float(np.log(d1 / d2)
-                              / np.log(Ns[i] / Ns[i - 1]))
-        converged = i == len(Ns) - 1 and abs(lams[i] - lams[i - 1]) < DRIFT_TOL
-        rows.append({"N": N, "lambda_min": lam, "order": order,
-                     "converged": bool(converged),
-                     "k_top": sp.k_top, "kmax_attained": sp.kmax_attained})
-    return rows

@@ -476,15 +476,27 @@ def test_spectrum_drift_ignores_the_sign_tie(tmp_path, capsys):
     assert all(d < 0.05 for d in drifts)
 
 
-def test_convergence_subcommand(tmp_path):
-    out = str(tmp_path / "cv")
+def test_convergence_subcommand(tmp_path, capsys):
+    """The disk's ladder at kmax 1/2: no order on the first two rows, a
+    second-order estimate on the third, converged only on the last row;
+    the fundamental sits on the top mode |k| = 1/2, one warning line.
+    Grids out of order are refused, exit 2."""
+    out = tmp_path / "cv"
     assert run(["convergence", "--geometry", "disk", "--bc", "local+",
-                "--N", "32,64,128", "--kmax", "0.5", "--out", out]) == 0
-    lines = read(os.path.join(out, "convergence_localplus.csv")).splitlines()
+                "--N", "32,64,128", "--kmax", "0.5", "--out", str(out)]) == 0
+    lines = read(out / "convergence_localplus.csv").splitlines()
     assert lines[0] == "N,lambda_min,order,converged"
-    last = lines[-1].split(",")
-    assert 1.7 <= float(last[2]) <= 2.4
-    assert last[3] == "1"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == ["32", "64", "128"]
+    assert rows[0][2] == rows[1][2] == ""
+    assert 1.7 <= float(rows[2][2]) <= 2.4
+    assert [row[3] for row in rows] == ["0", "0", "1"]
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: lambda_min attained at |k| = 0.5, the largest mode "
+        "solved; convergence solves |k| <= min(kmax, 2.5)"]
+    assert run(["convergence", "--geometry", "disk", "--N", "64,32,128",
+                "--out", str(tmp_path / "bad")]) == 2
+    assert "strictly ascending" in capsys.readouterr().err
 
 
 def test_convergence_warns_when_its_top_mode_is_attained(tmp_path, capsys):
@@ -969,8 +981,8 @@ def test_condition_listed_twice_exits_2_before_any_solve(command, form,
     """A boundary condition listed twice, in the config or by --bc, or a
     grid size listed twice by --N, would be solved again and its file
     written twice: `validate` refuses it with one line, exit 2, before any
-    mode is assembled and without making --out.  `convergence_study`
-    refuses a repeated grid size too."""
+    mode is assembled and without making --out.  A ladder of three with a
+    repeated size is refused for `convergence` too."""
     def assemble(*args):
         raise AssertionError("a mode was assembled")
 
@@ -994,18 +1006,81 @@ def test_condition_listed_twice_exits_2_before_any_solve(command, form,
     assert not out.exists()
     if form == "grid":
         with pytest.raises(ConfigError, match="strictly ascending"):
-            dirac_core.convergence_study(
-                make_surface("disk"), dirac_core.BoundaryConditionSpec("local+"),
-                [16, 16, 16])
+            Scenario(geometry="disk", N=[16, 16, 16],
+                     out=str(out)).validate("convergence")
 
 
 def test_spectrum_work_cap_spares_the_other_commands(tmp_path):
     """`spectrum` costs O(N^2) per mode, the other commands O(N): the same
-    grid is refused for the one and admitted for the others."""
-    sc = Scenario(geometry="disk", kmax=30.5, N=[8192])
+    grids (three, as `convergence` needs) are refused for the one and
+    admitted for the others."""
+    sc = Scenario(geometry="disk", kmax=30.5, N=[2048, 4096, 8192],
+                  out=str(tmp_path))
     with pytest.raises(ConfigError, match="spectrum work"):
         sc.validate("spectrum")
     for command in ("verify", "bounds", "convergence"):
+        sc.validate(command)
+
+
+def test_validate_admits_what_each_command_solves(tmp_path, monkeypatch):
+    """Admission counts the grids and the |k| range a command solves:
+    `convergence` solves |k| <= 2.5 whatever kmax, `verify` and `bounds`
+    the finest grid only.  These inputs hold too many mode cells for
+    `spectrum`, which solves every grid to kmax, and are admitted for the
+    commands that solve less, without a mode assembled."""
+    def assemble(*args):
+        raise AssertionError("a mode was assembled")
+
+    monkeypatch.setattr(dirac_core.ModeOperator, "__post_init__", assemble)
+    ladder = Scenario(geometry="disk", kmax=12.5, N=[16384, 32768, 65536],
+                      out=str(tmp_path))
+    finest = Scenario(geometry="disk", kmax=12.5,
+                      N=[1024, 2048, 4096, 8192, 16384, 32768],
+                      out=str(tmp_path))
+    for sc, commands in ((ladder, ["convergence"]),
+                         (finest, ["verify", "bounds"])):
+        with pytest.raises(ConfigError, match="mode cells"):
+            sc.validate("spectrum")
+        for command in commands:
+            sc.validate(command)
+
+
+@pytest.mark.parametrize("command, kmax, coarse, n_abs", [
+    ("verify", 1.5, [16], 3), ("bounds", 1.5, [16], 3),
+    ("convergence", 12.5, [16, 32], 4)])
+def test_admission_refuses_the_cells_a_command_solves(command, kmax, coarse,
+                                                      n_abs, tmp_path):
+    """2 (floor(k_max + 1/2) + 1) sum(grids) <= MAX_CELLS over the grids and
+    the |k| range `command` solves: n_abs = floor(k_max + 1/2) + 1 is 3 for
+    |k| <= 1.5 and 4 for convergence's |k| <= 2.5.  The solved grids may
+    hold MAX_CELLS cells and not one grid cell more; the coarse grids count
+    for convergence only."""
+    solved = cli.MAX_CELLS // (2 * n_abs) - (
+        sum(coarse) if command == "convergence" else 0)
+    Scenario(geometry="disk", kmax=kmax, N=coarse + [solved],
+             out=str(tmp_path)).validate(command)
+    with pytest.raises(ConfigError, match="mode cells; the cap is"):
+        Scenario(geometry="disk", kmax=kmax, N=coarse + [solved + 1],
+                 out=str(tmp_path)).validate(command)
+
+
+def test_two_grid_convergence_exits_2_before_any_solve(tmp_path, capsys,
+                                                       monkeypatch):
+    """An order estimate needs three grids: `validate("convergence")`
+    refuses two with one line, exit 2, before any mode is assembled and
+    without making --out; the other commands take two grids."""
+    def assemble(*args):
+        raise AssertionError("a mode was assembled")
+
+    monkeypatch.setattr(dirac_core.ModeOperator, "__post_init__", assemble)
+    out = tmp_path / "out"
+    assert run(["convergence", "--geometry", "disk", "--N", "32,64",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: convergence study needs at least 3 grid sizes"]
+    assert not out.exists()
+    sc = Scenario(geometry="disk", N=[32, 64], out=str(out))
+    for command in ("spectrum", "verify", "bounds"):
         sc.validate(command)
 
 
@@ -1027,16 +1102,18 @@ def test_local_minus_spectrum_alone_matches_the_shared_solve(tmp_path):
 
 
 @pytest.mark.parametrize("order", ["local+,local-", "local-,aps-,local+"])
-@pytest.mark.parametrize("command", ["spectrum", "verify", "bounds"])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_local_pair_shares_its_solve_in_every_command(command, order, tmp_path,
                                                       monkeypatch):
     """A run with both local conditions writes, file for file, the bytes of
     the one-condition runs (bounds_summary.csv: their rows, in order).  The
     second local condition is the first one's solve negated: each |k| of
-    the pair is solved once per grid (3 |k| on the disk at kmax 2.5), and
-    verify and bounds add one fundamental re-solve per condition."""
+    the pair is solved once per grid (3 |k| on the disk at kmax 2.5, so
+    convergence --bc local+,local- makes 9 solves, not 18), and verify and
+    bounds, which solve the last grid, add one fundamental re-solve per
+    condition."""
     conditions = order.split(",")
-    base = [command, "--geometry", "disk", "--N", "32,64", "--kmax", "2.5"]
+    base = [command, "--geometry", "disk", "--N", "32,48,64", "--kmax", "2.5"]
     real, fields = dirac_core.solve_mode, []
 
     def counted(*args, **kwargs):
@@ -1047,10 +1124,10 @@ def test_local_pair_shares_its_solve_in_every_command(command, order, tmp_path,
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(base + ["--bc", order, "--out", str(tmp_path / "all")]) == 0
     native = len({bc[:5] for bc in conditions})   # "local" and "aps-"
-    grids = 2 if command == "spectrum" else 1
+    grids = 1 if command in ("verify", "bounds") else 3
     assert fields.count(0) == 3 * grids * native
     assert fields.count(dirac_core.FUNDAMENTAL_LEVELS) == (
-        0 if command == "spectrum" else len(conditions))
+        0 if command in ("spectrum", "convergence") else len(conditions))
     assert len(fields) == fields.count(0) + fields.count(
         dirac_core.FUNDAMENTAL_LEVELS)
 
@@ -1077,8 +1154,6 @@ def test_local_pair_shares_its_solve_in_every_command(command, order, tmp_path,
     ("probe", "eigvalsh_tridiagonal", "clear_of", "verify", "disk", "local+"),
     ("sturm_window", "eigvalsh_tridiagonal", "_low_values", "verify", "disk",
      "local+"),
-    ("radius", "eigvalsh_tridiagonal", "eigensystem", "verify", "hemisphere",
-     "aps-"),
     ("eigenvectors", "eigh_tridiagonal", "eigensystem", "verify", "disk",
      "local+"),
     ("dsterf", "eigvalsh_tridiagonal", "eigensystem", "spectrum", "disk",
@@ -1090,10 +1165,9 @@ def test_every_lapack_failure_of_a_mode_solve_exits_3_with_one_line(
         case, name, caller, command, geometry, bc, tmp_path, capsys,
         monkeypatch):
     """A LinAlgError from any LAPACK call of a mode solve -- the probe, the
-    Sturm window, the spectral-radius query of the structural-zero check,
-    the eigenvectors, and the full dsterf and dlasq1 paths -- ends the run
-    with exit 3 and one stderr line (solve_mode turns it into a
-    NumericalError); the radius query once escaped as a traceback."""
+    Sturm window, the eigenvectors, and the full dsterf and dlasq1 paths --
+    ends the run with exit 3 and one stderr line (solve_mode turns it into a
+    NumericalError)."""
     real, hits = getattr(dirac_core, name), []
 
     def failing(*args, **kwargs):

@@ -9,8 +9,8 @@ import oracles
 from scipy.linalg import eigvals_banded, eigvalsh_tridiagonal
 
 from spinspec import (FRAME, BoundaryConditionSpec, ConfigError, ModeOperator,
-                      aggregate, boundary_dirac_matrix, convergence_study,
-                      make_surface, modes_for, solve_mode)
+                      aggregate, boundary_dirac_matrix, make_surface,
+                      modes_for, solve_mode)
 from spinspec.dirac_core import (NumericalError, _bipartite_values, _closures,
                                  _collocate, _tridiagonal_block)
 
@@ -736,7 +736,7 @@ def test_csv_profile_through_solver(tmp_path):
     path = tmp_path / "hemi.csv"
     np.savetxt(path, np.column_stack([r, np.sin(r)]), delimiter=",")
     surf = make_surface(str(path))
-    assert surf.cap and not surf.profile_exact
+    assert surf.cap
     sol = solve_mode(surf, 0.5, BoundaryConditionSpec("local+"), 128, n_fields=1)
     lam = sol.pairs[0].lam
     assert abs(abs(lam) - 1.0) <= 1e-3
@@ -1033,20 +1033,6 @@ def test_refinement_stability_local_minus():
                        n_fields=1).pairs[0].lam for N in (64, 128, 256)]
     d1, d2 = abs(lams[1] - lams[0]), abs(lams[2] - lams[1])
     assert d2 <= d1 / 3  # second-order shrink
-
-
-def test_convergence_study_table():
-    disk = make_surface("disk")
-    rows = convergence_study(disk, BoundaryConditionSpec("local+"),
-                             [32, 64, 128], k_max=0.5)
-    assert rows[0]["order"] is None and rows[1]["order"] is None
-    assert 1.7 <= rows[2]["order"] <= 2.4
-    assert rows[2]["converged"]
-    assert all(row["k_top"] == 0.5 and row["kmax_attained"] for row in rows)
-    with pytest.raises(ConfigError):
-        convergence_study(disk, BoundaryConditionSpec("local+"), [32, 64])
-    with pytest.raises(ConfigError):
-        convergence_study(disk, BoundaryConditionSpec("local+"), [64, 32, 128])
 
 
 @pytest.mark.parametrize("geom", ["annulus:0.5,1.0", "hemisphere"])

@@ -242,8 +242,7 @@ def test_conformal_laws_hold_for_sampled_profiles():
     from spinspec import WarpedSurface
     r = np.linspace(0.5, 1.5, 401)
     prof = RadialFunction.from_samples(r, np.exp(0.3 * r))
-    surf = WarpedSurface("sampled", 0.5, 1.5, prof, cap=False,
-                         profile_exact=False)
+    surf = WarpedSurface("sampled", 0.5, 1.5, prof, cap=False)
     u = parse_radial_spec("poly:0,0.3,-0.1", 0.5, 1.5)
     resc = conformal_rescale(surf, u)
     rr = np.linspace(0.6, 1.4, 41)
