@@ -8,6 +8,7 @@ import pytest
 import oracles
 from scipy.linalg import eigvals_banded, eigvalsh_tridiagonal
 
+from spinspec import cli
 from spinspec import (FRAME, BoundaryConditionSpec, ConfigError, ModeOperator,
                       aggregate, boundary_dirac_matrix, make_surface,
                       modes_for, solve_mode)
@@ -1033,6 +1034,31 @@ def test_refinement_stability_local_minus():
                        n_fields=1).pairs[0].lam for N in (64, 128, 256)]
     d1, d2 = abs(lams[1] - lams[0]), abs(lams[2] - lams[1])
     assert d2 <= d1 / 3  # second-order shrink
+
+
+def test_convergence_study_table(tmp_path, capsys):
+    """The disk's local+ ladder 32, 64, 128 at kmax 1/2, as the
+    `convergence` command tabulates it from the shared spectra loop: no
+    order on the first two rows, a second-order one on the third, which is
+    converged; the top mode |k| = 1/2 is solved and attained.  Fewer than
+    three grids, or grids out of order, are refused."""
+    out = tmp_path / "cv"
+    assert cli.run(["convergence", "--geometry", "disk", "--bc", "local+",
+                    "--N", "32,64,128", "--kmax", "0.5",
+                    "--out", str(out)]) == 0
+    lines = (out / "convergence_localplus.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(",")))
+            for line in lines[1:]]
+    assert [row["N"] for row in rows] == ["32", "64", "128"]
+    assert rows[0]["order"] == "" and rows[1]["order"] == ""
+    assert 1.7 <= float(rows[2]["order"]) <= 2.4
+    assert rows[2]["converged"] == "1"
+    assert "attained at |k| = 0.5, the largest mode solved" in \
+        capsys.readouterr().err
+    for grids in ([32, 64], [64, 32, 128]):
+        with pytest.raises(ConfigError):
+            cli.Scenario(geometry="disk", N=grids,
+                         out=str(tmp_path / "bad")).validate("convergence")
 
 
 @pytest.mark.parametrize("geom", ["annulus:0.5,1.0", "hemisphere"])
