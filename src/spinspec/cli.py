@@ -27,8 +27,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import identities as ident
-from .dirac_core import (FUNDAMENTAL_LEVELS, BoundaryConditionSpec,
-                         NumericalError, Spectrum, aggregate)
+from .dirac_core import (BoundaryConditionSpec, NumericalError, Spectrum,
+                         aggregate)
 from .geometry import (LAW_TOL, ConfigError,
                        ConformalRescaling, WarpedSurface, catalog,
                        check_input_file, conformal_law_residuals,
@@ -210,12 +210,13 @@ class Scenario:
 def _plan(sc: Scenario, command: str) -> tuple[list, float, int | None]:
     """What `command` solves: its grids, its largest |k| and its levels per
     mode (None: all).  `verify` and `bounds` need only the fundamental of
-    the finest grid; `convergence` only each grid's lowest level."""
+    the finest grid, `convergence` only each grid's lowest level: one level
+    per mode."""
     if command == "spectrum":
         return sc.N, sc.kmax, None
     if command == "convergence":
         return sc.N, min(sc.kmax, CONVERGENCE_KMAX), 1
-    return sc.N[-1:], sc.kmax, FUNDAMENTAL_LEVELS
+    return sc.N[-1:], sc.kmax, 1
 
 
 def _admit_scale(surface: WarpedSurface) -> None:

@@ -36,12 +36,14 @@ that fixes the one index through which it meets the middle leaves the rest
 untouched, and a diagonal unitary gauge makes the off-diagonals real and
 nonnegative.  The full spectrum (`spectrum`) comes from dsterf, or, for a
 bipartite operator, from the dqds singular values of the bidiagonal hidden in its form (below);
-the few smallest |lambda| that lambda_min and its field need come from
-Sturm bisection on a window around 0, in O(N).  The few eigenvectors come
-from the same form (stebz and stein), mapped back and checked by their
-residual against the band.  Every LAPACK routine is called through
-`_lapack`: from numpy's bundled OpenBLAS, or scipy's table where that is
-missing.
+the few smallest |lambda| that lambda_min needs come from Sturm bisection
+on a window around 0, in O(N).  The few eigenvectors come from the same
+form (stebz and stein on a bracket around the wanted levels), mapped back
+and checked by their residual against the band.  The one field a command
+reads, the fundamental's, is the eigenvector of levels[0] in its mode's
+operator, assembled once more: the level is never solved twice.  Every
+LAPACK routine is called through `_lapack`: from numpy's bundled
+OpenBLAS, or scipy's table where that is missing.
 
 `aggregate` solves the modes of a full spectrum on a thread pool, one
 thread per available CPU: almost all of an O(N^2) full solve is dsterf or
@@ -103,9 +105,6 @@ BC_VARIANTS = ("local+", "local-", "aps-", "aps+")
 
 _HERM_TOL = 1e-12
 _MAX_BANDWIDTH = 8
-# levels per mode of a spectrum whose fundamental is read, and fields of its
-# re-solve: equal counts bisect equal windows, so levels[0] comes back exactly
-FUNDAMENTAL_LEVELS = 2
 
 
 class NumericalError(RuntimeError):
@@ -603,9 +602,8 @@ class ModeOperator:
         max(n_values, n_vectors) smallest |lambda| are computed (Sturm
         bisection on a window around 0, O(n)).  A bipartite operator has an
         exactly symmetric spectrum: its positive eigenvalues are reported
-        with their mirror images, so a +-pair is an exact tie.  Eigenvectors
-        come from the same tridiagonal form (stebz and stein, O(n) each),
-        checked by their residual against `matrix`.
+        with their mirror images, so a +-pair is an exact tie.  The
+        eigenvectors of the selected values come from `eigenvectors`.
 
         Returns (values ascending, selected values, selected vectors in
         reduced coordinates, one per column).
@@ -650,6 +648,20 @@ class ModeOperator:
             return vals, np.empty(0), np.empty((n, 0), dtype=complex)
         order = np.argsort(np.abs(vals), kind="stable")
         wanted = np.sort(vals[order[:n_sel]])
+        return vals, wanted, self.eigenvectors(wanted)
+
+    def eigenvectors(self, wanted: Array) -> Array:
+        """Eigenvectors of the levels `wanted` (ascending, at least one), in
+        reduced coordinates, one per column.
+
+        stebz brackets [wanted[0], wanted[-1]] with a slack of 1e-10 * scale
+        and stein solves the vectors there, O(n) each; each wanted level
+        takes the vector of the nearest value found, and a level left
+        without a vector of its own (none in the bracket, or a repeated
+        level) is refused.  The vectors are mapped back from the tridiagonal
+        form and checked by their residual against `matrix`.
+        """
+        d, e, (qh, qt, g) = self._form
         ab, bw, scale = self.matrix, self._bw, self._scale
         # stebz + stein give n x m vectors (scipy's stemr allocates n x n);
         # the bracket may also hold a deflated zero, so take the nearest
@@ -657,8 +669,8 @@ class ModeOperator:
         got, z = eigh_tridiagonal(d, e, (wanted[0] - slack,
                                          wanted[-1] + slack))
         pick = np.argmin(np.abs(got[:, None] - wanted), axis=0) if len(got) else []
-        if len(set(pick)) < n_sel:
-            raise NumericalError(f"eigenvectors missing near {wanted!r}")
+        if len(set(pick)) < len(wanted):
+            raise NumericalError(f"eigenvectors missing near {wanted.tolist()}")
         y = g[:, None] * z[:, pick]
         y[:len(qh)] = qh @ y[:len(qh)]
         y[-len(qt):] = qt @ y[-len(qt):]
@@ -667,7 +679,7 @@ class ModeOperator:
             if resid > 1e-10 * scale:
                 raise NumericalError(f"eigenvector residual {resid:.2e} at "
                                      f"lambda={lam!r} (scale {scale:.2e})")
-        return vals, wanted, y
+        return y
 
     def expand(self, y: Array) -> tuple[Array, Array]:
         """Reduced eigenvector -> staggered samples (p at centers, q at all
@@ -745,20 +757,37 @@ def _negated(bc: BoundaryConditionSpec, k: float) -> bool:
     return bc.is_local and ((bc.variant == "local-") != (k < 0))
 
 
+def _pairs(op: ModeOperator, k: float, bc: BoundaryConditionSpec,
+           wanted: Array, vecs: Array) -> list:
+    """Eigenpairs of mode k under bc from the `wanted` native levels of its
+    native operator `op` and their reduced vectors: negated, with conjugate
+    fields, where `_negated` says so, component-swapped for k < 0, sorted by
+    |lam|, then lam."""
+    negate = _negated(bc, k)
+    pairs = []
+    for lam, y in zip(wanted, vecs.T):
+        p, q = op.expand(y)
+        if negate:
+            lam, p, q = -lam, np.conj(p), np.conj(q)
+        pairs.append(Eigenpair(float(lam), k, _collocate(op, p, q, k < 0)))
+    return sorted(pairs, key=lambda e: (abs(e.lam), e.lam))
+
+
 def solve_mode(surface: WarpedSurface, k: float, bc: BoundaryConditionSpec,
                N: int, n_fields: int = 4, n_levels: int | None = None,
                above: float | None = None) -> ModeSolution:
     """Eigen-solve one mode by one native solve at |k|, under local+ for
     either local condition, reported negated (-lams reversed, conjugate
-    vectors) where `_negated` says so.
+    vectors) where `_negated` says so (`_pairs`).
 
     n_levels=None keeps every eigenvalue; otherwise only the n_levels
     smallest |lambda| (at least n_fields) are computed.  With `above`, the
     mode is first probed (`ModeOperator.clear_of`) and, if no level it
     reports can have |lambda| <= above, returned with no levels and no pairs.
     A LAPACK failure (LinAlgError) anywhere in the solve becomes the one
-    NumericalError here: `ModeOperator.clear_of` and `eigensystem`, called
-    directly, raise it as the `_lapack` wrappers and scipy do.
+    NumericalError here and in `Spectrum.fundamental`: `ModeOperator`'s
+    methods, called directly, raise it as the `_lapack` wrappers and scipy
+    do.
     """
     try:
         op = ModeOperator(surface, abs(k), N, bc=_native(bc))
@@ -767,28 +796,21 @@ def solve_mode(surface: WarpedSurface, k: float, bc: BoundaryConditionSpec,
         lams, wanted, vecs = op.eigensystem(n_fields, n_levels)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"LAPACK failed at k = {k:g}: {exc}") from exc
-    negate = _negated(bc, k)
-    lams = -lams[::-1] if negate else lams
-    pairs = []
-    for lam, y in zip(wanted, vecs.T):
-        p, q = op.expand(y)
-        if negate:
-            lam, p, q = -lam, np.conj(p), np.conj(q)
-        pairs.append(Eigenpair(float(lam), k, _collocate(op, p, q, k < 0)))
-    pairs.sort(key=lambda e: (abs(e.lam), e.lam))
-    return ModeSolution(k, lams, pairs)
+    lams = -lams[::-1] if _negated(bc, k) else lams
+    return ModeSolution(k, lams, _pairs(op, k, bc, wanted, vecs))
 
 
 @dataclass
 class Spectrum:
-    """Aggregated spectrum over modes |k| <= k_max with deterministic order."""
+    """Aggregated spectrum over modes |k| <= k_max with deterministic order:
+    levels only, and the fundamental eigenpair of levels[0], built on first
+    read."""
 
     surface: WarpedSurface
     bc: BoundaryConditionSpec
     n_grid: int
     k_top: float                  # the largest |k| assessed
     levels: Array                 # (n, 2) columns (lambda, k), sorted
-    n_levels: int | None          # levels computed per mode; None: all
 
     @property
     def lambda_min(self) -> float:
@@ -809,16 +831,23 @@ class Spectrum:
 
     @functools.cached_property
     def fundamental(self) -> Eigenpair:
-        """The eigenpair of levels[0], solved on first access: mode k_min with
-        n_levels levels and FUNDAMENTAL_LEVELS fields (the count sets the
-        stebz window, so the field's last bits); NumericalError unless
-        bit-equal to levels[0]."""
-        pair = solve_mode(self.surface, self.k_min, self.bc, self.n_grid,
-                          FUNDAMENTAL_LEVELS, self.n_levels).pairs[0]
-        if (pair.lam, pair.k) != (self.lambda_min, self.k_min):
-            raise NumericalError(f"fundamental re-solve gave {pair.lam!r} at "
-                                 f"k = {pair.k!r}, not levels[0]")
-        return pair
+        """The eigenpair of levels[0], built on first access: mode k_min is
+        assembled once more, natively, and its field is the eigenvector of
+        levels[0] there (`ModeOperator.eigenvectors`), reported as
+        `solve_mode` reports its pairs.  Every row of mode k_min equal to
+        levels[0] is bracketed with it, so a repeated level, or one that is
+        not a level of that operator, is refused: a field is paired only
+        with the level it belongs to."""
+        k, lev = self.k_min, self.levels
+        sign = -1.0 if _negated(self.bc, k) else 1.0
+        wanted = sign * lev[(lev[:, 1] == k) & (lev[:, 0] == lev[0, 0]), 0]
+        try:
+            op = ModeOperator(self.surface, abs(k), self.n_grid,
+                              bc=_native(self.bc))
+            vecs = op.eigenvectors(wanted)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"LAPACK failed at k = {k:g}: {exc}") from exc
+        return _pairs(op, k, self.bc, wanted, vecs)[0]
 
     def eigenvalues(self, k: float) -> Array:
         sel = self.levels[np.abs(self.levels[:, 1] - k) < 1e-9]
@@ -833,15 +862,15 @@ class Spectrum:
         other = "local-" if self.bc.variant == "local+" else "local+"
         return _spectrum(self.surface, BoundaryConditionSpec(other),
                          self.n_grid, self.k_top,
-                         self.levels * np.array([-1.0, 1.0]), self.n_levels)
+                         self.levels * np.array([-1.0, 1.0]))
 
 
 def _spectrum(surface: WarpedSurface, bc: BoundaryConditionSpec, N: int,
-              k_top: float, levels: Array, n_levels: int | None) -> Spectrum:
+              k_top: float, levels: Array) -> Spectrum:
     """Spectrum of (lambda, k) rows in the fixed order (|lambda|, k, sign)."""
     # for equal |lambda| and k, ordering by lambda is ordering by its sign
     order = np.lexsort((levels[:, 0], levels[:, 1], np.abs(levels[:, 0])))
-    return Spectrum(surface, bc, N, k_top, levels[order], n_levels)
+    return Spectrum(surface, bc, N, k_top, levels[order])
 
 
 def _cpu_count() -> int:
@@ -855,7 +884,8 @@ def _cpu_count() -> int:
 def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
               k_max: float = 12.5, N: int = 256,
               n_levels: int | None = None) -> Spectrum:
-    """Merge the levels of all modes |k| <= k_max, no fields, into one Spectrum.
+    """Merge the levels of all modes |k| <= k_max, no fields, into one Spectrum
+    (whose fundamental builds the one field from levels[0] when read).
 
     `levels` holds every eigenvalue of each mode, or with n_levels the
     n_levels smallest |lambda| of each mode that could hold levels[0].  Each
@@ -920,4 +950,4 @@ def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
             levels = merged(zip(by_abs, pool.map(solve_levels, by_abs)))
         finally:
             pool.shutdown(cancel_futures=True)
-    return _spectrum(surface, bc, N, max(by_abs), levels, n_levels)
+    return _spectrum(surface, bc, N, max(by_abs), levels)

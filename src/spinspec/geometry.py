@@ -229,9 +229,9 @@ class WarpedSurface:
             if abs(f0) > _CAP_TOL or abs(fp0 - 1.0) > _CAP_TOL:
                 raise ConfigError(
                     f"cap requires f(r_min)=0, f'(r_min)=1; got {f0:.3e}, {fp0:.6f}")
-        rs = np.linspace(self.r_min, self.r_max, 65)[1:-1]
-        if np.any(self.profile(rs) <= 0):
-            raise ConfigError("profile must be positive on the open interval")
+        f = self.profile(np.linspace(self.r_min, self.r_max, 65)[1:-1])
+        if not np.all((f > 0) & np.isfinite(f)):
+            raise ConfigError("profile must be positive and finite on (r_min, r_max)")
 
     # -- metric data ---------------------------------------------------
 

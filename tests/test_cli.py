@@ -756,7 +756,7 @@ def test_overflowing_input_prints_one_line(tmp_path):
 
 
 @pytest.mark.parametrize("command, geometry", [("spectrum", "annulus:1,1e300"),
-                                               ("verify", "profile:")])
+                                               ("verify", "annulus:1,1e300")])
 def test_overflowing_quadrature_weight_exits_3(command, geometry, tmp_path,
                                                capsys, monkeypatch):
     """A surface so long that a quadrature weight h f overflows is refused in
@@ -765,16 +765,30 @@ def test_overflowing_quadrature_weight_exits_3(command, geometry, tmp_path,
     a length first (`cli._admit_scale`); it is skipped here so that the
     check in assembly stays tested."""
     monkeypatch.setattr(cli, "_admit_scale", lambda surface: None)
-    if geometry == "profile:":
-        path = tmp_path / "huge.csv"
-        path.write_text("r,f\n0,1\n1,2\n2,3\n1e308,4\n")
-        geometry += str(path)
     code = run([command, "--geometry", geometry, "--N", "16", "--kmax", "0.5",
                 "--out", str(tmp_path / "o")])
     assert code == 3
     assert capsys.readouterr().err.splitlines() == [
         "numerical failure: nonpositive or non-finite quadrature weight "
         "in assembly"]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+@pytest.mark.parametrize("rows", [
+    "0,1\n1,2\n2,3\n1e308,4\n", "1,1\n1.0000000000000002,1e300\n2,1\n3,1\n"],
+    ids=["far_last_radius", "spike"])
+def test_profile_not_finite_inside_exits_2(command, rows, tmp_path, capsys):
+    """A profile whose spline overflows to nan between its samples is
+    refused when the surface is built, with one line and exit 2.  The nan
+    used to pass the positivity check (nan <= 0 is False) and reach
+    admission, which misread it as a largest radius of nan."""
+    path = tmp_path / "nan.csv"
+    path.write_text("r,f\n" + rows)
+    code = run([command, "--geometry", f"profile:{path}", "--N", "16",
+                "--kmax", "0.5", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: profile must be positive and finite on (r_min, r_max)"]
 
 
 @pytest.mark.parametrize("command", ["verify", "bounds"])
@@ -924,6 +938,20 @@ def test_built_in_runs_never_load_interpolate_or_optimize(tmp_path):
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["codes"] == [0] * 7
     assert seen["loaded"] == [[]] * 7
+
+
+def test_cli_import_loads_neither_scipy_nor_the_thread_pool():
+    """Importing the CLI loads no scipy module and not concurrent.futures:
+    every process pays its imports before the first solve, and the pool is
+    imported inside `aggregate`, where a full spectrum first needs it."""
+    probe = ("import json, sys, spinspec.cli; print(json.dumps(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'scipy' "
+             "or m.startswith('concurrent.futures'))))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 @pytest.mark.parametrize("factor", ["poly:0,300", "bump:700"])
@@ -1109,27 +1137,40 @@ def test_local_pair_shares_its_solve_in_every_command(command, order, tmp_path,
     the one-condition runs (bounds_summary.csv: their rows, in order).  The
     second local condition is the first one's solve negated: each |k| of
     the pair is solved once per grid (3 |k| on the disk at kmax 2.5, so
-    convergence --bc local+,local- makes 9 solves, not 18), and verify and
-    bounds, which solve the last grid, add one fundamental re-solve per
-    condition."""
+    convergence --bc local+,local- makes 9 solves, not 18), every solve_mode
+    call is aggregate's, and verify and bounds, which solve the last grid,
+    add one assembly per condition, for the fundamental's field."""
     conditions = order.split(",")
     base = [command, "--geometry", "disk", "--N", "32,48,64", "--kmax", "2.5"]
-    real, fields = dirac_core.solve_mode, []
+    solve, merge = dirac_core.solve_mode, cli.aggregate
+    assemble = dirac_core.ModeOperator._assemble
+    calls, merging, assembled = [], [], []
 
     def counted(*args, **kwargs):
-        fields.append(args[4])            # n_fields: 0 in aggregate
-        return real(*args, **kwargs)
+        calls.append(bool(merging))
+        return solve(*args, **kwargs)
+
+    def merged(*args, **kwargs):
+        merging.append(True)
+        try:
+            return merge(*args, **kwargs)
+        finally:
+            merging.pop()
+
+    def counted_assembly(op):
+        assembled.append(op.k)
+        assemble(op)
 
     monkeypatch.setattr(dirac_core, "solve_mode", counted)
+    monkeypatch.setattr(cli, "aggregate", merged)
+    monkeypatch.setattr(dirac_core.ModeOperator, "_assemble", counted_assembly)
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(base + ["--bc", order, "--out", str(tmp_path / "all")]) == 0
     native = len({bc[:5] for bc in conditions})   # "local" and "aps-"
     grids = 1 if command in ("verify", "bounds") else 3
-    assert fields.count(0) == 3 * grids * native
-    assert fields.count(dirac_core.FUNDAMENTAL_LEVELS) == (
-        0 if command in ("spectrum", "convergence") else len(conditions))
-    assert len(fields) == fields.count(0) + fields.count(
-        dirac_core.FUNDAMENTAL_LEVELS)
+    assert calls == [True] * (3 * grids * native)
+    assert len(assembled) == len(calls) + (
+        len(conditions) if command in ("verify", "bounds") else 0)
 
     joint = {name: (tmp_path / "all" / name).read_bytes()
              for name in os.listdir(tmp_path / "all")}
@@ -1154,7 +1195,7 @@ def test_local_pair_shares_its_solve_in_every_command(command, order, tmp_path,
     ("probe", "eigvalsh_tridiagonal", "clear_of", "verify", "disk", "local+"),
     ("sturm_window", "eigvalsh_tridiagonal", "_low_values", "verify", "disk",
      "local+"),
-    ("eigenvectors", "eigh_tridiagonal", "eigensystem", "verify", "disk",
+    ("eigenvectors", "eigh_tridiagonal", "eigenvectors", "verify", "disk",
      "local+"),
     ("dsterf", "eigvalsh_tridiagonal", "eigensystem", "spectrum", "disk",
      "local+"),
@@ -1166,7 +1207,8 @@ def test_every_lapack_failure_of_a_mode_solve_exits_3_with_one_line(
         monkeypatch):
     """A LinAlgError from any LAPACK call of a mode solve -- the probe, the
     Sturm window, the eigenvectors, and the full dsterf and dlasq1 paths --
-    ends the run with exit 3 and one stderr line (solve_mode turns it into a
+    ends the run with exit 3 and one stderr line (solve_mode, or for the
+    fundamental's eigenvectors Spectrum.fundamental, turns it into a
     NumericalError)."""
     real, hits = getattr(dirac_core, name), []
 

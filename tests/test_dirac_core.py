@@ -276,14 +276,15 @@ def test_aggregate_is_the_merge_of_per_mode_solves(geom, bc):
     full spectrum; for a selective one, those of each mode that holds rows,
     while no other mode has a level with |lambda| <= |lambda_min| in its own
     solve.  Either way the fundamental is the (|lambda|, k, sign)-first of
-    the per-mode eigenpairs, field and traces bit for bit."""
+    the per-mode first eigenpairs (one field per solve), field and traces
+    bit for bit."""
     # on the periodic cylinder k = 0 is a mode
     surface = make_surface(geom, "periodic" if geom.startswith("cylinder")
                            else "antiperiodic")
     spec = BoundaryConditionSpec(bc)
     for n_levels in (None, 2):
         sp = aggregate(surface, spec, 3.5, 32, n_levels=n_levels)
-        sols = [solve_mode(surface, k, spec, 32, 2, n_levels)
+        sols = [solve_mode(surface, k, spec, 32, 1, n_levels)
                 for k in modes_for(surface, 3.5)]
         assert sp.k_top == max(abs(s.k) for s in sols)
         kept = [s for s in sols if np.any(sp.levels[:, 1] == s.k)]
@@ -368,23 +369,22 @@ def test_probe_leaves_a_doubtful_kernel_to_the_refusal(attr, plant,
         aggregate(surface, spec, 4.5, 64, n_levels=1)
 
 
-def test_fundamental_refuses_a_re_solve_off_levels0(monkeypatch):
-    """The fundamental re-solves mode k_min; a re-solve whose first pair is
-    not levels[0] bit for bit (here one ulp off) is refused, never paired
-    with the level."""
-    from spinspec import dirac_core
+def test_fundamental_refuses_a_level_it_does_not_belong_to():
+    """The fundamental's field is the eigenvector of levels[0] in mode
+    k_min.  A levels[0] nudged by 1e-6, no level of that operator, and a
+    levels[0] repeated in its mode, with no second vector of its own, are
+    refused in one line, never paired with a field."""
+    import dataclasses
     sp = aggregate(make_surface("disk"), BoundaryConditionSpec("local+"),
-                   1.5, 32, n_levels=2)
-    solve = dirac_core.solve_mode
-
-    def one_ulp_off(*args):
-        sol = solve(*args)
-        sol.pairs[0].lam = np.nextafter(sol.pairs[0].lam, 0.0)
-        return sol
-
-    monkeypatch.setattr(dirac_core, "solve_mode", one_ulp_off)
-    with pytest.raises(NumericalError, match="re-solve"):
-        sp.fundamental
+                   1.5, 32, n_levels=1)
+    nudged = sp.levels.copy()
+    nudged[0, 0] += 1e-6
+    repeated = np.vstack([sp.levels[:1], sp.levels])
+    for levels in (nudged, repeated):
+        with pytest.raises(NumericalError, match="eigenvectors missing") as exc:
+            dataclasses.replace(sp, levels=levels).fundamental
+        assert "\n" not in str(exc.value)
+    assert (sp.fundamental.lam, sp.fundamental.k) == (sp.lambda_min, sp.k_min)
 
 
 def _aggregate_peak(k_max: float) -> int:
@@ -956,7 +956,6 @@ def test_local_minus_levels_are_negated_local_plus(geom):
         assert np.array_equal(minus.levels, flipped[order])
         twin = plus.negated()
         assert twin.bc == minus_bc and twin.n_grid == 40
-        assert twin.n_levels == minus.n_levels == n_levels
         assert np.array_equal(twin.levels, minus.levels)
         assert twin.k_top == minus.k_top == 2.5
         assert twin.kmax_attained == minus.kmax_attained

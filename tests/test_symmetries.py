@@ -155,8 +155,8 @@ def test_aps_form_is_bipartite_and_zero_count_structural(profile, bc, k_index,
 @given(**_CASE)
 def test_selective_levels_and_fundamental(profile, bc, k_index, N):
     """The selective levels (Sturm bisection) are the lowest |lambda| of the
-    full spectrum to roundoff, and Spectrum.fundamental re-solves levels[0]
-    bit for bit."""
+    full spectrum to roundoff, and Spectrum.fundamental is the eigenpair of
+    levels[0] bit for bit."""
     with tempfile.TemporaryDirectory() as tmp:
         _, surface = _surface(tmp, *profile)
     k = _k(surface, k_index)
@@ -183,8 +183,8 @@ def test_pruned_aggregate_is_the_unpruned_merge(profile, n_levels, k_index,
     """Under each of the four conditions, a selective aggregate, which
     bisects only the modes that could hold levels[0], has the lambda_min,
     k_min, k_top and kmax_attained, bit for bit, of the merge of one
-    solve_mode per mode, and its fundamental is the first pair of that
-    mode's own solve; a mode without rows has no level with
+    solve_mode per mode, and its fundamental is the pair of that mode's own
+    solve with one field; a mode without rows has no level with
     |lambda| <= |lambda_min| in its own solve."""
     with tempfile.TemporaryDirectory() as tmp:
         _, surface = _surface(tmp, *profile)
@@ -201,7 +201,7 @@ def test_pruned_aggregate_is_the_unpruned_merge(profile, n_levels, k_index,
         k_top = max(abs(s.k) for s in sols)
         assert (sp.lambda_min, sp.k_min, sp.k_top) == (lam, k, k_top)
         assert sp.kmax_attained == (abs(abs(k) - k_top) < 1e-9)
-        want = solve_mode(surface, k, spec, N, 2, n_levels).pairs[0]
+        want = solve_mode(surface, k, spec, N, 1, n_levels).pairs[0]
         got = sp.fundamental
         assert (got.lam, got.k) == (want.lam, want.k)
         assert np.array_equal(got.field.values, want.field.values)
