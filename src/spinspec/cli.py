@@ -28,7 +28,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import identities as ident
 from .dirac_core import (BoundaryConditionSpec, NumericalError, Spectrum,
-                         aggregate)
+                         aggregate, full_spectra)
 from .geometry import (LAW_TOL, ConfigError,
                        ConformalRescaling, WarpedSurface, catalog,
                        check_input_file, conformal_law_residuals,
@@ -287,15 +287,17 @@ def _cmd_catalog(_: Scenario) -> int:
 
 def _spectrum_csv(levels: Array) -> str:
     """`mode,index,lambda` rows: modes ascending, each mode's levels
-    ascending and indexed from 0."""
+    ascending and indexed from 0.  Each mode is one % of a template per
+    level count n, "<k>,0,%.17g\n<k>,1,%.17g\n...": its n index fields are
+    built once per call, and the mode's k joins the pieces."""
     by_mode = levels[np.lexsort((levels[:, 0], levels[:, 1]))]
     ks, starts = np.unique(by_mode[:, 1], return_index=True)
-    parts = ["mode,index,lambda\n"]
+    parts, pieces = ["mode,index,lambda\n"], {}
     for k, lams in zip(ks.tolist(), np.split(by_mode[:, 0], starts[1:])):
-        # one % per mode: the template repeated, its (index, lambda) pairs
-        args = [0] * (2 * len(lams))
-        args[::2], args[1::2] = range(len(lams)), lams.tolist()
-        parts.append((fmt(k) + ",%d,%.17g\n") * len(lams) % tuple(args))
+        n = len(lams)
+        if n not in pieces:
+            pieces[n] = [""] + [f",{i},%.17g\n" for i in range(n)]
+        parts.append(fmt(k).join(pieces[n]) % tuple(lams.tolist()))
     return "".join(parts)
 
 
@@ -307,9 +309,10 @@ def _warn_top(top: float, hint: str = "increase --kmax") -> str:
 
 def _spectra(sc: Scenario, surface: WarpedSurface, command: str, err: list):
     """(condition name, Spectrum) per entry of sc.bc, then per grid of
-    `command`'s plan (`_plan`).  A local condition whose twin was solved on
-    that grid is that solve negated (Spectrum.negated).  A spectrum whose
-    lambda_min sits on its top mode adds the warning to err."""
+    `command`'s plan (`_plan`), for the selective solves of verify, bounds
+    and convergence.  A local condition whose twin was solved on that grid
+    is that solve negated (Spectrum.negated).  A spectrum whose lambda_min
+    sits on its top mode adds the warning to err."""
     grids, k_max, n_levels = _plan(sc, command)
     local = {}                # N -> the last local+- Spectrum of this call
     for bc_name in sc.bc:
@@ -328,19 +331,37 @@ def _spectra(sc: Scenario, surface: WarpedSurface, command: str, err: list):
 
 
 def _cmd_spectrum(sc: Scenario, surface: WarpedSurface, _, err: list) -> int:
-    for i, (bc_name, sp) in enumerate(_spectra(sc, surface, "spectrum", err)):
-        _write(sc, _out_name("spectrum", bc_name, sp.n_grid),
-               _spectrum_csv(sp.levels),
-               f" (lambda_min = {fmt(sp.lambda_min)}, "
-               f"attained at k = {fmt(sp.k_min)})")
-        # |lambda_min| against the previous grid of this entry of sc.bc, as
-        # in convergence: under local+- the fundamental level is an exact
-        # +-lambda tie between modes +-k, settled on k = -1/2 by the
-        # ordering, not by the level's sign
-        if i % len(sc.N):
-            print(f"  drift vs previous N: "
-                  f"{abs(abs(sp.lambda_min) - lam_prev):.3e}")
-        lam_prev = abs(sp.lambda_min)
+    """One CSV per entry of sc.bc and grid.  Every solve of the plan runs on
+    one pool (`full_spectra`), largest grid first; each CSV is formatted as
+    its spectrum comes in, while the pool solves the rest.  The files are
+    written, and their lines printed, in plan order at the end: after a
+    failure, only those of the entries before it."""
+    grids, k_max, _ = _plan(sc, "spectrum")
+    plan = [(bc_name, N) for bc_name in sc.bc for N in grids]
+    done = {}                 # plan index -> (text, note, |lambda_min|, warning)
+    try:
+        for i, sp in full_spectra(surface, k_max, [
+                (BoundaryConditionSpec(bc_name), N) for bc_name, N in plan]):
+            done[i] = (_spectrum_csv(sp.levels),
+                       f" (lambda_min = {fmt(sp.lambda_min)}, "
+                       f"attained at k = {fmt(sp.k_min)})",
+                       abs(sp.lambda_min),
+                       _warn_top(sp.k_top) if sp.kmax_attained else None)
+    finally:
+        for i, (bc_name, N) in enumerate(plan):
+            if i not in done:
+                break
+            text, note, lam, warning = done.pop(i)
+            if warning:
+                err.append(warning)
+            _write(sc, _out_name("spectrum", bc_name, N), text, note)
+            # |lambda_min| against the previous grid of this entry of sc.bc,
+            # as in convergence: under local+- the fundamental level is an
+            # exact +-lambda tie between modes +-k, settled on k = -1/2 by
+            # the ordering, not by the level's sign
+            if i % len(grids):
+                print(f"  drift vs previous N: {abs(lam - lam_prev):.3e}")
+            lam_prev = lam
     return 0
 
 

@@ -45,13 +45,15 @@ operator, assembled once more: the level is never solved twice.  Every
 LAPACK routine is called through `_lapack`: from numpy's bundled
 OpenBLAS, or scipy's table where that is missing.
 
-`aggregate` solves the modes of a full spectrum on a thread pool, one
+Threads follow a measured rule (the benchmark's `wall_s`, 2 cores).  Full
+spectra are solved on one thread pool per call of `full_spectra`, one
 thread per available CPU: almost all of an O(N^2) full solve is dsterf or
 dlasq1, and `_lapack`'s ctypes calls release the GIL for their length, so
-the solves run side by side (about 1.5x on 2 cores).  Selective solves run
-inline: they are O(N) and mostly Python and numpy work under the GIL, and
-on a pool they ran slower (the `low_modes` benchmark, 2 cores: 0.12 s
-against 0.14 s).  They serve lambda_min, so they take the |k| in ascending
+the solves run side by side.  `spectrum` makes one such call for all its
+conditions and grids; the largest grid is solved first, and each grid's
+CSV is formatted while the pool solves the rest.  Selective solves run inline: they are O(N) and
+mostly Python and numpy work under the GIL, and on a pool they ran
+slower.  They serve lambda_min, so they take the |k| in ascending
 order and probe every mode after the first with one stebz count on a
 window just wider than the smallest |lambda| found so far
 (`ModeOperator.clear_of`); only a mode with a level in that window, other
@@ -881,6 +883,25 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _by_abs(surface: WarpedSurface, k_max: float) -> dict:
+    """|k| -> the modes +-k with |k| <= k_max, largest |k| first."""
+    by_abs: dict = {}
+    for kk in modes_for(surface, k_max):
+        by_abs.setdefault(abs(kk), []).append(kk)
+    return by_abs
+
+
+def _merged(bc: BoundaryConditionSpec, by_abs: dict, solved) -> Array:
+    """(lambda, k) rows of every mode under bc, from (|k|, native levels)
+    pairs."""
+    rows = []
+    for k_abs, lams in solved:
+        for kk in by_abs[k_abs]:
+            lk = -lams[::-1] if _negated(bc, kk) else lams
+            rows.append(np.column_stack([lk, np.full(len(lk), kk)]))
+    return np.vstack(rows)
+
+
 def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
               k_max: float = 12.5, N: int = 256,
               n_levels: int | None = None) -> Spectrum:
@@ -897,11 +918,11 @@ def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
     its levels are taken: at most one is held per worker.  `k_top` is the
     largest |k| assessed, whether or not its modes hold rows.
 
-    A full spectrum (n_levels=None) solves the |k| on a pool of one thread
-    per available CPU, at most one per |k| (see the module docstring).  The
-    rows come back in the serial order, largest |k| first, so the result is
-    bit for bit the serial one.  A failure cancels the solves not yet
-    started and raises the first failure in that order.
+    A full spectrum (n_levels=None) is the one-entry case of
+    `full_spectra`: its |k| are solved on a pool of one thread per
+    available CPU, at most one per |k|, and the result is bit for bit the
+    serial one.  A failure cancels the solves not yet started and raises
+    the first failure in the serial order, largest |k| first.
 
     Selective solves run in this thread, |k| ascending.  Every |k| after the
     first is probed with the smallest |lambda| found so far
@@ -910,13 +931,10 @@ def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
     A level that ties the smallest |lambda| exactly is inside the probe's
     window, so its mode keeps its rows and the order settles the tie.
     """
-    by_abs: dict = {}
-    for kk in modes_for(surface, k_max):
-        by_abs.setdefault(abs(kk), []).append(kk)
-
-    def solve_levels(k_abs: float) -> Array:
-        # only the native levels leave the worker; the operator is dropped
-        return solve_mode(surface, k_abs, _native(bc), N, 0, n_levels).lams
+    if n_levels is None:
+        (_, sp), = full_spectra(surface, k_max, [(bc, N)])
+        return sp
+    by_abs = _by_abs(surface, k_max)
 
     def pruned():
         """(|k|, levels) of the modes that could hold levels[0]."""
@@ -929,25 +947,65 @@ def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
                 best = low if best is None else min(best, low)
                 yield k_abs, lams
 
-    def merged(solved) -> Array:
-        """(lambda, k) rows of every mode, from (|k|, levels) pairs."""
-        rows = []
-        for k_abs, lams in solved:
-            for kk in by_abs[k_abs]:
-                lk = -lams[::-1] if _negated(bc, kk) else lams
-                rows.append(np.column_stack([lk, np.full(len(lk), kk)]))
-        return np.vstack(rows)
+    return _spectrum(surface, bc, N, max(by_abs), _merged(bc, by_abs, pruned()))
 
-    workers = min(_cpu_count(), len(by_abs))
-    if n_levels is not None:
-        levels = merged(pruned())
-    elif workers == 1:
-        levels = merged(zip(by_abs, map(solve_levels, by_abs)))
-    else:
+
+def full_spectra(surface: WarpedSurface, k_max: float, entries: list):
+    """(index, Spectrum) of every eigenvalue of the modes |k| <= k_max for
+    each (condition, grid) of `entries`, as `aggregate` merges them, all
+    solved on one pool of one thread per available CPU, at most one per
+    |k| solve (see the module docstring); with one thread, in this one.
+
+    Each native solve runs once: local+ and local- on one grid share their
+    |k| solves, and each merges them under its own condition (bit for bit
+    the other's `Spectrum.negated`).  Every solve is submitted at once,
+    largest grid first, in the order of `entries` within a grid, and each
+    spectrum is yielded in that order as soon as its modes are in, so the
+    caller works on it while the pool solves the smaller grids.  Only the
+    native levels leave a worker: each holds one operator at a time.
+
+    A failure (NumericalError, or ConfigError for a grid too coarse) is
+    the serial one: the error of the first failing entry in the order of
+    `entries` (within it, of the first failing |k|, largest first), raised
+    once every entry before it has been yielded.  The solves that only
+    later entries need are cancelled, though a later entry of a larger grid
+    may have been yielded already.
+    """
+    by_abs = _by_abs(surface, k_max)
+    keys = [(_native(bc), N) for bc, N in entries]
+    order = sorted(range(len(entries)), key=lambda i: -entries[i][1])
+    native = list(dict.fromkeys(keys[i] for i in order))
+
+    def solve(key, k_abs: float) -> Array:
+        return solve_mode(surface, k_abs, key[0], key[1], 0).lams
+
+    workers = min(_cpu_count(), len(native) * len(by_abs))
+    pool, futures = None, {}
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(workers)
-        try:
-            levels = merged(zip(by_abs, pool.map(solve_levels, by_abs)))
-        finally:
+        futures = {key: [pool.submit(solve, key, k) for k in by_abs]
+                   for key in native}
+    solved, failed, error = {}, len(entries), None
+    try:
+        for i in order:
+            if i > failed:
+                continue
+            (bc, N), key = entries[i], keys[i]
+            try:
+                if key not in solved:
+                    solved[key] = ([f.result() for f in futures[key]] if pool
+                                   else [solve(key, k) for k in by_abs])
+            except (NumericalError, ConfigError) as exc:
+                failed, error = i, exc
+                for later in set(keys[i:]) - set(keys[:i]):
+                    for f in futures.get(later, ()):
+                        f.cancel()
+                continue
+            yield i, _spectrum(surface, bc, N, max(by_abs),
+                               _merged(bc, by_abs, zip(by_abs, solved[key])))
+    finally:
+        if pool is not None:
             pool.shutdown(cancel_futures=True)
-    return _spectrum(surface, bc, N, max(by_abs), levels)
+    if error is not None:
+        raise error

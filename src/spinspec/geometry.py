@@ -403,6 +403,8 @@ def check_input_file(path: str, what: str, cap: int) -> None:
         info = os.stat(path)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:   # a NUL byte, or a lone surrogate from a config
+        raise ConfigError(f"{what} path {path!r} is not a file name") from exc
     if not stat.S_ISREG(info.st_mode):
         raise ConfigError(f"{what} {path} is not a regular file")
     if info.st_size > cap:

@@ -188,6 +188,24 @@ def test_out_with_a_nul_byte_exits_2(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["c.json"]
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("name", ["x\0.csv", "o\ud800.csv"])
+def test_profile_path_that_is_no_file_name_exits_2(command, name, tmp_path,
+                                                     capsys):
+    """Only a config can carry a NUL byte or a lone surrogate into a
+    profile: path; os.stat raised ValueError (UnicodeEncodeError) on it, a
+    traceback and exit 1."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"geometry": f"profile:{tmp_path / name}",
+                               "N": [16], "kmax": 0.5,
+                               "out": str(tmp_path / "o")}))
+    assert run([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: profile path {str(tmp_path / name)!r} is not a file "
+        "name"]
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
 @pytest.mark.parametrize("command", ["spectrum", "verify"])
 def test_too_coarse_grid_is_a_config_error_naming_N(command, tmp_path, capsys):
     """On a cylinder of length 1e4 at N 256 the end half-cell weight
@@ -537,6 +555,16 @@ def test_spectrum_csv_matches_the_rowwise_formatter(rng):
     lams[:6] = [-0.0, 0.0, 5e-324, -1.7976931348623157e308, 1e-310, 1 / 3]
     levels = np.column_stack([lams, np.repeat(ks, 37)])
     assert _spectrum_csv(levels) == _rowwise_spectrum_csv(levels)
+    # one template per level count: modes of 1 to 12 levels, each count
+    # twice, on integer k (-0.0 included) and half-integer k
+    counts = [1, 12, 3, 1, 7, 12, 3, 7, 2, 2, 11, 11]
+    ks = [-5.0, -1.0, -0.0, 2.0, 7.0, 40.0,
+          -12.5, -0.5, 0.5, 1.5, 3.5, 24.5]
+    lams = rng.normal(size=sum(counts)) * 10.0 ** rng.integers(
+        -20, 20, sum(counts))
+    lams[[0, 5, 9, 30, 31]] = [0.0, -0.0, 0.0, -0.0, -0.0]
+    levels = np.column_stack([lams, np.repeat(ks, counts)])
+    assert _spectrum_csv(levels) == _rowwise_spectrum_csv(levels)
     one = np.array([[-0.0, 0.5]])
     assert _spectrum_csv(one) == "mode,index,lambda\n0.5,0,-0\n"
 
@@ -873,24 +901,109 @@ def test_warning_on_a_pool_thread_is_counted(monkeypatch, tmp_path, capsys):
 
 
 def test_pooled_spectrum_files_are_the_serial_ones(monkeypatch, tmp_path):
-    """`spectrum --bc local+,local-` on a pool writes the bytes of the two
-    single runs, and the bytes of the same runs in one thread."""
-    files = {}
+    """`spectrum --bc local-,aps-,local+` on three grids, all on one pool,
+    writes the bytes of the three single runs, and prints their stdout and
+    stderr in plan order; in one thread it writes and prints the same."""
+    runs = {}
     for workers in (1, 2):
         monkeypatch.setattr(dirac_core, "_cpu_count", lambda: workers)
-        for bcs in ("local+,local-", "local+", "local-"):
+        for bcs in ("local-,aps-,local+", "local-", "aps-", "local+"):
             out = tmp_path / f"{workers}{bcs}"
-            with contextlib.redirect_stdout(io.StringIO()):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
                 assert run(["spectrum", "--geometry", "hemisphere", "--bc",
-                            bcs, "--N", "64,128", "--kmax", "6.5",
+                            bcs, "--N", "48,64,96", "--kmax", "6.5",
                             "--out", str(out)]) == 0
-            files[workers, bcs] = {n: (out / n).read_bytes()
-                                   for n in sorted(os.listdir(out))}
+            runs[workers, bcs] = (
+                {n: (out / n).read_bytes() for n in sorted(os.listdir(out))},
+                stdout.getvalue().replace(str(out), "OUT"), stderr.getvalue())
     for workers in (1, 2):
-        assert files[workers, "local+,local-"] == {
-            **files[workers, "local+"], **files[workers, "local-"]}
-        assert len(files[workers, "local+,local-"]) == 4
-    assert files[1, "local+,local-"] == files[2, "local+,local-"]
+        files, stdout, stderr = runs[workers, "local-,aps-,local+"]
+        alone = [runs[workers, bc] for bc in ("local-", "aps-", "local+")]
+        assert files == {n: data for f, _, _ in alone for n, data in f.items()}
+        assert len(files) == 9
+        assert stdout == "".join(out for _, out, _ in alone)
+        assert stdout.count("wrote OUT/spectrum_") == 9
+        assert stderr == "".join(err for _, _, err in alone)
+    assert runs[1, "local-,aps-,local+"] == runs[2, "local-,aps-,local+"]
+
+
+def test_spectrum_runs_on_one_pool_and_the_other_commands_on_none(
+        monkeypatch, tmp_path):
+    """One `spectrum` run builds exactly one ThreadPoolExecutor for all its
+    conditions and grids, of min(_cpu_count(), solves) threads; the
+    selective solves of verify, bounds and convergence build none."""
+    import concurrent.futures
+    built = []
+
+    class Recorded(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            built.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+    flags = ["--geometry", "disk", "--bc", "local+,aps-,local-", "--N",
+             "32,48,64", "--out", str(tmp_path)]
+    for cpus, kmax, threads in ((2, "2.5", 2), (3, "2.5", 3), (64, "0.5", 6)):
+        monkeypatch.setattr(dirac_core, "_cpu_count", lambda: cpus)
+        built.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["spectrum", "--kmax", kmax] + flags) == 0
+        # kmax 0.5: one |k| on 3 grids under 2 native conditions, 6 solves
+        assert built == [threads]
+    monkeypatch.setattr(dirac_core, "_cpu_count", lambda: 2)
+    built.clear()
+    for command in ("verify", "bounds", "convergence"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run([command, "--kmax", "2.5"] + flags) == 0
+    assert built == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("failing, grids, written", [
+    ("local+", (48, 64), ["spectrum_localplus_N32.csv"]),
+    ("aps-", (48, 64), ["spectrum_localplus_N32.csv",
+                        "spectrum_localplus_N48.csv",
+                        "spectrum_localplus_N64.csv",
+                        "spectrum_apsminus_N32.csv"]),
+    ("local+", (32,), [])])
+def test_spectrum_failure_is_the_serial_one(failing, grids, written, workers,
+                                            monkeypatch, tmp_path, capsys):
+    """Solves under `failing` fail at |k| = 1.5 on `grids`.  The pool solves
+    the largest grid first, so N 64 fails before N 48, but the run reports
+    the failure a serial run meets first, in one line with exit 3, and
+    writes the files of the entries before it, in plan order, and none of
+    it or after it, though every grid above N 32 is solved and formatted
+    before N 32 fails.  The solves only later entries need are cancelled:
+    a serial run makes none, the pool few (each pauses 50 ms)."""
+    real, calls = dirac_core.solve_mode, []
+
+    def hooked(surface, k, bc, N, *args):
+        if bc.variant == "aps-":
+            calls.append((k, N))
+        if bc.variant == failing and k == 1.5 and N in grids:
+            raise NumericalError(f"injected at |k| = {k:g}, N = {N}")
+        if bc.variant == "aps-" and failing == "local+":
+            time.sleep(0.05)
+        return real(surface, k, bc, N, *args)
+
+    monkeypatch.setattr(dirac_core, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(dirac_core, "solve_mode", hooked)
+    out = tmp_path / "o"
+    code = run(["spectrum", "--geometry", "disk", "--bc", "local+,aps-",
+                "--N", "32,48,64", "--kmax", "2.5", "--out", str(out)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"numerical failure: injected at |k| = 1.5, N = {min(grids)}"]
+    assert (sorted(os.listdir(out)) if out.exists() else []) == sorted(written)
+    assert [line.split()[1] for line in captured.out.splitlines()
+            if line.startswith("wrote")] == [str(out / n) for n in written]
+    if failing == "local+" and 64 in grids:
+        # uncancelled, the pool would run all of N 64 and 48 under aps-
+        # before it reached local+ on N 32: 6 solves
+        assert len(calls) < (1 if workers == 1 else 6)
 
 
 _IMPORT_PROBE = """
@@ -943,7 +1056,8 @@ def test_built_in_runs_never_load_interpolate_or_optimize(tmp_path):
 def test_cli_import_loads_neither_scipy_nor_the_thread_pool():
     """Importing the CLI loads no scipy module and not concurrent.futures:
     every process pays its imports before the first solve, and the pool is
-    imported inside `aggregate`, where a full spectrum first needs it."""
+    imported inside `dirac_core.full_spectra`, where a full spectrum first
+    needs it."""
     probe = ("import json, sys, spinspec.cli; print(json.dumps(sorted("
              "m for m in sys.modules if m.split('.')[0] == 'scipy' "
              "or m.startswith('concurrent.futures'))))")
@@ -1135,14 +1249,17 @@ def test_local_pair_shares_its_solve_in_every_command(command, order, tmp_path,
                                                       monkeypatch):
     """A run with both local conditions writes, file for file, the bytes of
     the one-condition runs (bounds_summary.csv: their rows, in order).  The
-    second local condition is the first one's solve negated: each |k| of
+    second local condition shares the first one's solves: each |k| of
     the pair is solved once per grid (3 |k| on the disk at kmax 2.5, so
     convergence --bc local+,local- makes 9 solves, not 18), every solve_mode
-    call is aggregate's, and verify and bounds, which solve the last grid,
-    add one assembly per condition, for the fundamental's field."""
+    call is made inside the command's solve entry point (spectrum's one
+    pool, `full_spectra`, a generator; the others' `aggregate`), and verify
+    and bounds, which solve the last grid, add one assembly per condition,
+    for the fundamental's field."""
     conditions = order.split(",")
     base = [command, "--geometry", "disk", "--N", "32,48,64", "--kmax", "2.5"]
-    solve, merge = dirac_core.solve_mode, cli.aggregate
+    entry = "full_spectra" if command == "spectrum" else "aggregate"
+    solve, merge = dirac_core.solve_mode, getattr(cli, entry)
     assemble = dirac_core.ModeOperator._assemble
     calls, merging, assembled = [], [], []
 
@@ -1157,12 +1274,20 @@ def test_local_pair_shares_its_solve_in_every_command(command, order, tmp_path,
         finally:
             merging.pop()
 
+    def pooled(*args, **kwargs):
+        merging.append(True)
+        try:
+            yield from merge(*args, **kwargs)
+        finally:
+            merging.pop()
+
     def counted_assembly(op):
         assembled.append(op.k)
         assemble(op)
 
     monkeypatch.setattr(dirac_core, "solve_mode", counted)
-    monkeypatch.setattr(cli, "aggregate", merged)
+    monkeypatch.setattr(cli, entry, pooled if entry == "full_spectra"
+                        else merged)
     monkeypatch.setattr(dirac_core.ModeOperator, "_assemble", counted_assembly)
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(base + ["--bc", order, "--out", str(tmp_path / "all")]) == 0

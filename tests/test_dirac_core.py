@@ -507,6 +507,37 @@ def test_pooled_spectrum_is_the_serial_one(geometry, bc, spin, monkeypatch,
     assert np.array_equal(levels[1], levels[3])
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_full_spectra_is_aggregate_per_entry_largest_grid_first(workers,
+                                                                monkeypatch):
+    """full_spectra yields each (condition, grid) as aggregate gives it, bit
+    for bit, largest grid first and in the entries' order within a grid;
+    local+ and local- on one grid share one native solve per |k|."""
+    from spinspec import dirac_core
+    surface = make_surface("hemisphere")
+    entries = [(BoundaryConditionSpec(bc), N)
+               for bc in ("local-", "aps-", "local+") for N in (32, 48, 64)]
+    real, calls = dirac_core.solve_mode, []
+
+    def counted(surface, k, bc, N, *args):
+        calls.append((bc.variant, N, k))
+        return real(surface, k, bc, N, *args)
+
+    monkeypatch.setattr(dirac_core, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(dirac_core, "solve_mode", counted)
+    got = list(dirac_core.full_spectra(surface, 2.5, entries))
+    assert [i for i, _ in got] == [2, 5, 8, 1, 4, 7, 0, 3, 6]
+    # 3 |k| on 3 grids under the native local+ and aps-, each solved once
+    assert len(calls) == len(set(calls)) == 3 * 3 * 2
+    assert {bc for bc, _, _ in calls} == {"local+", "aps-"}
+    for i, sp in got:
+        bc, N = entries[i]
+        want = aggregate(surface, bc, 2.5, N)
+        assert (sp.bc, sp.n_grid, sp.k_top) == (bc, N, want.k_top)
+        assert np.array_equal(sp.levels, want.levels)
+        assert np.array_equal(np.signbit(sp.levels), np.signbit(want.levels))
+
+
 def test_selective_aggregate_stays_in_this_thread(monkeypatch):
     """With n_levels set, aggregate solves inline whatever the CPU count."""
     import threading
