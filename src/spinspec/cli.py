@@ -28,7 +28,9 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import identities as ident
 from .dirac_core import (BoundaryConditionSpec, NumericalError, Spectrum,
-                         aggregate, full_spectra)
+                         full_spectra)
+# unused here; perfbench --trace patches this name
+from .dirac_core import aggregate  # noqa: F401
 from .geometry import (LAW_TOL, ConfigError,
                        ConformalRescaling, WarpedSurface, catalog,
                        check_input_file, conformal_law_residuals,
@@ -309,25 +311,18 @@ def _warn_top(top: float, hint: str = "increase --kmax") -> str:
 
 def _spectra(sc: Scenario, surface: WarpedSurface, command: str, err: list):
     """(condition name, Spectrum) per entry of sc.bc, then per grid of
-    `command`'s plan (`_plan`), for the selective solves of verify, bounds
-    and convergence.  A local condition whose twin was solved on that grid
-    is that solve negated (Spectrum.negated).  A spectrum whose lambda_min
-    sits on its top mode adds the warning to err."""
+    `command`'s plan (`_plan`), from the one executor (`full_spectra`):
+    for verify, bounds and convergence it solves inline, in this order, as
+    each is asked for.  A spectrum whose lambda_min sits on its top mode
+    adds the warning to err."""
     grids, k_max, n_levels = _plan(sc, command)
-    local = {}                # N -> the last local+- Spectrum of this call
-    for bc_name in sc.bc:
-        bc = BoundaryConditionSpec(bc_name)
-        for N in grids:
-            twin = local.get(N) if bc.is_local else None
-            if twin is not None and twin.bc != bc:
-                sp = twin.negated()
-            else:
-                sp = aggregate(surface, bc, k_max, N, n_levels)
-            if bc.is_local:
-                local[N] = sp
-            if sp.kmax_attained:
-                err.append(_warn_top(sp.k_top))
-            yield bc_name, sp
+    plan = [(bc_name, N) for bc_name in sc.bc for N in grids]
+    for i, sp in full_spectra(surface, k_max, [
+            (BoundaryConditionSpec(bc_name), N) for bc_name, N in plan],
+            n_levels):
+        if sp.kmax_attained:
+            err.append(_warn_top(sp.k_top))
+        yield plan[i][0], sp
 
 
 def _cmd_spectrum(sc: Scenario, surface: WarpedSurface, _, err: list) -> int:
@@ -336,12 +331,13 @@ def _cmd_spectrum(sc: Scenario, surface: WarpedSurface, _, err: list) -> int:
     its spectrum comes in, while the pool solves the rest.  The files are
     written, and their lines printed, in plan order at the end: after a
     failure, only those of the entries before it."""
-    grids, k_max, _ = _plan(sc, "spectrum")
+    grids, k_max, n_levels = _plan(sc, "spectrum")
     plan = [(bc_name, N) for bc_name in sc.bc for N in grids]
     done = {}                 # plan index -> (text, note, |lambda_min|, warning)
     try:
         for i, sp in full_spectra(surface, k_max, [
-                (BoundaryConditionSpec(bc_name), N) for bc_name, N in plan]):
+                (BoundaryConditionSpec(bc_name), N) for bc_name, N in plan],
+                n_levels):
             done[i] = (_spectrum_csv(sp.levels),
                        f" (lambda_min = {fmt(sp.lambda_min)}, "
                        f"attained at k = {fmt(sp.k_min)})",

@@ -45,15 +45,19 @@ operator, assembled once more: the level is never solved twice.  Every
 LAPACK routine is called through `_lapack`: from numpy's bundled
 OpenBLAS, or scipy's table where that is missing.
 
-Threads follow a measured rule (the benchmark's `wall_s`, 2 cores).  Full
-spectra are solved on one thread pool per call of `full_spectra`, one
-thread per available CPU: almost all of an O(N^2) full solve is dsterf or
-dlasq1, and `_lapack`'s ctypes calls release the GIL for their length, so
-the solves run side by side.  `spectrum` makes one such call for all its
-conditions and grids; the largest grid is solved first, and each grid's
-CSV is formatted while the pool solves the rest.  Selective solves run inline: they are O(N) and
-mostly Python and numpy work under the GIL, and on a pool they ran
-slower.  They serve lambda_min, so they take the |k| in ascending
+Every command solves its modes through one executor, `full_spectra`: it
+runs each native solve (below) once per command, so local+ and local- on
+one grid share it.  Threads follow a measured rule (the benchmark's
+`wall_s`, 2 cores).  Full spectra are solved on one thread pool per call,
+one thread per available CPU: almost all of an O(N^2) full solve is dsterf
+or dlasq1, and `_lapack`'s ctypes calls release the GIL for their length,
+so the solves run side by side.  `spectrum` makes one such call for all
+its conditions and grids; the largest grid is solved first, and each
+grid's CSV is formatted while the pool solves the rest.  Selective solves,
+which `verify`, `bounds` and `convergence` ask for by the levels per mode
+they read, run inline, in the order of the command's entries: they are
+O(N) and mostly Python and numpy work under the GIL, and on a pool they
+ran slower.  They serve lambda_min, so they take the |k| in ascending
 order and probe every mode after the first with one stebz count on a
 window just wider than the smallest |lambda| found so far
 (`ModeOperator.clear_of`); only a mode with a level in that window, other
@@ -502,17 +506,6 @@ class ModeOperator:
         roundoff symmetrization."""
         return self._herm
 
-    def apply_interior(self, p: Array, q_full: Array) -> tuple[Array, Array]:
-        """Apply the scheme rows to given staggered samples (oracle checks).
-
-        Returns ((D v)_1 at the N centers, (D v)_2 at the N-1 interior
-        vertices); boundary-vertex rows are closure-specific and excluded.
-        """
-        _, _, _, p_lo, p_hi, q_lo, q_hi = self._stencil()
-        p = np.asarray(p, complex)
-        q = np.asarray(q_full, complex)
-        return p_lo * q[:-1] + p_hi * q[1:], q_lo * p[:-1] + q_hi * p[1:]
-
     @property
     def structural_zeros(self) -> tuple[int, str] | None:
         """Exact zero eigenvalues forced by the staggered block dimensions.
@@ -855,17 +848,6 @@ class Spectrum:
         sel = self.levels[np.abs(self.levels[:, 1] - k) < 1e-9]
         return np.sort(sel[:, 0])
 
-    def negated(self) -> "Spectrum":
-        """The spectrum under the other local condition, bit for bit what
-        `aggregate` gives there: every level negated (`solve_mode`), the
-        order settled again."""
-        if not self.bc.is_local:
-            raise ValueError("only a local spectrum negates")
-        other = "local-" if self.bc.variant == "local+" else "local+"
-        return _spectrum(self.surface, BoundaryConditionSpec(other),
-                         self.n_grid, self.k_top,
-                         self.levels * np.array([-1.0, 1.0]))
-
 
 def _spectrum(surface: WarpedSurface, bc: BoundaryConditionSpec, N: int,
               k_top: float, levels: Array) -> Spectrum:
@@ -905,83 +887,82 @@ def _merged(bc: BoundaryConditionSpec, by_abs: dict, solved) -> Array:
 def aggregate(surface: WarpedSurface, bc: BoundaryConditionSpec,
               k_max: float = 12.5, N: int = 256,
               n_levels: int | None = None) -> Spectrum:
-    """Merge the levels of all modes |k| <= k_max, no fields, into one Spectrum
-    (whose fundamental builds the one field from levels[0] when read).
+    """The levels of all modes |k| <= k_max under bc on grid N, no fields,
+    merged into one Spectrum (whose fundamental builds the one field from
+    levels[0] when read): the one-entry case of `full_spectra`."""
+    (_, sp), = full_spectra(surface, k_max, [(bc, N)], n_levels)
+    return sp
+
+
+def full_spectra(surface: WarpedSurface, k_max: float, entries: list,
+                 n_levels: int | None = None):
+    """(index, Spectrum) of the modes |k| <= k_max for each (condition,
+    grid) of `entries`: the one place where a command's mode solves run.
 
     `levels` holds every eigenvalue of each mode, or with n_levels the
     n_levels smallest |lambda| of each mode that could hold levels[0].  Each
-    |k| is solved once, under its native condition; modes +-k report those
-    levels as they are or negated (`_negated`), so a +-lambda tie between
-    the two modes is exact and the (|lambda|, k, sign) order settles it the
-    same way everywhere.  That order fixes the result whatever the order of
-    the solves, so each solve, its operator included, is dropped as soon as
-    its levels are taken: at most one is held per worker.  `k_top` is the
+    native solve runs once: each |k| under its native condition, local+ for
+    either local one, so local+ and local- on one grid share their solves,
+    and each entry merges them under its own condition (`_negated`).  A
+    +-lambda tie between modes +-k is then exact, and the (|lambda|, k,
+    sign) order settles it the same way everywhere.  That order fixes the
+    result whatever the order of the solves, so each solve, its operator
+    included, is dropped as soon as its levels are taken.  `k_top` is the
     largest |k| assessed, whether or not its modes hold rows.
 
-    A full spectrum (n_levels=None) is the one-entry case of
-    `full_spectra`: its |k| are solved on a pool of one thread per
-    available CPU, at most one per |k|, and the result is bit for bit the
-    serial one.  A failure cancels the solves not yet started and raises
-    the first failure in the serial order, largest |k| first.
+    A full spectrum (n_levels=None) solves every |k| on one pool of one
+    thread per available CPU, at most one per |k| solve (see the module
+    docstring); with one thread, in this one.  Every solve is submitted at
+    once, largest grid first, in the order of `entries` within a grid, and
+    each spectrum is yielded in that order as soon as its modes are in, so
+    the caller works on it while the pool solves the smaller grids.  Only
+    the native levels leave a worker: each holds one operator at a time.
 
-    Selective solves run in this thread, |k| ascending.  Every |k| after the
-    first is probed with the smallest |lambda| found so far
-    (`solve_mode`'s `above`): a mode whose probe clears it has no level that
-    could be levels[0] and holds no rows, and only the others are bisected.
-    A level that ties the smallest |lambda| exactly is inside the probe's
-    window, so its mode keeps its rows and the order settles the tie.
-    """
-    if n_levels is None:
-        (_, sp), = full_spectra(surface, k_max, [(bc, N)])
-        return sp
-    by_abs = _by_abs(surface, k_max)
-
-    def pruned():
-        """(|k|, levels) of the modes that could hold levels[0]."""
-        best = None
-        for k_abs in sorted(by_abs):
-            lams = solve_mode(surface, k_abs, _native(bc), N, 0, n_levels,
-                              best).lams
-            if len(lams):
-                low = float(np.min(np.abs(lams)))
-                best = low if best is None else min(best, low)
-                yield k_abs, lams
-
-    return _spectrum(surface, bc, N, max(by_abs), _merged(bc, by_abs, pruned()))
-
-
-def full_spectra(surface: WarpedSurface, k_max: float, entries: list):
-    """(index, Spectrum) of every eigenvalue of the modes |k| <= k_max for
-    each (condition, grid) of `entries`, as `aggregate` merges them, all
-    solved on one pool of one thread per available CPU, at most one per
-    |k| solve (see the module docstring); with one thread, in this one.
-
-    Each native solve runs once: local+ and local- on one grid share their
-    |k| solves, and each merges them under its own condition (bit for bit
-    the other's `Spectrum.negated`).  Every solve is submitted at once,
-    largest grid first, in the order of `entries` within a grid, and each
-    spectrum is yielded in that order as soon as its modes are in, so the
-    caller works on it while the pool solves the smaller grids.  Only the
-    native levels leave a worker: each holds one operator at a time.
+    Selective solves run in this thread, one native key at a time, in the
+    order of `entries` and only as each entry is asked for.  They take the
+    |k| ascending, and every |k| after the first is probed with the
+    smallest |lambda| found so far (`solve_mode`'s `above`): a mode whose
+    probe clears it has no level that could be levels[0] and holds no rows,
+    and only the others are bisected.  A level that ties the smallest
+    |lambda| exactly is inside the probe's window, so its mode keeps its
+    rows and the order settles the tie.
 
     A failure (NumericalError, or ConfigError for a grid too coarse) is
     the serial one: the error of the first failing entry in the order of
-    `entries` (within it, of the first failing |k|, largest first), raised
+    `entries` (within it, of the first failing |k| in solve order), raised
     once every entry before it has been yielded.  The solves that only
     later entries need are cancelled, though a later entry of a larger grid
     may have been yielded already.
     """
     by_abs = _by_abs(surface, k_max)
     keys = [(_native(bc), N) for bc, N in entries]
-    order = sorted(range(len(entries)), key=lambda i: -entries[i][1])
+    # the pool starts on the largest grid; inline solves follow `entries`
+    order = sorted(range(len(entries)),
+                   key=lambda i: 0 if n_levels is not None else -entries[i][1])
     native = list(dict.fromkeys(keys[i] for i in order))
 
-    def solve(key, k_abs: float) -> Array:
-        return solve_mode(surface, k_abs, key[0], key[1], 0).lams
+    def solve(key, k_abs: float, above: float | None = None) -> Array:
+        return solve_mode(surface, k_abs, *key, 0, n_levels, above).lams
+
+    def levels(key) -> list:
+        """(|k|, native levels) of every mode, or with n_levels of the modes
+        that could hold levels[0]."""
+        if pool is not None:
+            return list(zip(by_abs, [f.result() for f in futures[key]]))
+        if n_levels is None:
+            return [(k_abs, solve(key, k_abs)) for k_abs in by_abs]
+        best, pairs = None, []
+        for k_abs in sorted(by_abs):
+            lams = solve(key, k_abs, best)
+            if len(lams):
+                low = float(np.min(np.abs(lams)))
+                best = low if best is None else min(best, low)
+                pairs.append((k_abs, lams))
+        return pairs
 
     workers = min(_cpu_count(), len(native) * len(by_abs))
     pool, futures = None, {}
-    if workers > 1:
+    if n_levels is None and workers > 1:
         from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(workers)
         futures = {key: [pool.submit(solve, key, k) for k in by_abs]
@@ -994,8 +975,7 @@ def full_spectra(surface: WarpedSurface, k_max: float, entries: list):
             (bc, N), key = entries[i], keys[i]
             try:
                 if key not in solved:
-                    solved[key] = ([f.result() for f in futures[key]] if pool
-                                   else [solve(key, k) for k in by_abs])
+                    solved[key] = levels(key)
             except (NumericalError, ConfigError) as exc:
                 failed, error = i, exc
                 for later in set(keys[i:]) - set(keys[:i]):
@@ -1003,7 +983,7 @@ def full_spectra(surface: WarpedSurface, k_max: float, entries: list):
                         f.cancel()
                 continue
             yield i, _spectrum(surface, bc, N, max(by_abs),
-                               _merged(bc, by_abs, zip(by_abs, solved[key])))
+                               _merged(bc, by_abs, solved[key]))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

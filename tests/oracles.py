@@ -8,11 +8,13 @@ pole (or from the admissible trace direction at an inner boundary) and
 bisects the boundary-condition residual in lambda.  The hemisphere oracle is the closed-form
 Killing spinor.
 
-Three entries are references rather than independent oracles.
+Four entries are references rather than independent oracles.
 `brentq_r_of_s` is the package's original per-point arclength inverse, which
-the vectorized inverse must reproduce to roundoff.  `low_eigenpairs` collects
-the low eigenpairs of every mode from the package's per-mode solves, the
-fields that `aggregate` no longer keeps.  `DenseModeOperator` at the end is
+the vectorized inverse must reproduce to roundoff.  `apply_interior` applies
+the package's interior scheme rows to sampled spinors, so that a closed form
+checks the scheme.  `low_eigenpairs` collects the low eigenpairs of every
+mode from the package's per-mode solves, the fields that `aggregate` no
+longer keeps.  `DenseModeOperator` at the end is
 the package's own discretization, assembled the original dense way; the
 banded assembly must reproduce it to roundoff.
 """
@@ -243,6 +245,21 @@ def brentq_r_of_s(s_of_r, edges_r, edges_s):
         return float(out[0]) if scalar else out.reshape(np.shape(s))
 
     return r_of_s
+
+
+# ---------------------------------------------------------------------------
+# the scheme's interior rows
+# ---------------------------------------------------------------------------
+
+def apply_interior(op, p, q_full):
+    """Apply the interior scheme rows of the mode operator `op` to given
+    staggered samples: ((D v)_1 at the N centers, (D v)_2 at the N-1
+    interior vertices); the boundary-vertex rows are closure-specific and
+    excluded."""
+    _, _, _, p_lo, p_hi, q_lo, q_hi = op._stencil()
+    p = np.asarray(p, complex)
+    q = np.asarray(q_full, complex)
+    return p_lo * q[:-1] + p_hi * q[1:], q_lo * p[:-1] + q_hi * p[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -1006,6 +1006,56 @@ def test_spectrum_failure_is_the_serial_one(failing, grids, written, workers,
         assert len(calls) < (1 if workers == 1 else 6)
 
 
+@pytest.mark.parametrize("command, written", [
+    ("verify", "verify_localplus.jsonl"),
+    ("bounds", "bounds_localplus.json"),
+    ("convergence", "convergence_localplus.csv")])
+@pytest.mark.parametrize("failing", ["aps-", "local+"])
+def test_selective_failure_is_the_first_in_plan_order(command, written,
+                                                      failing, monkeypatch,
+                                                      tmp_path, capsys):
+    """verify, bounds and convergence solve inline, one condition after the
+    other.  A failure under `failing` at |k| = 1.5 exits 3 with one line.
+    Each condition's file is written before the next condition's first
+    solve, so a failure under aps- leaves the local+ file alone
+    (bounds_summary.csv is not written), and one under local+ writes
+    nothing."""
+    real, events = dirac_core.solve_mode, []
+
+    def hooked(surface, k, bc, N, *args):
+        events.append(bc.variant)
+        if bc.variant == failing and k == 1.5:
+            raise NumericalError(f"injected at |k| = {k:g}, N = {N}")
+        return real(surface, k, bc, N, *args)
+
+    def recorded(path, text):
+        events.append(os.path.basename(path))
+        atomic_write(path, text)
+
+    atomic_write = cli.atomic_write
+    monkeypatch.setattr(dirac_core, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(dirac_core, "solve_mode", hooked)
+    monkeypatch.setattr(cli, "atomic_write", recorded)
+    out = tmp_path / "o"
+    code = run([command, "--geometry", "disk", "--bc", "local+,aps-",
+                "--N", "32,48,64", "--kmax", "2.5", "--out", str(out)])
+    assert code == 3
+    captured = capsys.readouterr()
+    first = 32 if command == "convergence" else 64
+    assert captured.err.splitlines() == [
+        f"numerical failure: injected at |k| = 1.5, N = {first}"]
+    files = [written] if failing == "aps-" else []
+    assert (sorted(os.listdir(out)) if out.exists() else []) == files
+    assert [line.split()[1] for line in captured.out.splitlines()
+            if line.startswith("wrote")] == [str(out / n) for n in files]
+    if failing == "aps-":
+        at = events.index(written)
+        assert set(events[:at]) == {"local+"}
+        assert set(events[at + 1:]) == {"aps-"}
+    else:
+        assert set(events) == {"local+"}
+
+
 _IMPORT_PROBE = """
 import json, sys
 from spinspec import cli
@@ -1252,27 +1302,18 @@ def test_local_pair_shares_its_solve_in_every_command(command, order, tmp_path,
     second local condition shares the first one's solves: each |k| of
     the pair is solved once per grid (3 |k| on the disk at kmax 2.5, so
     convergence --bc local+,local- makes 9 solves, not 18), every solve_mode
-    call is made inside the command's solve entry point (spectrum's one
-    pool, `full_spectra`, a generator; the others' `aggregate`), and verify
-    and bounds, which solve the last grid, add one assembly per condition,
-    for the fundamental's field."""
+    call of every command is made inside the one executor, `full_spectra`
+    (a generator), and verify and bounds, which solve the last grid, add
+    one assembly per condition, for the fundamental's field."""
     conditions = order.split(",")
     base = [command, "--geometry", "disk", "--N", "32,48,64", "--kmax", "2.5"]
-    entry = "full_spectra" if command == "spectrum" else "aggregate"
-    solve, merge = dirac_core.solve_mode, getattr(cli, entry)
+    solve, merge = dirac_core.solve_mode, cli.full_spectra
     assemble = dirac_core.ModeOperator._assemble
     calls, merging, assembled = [], [], []
 
     def counted(*args, **kwargs):
         calls.append(bool(merging))
         return solve(*args, **kwargs)
-
-    def merged(*args, **kwargs):
-        merging.append(True)
-        try:
-            return merge(*args, **kwargs)
-        finally:
-            merging.pop()
 
     def pooled(*args, **kwargs):
         merging.append(True)
@@ -1286,8 +1327,7 @@ def test_local_pair_shares_its_solve_in_every_command(command, order, tmp_path,
         assemble(op)
 
     monkeypatch.setattr(dirac_core, "solve_mode", counted)
-    monkeypatch.setattr(cli, entry, pooled if entry == "full_spectra"
-                        else merged)
+    monkeypatch.setattr(cli, "full_spectra", pooled)
     monkeypatch.setattr(dirac_core.ModeOperator, "_assemble", counted_assembly)
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(base + ["--bc", order, "--out", str(tmp_path / "all")]) == 0

@@ -13,7 +13,7 @@ from spinspec import (FRAME, BoundaryConditionSpec, ConfigError, ModeOperator,
                       aggregate, boundary_dirac_matrix, make_surface,
                       modes_for, solve_mode)
 from spinspec.dirac_core import (NumericalError, _bipartite_values, _closures,
-                                 _collocate, _tridiagonal_block)
+                                 _collocate, _tridiagonal_block, full_spectra)
 
 GEOMS = ("disk", "annulus:0.5,1.0", "cylinder:2.0", "hemisphere", "cap:pi/3")
 BCS = ("local+", "local-", "aps-", "aps+")
@@ -507,32 +507,46 @@ def test_pooled_spectrum_is_the_serial_one(geometry, bc, spin, monkeypatch,
     assert np.array_equal(levels[1], levels[3])
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_full_spectra_is_aggregate_per_entry_largest_grid_first(workers,
-                                                                monkeypatch):
+@pytest.mark.parametrize("workers, n_levels", [
+    pytest.param(1, None, id="1"), pytest.param(2, None, id="2"),
+    pytest.param(1, 1, id="inline-1"), pytest.param(4, 1, id="inline-4")])
+def test_full_spectra_is_aggregate_per_entry_largest_grid_first(
+        workers, n_levels, monkeypatch):
     """full_spectra yields each (condition, grid) as aggregate gives it, bit
-    for bit, largest grid first and in the entries' order within a grid;
-    local+ and local- on one grid share one native solve per |k|."""
+    for bit; local+ and local- on one grid share one native solve per |k|.
+    A full spectrum comes largest grid first and in the entries' order
+    within a grid.  A selective one (n_levels=1) comes in the entries'
+    order, solved in this thread, and the thread pool is never imported,
+    whatever the CPU count."""
+    import sys
+    import threading
     from spinspec import dirac_core
     surface = make_surface("hemisphere")
     entries = [(BoundaryConditionSpec(bc), N)
                for bc in ("local-", "aps-", "local+") for N in (32, 48, 64)]
-    real, calls = dirac_core.solve_mode, []
+    real, calls, threads = dirac_core.solve_mode, [], []
 
     def counted(surface, k, bc, N, *args):
         calls.append((bc.variant, N, k))
+        threads.append(threading.current_thread() is threading.main_thread())
         return real(surface, k, bc, N, *args)
 
     monkeypatch.setattr(dirac_core, "_cpu_count", lambda: workers)
     monkeypatch.setattr(dirac_core, "solve_mode", counted)
-    got = list(dirac_core.full_spectra(surface, 2.5, entries))
-    assert [i for i, _ in got] == [2, 5, 8, 1, 4, 7, 0, 3, 6]
+    if n_levels is not None:
+        # an import of the pool now raises ImportError
+        monkeypatch.setitem(sys.modules, "concurrent.futures", None)
+    got = list(dirac_core.full_spectra(surface, 2.5, entries, n_levels))
+    assert [i for i, _ in got] == ([2, 5, 8, 1, 4, 7, 0, 3, 6]
+                                   if n_levels is None else list(range(9)))
     # 3 |k| on 3 grids under the native local+ and aps-, each solved once
     assert len(calls) == len(set(calls)) == 3 * 3 * 2
     assert {bc for bc, _, _ in calls} == {"local+", "aps-"}
+    if n_levels is not None:
+        assert all(threads)
     for i, sp in got:
         bc, N = entries[i]
-        want = aggregate(surface, bc, 2.5, N)
+        want = aggregate(surface, bc, 2.5, N, n_levels)
         assert (sp.bc, sp.n_grid, sp.k_top) == (bc, N, want.k_top)
         assert np.array_equal(sp.levels, want.levels)
         assert np.array_equal(np.signbit(sp.levels), np.signbit(want.levels))
@@ -685,7 +699,7 @@ def test_killing_spinor_scheme_residual_second_order():
         rc, xv = op.r_centers, op.r_vertices
         p = np.cos(rc / 2).astype(complex)
         q = -1j * np.sin(xv / 2)
-        rp, rq = op.apply_interior(p, q)
+        rp, rq = oracles.apply_interior(op, p, q)
         res_p = rp - 1.0 * p
         res_q = rq - 1.0 * q[1:-1]
         w_p = hemi.f(rc) * op.h
@@ -973,27 +987,32 @@ def test_local_minus_is_the_negated_local_plus_solve(geom):
 @pytest.mark.parametrize("geom", GEOMS)
 def test_local_minus_levels_are_negated_local_plus(geom):
     """aggregate(local-) is aggregate(local+) with every level negated and
-    the (|lambda|, k, sign) order settled again, bit for bit; so is
-    Spectrum.negated, both ways, and the fundamental of the negated
-    spectrum."""
+    the (|lambda|, k, sign) order settled again, bit for bit; so are the
+    local- and local+ entries of one full_spectra call, which share their
+    solves, both ways, and the fundamental of the shared local- entry."""
     surface = make_surface(geom)
     plus_bc, minus_bc = (BoundaryConditionSpec(b) for b in ("local+", "local-"))
+
+    def negated(levels):
+        flipped = levels * np.array([-1.0, 1.0])
+        order = np.lexsort((np.sign(flipped[:, 0]), flipped[:, 1],
+                            np.abs(flipped[:, 0])))
+        return flipped[order]
+
     for n_levels in (None, 2):
         plus = aggregate(surface, plus_bc, 2.5, 40, n_levels=n_levels)
         minus = aggregate(surface, minus_bc, 2.5, 40, n_levels=n_levels)
-        flipped = plus.levels * np.array([-1.0, 1.0])
-        order = np.lexsort((np.sign(flipped[:, 0]), flipped[:, 1],
-                            np.abs(flipped[:, 0])))
-        assert np.array_equal(minus.levels, flipped[order])
-        twin = plus.negated()
+        assert np.array_equal(minus.levels, negated(plus.levels))
+        (_, splus), (_, twin) = full_spectra(
+            surface, 2.5, [(plus_bc, 40), (minus_bc, 40)], n_levels)
         assert twin.bc == minus_bc and twin.n_grid == 40
+        assert np.array_equal(twin.levels, negated(splus.levels))
         assert np.array_equal(twin.levels, minus.levels)
+        assert np.array_equal(negated(twin.levels), splus.levels)
+        assert np.array_equal(splus.levels, plus.levels)
         assert twin.k_top == minus.k_top == 2.5
         assert twin.kmax_attained == minus.kmax_attained
-        assert np.array_equal(minus.negated().levels, plus.levels)
         _assert_same_pair(surface, twin.fundamental, minus.fundamental)
-    with pytest.raises(ValueError):
-        aggregate(surface, BoundaryConditionSpec("aps-"), 0.5, 32).negated()
 
 
 @pytest.mark.parametrize("geom", GEOMS)
