@@ -15,6 +15,9 @@ the paths spinspec takes (tests/test_lapack.py holds scipy as the oracle):
 * `eigvalsh_tridiagonal` : sterf for every eigenvalue; stebz for those in
   a value range,
 * `eigh_tridiagonal`     : stebz + stein for the vectors in a value range,
+* `SturmCounts`          : dlaebz's Sturm counts (IJOB=1) with stebz's
+  splitting and pivmin, and the intervals of stebz's bisection they pick
+  (scipy.linalg wraps neither),
 * `hessenberg`           : zgehrd + zunghr with calc_q=True (no balancing),
 * `solve_tridiagonal`    : solve_banded's gtsv branch, l = u = 1,
 * `null_space`           : numpy's SVD with scipy's rcond rule,
@@ -38,7 +41,7 @@ Array = np.ndarray
 
 # routine -> its number of arguments, INFO included
 _ARITY = {"dsterf": 4, "dlasq1": 5, "dstebz": 18, "dstein": 13,
-          "zgehrd": 9, "zunghr": 9, "dgtsv": 8, "zgtsv": 8}
+          "dlaebz": 20, "zgehrd": 9, "zunghr": 9, "dgtsv": 8, "zgtsv": 8}
 
 
 def _bundled_openblas() -> tuple[dict, type] | None:
@@ -176,6 +179,115 @@ def eigh_tridiagonal(d, e, select_range) -> tuple[Array, Array]:
     _check_info(info, "stein (eigh_tridiagonal)")
     order = np.argsort(w)
     return w[order], z[:, order]
+
+
+class SturmCounts:
+    """Sturm counts of the tridiagonal (d, e) as dstebz takes them, and the
+    intervals of dstebz's bisection that they pick.
+
+    Called with points, it lists for each the number of eigenvalues at or
+    below it: one Sturm sweep per point not counted before, up to four in
+    one dlaebz call (IJOB=1), on dstebz's squared off-diagonals (zero where
+    it splits the form into blocks) with its pivmin, so that each count is
+    the one dstebz's own bisection takes at that point.  A nonzero INFO,
+    which IJOB=1 gives only for an argument it refuses, is a LinAlgError.
+    """
+
+    def __init__(self, d, e):
+        d, e = _tridiagonal(d, e)
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        e2 = e * e
+        split = np.abs(d[1:] * d[:-1]) * eps ** 2 + tiny > e2
+        e2[split] = 0.0
+        pivmin = max(1.0, float(np.max(e2))) * tiny
+        self.n, self.split = len(d), bool(split.any())
+        self.bound = float(np.max(np.abs(d)) + 2 * np.max(e))  # >= |lambda|
+        # the arguments of a call on 2 m points, AB(m, 2) for m = 1, 2, made
+        # once; the arrays live as long as their addresses here
+        self._arrays = np.empty(4), np.empty(4, _INT_DTYPE), d, e2
+        ab, nab, dp, e2p = (ctypes.c_void_p(x.ctypes.data) for x in self._arrays)
+        self._args = {m: [*map(_arg, (1, 0, self.n, m, m, 0, 0.0, 0.0, pivmin)),
+                          dp, e2p, e2p, nab, ab, ab, ctypes.byref(_INT(0)),
+                          nab, ab, nab] for m in (1, 2)}
+        self._known: dict = {}
+
+    def __call__(self, *points) -> list:
+        known, (ab, nab, _, _) = self._known, self._arrays
+        new = [x for x in dict.fromkeys(points) if x not in known]
+        for i in range(0, len(new), 4):
+            chunk = new[i:i + 4]
+            m = (len(chunk) + 1) // 2
+            ab[:2 * m] = chunk + chunk[:len(chunk) % 2]    # the first again
+            info = _call("dlaebz", *self._args[m])
+            if info:
+                raise np.linalg.LinAlgError(
+                    f"laebz (sturm_counts) failed (LAPACK info={info})")
+            known.update(zip(chunk, nab[:len(chunk)].tolist()))
+        return [known[x] for x in points]
+
+    def window(self, need: int) -> float:
+        """The first w = 1, 2, 4, ... whose window (-w, w] holds `need`
+        levels, or that passes the Gershgorin bound."""
+        w = 1.0
+        while True:
+            lo, hi = self(-w, w)
+            if hi - lo >= need or w > self.bound:
+                return w
+            w *= 2.0
+
+    def path(self, w: float, need: int, positive: bool = False) -> list | None:
+        """The intervals (a, b] of dstebz's bisection from (-w, w] that hold
+        the `need` levels nearest 0, or the `need` smallest in (0, w] when
+        `positive`, each with its number of levels; None when the window
+        holds fewer, or dstebz does not bisect from it by halving: the form
+        splits, or the window reaches its Gershgorin bounds.
+
+        dstebz halves at 0, then +-w/2, ..., and takes its tolerances from
+        the Gershgorin bounds, not the interval, so a level bisected from
+        any interval on that path comes out bit for bit as from (-w, w].
+        The end r of (0, r] or (-r, r] is bisected down from w by counts
+        while it holds more than `need`, at most 8 times and never near
+        dstebz's tolerance; (0, r] is cut into intervals of the path by r's
+        binary digits.  The pair next to 0 is kept as one interval (-b, b],
+        which dstebz halves at 0 itself.
+        """
+        below, upto = self(-w, w)
+        if self.split or below == 0 or upto == self.n:
+            return None
+
+        def inside(x: float) -> int:
+            down, up = self(0.0 if positive else -x, x)
+            return up - down
+
+        if inside(w) < need:
+            return None
+        if not need:
+            return []
+        floor = max(w / 256, 1024 * np.finfo(float).eps * (self.bound + w))
+        lo, hi = 0.0, w
+        while inside(hi) > need and hi - lo > floor:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if inside(mid) >= need else (mid, hi)
+        nodes, a, size = [], 0.0, w
+        while a < hi:
+            if a + size <= hi:
+                nodes.append((a, a + size))
+                a += size
+            size /= 2
+        if positive:
+            return [((a, b), inside(b) - inside(a)) for a, b in nodes]
+        (_, b), *rest = nodes
+        picked = [((-b, b), inside(b))]
+        for a, b in rest:
+            na, nb, ma, mb = self(a, b, -a, -b)
+            picked += [((a, b), nb - na), ((-b, -a), ma - mb)]
+        return picked
+
+
+def sturm_counts(d, e, points) -> Array:
+    """The number of eigenvalues of the tridiagonal (d, e) at or below each
+    point, as dstebz counts them (`SturmCounts`)."""
+    return np.array(SturmCounts(d, e)(*points), dtype=_INT_DTYPE)
 
 
 def hessenberg(a) -> tuple[Array, Array]:

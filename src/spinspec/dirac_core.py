@@ -37,7 +37,8 @@ untouched, and a diagonal unitary gauge makes the off-diagonals real and
 nonnegative.  The full spectrum (`spectrum`) comes from dsterf, or, for a
 bipartite operator, from the dqds singular values of the bidiagonal hidden in its form (below);
 the few smallest |lambda| that lambda_min needs come from Sturm bisection
-on a window around 0, in O(N).  The few eigenvectors come from the same
+of only the intervals that Sturm counts pick, in O(N)
+(`ModeOperator._low_levels`).  The few eigenvectors come from the same
 form (stebz and stein on a bracket around the wanted levels), mapped back
 and checked by their residual against the band.  The one field a command
 reads, the fundamental's, is the eigenvector of levels[0] in its mode's
@@ -58,8 +59,8 @@ which `verify`, `bounds` and `convergence` ask for by the levels per mode
 they read, run inline, in the order of the command's entries: they are
 O(N) and mostly Python and numpy work under the GIL, and on a pool they
 ran slower.  They serve lambda_min, so they take the |k| in ascending
-order and probe every mode after the first with one stebz count on a
-window just wider than the smallest |lambda| found so far
+order and probe every mode after the first with Sturm counts on a window
+just wider than the smallest |lambda| found so far
 (`ModeOperator.clear_of`); only a mode with a level in that window, other
 than its spurious structural zeros, is bisected, and the rest hold no rows.
 
@@ -97,8 +98,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import (bidiagonal_singular_values, eigh_tridiagonal,
-                      eigvalsh_tridiagonal, hessenberg, null_space)
+from ._lapack import (SturmCounts, bidiagonal_singular_values,
+                      eigh_tridiagonal, eigvalsh_tridiagonal, hessenberg,
+                      null_space)
 # unused here; perfbench --trace counts calls to this name
 from ._lapack import solve_tridiagonal as solve_banded  # noqa: F401
 from .geometry import (SLOPE_STENCIL, TRACE_STENCIL, ConfigError,
@@ -250,21 +252,6 @@ def _tridiagonal_block(block: Array, tol: float) -> tuple[Array, Array, Array]:
             f"tridiagonal reduction left an entry of {off:.3e} off the "
             f"tridiagonal (tolerance {tol:.3e})")
     return np.diagonal(H).real.copy(), np.diagonal(H, -1).copy(), Q
-
-
-def _low_values(d: Array, e: Array, count: int) -> Array:
-    """Eigenvalues of the tridiagonal (d, e) in a window (-w, w] around 0.
-
-    The window doubles from w = 1 until it holds `count` values or
-    covers the Gershgorin bound; Sturm bisection then costs O(n) per value.
-    """
-    bound = float(np.max(np.abs(d)) + 2 * np.max(e, initial=0.0))
-    w = 1.0
-    while True:
-        vals = eigvalsh_tridiagonal(d, e, select="v", select_range=(-w, w))
-        if len(vals) >= count or w > bound:
-            return vals
-        w *= 2.0
 
 
 def _bipartite_values(e: Array) -> Array:
@@ -570,21 +557,106 @@ class ModeOperator:
     def clear_of(self, bound: float) -> bool:
         """Whether no level this operator reports has |lambda| <= bound.
 
-        One stebz count on the window (-t, t], t = bound plus the
-        eigenvector bracket's slack 1e-10 * scale, of the operator's
-        tridiagonal form.  It clears the operator only when the window holds
-        exactly its spurious structural zeros, each within 1e-8 of 0, which
-        `eigensystem` would deflate (its own bound is never tighter).
-        Anything else -- a zero above 1e-8 or one missing, a harmonic zero,
-        any other level -- is not cleared, and is left to `eigensystem` and
-        its checks.
+        Sturm counts on the window (-t, t], t = bound plus the eigenvector
+        bracket's slack 1e-10 * scale, of the operator's tridiagonal form.
+        It clears the operator only when the window holds exactly its
+        spurious structural zeros, each within 1e-8 of 0, which
+        `eigensystem` would deflate (its own bound is never tighter).  A
+        bisected zero lies within dstebz's tolerance of its counted place,
+        so counts inside 1e-8 by twice that tolerance settle it; a zero
+        nearer 1e-8 is bisected.  Anything else -- a zero above 1e-8 or one
+        missing, a harmonic zero, any other level -- is not cleared, and is
+        left to `eigensystem` and its checks.
         """
         d, e, _ = self._form
         t = bound + 1e-10 * self._scale
-        vals = eigvalsh_tridiagonal(d, e, select="v", select_range=(-t, t))
         struct = self.structural_zeros
         n_zero = struct[0] if struct is not None and struct[1] == "spurious" else 0
-        return len(vals) == n_zero and bool(np.all(np.abs(vals) <= 1e-8))
+        count = SturmCounts(d, e)
+        if not n_zero:
+            lo, hi = count(-t, t)
+            return lo == hi
+        s = 1e-8 - 4 * np.finfo(float).eps * (count.bound + 1.0)
+        lo, hi, inner_lo, inner_hi = count(-t, t, -s, s)
+        if hi - lo != n_zero or inner_hi - inner_lo == n_zero:
+            return hi - lo == n_zero
+        vals = eigvalsh_tridiagonal(d, e, select="v", select_range=(-t, t))
+        return bool(np.all(np.abs(vals) <= 1e-8))
+
+    def _tol0(self) -> float:
+        """1e-8 times the largest column norm of the tridiagonal form (a
+        lower bound of its spectral radius), at least 1e-8."""
+        d, e, _ = self._form
+        col = np.square(d)
+        col[1:] += np.square(e)
+        col[:-1] += np.square(e)
+        return 1e-8 * max(1.0, float(np.sqrt(np.max(col))))
+
+    def _deflate(self, vals: Array) -> tuple[Array, Array]:
+        """(zeros, rest) of `vals`: the structural zeros, its smallest
+        |lambda|, refused beyond `_tol0`, dropped when spurious."""
+        struct = self.structural_zeros
+        n_zero = struct[0] if struct is not None else 0
+        order = np.argsort(np.abs(vals), kind="stable")
+        zeros, rest = vals[order[:n_zero]], vals[order[n_zero:]]
+        if struct is not None and struct[1] == "spurious":
+            if np.any(np.abs(zeros) > self._tol0()):
+                raise NumericalError(
+                    "expected exact structural kernel, found "
+                    f"{zeros!r}; refusing to deflate")
+            zeros = zeros[:0]
+        return zeros, rest
+
+    def _low_levels(self, want: int) -> tuple[Array, Array]:
+        """`_deflate` of dstebz's values in a window (-w, w] around 0, as
+        far as the want smallest |lambda| need them, bit for bit.
+
+        The window is the first of w = 1, 2, 4, ... to hold want levels,
+        the structural zeros and a spare (a +-pair may straddle its edge).
+        dstebz's tolerances do not depend on the interval, so a level comes
+        out the same from any interval on its bisection path from the
+        window: Sturm counts find the window and pick such intervals
+        (`_pick`), and only those are bisected.  A form split into blocks, a
+        window past the Gershgorin bounds, or anything the counts cannot
+        vouch for bisects the whole window.
+        """
+        d, e, _ = self._form
+        count = SturmCounts(d, e)
+        struct = self.structural_zeros
+        n_zero = struct[0] if struct is not None else 0
+        w = count.window(want + n_zero + 1)
+        picked = self._pick(count, want, w)
+        if picked is not None:
+            parts = [np.empty(0)]
+            for ab, m in picked:
+                if m:
+                    parts.append(eigvalsh_tridiagonal(d, e, select="v",
+                                                      select_range=ab))
+                    if len(parts[-1]) != m:
+                        break
+            else:
+                vals = np.concatenate(parts)
+                return vals[:0], vals
+        return self._deflate(eigvalsh_tridiagonal(d, e, select="v",
+                                                  select_range=(-w, w)))
+
+    def _pick(self, count, want: int, w: float) -> list | None:
+        """The intervals to bisect, with their numbers of levels (None: the
+        whole window): those of the want levels nearest 0 (`path`).  A
+        bipartite operator reports -sigma for each sigma, so only the
+        positive levels its +-pairs need, once its spurious zeros are
+        counted exactly in (-tol0, 0]; harmonic zeros, which it reports,
+        take the whole window."""
+        struct = self.structural_zeros
+        if not self._bipartite:
+            return count.path(w, want)
+        if struct is not None:
+            tol0 = self._tol0()
+            z0, below, above = count(0.0, -tol0, tol0)
+            if (struct[1] == "harmonic" or z0 - below != struct[0]
+                    or above != z0):
+                return None
+        return count.path(w, (want + 1) // 2, positive=True)
 
     def eigensystem(self, n_vectors: int = 0, n_values: int | None = None
                     ) -> tuple[Array, Array, Array]:
@@ -594,43 +666,27 @@ class ModeOperator:
         n_values=None computes every eigenvalue of the tridiagonal form:
         dsterf, or for a bipartite operator +-sigma from the dqds singular
         values of its bidiagonal (`_bipartite_values`).  Otherwise only the
-        max(n_values, n_vectors) smallest |lambda| are computed (Sturm
-        bisection on a window around 0, O(n)).  A bipartite operator has an
-        exactly symmetric spectrum: its positive eigenvalues are reported
-        with their mirror images, so a +-pair is an exact tie.  The
-        eigenvectors of the selected values come from `eigenvectors`.
+        max(n_values, n_vectors) smallest |lambda| are computed, O(n): Sturm
+        counts pick the intervals that hold them and only those are
+        bisected (`_low_levels`).  Either way the structural zeros pass
+        `_deflate`'s check.  A bipartite operator has an exactly symmetric
+        spectrum: its positive eigenvalues are reported with their mirror
+        images, so a +-pair is an exact tie.  The eigenvectors of the
+        selected values come from `eigenvectors`.
 
         Returns (values ascending, selected values, selected vectors in
         reduced coordinates, one per column).
         """
-        d, e, (qh, qt, g) = self._form
+        d, e, _ = self._form
         n = len(d)
         struct = self.structural_zeros
         n_zero = struct[0] if struct is not None else 0
         want = None if n_values is None else max(n_values, n_vectors)
-        full = want is None or want + n_zero + 1 >= n
-        if full and self._bipartite:
-            vals = _bipartite_values(e)
-        elif full:
-            vals = eigvalsh_tridiagonal(d, e)
+        if want is not None and want + n_zero + 1 < n:
+            zeros, rest = self._low_levels(want)
         else:
-            # one spare value: a +-pair may straddle the window's edge
-            vals = _low_values(d, e, want + n_zero + 1)
-
-        order = np.argsort(np.abs(vals), kind="stable")
-        zeros, rest = vals[order[:n_zero]], vals[order[n_zero:]]
-        if struct is not None and struct[1] == "spurious":
-            # the largest column norm of the tridiagonal form: a lower bound
-            # of its spectral radius, O(n) on either path
-            col = np.square(d)
-            col[1:] += np.square(e)
-            col[:-1] += np.square(e)
-            tol0 = 1e-8 * max(1.0, float(np.sqrt(np.max(col))))
-            if np.any(np.abs(zeros) > tol0):
-                raise NumericalError(
-                    "expected exact structural kernel, found "
-                    f"{zeros!r}; refusing to deflate")
-            zeros = zeros[:0]
+            zeros, rest = self._deflate(_bipartite_values(e) if self._bipartite
+                                        else eigvalsh_tridiagonal(d, e))
         if self._bipartite:
             pos = rest[rest > 0]
             rest = np.concatenate([-pos, pos])

@@ -8,9 +8,12 @@ pole (or from the admissible trace direction at an inner boundary) and
 bisects the boundary-condition residual in lambda.  The hemisphere oracle is the closed-form
 Killing spinor.
 
-Four entries are references rather than independent oracles.
+Five entries are references rather than independent oracles.
 `brentq_r_of_s` is the package's original per-point arclength inverse, which
-the vectorized inverse must reproduce to roundoff.  `apply_interior` applies
+the vectorized inverse must reproduce to roundoff.  `window_values`,
+`selective_levels` and `window_clear_of` are the selective solve and probe
+as they bisected every level of a doubling window around 0; the
+count-driven solve must give their levels and decisions bit for bit.  `apply_interior` applies
 the package's interior scheme rows to sampled spinors, so that a closed form
 checks the scheme.  `low_eigenpairs` collects the low eigenpairs of every
 mode from the package's per-mode solves, the fields that `aggregate` no
@@ -24,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sl
 from scipy.integrate import solve_ivp
 from scipy.linalg import null_space
 from scipy.optimize import brentq
@@ -273,6 +277,72 @@ def low_eigenpairs(surface, bc: str, k_max: float, N: int) -> list:
     pairs = [e for k in modes_for(surface, k_max)
              for e in solve_mode(surface, k, spec, N, 2).pairs]
     return sorted(pairs, key=lambda e: (abs(e.lam), e.k, np.sign(e.lam)))
+
+
+# ---------------------------------------------------------------------------
+# whole-window Sturm bisection of the selective solve and of its probe
+# ---------------------------------------------------------------------------
+
+def window_values(d, e, count: int) -> np.ndarray:
+    """Eigenvalues of the tridiagonal (d, e) in a window (-w, w] around 0.
+
+    The window doubles from w = 1 until it holds `count` values or covers
+    the Gershgorin bound, and dstebz bisects every value of every window it
+    tries.
+    """
+    bound = float(np.max(np.abs(d)) + 2 * np.max(e, initial=0.0))
+    w = 1.0
+    while True:
+        vals = sl.eigvalsh_tridiagonal(d, e, select="v", select_range=(-w, w))
+        if len(vals) >= count or w > bound:
+            return vals
+        w *= 2.0
+
+
+def selective_levels(op, want: int) -> np.ndarray:
+    """The levels of `op.eigensystem(n_values=want)` from `window_values`
+    with one spare value: the structural zeros are the smallest |lambda|,
+    refused beyond 1e-8 times the largest column norm and dropped when
+    spurious; a bipartite operator reports its positive values with their
+    mirror images; the want smallest |lambda| are kept, an exact tie at the
+    cut whole."""
+    d, e = op.tridiagonal()
+    struct = op.structural_zeros
+    n_zero = struct[0] if struct is not None else 0
+    vals = window_values(d, e, want + n_zero + 1)
+    order = np.argsort(np.abs(vals), kind="stable")
+    zeros, rest = vals[order[:n_zero]], vals[order[n_zero:]]
+    if struct is not None and struct[1] == "spurious":
+        col = np.square(d)
+        col[1:] += np.square(e)
+        col[:-1] += np.square(e)
+        tol0 = 1e-8 * max(1.0, float(np.sqrt(np.max(col))))
+        if np.any(np.abs(zeros) > tol0):
+            raise NumericalError("expected exact structural kernel, found "
+                                 f"{zeros!r}; refusing to deflate")
+        zeros = zeros[:0]
+    if op._bipartite:
+        pos = rest[rest > 0]
+        rest = np.concatenate([-pos, pos])
+    vals = np.sort(np.concatenate([zeros, rest]))
+    a = np.abs(vals)
+    order = np.argsort(a, kind="stable")
+    m = want
+    while 0 < m < len(vals) and a[order[m]] == a[order[m - 1]]:
+        m += 1
+    return np.sort(vals[order[:m]])
+
+
+def window_clear_of(op, bound: float) -> bool:
+    """`op.clear_of(bound)` from the bisected window (-t, t], t = bound +
+    1e-10 * scale: it holds exactly the spurious structural zeros, each
+    within 1e-8 of 0."""
+    d, e = op.tridiagonal()
+    t = bound + 1e-10 * op._scale
+    vals = sl.eigvalsh_tridiagonal(d, e, select="v", select_range=(-t, t))
+    struct = op.structural_zeros
+    n_zero = struct[0] if struct is not None and struct[1] == "spurious" else 0
+    return len(vals) == n_zero and bool(np.all(np.abs(vals) <= 1e-8))
 
 
 # ---------------------------------------------------------------------------

@@ -1357,9 +1357,10 @@ def test_local_pair_shares_its_solve_in_every_command(command, order, tmp_path,
 
 
 @pytest.mark.parametrize("case, name, caller, command, geometry, bc", [
-    ("probe", "eigvalsh_tridiagonal", "clear_of", "verify", "disk", "local+"),
-    ("sturm_window", "eigvalsh_tridiagonal", "_low_values", "verify", "disk",
+    ("sturm_window", "eigvalsh_tridiagonal", "_low_levels", "verify", "disk",
      "local+"),
+    ("sturm_window", "eigvalsh_tridiagonal", "_low_levels", "verify",
+     "hemisphere", "aps-"),
     ("eigenvectors", "eigh_tridiagonal", "eigenvectors", "verify", "disk",
      "local+"),
     ("dsterf", "eigvalsh_tridiagonal", "eigensystem", "spectrum", "disk",
@@ -1370,11 +1371,12 @@ def test_local_pair_shares_its_solve_in_every_command(command, order, tmp_path,
 def test_every_lapack_failure_of_a_mode_solve_exits_3_with_one_line(
         case, name, caller, command, geometry, bc, tmp_path, capsys,
         monkeypatch):
-    """A LinAlgError from any LAPACK call of a mode solve -- the probe, the
-    Sturm window, the eigenvectors, and the full dsterf and dlasq1 paths --
-    ends the run with exit 3 and one stderr line (solve_mode, or for the
-    fundamental's eigenvectors Spectrum.fundamental, turns it into a
-    NumericalError)."""
+    """A LinAlgError from any bisection or full solve of a mode -- the
+    Sturm bisection of the window's picked intervals, local and bipartite,
+    the eigenvectors, and the full dsterf and dlasq1 paths -- ends the run
+    with exit 3 and one stderr line (solve_mode, or for the fundamental's
+    eigenvectors Spectrum.fundamental, turns it into a NumericalError).
+    The Sturm counts are the next test's."""
     real, hits = getattr(dirac_core, name), []
 
     def failing(*args, **kwargs):
@@ -1390,6 +1392,94 @@ def test_every_lapack_failure_of_a_mode_solve_exits_3_with_one_line(
     assert hits and code == 3
     assert len(err) == 1 and err[0].startswith("numerical failure: "), err
     assert err[0].endswith(f"{case} injected")
+
+
+@pytest.mark.parametrize("case, caller, geometry, bc", [
+    ("probe", "clear_of", "disk", "local+"),
+    ("probe", "clear_of", "hemisphere", "aps-"),
+    ("window", "_low_levels", "disk", "local+"),
+    ("structural_zero", "_pick", "hemisphere", "aps-"),
+])
+@pytest.mark.parametrize("failure", ["LinAlgError", "info"])
+def test_every_failing_sturm_count_exits_3_with_one_line(
+        case, caller, geometry, bc, failure, tmp_path, capsys, monkeypatch):
+    """A dlaebz Sturm count that fails -- a LinAlgError, or a nonzero INFO,
+    which `_lapack` turns into one -- at each place that counts (the probe,
+    the doubling window, the structural-zero count of a bipartite mode)
+    ends the run with exit 3 and one stderr line."""
+    from spinspec import _lapack
+    real, hits = _lapack._call, []
+
+    def failing(name, *args):
+        if name == "dlaebz":
+            frame = sys._getframe(1)
+            while frame.f_code.co_filename != dirac_core.__file__:
+                frame = frame.f_back        # out of _lapack
+            if frame.f_code.co_name == caller:
+                hits.append(case)
+                if failure == "info":
+                    return -1
+                raise np.linalg.LinAlgError(f"{case} injected")
+        return real(name, *args)
+
+    monkeypatch.setattr(_lapack, "_call", failing)
+    code = run(["verify", "--geometry", geometry, "--bc", bc, "--N", "32",
+                "--kmax", "2.5", "--out", str(tmp_path)])
+    err = capsys.readouterr().err.splitlines()
+    assert hits and code == 3
+    assert len(err) == 1 and err[0].startswith("numerical failure: "), err
+    assert err[0].endswith("(LAPACK info=-1)" if failure == "info"
+                           else f"{case} injected")
+
+
+_SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "scenarios")
+
+
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--config", os.path.join(_SCENARIOS, "disk_oracle.json")],
+    ["convergence", "--config",
+     os.path.join(_SCENARIOS, "hemisphere_aps_gap.json")],
+    ["bounds", "--geometry", "annulus:0.5,1.0", "--bc", "local+,aps-",
+     "--N", "256", "--kmax", "12.5"],
+])
+def test_selective_solves_bisect_only_the_levels_they_report(argv, tmp_path,
+                                                             monkeypatch):
+    """Every value dstebz bisects in a selective solve is a level the solve
+    reports, and none is bisected twice: no structural zero, no mirror
+    image -sigma of a bipartite level, nothing of a window the doubling
+    passes through.  A probe bisects nothing."""
+    real_bisect = dirac_core.eigvalsh_tridiagonal
+    real_solve = dirac_core.ModeOperator.eigensystem
+    real_probe = dirac_core.ModeOperator.clear_of
+    bisected, solves, probes = [], [], []
+
+    def bisect(d, e, select="a", select_range=None):
+        vals = real_bisect(d, e, select=select, select_range=select_range)
+        bisected.extend(vals.tolist())
+        return vals
+
+    def eigensystem(self, *args, **kwargs):
+        bisected.clear()
+        out = real_solve(self, *args, **kwargs)
+        solves.append((list(bisected), out[0].tolist()))
+        return out
+
+    def clear_of(self, bound):
+        bisected.clear()
+        cleared = real_probe(self, bound)
+        probes.append(list(bisected))
+        return cleared
+
+    monkeypatch.setattr(dirac_core, "eigvalsh_tridiagonal", bisect)
+    monkeypatch.setattr(dirac_core.ModeOperator, "eigensystem", eigensystem)
+    monkeypatch.setattr(dirac_core.ModeOperator, "clear_of", clear_of)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv + ["--out", str(tmp_path)]) == 0
+    assert solves and probes and not any(probes)
+    for values, reported in solves:
+        assert values and len(set(values)) == len(values)
+        assert set(values) <= set(reported)
 
 
 def _mostly(valid, *bad):

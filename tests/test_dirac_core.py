@@ -369,6 +369,68 @@ def test_probe_leaves_a_doubtful_kernel_to_the_refusal(attr, plant,
         aggregate(surface, spec, 4.5, 64, n_levels=1)
 
 
+def _probe_bounds(op, levels) -> list:
+    """Probe bounds whose window edge t = bound + 1e-10 * scale sits at a
+    level, a few ulps either side of it, and 1e-9 inside and outside it, for
+    the two smallest |lambda| of each sign; an edge at a level of a
+    bipartite operator is an exact +-tie.  Also bounds that leave only the
+    structural zeros in the window."""
+    slack = 1e-10 * op._scale
+    bounds = [0.0, 1e-9, 1e-8]
+    for lam in np.unique(np.abs(levels[levels != 0]))[:2]:
+        at = lam - slack
+        bounds += [lam, 0.5 * lam, at, at + 1e-9, at - 1e-9,
+                   np.nextafter(at, np.inf), np.nextafter(at, -np.inf)]
+    return [b for b in bounds if b >= 0]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(geom=st.sampled_from(["disk", "hemisphere", "cap:1.2", "cap:2.0",
+                             "annulus:0.5,1.0", "annulus:1,2", "zone"]),
+       bc=st.sampled_from(BCS), N=st.integers(16, 1024),
+       k=st.sampled_from([0.5, 1.5, 2.5, 4.5]), n_levels=st.integers(1, 4))
+def test_count_picked_bisection_is_the_whole_window_one(zone_csv, geom, bc, N,
+                                                        k, n_levels):
+    """The selective levels of a mode, whose bisection the Sturm counts
+    confine to the intervals the reported levels need, are bit for bit the
+    ones of bisecting every level of the doubling window (the oracle), and
+    the count-only probe decides as the bisected window does: at a level,
+    just inside and outside it, at an exact +-tie and with only the
+    structural zeros in the window."""
+    surface = make_surface(f"profile:{zone_csv}" if geom == "zone" else geom)
+    try:
+        op = ModeOperator(surface, k, N, bc=BoundaryConditionSpec(bc))
+    except ConfigError:             # N too coarse for this |k|
+        return
+    want = oracles.selective_levels(op, n_levels)
+    got = op.eigensystem(n_values=n_levels)[0]
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    for bound in _probe_bounds(op, want):
+        assert op.clear_of(bound) == oracles.window_clear_of(op, bound), bound
+
+
+def test_a_short_bisection_falls_back_to_the_window(monkeypatch):
+    """When dstebz gives an interval the counts picked fewer levels than they
+    hold, the solve bisects its whole window instead of reporting fewer
+    levels, and the levels are the oracle's."""
+    from spinspec import dirac_core
+    real, calls = dirac_core.eigvalsh_tridiagonal, []
+
+    def short_once(d, e, select="a", select_range=None):
+        calls.append(select_range)
+        vals = real(d, e, select=select, select_range=select_range)
+        return vals[1:] if len(calls) == 1 else vals
+
+    monkeypatch.setattr(dirac_core, "eigvalsh_tridiagonal", short_once)
+    for bc in ("local+", "aps-"):
+        calls.clear()
+        op = ModeOperator(make_surface("hemisphere"), 0.5, 64,
+                          bc=BoundaryConditionSpec(bc))
+        got = op.eigensystem(n_values=2)[0]
+        assert len(calls) == 2 and calls[1][0] == -calls[1][1]
+        assert np.array_equal(got, oracles.selective_levels(op, 2))
+
+
 def test_fundamental_refuses_a_level_it_does_not_belong_to():
     """The fundamental's field is the eigenvector of levels[0] in mode
     k_min.  A levels[0] nudged by 1e-6, no level of that operator, and a

@@ -76,6 +76,51 @@ def test_operator_tridiagonals_solve_as_in_scipy():
         assert same(mine[0], ref[0]) and same(mine[1], ref[1])
 
 
+def _graded(seed, n, zero_diagonal):
+    """A tridiagonal whose entries fall by up to 200 decades along it, so
+    that dstebz splits it where an off-diagonal drops below its threshold."""
+    d, e = _tridiagonal(seed, n, zero_diagonal)
+    decades = np.random.default_rng(seed).uniform(0, 200)
+    return (d * 10.0 ** -np.linspace(0, decades, n),
+            e * 10.0 ** -np.linspace(0, decades, n - 1))
+
+
+@EXACT
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 120),
+       kind=st.sampled_from(["random", "zero_diagonal", "graded",
+                             "graded_zero_diagonal"]),
+       points=st.lists(st.floats(-4.0, 4.0), max_size=5))
+def test_sturm_counts_are_the_levels_at_or_below_each_point(seed, n, kind,
+                                                            points):
+    """sturm_counts at each point is the number of levels scipy's
+    eigvalsh_tridiagonal finds at or below it (by dstebz, down from below
+    the Gershgorin bound): at random points, at 0 and +-tol0 (the exact
+    structural zero of an odd zero-diagonal form counts at 0), and beyond
+    the Gershgorin bounds; away from every level, also the number of dsterf
+    values at or below it.  Whether the form splits into blocks is dstebz's
+    call."""
+    d, e = (_graded if kind.startswith("graded") else _tridiagonal)(
+        seed, n, kind.endswith("zero_diagonal"))
+    gersh = float(np.max(np.abs(d)) + 2 * np.max(e)) + 1.0
+    tol0 = 1e-8 * max(1.0, float(np.max(np.abs(d)) + 2 * np.max(e)))
+    at = [0.0, -tol0, tol0, -gersh, gersh, *points]
+    counts = _lapack.SturmCounts(d, e)
+    got = _lapack.sturm_counts(d, e, at)
+    assert got.tolist() == counts(*at) == counts(*at[::-1])[::-1]
+    every = sl.eigvalsh_tridiagonal(d, e)
+    for x, c in zip(at, got):
+        ref = sl.eigvalsh_tridiagonal(d, e, select="v",
+                                      select_range=(-gersh - 8.0, x))
+        assert c == len(ref)
+        if np.min(np.abs(every - x)) > 1e-9 * gersh:
+            assert c == np.sum(every <= x)
+    _, _, isplit = _lapack._stebz(d, e, (-gersh, gersh), "B")
+    assert counts.split == (isplit[0] < n)
+    if kind == "zero_diagonal" and n % 2:
+        # the exact zero counts in (-tol0, 0], and no level in (0, tol0]
+        assert (got[0] - got[1], got[2] - got[0]) == (1, 0)
+
+
 def test_tridiagonal_wrappers_refuse_what_scipy_refuses():
     with pytest.raises(ValueError):
         _lapack.eigvalsh_tridiagonal([0.0, np.nan], [1.0])
@@ -253,7 +298,9 @@ codes = [cli.run(["spectrum", "--geometry", "hemisphere", "--bc",
                   "local+,aps-", "--N", "48", "--kmax", "1.5", "--out", out]),
          cli.run(["bounds", "--geometry", "cap:1.2", "--optimize-bounds",
                   "--budget", "60", "--N", "32", "--kmax", "1.5",
-                  "--out", out])]
+                  "--out", out]),
+         cli.run(["convergence", "--geometry", "hemisphere", "--bc",
+                  "local+,aps-", "--N", "16,32,64", "--out", out])]
 print(json.dumps({"source": _lapack.SOURCE, "codes": codes}))
 """
 
@@ -261,7 +308,8 @@ print(json.dumps({"source": _lapack.SOURCE, "codes": codes}))
 def test_fallback_table_gives_the_same_outputs(tmp_path):
     """With numpy's OpenBLAS made unloadable before spinspec loads, every
     routine comes from scipy's Cython LAPACK (32-bit integers), and a
-    spectrum, verify and optimized bounds run write the same bytes."""
+    spectrum, verify, optimized bounds and convergence run (whose selective
+    solves read dlaebz) write the same bytes."""
     files = {}
     for table in ("bundled", "fallback"):
         out = tmp_path / table
@@ -271,9 +319,9 @@ def test_fallback_table_gives_the_same_outputs(tmp_path):
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.splitlines()[-1])
-        assert seen["codes"] == [0, 0, 0]
+        assert seen["codes"] == [0, 0, 0, 0]
         assert seen["source"] == {"bundled": "numpy-openblas64",
                                   "fallback": "scipy-cython-lapack"}[table]
         files[table] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    assert len(files["bundled"]) == 6
+    assert len(files["bundled"]) == 8
     assert files["bundled"] == files["fallback"]
