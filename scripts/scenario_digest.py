@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Digest every scenario command's outputs, to compare two trees byte for byte.
 
-    python scripts/scenario_digest.py [--bc LIST] [--optimizer] [SCENARIO.json ...]
-    python scripts/scenario_digest.py [--bc LIST] [--optimizer] --perfbench SEED
+    python scripts/scenario_digest.py [--bc LIST] [--optimizer | --lapack] [SCENARIO.json ...]
+    python scripts/scenario_digest.py [--bc LIST] [--optimizer | --lapack] --perfbench SEED
 
 With no argument it takes every scenarios/*.json.  With --perfbench it
 takes the job configs of the three benchmark workloads at that seed,
@@ -25,6 +25,14 @@ evaluation count and the SHA-256 over every trace point's params, value,
 margin and feasible flag, in order.  It calls `make_surface` and
 `bounds.optimize_modifiers` as `bounds` does, so it runs on any tree's
 `src` through PYTHONPATH.
+
+With --lapack it counts, in place of the digests, the LAPACK work of each
+command: one line per scenario and command with the exit code and the
+number of calls of each LAPACK routine made through `spinspec._lapack._call`
+(wrapped in process while the command runs), by routine name.  The
+workspace queries that `_lapack` caches are cleared before each command, so
+each line counts its own.  Two trees that print the same lines called the
+same routines as often.
 """
 
 import argparse
@@ -40,7 +48,7 @@ import tempfile
 
 import numpy as np
 
-from spinspec import bounds, make_surface
+from spinspec import _lapack, bounds, make_surface
 from spinspec.cli import Scenario, run
 
 COMMANDS = ("spectrum", "verify", "bounds", "convergence")
@@ -68,6 +76,30 @@ def digest(scenario: str, command: str) -> str:
                    for name, text in (("stdout", stdout), ("stderr", stderr))]
     name = os.path.splitext(os.path.basename(scenario))[0]
     return " ".join([name, command, f"exit={code}"] + files + streams)
+
+
+def lapack_counts(scenario: str, command: str) -> str:
+    """The LAPACK line of one command on one scenario: its exit code and
+    the calls of each routine, by name."""
+    call, counts = _lapack._call, {}
+
+    def counted(name, *args):
+        counts[name] = counts.get(name, 0) + 1
+        return call(name, *args)
+
+    _lapack._lwork.cache_clear()
+    _lapack._call = counted
+    try:
+        with tempfile.TemporaryDirectory() as tmp, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = run([command, "--config", scenario,
+                        "--out", os.path.join(tmp, "out")])
+    finally:
+        _lapack._call = call
+    name = os.path.splitext(os.path.basename(scenario))[0]
+    return " ".join([name, command, f"exit={code}"]
+                    + [f"{r}={n}" for r, n in sorted(counts.items())])
 
 
 def optimizer_digest(scenario: str) -> list[str]:
@@ -121,8 +153,11 @@ def main(argv: list[str]) -> int:
                    help="digest the benchmark's job configs at this seed")
     p.add_argument("--bc", metavar="LIST",
                    help="replace the boundary conditions of every scenario")
-    p.add_argument("--optimizer", action="store_true",
-                   help="digest the optimizer traces of `bounds` instead")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--optimizer", action="store_true",
+                      help="digest the optimizer traces of `bounds` instead")
+    mode.add_argument("--lapack", action="store_true",
+                      help="count each command's LAPACK calls instead")
     args = p.parse_args(argv)
     if args.perfbench is not None and args.scenarios:
         p.error("--perfbench takes no scenario files")
@@ -137,8 +172,9 @@ def main(argv: list[str]) -> int:
             scenarios = [with_bc(s, bc, os.path.join(inputs, f"bc{i}"))
                          for i, s in enumerate(scenarios)]
         for scenario in scenarios:
+            per_command = lapack_counts if args.lapack else digest
             lines = (optimizer_digest(scenario) if args.optimizer else
-                     (digest(scenario, command) for command in COMMANDS))
+                     (per_command(scenario, command) for command in COMMANDS))
             for line in lines:
                 print(line, flush=True)
     return 0

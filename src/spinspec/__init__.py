@@ -24,9 +24,7 @@ from .identities import (ConformalPush, EnergyMomentum, IdentityReport,
                          energy_momentum, eq_residual, killing_residual,
                          modified_gradient_norm, modified_scalar,
                          rtc2_residual, sl_residual, spinor_gradient)
-from .spin_algebra import (FRAME, CliffordFrame, boundary_chirality,
-                           chirality, chirality_projectors, clifford_mul,
-                           pairing)
+from .spin_algebra import FRAME, CliffordFrame, chirality, pairing
 
 __version__ = "0.1.0"
 

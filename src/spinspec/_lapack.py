@@ -18,7 +18,8 @@ the paths spinspec takes (tests/test_lapack.py holds scipy as the oracle):
 * `SturmCounts`          : dlaebz's Sturm counts (IJOB=1) with stebz's
   splitting and pivmin, and the intervals of stebz's bisection they pick
   (scipy.linalg wraps neither),
-* `hessenberg`           : zgehrd + zunghr with calc_q=True (no balancing),
+* `hessenberg_reflectors`, `hessenberg_q` : zgehrd, then zunghr, which is
+  scipy.linalg.hessenberg with calc_q=True (no balancing) in two steps,
 * `solve_tridiagonal`    : solve_banded's gtsv branch, l = u = 1,
 * `null_space`           : numpy's SVD with scipy's rcond rule,
 * `bidiagonal_singular_values` : dlasq1 (dqds), which scipy.linalg does
@@ -201,15 +202,15 @@ class SturmCounts:
         e2[split] = 0.0
         pivmin = max(1.0, float(np.max(e2))) * tiny
         self.n, self.split = len(d), bool(split.any())
-        self.bound = float(np.max(np.abs(d)) + 2 * np.max(e))  # >= |lambda|
-        # the arguments of a call on 2 m points, AB(m, 2) for m = 1, 2, made
-        # once; the arrays live as long as their addresses here
+        self.bound = float(np.abs(d).max() + 2 * e.max())  # >= |lambda|
+        # the arrays of a call, the arguments from PIVMIN on, which hold
+        # their addresses, and by m the arguments of a call on 2 m points,
+        # AB(m, 2), each list made on its first call
         self._arrays = np.empty(4), np.empty(4, _INT_DTYPE), d, e2
         ab, nab, dp, e2p = (ctypes.c_void_p(x.ctypes.data) for x in self._arrays)
-        self._args = {m: [*map(_arg, (1, 0, self.n, m, m, 0, 0.0, 0.0, pivmin)),
-                          dp, e2p, e2p, nab, ab, ab, ctypes.byref(_INT(0)),
-                          nab, ab, nab] for m in (1, 2)}
-        self._known: dict = {}
+        self._tail = [_arg(pivmin), dp, e2p, e2p, nab, ab, ab,
+                      ctypes.byref(_INT(0)), nab, ab, nab]
+        self._args, self._known = {}, {}
 
     def __call__(self, *points) -> list:
         known, (ab, nab, _, _) = self._known, self._arrays
@@ -217,11 +218,14 @@ class SturmCounts:
         for i in range(0, len(new), 4):
             chunk = new[i:i + 4]
             m = (len(chunk) + 1) // 2
+            if m not in self._args:
+                self._args[m] = [*map(_arg, (1, 0, self.n, m, m, 0, 0.0, 0.0)),
+                                 *self._tail]
             ab[:2 * m] = chunk + chunk[:len(chunk) % 2]    # the first again
             info = _call("dlaebz", *self._args[m])
             if info:
                 raise np.linalg.LinAlgError(
-                    f"laebz (sturm_counts) failed (LAPACK info={info})")
+                    f"laebz (SturmCounts) failed (LAPACK info={info})")
             known.update(zip(chunk, nab[:len(chunk)].tolist()))
         return [known[x] for x in points]
 
@@ -284,36 +288,38 @@ class SturmCounts:
         return picked
 
 
-def sturm_counts(d, e, points) -> Array:
-    """The number of eigenvalues of the tridiagonal (d, e) at or below each
-    point, as dstebz counts them (`SturmCounts`)."""
-    return np.array(SturmCounts(d, e)(*points), dtype=_INT_DTYPE)
-
-
-def hessenberg(a) -> tuple[Array, Array]:
-    """(H, Q) with a = Q H Q^H, H upper Hessenberg and Q unitary, of a
-    complex square matrix: zgehrd and zunghr over the whole index range,
-    each with its queried workspace (scipy's balancing step, permute=0, is
-    the identity there)."""
-    a = np.asarray(a)
-    _finite(a)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
+def hessenberg_reflectors(a) -> tuple[Array, Array]:
+    """(R, tau) of zgehrd over the whole index range of a complex square
+    matrix (scipy's balancing step, permute=0, is the identity there): H =
+    triu(R, -1) is upper Hessenberg with a = Q H Q^H, and R below H and tau
+    hold the reflectors of Q, which `hessenberg_q` builds.  For n <= 2, R is
+    a and Q the identity."""
+    r = np.array(a, dtype=complex, order="F")
+    _finite(r)
+    n = len(r)
+    if r.shape != (n, n):
         raise ValueError("expected square matrix")
+    tau = np.zeros(max(n - 1, 0), dtype=complex)
+    if n > 2:
+        lwork = _lwork("zgehrd", n)
+        _check_info(_call("zgehrd", n, 1, n, r, n, tau,
+                          np.empty(lwork, dtype=complex), lwork),
+                    "gehrd (hessenberg)")
+    return r, tau
+
+
+def hessenberg_q(r, tau) -> Array:
+    """The unitary Q of `hessenberg_reflectors`' (R, tau): zunghr on a copy
+    of R, with its queried workspace."""
+    n = len(r)
     if n <= 2:
-        return a, np.eye(n)
-    hq = np.array(a, dtype=complex, order="F")
-    tau = np.empty(n - 1, dtype=complex)
-    lwork = _lwork("zgehrd", n)
-    info = _call("zgehrd", n, 1, n, hq, n, tau, np.empty(lwork, dtype=complex),
-                 lwork)
-    _check_info(info, "gehrd (hessenberg)")
-    h = np.triu(hq, -1)
+        return np.eye(n)
+    q = np.array(r, order="F")
     lwork = _lwork("zunghr", n)
-    info = _call("zunghr", n, 1, n, hq, n, tau, np.empty(lwork, dtype=complex),
-                 lwork)
-    _check_info(info, "orghr (hessenberg)")
-    return h, hq
+    _check_info(_call("zunghr", n, 1, n, q, n, tau,
+                      np.empty(lwork, dtype=complex), lwork),
+                "orghr (hessenberg)")
+    return q
 
 
 @functools.lru_cache(maxsize=None)
@@ -356,9 +362,7 @@ def null_space(a) -> Array:
     from numpy's SVD (gesdd) with scipy's rcond = eps * max(shape)."""
     u, s, vh = np.linalg.svd(a, full_matrices=True)
     rcond = np.finfo(s.dtype).eps * max(u.shape[0], vh.shape[1])
-    tol = np.amax(s, initial=0.0) * rcond
-    num = np.sum(s > tol, dtype=int)
-    return vh[num:, :].T.conj()
+    return vh[int((s > s.max(initial=0.0) * rcond).sum()):, :].T.conj()
 
 
 def bidiagonal_singular_values(d: Array, e: Array) -> Array:

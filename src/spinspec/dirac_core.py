@@ -27,7 +27,9 @@ constraints reach further, and they stay inside a window of 7 unknowns at
 each end.  The constraint elimination runs densely on those two
 windows; the reduced operator is kept as its two end blocks and the middle
 links; the (2 bw + 1, n) band (bandwidth at most 5) is built from them
-only where eigenvectors are checked against it.
+only where eigenvectors are checked against it.  The profile samples that
+do not depend on k (`WarpedSurface.grid_samples`) are taken once per grid
+and command by the executor and read by every mode's assembly.
 
 Eigenvalues come from an exactly equivalent real symmetric tridiagonal
 form, built in O(N) from the blocks and links: the operator is tridiagonal
@@ -38,9 +40,13 @@ nonnegative.  The full spectrum (`spectrum`) comes from dsterf, or, for a
 bipartite operator, from the dqds singular values of the bidiagonal hidden in its form (below);
 the few smallest |lambda| that lambda_min needs come from Sturm bisection
 of only the intervals that Sturm counts pick, in O(N)
-(`ModeOperator._low_levels`).  The few eigenvectors come from the same
-form (stebz and stein on a bracket around the wanted levels), mapped back
-and checked by their residual against the band.  The one field a command
+(`ModeOperator._low_levels`).  The form keeps each end block's
+Householder reflectors, not its unitary: a levels-only solve runs zgehrd
+alone, and one set of Sturm counts serves its probe and its level solve.
+The few eigenvectors come from the same form (stebz and stein on a bracket
+around the wanted levels), mapped back through the unitaries, which
+zunghr builds from the kept reflectors only then, and the gauge, and
+checked by their residual against the band.  The one field a command
 reads, the fundamental's, is the eigenvector of levels[0] in its mode's
 operator, assembled once more: the level is never solved twice.  Every
 LAPACK routine is called through `_lapack`: from numpy's bundled
@@ -94,13 +100,13 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._lapack import (SturmCounts, bidiagonal_singular_values,
-                      eigh_tridiagonal, eigvalsh_tridiagonal, hessenberg,
-                      null_space)
+                      eigh_tridiagonal, eigvalsh_tridiagonal, hessenberg_q,
+                      hessenberg_reflectors, null_space)
 # unused here; perfbench --trace counts calls to this name
 from ._lapack import solve_tridiagonal as solve_banded  # noqa: F401
 from .geometry import (SLOPE_STENCIL, TRACE_STENCIL, ConfigError,
@@ -173,6 +179,8 @@ def _closures(surface: WarpedSurface, k: float,
 # are plain unknowns.  Both windows start at a vertex, so even window
 # positions are q and odd ones p.
 _WINDOW = 7
+# the entries above the first superdiagonal of a reduced window block
+_ABOVE = ~np.tri(_WINDOW, k=1, dtype=bool)
 
 
 def _end_constraint(closure: tuple, q: int, ps: tuple) -> tuple | None:
@@ -201,28 +209,24 @@ def _reduce_window(H: Array, msq: Array, active: Array,
     w = len(msq)
     kinds = ["q" if a % 2 == 0 else "p" for a in range(w)]
     sup = list(constraint[0]) if constraint else []
-    cols, col_kinds = [], []
+    cols = []                         # (kind, rows, entries) of each column
     for a in range(w):
         if sup and a == min(sup):
             coef = np.array(constraint[1], dtype=complex) / msq[sup]
-            z = null_space(coef[None, :])
             sup_kinds = {kinds[b] for b in sup}
             kind = sup_kinds.pop() if len(sup_kinds) == 1 else "mixed"
-            for zc in z.T:
-                col = np.zeros(w, dtype=complex)
-                col[sup] = zc
-                cols.append(col)
-                col_kinds.append(kind)
+            cols += [(kind, sup, zc) for zc in null_space(coef[None, :]).T]
         elif active[a] and a not in sup:
-            cols.append(np.eye(w)[:, a])
-            col_kinds.append(kinds[a])
-    Z = np.column_stack(cols)
-    return Z, Z.conj().T @ H @ Z, col_kinds
+            cols.append((kinds[a], a, 1.0))
+    Z = np.zeros((w, len(cols)), dtype=complex)
+    for j, (_, rows, entries) in enumerate(cols):
+        Z[rows, j] = entries
+    return Z, Z.conj().T @ H @ Z, [kind for kind, _, _ in cols]
 
 
-def _bandwidth(block: Array, tol: float) -> int:
-    i, j = np.nonzero(np.abs(block) > tol)
-    return int(np.max(np.abs(i - j))) if len(i) else 0
+def _bandwidth(abs_block: Array, tol: float) -> int:
+    i, j = np.nonzero(abs_block > tol)
+    return int(np.abs(i - j).max(initial=0))
 
 
 def _put_block(ab: Array, bw: int, at: int, block: Array) -> None:
@@ -234,24 +238,27 @@ def _put_block(ab: Array, bw: int, at: int, block: Array) -> None:
         ab[bw + off, j0: j0 + len(diag)] = diag
 
 
-def _tridiagonal_block(block: Array, tol: float) -> tuple[Array, Array, Array]:
+def _tridiagonal_block(block: Array, tol: float) -> tuple[Array, Array, tuple]:
     """Householder tridiagonal form T = Q^H block Q of a Hermitian block, by
     a unitary Q that fixes the block's first index.
 
-    Returns the real diagonal of T, its complex subdiagonal and Q.  The
-    Hessenberg reduction (no balancing) applies its reflectors to the
-    indices after the first only.  A Hermitian block comes out tridiagonal;
-    an entry beyond the first off-diagonal, or an imaginary diagonal part,
-    above `tol` is refused, never dropped.
+    Returns the real diagonal of T, its complex subdiagonal and the
+    reflectors of Q, from which `hessenberg_q` builds Q.  The Hessenberg
+    reduction (no balancing) applies its reflectors to the indices after
+    the first only.  A Hermitian block comes out tridiagonal; an entry
+    beyond the first off-diagonal, or an imaginary diagonal part, above
+    `tol` is refused, never dropped.  The block has at most `_WINDOW`
+    indices.
     """
-    H, Q = hessenberg(block)
-    off = max(float(np.max(np.abs(np.triu(H, 2)))),
-              float(np.max(np.abs(np.diagonal(H).imag))))
+    r, tau = hessenberg_reflectors(block)
+    diag, n = np.diagonal(r), len(r)
+    off = max(float(np.abs(r[_ABOVE[:n, :n]]).max(initial=0.0)),
+              float(np.abs(diag.imag).max(initial=0.0)))
     if off > tol:
         raise NumericalError(
             f"tridiagonal reduction left an entry of {off:.3e} off the "
             f"tridiagonal (tolerance {tol:.3e})")
-    return np.diagonal(H).real.copy(), np.diagonal(H, -1).copy(), Q
+    return diag.real.copy(), np.diagonal(r, -1).copy(), (r, tau)
 
 
 def _bipartite_values(e: Array) -> Array:
@@ -297,16 +304,24 @@ def _band_matvec(ab: Array, bw: int, x: Array) -> Array:
 class ModeOperator:
     """Discrete radial Dirac operator of one mode under a boundary condition.
 
-    Assembly keeps the reduced operator, exactly Hermitian, as its end
-    blocks and middle links (`_blocks`, read-only; `tridiagonal` and the
-    band `matrix` are built from them once, when first read); eigenvectors
-    are reported back on the staggered grids through `expand`.
+    Assembly reads the grid's k-free samples (`WarpedSurface.grid_samples`,
+    given or computed here) and keeps the reduced operator, exactly
+    Hermitian, as its end blocks and middle links (`_blocks`, read-only).
+    The rest is built from them when first read, once: the tridiagonal form
+    (d, e) (`tridiagonal`) from each end block's Householder reflectors
+    alone, and one `SturmCounts` of it that every count of the operator
+    shares; the band `matrix` that checks eigenvectors.  The back-map of
+    the eigenvectors (the end blocks' unitaries and the gauge) is built by
+    `eigenvectors`, from the reflectors the form kept.  So a levels-only
+    solve builds no back-map and no band.  Eigenvectors are reported back
+    on the staggered grids through `expand`.
     """
 
     surface: WarpedSurface
     k: float
     n_grid: int
     bc: BoundaryConditionSpec
+    samples: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_grid < 16:
@@ -315,6 +330,7 @@ class ModeOperator:
         if self.k < 0:
             raise ConfigError("ModeOperator assembles native modes k >= 0; "
                               "negative modes are solved by component swap")
+        self.samples = self.samples or self.surface.grid_samples(self.n_grid)
         self._assemble()
 
     # -- grid data -----------------------------------------------------
@@ -327,10 +343,6 @@ class ModeOperator:
     def r_centers(self) -> Array:
         return self.surface.centers(self.n_grid)
 
-    @property
-    def r_vertices(self) -> Array:
-        return self.surface.r_min + np.arange(self.n_grid + 1) * self.h
-
     # -- assembly --------------------------------------------------------
 
     def _stencil(self) -> tuple[Array, ...]:
@@ -341,11 +353,10 @@ class ModeOperator:
         row p_j, p_lo[j] q_j + p_hi[j] q_{j+1}, and of row q_i (0 < i < N),
         q_lo[i-1] p_{i-1} + q_hi[i-1] p_i.
         """
-        surf, k, h = self.surface, self.k, self.h
-        rc = self.r_centers
-        fc, fpc, fv = surf.f(rc), surf.fp(rc), surf.f(self.r_vertices)
-        sigma = fpc / (2 * fc) + k / fc
-        fsig = fpc / 2 + k                       # f * sigma at centers
+        k, h = self.k, self.h
+        fc, fv, half, fpc2 = self.samples[:4]
+        sigma = half + k / fc                    # f'/2f + k/f
+        fsig = fpc2 + k                          # f * sigma at centers
         p_lo = 1j * (-1.0 / h + sigma / 2)
         p_hi = 1j * (1.0 / h + sigma / 2)
         q_lo = 1j * (-fc[:-1] / h - fsig[:-1] / 2) / fv[1:-1]
@@ -407,15 +418,15 @@ class ModeOperator:
         # reduced operator exactly Hermitian with the half-cell mass G h / 2.
         # Per end: window start, boundary vertex and nearest centers (window
         # positions), d/dr weights (the inward slope, negated at the outer
-        # end), boundary radius
-        ends = {"inner": (0, 0, (1, 3, 5), SLOPE_STENCIL, surf.r_min),
+        # end), (f, f') at the boundary radius
+        ends = {"inner": (0, 0, (1, 3, 5), SLOPE_STENCIL, self.samples[4]),
                 "outer": (n_full - W, W - 1, (5, 3, 1),
-                          tuple(-w for w in SLOPE_STENCIL), surf.r_max)}
+                          tuple(-w for w in SLOPE_STENCIL), self.samples[5])}
         reduced = {}
-        for which, (at, q, ps, dws, r_b) in ends.items():
+        for which, (at, q, ps, dws, (fb, fpb)) in ends.items():
             block = window(at)
             if active[at + q]:
-                tau = float(surf.fp(r_b) / (2 * surf.f(r_b)) - k / surf.f(r_b))
+                tau = float(fpb / (2 * fb) - k / fb)
                 for pw, dw, ew in zip(ps, dws, TRACE_STENCIL):
                     block[q, pw] = (1j * (dw / h + tau * ew)
                                     * (msq[at + q] / msq[at + pw]))
@@ -426,12 +437,12 @@ class ModeOperator:
 
         # links of the middle, including the two that cross into the windows
         mid_lo, mid_up = lower[W - 1: n_full - W], upper[W - 1: n_full - W]
-        if not all(np.all(np.isfinite(b)) for b in (Ah, At, mid_lo, mid_up)):
+        if not all(np.isfinite(b).all() for b in (Ah, At, mid_lo, mid_up)):
             raise NumericalError("non-finite entries in the reduced operator")
-        herm = max(float(np.max(np.abs(Ah - Ah.conj().T))),
-                   float(np.max(np.abs(At - At.conj().T))),
-                   float(np.max(np.abs(mid_lo - np.conj(mid_up)))))
-        scale = max(float(np.max(np.abs(b))) for b in
+        herm = max(float(np.abs(Ah - Ah.conj().T).max()),
+                   float(np.abs(At - At.conj().T).max()),
+                   float(np.abs(mid_lo - np.conj(mid_up)).max()))
+        scale = max(float(np.abs(b).max()) for b in
                     (Ah, At, mid_lo, mid_up)) or 1.0
         if herm > _HERM_TOL * max(1.0, scale):
             raise NumericalError(
@@ -439,9 +450,10 @@ class ModeOperator:
         # strip roundoff asymmetry only
         Ah, At = 0.5 * (Ah + Ah.conj().T), 0.5 * (At + At.conj().T)
         mid_lo = 0.5 * (mid_lo + np.conj(mid_up))
+        abs_h, abs_t = np.abs(Ah), np.abs(At)
 
         tol = 1e-14 * max(1.0, scale)
-        bw = max(1, _bandwidth(Ah, tol), _bandwidth(At, tol))
+        bw = max(1, _bandwidth(abs_h, tol), _bandwidth(abs_t, tol))
         if bw > _MAX_BANDWIDTH:
             raise NumericalError(f"unexpected bandwidth {bw} after reduction")
 
@@ -459,8 +471,8 @@ class ModeOperator:
         for b in self._blocks:    # the cached tridiagonal form reads them once
             b.flags.writeable = False
         # the tolerances' one scale: the largest entry, at least 1
-        self._scale = max(1.0, *(float(np.max(np.abs(b)))
-                                 for b in self._blocks))
+        self._scale = max(1.0, float(abs_h.max()), float(np.abs(mid_lo).max()),
+                          float(abs_t.max()))
         self._m, self._msq = m[active], msq
         self._head, self._tail = Zh, Zt
 
@@ -482,11 +494,6 @@ class ModeOperator:
         _put_block(ab, bw, 0, head)
         _put_block(ab, bw, ab.shape[1] - rt, tail)
         return ab
-
-    @property
-    def weights(self) -> Array:
-        """Quadrature weights of the staggered degrees of freedom."""
-        return self._m.copy()
 
     def hermiticity_residual(self) -> float:
         """max |A - A^H| of the reduced operator as assembled, before the
@@ -513,14 +520,14 @@ class ModeOperator:
 
     @functools.cached_property
     def _form(self) -> tuple[Array, Array, tuple]:
-        """`_tridiagonal_form`, built on first read, its arrays read-only."""
-        d, e, back = self._tridiagonal_form()
-        for a in (d, e, *back):
-            a.flags.writeable = False
-        return d, e, back
+        """`_tridiagonal_form`, built on first read, (d, e) read-only."""
+        d, e, refl = self._tridiagonal_form()
+        d.flags.writeable = e.flags.writeable = False
+        return d, e, refl
 
     def _tridiagonal_form(self) -> tuple[Array, Array, tuple]:
-        """(d, e) and its back-map, built from the reduced blocks.
+        """(d, e), and what its back-map is built from, from the reduced
+        blocks.
 
         The operator is tridiagonal outside its head block (reduced columns
         0..rh-1) and tail block (the last rt), with a zero diagonal between
@@ -528,31 +535,33 @@ class ModeOperator:
         rh - 1 and n - rt.  A Householder tridiagonalization of each block
         whose unitary fixes that index (the head block index-reversed)
         leaves the rest untouched; a diagonal unitary gauge g then makes
-        every off-diagonal |e|.  O(n) in all.  An eigenvector z of (d, e)
-        maps back to blockdiag(Q_head, I, Q_tail) (g * z); the back-map is
-        (Q_head, Q_tail, g).  A bipartite operator (no column mixes p and q)
-        has a zero diagonal: it is checked at roundoff and set to exact zeros.
+        every off-diagonal |e|.  O(n) in all.  Each block's reflectors and
+        subdiagonal are kept for the back-map (`eigenvectors`).  A bipartite
+        operator (no column mixes p and q) has a zero diagonal: it is
+        checked at roundoff and set to exact zeros.
         """
         head, mid_lo, tail = self._blocks
         rh, rt = len(head), len(tail)
         n = rh + len(mid_lo) - 1 + rt
         tol = _HERM_TOL * self._scale
-        dh, lh, qh = _tridiagonal_block(head[::-1, ::-1], tol)
-        dt, lt, qt = _tridiagonal_block(tail, tol)
+        dh, lh, refl_h = _tridiagonal_block(head[::-1, ::-1], tol)
+        dt, lt, refl_t = _tridiagonal_block(tail, tol)
         d = np.concatenate([dh[::-1], np.zeros(n - rh - rt), dt])
-        lower = np.concatenate([np.conj(lh[::-1]), mid_lo, lt])
-        e = np.abs(lower)
-        phase = np.ones(n, dtype=complex)
-        np.divide(lower, e, out=phase[1:], where=e > 0)
-        gauge = np.cumprod(phase)     # drifts off |g| = 1 by O(n eps): rescale
+        e = np.abs(np.concatenate([np.conj(lh[::-1]), mid_lo, lt]))
         if self._bipartite:
-            dmax = float(np.max(np.abs(d)))
+            dmax = float(np.abs(d).max())
             if dmax > tol:
                 raise NumericalError(
                     f"bipartite operator has a diagonal entry {dmax:.3e} "
                     f"(tolerance {tol:.3e})")
             d = np.zeros(n)
-        return d, e, (qh[::-1, ::-1], qt, gauge / np.abs(gauge))
+        return d, e, (refl_h, lh, refl_t, lt)
+
+    @functools.cached_property
+    def _count(self) -> SturmCounts:
+        """The Sturm counts of (d, e), built on first read: the probe and
+        the level solve share them and their memo."""
+        return SturmCounts(*self._form[:2])
 
     def clear_of(self, bound: float) -> bool:
         """Whether no level this operator reports has |lambda| <= bound.
@@ -572,7 +581,7 @@ class ModeOperator:
         t = bound + 1e-10 * self._scale
         struct = self.structural_zeros
         n_zero = struct[0] if struct is not None and struct[1] == "spurious" else 0
-        count = SturmCounts(d, e)
+        count = self._count
         if not n_zero:
             lo, hi = count(-t, t)
             return lo == hi
@@ -590,7 +599,7 @@ class ModeOperator:
         col = np.square(d)
         col[1:] += np.square(e)
         col[:-1] += np.square(e)
-        return 1e-8 * max(1.0, float(np.sqrt(np.max(col))))
+        return 1e-8 * max(1.0, float(np.sqrt(col.max())))
 
     def _deflate(self, vals: Array) -> tuple[Array, Array]:
         """(zeros, rest) of `vals`: the structural zeros, its smallest
@@ -621,11 +630,10 @@ class ModeOperator:
         vouch for bisects the whole window.
         """
         d, e, _ = self._form
-        count = SturmCounts(d, e)
         struct = self.structural_zeros
         n_zero = struct[0] if struct is not None else 0
-        w = count.window(want + n_zero + 1)
-        picked = self._pick(count, want, w)
+        w = self._count.window(want + n_zero + 1)
+        picked = self._pick(want, w)
         if picked is not None:
             parts = [np.empty(0)]
             for ab, m in picked:
@@ -640,14 +648,14 @@ class ModeOperator:
         return self._deflate(eigvalsh_tridiagonal(d, e, select="v",
                                                   select_range=(-w, w)))
 
-    def _pick(self, count, want: int, w: float) -> list | None:
+    def _pick(self, want: int, w: float) -> list | None:
         """The intervals to bisect, with their numbers of levels (None: the
         whole window): those of the want levels nearest 0 (`path`).  A
         bipartite operator reports -sigma for each sigma, so only the
         positive levels its +-pairs need, once its spurious zeros are
         counted exactly in (-tol0, 0]; harmonic zeros, which it reports,
         take the whole window."""
-        struct = self.structural_zeros
+        struct, count = self.structural_zeros, self._count
         if not self._bipartite:
             return count.path(w, want)
         if struct is not None:
@@ -710,9 +718,11 @@ class ModeOperator:
         takes the vector of the nearest value found, and a level left
         without a vector of its own (none in the bracket, or a repeated
         level) is refused.  The vectors are mapped back from the tridiagonal
-        form and checked by their residual against `matrix`.
+        form, z to blockdiag(Q_head, I, Q_tail) (g * z), by the end blocks'
+        unitaries (zunghr on the reflectors `_form` kept) and the gauge g,
+        both built here, and checked by their residual against `matrix`.
         """
-        d, e, (qh, qt, g) = self._form
+        d, e, (refl_h, lh, refl_t, lt) = self._form
         ab, bw, scale = self.matrix, self._bw, self._scale
         # stebz + stein give n x m vectors (scipy's stemr allocates n x n);
         # the bracket may also hold a deflated zero, so take the nearest
@@ -722,7 +732,12 @@ class ModeOperator:
         pick = np.argmin(np.abs(got[:, None] - wanted), axis=0) if len(got) else []
         if len(set(pick)) < len(wanted):
             raise NumericalError(f"eigenvectors missing near {wanted.tolist()}")
-        y = g[:, None] * z[:, pick]
+        g = np.ones(len(d), dtype=complex)
+        np.divide(np.concatenate([np.conj(lh[::-1]), self._blocks[1], lt]), e,
+                  out=g[1:], where=e > 0)
+        g = np.cumprod(g)         # drifts off |g| = 1 by O(n eps): rescale
+        y = (g / np.abs(g))[:, None] * z[:, pick]
+        qh, qt = hessenberg_q(*refl_h)[::-1, ::-1], hessenberg_q(*refl_t)
         y[:len(qh)] = qh @ y[:len(qh)]
         y[-len(qt):] = qt @ y[-len(qt):]
         for lam, col in zip(wanted, y.T):
@@ -826,7 +841,8 @@ def _pairs(op: ModeOperator, k: float, bc: BoundaryConditionSpec,
 
 def solve_mode(surface: WarpedSurface, k: float, bc: BoundaryConditionSpec,
                N: int, n_fields: int = 4, n_levels: int | None = None,
-               above: float | None = None) -> ModeSolution:
+               above: float | None = None,
+               samples: tuple | None = None) -> ModeSolution:
     """Eigen-solve one mode by one native solve at |k|, under local+ for
     either local condition, reported negated (-lams reversed, conjugate
     vectors) where `_negated` says so (`_pairs`).
@@ -835,13 +851,15 @@ def solve_mode(surface: WarpedSurface, k: float, bc: BoundaryConditionSpec,
     smallest |lambda| (at least n_fields) are computed.  With `above`, the
     mode is first probed (`ModeOperator.clear_of`) and, if no level it
     reports can have |lambda| <= above, returned with no levels and no pairs.
+    `samples` are the grid's `WarpedSurface.grid_samples`, when the caller
+    has them.
     A LAPACK failure (LinAlgError) anywhere in the solve becomes the one
     NumericalError here and in `Spectrum.fundamental`: `ModeOperator`'s
     methods, called directly, raise it as the `_lapack` wrappers and scipy
     do.
     """
     try:
-        op = ModeOperator(surface, abs(k), N, bc=_native(bc))
+        op = ModeOperator(surface, abs(k), N, _native(bc), samples)
         if above is not None and op.clear_of(above):
             return ModeSolution(k, np.empty(0), [])
         lams, wanted, vecs = op.eigensystem(n_fields, n_levels)
@@ -964,7 +982,9 @@ def full_spectra(surface: WarpedSurface, k_max: float, entries: list,
     sign) order settles it the same way everywhere.  That order fixes the
     result whatever the order of the solves, so each solve, its operator
     included, is dropped as soon as its levels are taken.  `k_top` is the
-    largest |k| assessed, whether or not its modes hold rows.
+    largest |k| assessed, whether or not its modes hold rows.  The k-free
+    samples of each grid (`WarpedSurface.grid_samples`) are computed once
+    per call and read by every solve on that grid.
 
     A full spectrum (n_levels=None) solves every |k| on one pool of one
     thread per available CPU, at most one per |k| solve (see the module
@@ -996,9 +1016,11 @@ def full_spectra(surface: WarpedSurface, k_max: float, entries: list,
     order = sorted(range(len(entries)),
                    key=lambda i: 0 if n_levels is not None else -entries[i][1])
     native = list(dict.fromkeys(keys[i] for i in order))
+    samples = functools.cache(surface.grid_samples)
 
     def solve(key, k_abs: float, above: float | None = None) -> Array:
-        return solve_mode(surface, k_abs, *key, 0, n_levels, above).lams
+        return solve_mode(surface, k_abs, *key, 0, n_levels, above,
+                          samples(key[1])).lams
 
     def levels(key) -> list:
         """(|k|, native levels) of every mode, or with n_levels of the modes

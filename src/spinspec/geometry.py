@@ -256,6 +256,20 @@ class WarpedSurface:
         """Cell centres r_min + (j + 1/2) h, h = length / n, of the n-cell grid."""
         return self.r_min + (np.arange(n) + 0.5) * (self.length / n)
 
+    def grid_samples(self, n: int) -> tuple:
+        """The k-free profile samples of the n-cell grid that the Dirac
+        assembly reads for every mode, each computed as the assembly would:
+        f at the centres and at the vertices r_min + i h, f'/2f and f'/2 at
+        the centres (read-only), and (f, f') at r_min and at r_max."""
+        rc = self.centers(n)
+        fc, fpc = self.f(rc), self.fp(rc)
+        fv = self.f(self.r_min + np.arange(n + 1) * (self.length / n))
+        out = (fc, fv, fpc / (2 * fc), fpc / 2)
+        for a in out:
+            a.flags.writeable = False
+        return out + tuple((self.f(r), self.fp(r))
+                           for r in (self.r_min, self.r_max))
+
     def off_surface(self, r) -> bool:
         """Whether a radius r passes an end by more than roundoff: 1e-12 of
         the length plus four ulps of the larger end radius."""

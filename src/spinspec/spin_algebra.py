@@ -53,11 +53,6 @@ class CliffordFrame:
 FRAME = CliffordFrame(_read_only(1j * _SIGMA_X), _read_only(1j * _SIGMA_Y))
 
 
-def clifford_mul(x, s) -> Array:
-    """Clifford multiplication of the covector x on the spinor s."""
-    return FRAME.covector(x) @ np.asarray(s, dtype=complex)
-
-
 def pairing(phi, psi) -> complex:
     """Hermitian spinor metric (phi, psi), conjugate-linear in the first slot."""
     return complex(np.vdot(np.asarray(phi, complex), np.asarray(psi, complex)))
@@ -66,18 +61,3 @@ def pairing(phi, psi) -> complex:
 def chirality() -> Array:
     """Interior chirality operator F = i G1 G2 (sign fixed once and for all)."""
     return 1j * FRAME.volume
-
-
-def boundary_chirality(normal) -> Array:
-    """Boundary chirality Gamma = F (normal . ) for a unit normal covector."""
-    normal = np.asarray(normal, dtype=float)
-    nsq = float(normal @ normal)
-    if abs(nsq - 1.0) > 1e-12:
-        raise ValueError(f"normal covector fails normalization: |e0|^2 = {nsq!r}")
-    return chirality() @ FRAME.covector(normal)
-
-
-def chirality_projectors(gamma: Array) -> tuple[Array, Array]:
-    """Eigenprojectors P_+ , P_- onto the +/-1 eigenspaces of Gamma."""
-    eye = np.eye(2, dtype=complex)
-    return (eye + gamma) / 2, (eye - gamma) / 2

@@ -8,18 +8,21 @@ pole (or from the admissible trace direction at an inner boundary) and
 bisects the boundary-condition residual in lambda.  The hemisphere oracle is the closed-form
 Killing spinor.
 
-Five entries are references rather than independent oracles.
+Some entries are references rather than independent oracles.
 `brentq_r_of_s` is the package's original per-point arclength inverse, which
 the vectorized inverse must reproduce to roundoff.  `window_values`,
 `selective_levels` and `window_clear_of` are the selective solve and probe
 as they bisected every level of a doubling window around 0; the
-count-driven solve must give their levels and decisions bit for bit.  `apply_interior` applies
-the package's interior scheme rows to sampled spinors, so that a closed form
-checks the scheme.  `low_eigenpairs` collects the low eigenpairs of every
-mode from the package's per-mode solves, the fields that `aggregate` no
-longer keeps.  `DenseModeOperator` at the end is
-the package's own discretization, assembled the original dense way; the
-banded assembly must reproduce it to roundoff.
+count-driven solve must give their levels and decisions bit for bit.
+`apply_interior` applies the package's interior scheme rows to sampled
+spinors, so that a closed form checks the scheme.  `low_eigenpairs`
+collects the low eigenpairs of every mode from the package's per-mode
+solves, the fields that `aggregate` no longer keeps.  `DenseModeOperator`
+at the end is the package's own discretization, assembled the original
+dense way; the banded assembly must reproduce it to roundoff.  And
+`clifford_mul`, `boundary_chirality` and `chirality_projectors` build the
+Clifford action and the boundary chirality operator from the package's
+`FRAME` for the algebra and acceptance tests; no command reads them.
 """
 
 from __future__ import annotations
@@ -36,6 +39,31 @@ from scipy.special import jv
 from spinspec.dirac_core import (_HERM_TOL, _MAX_BANDWIDTH,
                                  BoundaryConditionSpec, NumericalError,
                                  _closures, modes_for, solve_mode)
+from spinspec.spin_algebra import FRAME, chirality
+
+
+# ---------------------------------------------------------------------------
+# spin algebra
+# ---------------------------------------------------------------------------
+
+def clifford_mul(x, s):
+    """Clifford multiplication of the covector x on the spinor s."""
+    return FRAME.covector(x) @ np.asarray(s, dtype=complex)
+
+
+def boundary_chirality(normal):
+    """Boundary chirality Gamma = F (normal . ) for a unit normal covector."""
+    normal = np.asarray(normal, dtype=float)
+    nsq = float(normal @ normal)
+    if abs(nsq - 1.0) > 1e-12:
+        raise ValueError(f"normal covector fails normalization: |e0|^2 = {nsq!r}")
+    return chirality() @ FRAME.covector(normal)
+
+
+def chirality_projectors(gamma):
+    """Eigenprojectors P_+ , P_- onto the +/-1 eigenspaces of Gamma."""
+    eye = np.eye(2, dtype=complex)
+    return (eye + gamma) / 2, (eye - gamma) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ import numpy as np
 
 import oracles
 from conftest import BUILTIN_SCENARIOS
+from oracles import boundary_chirality, chirality_projectors
 from spinspec import (FRAME, BoundaryConditionSpec, ModeOperator, ModifierPair,
-                      aggregate, boundary_chirality, boundary_data,
+                      aggregate, boundary_data,
                       boundary_dirac_matrix, conformal_push, conformal_rescale,
-                      chirality, chirality_projectors, energy_momentum,
+                      chirality, energy_momentum,
                       eq_residual, killing_residual, make_surface,
                       optimize_modifiers, parse_radial_spec, rtc2_residual,
                       sl_residual)

@@ -12,6 +12,7 @@ from spinspec import cli
 from spinspec import (FRAME, BoundaryConditionSpec, ConfigError, ModeOperator,
                       aggregate, boundary_dirac_matrix, make_surface,
                       modes_for, solve_mode)
+from spinspec._lapack import hessenberg_q
 from spinspec.dirac_core import (NumericalError, _bipartite_values, _closures,
                                  _collocate, _tridiagonal_block, full_spectra)
 
@@ -71,7 +72,7 @@ def test_reduced_operator_exactly_hermitian(geom, bc):
     for k in (0.5, 2.5):
         op = ModeOperator(surface, k, 32, bc=BoundaryConditionSpec(bc))
         assert op.hermiticity_residual() <= 1e-12
-        assert np.all(op.weights > 0)
+        assert np.all(op._m > 0)
 
 
 from hypothesis import given, settings
@@ -90,7 +91,7 @@ def test_hermiticity_on_random_bulged_caps(eps, bc, k):
     surf = WarpedSurface("bulge", 0.0, 1.3, prof, cap=True)
     op = ModeOperator(surf, k, 24, bc=BoundaryConditionSpec(bc))
     assert op.hermiticity_residual() <= 1e-12
-    assert np.all(op.weights > 0)
+    assert np.all(op._m > 0)
 
 
 def test_assembly_contract_errors():
@@ -127,7 +128,7 @@ def test_band_matches_dense_reference(geom, bc):
             a, a_ref = dense_from_band(op.matrix), ref.matrix
             assert a.shape == a_ref.shape
             assert maxabs(a - a_ref) <= 1e-13 * maxabs(a_ref)
-            assert np.array_equal(op.weights, ref._m)
+            assert np.array_equal(op._m, ref._m)
             kinds = ref._col_kind
             n_p, n_q = kinds.count("p"), kinds.count("q")
             expected = (None if "mixed" in kinds or n_p == n_q else
@@ -196,7 +197,8 @@ def test_tridiagonal_reduction_refuses_leftover_entries():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     herm = a + a.conj().T
-    d, sub, q = _tridiagonal_block(herm, 1e-12 * maxabs(herm))
+    d, sub, reflectors = _tridiagonal_block(herm, 1e-12 * maxabs(herm))
+    q = hessenberg_q(*reflectors)
     e = np.abs(sub)
     assert maxabs(np.sort(np.linalg.eigvalsh(herm))
                   - np.sort(np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1)
@@ -407,6 +409,52 @@ def test_count_picked_bisection_is_the_whole_window_one(zone_csv, geom, bc, N,
     assert got.dtype == want.dtype and np.array_equal(got, want)
     for bound in _probe_bounds(op, want):
         assert op.clear_of(bound) == oracles.window_clear_of(op, bound), bound
+
+
+def _vectors(op, wanted):
+    """op's eigenvectors of `wanted`, or the refusal they meet."""
+    try:
+        return op.eigenvectors(wanted)
+    except NumericalError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(geom=st.sampled_from(["disk", "hemisphere", "cap:1.2", "cap:2.0",
+                             "annulus:0.5,1.0", "annulus:1,2", "zone"]),
+       bc=st.sampled_from(BCS), N=st.integers(16, 1024),
+       k=st.sampled_from([0.5, 1.5, 2.5, 4.5]))
+def test_levels_first_or_vectors_first_is_the_same_operator(zone_csv, geom,
+                                                             bc, N, k):
+    """A levels-only solve builds the tridiagonal form from the end blocks'
+    reflectors and no back-map; eigenvectors build the back-map from those
+    reflectors.  The order does not matter, bit for bit: tridiagonal() is
+    the same whether or not vectors were asked for first, and the
+    eigenvectors of the smallest |lambda| after a probe and a level solve,
+    or asked for again, are a fresh operator's."""
+    surface = make_surface(f"profile:{zone_csv}" if geom == "zone" else geom)
+    spec = BoundaryConditionSpec(bc)
+    try:
+        ref = ModeOperator(surface, k, N, bc=spec)
+    except ConfigError:             # N too coarse for this |k|
+        return
+    levels = ref.eigensystem(n_values=2)[0]
+    wanted = levels[np.argsort(np.abs(levels), kind="stable")[:1]]
+    vectors_first = ModeOperator(surface, k, N, bc=spec)
+    fresh = _vectors(vectors_first, wanted)
+    levels_first = ModeOperator(surface, k, N, bc=spec)
+    levels_first.clear_of(float(np.abs(wanted[0])))
+    assert np.array_equal(levels_first.eigensystem(n_values=2)[0], levels)
+    after = _vectors(levels_first, wanted)
+    for op in (vectors_first, levels_first):
+        for got, want in zip(op.tridiagonal(), ref.tridiagonal()):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    for again in (after, _vectors(vectors_first, wanted)):
+        assert type(again) is type(fresh)
+        if isinstance(fresh, str):
+            assert again == fresh
+        else:
+            assert again.dtype == fresh.dtype and np.array_equal(again, fresh)
 
 
 def test_a_short_bisection_falls_back_to_the_window(monkeypatch):
@@ -758,7 +806,7 @@ def test_killing_spinor_scheme_residual_second_order():
     norms = []
     for N in (64, 128, 256):
         op = ModeOperator(hemi, 0.5, N, bc=BoundaryConditionSpec("local+"))
-        rc, xv = op.r_centers, op.r_vertices
+        rc, xv = op.r_centers, op.surface.r_min + np.arange(N + 1) * op.h
         p = np.cos(rc / 2).astype(complex)
         q = -1j * np.sin(xv / 2)
         rp, rq = oracles.apply_interior(op, p, q)
@@ -875,7 +923,7 @@ def test_local_condition_kills_normal_pairing():
 
 
 def test_local_condition_gamma_eigenvector(solved):
-    from spinspec import boundary_chirality
+    from oracles import boundary_chirality
     sp = solved("disk", "local+", k_max=1.5, N=64)
     gam = boundary_chirality((1.0, 0.0))
     tr = sp.fundamental.field.trace("outer")

@@ -92,7 +92,7 @@ def _graded(seed, n, zero_diagonal):
        points=st.lists(st.floats(-4.0, 4.0), max_size=5))
 def test_sturm_counts_are_the_levels_at_or_below_each_point(seed, n, kind,
                                                             points):
-    """sturm_counts at each point is the number of levels scipy's
+    """SturmCounts at each point is the number of levels scipy's
     eigvalsh_tridiagonal finds at or below it (by dstebz, down from below
     the Gershgorin bound): at random points, at 0 and +-tol0 (the exact
     structural zero of an odd zero-diagonal form counts at 0), and beyond
@@ -105,7 +105,7 @@ def test_sturm_counts_are_the_levels_at_or_below_each_point(seed, n, kind,
     tol0 = 1e-8 * max(1.0, float(np.max(np.abs(d)) + 2 * np.max(e)))
     at = [0.0, -tol0, tol0, -gersh, gersh, *points]
     counts = _lapack.SturmCounts(d, e)
-    got = _lapack.sturm_counts(d, e, at)
+    got = np.array(_lapack.SturmCounts(d, e)(*at))
     assert got.tolist() == counts(*at) == counts(*at[::-1])[::-1]
     every = sl.eigvalsh_tridiagonal(d, e)
     for x, c in zip(at, got):
@@ -131,13 +131,18 @@ def test_tridiagonal_wrappers_refuse_what_scipy_refuses():
 @EXACT
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9))
 def test_hessenberg_is_scipys(seed, n):
-    """zgehrd + zunghr against scipy.linalg.hessenberg(calc_q=True) on
-    random Hermitian blocks, the shape the end windows reduce to."""
+    """zgehrd, then zunghr on its reflectors, against
+    scipy.linalg.hessenberg(calc_q=True) on random Hermitian blocks, the
+    shape the end windows reduce to; the reflectors are left as they were."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     a = (a + a.conj().T)[::-1, ::-1]
-    mine, ref = _lapack.hessenberg(a), sl.hessenberg(a, calc_q=True)
-    assert same(mine[0], ref[0]) and same(mine[1], ref[1])
+    r, tau = _lapack.hessenberg_reflectors(a)
+    kept = r.copy()
+    q = _lapack.hessenberg_q(r, tau)
+    ref = sl.hessenberg(a, calc_q=True)
+    assert same(np.triu(r, -1) if n > 2 else r, ref[0]) and same(q, ref[1])
+    assert np.array_equal(r, kept)
 
 
 @EXACT

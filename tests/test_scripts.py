@@ -135,3 +135,40 @@ def test_optimizer_digest_hashes_every_trace_point(monkeypatch, capsys):
         for job in ("annulus_bounds", "cap_bounds")
         for variant in ("interior", "conformal")]
     assert [budget for _, _, budget in runs] == [1200] * 4
+
+
+def test_lapack_counts_each_routine_per_command(monkeypatch, capsys):
+    """`--lapack` prints one line per scenario and command with the exit
+    code and the calls of each LAPACK routine made through `_lapack._call`
+    while that command ran, by name; the cached workspace queries are
+    cleared before each command, and `_call` is put back (the commands and
+    the routines are stubbed)."""
+    from spinspec import _lapack
+
+    script = _digest_script()
+    made, cleared = [], []
+    calls = {"spectrum": ["dsterf", "zgehrd", "dsterf"], "verify": ["dstebz"],
+             "bounds": [], "convergence": ["dlaebz"]}
+
+    def routine(name, *args):
+        made.append(name)
+        return 0
+
+    def stub(argv):
+        for name in calls[argv[0]]:
+            _lapack._call(name)
+        return 2 if argv[0] == "bounds" else 0
+
+    monkeypatch.setattr(_lapack, "_call", routine)
+    monkeypatch.setattr(_lapack._lwork, "cache_clear",
+                        lambda: cleared.append(True))
+    monkeypatch.setattr(script, "run", stub)
+    scenario = os.path.join(ROOT, "scenarios", "disk_oracle.json")
+    assert script.main(["--lapack", scenario]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "disk_oracle spectrum exit=0 dsterf=2 zgehrd=1",
+        "disk_oracle verify exit=0 dstebz=1",
+        "disk_oracle bounds exit=2",
+        "disk_oracle convergence exit=0 dlaebz=1"]
+    assert made == ["dsterf", "zgehrd", "dsterf", "dstebz", "dlaebz"]
+    assert len(cleared) == 4 and _lapack._call is routine
