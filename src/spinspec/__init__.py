@@ -11,7 +11,7 @@ from .bounds import (BoundEntry, BoundReport, OptimizerResult,
                      friedrich_bound, optimize_modifiers)
 from .dirac_core import (BC_VARIANTS, BoundaryConditionSpec, Eigenpair,
                          ModeOperator, NumericalError, Spectrum, aggregate,
-                         solve_mode)
+                         eigenpairs, solve_mode)
 from .geometry import (DIM, BoundaryData, ConfigError, ConformalRescaling,
                        RadialFunction, WarpedSurface, boundary_data, catalog,
                        conformal_law_residuals, conformal_rescale,

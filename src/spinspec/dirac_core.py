@@ -48,7 +48,9 @@ around the wanted levels), mapped back through the unitaries, which
 zunghr builds from the kept reflectors only then, and the gauge, and
 checked by their residual against the band.  The one field a command
 reads, the fundamental's, is the eigenvector of levels[0] in its mode's
-operator, assembled once more: the level is never solved twice.  Every
+operator, assembled once more: the level is never solved twice.  A mode
+solve (`solve_mode`) reports levels only, and every eigenpair is built by
+one routine, `eigenpairs`, from the levels it belongs to.  Every
 LAPACK routine is called through `_lapack`: from numpy's bundled
 OpenBLAS, or scipy's table where that is missing.
 
@@ -118,12 +120,12 @@ Array = np.ndarray
 BC_VARIANTS = ("local+", "local-", "aps-", "aps+")
 
 _HERM_TOL = 1e-12
-_MAX_BANDWIDTH = 8
 
 
 class NumericalError(RuntimeError):
     """Eigensolver or optimizer failure (never silent truncation); a LAPACK
-    LinAlgError becomes one in `solve_mode` only, not in `ModeOperator`."""
+    LinAlgError becomes one in `solve_mode` and `eigenpairs` only, not in
+    `ModeOperator`."""
 
 
 @dataclass(frozen=True)
@@ -452,19 +454,18 @@ class ModeOperator:
         mid_lo = 0.5 * (mid_lo + np.conj(mid_up))
         abs_h, abs_t = np.abs(Ah), np.abs(At)
 
+        # at most 5: an end block has at most 6 columns (7 window dofs, one
+        # fewer in a constraint's null space, and a qdir end drops its vertex)
         tol = 1e-14 * max(1.0, scale)
         bw = max(1, _bandwidth(abs_h, tol), _bandwidth(abs_t, tol))
-        if bw > _MAX_BANDWIDTH:
-            raise NumericalError(f"unexpected bandwidth {bw} after reduction")
 
         kinds = kinds_h + kinds_t         # the middle adds N - 6 p, N - 7 q
         n_p = kinds.count("p") + (N - W + 1)
         n_q = len(kinds) - kinds.count("p") + (N - W)
         self._bipartite = "mixed" not in kinds
-        if not self._bipartite or n_p == n_q:
-            self._zeros = None
-        else:
-            self._zeros = (abs(n_p - n_q), "spurious" if n_q > n_p else "harmonic")
+        # the exact zeros of a bipartite operator (`structural_zeros`)
+        self._spurious = max(n_q - n_p, 0) if self._bipartite else 0
+        self._harmonic = max(n_p - n_q, 0) if self._bipartite else 0
 
         self._bw, self._herm = bw, herm
         self._blocks = (Ah, mid_lo, At)
@@ -510,9 +511,12 @@ class ModeOperator:
         boundary-window artifact of the over-determined closure ("spurious",
         removed from reported spectra after verification); a surplus on the
         center side is a discrete harmonic spinor ("harmonic", kept - these
-        are genuine for the experimental aps+ condition).
+        are genuine for the experimental aps+ condition).  The solve reads
+        the two counts, `_spurious` and `_harmonic`, at most one nonzero.
         """
-        return self._zeros
+        if self._spurious:
+            return self._spurious, "spurious"
+        return (self._harmonic, "harmonic") if self._harmonic else None
 
     def tridiagonal(self) -> tuple[Array, Array]:
         """Real symmetric tridiagonal (d, e) unitarily similar to `matrix`."""
@@ -579,9 +583,7 @@ class ModeOperator:
         """
         d, e, _ = self._form
         t = bound + 1e-10 * self._scale
-        struct = self.structural_zeros
-        n_zero = struct[0] if struct is not None and struct[1] == "spurious" else 0
-        count = self._count
+        n_zero, count = self._spurious, self._count
         if not n_zero:
             lo, hi = count(-t, t)
             return lo == hi
@@ -604,11 +606,10 @@ class ModeOperator:
     def _deflate(self, vals: Array) -> tuple[Array, Array]:
         """(zeros, rest) of `vals`: the structural zeros, its smallest
         |lambda|, refused beyond `_tol0`, dropped when spurious."""
-        struct = self.structural_zeros
-        n_zero = struct[0] if struct is not None else 0
+        n_zero = self._spurious + self._harmonic
         order = np.argsort(np.abs(vals), kind="stable")
         zeros, rest = vals[order[:n_zero]], vals[order[n_zero:]]
-        if struct is not None and struct[1] == "spurious":
+        if self._spurious:
             if np.any(np.abs(zeros) > self._tol0()):
                 raise NumericalError(
                     "expected exact structural kernel, found "
@@ -630,9 +631,7 @@ class ModeOperator:
         vouch for bisects the whole window.
         """
         d, e, _ = self._form
-        struct = self.structural_zeros
-        n_zero = struct[0] if struct is not None else 0
-        w = self._count.window(want + n_zero + 1)
+        w = self._count.window(want + self._spurious + self._harmonic + 1)
         picked = self._pick(want, w)
         if picked is not None:
             parts = [np.empty(0)]
@@ -655,14 +654,13 @@ class ModeOperator:
         positive levels its +-pairs need, once its spurious zeros are
         counted exactly in (-tol0, 0]; harmonic zeros, which it reports,
         take the whole window."""
-        struct, count = self.structural_zeros, self._count
+        count = self._count
         if not self._bipartite:
             return count.path(w, want)
-        if struct is not None:
+        if self._spurious or self._harmonic:
             tol0 = self._tol0()
             z0, below, above = count(0.0, -tol0, tol0)
-            if (struct[1] == "harmonic" or z0 - below != struct[0]
-                    or above != z0):
+            if self._harmonic or z0 - below != self._spurious or above != z0:
                 return None
         return count.path(w, (want + 1) // 2, positive=True)
 
@@ -687,10 +685,8 @@ class ModeOperator:
         """
         d, e, _ = self._form
         n = len(d)
-        struct = self.structural_zeros
-        n_zero = struct[0] if struct is not None else 0
         want = None if n_values is None else max(n_values, n_vectors)
-        if want is not None and want + n_zero + 1 < n:
+        if want is not None and want + self._spurious + self._harmonic + 1 < n:
             zeros, rest = self._low_levels(want)
         else:
             zeros, rest = self._deflate(_bipartite_values(e) if self._bipartite
@@ -771,13 +767,6 @@ class Eigenpair:
     field: SpinorField
 
 
-@dataclass
-class ModeSolution:
-    k: float
-    lams: Array                       # eigenvalues (all or the lowest), ascending
-    pairs: list                       # eigenpairs by |lam|, then lam
-
-
 def _phase_norm_scale(field_values: Array) -> complex:
     """Scalar making the first significant component real positive and the
     physical L^2(M) norm one (reduced vectors arrive with weighted norm 1)."""
@@ -823,13 +812,52 @@ def _negated(bc: BoundaryConditionSpec, k: float) -> bool:
     return bc.is_local and ((bc.variant == "local-") != (k < 0))
 
 
-def _pairs(op: ModeOperator, k: float, bc: BoundaryConditionSpec,
-           wanted: Array, vecs: Array) -> list:
-    """Eigenpairs of mode k under bc from the `wanted` native levels of its
-    native operator `op` and their reduced vectors: negated, with conjugate
-    fields, where `_negated` says so, component-swapped for k < 0, sorted by
-    |lam|, then lam."""
+def solve_mode(surface: WarpedSurface, k: float, bc: BoundaryConditionSpec,
+               N: int, n_levels: int | None = None, above: float | None = None,
+               samples: tuple | None = None) -> Array:
+    """The levels of mode k under bc, ascending, by one native solve at |k|,
+    under local+ for either local condition, reported negated (-levels
+    reversed) where `_negated` says so.  Their fields come from
+    `eigenpairs`.
+
+    n_levels=None keeps every eigenvalue; otherwise only the n_levels
+    smallest |lambda| are computed.  With `above`, the mode is first probed
+    (`ModeOperator.clear_of`) and, if no level it reports can have |lambda|
+    <= above, no levels are returned.  `samples` are the grid's
+    `WarpedSurface.grid_samples`, when the caller has them.
+    A LAPACK failure (LinAlgError) anywhere in the solve becomes the one
+    NumericalError here and in `eigenpairs`: `ModeOperator`'s methods,
+    called directly, raise it as the `_lapack` wrappers and scipy do.
+    """
+    try:
+        op = ModeOperator(surface, abs(k), N, _native(bc), samples)
+        if above is not None and op.clear_of(above):
+            return np.empty(0)
+        lams = op.eigensystem(n_values=n_levels)[0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"LAPACK failed at k = {k:g}: {exc}") from exc
+    return -lams[::-1] if _negated(bc, k) else lams
+
+
+def eigenpairs(surface: WarpedSurface, k: float, bc: BoundaryConditionSpec,
+               N: int, levels: Array) -> list:
+    """The eigenpairs of the `levels` of mode k under bc (at least one), by
+    |lam|, then lam.
+
+    Mode |k| is assembled under its native condition and each field is the
+    eigenvector of its own level there (`ModeOperator.eigenvectors` of the
+    native levels, ascending), so a level that is not one of that
+    operator's, or a repeated one, is refused.  Each pair is reported as
+    the mode's levels are: negated, with a conjugate field, where
+    `_negated` says so, and component-swapped for k < 0.
+    """
     negate = _negated(bc, k)
+    wanted = np.sort(np.negative(levels) if negate else levels)
+    try:
+        op = ModeOperator(surface, abs(k), N, _native(bc))
+        vecs = op.eigenvectors(wanted)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"LAPACK failed at k = {k:g}: {exc}") from exc
     pairs = []
     for lam, y in zip(wanted, vecs.T):
         p, q = op.expand(y)
@@ -837,36 +865,6 @@ def _pairs(op: ModeOperator, k: float, bc: BoundaryConditionSpec,
             lam, p, q = -lam, np.conj(p), np.conj(q)
         pairs.append(Eigenpair(float(lam), k, _collocate(op, p, q, k < 0)))
     return sorted(pairs, key=lambda e: (abs(e.lam), e.lam))
-
-
-def solve_mode(surface: WarpedSurface, k: float, bc: BoundaryConditionSpec,
-               N: int, n_fields: int = 4, n_levels: int | None = None,
-               above: float | None = None,
-               samples: tuple | None = None) -> ModeSolution:
-    """Eigen-solve one mode by one native solve at |k|, under local+ for
-    either local condition, reported negated (-lams reversed, conjugate
-    vectors) where `_negated` says so (`_pairs`).
-
-    n_levels=None keeps every eigenvalue; otherwise only the n_levels
-    smallest |lambda| (at least n_fields) are computed.  With `above`, the
-    mode is first probed (`ModeOperator.clear_of`) and, if no level it
-    reports can have |lambda| <= above, returned with no levels and no pairs.
-    `samples` are the grid's `WarpedSurface.grid_samples`, when the caller
-    has them.
-    A LAPACK failure (LinAlgError) anywhere in the solve becomes the one
-    NumericalError here and in `Spectrum.fundamental`: `ModeOperator`'s
-    methods, called directly, raise it as the `_lapack` wrappers and scipy
-    do.
-    """
-    try:
-        op = ModeOperator(surface, abs(k), N, _native(bc), samples)
-        if above is not None and op.clear_of(above):
-            return ModeSolution(k, np.empty(0), [])
-        lams, wanted, vecs = op.eigensystem(n_fields, n_levels)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"LAPACK failed at k = {k:g}: {exc}") from exc
-    lams = -lams[::-1] if _negated(bc, k) else lams
-    return ModeSolution(k, lams, _pairs(op, k, bc, wanted, vecs))
 
 
 @dataclass
@@ -900,27 +898,13 @@ class Spectrum:
 
     @functools.cached_property
     def fundamental(self) -> Eigenpair:
-        """The eigenpair of levels[0], built on first access: mode k_min is
-        assembled once more, natively, and its field is the eigenvector of
-        levels[0] there (`ModeOperator.eigenvectors`), reported as
-        `solve_mode` reports its pairs.  Every row of mode k_min equal to
-        levels[0] is bracketed with it, so a repeated level, or one that is
-        not a level of that operator, is refused: a field is paired only
-        with the level it belongs to."""
+        """The eigenpair of levels[0], built on first access: `eigenpairs`
+        of every row of mode k_min equal to levels[0], so a repeated level,
+        or one that is not a level of that mode, is refused: a field is
+        paired only with the level it belongs to."""
         k, lev = self.k_min, self.levels
-        sign = -1.0 if _negated(self.bc, k) else 1.0
-        wanted = sign * lev[(lev[:, 1] == k) & (lev[:, 0] == lev[0, 0]), 0]
-        try:
-            op = ModeOperator(self.surface, abs(k), self.n_grid,
-                              bc=_native(self.bc))
-            vecs = op.eigenvectors(wanted)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"LAPACK failed at k = {k:g}: {exc}") from exc
-        return _pairs(op, k, self.bc, wanted, vecs)[0]
-
-    def eigenvalues(self, k: float) -> Array:
-        sel = self.levels[np.abs(self.levels[:, 1] - k) < 1e-9]
-        return np.sort(sel[:, 0])
+        rows = lev[(lev[:, 1] == k) & (lev[:, 0] == lev[0, 0]), 0]
+        return eigenpairs(self.surface, k, self.bc, self.n_grid, rows)[0]
 
 
 def _spectrum(surface: WarpedSurface, bc: BoundaryConditionSpec, N: int,
@@ -1019,8 +1003,8 @@ def full_spectra(surface: WarpedSurface, k_max: float, entries: list,
     samples = functools.cache(surface.grid_samples)
 
     def solve(key, k_abs: float, above: float | None = None) -> Array:
-        return solve_mode(surface, k_abs, *key, 0, n_levels, above,
-                          samples(key[1])).lams
+        return solve_mode(surface, k_abs, *key, n_levels, above,
+                          samples(key[1]))
 
     def levels(key) -> list:
         """(|k|, native levels) of every mode, or with n_levels of the modes

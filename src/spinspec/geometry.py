@@ -625,7 +625,7 @@ class ConformalRescaling:
     target: WarpedSurface = dc_field(init=False)
 
     def __post_init__(self):
-        # lru_cache is thread-safe: aggregate may evaluate the profile on a pool
+        # thread-safe lru_cache: full_spectra's pool may evaluate the profile
         @functools.lru_cache(maxsize=_R_MEMO)
         def inverse(shape: tuple, data: bytes) -> Array:
             r = _arclength_inverse(self.u, self.edges_r, self.edges_s,

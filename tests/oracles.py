@@ -15,9 +15,10 @@ the vectorized inverse must reproduce to roundoff.  `window_values`,
 as they bisected every level of a doubling window around 0; the
 count-driven solve must give their levels and decisions bit for bit.
 `apply_interior` applies the package's interior scheme rows to sampled
-spinors, so that a closed form checks the scheme.  `low_eigenpairs`
-collects the low eigenpairs of every mode from the package's per-mode
-solves, the fields that `aggregate` no longer keeps.  `DenseModeOperator`
+spinors, so that a closed form checks the scheme.  `lowest` picks the m
+smallest |lambda| of a mode's levels, `mode_pairs` builds their eigenpairs
+with the package's `eigenpairs`, and `low_eigenpairs` collects them over
+every mode, the fields that `aggregate` does not keep.  `DenseModeOperator`
 at the end is the package's own discretization, assembled the original
 dense way; the banded assembly must reproduce it to roundoff.  And
 `clifford_mul`, `boundary_chirality` and `chirality_projectors` build the
@@ -36,9 +37,9 @@ from scipy.linalg import null_space
 from scipy.optimize import brentq
 from scipy.special import jv
 
-from spinspec.dirac_core import (_HERM_TOL, _MAX_BANDWIDTH,
-                                 BoundaryConditionSpec, NumericalError,
-                                 _closures, modes_for, solve_mode)
+from spinspec.dirac_core import (_HERM_TOL, BoundaryConditionSpec,
+                                 NumericalError, _closures, eigenpairs,
+                                 modes_for, solve_mode)
 from spinspec.spin_algebra import FRAME, chirality
 
 
@@ -298,12 +299,29 @@ def apply_interior(op, p, q_full):
 # low eigenpairs of every mode
 # ---------------------------------------------------------------------------
 
+def lowest(levels, m: int) -> np.ndarray:
+    """The m levels of smallest |lambda| (all, when there are fewer),
+    ascending; of an exact +-tie at the cut, the negative level (`levels`
+    ascending, as solve_mode gives them)."""
+    order = np.argsort(np.abs(levels), kind="stable")
+    return np.sort(levels[order[:m]])
+
+
+def mode_pairs(surface, k: float, spec, N: int, m: int,
+               n_levels: int | None = None) -> tuple:
+    """(levels, pairs) of mode k: the levels of one solve_mode call and the
+    eigenpairs of their m smallest |lambda|, by |lambda|, then lambda."""
+    levels = solve_mode(surface, k, spec, N, n_levels)
+    return levels, eigenpairs(surface, k, spec, N, lowest(levels, m))
+
+
 def low_eigenpairs(surface, bc: str, k_max: float, N: int) -> list:
-    """The eigenpairs of one solve_mode call per mode |k| <= k_max, two
-    fields each and every level, in the (|lambda|, k, sign) order."""
+    """The eigenpairs of the two smallest |lambda| of every mode |k| <=
+    k_max, each mode solved for every level, in the (|lambda|, k, sign)
+    order."""
     spec = BoundaryConditionSpec(bc)
     pairs = [e for k in modes_for(surface, k_max)
-             for e in solve_mode(surface, k, spec, N, 2).pairs]
+             for e in mode_pairs(surface, k, spec, N, 2)[1]]
     return sorted(pairs, key=lambda e: (abs(e.lam), e.k, np.sign(e.lam)))
 
 
@@ -376,6 +394,10 @@ def window_clear_of(op, bound: float) -> bool:
 # ---------------------------------------------------------------------------
 # dense reference assembly of the reduced mode operator
 # ---------------------------------------------------------------------------
+
+# the dense assembly's own check on the reduced bandwidth
+_MAX_BANDWIDTH = 8
+
 
 @dataclass
 class DenseModeOperator:

@@ -10,13 +10,17 @@ from scipy.linalg import eigvals_banded, eigvalsh_tridiagonal
 
 from spinspec import cli
 from spinspec import (FRAME, BoundaryConditionSpec, ConfigError, ModeOperator,
-                      aggregate, boundary_dirac_matrix, make_surface,
-                      modes_for, solve_mode)
+                      aggregate, boundary_dirac_matrix, eigenpairs,
+                      make_surface, modes_for, solve_mode)
 from spinspec._lapack import hessenberg_q
 from spinspec.dirac_core import (NumericalError, _bipartite_values, _closures,
-                                 _collocate, _tridiagonal_block, full_spectra)
+                                 _collocate, _native, _tridiagonal_block,
+                                 full_spectra)
 
 GEOMS = ("disk", "annulus:0.5,1.0", "cylinder:2.0", "hemisphere", "cap:pi/3")
+# the surfaces of the property tests; "zone" is the sampled profile zone_csv
+SURFACES = ["disk", "hemisphere", "cap:1.2", "cap:2.0", "annulus:0.5,1.0",
+            "annulus:1,2", "zone"]
 BCS = ("local+", "local-", "aps-", "aps+")
 # image of each condition under the component swap that maps mode k to -k
 SWAPPED = {"local+": "local-", "local-": "local+", "aps-": "aps-", "aps+": "aps+"}
@@ -24,6 +28,11 @@ SWAPPED = {"local+": "local-", "local-": "local+", "aps-": "aps-", "aps+": "aps+
 
 def maxabs(m):
     return float(np.max(np.abs(m)))
+
+
+def mode_levels(sp, k):
+    """The levels of mode k in the spectrum sp, ascending."""
+    return np.sort(sp.levels[np.abs(sp.levels[:, 1] - k) < 1e-9, 0])
 
 
 def dense_from_band(ab):
@@ -225,7 +234,7 @@ def test_structural_zero_check_on_selective_path(monkeypatch):
     for a in (*op._blocks, *op.tridiagonal()):
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
-    op._zeros = (2, "spurious")
+    op._spurious = 2
     for n_values in (2, None):
         with pytest.raises(NumericalError, match="refusing to deflate"):
             op.eigensystem(n_values=n_values)
@@ -245,18 +254,19 @@ def test_structural_zero_check_on_selective_path(monkeypatch):
 
 
 def test_aggregate_without_fields_keeps_levels():
-    """aggregate keeps levels only, the levels of per-mode solves that also
-    build fields; the fundamental's field is built on first access, once."""
+    """aggregate keeps levels only, the levels of per-mode solves whose
+    fields eigenpairs builds; the fundamental's field is built on first
+    access, once."""
     surface = make_surface("annulus:0.5,1.0")
     for bc in ("local+", "aps-"):
         spec = BoundaryConditionSpec(bc)
         sp = aggregate(surface, spec, 2.5, 48)
         assert "fundamental" not in vars(sp)
-        sols = [solve_mode(surface, k, spec, 48, 1)
+        sols = [oracles.mode_pairs(surface, k, spec, 48, 1)
                 for k in modes_for(surface, 2.5)]
-        assert sum(len(s.pairs) for s in sols) == 6
+        assert sum(len(pairs) for _, pairs in sols) == 6
         assert np.array_equal(np.sort(sp.levels[:, 0]),
-                              np.sort(np.concatenate([s.lams for s in sols])))
+                              np.sort(np.concatenate([lv for lv, _ in sols])))
         assert sp.fundamental is sp.fundamental
         assert sp.fundamental.lam == sp.lambda_min
 
@@ -278,28 +288,28 @@ def test_aggregate_is_the_merge_of_per_mode_solves(geom, bc):
     full spectrum; for a selective one, those of each mode that holds rows,
     while no other mode has a level with |lambda| <= |lambda_min| in its own
     solve.  Either way the fundamental is the (|lambda|, k, sign)-first of
-    the per-mode first eigenpairs (one field per solve), field and traces
-    bit for bit."""
+    the per-mode first eigenpairs (`eigenpairs` of each mode's smallest
+    |lambda|), field and traces bit for bit."""
     # on the periodic cylinder k = 0 is a mode
     surface = make_surface(geom, "periodic" if geom.startswith("cylinder")
                            else "antiperiodic")
     spec = BoundaryConditionSpec(bc)
     for n_levels in (None, 2):
         sp = aggregate(surface, spec, 3.5, 32, n_levels=n_levels)
-        sols = [solve_mode(surface, k, spec, 32, 1, n_levels)
+        sols = [(k, *oracles.mode_pairs(surface, k, spec, 32, 1, n_levels))
                 for k in modes_for(surface, 3.5)]
-        assert sp.k_top == max(abs(s.k) for s in sols)
-        kept = [s for s in sols if np.any(sp.levels[:, 1] == s.k)]
-        dropped = [s for s in sols if not np.any(sp.levels[:, 1] == s.k)]
+        assert sp.k_top == max(abs(k) for k, _, _ in sols)
+        kept = [s for s in sols if np.any(sp.levels[:, 1] == s[0])]
+        dropped = [s for s in sols if not np.any(sp.levels[:, 1] == s[0])]
         assert not dropped or n_levels is not None
-        for s in dropped:
-            assert np.all(np.abs(s.lams) > abs(sp.lambda_min))
-        rows = np.vstack([np.column_stack([s.lams, np.full(len(s.lams), s.k)])
-                          for s in kept])
+        for _, lams, _ in dropped:
+            assert np.all(np.abs(lams) > abs(sp.lambda_min))
+        rows = np.vstack([np.column_stack([lams, np.full(len(lams), k)])
+                          for k, lams, _ in kept])
         order = np.lexsort((np.sign(rows[:, 0]), rows[:, 1],
                             np.abs(rows[:, 0])))
         assert np.array_equal(sp.levels, rows[order])
-        want = min((e for s in sols for e in s.pairs),
+        want = min((e for _, _, pairs in sols for e in pairs),
                    key=lambda e: (abs(e.lam), e.k, np.sign(e.lam)))
         _assert_same_pair(surface, sp.fundamental, want)
 
@@ -353,7 +363,7 @@ def _plant_missing_zero(self):
     """The assembly at |k| = 2.5 claiming a second spurious zero it lacks."""
     _REAL_ASSEMBLE(self)
     if self.k == 2.5:
-        self._zeros = (2, "spurious")
+        self._spurious = 2
 
 
 @pytest.mark.parametrize("attr,plant", [("_tridiagonal_form", _plant_small_zero),
@@ -387,9 +397,8 @@ def _probe_bounds(op, levels) -> list:
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(geom=st.sampled_from(["disk", "hemisphere", "cap:1.2", "cap:2.0",
-                             "annulus:0.5,1.0", "annulus:1,2", "zone"]),
-       bc=st.sampled_from(BCS), N=st.integers(16, 1024),
+@given(geom=st.sampled_from(SURFACES), bc=st.sampled_from(BCS),
+       N=st.integers(16, 1024),
        k=st.sampled_from([0.5, 1.5, 2.5, 4.5]), n_levels=st.integers(1, 4))
 def test_count_picked_bisection_is_the_whole_window_one(zone_csv, geom, bc, N,
                                                         k, n_levels):
@@ -420,10 +429,8 @@ def _vectors(op, wanted):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(geom=st.sampled_from(["disk", "hemisphere", "cap:1.2", "cap:2.0",
-                             "annulus:0.5,1.0", "annulus:1,2", "zone"]),
-       bc=st.sampled_from(BCS), N=st.integers(16, 1024),
-       k=st.sampled_from([0.5, 1.5, 2.5, 4.5]))
+@given(geom=st.sampled_from(SURFACES), bc=st.sampled_from(BCS),
+       N=st.integers(16, 1024), k=st.sampled_from([0.5, 1.5, 2.5, 4.5]))
 def test_levels_first_or_vectors_first_is_the_same_operator(zone_csv, geom,
                                                              bc, N, k):
     """A levels-only solve builds the tridiagonal form from the end blocks'
@@ -563,7 +570,7 @@ def test_pooled_aggregate_holds_one_solve_per_worker(monkeypatch):
     tracemalloc.start()
     try:
         solve_mode(make_surface("disk"), 40.5, BoundaryConditionSpec("local+"),
-                   1024, 0)
+                   1024)
         solve = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -732,7 +739,7 @@ def test_aps_levels_come_in_exact_pairs(N):
     for n_levels in (None, 2):
         sp = aggregate(hemi, spec, 4.5, N, n_levels=n_levels)
         for k in (-4.5, -0.5, 0.5, 2.5):
-            vals = sp.eigenvalues(k)
+            vals = mode_levels(sp, k)
             assert np.array_equal(vals, -vals[::-1])
         assert sp.lambda_min < 0 and sp.k_min == -0.5
         assert sp.fundamental.lam == sp.lambda_min
@@ -786,13 +793,72 @@ def test_modes_for_structures():
         modes_for(make_surface("disk"), 0.25)
 
 
-def test_solve_mode_field_api():
-    disk = make_surface("disk")
-    pairs = solve_mode(disk, 0.5, BoundaryConditionSpec("local+"), 48,
-                       n_fields=3).pairs
-    assert len(pairs) == 3
-    assert abs(pairs[0].lam) <= abs(pairs[1].lam) <= abs(pairs[2].lam)
-    assert pairs[0].field.values.shape == (48, 2)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(geom=st.sampled_from(SURFACES + ["cylinder:2.0"]),
+       bc=st.sampled_from(BCS), N=st.integers(16, 512),
+       k_index=st.integers(0, 4))
+def test_end_blocks_and_bandwidth_stay_small(zone_csv, geom, bc, N, k_index):
+    """Each reduced end block has at most 6 columns: a window holds 7 dofs,
+    a constraint's null space has one column fewer than its support, and a
+    qdir end drops its vertex.  So the reduced operator's bandwidth is at
+    most 5, whatever the closure (the periodic cylinder's k = 0 is the one
+    case of the APS closure 'both')."""
+    periodic = geom.startswith("cylinder")
+    surface = make_surface(f"profile:{zone_csv}" if geom == "zone" else geom,
+                           "periodic" if periodic else "antiperiodic")
+    k = k_index if periodic else k_index + 0.5
+    try:
+        op = ModeOperator(surface, k, N, bc=BoundaryConditionSpec(bc))
+    except ConfigError:             # N too coarse for this |k|
+        return
+    head, _, tail = op._blocks
+    assert head.shape[0] <= 6 and tail.shape[0] <= 6
+    assert op._bw <= 5
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(geom=st.sampled_from(SURFACES), bc=st.sampled_from(BCS),
+       N=st.integers(16, 512),
+       k=st.sampled_from([0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 4.5, -4.5]),
+       m=st.integers(1, 4))
+def test_eigenpairs_belong_to_their_levels(zone_csv, geom, bc, N, k, m):
+    """eigenpairs of the m smallest |lambda| of a mode gives one pair per
+    level: exactly that level, by |lambda| then lambda, in the mode k given,
+    with a value per cell and component.  A level repeated, or moved by 4
+    times the vector bracket's slack (1e-10 * scale) off its place, has no
+    eigenvector of its own and is refused; a level one ulp off is inside
+    that slack, and its pair carries the level as given.  A structural
+    zero planted through the counts (`_spurious`) that the operator lacks
+    is refused by the full solve, and by the selective one of a bipartite
+    operator, the one whose selective solve counts its zeros."""
+    surface = make_surface(f"profile:{zone_csv}" if geom == "zone" else geom)
+    spec = BoundaryConditionSpec(bc)
+    try:
+        op = ModeOperator(surface, abs(k), N, bc=_native(spec))
+    except ConfigError:             # N too coarse for this |k|
+        return
+    wanted = oracles.lowest(solve_mode(surface, k, spec, N, m), m)
+    pairs = eigenpairs(surface, k, spec, N, wanted)
+    assert sorted(e.lam for e in pairs) == wanted.tolist()
+    assert [e.lam for e in pairs] == sorted(wanted.tolist(),
+                                            key=lambda x: (abs(x), x))
+    assert all(e.k == k and e.field.values.shape == (N, 2) for e in pairs)
+
+    slack = 1e-10 * op._scale
+    for i, lam in enumerate(wanted):
+        for bad in ([lam, lam], [lam + 4 * slack], [lam - 4 * slack]):
+            with pytest.raises(NumericalError, match="eigenvectors missing"):
+                eigenpairs(surface, k, spec, N, np.array(bad))
+        for off in (np.inf, -np.inf):
+            moved = wanted.copy()
+            moved[i] = np.nextafter(lam, off)
+            got = eigenpairs(surface, k, spec, N, moved)
+            assert sorted(e.lam for e in got) == moved.tolist()
+
+    op._spurious += 1
+    for n_values in (None, m) if op._bipartite else (None,):
+        with pytest.raises(NumericalError, match="refusing to deflate"):
+            op.eigensystem(n_values=n_values)
 
 
 # ---------------------------------------------------------------------------
@@ -825,8 +891,8 @@ def test_disk_fundamental_matches_shooting_oracle():
     disk = make_surface("disk")
     root = oracles.shoot_eigenvalues(disk, 0.5, "local+", 1.0, 2.0, 30)[0]
     assert abs(root - oracles.DISK_LOCALPLUS_ROOT) <= 1e-9
-    sol = solve_mode(disk, 0.5, BoundaryConditionSpec("local+"), 256, n_fields=1)
-    lam = sol.lams[sol.lams > 0][0]
+    lams = solve_mode(disk, 0.5, BoundaryConditionSpec("local+"), 256)
+    lam = lams[lams > 0][0]
     assert abs(lam - root) <= 5e-4
 
 
@@ -838,36 +904,36 @@ def test_disk_higher_modes_match_bessel_oracle(k):
     roots = oracles.disk_local_eigenvalues(k, "local+", n_roots=6)
     roots = roots[np.abs(roots) <= 8.0]
     assert len(roots) >= 3
-    sol = solve_mode(disk, k, BoundaryConditionSpec("local+"), 256, n_fields=1)
+    lams = solve_mode(disk, k, BoundaryConditionSpec("local+"), 256)
     for root in roots:
-        assert np.min(np.abs(sol.lams - root)) <= 2e-3
+        assert np.min(np.abs(lams - root)) <= 2e-3
 
 
 def test_annulus_local_matches_shooting():
     ann = make_surface("annulus:0.5,1.0")
     roots = oracles.shoot_eigenvalues(ann, 0.5, "local+", -6.0, 6.0, 120)
-    sol = solve_mode(ann, 0.5, BoundaryConditionSpec("local+"), 256, n_fields=1)
+    lams = solve_mode(ann, 0.5, BoundaryConditionSpec("local+"), 256)
     assert len(roots) >= 2
     for root in roots:
-        assert np.min(np.abs(sol.lams - root)) <= 2e-4
+        assert np.min(np.abs(lams - root)) <= 2e-4
 
 
 def test_hemisphere_aps_matches_shooting():
     hemi = make_surface("hemisphere")
     roots = oracles.shoot_eigenvalues(hemi, 0.5, "aps-", -4.0, 4.0, 80)
-    sol = solve_mode(hemi, 0.5, BoundaryConditionSpec("aps-"), 256, n_fields=1)
+    lams = solve_mode(hemi, 0.5, BoundaryConditionSpec("aps-"), 256)
     for root in roots:
-        assert np.min(np.abs(sol.lams - root)) <= 5e-4
+        assert np.min(np.abs(lams - root)) <= 5e-4
 
 
 def test_annulus_aps_minus_matches_shooting():
     # two boundaries with opposite-component spectral constraints
     ann = make_surface("annulus:0.5,1.0")
     roots = oracles.shoot_eigenvalues(ann, 1.5, "aps-", -6.0, 6.0, 120)
-    sol = solve_mode(ann, 1.5, BoundaryConditionSpec("aps-"), 256, n_fields=1)
+    lams = solve_mode(ann, 1.5, BoundaryConditionSpec("aps-"), 256)
     assert len(roots) >= 1
     for root in roots:
-        assert np.min(np.abs(sol.lams - root)) <= 1e-3
+        assert np.min(np.abs(lams - root)) <= 1e-3
 
 
 def test_non_catalog_profile_matches_shooting():
@@ -880,10 +946,10 @@ def test_non_catalog_profile_matches_shooting():
         + 0.2 * np.sin(r))
     surf = WarpedSurface("bulged-cap", 0.0, 1.2, prof, cap=True)
     roots = oracles.shoot_eigenvalues(surf, 0.5, "local+", -5.0, 5.0, 100)
-    sol = solve_mode(surf, 0.5, BoundaryConditionSpec("local+"), 256, n_fields=1)
+    lams = solve_mode(surf, 0.5, BoundaryConditionSpec("local+"), 256)
     assert len(roots) >= 2
     for root in roots:
-        assert np.min(np.abs(sol.lams - root)) <= 1e-3
+        assert np.min(np.abs(lams - root)) <= 1e-3
 
 
 def test_csv_profile_through_solver(tmp_path):
@@ -893,8 +959,9 @@ def test_csv_profile_through_solver(tmp_path):
     np.savetxt(path, np.column_stack([r, np.sin(r)]), delimiter=",")
     surf = make_surface(str(path))
     assert surf.cap
-    sol = solve_mode(surf, 0.5, BoundaryConditionSpec("local+"), 128, n_fields=1)
-    lam = sol.pairs[0].lam
+    _, pairs = oracles.mode_pairs(surf, 0.5, BoundaryConditionSpec("local+"),
+                                  128, 1)
+    lam = pairs[0].lam
     assert abs(abs(lam) - 1.0) <= 1e-3
 
 
@@ -902,9 +969,9 @@ def test_cylinder_aps_plus_matches_shooting():
     # experimental condition, but the discretization is still checked
     cyl = make_surface("cylinder:2.0")
     roots = oracles.shoot_eigenvalues(cyl, 0.5, "aps+", -4.0, 4.0, 80)
-    sol = solve_mode(cyl, 0.5, BoundaryConditionSpec("aps+"), 256, n_fields=1)
+    lams = solve_mode(cyl, 0.5, BoundaryConditionSpec("aps+"), 256)
     for root in roots:
-        assert np.min(np.abs(sol.lams - root)) <= 5e-4
+        assert np.min(np.abs(lams - root)) <= 5e-4
 
 
 # ---------------------------------------------------------------------------
@@ -950,22 +1017,24 @@ def test_spectrum_real_and_sorted(solved):
     assert np.all(np.diff(a) >= -1e-12)
 
 
-def _swap_solve(surface, k, bc, N, n_fields, n_levels=None):
+def _swap_solve(surface, k, bc, N, n_vectors, n_levels=None):
     """Mode -k solved on its own: the native operator at k > 0 under the
     swapped condition, assembled directly, its vectors collocated with the
     components swapped back.  Returns (levels, [(lambda, field)] by |lambda|)."""
     op = ModeOperator(surface, k, N, bc=BoundaryConditionSpec(SWAPPED[bc]))
-    vals, wanted, vecs = op.eigensystem(n_vectors=n_fields, n_values=n_levels)
+    vals, wanted, vecs = op.eigensystem(n_vectors=n_vectors, n_values=n_levels)
     fields = [(lam, _collocate(op, *op.expand(y), swap=True))
               for lam, y in zip(wanted, vecs.T)]
     return vals, sorted(fields, key=lambda f: (abs(f[0]), f[0]))
 
 
 def _assert_mirror_matches(surface, sol, k, levels, fields):
-    """The mirrored solution `sol` at -k against an independent solve."""
-    assert np.array_equal(sol.lams, levels)
-    assert len(sol.pairs) == len(fields)
-    for pair, (lam, field) in zip(sol.pairs, fields):
+    """The mirrored (levels, pairs) `sol` at -k against an independent
+    solve."""
+    lams, pairs = sol
+    assert np.array_equal(lams, levels)
+    assert len(pairs) == len(fields)
+    for pair, (lam, field) in zip(pairs, fields):
         assert pair.k == field.k == -k and pair.lam == lam
         scale = maxabs(field.values)
         assert maxabs(pair.field.values - field.values) <= 1e-13 * scale
@@ -982,15 +1051,15 @@ def test_conjugation_symmetry_relates_opposite_modes():
     sign-symmetric to roundoff only), and its fields match to roundoff."""
     disk = make_surface("disk")
     spec = BoundaryConditionSpec("local+")
-    full_pos = solve_mode(disk, 0.5, spec, 96, n_fields=0)
+    full_pos = solve_mode(disk, 0.5, spec, 96)
     full_neg = _swap_solve(disk, 0.5, "local+", 96, 0)[0]
-    assert maxabs(full_neg + full_pos.lams[::-1]) <= 1e-14 * maxabs(full_neg)
-    assert np.max(np.abs(full_neg - full_pos.lams)) > 0.1
-    s_pos = solve_mode(disk, 0.5, spec, 96, n_fields=2, n_levels=6)
+    assert maxabs(full_neg + full_pos[::-1]) <= 1e-14 * maxabs(full_neg)
+    assert np.max(np.abs(full_neg - full_pos)) > 0.1
+    s_pos = solve_mode(disk, 0.5, spec, 96, n_levels=6)
     levels, fields = _swap_solve(disk, 0.5, "local+", 96, 2, n_levels=6)
-    assert np.array_equal(levels, -s_pos.lams[::-1])
+    assert np.array_equal(levels, -s_pos[::-1])
     _assert_mirror_matches(
-        disk, solve_mode(disk, -0.5, spec, 96, n_fields=2, n_levels=6), 0.5,
+        disk, oracles.mode_pairs(disk, -0.5, spec, 96, 2, n_levels=6), 0.5,
         levels, fields)
 
 
@@ -1004,14 +1073,15 @@ def test_aps_modes_swap_invariant(geom, bc):
     surface = make_surface(geom)
     spec = BoundaryConditionSpec(bc)
     for k in (0.5, 2.5):
-        pos = solve_mode(surface, k, spec, 32, n_fields=2)
+        pos = solve_mode(surface, k, spec, 32)
         levels, fields = _swap_solve(surface, k, bc, 32, 2)
-        assert np.array_equal(pos.lams, levels)
-        _assert_mirror_matches(surface, solve_mode(surface, -k, spec, 32,
-                                                   n_fields=2), k, levels, fields)
+        assert np.array_equal(pos, levels)
+        _assert_mirror_matches(surface,
+                               oracles.mode_pairs(surface, -k, spec, 32, 2),
+                               k, levels, fields)
     sp = aggregate(surface, spec, 2.5, 32)
     for k in (0.5, 1.5, 2.5):
-        assert np.array_equal(sp.eigenvalues(k), sp.eigenvalues(-k))
+        assert np.array_equal(mode_levels(sp, k), mode_levels(sp, -k))
 
 
 @pytest.mark.parametrize("geom", GEOMS)
@@ -1036,13 +1106,13 @@ def test_local_modes_mirror_exactly(geom, bc):
     spec = BoundaryConditionSpec(bc)
     sp = aggregate(surface, spec, 2.5, 48)
     for k in (0.5, 1.5, 2.5):
-        vals = sp.eigenvalues(k)
-        assert np.array_equal(sp.eigenvalues(-k), -vals[::-1])
+        vals = mode_levels(sp, k)
+        assert np.array_equal(mode_levels(sp, -k), -vals[::-1])
     levels, fields = _swap_solve(surface, 1.5, bc, 48, 2)
-    mirrored = solve_mode(surface, -1.5, spec, 48, n_fields=2)
-    assert maxabs(mirrored.lams - levels) <= 1e-12 * maxabs(levels)
-    assert len(mirrored.pairs) == len(fields) == 2
-    for pair, (lam, field) in zip(mirrored.pairs, fields):
+    lams, pairs = oracles.mode_pairs(surface, -1.5, spec, 48, 2)
+    assert maxabs(lams - levels) <= 1e-12 * maxabs(levels)
+    assert len(pairs) == len(fields) == 2
+    for pair, (lam, field) in zip(pairs, fields):
         assert abs(pair.lam - lam) <= 1e-12 * maxabs(levels)
         assert maxabs(pair.field.values - field.values) \
             <= 1e-12 * maxabs(field.values)
@@ -1074,17 +1144,17 @@ def test_local_minus_is_the_negated_local_plus_solve(geom):
     spec = BoundaryConditionSpec("local-")
     for k in (0.5, 2.5):
         for n_levels in (None, 4):
-            sol = solve_mode(surface, k, spec, 48, n_fields=2,
-                             n_levels=n_levels)
+            lams, pairs = oracles.mode_pairs(surface, k, spec, 48, 2,
+                                             n_levels)
             op = ModeOperator(surface, k, 48, bc=spec)
             vals, wanted, vecs = op.eigensystem(n_vectors=2, n_values=n_levels)
             scale = maxabs(vals)
-            assert maxabs(sol.lams - vals) <= 1e-12 * scale
+            assert maxabs(lams - vals) <= 1e-12 * scale
             fields = sorted(((lam, _collocate(op, *op.expand(y), swap=False))
                              for lam, y in zip(wanted, vecs.T)),
                             key=lambda f: (abs(f[0]), f[0]))
-            assert len(sol.pairs) == len(fields) == 2
-            for pair, (lam, field) in zip(sol.pairs, fields):
+            assert len(pairs) == len(fields) == 2
+            for pair, (lam, field) in zip(pairs, fields):
                 assert pair.k == field.k == k
                 assert abs(pair.lam - lam) <= 1e-12 * scale
                 big = maxabs(field.values)
@@ -1131,11 +1201,9 @@ def test_local_conditions_have_opposite_spectra(geom):
     with the interior and exchanges the two chirality conditions."""
     surface = make_surface(geom)
     for k in (0.5, 2.5):
-        plus = solve_mode(surface, k, BoundaryConditionSpec("local+"), 64,
-                          n_fields=1)
-        minus = solve_mode(surface, k, BoundaryConditionSpec("local-"), 64,
-                           n_fields=1)
-        assert maxabs(np.sort(minus.lams) - np.sort(-plus.lams)) <= 1e-12
+        plus = solve_mode(surface, k, BoundaryConditionSpec("local+"), 64)
+        minus = solve_mode(surface, k, BoundaryConditionSpec("local-"), 64)
+        assert maxabs(np.sort(minus) - np.sort(-plus)) <= 1e-12
 
 
 @pytest.mark.parametrize("geom", GEOMS)
@@ -1161,36 +1229,34 @@ def test_aps_structural_zero_count(geom):
 def test_disk_aggregate_fundamental_in_lowest_mode(solved):
     sp = solved("disk", "local+", k_max=2.5, N=128)
     assert abs(sp.k_min) == 0.5
-    only_low = sp.eigenvalues(0.5)
+    only_low = mode_levels(sp, 0.5)
     assert abs(sp.lambda_min_sq - np.min(only_low ** 2)) <= 1e-12
     assert not sp.kmax_attained
 
 
 def test_cylinder_both_aps_minus_nonempty():
     cyl = make_surface("cylinder:2.0")
-    sol = solve_mode(cyl, 0.5, BoundaryConditionSpec("aps-"), 64, n_fields=1)
-    assert len(sol.lams) > 0
+    assert len(solve_mode(cyl, 0.5, BoundaryConditionSpec("aps-"), 64)) > 0
     per = make_surface("cylinder:2.0", spin_structure="periodic")
-    sol0 = solve_mode(per, 0.0, BoundaryConditionSpec("aps-"), 64, n_fields=1)
-    assert len(sol0.lams) > 0
+    assert len(solve_mode(per, 0.0, BoundaryConditionSpec("aps-"), 64)) > 0
 
 
 def test_structural_kernel_handling():
     disk = make_surface("disk")
     # aps+ keeps its discrete harmonic spinor (a genuine zero mode there)
-    plus = solve_mode(disk, 0.5, BoundaryConditionSpec("aps+"), 64, n_fields=1)
-    assert np.min(np.abs(plus.lams)) <= 1e-10
+    plus = solve_mode(disk, 0.5, BoundaryConditionSpec("aps+"), 64)
+    assert np.min(np.abs(plus)) <= 1e-10
     # aps- must not report the spurious staggered kernel
-    minus = solve_mode(disk, 0.5, BoundaryConditionSpec("aps-"), 64, n_fields=1)
-    assert np.min(np.abs(minus.lams)) > 1.0
+    minus = solve_mode(disk, 0.5, BoundaryConditionSpec("aps-"), 64)
+    assert np.min(np.abs(minus)) > 1.0
     root = oracles.shoot_eigenvalues(disk, 0.5, "aps-", -4.0, 0.0, 60)[-1]
-    assert abs(minus.lams[np.argmin(np.abs(minus.lams - root))] - root) <= 1e-3
+    assert abs(minus[np.argmin(np.abs(minus - root))] - root) <= 1e-3
 
 
 def test_refinement_stability_local_minus():
     hemi = make_surface("hemisphere")
-    lams = [solve_mode(hemi, 0.5, BoundaryConditionSpec("local-"), N,
-                       n_fields=1).pairs[0].lam for N in (64, 128, 256)]
+    lams = [oracles.mode_pairs(hemi, 0.5, BoundaryConditionSpec("local-"), N,
+                               1)[1][0].lam for N in (64, 128, 256)]
     d1, d2 = abs(lams[1] - lams[0]), abs(lams[2] - lams[1])
     assert d2 <= d1 / 3  # second-order shrink
 

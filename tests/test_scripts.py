@@ -172,3 +172,33 @@ def test_lapack_counts_each_routine_per_command(monkeypatch, capsys):
         "disk_oracle convergence exit=0 dlaebz=1"]
     assert made == ["dsterf", "zgehrd", "dsterf", "dstebz", "dlaebz"]
     assert len(cleared) == 4 and _lapack._call is routine
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blanks(tmp_path,
+                                                            capsys):
+    """scripts/code_lines.py counts each module's lines of code, by file
+    name, and their total: docstrings of the module, a class and a function
+    (one or several lines), comment lines and blank lines are left out; a
+    multi-line statement, a multi-line string that is no docstring and a
+    line with a trailing comment count (a stub package of two modules)."""
+    spec = importlib.util.spec_from_file_location(
+        "code_lines", os.path.join(ROOT, "scripts", "code_lines.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    (tmp_path / "b.py").write_text(
+        '"""Module\n\ndocstring."""\n\n'
+        "# a comment\n"
+        "import os  # trailing\n\n\n"
+        "class A:\n"
+        '    """One line."""\n'
+        "    x = (1,\n"
+        "         2)\n\n"
+        "    def f(self):\n"
+        '        """Two\n        lines."""\n'
+        "        return '''not\n"
+        "a docstring'''\n")
+    (tmp_path / "a.py").write_text("X = 1\n\n# only a comment\n")
+    (tmp_path / "notes.txt").write_text("X = 2\n")
+    assert script.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["a.py 1", "b.py 7",
+                                                    "total 8"]

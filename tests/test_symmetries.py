@@ -13,6 +13,7 @@ import os
 import tempfile
 
 import numpy as np
+import oracles
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
@@ -87,23 +88,22 @@ def test_mirror_and_negation_are_exact(profile, bc, k_index, N):
     k = _k(surface, k_index)
     spec = BoundaryConditionSpec(bc)
     for n_levels in (4, None):
-        native = solve_mode(surface, k, spec, N, n_fields=2, n_levels=n_levels)
-        mirrored = solve_mode(surface, -k, spec, N, n_fields=2,
-                              n_levels=n_levels)
-        image = -native.lams[::-1] if spec.is_local else native.lams
-        assert np.array_equal(mirrored.lams, image)
+        native = solve_mode(surface, k, spec, N, n_levels)
+        lams, pairs = oracles.mode_pairs(surface, -k, spec, N, 2, n_levels)
+        image = -native[::-1] if spec.is_local else native
+        assert np.array_equal(lams, image)
         op = ModeOperator(surface, k, N, bc=BoundaryConditionSpec(SWAPPED[bc]))
         vals, wanted, vecs = op.eigensystem(n_vectors=2, n_values=n_levels)
         scale = maxabs(vals)
         if spec.is_local:
-            assert maxabs(mirrored.lams - vals) <= 1e-12 * scale
+            assert maxabs(lams - vals) <= 1e-12 * scale
         else:
-            assert np.array_equal(mirrored.lams, vals)
+            assert np.array_equal(lams, vals)
         fields = sorted(((lam, _collocate(op, *op.expand(y), swap=True))
                          for lam, y in zip(wanted, vecs.T)),
                         key=lambda f: (abs(f[0]), f[0]))
-        assert len(mirrored.pairs) == len(fields) == 2
-        for pair, (lam, field) in zip(mirrored.pairs, fields):
+        assert len(pairs) == len(fields) == 2
+        for pair, (lam, field) in zip(pairs, fields):
             assert pair.k == field.k == -k
             assert abs(pair.lam - lam) <= 1e-12 * scale
             assert maxabs(pair.field.values - field.values) \
@@ -183,31 +183,31 @@ def test_pruned_aggregate_is_the_unpruned_merge(profile, n_levels, k_index,
     """Under each of the four conditions, a selective aggregate, which
     bisects only the modes that could hold levels[0], has the lambda_min,
     k_min, k_top and kmax_attained, bit for bit, of the merge of one
-    solve_mode per mode, and its fundamental is the pair of that mode's own
-    solve with one field; a mode without rows has no level with
-    |lambda| <= |lambda_min| in its own solve."""
+    solve_mode per mode, and its fundamental is the pair that eigenpairs
+    builds from that mode's smallest |lambda|; a mode without rows has no
+    level with |lambda| <= |lambda_min| in its own solve."""
     with tempfile.TemporaryDirectory() as tmp:
         _, surface = _surface(tmp, *profile)
     k_max = k_index + 0.5
     for bc in BCS:
         spec = BoundaryConditionSpec(bc)
         sp = aggregate(surface, spec, k_max, N, n_levels=n_levels)
-        sols = [solve_mode(surface, k, spec, N, 0, n_levels)
-                for k in modes_for(surface, k_max)]
-        rows = np.vstack([np.column_stack([s.lams, np.full(len(s.lams), s.k)])
-                          for s in sols])
+        sols = {k: solve_mode(surface, k, spec, N, n_levels)
+                for k in modes_for(surface, k_max)}
+        rows = np.vstack([np.column_stack([lams, np.full(len(lams), k)])
+                          for k, lams in sols.items()])
         lam, k = rows[np.lexsort((rows[:, 0], rows[:, 1],
                                   np.abs(rows[:, 0])))][0]
-        k_top = max(abs(s.k) for s in sols)
+        k_top = max(abs(k) for k in sols)
         assert (sp.lambda_min, sp.k_min, sp.k_top) == (lam, k, k_top)
         assert sp.kmax_attained == (abs(abs(k) - k_top) < 1e-9)
-        want = solve_mode(surface, k, spec, N, 1, n_levels).pairs[0]
+        want = oracles.mode_pairs(surface, k, spec, N, 1, n_levels)[1][0]
         got = sp.fundamental
         assert (got.lam, got.k) == (want.lam, want.k)
         assert np.array_equal(got.field.values, want.field.values)
-        for s in sols:
-            if not np.any(sp.levels[:, 1] == s.k):
-                assert np.all(np.abs(s.lams) > abs(sp.lambda_min))
+        for k, lams in sols.items():
+            if not np.any(sp.levels[:, 1] == k):
+                assert np.all(np.abs(lams) > abs(sp.lambda_min))
 
 
 @settings(max_examples=4, deadline=None, derandomize=True,
