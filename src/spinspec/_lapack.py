@@ -14,7 +14,8 @@ the paths spinspec takes (tests/test_lapack.py holds scipy as the oracle):
 
 * `eigvalsh_tridiagonal` : sterf for every eigenvalue; stebz for those in
   a value range,
-* `eigh_tridiagonal`     : stebz + stein for the vectors in a value range,
+* `tridiagonal_vectors`  : stein for the vectors of given eigenvalues, the
+  form taken as one block (scipy.linalg.lapack.dstein),
 * `SturmCounts`          : dlaebz's Sturm counts (IJOB=1) with stebz's
   splitting and pivmin, and the intervals of stebz's bisection they pick
   (scipy.linalg wraps neither),
@@ -127,23 +128,6 @@ def _finite(*arrays) -> None:
             raise ValueError("array must not contain infs or NaNs")
 
 
-def _stebz(d: Array, e: Array, select_range, order: str
-           ) -> tuple[Array, Array, Array]:
-    """dstebz on the value range (vl, vu]: the eigenvalues, then their
-    blocks and the block ends for stein."""
-    n = len(d)
-    vl, vu = (float(v) for v in select_range)
-    w = np.empty(n)
-    iblock = np.empty(n, _INT_DTYPE)
-    isplit = np.empty(n, _INT_DTYPE)
-    m, nsplit = _INT(0), _INT(0)
-    info = _call("dstebz", "V", order, n, vl, vu, 1, 1, 0.0,
-                 d, e, ctypes.byref(m), ctypes.byref(nsplit), w, iblock,
-                 isplit, np.empty(4 * n), np.empty(3 * n, _INT_DTYPE))
-    _check_info(info, "stebz (eigh_tridiagonal)")
-    return w[:m.value], iblock, isplit
-
-
 def _tridiagonal(d, e) -> tuple[Array, Array]:
     d = np.ascontiguousarray(d, dtype=float)
     e = np.ascontiguousarray(e, dtype=float)
@@ -159,27 +143,37 @@ def eigvalsh_tridiagonal(d, e, select: str = "a",
     every one by dsterf ('a'), or by dstebz those in the value range
     (vl, vu] ('v')."""
     d, e = _tridiagonal(d, e)
-    if select != "a":
-        return _stebz(d, e, select_range, "E")[0]
-    w, work = d.copy(), e.copy()
-    _check_info(_call("dsterf", len(d), w, work), "sterf (eigh_tridiagonal)")
-    return w
+    n = len(d)
+    if select == "a":
+        w, work = d.copy(), e.copy()
+        _check_info(_call("dsterf", n, w, work), "sterf (eigvalsh_tridiagonal)")
+        return w
+    vl, vu = (float(v) for v in select_range)
+    w = np.empty(n)
+    m, nsplit = _INT(0), _INT(0)
+    info = _call("dstebz", "V", "E", n, vl, vu, 1, 1, 0.0,
+                 d, e, ctypes.byref(m), ctypes.byref(nsplit), w,
+                 np.empty(n, _INT_DTYPE), np.empty(n, _INT_DTYPE),
+                 np.empty(4 * n), np.empty(3 * n, _INT_DTYPE))
+    _check_info(info, "stebz (eigvalsh_tridiagonal)")
+    return w[:m.value]
 
 
-def eigh_tridiagonal(d, e, select_range) -> tuple[Array, Array]:
-    """Eigenvalues of the tridiagonal (d, e) in the value range (vl, vu],
-    ascending, and their unit eigenvectors as columns: dstebz by blocks,
-    then dstein."""
+def tridiagonal_vectors(d, e, w) -> Array:
+    """Unit eigenvectors, as columns, of the tridiagonal (d, e) for the
+    eigenvalues w (ascending), by dstein on the form as one block
+    (iblock = 1, isplit = [n]): inverse iteration from each value as
+    given, O(n) each, close values reorthogonalized."""
     d, e = _tridiagonal(d, e)
-    w, iblock, isplit = _stebz(d, e, select_range, "B")
+    w = np.ascontiguousarray(w, dtype=float)
+    _finite(w)
     n, m = len(d), len(w)
     z = np.empty((n, m), order="F")
-    info = _call("dstein", n, d, e, m, w, iblock, isplit, z, max(n, 1),
-                 np.empty(5 * n), np.empty(n, _INT_DTYPE),
-                 np.empty(m, _INT_DTYPE))
-    _check_info(info, "stein (eigh_tridiagonal)")
-    order = np.argsort(w)
-    return w[order], z[:, order]
+    info = _call("dstein", n, d, e, m, w, np.ones(n, _INT_DTYPE),
+                 np.full(n, n, _INT_DTYPE), z, n, np.empty(5 * n),
+                 np.empty(n, _INT_DTYPE), np.empty(m, _INT_DTYPE))
+    _check_info(info, "stein (tridiagonal_vectors)")
+    return z
 
 
 class SturmCounts:

@@ -100,9 +100,10 @@ MAX_SPECTRUM_WORK = 2 ** 30   # |k| solved x sum of N^2 in `spectrum`, where
                               # every eigenvalue costs O(N): about 100 s
 MAX_CONFIG_BYTES = 2 ** 20    # a scenario config file
 # A surface's length and largest radius must lie in this range.  The solve
-# and the identities hold absolute floors of order 1 (the eigenvector bracket
-# is 1e-10 max(scale, 1)), so far outside it their results mean nothing: a
-# cylinder of length 1e200 gave levels of 1e-199 and no eigenvectors.
+# and the identities hold absolute floors of order 1 (the eigenvector
+# residual bound is 1e-10 max(scale, 1), a structural zero is one within
+# 1e-8), so far outside it their results mean nothing: a cylinder of length
+# 1e200 gave levels of 1e-199 and no eigenvectors.
 SCALE_RANGE = (1e-6, 1e6)
 CONVERGENCE_KMAX = 2.5    # the largest |k| `convergence` solves
 DRIFT_TOL = 1e-3          # |lambda_min| drift of a converged ladder

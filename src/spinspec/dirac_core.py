@@ -43,8 +43,9 @@ of only the intervals that Sturm counts pick, in O(N)
 (`ModeOperator._low_levels`).  The form keeps each end block's
 Householder reflectors, not its unitary: a levels-only solve runs zgehrd
 alone, and one set of Sturm counts serves its probe and its level solve.
-The few eigenvectors come from the same form (stebz and stein on a bracket
-around the wanted levels), mapped back through the unitaries, which
+The few eigenvectors come from the same form with no second bisection:
+Sturm counts confirm each level given, and stein solves the vectors of
+the levels as given, mapped back through the unitaries, which
 zunghr builds from the kept reflectors only then, and the gauge, and
 checked by their residual against the band.  The one field a command
 reads, the fundamental's, is the eigenvector of levels[0] in its mode's
@@ -107,8 +108,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._lapack import (SturmCounts, bidiagonal_singular_values,
-                      eigh_tridiagonal, eigvalsh_tridiagonal, hessenberg_q,
-                      hessenberg_reflectors, null_space)
+                      eigvalsh_tridiagonal, hessenberg_q,
+                      hessenberg_reflectors, null_space, tridiagonal_vectors)
 # unused here; perfbench --trace counts calls to this name
 from ._lapack import solve_tridiagonal as solve_banded  # noqa: F401
 from .geometry import (SLOPE_STENCIL, TRACE_STENCIL, ConfigError,
@@ -314,9 +315,9 @@ class ModeOperator:
     alone, and one `SturmCounts` of it that every count of the operator
     shares; the band `matrix` that checks eigenvectors.  The back-map of
     the eigenvectors (the end blocks' unitaries and the gauge) is built by
-    `eigenvectors`, from the reflectors the form kept.  So a levels-only
-    solve builds no back-map and no band.  Eigenvectors are reported back
-    on the staggered grids through `expand`.
+    `eigenvectors`, from the reflectors the form kept, for levels the
+    counts confirm.  So a levels-only solve builds no back-map and no band.
+    Eigenvectors are reported back on the staggered grids through `expand`.
     """
 
     surface: WarpedSurface
@@ -463,7 +464,14 @@ class ModeOperator:
         n_p = kinds.count("p") + (N - W + 1)
         n_q = len(kinds) - kinds.count("p") + (N - W)
         self._bipartite = "mixed" not in kinds
-        # the exact zeros of a bipartite operator (`structural_zeros`)
+        # Exact zeros forced by the staggered block dimensions: APS-type
+        # closures keep the two spinor components in separate blocks, so the
+        # reduced operator anticommutes with the component grading and
+        # carries |n_p - n_q| exact zeros.  A surplus on the vertex side is a
+        # boundary-window artifact of the over-determined closure (spurious,
+        # removed from reported spectra after `_deflate`'s check); one on the
+        # center side is a discrete harmonic spinor (kept: genuine for the
+        # experimental aps+ condition).  At most one count is nonzero.
         self._spurious = max(n_q - n_p, 0) if self._bipartite else 0
         self._harmonic = max(n_p - n_q, 0) if self._bipartite else 0
 
@@ -500,23 +508,6 @@ class ModeOperator:
         """max |A - A^H| of the reduced operator as assembled, before the
         roundoff symmetrization."""
         return self._herm
-
-    @property
-    def structural_zeros(self) -> tuple[int, str] | None:
-        """Exact zero eigenvalues forced by the staggered block dimensions.
-
-        APS-type closures keep the two spinor components in separate blocks,
-        so the reduced operator anticommutes with the component grading and
-        carries |n_p - n_q| exact zeros.  A surplus on the vertex side is a
-        boundary-window artifact of the over-determined closure ("spurious",
-        removed from reported spectra after verification); a surplus on the
-        center side is a discrete harmonic spinor ("harmonic", kept - these
-        are genuine for the experimental aps+ condition).  The solve reads
-        the two counts, `_spurious` and `_harmonic`, at most one nonzero.
-        """
-        if self._spurious:
-            return self._spurious, "spurious"
-        return (self._harmonic, "harmonic") if self._harmonic else None
 
     def tridiagonal(self) -> tuple[Array, Array]:
         """Real symmetric tridiagonal (d, e) unitarily similar to `matrix`."""
@@ -563,15 +554,17 @@ class ModeOperator:
 
     @functools.cached_property
     def _count(self) -> SturmCounts:
-        """The Sturm counts of (d, e), built on first read: the probe and
-        the level solve share them and their memo."""
+        """The Sturm counts of (d, e), built on first read: the probe, the
+        level solve and the eigenvectors' membership check share them and
+        their memo."""
         return SturmCounts(*self._form[:2])
 
     def clear_of(self, bound: float) -> bool:
         """Whether no level this operator reports has |lambda| <= bound.
 
-        Sturm counts on the window (-t, t], t = bound plus the eigenvector
-        bracket's slack 1e-10 * scale, of the operator's tridiagonal form.
+        Sturm counts on the window (-t, t], t = bound plus a margin of
+        1e-10 * scale, of the operator's tridiagonal form, so that a level
+        within roundoff of the bound keeps its mode.
         It clears the operator only when the window holds exactly its
         spurious structural zeros, each within 1e-8 of 0, which
         `eigensystem` would deflate (its own bound is never tighter).  A
@@ -706,36 +699,39 @@ class ModeOperator:
         return vals, wanted, self.eigenvectors(wanted)
 
     def eigenvectors(self, wanted: Array) -> Array:
-        """Eigenvectors of the levels `wanted` (ascending, at least one), in
-        reduced coordinates, one per column.
+        """Eigenvectors of the levels `wanted` (ascending), in reduced
+        coordinates, one per column.
 
-        stebz brackets [wanted[0], wanted[-1]] with a slack of 1e-10 * scale
-        and stein solves the vectors there, O(n) each; each wanted level
-        takes the vector of the nearest value found, and a level left
-        without a vector of its own (none in the bracket, or a repeated
-        level) is refused.  The vectors are mapped back from the tridiagonal
-        form, z to blockdiag(Q_head, I, Q_tail) (g * z), by the end blocks'
-        unitaries (zunghr on the reflectors `_form` kept) and the gauge g,
-        both built here, and checked by their residual against `matrix`.
+        Each wanted level must be one of the form's: the Sturm counts on
+        (lam - delta, lam + delta], delta = 32 eps (bound + 1), the scale of
+        dstebz's own tolerance (`SturmCounts.bound`), must find as many
+        levels as are wanted there, or the levels are refused (a level off
+        its place, or repeated without a second level of its own).  stein
+        then solves the vectors of the levels as given, O(n) each.  They
+        are mapped back from the tridiagonal form, z to
+        blockdiag(Q_head, I, Q_tail) (g * z), by the end blocks' unitaries
+        (zunghr on the reflectors `_form` kept) and the gauge g, both built
+        here, and checked by their residual against `matrix`.
         """
         d, e, (refl_h, lh, refl_t, lt) = self._form
-        ab, bw, scale = self.matrix, self._bw, self._scale
-        # stebz + stein give n x m vectors (scipy's stemr allocates n x n);
-        # the bracket may also hold a deflated zero, so take the nearest
-        slack = 1e-10 * scale
-        got, z = eigh_tridiagonal(d, e, (wanted[0] - slack,
-                                         wanted[-1] + slack))
-        pick = np.argmin(np.abs(got[:, None] - wanted), axis=0) if len(got) else []
-        if len(set(pick)) < len(wanted):
+        wanted = np.asarray(wanted, dtype=float)
+        delta = 32 * np.finfo(float).eps * (self._count.bound + 1.0)
+        lo, hi = wanted - delta, wanted + delta
+        counts = self._count(*lo.tolist(), *hi.tolist())
+        found = np.subtract(counts[len(wanted):], counts[:len(wanted)])
+        asked = ((wanted > lo[:, None]) & (wanted <= hi[:, None])).sum(axis=1)
+        if not np.array_equal(found, asked):
             raise NumericalError(f"eigenvectors missing near {wanted.tolist()}")
+        z = tridiagonal_vectors(d, e, wanted)
         g = np.ones(len(d), dtype=complex)
         np.divide(np.concatenate([np.conj(lh[::-1]), self._blocks[1], lt]), e,
                   out=g[1:], where=e > 0)
         g = np.cumprod(g)         # drifts off |g| = 1 by O(n eps): rescale
-        y = (g / np.abs(g))[:, None] * z[:, pick]
+        y = (g / np.abs(g))[:, None] * z
         qh, qt = hessenberg_q(*refl_h)[::-1, ::-1], hessenberg_q(*refl_t)
         y[:len(qh)] = qh @ y[:len(qh)]
         y[-len(qt):] = qt @ y[-len(qt):]
+        ab, bw, scale = self.matrix, self._bw, self._scale
         for lam, col in zip(wanted, y.T):
             resid = float(np.linalg.norm(_band_matvec(ab, bw, col) - lam * col))
             if resid > 1e-10 * scale:
@@ -841,13 +837,15 @@ def solve_mode(surface: WarpedSurface, k: float, bc: BoundaryConditionSpec,
 
 def eigenpairs(surface: WarpedSurface, k: float, bc: BoundaryConditionSpec,
                N: int, levels: Array) -> list:
-    """The eigenpairs of the `levels` of mode k under bc (at least one), by
-    |lam|, then lam.
+    """The eigenpairs of the `levels` of mode k under bc, by |lam|, then lam
+    (none for no levels).
 
     Mode |k| is assembled under its native condition and each field is the
-    eigenvector of its own level there (`ModeOperator.eigenvectors` of the
-    native levels, ascending), so a level that is not one of that
-    operator's, or a repeated one, is refused.  Each pair is reported as
+    eigenvector of its own level there, taken as given
+    (`ModeOperator.eigenvectors` of the native levels, ascending), so a
+    level that the Sturm counts do not find within 32 eps (bound + 1) of
+    its place in that operator, or one repeated more often than the
+    operator has it, is refused.  Each pair is reported as
     the mode's levels are: negated, with a conjugate field, where
     `_negated` says so, and component-swapped for k < 0.
     """
@@ -900,8 +898,9 @@ class Spectrum:
     def fundamental(self) -> Eigenpair:
         """The eigenpair of levels[0], built on first access: `eigenpairs`
         of every row of mode k_min equal to levels[0], so a repeated level,
-        or one that is not a level of that mode, is refused: a field is
-        paired only with the level it belongs to."""
+        or one that the Sturm counts of that mode do not confirm, is
+        refused: a field is paired only with the level it belongs to, and
+        its vector is solved from that level as given."""
         k, lev = self.k_min, self.levels
         rows = lev[(lev[:, 1] == k) & (lev[:, 0] == lev[0, 0]), 0]
         return eigenpairs(self.surface, k, self.bc, self.n_grid, rows)[0]

@@ -5,8 +5,9 @@ reduces the mode problem to a Bessel-type transcendental equation solved by
 bracketing + brentq; the generic oracle integrates the radial ODE system
 with an adaptive 8th-order Runge-Kutta (DOP853) from a series start at the
 pole (or from the admissible trace direction at an inner boundary) and
-bisects the boundary-condition residual in lambda.  The hemisphere oracle is the closed-form
-Killing spinor.
+bisects the boundary-condition residual in lambda.  The hemisphere oracles
+are the closed-form Killing spinor and the closed-form spectrum of each
+mode under local+-.
 
 Some entries are references rather than independent oracles.
 `brentq_r_of_s` is the package's original per-point arclength inverse, which
@@ -14,6 +15,8 @@ the vectorized inverse must reproduce to roundoff.  `window_values`,
 `selective_levels` and `window_clear_of` are the selective solve and probe
 as they bisected every level of a doubling window around 0; the
 count-driven solve must give their levels and decisions bit for bit.
+`structural_zeros` reads an operator's counts of exact zeros as one
+(count, kind) pair.
 `apply_interior` applies the package's interior scheme rows to sampled
 spinors, so that a closed form checks the scheme.  `lowest` picks the m
 smallest |lambda| of a mode's levels, `mode_pairs` builds their eigenpairs
@@ -83,6 +86,18 @@ def killing_spinor_hemisphere(r):
 
 KILLING_HEMISPHERE_LAMBDA = 1.0
 KILLING_HEMISPHERE_MODE = 0.5
+
+
+def hemisphere_levels(k: float, variant: str, cutoff: float) -> np.ndarray:
+    """Every level of mode k on the unit hemisphere with |lambda| <= cutoff,
+    ascending: sign(k) (-1)^m (|k| + 1/2 + m), m >= 0, under local+, and
+    its negative under local-.  These are the round sphere's eigenvalues
+    +-(j + 1), multiplicity 2 (j + 1), half of each value in the
+    hemisphere's modes (the Killing spinor is m = 0 at k = 1/2)."""
+    sign = np.sign(k) * (1.0 if variant == "local+" else -1.0)
+    m = np.arange(max(0, int(np.floor(cutoff - abs(k) - 0.5)) + 1))
+    return np.sort(sign * (-1.0) ** m * (abs(k) + 0.5 + m))
+
 
 # first positive root of J1(x) = J0(x), the fundamental local+ disk mode at
 # k = 1/2 (frozen from brentq on scipy Bessel functions; see test below)
@@ -329,6 +344,15 @@ def low_eigenpairs(surface, bc: str, k_max: float, N: int) -> list:
 # whole-window Sturm bisection of the selective solve and of its probe
 # ---------------------------------------------------------------------------
 
+def structural_zeros(op) -> tuple[int, str] | None:
+    """(count, kind) of the exact zeros the staggered block dimensions force
+    on a bipartite operator, from its two counts: 'spurious' (deflated) or
+    'harmonic' (reported); None when there are none."""
+    if op._spurious:
+        return op._spurious, "spurious"
+    return (op._harmonic, "harmonic") if op._harmonic else None
+
+
 def window_values(d, e, count: int) -> np.ndarray:
     """Eigenvalues of the tridiagonal (d, e) in a window (-w, w] around 0.
 
@@ -353,7 +377,7 @@ def selective_levels(op, want: int) -> np.ndarray:
     mirror images; the want smallest |lambda| are kept, an exact tie at the
     cut whole."""
     d, e = op.tridiagonal()
-    struct = op.structural_zeros
+    struct = structural_zeros(op)
     n_zero = struct[0] if struct is not None else 0
     vals = window_values(d, e, want + n_zero + 1)
     order = np.argsort(np.abs(vals), kind="stable")
@@ -386,7 +410,7 @@ def window_clear_of(op, bound: float) -> bool:
     d, e = op.tridiagonal()
     t = bound + 1e-10 * op._scale
     vals = sl.eigvalsh_tridiagonal(d, e, select="v", select_range=(-t, t))
-    struct = op.structural_zeros
+    struct = structural_zeros(op)
     n_zero = struct[0] if struct is not None and struct[1] == "spurious" else 0
     return len(vals) == n_zero and bool(np.all(np.abs(vals) <= 1e-8))
 

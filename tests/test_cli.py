@@ -1361,7 +1361,7 @@ def test_local_pair_shares_its_solve_in_every_command(command, order, tmp_path,
      "local+"),
     ("sturm_window", "eigvalsh_tridiagonal", "_low_levels", "verify",
      "hemisphere", "aps-"),
-    ("eigenvectors", "eigh_tridiagonal", "eigenvectors", "verify", "disk",
+    ("eigenvectors", "tridiagonal_vectors", "eigenvectors", "verify", "disk",
      "local+"),
     ("dsterf", "eigvalsh_tridiagonal", "eigensystem", "spectrum", "disk",
      "local+"),
@@ -1375,7 +1375,7 @@ def test_every_lapack_failure_of_a_mode_solve_exits_3_with_one_line(
     Sturm bisection of the window's picked intervals, local and bipartite,
     the eigenvectors, and the full dsterf and dlasq1 paths -- ends the run
     with exit 3 and one stderr line (solve_mode, or for the fundamental's
-    eigenvectors Spectrum.fundamental, turns it into a NumericalError).
+    eigenvectors eigenpairs, turns it into a NumericalError).
     The Sturm counts are the next test's."""
     real, hits = getattr(dirac_core, name), []
 
@@ -1399,14 +1399,16 @@ def test_every_lapack_failure_of_a_mode_solve_exits_3_with_one_line(
     ("probe", "clear_of", "hemisphere", "aps-"),
     ("window", "_low_levels", "disk", "local+"),
     ("structural_zero", "_pick", "hemisphere", "aps-"),
+    ("membership", "eigenvectors", "disk", "local+"),
 ])
 @pytest.mark.parametrize("failure", ["LinAlgError", "info"])
 def test_every_failing_sturm_count_exits_3_with_one_line(
         case, caller, geometry, bc, failure, tmp_path, capsys, monkeypatch):
     """A dlaebz Sturm count that fails -- a LinAlgError, or a nonzero INFO,
     which `_lapack` turns into one -- at each place that counts (the probe,
-    the doubling window, the structural-zero count of a bipartite mode)
-    ends the run with exit 3 and one stderr line."""
+    the doubling window, the structural-zero count of a bipartite mode, the
+    membership check of the fundamental's eigenvectors) ends the run with
+    exit 3 and one stderr line."""
     from spinspec import _lapack
     real, hits = _lapack._call, []
 

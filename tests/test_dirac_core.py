@@ -84,7 +84,7 @@ def test_reduced_operator_exactly_hermitian(geom, bc):
         assert np.all(op._m > 0)
 
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 
@@ -142,7 +142,7 @@ def test_band_matches_dense_reference(geom, bc):
             n_p, n_q = kinds.count("p"), kinds.count("q")
             expected = (None if "mixed" in kinds or n_p == n_q else
                         (abs(n_p - n_q), "spurious" if n_q > n_p else "harmonic"))
-            assert op.structural_zeros == expected
+            assert oracles.structural_zeros(op) == expected
             d, e = op.tridiagonal()
             ev_ref = np.linalg.eigvalsh(a_ref)
             assert maxabs(eigvalsh_tridiagonal(d, e) - ev_ref) \
@@ -183,7 +183,7 @@ def test_bipartite_full_spectrum_matches_dense(geom, bc):
             ref = np.linalg.eigvalsh(
                 oracles.DenseModeOperator(surface, k, N, spec).matrix)
             scale = maxabs(ref)
-            n_zero, kind = op.structural_zeros
+            n_zero, kind = oracles.structural_zeros(op)
             if kind == "spurious":
                 by_size = np.argsort(np.abs(ref), kind="stable")
                 ref = np.sort(ref[by_size[n_zero:]])
@@ -229,7 +229,7 @@ def test_structural_zero_check_on_selective_path(monkeypatch):
     once, are read-only, so a perturbation goes in before the first read."""
     surface, spec = make_surface("hemisphere"), BoundaryConditionSpec("aps-")
     op = ModeOperator(surface, 0.5, 64, bc=spec)
-    assert op.structural_zeros == (1, "spurious")
+    assert oracles.structural_zeros(op) == (1, "spurious")
     assert len(op.eigensystem(n_values=2)[0]) == 2
     for a in (*op._blocks, *op.tridiagonal()):
         with pytest.raises(ValueError, match="read-only"):
@@ -502,6 +502,16 @@ def test_fundamental_refuses_a_level_it_does_not_belong_to():
             dataclasses.replace(sp, levels=levels).fundamental
         assert "\n" not in str(exc.value)
     assert (sp.fundamental.lam, sp.fundamental.k) == (sp.lambda_min, sp.k_min)
+
+
+def test_eigenpairs_of_no_levels_is_an_empty_list():
+    """eigenpairs of an empty list of levels is an empty list (stein on no
+    values), under every condition and at k of either sign."""
+    surface = make_surface("disk")
+    for bc in BCS:
+        for k in (0.5, -1.5):
+            assert eigenpairs(surface, k, BoundaryConditionSpec(bc), 32,
+                              []) == []
 
 
 def _aggregate_peak(k_max: float) -> int:
@@ -821,16 +831,21 @@ def test_end_blocks_and_bandwidth_stay_small(zone_csv, geom, bc, N, k_index):
        N=st.integers(16, 512),
        k=st.sampled_from([0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 4.5, -4.5]),
        m=st.integers(1, 4))
+@example(geom="disk", bc="local+", N=128, k=0.5, m=1)
+@example(geom="disk", bc="local+", N=4096, k=0.5, m=1)
 def test_eigenpairs_belong_to_their_levels(zone_csv, geom, bc, N, k, m):
     """eigenpairs of the m smallest |lambda| of a mode gives one pair per
     level: exactly that level, by |lambda| then lambda, in the mode k given,
-    with a value per cell and component.  A level repeated, or moved by 4
-    times the vector bracket's slack (1e-10 * scale) off its place, has no
-    eigenvector of its own and is refused; a level one ulp off is inside
-    that slack, and its pair carries the level as given.  A structural
-    zero planted through the counts (`_spurious`) that the operator lacks
-    is refused by the full solve, and by the selective one of a bipartite
-    operator, the one whose selective solve counts its zeros."""
+    with a value per cell and component.  A level repeated, or moved off
+    its place by 1e-13 * scale (a thousandth of the 1e-10 * scale bracket
+    the vectors were once bisected in: 1.8e-11 on the disk at N 128, 5.8e-10
+    at 4096), has no level of the form of its own within the counts'
+    delta = 32 eps (bound + 1), at most a quarter of that move, and is
+    refused; a level one ulp off is inside delta, and its pair carries the
+    level as given.  Up to N 512, a structural zero planted through the
+    counts (`_spurious`) that the operator lacks is refused by the full
+    solve, and by the selective one of a bipartite operator, the one whose
+    selective solve counts its zeros."""
     surface = make_surface(f"profile:{zone_csv}" if geom == "zone" else geom)
     spec = BoundaryConditionSpec(bc)
     try:
@@ -844,9 +859,10 @@ def test_eigenpairs_belong_to_their_levels(zone_csv, geom, bc, N, k, m):
                                             key=lambda x: (abs(x), x))
     assert all(e.k == k and e.field.values.shape == (N, 2) for e in pairs)
 
-    slack = 1e-10 * op._scale
+    move = 1e-13 * op._scale
+    assert 32 * np.finfo(float).eps * (op._count.bound + 1.0) <= move / 4
     for i, lam in enumerate(wanted):
-        for bad in ([lam, lam], [lam + 4 * slack], [lam - 4 * slack]):
+        for bad in ([lam, lam], [lam + move], [lam - move]):
             with pytest.raises(NumericalError, match="eigenvectors missing"):
                 eigenpairs(surface, k, spec, N, np.array(bad))
         for off in (np.inf, -np.inf):
@@ -855,10 +871,46 @@ def test_eigenpairs_belong_to_their_levels(zone_csv, geom, bc, N, k, m):
             got = eigenpairs(surface, k, spec, N, moved)
             assert sorted(e.lam for e in got) == moved.tolist()
 
+    if N > 512:                     # a full solve is O(N^2); drawn N <= 512
+        return
     op._spurious += 1
     for n_values in (None, m) if op._bipartite else (None,):
         with pytest.raises(NumericalError, match="refusing to deflate"):
             op.eigensystem(n_values=n_values)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(geom=st.sampled_from(SURFACES), bc=st.sampled_from(BCS),
+       N=st.integers(16, 96),
+       k=st.sampled_from([0.5, -0.5, 2.5, -2.5, 4.5, -4.5, 12.5, -12.5]),
+       n_levels=st.sampled_from([None, 1, 2, 3, 4]))
+@example(geom="disk", bc="local+", N=16, k=4.5, n_levels=None)
+@example(geom="disk", bc="local+", N=17, k=-12.5, n_levels=None)
+@example(geom="disk", bc="local+", N=32, k=4.5, n_levels=3)
+@example(geom="disk", bc="aps-", N=32, k=2.5, n_levels=None)
+@example(geom="disk", bc="aps+", N=24, k=-4.5, n_levels=2)
+def test_eigenpairs_take_every_level_a_solve_reports(zone_csv, geom, bc, N, k,
+                                                     n_levels):
+    """eigenpairs accepts every level solve_mode reports, from each of its
+    solvers: dsterf (a full local spectrum), the dqds singular values (a
+    full bipartite one) and dstebz (a selective solve), on forms split into
+    blocks as well (the disk's forms at |k| 2.5, 4.5 and 12.5 have an
+    exactly zero link), and pairs each level with itself.  A selective
+    level lies within 8 eps (bound + 1), a quarter of the membership
+    counts' delta, of the full solve's value of the same level."""
+    surface = make_surface(f"profile:{zone_csv}" if geom == "zone" else geom)
+    spec = BoundaryConditionSpec(bc)
+    try:
+        op = ModeOperator(surface, abs(k), N, bc=_native(spec))
+    except ConfigError:             # N too coarse for this |k|
+        return
+    levels = solve_mode(surface, k, spec, N, n_levels)
+    pairs = eigenpairs(surface, k, spec, N, levels)
+    assert sorted(e.lam for e in pairs) == levels.tolist()
+    if n_levels is not None:
+        full = oracles.lowest(solve_mode(surface, k, spec, N), len(levels))
+        gap = maxabs(levels - full)
+        assert gap <= 8 * np.finfo(float).eps * (op._count.bound + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -885,6 +937,45 @@ def test_killing_spinor_scheme_residual_second_order():
     assert norms[-1] <= 1e-4
     order = np.log2(norms[0] / norms[1]), np.log2(norms[1] / norms[2])
     assert min(order) >= 1.8
+
+
+@pytest.mark.parametrize("n_levels", [None, 1, 2, 3, 4])
+def test_hemisphere_spectrum_is_the_closed_form(n_levels, monkeypatch):
+    """Every level of every mode |k| <= 4.5 of the unit hemisphere under
+    local+ and local-, through the executor: pooled full spectra
+    (n_levels=None, 2 threads) and inline selective ones.  Each mode that
+    holds rows has the closed form's count of levels with |lambda| <= 8.5
+    (a selective mode its n_levels smallest |lambda|), they match the
+    closed form one to one (each within 0.25 of its partner; a mode's
+    closed-form levels lie at least 2 apart), and each level's error falls
+    at an observed order in [1.9, 2.1] from N 64 to 128.  A selective
+    solve holds rows only in the modes +-1/2 of lambda_min."""
+    from spinspec import dirac_core
+    monkeypatch.setattr(dirac_core, "_cpu_count", lambda: 2)
+    cutoff, grids = 8.5, (64, 128)
+    entries = [(BoundaryConditionSpec(bc), N) for N in grids
+               for bc in ("local+", "local-")]
+    spectra = dict(full_spectra(make_surface("hemisphere"), 4.5, entries,
+                                n_levels))
+    for i, (spec, _) in enumerate(entries[:2]):
+        coarse, fine = spectra[i], spectra[i + 2]
+        held = set(coarse.levels[:, 1])
+        assert held == set(fine.levels[:, 1])
+        assert held == (set(modes_for(coarse.surface, 4.5)) if n_levels is None
+                        else {-0.5, 0.5})
+        for k in held:
+            exact = oracles.hemisphere_levels(k, spec.variant, cutoff)
+            if n_levels is not None:
+                exact = oracles.lowest(exact, n_levels)
+            errors = []
+            for sp in (coarse, fine):
+                got = mode_levels(sp, k)
+                got = got[np.abs(got) <= cutoff]
+                assert len(got) == len(exact), (spec.variant, k, sp.n_grid)
+                errors.append(np.abs(got - exact))
+                assert np.all(errors[-1] < 0.25), (spec.variant, k)
+            order = np.log2(errors[0] / errors[1])
+            assert np.all((order >= 1.9) & (order <= 2.1)), (spec.variant, k)
 
 
 def test_disk_fundamental_matches_shooting_oracle():
@@ -1223,7 +1314,7 @@ def test_aps_structural_zero_count(geom):
             bw = (op.matrix.shape[0] - 1) // 2
             vals = eigvals_banded(op.matrix[bw:], lower=True)
             n_zero = int(np.sum(np.abs(vals) <= 1e-8 * maxabs(vals)))
-            assert op.structural_zeros[0] == abs(n_p - n_q) == n_zero
+            assert oracles.structural_zeros(op)[0] == abs(n_p - n_q) == n_zero
 
 
 def test_disk_aggregate_fundamental_in_lowest_mode(solved):

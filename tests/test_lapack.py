@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg as sl
+import scipy.linalg.lapack as sll
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
@@ -36,6 +37,33 @@ def _tridiagonal(seed, n, zero_diagonal):
     return d, np.abs(rng.normal(size=n - 1))
 
 
+def _graded(seed, n, zero_diagonal):
+    """A tridiagonal whose entries fall by up to 200 decades along it, so
+    that dstebz splits it where an off-diagonal drops below its threshold."""
+    d, e = _tridiagonal(seed, n, zero_diagonal)
+    decades = np.random.default_rng(seed).uniform(0, 200)
+    return (d * 10.0 ** -np.linspace(0, decades, n),
+            e * 10.0 ** -np.linspace(0, decades, n - 1))
+
+
+KINDS = st.sampled_from(["random", "zero_diagonal", "graded",
+                         "graded_zero_diagonal"])
+
+
+def _form(seed, n, kind):
+    return (_graded if kind.startswith("graded") else _tridiagonal)(
+        seed, n, kind.endswith("zero_diagonal"))
+
+
+def _scipy_vectors(d, e, w):
+    """scipy's dstein on the form as one block: iblock = 1, isplit = [n]."""
+    n = len(d)
+    z, info = sll.dstein(d, e, w, np.ones(n, np.int32),
+                         np.full(n, n, np.int32))
+    assert info == 0
+    return z
+
+
 def _operator_tridiagonals():
     """(d, e) of a few real operators: a cap, an annulus, every condition."""
     for geom in ("hemisphere", "annulus:0.5,1.0"):
@@ -46,20 +74,20 @@ def _operator_tridiagonals():
 
 
 @EXACT
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 120),
-       zero_diagonal=st.booleans(), w=st.floats(0.05, 4.0))
-def test_tridiagonal_eigenvalues_are_scipys(seed, n, zero_diagonal, w):
-    """sterf (every value), stebz by value range, and stebz + stein
-    (values and vectors): each as scipy.linalg returns it."""
-    d, e = _tridiagonal(seed, n, zero_diagonal)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 120), kind=KINDS,
+       w=st.floats(0.05, 4.0))
+def test_tridiagonal_eigenvalues_are_scipys(seed, n, kind, w):
+    """sterf (every value), stebz by value range, and stein (the vectors of
+    the stebz values, the form taken as one block, split or not): each as
+    scipy returns it."""
+    d, e = _form(seed, n, kind)
     assert same(_lapack.eigvalsh_tridiagonal(d, e),
                 sl.eigvalsh_tridiagonal(d, e, lapack_driver="sterf"))
-    assert same(_lapack.eigvalsh_tridiagonal(d, e, "v", (-w, w)),
-                sl.eigvalsh_tridiagonal(d, e, select="v", select_range=(-w, w)))
-    mine = _lapack.eigh_tridiagonal(d, e, (-w, w))
-    ref = sl.eigh_tridiagonal(d, e, select="v", select_range=(-w, w),
-                              lapack_driver="stebz")
-    assert same(mine[0], ref[0]) and same(mine[1], ref[1])
+    vals = _lapack.eigvalsh_tridiagonal(d, e, "v", (-w, w))
+    assert same(vals, sl.eigvalsh_tridiagonal(d, e, select="v",
+                                              select_range=(-w, w)))
+    assert same(_lapack.tridiagonal_vectors(d, e, vals),
+                _scipy_vectors(d, e, vals))
 
 
 def test_operator_tridiagonals_solve_as_in_scipy():
@@ -70,25 +98,13 @@ def test_operator_tridiagonals_solve_as_in_scipy():
         assert same(_lapack.eigvalsh_tridiagonal(d, e, "v", (-w, w)),
                     sl.eigvalsh_tridiagonal(d, e, select="v",
                                             select_range=(-w, w)))
-        mine = _lapack.eigh_tridiagonal(d, e, (-w, w))
-        ref = sl.eigh_tridiagonal(d, e, select="v", select_range=(-w, w),
-                                  lapack_driver="stebz")
-        assert same(mine[0], ref[0]) and same(mine[1], ref[1])
-
-
-def _graded(seed, n, zero_diagonal):
-    """A tridiagonal whose entries fall by up to 200 decades along it, so
-    that dstebz splits it where an off-diagonal drops below its threshold."""
-    d, e = _tridiagonal(seed, n, zero_diagonal)
-    decades = np.random.default_rng(seed).uniform(0, 200)
-    return (d * 10.0 ** -np.linspace(0, decades, n),
-            e * 10.0 ** -np.linspace(0, decades, n - 1))
+        vals = _lapack.eigvalsh_tridiagonal(d, e, "v", (-w, w))
+        assert same(_lapack.tridiagonal_vectors(d, e, vals),
+                    _scipy_vectors(d, e, vals))
 
 
 @EXACT
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 120),
-       kind=st.sampled_from(["random", "zero_diagonal", "graded",
-                             "graded_zero_diagonal"]),
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 120), kind=KINDS,
        points=st.lists(st.floats(-4.0, 4.0), max_size=5))
 def test_sturm_counts_are_the_levels_at_or_below_each_point(seed, n, kind,
                                                             points):
@@ -99,8 +115,7 @@ def test_sturm_counts_are_the_levels_at_or_below_each_point(seed, n, kind,
     the Gershgorin bounds; away from every level, also the number of dsterf
     values at or below it.  Whether the form splits into blocks is dstebz's
     call."""
-    d, e = (_graded if kind.startswith("graded") else _tridiagonal)(
-        seed, n, kind.endswith("zero_diagonal"))
+    d, e = _form(seed, n, kind)
     gersh = float(np.max(np.abs(d)) + 2 * np.max(e)) + 1.0
     tol0 = 1e-8 * max(1.0, float(np.max(np.abs(d)) + 2 * np.max(e)))
     at = [0.0, -tol0, tol0, -gersh, gersh, *points]
@@ -114,7 +129,7 @@ def test_sturm_counts_are_the_levels_at_or_below_each_point(seed, n, kind,
         assert c == len(ref)
         if np.min(np.abs(every - x)) > 1e-9 * gersh:
             assert c == np.sum(every <= x)
-    _, _, isplit = _lapack._stebz(d, e, (-gersh, gersh), "B")
+    isplit = sll.dstebz(d, e, 1, -gersh, gersh, 0, 0, 0.0, "B")[3]
     assert counts.split == (isplit[0] < n)
     if kind == "zero_diagonal" and n % 2:
         # the exact zero counts in (-tol0, 0], and no level in (0, tol0]
@@ -125,7 +140,9 @@ def test_tridiagonal_wrappers_refuse_what_scipy_refuses():
     with pytest.raises(ValueError):
         _lapack.eigvalsh_tridiagonal([0.0, np.nan], [1.0])
     with pytest.raises(ValueError):
-        _lapack.eigh_tridiagonal([0.0, 1.0], [np.inf], (-1.0, 1.0))
+        _lapack.tridiagonal_vectors([0.0, 1.0], [np.inf], [0.5])
+    with pytest.raises(ValueError):
+        _lapack.tridiagonal_vectors([0.0, 1.0], [1.0], [np.nan])
 
 
 @EXACT
