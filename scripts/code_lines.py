@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Count the code lines of each spinspec module, to compare two trees.
 
-    python scripts/code_lines.py [PACKAGE_DIR]
+    python scripts/code_lines.py [--functions] [PACKAGE_DIR]
 
 PACKAGE_DIR defaults to this checkout's src/spinspec.  A code line is a
 line that holds part of a statement: blank lines, comment lines and the
@@ -9,6 +9,12 @@ lines of docstrings (the string that opens a module, class or function
 body) are left out, and a line of code with a trailing comment counts
 once.  It prints one line per module, `<file> <code lines>`, by file name,
 then `total <code lines>`.
+
+With --functions it prints instead one line per function and method,
+`<file>:<qualname> <code lines>`, by file name and then in source order:
+the code lines from its first decorator to its last line, those of the
+functions nested in it included, so that two trees show where their lines
+went.
 """
 
 import argparse
@@ -38,27 +44,64 @@ def docstring_lines(source: str) -> set:
     return lines
 
 
-def code_lines(source: str) -> int:
-    """The number of code lines of one module's source."""
+def code_line_numbers(source: str) -> set:
+    """The line numbers of one module's code lines."""
     lines = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type not in NOT_CODE:
             lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - docstring_lines(source))
+    return lines - docstring_lines(source)
+
+
+def code_lines(source: str) -> int:
+    """The number of code lines of one module's source."""
+    return len(code_line_numbers(source))
+
+
+def function_lines(source: str) -> list:
+    """(qualname, code lines) of each function and method of one module's
+    source, in source order; a function's lines include its decorators and
+    the functions nested in it."""
+    code, found = code_line_numbers(source), []
+
+    def walk(node, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in
+                                              child.decorator_list])
+                span = range(first, child.end_lineno + 1)
+                found.append((prefix + child.name, len(code.intersection(span))))
+                walk(child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, f"{prefix}{child.name}.")
+            else:
+                walk(child, prefix)
+
+    walk(ast.parse(source), "")
+    return found
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--functions", action="store_true",
+                        help="one line per function and method")
     parser.add_argument("package", nargs="?",
                         default=os.path.join(ROOT, "src", "spinspec"))
     args = parser.parse_args(argv)
     total = 0
     for path in sorted(glob.glob(os.path.join(args.package, "*.py"))):
         with open(path, encoding="utf-8") as fh:
-            n = code_lines(fh.read())
-        print(f"{os.path.basename(path)} {n}")
+            source = fh.read()
+        name = os.path.basename(path)
+        if args.functions:
+            for qualname, n in function_lines(source):
+                print(f"{name}:{qualname} {n}")
+            continue
+        n = code_lines(source)
+        print(f"{name} {n}")
         total += n
-    print(f"total {total}")
+    if not args.functions:
+        print(f"total {total}")
     return 0
 
 

@@ -102,8 +102,9 @@ MAX_CONFIG_BYTES = 2 ** 20    # a scenario config file
 # A surface's length and largest radius must lie in this range.  The solve
 # and the identities hold absolute floors of order 1 (the eigenvector
 # residual bound is 1e-10 max(scale, 1), a structural zero is one within
-# 1e-8), so far outside it their results mean nothing: a cylinder of length
-# 1e200 gave levels of 1e-199 and no eigenvectors.
+# `ModeOperator._tol0`, 1e-8 max(1, the form's largest column norm)), so
+# far outside it their results mean nothing: a cylinder of length 1e200
+# gave levels of 1e-199 and no eigenvectors.
 SCALE_RANGE = (1e-6, 1e6)
 CONVERGENCE_KMAX = 2.5    # the largest |k| `convergence` solves
 DRIFT_TOL = 1e-3          # |lambda_min| drift of a converged ladder
@@ -468,10 +469,45 @@ def _cmd_bounds(sc: Scenario, surface: WarpedSurface, _, err: list) -> int:
     return code
 
 
+def observed_order(grids, values) -> float | None:
+    """The order p of values v(N) = v* + C N^-p on three grids N0 < N1 < N2.
+
+    With the drifts d1 = |v1 - v0|, d2 = |v2 - v1| and the ratios
+    r1 = N1 / N0, r2 = N2 / N1, p is the root of
+    r2^p (r1^p - 1) / (r2^p - 1) = d1 / d2.  Its left side rises from 0 to
+    infinity with p, so the root exists and is unique: on a geometric
+    ladder (N1^2 = N0 N2) it is log(d1 / d2) / log(r2), computed so, and
+    otherwise it is bisected to the last bit.  None when a drift is 0 or
+    the grids do not ascend.
+    """
+    (n0, n1, n2), (v0, v1, v2) = grids, values
+    d1, d2 = abs(v1 - v0), abs(v2 - v1)
+    if not (d2 > 0 and d1 > 0 and n0 < n1 < n2):
+        return None
+    if n1 * n1 == n0 * n2:
+        return float(np.log(d1 / d2) / np.log(n2 / n1))
+    l1, l2, target = math.log(n1 / n0), math.log(n2 / n1), math.log(d1 / d2)
+
+    def above(p: float) -> bool:
+        """Whether the left side at p exceeds d1 / d2, compared by logs that
+        cannot overflow (at p = 0 by its limit, l1 / l2)."""
+        if not p:
+            return l1 / l2 > d1 / d2
+        return p * (l1 if p > 0 else l2) + math.log(
+            math.expm1(-abs(p) * l1) / math.expm1(-abs(p) * l2)) > target
+
+    lo, hi = -1.0, 1.0
+    while above(lo) or not above(hi):
+        lo, hi = 2 * lo, 2 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    return mid
+
+
 def _cmd_convergence(sc: Scenario, surface: WarpedSurface, _, err: list) -> int:
     """Per condition, |lambda_min| on each grid (the fundamental level often
-    comes as a +-pair), the Richardson order from each three grids, and
-    whether the last two drift by less than DRIFT_TOL."""
+    comes as a +-pair), the order from each three grids (`observed_order`),
+    and whether the last two drift by less than DRIFT_TOL."""
     # the ladder warns once per condition, with its own hint, not per grid
     ladders = _spectra(sc, surface, "convergence", [])
     for bc_name in sc.bc:
@@ -479,12 +515,8 @@ def _cmd_convergence(sc: Scenario, surface: WarpedSurface, _, err: list) -> int:
         lams = [abs(sp.lambda_min) for sp in spectra]
         lines = ["N,lambda_min,order,converged"]
         for i, (sp, lam) in enumerate(zip(spectra, lams)):
-            order = None
-            if i >= 2:
-                d1, d2 = abs(lams[i - 1] - lams[i - 2]), abs(lam - lams[i - 1])
-                if d2 > 0 and d1 > 0:
-                    order = float(np.log(d1 / d2) / np.log(
-                        sp.n_grid / spectra[i - 1].n_grid))
+            order = None if i < 2 else observed_order(
+                [s.n_grid for s in spectra[i - 2: i + 1]], lams[i - 2: i + 1])
             converged = i == len(lams) - 1 and abs(lam - lams[i - 1]) < DRIFT_TOL
             lines.append(f"{sp.n_grid},{fmt(lam)},{fmt(order)},"
                          f"{fmt(converged)}")

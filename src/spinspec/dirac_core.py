@@ -72,6 +72,9 @@ order and probe every mode after the first with Sturm counts on a window
 just wider than the smallest |lambda| found so far
 (`ModeOperator.clear_of`); only a mode with a level in that window, other
 than its spurious structural zeros, is bisected, and the rest hold no rows.
+The probe bisects nothing: it counts the zeros in the one zero window that
+the level solve's counts also read, `_tol0` less twice dstebz's tolerance,
+so a zero counted there is one that `_deflate` drops.
 
 Modes with k < 0 go through the unitary component swap (v1, v2) -> (v2, v1),
 which maps mode k to mode -k and swaps the two local boundary conditions
@@ -445,19 +448,20 @@ class ModeOperator:
         herm = max(float(np.abs(Ah - Ah.conj().T).max()),
                    float(np.abs(At - At.conj().T).max()),
                    float(np.abs(mid_lo - np.conj(mid_up)).max()))
-        scale = max(float(np.abs(b).max()) for b in
-                    (Ah, At, mid_lo, mid_up)) or 1.0
-        if herm > _HERM_TOL * max(1.0, scale):
-            raise NumericalError(
-                f"reduced operator lost Hermiticity: {herm:.3e} (scale {scale:.3e})")
         # strip roundoff asymmetry only
         Ah, At = 0.5 * (Ah + Ah.conj().T), 0.5 * (At + At.conj().T)
         mid_lo = 0.5 * (mid_lo + np.conj(mid_up))
         abs_h, abs_t = np.abs(Ah), np.abs(At)
+        # the tolerances' one scale: the largest entry, at least 1
+        self._scale = max(1.0, float(abs_h.max()), float(np.abs(mid_lo).max()),
+                          float(abs_t.max()))
+        if herm > _HERM_TOL * self._scale:
+            raise NumericalError(f"reduced operator lost Hermiticity: "
+                                 f"{herm:.3e} (scale {self._scale:.3e})")
 
         # at most 5: an end block has at most 6 columns (7 window dofs, one
         # fewer in a constraint's null space, and a qdir end drops its vertex)
-        tol = 1e-14 * max(1.0, scale)
+        tol = 1e-14 * self._scale
         bw = max(1, _bandwidth(abs_h, tol), _bandwidth(abs_t, tol))
 
         kinds = kinds_h + kinds_t         # the middle adds N - 6 p, N - 7 q
@@ -479,9 +483,6 @@ class ModeOperator:
         self._blocks = (Ah, mid_lo, At)
         for b in self._blocks:    # the cached tridiagonal form reads them once
             b.flags.writeable = False
-        # the tolerances' one scale: the largest entry, at least 1
-        self._scale = max(1.0, float(abs_h.max()), float(np.abs(mid_lo).max()),
-                          float(abs_t.max()))
         self._m, self._msq = m[active], msq
         self._head, self._tail = Zh, Zt
 
@@ -562,39 +563,42 @@ class ModeOperator:
     def clear_of(self, bound: float) -> bool:
         """Whether no level this operator reports has |lambda| <= bound.
 
-        Sturm counts on the window (-t, t], t = bound plus a margin of
-        1e-10 * scale, of the operator's tridiagonal form, so that a level
-        within roundoff of the bound keeps its mode.
-        It clears the operator only when the window holds exactly its
-        spurious structural zeros, each within 1e-8 of 0, which
-        `eigensystem` would deflate (its own bound is never tighter).  A
-        bisected zero lies within dstebz's tolerance of its counted place,
-        so counts inside 1e-8 by twice that tolerance settle it; a zero
-        nearer 1e-8 is bisected.  Anything else -- a zero above 1e-8 or one
-        missing, a harmonic zero, any other level -- is not cleared, and is
-        left to `eigensystem` and its checks.
+        One dlaebz call counts the levels of the operator's tridiagonal form
+        in the window (-t, t], t = bound plus a margin of 1e-10 * scale, so
+        that a level within roundoff of the bound keeps its mode, and in the
+        zero window (-z, z] (`_zero_window`; z = t without spurious zeros).
+        It clears the operator only when each window holds exactly its
+        spurious structural zeros: counted within z, they are bisected
+        within `_tol0`, where `_deflate` drops them.  Anything else -- a
+        zero outside z or one missing, a harmonic zero, any other level --
+        is not cleared, and is left to `eigensystem` and its checks.
         """
-        d, e, _ = self._form
         t = bound + 1e-10 * self._scale
-        n_zero, count = self._spurious, self._count
-        if not n_zero:
-            lo, hi = count(-t, t)
-            return lo == hi
-        s = 1e-8 - 4 * np.finfo(float).eps * (count.bound + 1.0)
-        lo, hi, inner_lo, inner_hi = count(-t, t, -s, s)
-        if hi - lo != n_zero or inner_hi - inner_lo == n_zero:
-            return hi - lo == n_zero
-        vals = eigvalsh_tridiagonal(d, e, select="v", select_range=(-t, t))
-        return bool(np.all(np.abs(vals) <= 1e-8))
+        z = self._zero_window if self._spurious else t
+        lo, hi, zlo, zhi = self._count(-t, t, -z, z)
+        return hi - lo == zhi - zlo == self._spurious
 
+    @functools.cached_property
     def _tol0(self) -> float:
-        """1e-8 times the largest column norm of the tridiagonal form (a
-        lower bound of its spectral radius), at least 1e-8."""
+        """The roundoff bound of a bisected structural zero, which `_deflate`
+        holds each zero to: 1e-8 times the largest column norm of the
+        tridiagonal form (a lower bound of its spectral radius), at least
+        1e-8."""
         d, e, _ = self._form
         col = np.square(d)
         col[1:] += np.square(e)
         col[:-1] += np.square(e)
         return 1e-8 * max(1.0, float(np.sqrt(col.max())))
+
+    @functools.cached_property
+    def _zero_window(self) -> float:
+        """The half-width z of the window (-z, z] where Sturm counts place
+        the structural zeros, for every zero decision made by counts
+        (`clear_of`, `_pick`): `_tol0` less 4 eps (bound + 1), twice
+        dstebz's tolerance (`SturmCounts.bound`), so that a level counted
+        inside it is bisected within `_tol0` (LAPACK Users' Guide, xSTEBZ
+        and xLAEBZ)."""
+        return self._tol0 - 4 * np.finfo(float).eps * (self._count.bound + 1.0)
 
     def _deflate(self, vals: Array) -> tuple[Array, Array]:
         """(zeros, rest) of `vals`: the structural zeros, its smallest
@@ -603,10 +607,9 @@ class ModeOperator:
         order = np.argsort(np.abs(vals), kind="stable")
         zeros, rest = vals[order[:n_zero]], vals[order[n_zero:]]
         if self._spurious:
-            if np.any(np.abs(zeros) > self._tol0()):
-                raise NumericalError(
-                    "expected exact structural kernel, found "
-                    f"{zeros!r}; refusing to deflate")
+            if np.any(np.abs(zeros) > self._tol0):
+                raise NumericalError("expected exact structural kernel, "
+                                     f"found {zeros!r}; refusing to deflate")
             zeros = zeros[:0]
         return zeros, rest
 
@@ -645,14 +648,14 @@ class ModeOperator:
         whole window): those of the want levels nearest 0 (`path`).  A
         bipartite operator reports -sigma for each sigma, so only the
         positive levels its +-pairs need, once its spurious zeros are
-        counted exactly in (-tol0, 0]; harmonic zeros, which it reports,
-        take the whole window."""
+        counted exactly in (-z, 0] of the zero window (`_zero_window`) and
+        none in (0, z]; harmonic zeros, which it reports, take the whole
+        window."""
         count = self._count
         if not self._bipartite:
             return count.path(w, want)
         if self._spurious or self._harmonic:
-            tol0 = self._tol0()
-            z0, below, above = count(0.0, -tol0, tol0)
+            z0, below, above = count(0.0, -self._zero_window, self._zero_window)
             if self._harmonic or z0 - below != self._spurious or above != z0:
                 return None
         return count.path(w, (want + 1) // 2, positive=True)

@@ -114,7 +114,7 @@ class RadialFunction:
     def from_samples(r: Array, y: Array) -> "RadialFunction":
         """Cubic-spline interpolant; derivative accuracy O(h^2)."""
         sp = _Spline.not_a_knot(r, np.asarray(y, float))
-        return RadialFunction(sp, sp.derivative(1), sp.derivative(2))
+        return RadialFunction(sp, lambda r: sp(r, 1), lambda r: sp(r, 2))
 
 
 @dataclass(frozen=True)
@@ -174,15 +174,6 @@ class _Spline:
         t = (s[:-1] + s[1:] - 2 * slope) / dxr
         c = np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
         return _Spline(x, c)
-
-    def derivative(self, nu: int = 1) -> "_Spline":
-        """The nu-th derivative, a piecewise polynomial of order K - nu."""
-        K = len(self.c)
-        c = self.c[:K - nu].copy()
-        factor = np.array([math.perm(K - 1 - j, nu) for j in range(len(c))],
-                          dtype=float)
-        c *= factor[(slice(None),) + (None,) * (c.ndim - 1)]
-        return _Spline(self.x, c)
 
     def __call__(self, r, nu: int = 0) -> Array:
         """The nu-th derivative at the points r, shape r.shape + values'

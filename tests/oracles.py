@@ -11,10 +11,12 @@ mode under local+-.
 
 Some entries are references rather than independent oracles.
 `brentq_r_of_s` is the package's original per-point arclength inverse, which
-the vectorized inverse must reproduce to roundoff.  `window_values`,
-`selective_levels` and `window_clear_of` are the selective solve and probe
-as they bisected every level of a doubling window around 0; the
-count-driven solve must give their levels and decisions bit for bit.
+the vectorized inverse must reproduce to roundoff.  `window_values` and
+`selective_levels` are the selective solve as it bisected every level of
+a doubling window around 0, and `window_clear_of` is the probe's rule
+read from dstebz's range counts, with the structural-zero tolerance
+`tol0`; the count-driven solve must give their levels and decisions bit
+for bit.
 `structural_zeros` reads an operator's counts of exact zeros as one
 (count, kind) pair.
 `apply_interior` applies the package's interior scheme rows to sampled
@@ -369,13 +371,21 @@ def window_values(d, e, count: int) -> np.ndarray:
         w *= 2.0
 
 
+def tol0(d, e) -> float:
+    """The structural-zero tolerance: 1e-8 times the largest column norm of
+    the tridiagonal (d, e), at least 1e-8."""
+    col = np.square(d)
+    col[1:] += np.square(e)
+    col[:-1] += np.square(e)
+    return 1e-8 * max(1.0, float(np.sqrt(np.max(col))))
+
+
 def selective_levels(op, want: int) -> np.ndarray:
     """The levels of `op.eigensystem(n_values=want)` from `window_values`
     with one spare value: the structural zeros are the smallest |lambda|,
-    refused beyond 1e-8 times the largest column norm and dropped when
-    spurious; a bipartite operator reports its positive values with their
-    mirror images; the want smallest |lambda| are kept, an exact tie at the
-    cut whole."""
+    refused beyond `tol0` and dropped when spurious; a bipartite operator
+    reports its positive values with their mirror images; the want smallest
+    |lambda| are kept, an exact tie at the cut whole."""
     d, e = op.tridiagonal()
     struct = structural_zeros(op)
     n_zero = struct[0] if struct is not None else 0
@@ -383,11 +393,7 @@ def selective_levels(op, want: int) -> np.ndarray:
     order = np.argsort(np.abs(vals), kind="stable")
     zeros, rest = vals[order[:n_zero]], vals[order[n_zero:]]
     if struct is not None and struct[1] == "spurious":
-        col = np.square(d)
-        col[1:] += np.square(e)
-        col[:-1] += np.square(e)
-        tol0 = 1e-8 * max(1.0, float(np.sqrt(np.max(col))))
-        if np.any(np.abs(zeros) > tol0):
+        if np.any(np.abs(zeros) > tol0(d, e)):
             raise NumericalError("expected exact structural kernel, found "
                                  f"{zeros!r}; refusing to deflate")
         zeros = zeros[:0]
@@ -404,15 +410,19 @@ def selective_levels(op, want: int) -> np.ndarray:
 
 
 def window_clear_of(op, bound: float) -> bool:
-    """`op.clear_of(bound)` from the bisected window (-t, t], t = bound +
-    1e-10 * scale: it holds exactly the spurious structural zeros, each
-    within 1e-8 of 0."""
+    """`op.clear_of(bound)` by dstebz range counts: the window (-t, t],
+    t = bound + 1e-10 * scale, and the zero window (-z, z], z = tol0 less
+    4 eps (Gershgorin bound + 1) (z = t with no spurious zeros), each hold
+    exactly the spurious structural zeros."""
     d, e = op.tridiagonal()
-    t = bound + 1e-10 * op._scale
-    vals = sl.eigvalsh_tridiagonal(d, e, select="v", select_range=(-t, t))
     struct = structural_zeros(op)
     n_zero = struct[0] if struct is not None and struct[1] == "spurious" else 0
-    return len(vals) == n_zero and bool(np.all(np.abs(vals) <= 1e-8))
+    t = bound + 1e-10 * op._scale
+    gersh = float(np.max(np.abs(d)) + 2 * np.max(e, initial=0.0))
+    z = tol0(d, e) - 4 * np.finfo(float).eps * (gersh + 1.0) if n_zero else t
+    return all(len(sl.eigvalsh_tridiagonal(d, e, select="v",
+                                           select_range=(-x, x))) == n_zero
+               for x in (t, z))
 
 
 # ---------------------------------------------------------------------------

@@ -517,6 +517,41 @@ def test_convergence_subcommand(tmp_path, capsys):
     assert "strictly ascending" in capsys.readouterr().err
 
 
+def test_convergence_order_holds_on_uneven_grid_ratios(tmp_path):
+    """The disk's fundamental converges at order 2.  On the ladder 64, 128,
+    512, 1024, whose ratios differ, both order cells read 2 to 1e-4; the
+    log of the drift ratio over the last grid ratio alone would read 0.84
+    and 4.32."""
+    out = tmp_path / "cv"
+    assert run(["convergence", "--geometry", "disk", "--bc", "local+",
+                "--N", "64,128,512,1024", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in
+            read(out / "convergence_localplus.csv").splitlines()[1:]]
+    assert [row[2] for row in rows[:2]] == ["", ""]
+    for row in rows[2:]:
+        assert abs(float(row[2]) - 2.0) <= 1e-4, row
+
+
+@pytest.mark.parametrize("grids", [(16, 32, 64), (64, 128, 512),
+                                   (128, 512, 1024), (16, 17, 2 ** 18),
+                                   (100, 101, 102), (16, 2 ** 14, 2 ** 18)])
+@pytest.mark.parametrize("p", [-1.0, 0.5, 1.0, 2.0, 4.0])
+def test_observed_order_is_the_root_of_the_three_grid_model(grids, p):
+    """`observed_order` gives back p from v(N) = 0.3 N^-p sampled on three
+    grids, to the roundoff of the drifts; on a geometric ladder it is
+    log(d1 / d2) / log(N2 / N1) bit for bit.  A zero drift gives no
+    order."""
+    values = [0.3 * float(n) ** -p for n in grids]
+    got = cli.observed_order(grids, values)
+    (n0, n1, n2), (v0, v1, v2) = grids, values
+    if n1 * n1 == n0 * n2:
+        assert got == float(np.log(abs(v1 - v0) / abs(v2 - v1))
+                            / np.log(n2 / n1))
+    assert got is not None and abs(got - p) <= 1e-9, got
+    assert cli.observed_order(grids, [values[0], values[1], values[1]]) is None
+    assert cli.observed_order(grids, [values[0], values[0], values[2]]) is None
+
+
 def test_convergence_warns_when_its_top_mode_is_attained(tmp_path, capsys):
     """On the disk the fundamental sits at |k| = 1/2: convergence with kmax
     1/2 or 1.2 (no mode 3/2) prints one warning line per boundary condition

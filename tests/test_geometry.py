@@ -431,9 +431,9 @@ def _spline_values(kind, n, rng):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_spline_is_bit_identical_to_scipy(n, kind, seed):
     """geometry._Spline against scipy's CubicSpline (not-a-knot) on
-    non-uniform knots: values and derivatives of order 0-3, by __call__ and
-    by derivative(), inside, on every knot, at both ends and up to one cell
-    outside, equal to the last bit."""
+    non-uniform knots: values and derivatives of order 0-3 by __call__,
+    inside, on every knot, at both ends and up to one cell outside, equal to
+    the last bit."""
     from scipy.interpolate import CubicSpline
     rng = np.random.default_rng(seed)
     x = rng.uniform(-2.0, 2.0) + np.cumsum(rng.uniform(1e-3, 1.0, n))
@@ -446,8 +446,6 @@ def test_spline_is_bit_identical_to_scipy(n, kind, seed):
                           [x[0] - h0, x[-1] + h1]])
     for nu in range(4):
         for mine, ref in ((ours(pts, nu), theirs(pts, nu)),
-                          (ours.derivative(nu)(pts),
-                           theirs.derivative(nu)(pts)),
                           (ours(x[-1], nu), theirs(x[-1], nu))):
             assert mine.shape == ref.shape and mine.dtype == ref.dtype
             assert np.array_equal(mine, ref)

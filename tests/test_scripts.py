@@ -180,7 +180,10 @@ def test_code_lines_leave_out_docstrings_comments_and_blanks(tmp_path,
     name, and their total: docstrings of the module, a class and a function
     (one or several lines), comment lines and blank lines are left out; a
     multi-line statement, a multi-line string that is no docstring and a
-    line with a trailing comment count (a stub package of two modules)."""
+    line with a trailing comment count (a stub package of three modules).
+    With --functions it counts each function's and method's lines by the
+    same rule, by qualified name in source order, its decorators and the
+    functions and classes nested in it included."""
     spec = importlib.util.spec_from_file_location(
         "code_lines", os.path.join(ROOT, "scripts", "code_lines.py"))
     script = importlib.util.module_from_spec(spec)
@@ -198,7 +201,24 @@ def test_code_lines_leave_out_docstrings_comments_and_blanks(tmp_path,
         "        return '''not\n"
         "a docstring'''\n")
     (tmp_path / "a.py").write_text("X = 1\n\n# only a comment\n")
+    (tmp_path / "c.py").write_text(
+        "import functools\n\n\n"
+        "@functools.cache\n"
+        "def g(x):\n"
+        '    """Doc."""\n\n'
+        "    def inner(y):\n"
+        "        return y  # trailing\n"
+        "    return inner(x)\n\n\n"
+        "async def h():\n"
+        "    class B:\n"
+        "        def m(self):\n"
+        "            pass\n"
+        "    return B\n")
     (tmp_path / "notes.txt").write_text("X = 2\n")
     assert script.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines() == ["a.py 1", "b.py 7",
-                                                    "total 8"]
+                                                    "c.py 11", "total 19"]
+    assert script.main(["--functions", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "b.py:A.f 3", "c.py:g 5", "c.py:g.<locals>.inner 2", "c.py:h 5",
+        "c.py:h.<locals>.B.m 2"]
