@@ -475,17 +475,14 @@ def observed_order(grids, values) -> float | None:
     With the drifts d1 = |v1 - v0|, d2 = |v2 - v1| and the ratios
     r1 = N1 / N0, r2 = N2 / N1, p is the root of
     r2^p (r1^p - 1) / (r2^p - 1) = d1 / d2.  Its left side rises from 0 to
-    infinity with p, so the root exists and is unique: on a geometric
-    ladder (N1^2 = N0 N2) it is log(d1 / d2) / log(r2), computed so, and
-    otherwise it is bisected to the last bit.  None when a drift is 0 or
-    the grids do not ascend.
+    infinity with p, so the root exists and is unique (on a geometric
+    ladder, N1^2 = N0 N2, it is log(d1 / d2) / log(r2)); it is bisected to
+    the last bit.  None when a drift is 0.
     """
     (n0, n1, n2), (v0, v1, v2) = grids, values
     d1, d2 = abs(v1 - v0), abs(v2 - v1)
-    if not (d2 > 0 and d1 > 0 and n0 < n1 < n2):
+    if not (d2 > 0 and d1 > 0):
         return None
-    if n1 * n1 == n0 * n2:
-        return float(np.log(d1 / d2) / np.log(n2 / n1))
     l1, l2, target = math.log(n1 / n0), math.log(n2 / n1), math.log(d1 / d2)
 
     def above(p: float) -> bool:

@@ -539,14 +539,13 @@ def test_convergence_order_holds_on_uneven_grid_ratios(tmp_path):
 def test_observed_order_is_the_root_of_the_three_grid_model(grids, p):
     """`observed_order` gives back p from v(N) = 0.3 N^-p sampled on three
     grids, to the roundoff of the drifts; on a geometric ladder it is
-    log(d1 / d2) / log(N2 / N1) bit for bit.  A zero drift gives no
-    order."""
+    log(d1 / d2) / log(N2 / N1) to 4 ulps.  A zero drift gives no order."""
     values = [0.3 * float(n) ** -p for n in grids]
     got = cli.observed_order(grids, values)
     (n0, n1, n2), (v0, v1, v2) = grids, values
     if n1 * n1 == n0 * n2:
-        assert got == float(np.log(abs(v1 - v0) / abs(v2 - v1))
-                            / np.log(n2 / n1))
+        closed = np.log(abs(v1 - v0) / abs(v2 - v1)) / np.log(n2 / n1)
+        assert abs(got - closed) <= 4 * np.finfo(float).eps * abs(closed)
     assert got is not None and abs(got - p) <= 1e-9, got
     assert cli.observed_order(grids, [values[0], values[1], values[1]]) is None
     assert cli.observed_order(grids, [values[0], values[0], values[2]]) is None

@@ -946,7 +946,7 @@ def test_hemisphere_spectrum_is_the_closed_form(n_levels, monkeypatch):
     (n_levels=None, 2 threads) and inline selective ones.  Each mode that
     holds rows has the closed form's count of levels with |lambda| <= 8.5
     (a selective mode its n_levels smallest |lambda|), they match the
-    closed form one to one (each within 0.25 of its partner; a mode's
+    closed form one to one (each within 0.02 of its partner; a mode's
     closed-form levels lie at least 2 apart), and each level's error falls
     at an observed order in [1.9, 2.1] from N 64 to 128.  A selective
     solve holds rows only in the modes +-1/2 of lambda_min."""
@@ -973,7 +973,7 @@ def test_hemisphere_spectrum_is_the_closed_form(n_levels, monkeypatch):
                 got = got[np.abs(got) <= cutoff]
                 assert len(got) == len(exact), (spec.variant, k, sp.n_grid)
                 errors.append(np.abs(got - exact))
-                assert np.all(errors[-1] < 0.25), (spec.variant, k)
+                assert np.all(errors[-1] < 0.02), (spec.variant, k)
             order = np.log2(errors[0] / errors[1])
             assert np.all((order >= 1.9) & (order <= 2.1)), (spec.variant, k)
 

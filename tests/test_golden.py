@@ -8,9 +8,7 @@ Compared exactly: the file set, keys and their order, entry order, strings,
 `passed`/`feasible` flags, integers and exit codes.  Compared to 1e-12
 relative: every other number (eigenvalues, lambda_min_sq, bound values,
 margins; for the half-integer k this is exact).  Rows of `verify` are identity values and residuals, which sit at
-roundoff level, so they also get an absolute floor of 1e-12.  The
-reference `spectrum` files of hemisphere_limiting are also held, as checked
-in, to the unit hemisphere's closed-form spectrum.
+roundoff level, so they also get an absolute floor of 1e-12.
 
 The reference files are data.  Regenerate them with
 
@@ -38,10 +36,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-import oracles
 from spinspec.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -147,32 +143,6 @@ def test_golden_scenario_outputs(scenario, command, tmp_path):
 def test_golden_set_covers_every_scenario():
     exit_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
     assert sorted(exit_codes) == sorted(f"{s}/{c}" for s, c in CASES)
-
-
-def test_hemisphere_spectrum_files_are_the_closed_form():
-    """The reference `spectrum` CSVs of hemisphere_limiting (N 64 and 128,
-    local+ and local-, |k| <= 2.5), read as checked in, against the unit
-    hemisphere's closed form (`oracles.hemisphere_levels`): each mode has
-    the closed form's count of levels with |lambda| <= 8.5, they match it
-    one to one, each within 0.02, and each level's error falls at an
-    observed order in [1.9, 2.1] from N 64 to 128."""
-    cutoff, where = 8.5, GOLDEN / "hemisphere_limiting" / "spectrum"
-    for variant, name in (("local+", "localplus"), ("local-", "localminus")):
-        errors = {}
-        for N in (64, 128):
-            rows = np.loadtxt(where / f"spectrum_{name}_N{N}.csv",
-                              delimiter=",", skiprows=1, ndmin=2)
-            assert sorted(set(rows[:, 0])) == [-2.5, -1.5, -0.5, 0.5, 1.5, 2.5]
-            for k in set(rows[:, 0]):
-                got = np.sort(rows[rows[:, 0] == k, 2])
-                got = got[np.abs(got) <= cutoff]
-                exact = oracles.hemisphere_levels(k, variant, cutoff)
-                assert len(got) == len(exact), (variant, N, k)
-                errors.setdefault(k, []).append(np.abs(got - exact))
-                assert np.all(errors[k][-1] <= 0.02), (variant, N, k)
-        for k, (coarse, fine) in errors.items():
-            order = np.log2(coarse / fine)
-            assert np.all((order >= 1.9) & (order <= 2.1)), (variant, k)
 
 
 def test_drift_finds_the_largest_changes_and_their_paths(tmp_path):
